@@ -30,9 +30,11 @@ def check_report(raw, exit_code, cell, seed):
         return "report is for suite %r, seed %r" % (rep.get("suite"),
                                                     rep.get("seed"))
     instance = cell[cell.index("--instance") + 1]
-    if instance not in str(rep.get("instance")):
-        # reports name the structure checked, e.g. D(grp-S3) for dcp
-        return "report is for instance %r" % (rep.get("instance"),)
+    # a dcp report names the structure it checked, the double D(instance)
+    expected = "D(%s)" % instance if cell[1] == "dcp" else instance
+    if rep.get("instance") != expected:
+        return "report is for instance %r, expected %r" % (
+            rep.get("instance"), expected)
     return None
 
 
@@ -41,6 +43,8 @@ def parse_table(raw):
     {(i, j): {k: Fraction}}, and the basis size."""
     payload = json.loads(raw)
     n = len(payload["basis"])
+    if len(set(payload["basis"])) != n:
+        raise ValueError("basis labels repeat")
     table = {}
     for i, j, entries in payload["table"]:
         prod = {}
@@ -86,6 +90,44 @@ def check_associative(table, n):
                 if left != right:
                     return ("(e%d e%d) e%d = %r but e%d (e%d e%d) = %r"
                             % (i, j, k, left, i, j, k, right))
+    return None
+
+
+def _solve(rows, n):
+    """Whether the augmented rows [a_0 .. a_{n-1}, b] (Fractions) have a
+    common solution, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / top[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], top)]
+        rank += 1
+    return all(r[n] == 0 for r in rows[rank:])
+
+
+def check_unit(table, n):
+    """The algebra has a two-sided unit u: u e_j = e_j = e_j u for every j.
+    A crossed product of finite-dimensional Hopf algebras is unital, and a
+    table with products dropped (an empty or zeroed one included) has no
+    unit, though it may still be associative."""
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            target = Fraction(int(j == k))
+            rows.append([table.get((i, j), {}).get(k, Fraction(0))
+                         for i in range(n)] + [target])
+            rows.append([table.get((j, i), {}).get(k, Fraction(0))
+                         for i in range(n)] + [target])
+    if not _solve(rows, n):
+        return "no two-sided unit"
     return None
 
 

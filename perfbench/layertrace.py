@@ -14,7 +14,9 @@ Two mechanisms, both set up from here and removed after each traced call:
   (in every module that imported the name) observe what the profiler
   cannot see: the basis images asked of the memoized `bilinear`/`linear`
   extensions, the term counts returned across the linear layer's
-  boundary, and the bytes of rendered reports.
+  boundary, the bytes of rendered reports, and the calls of the four
+  public twist operators (counted at the class attributes, so the count
+  does not depend on how `mha` implements them).
 """
 
 import cProfile
@@ -32,6 +34,9 @@ _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rpow__", "__pos__", "__neg__", "__abs__", "__eq__",
                  "__lt__", "__gt__", "__le__", "__ge__", "__bool__")
 _GF_OPS = _FRACTION_OPS + ("__ne__",)
+
+# the four twist operators of a multiplier Hopf algebra
+TWISTS = ("script_t", "script_t_inv", "script_t_prime", "script_t_prime_inv")
 
 # the per-layer metrics, in report order, with unit and better direction
 PER_LAYER = [("%s.self_s" % layer, "s", "lower") for layer in LAYERS] + [
@@ -102,8 +107,6 @@ class Tracer:
                 label(linear.lin_solve.__code__),
                 label(linear.kernel_basis.__code__),
                 label(linear.QuotientSpace.__init__.__code__)},
-            "mha.twist_calls": {
-                label(mha.MultiplierHopfAlgebra.script_t.__code__)},
             "mha.antipode_calls": _labels(mha.MultiplierHopfAlgebra,
                                           ("antipode", "antipode_inv")),
             "instances.dual_antipode_calls":
@@ -121,6 +124,7 @@ class Tracer:
         self.memo_misses = 0
         self.max_support = 0
         self.report_bytes = 0
+        self.twist_calls = 0
         self._exts = []
         self._undo = []
 
@@ -170,6 +174,15 @@ class Tracer:
 
         return traced_init
 
+    def _count_twist(self, method):
+        tracer = self
+
+        def traced(obj, x2):
+            tracer.twist_calls += 1
+            return method(obj, x2)
+
+        return traced
+
     def _count_bytes(self, to_json):
         tracer = self
 
@@ -203,6 +216,10 @@ class Tracer:
         init = mha.MultiplierHopfAlgebra.__dict__["__init__"]
         self._patch_attr(mha.MultiplierHopfAlgebra, "__init__",
                          self._record_slices(init))
+        mha_cls = mha.MultiplierHopfAlgebra
+        for name in TWISTS:
+            self._patch_attr(mha_cls, name,
+                             self._count_twist(mha_cls.__dict__[name]))
         self._patch_attr(report.Report, "to_json",
                          self._count_bytes(report.Report.to_json))
 
@@ -282,4 +299,5 @@ class Tracer:
             if self.memo_lookups else 0.0)
         out["linear.max_support"] = self.max_support
         out["report.bytes"] = self.report_bytes
+        out["mha.twist_calls"] = self.twist_calls
         return out

@@ -1,14 +1,17 @@
 """ydcheck benchmark: time to a verdict on three workloads.
 
-    python3 perfbench/run.py [--workload NAME|all] [--seed N] [--seconds S]
-                             [--trace 0|1]
+    python3 perfbench/run.py [--workload NAME|all] [--seed N] [--trace 0|1]
 
 Run from the root of a checkout.  Each workload runs in its own fresh
 process (worker.py), one after another; this process imports no ydcheck
-code.  With --trace 0 it prints the end-to-end metrics, with --trace 1 the
-per-layer metrics of a traced run.  The last line of standard output is one
-JSON object: {"correct", "attempted", "failed", "metrics"}.  It exits 1,
-printing no result, if a workload cannot be run.  See README.md.
+code.  With --trace 0 it prints the end-to-end metrics (times in reference
+seconds, see reference.py), with --trace 1 the per-layer metrics of a
+traced run.  A run makes a fixed number of rounds (ROUNDS in
+workloads.py); `--seconds S` is accepted, as the common benchmark command
+line passes it, and changes nothing.  The last line of
+standard output is one JSON object: {"correct", "attempted", "failed",
+"metrics"}.  It exits 1, printing no result, if a workload cannot be run.
+See README.md.
 """
 
 import argparse
@@ -18,6 +21,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+from reference import REF_S, reference
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -65,21 +70,24 @@ def _run(cmd, timeout):
 
 def setup_probes(workload, count):
     """Times from a fresh interpreter's start until ydcheck is imported and
-    the workload's objects are built."""
+    the workload's objects are built, in reference seconds (over the mean
+    of the references timed just before and just after, times REF_S)."""
     times = []
     for _ in range(count):
+        before = reference()
         t0 = time.perf_counter()
         ready = float(_run([sys.executable, WORKER, "--workload", workload,
                             "--setup-only"], PROBE_TIMEOUT_S))
-        times.append(ready - t0)
+        dt = ready - t0
+        times.append(REF_S * dt / ((before + reference()) / 2))
     return times
 
 
-def run_workload(workload, seed, seconds, trace):
+def run_workload(workload, seed, trace):
     probes = [] if trace else setup_probes(workload, SETUP_PROBES // 2)
     last = _run([sys.executable, WORKER, "--workload", workload,
-                 "--seed", str(seed), "--seconds", str(seconds),
-                 "--trace", str(trace)], WORKER_TIMEOUT_S)
+                 "--seed", str(seed), "--trace", str(trace)],
+                WORKER_TIMEOUT_S)
     try:
         out = json.loads(last)
     except ValueError:
@@ -100,7 +108,8 @@ def run_workload(workload, seed, seconds, trace):
                   "peak_rss_mb": out["peak_rss_mb"]}
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in END_TO_END.items()}
-        note = "%d rounds" % out["rounds"]
+        note = "%d rounds, %.3f s of wall time" % (out["rounds"],
+                                                   out["wall_verdict_s"])
     print("%s: %d operations attempted, %d failed (%s)"
           % (workload, out["attempted"], out["failed"], note))
     for name, m in metrics.items():
@@ -115,13 +124,14 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", default="all", choices=WORKLOADS + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=int, default=32)
+    # accepted and ignored: the work of a run is fixed, not timed
+    p.add_argument("--seconds", type=int, help=argparse.SUPPRESS)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     try:
-        results = {w: run_workload(w, args.seed, args.seconds, args.trace)
+        results = {w: run_workload(w, args.seed, args.trace)
                    for w in names}
     except BenchError as exc:
         print("benchmark failed: %s" % exc, file=sys.stderr)

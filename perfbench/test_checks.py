@@ -9,7 +9,8 @@ import unittest
 from types import SimpleNamespace
 
 from checks import (check_report, parse_table, check_dimension,
-                    check_associative, check_deterministic, check_control)
+                    check_associative, check_unit, check_deterministic,
+                    check_control)
 from worker import Ledger, run_control
 
 
@@ -55,6 +56,29 @@ class TableChecks(unittest.TestCase):
             self.assertIsNotNone(check_associative(table, n),
                                  "entry %d altered but accepted" % pos)
 
+    def test_group_algebra_has_a_unit(self):
+        table, n = parse_table(raw(s3_table()))
+        self.assertIsNone(check_unit(table, n))
+
+    def test_degenerate_tables_are_rejected(self):
+        # an empty or zeroed table is associative but has no unit
+        emptied = dict(s3_table(), table=[])
+        zeroed = s3_table()
+        for entry in zeroed["table"]:
+            entry[2][0][1] = "0"
+        for payload in (emptied, zeroed):
+            table, n = parse_table(raw(payload))
+            self.assertIsNone(check_associative(table, n))
+            self.assertIsNotNone(check_unit(table, n))
+
+    def test_a_dropped_product_with_the_unit_is_rejected(self):
+        # entry 3 is e_1 e_g for the identity 1 of S3 (index 0)
+        dropped = s3_table()
+        self.assertEqual(dropped["table"][3][:2], [0, 3])
+        del dropped["table"][3]
+        table, n = parse_table(raw(dropped))
+        self.assertIsNotNone(check_unit(table, n))
+
     def test_rational_coefficients_are_exact(self):
         # A = Q e with e e = (1/3) e is associative; 1/3 must not round
         table, n = parse_table(raw({"basis": ["e"],
@@ -69,6 +93,10 @@ class TableChecks(unittest.TestCase):
         bad = {"basis": ["e"], "table": [[0, 0, [[3, "1"]]]]}
         with self.assertRaises(ValueError):
             parse_table(raw(bad))
+
+    def test_repeated_basis_label_is_unreadable(self):
+        with self.assertRaises(ValueError):
+            parse_table(raw({"basis": ["e", "e"], "table": []}))
 
 
 class ReportChecks(unittest.TestCase):
@@ -87,6 +115,19 @@ class ReportChecks(unittest.TestCase):
         self.assertIsNotNone(check_report(report(instance="grp-Z2"), 0,
                                           CELL, 4))
         self.assertIsNotNone(check_report(b"{not json", 0, CELL, 4))
+
+    def test_instance_must_match_exactly(self):
+        for other in ("dual:grp-S3", "D(grp-S3)", "grp-S3 "):
+            self.assertIsNotNone(check_report(report(instance=other), 0,
+                                              CELL, 4), other)
+
+    def test_dcp_report_names_the_double(self):
+        cell = ["check", "dcp", "--instance", "grp-S3"]
+        self.assertIsNone(check_report(
+            report(suite="dcp", instance="D(grp-S3)"), 0, cell, 4))
+        for other in ("grp-S3", "D(dual:grp-S3)"):
+            self.assertIsNotNone(check_report(
+                report(suite="dcp", instance=other), 0, cell, 4), other)
 
 
 class DeterminismCheck(unittest.TestCase):

@@ -4,10 +4,10 @@ result as one JSON line.  Started by run.py; not meant to be run by hand.
     worker.py --workload W --setup-only
         import ydcheck, build the workload's objects, print the
         time.perf_counter() reading at which that finished
-    worker.py --workload W --seed N --seconds S --trace 0|1
-        trace 0: a fixed number of whole rounds of every cell, enough to
-        fill S seconds at the workload's nominal round time; each cell's
-        time is its median over the timed rounds
+    worker.py --workload W --seed N --trace 0|1
+        trace 0: the workload's fixed number of whole rounds of every cell
+        (ROUNDS in workloads.py); each cell's time, in reference seconds
+        (reference.py), is its median over the timed rounds
         trace 1: one untraced round, then one traced round
 
 Rounds 0 and 1 pass --seed N, so that their reports can be compared byte
@@ -36,11 +36,12 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 from checks import (check_report, parse_table, check_dimension,  # noqa: E402
-                    check_associative, check_deterministic, check_control)
-from workloads import (WORKLOADS, BASE_DIM, ROUND_S, arg,  # noqa: E402
+                    check_associative, check_unit, check_deterministic,
+                    check_control)
+from workloads import (WORKLOADS, BASE_DIM, ROUNDS, arg,  # noqa: E402
                        cell_name, instances)
+from reference import REF_S, reference  # noqa: E402
 
-MIN_ROUNDS = 3
 ANTIPODE_CONTROL_SAMPLES = 100
 YD_CONTROL_SAMPLES = 40
 
@@ -166,6 +167,9 @@ def run_cell(cli_main, cell, seed, path, tracer=None):
     return dt, rc, raw
 
 
+TABLE_CHECKS = ("dimension", "associativity", "unit")
+
+
 def check_cell(ledger, cell, seed, rc, raw):
     name = cell_name(cell)
     if rc not in (0, 1) or raw is None:
@@ -182,11 +186,12 @@ def check_cell(ledger, cell, seed, rc, raw):
     try:
         table, n = parse_table(raw)
     except (TypeError, ValueError, KeyError) as exc:
-        ledger.op(name + " dimension", "unreadable table: %s" % exc)
-        ledger.op(name + " associativity", "unreadable table: %s" % exc)
+        for what in TABLE_CHECKS:
+            ledger.op(name + " " + what, "unreadable table: %s" % exc)
         return
     ledger.op(name + " dimension", check_dimension(n, base))
     ledger.op(name + " associativity", check_associative(table, n))
+    ledger.op(name + " unit", check_unit(table, n))
 
 
 def round_seed(seed, r):
@@ -194,17 +199,23 @@ def round_seed(seed, r):
 
 
 def run_round(ledger, cli_main, cells, seed, r, outdir, tracer=None):
-    """Every cell once at round r's seed, with its output checks.  Returns
-    per-cell seconds and bytes written."""
-    times, raws = [], []
+    """Every cell once at round r's seed, with its output checks, and the
+    reference timed before the first cell and after each one.  Returns
+    per-cell seconds, each cell's seconds in reference seconds (over the
+    mean of the references either side of it, times REF_S), and bytes
+    written."""
+    times, refs, raws = [], [reference()], []
     for cell in cells:
         path = os.path.join(outdir, cell_name(cell) + ".json")
         dt, rc, raw = run_cell(cli_main, cell, round_seed(seed, r), path,
                                tracer)
+        refs.append(reference())
         check_cell(ledger, cell, round_seed(seed, r), rc, raw)
         times.append(dt)
         raws.append(raw)
-    return times, raws
+    scaled = [REF_S * dt / ((a + b) / 2)
+              for dt, a, b in zip(times, refs, refs[1:])]
+    return times, scaled, raws
 
 
 def main(argv=None):
@@ -212,7 +223,6 @@ def main(argv=None):
     p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     p.add_argument("--setup-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=32)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
@@ -236,10 +246,10 @@ def main(argv=None):
     if args.trace:
         from layertrace import Tracer
         tracer = Tracer()
-        plain, raws = run_round(ledger, cli.main, cells, args.seed, 0,
-                                outdir)
-        traced, traced_raws = run_round(ledger, cli.main, cells, args.seed,
-                                        1, outdir, tracer)
+        plain, _, raws = run_round(ledger, cli.main, cells, args.seed, 0,
+                                   outdir)
+        traced, _, traced_raws = run_round(ledger, cli.main, cells,
+                                           args.seed, 1, outdir, tracer)
         rounds_raw = [raws, traced_raws]
         layers = tracer.metrics()
         layers["instances.build_s"] = build_s
@@ -248,15 +258,21 @@ def main(argv=None):
         result["untraced_verdict_s"] = sum(plain)
         result["traced_verdict_s"] = sum(traced)
     else:
-        rounds = max(MIN_ROUNDS, int(args.seconds // ROUND_S[args.workload]))
-        for r in range(rounds):
-            times, raws = run_round(ledger, cli.main, cells, args.seed, r,
-                                    outdir)
-            rounds_t.append(times)
+        rounds_wall = []
+        for r in range(ROUNDS[args.workload]):
+            wall, scaled, raws = run_round(ledger, cli.main, cells,
+                                           args.seed, r, outdir)
+            rounds_wall.append(wall)
+            rounds_t.append(scaled)
             rounds_raw.append(raws)
-        timed = rounds_t[:1] + rounds_t[2:]
-        cell_s = [statistics.median(ts) for ts in zip(*timed)]
+
+        def medians(rounds):
+            timed = rounds[:1] + rounds[2:]
+            return [statistics.median(ts) for ts in zip(*timed)]
+
+        cell_s = medians(rounds_t)
         result["verdict_s"] = sum(cell_s)
+        result["wall_verdict_s"] = sum(medians(rounds_wall))
         result["cell_s"] = {cell_name(c): t for c, t in zip(cells, cell_s)}
 
     for cell, outputs in zip(cells, zip(*rounds_raw[:2])):

@@ -63,10 +63,11 @@ WORKLOADS = {
     "dual-cliff": _dual_cliff(),
 }
 
-#: nominal seconds per round (every cell once), as measured on a 2-CPU
-#: shared machine under Python 3.11; a run of --seconds S makes S // ROUND_S
-#: whole rounds, so that every run does the same work
-ROUND_S = {"multiplier-qq": 8.0, "finite-fp": 7.5, "dual-cliff": 5.0}
+#: whole rounds (every cell once) per untraced run, the same in every run so
+#: that every run attempts the same operations; a round took about 8, 7 and
+#: 4 s (multiplier-qq, finite-fp, dual-cliff) on 2 shared CPUs under Python
+#: 3.11, so a run measures about 30 s of calls
+ROUNDS = {"multiplier-qq": 4, "finite-fp": 4, "dual-cliff": 6}
 
 #: dimension of each finite base whose crossed product is dumped
 BASE_DIM = {"sweedler-H4": 4, "dual:sweedler-H4": 4, "grp-S3": 6,
