@@ -264,7 +264,16 @@ def dual_sym(s):
 
 class DualHopf(MultiplierHopfAlgebra):
     """The dual Hopf algebra on the dual basis, with the canonical pairing
-    and the two coregular actions (a |> p)(x) = p(xa), (p <| a)(x) = p(ax)."""
+    and the two coregular actions (a |> p)(x) = p(xa), (p <| a)(x) = p(ax).
+
+    The structure maps are tabulated once, when the instance is built: the
+    base's product and coproduct tables are inverted into the dual's
+    coproduct and product tables, and the base's S and S^-1 are transposed
+    over the basis (n calls each).  The basis maps passed on are lookups in
+    those tables, which assumes the base's structure maps are pure.  They
+    remain the instance's own closures, so a copy.copy whose _antipode is
+    replaced sees its replacement.
+    """
 
     def __init__(self, base, name):
         if base.algebra.basis is None or not base.algebra.has_unit:
@@ -272,48 +281,51 @@ class DualHopf(MultiplierHopfAlgebra):
         field = base.field
         self.base = base
         bsyms = base.algebra.basis
-        n = len(bsyms)
+        dsyms = [dual_sym(a) for a in bsyms]
 
-        # structure constants of the base
-        prod = {(a, b): base.algebra.mult(base.el(a), base.el(b))
-                for a in bsyms for b in bsyms}
-        cop = {a: base.coproduct(base.el(a)) for a in bsyms}
+        # structure constants of the base, read backwards:
+        #   (pq)(a) = (p (x) q)(Delta(a)),  <Delta(p), a (x) b> = p(ab)
+        prod_t = {(p, q): {} for p in dsyms for q in dsyms}
+        for a in bsyms:
+            for s, c in base.coproduct(base.el(a)).terms.items():
+                i, j = legs(s)
+                prod_t[(dual_sym(i), dual_sym(j))][dual_sym(a)] = c
+        cop_t = {p: {} for p in dsyms}
+        for a in bsyms:
+            for b in bsyms:
+                ab = base.algebra.mult(base.el(a), base.el(b))
+                for k, c in ab.terms.items():
+                    cop_t[dual_sym(k)][Ten((dual_sym(a), dual_sym(b)))] = c
+        prod_t = {pq: Element(field, t) for pq, t in prod_t.items()}
+        cop_t = {p: Element(field, t) for p, t in cop_t.items()}
 
-        def mult_basis(p, q):  # (pq)(a) = (p (x) q)(Delta(a))
-            i, j = p[1], q[1]
-            out = {}
-            for a in bsyms:
-                c = cop[a].coeff(Ten((i, j)))
-                if c != field.zero():
-                    out[dual_sym(a)] = c
-            return Element(field, out)
+        # S(p) = p o S: the transpose of S over the basis
+        def transpose(f):
+            cols = {a: f(base.el(a)) for a in bsyms}
+            return {dual_sym(k): Element(field, {dual_sym(a): cols[a].coeff(k)
+                                                 for a in bsyms})
+                    for k in bsyms}
+
+        anti_t = transpose(base.antipode)
+        anti_inv_t = transpose(base.antipode_inv)
+
+        def mult_basis(p, q):
+            return prod_t[(p, q)]
 
         unit = Element(field, {dual_sym(a): base.counit(base.el(a)) for a in bsyms})
-        alg = Algebra(field, mult_basis, basis=[dual_sym(a) for a in bsyms],
-                      unit=unit, name=name)
+        alg = Algebra(field, mult_basis, basis=dsyms, unit=unit, name=name)
 
-        def cop_basis(p):  # <Delta(p), a (x) b> = p(ab)
-            k = p[1]
-            out = Element(field)
-            for a in bsyms:
-                for b in bsyms:
-                    c = prod[(a, b)].coeff(k)
-                    if c != field.zero():
-                        out = out + Element.basis(field, Ten((dual_sym(a), dual_sym(b))), c)
-            return out
+        def cop_basis(p):
+            return cop_t[p]
 
         def counit(p):  # eps(p) = p(1)
             return base.algebra.unit.coeff(p[1])
 
-        def anti(p):  # S(p) = p o S
-            k = p[1]
-            return Element(field, {dual_sym(a): base.antipode(base.el(a)).coeff(k)
-                                   for a in bsyms})
+        def anti(p):
+            return anti_t[p]
 
         def anti_inv(p):
-            k = p[1]
-            return Element(field, {dual_sym(a): base.antipode_inv(base.el(a)).coeff(k)
-                                   for a in bsyms})
+            return anti_inv_t[p]
 
         built = from_unital_coproduct(
             alg, cop_basis, counit, anti, anti_inv,
@@ -379,10 +391,6 @@ class IntegralData:
         for s, c in x.terms.items():
             out = out + c * self.phi_coeffs.get(s, self.mha.field.zero())
         return out
-
-    def phi_as_dual(self):
-        return Element(self.mha.field,
-                       {dual_sym(s): c for s, c in self.phi_coeffs.items()})
 
     def verify(self):
         """Re-check both defining equations on every basis element."""

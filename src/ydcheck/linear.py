@@ -51,6 +51,13 @@ def make_sym(leg_tuple):
     return leg_tuple[0] if len(leg_tuple) == 1 else Ten(leg_tuple)
 
 
+def split_sym(sym, n_left):
+    """Split a symbol after its first n_left legs (a module symbol of arity
+    n_left followed by the rest), unwrapping singletons on both sides."""
+    ls = legs(sym)
+    return make_sym(ls[:n_left]), make_sym(ls[n_left:])
+
+
 class Element:
     """A finite formal linear combination of basis symbols over a field.
 
@@ -145,13 +152,6 @@ def tensor(x, y):
     return out
 
 
-def tensor_all(*xs):
-    out = xs[0]
-    for x in xs[1:]:
-        out = tensor(out, x)
-    return out
-
-
 def linear(field, f):
     """Extend f(sym) -> Element to a linear map on Elements; the unary twin
     of bilinear.  The image of each basis symbol is memoized (f must be
@@ -193,15 +193,6 @@ def bilinear(field, f):
         return Element(field, acc)
 
     return ext
-
-
-def leg_project(x, i):
-    """Split each symbol at leg i: returns list of (coeff, leg_i, rest_syms)."""
-    out = []
-    for s, c in x.terms.items():
-        ls = legs(s)
-        out.append((c, ls[i], ls[:i] + ls[i + 1:]))
-    return out
 
 
 def apply_leg(x, i, f):

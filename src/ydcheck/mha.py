@@ -66,9 +66,6 @@ class Algebra:
                 out = out + acc.scaled(cx * cy)
         return out
 
-    # the common arity-2 case keeps its short name
-    mult2 = mult_tensor
-
     def el(self, sym, coeff=None):
         return Element.basis(self.field, sym, coeff)
 
@@ -356,11 +353,6 @@ def random_element(rng, field, sample_sym, max_support=4):
 
 def random_alg_element(rng, mha, max_support=4):
     return random_element(rng, mha.field, mha.algebra.sample_basis, max_support)
-
-
-def sample_pairs(rng, mha, n):
-    for _ in range(n):
-        yield random_alg_element(rng, mha), random_alg_element(rng, mha)
 
 
 # -- axiom checkers --------------------------------------------------------

@@ -767,12 +767,6 @@ class BalancedTensor:
             name=self.name)
 
 
-def tensor_over_h(M, N, name=None):
-    """The balanced tensor product as a mixed module (its carrier is the
-    quotient basis)."""
-    return BalancedTensor(M, N, name=name).ham
-
-
 def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
     """Relator stability of every descended structure (exact span-membership
     through the quotient projection), the mixed-module laws on the quotient,

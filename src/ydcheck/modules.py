@@ -9,7 +9,7 @@ sliceL(v, a) = (1 (x) a)Gamma(v) = v_(0) (x) a v_(1).
 
 import random
 
-from .linear import Element, Ten, tensor, legs, make_sym, apply_leg
+from .linear import Element, Ten, bilinear, tensor, legs, make_sym, split_sym
 from .mha import Multiplier, random_element, random_alg_element
 
 
@@ -20,6 +20,12 @@ class UnitalModule:
     basis module vector.  local_unit(velems, aelems) must return e in A with
     e.v = v for the given module elements and ea = ae = a for the given
     algebra elements (unital algebras just return the unit).
+
+    The action is extended bilinearly, and the image of each basis pair
+    (a_sym, v_sym) is memoized in this module object, which assumes
+    act_basis is pure (as bilinear does).  The memo belongs to the object:
+    a module built from a different (say, corrupted) action map starts cold
+    and never sees this one's images.
     """
 
     def __init__(self, mha, act_basis, *, basis=None, sample_basis=None,
@@ -32,7 +38,7 @@ class UnitalModule:
         self.kind = kind
         self.arity = arity  # how many tensor legs a basis symbol occupies
         self.basis = list(basis) if basis is not None else None
-        self._act = act_basis
+        self._act = bilinear(self.field, act_basis)
         if sample_basis is not None:
             self._sample_basis = sample_basis
         elif self.basis is not None:
@@ -56,23 +62,7 @@ class UnitalModule:
         return self._sample_basis(rng)
 
     def act(self, a, v):
-        out = Element(self.field)
-        for sa, ca in a.terms.items():
-            for sv, cv in v.terms.items():
-                out = out + self._act(sa, sv).scaled(ca * cv)
-        return out
-
-    def act_leg(self, x, i, a):
-        """Act by a on leg i of a tensor whose leg i carries module symbols."""
-        out = Element(self.field)
-        for s, c in x.terms.items():
-            ls = legs(s)
-            img = self.act(a, self.el(ls[i]))
-            for si, ci in img.terms.items():
-                out = out + Element.basis(self.field,
-                                          make_sym(ls[:i] + legs(si) + ls[i + 1:]),
-                                          c * ci)
-        return out
+        return self._act(a, v)
 
     def local_unit(self, velems, aelems=()):
         return self._local_unit(list(velems), list(aelems))
@@ -139,7 +129,13 @@ class Coaction:
 
     slice_r_basis(v_sym, a_sym) -> Element of V (x) A realizing
     Gamma(v)(1 (x) a); slice_l_basis, when present, realizes (1 (x) a)Gamma(v)
-    (two-sided multiplier-valued coactions carry both)."""
+    (two-sided multiplier-valued coactions carry both).
+
+    Each slice is extended bilinearly, and the image of each basis pair
+    (v_sym, a_sym) is memoized in this coaction object, which assumes the
+    slice maps are pure (as bilinear does).  The memos belong to the object:
+    a coaction built from different (say, corrupted) slice maps starts cold
+    and never sees this one's images."""
 
     def __init__(self, module, slice_r_basis, slice_l_basis=None,
                  name="coaction"):
@@ -147,39 +143,35 @@ class Coaction:
         self.mha = module.mha
         self.field = module.field
         self.name = name
-        self._slice_r = slice_r_basis
-        self._slice_l = slice_l_basis
+        self._slice_r = bilinear(self.field, slice_r_basis)
+        self._slice_l = (None if slice_l_basis is None
+                         else bilinear(self.field, slice_l_basis))
 
     @property
     def has_slice_l(self):
         return self._slice_l is not None
 
-    def _ext(self, f, v, a):
-        out = Element(self.field)
-        for sv, cv in v.terms.items():
-            for sa, ca in a.terms.items():
-                out = out + f(sv, sa).scaled(cv * ca)
-        return out
-
     def slice_r(self, v, a):
-        return self._ext(self._slice_r, v, a)
+        return self._slice_r(v, a)
 
     def slice_l(self, v, a):
         if self._slice_l is None:
             raise ValueError("%s has no left slice" % self.name)
-        return self._ext(self._slice_l, v, a)
+        return self._slice_l(v, a)
 
     def slice_r_leg(self, x, i, a):
-        """Apply sliceR(., a) to module leg i of a tensor, splicing the new
-        A-leg immediately after it."""
-        out = Element(self.field)
+        """Apply sliceR(., a) to the module symbol at legs i .. i+arity-1 of
+        a tensor, splicing the new A-leg immediately after it."""
+        n = self.module.arity
+        zero = self.field.zero()
+        acc = {}
         for s, c in x.terms.items():
             ls = legs(s)
-            img = self.slice_r(self.module.el(ls[i]), a)
+            img = self.slice_r(self.module.el(make_sym(ls[i:i + n])), a)
             for si, ci in img.terms.items():
-                out = out + Element.basis(
-                    self.field, make_sym(ls[:i] + legs(si) + ls[i + 1:]), c * ci)
-        return out
+                new = make_sym(ls[:i] + legs(si) + ls[i + n:])
+                acc[new] = acc.get(new, zero) + c * ci
+        return Element(self.field, acc)
 
 
 # -- standard fixtures ---------------------------------------------------------
@@ -288,7 +280,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
         lhs = coaction.slice_r(v, alg.mult(a, ap))
         rhs = Element(mha.field)
         for s, c in coaction.slice_r(v, a).terms.items():
-            v0, v1 = legs(s)
+            v0, v1 = split_sym(s, mod.arity)
             rhs = rhs + tensor(mod.el(v0), alg.mult(alg.el(v1), ap)).scaled(c)
         if lhs != rhs:
             ok, wit = False, "v=%r a=%r a'=%r lhs=%r rhs=%r" % (v, a, ap, lhs, rhs)
@@ -305,7 +297,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
         c = mha.delta_cover([x], [y])
         lhs = Element(mha.field)
         for s, co in coaction.slice_r(v, c).terms.items():
-            v0, w = legs(s)
+            v0, w = split_sym(s, mod.arity)
             inner = mha.delta_r2(mha.el(w), x)
             for s2, c2 in inner.terms.items():
                 w1, w2 = legs(s2)
@@ -323,7 +315,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
         v, a = rv(), ra()
         got = Element(mha.field)
         for s, c in coaction.slice_r(v, a).terms.items():
-            v0, v1 = legs(s)
+            v0, v1 = split_sym(s, mod.arity)
             got = got + mod.el(v0, c * mha.counit(alg.el(v1)))
         if got != v.scaled(mha.counit(a)):
             ok, wit = False, "v=%r a=%r got=%r" % (v, a, got)
@@ -338,11 +330,11 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
             v, a, ap = rv(), ra(), ra()
             lhs = Element(mha.field)
             for s, c in coaction.slice_r(v, ap).terms.items():
-                v0, v1 = legs(s)
+                v0, v1 = split_sym(s, mod.arity)
                 lhs = lhs + tensor(mod.el(v0), alg.mult(a, alg.el(v1))).scaled(c)
             rhs = Element(mha.field)
             for s, c in coaction.slice_l(v, a).terms.items():
-                v0, v1 = legs(s)
+                v0, v1 = split_sym(s, mod.arity)
                 rhs = rhs + tensor(mod.el(v0), alg.mult(alg.el(v1), ap)).scaled(c)
             if lhs != rhs:
                 ok, wit = False, "v=%r a=%r a'=%r" % (v, a, ap)
@@ -380,7 +372,7 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
         def component(img, wsym):
             out = Element(mha.field)
             for s, c in img.terms.items():
-                w, a = legs(s)
+                w, a = split_sym(s, mod.arity)
                 if w == wsym:
                     out = out + alg.el(a, c)
             return out
@@ -388,7 +380,7 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
         used = set()
         for a in probes:
             for s in coaction.slice_r(v, a).terms:
-                used.add(legs(s)[0])
+                used.add(split_sym(s, mod.arity)[0])
         if len(used) > len(mod.basis):
             ok, wit = False, "factorization rank %d exceeds dim %d at v=%r" % (
                 len(used), len(mod.basis), v)

@@ -12,16 +12,11 @@ factors cancel.  Each evaluator documents its slice composition.
 
 import random
 
-from .linear import Element, Ten, tensor, legs, make_sym
+from .linear import Element, Ten, tensor, legs, split_sym
 from .mha import random_alg_element
 from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
                       adjoint_module, regular_module, coproduct_coaction)
-
-
-def split_sym(sym, n_left):
-    ls = legs(sym)
-    return make_sym(ls[:n_left]), make_sym(ls[n_left:])
 
 
 class YDModule:

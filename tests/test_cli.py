@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +112,31 @@ def test_dump_bad_pair_is_a_usage_error(capsys):
                       "--pair", "bogus:1", "--out", "/tmp/never.json"], capsys)
     assert rc == 2
     assert "pair" in err
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "yd", "--instance", "dual:sweedler-H4", "--samples", "1",
+     "--seed", "3"],
+    ["check", "centre-equivalence", "--instance", "dual:grp-S3",
+     "--samples", "1", "--seed", "2"],
+    ["dump", "dcp", "--instance", "sweedler-H4", "--pair", "scale:2,3"],
+], ids=["yd", "centre-equivalence", "dump-dcp"])
+def test_outputs_are_byte_identical_across_hash_seeds(tmp_path, args):
+    """Term dicts are filled in whatever order the memos and tables were
+    built; reports and dumps must not depend on it, nor on string hashing."""
+    outs = []
+    for hash_seed in ("0", "1"):
+        path = str(tmp_path / ("out-%s.json" % hash_seed))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ydcheck.cli"] + args + ["--out", path],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(open(path, "rb").read())
+    assert outs[0] == outs[1]

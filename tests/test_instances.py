@@ -6,6 +6,7 @@ expansion for group algebras, hand-expanded relations for the 4-dimensional
 instance) and compared with what the library returns.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                identity_automorphism, group_map_automorphism,
                                inner_automorphism, h4_scaling_automorphism,
                                qt_for_cyclic, build_instance, ConstructionError)
+from ydcheck.mha import check_mha_axioms
 from ydcheck.report import Report
 
 
@@ -169,6 +171,56 @@ def test_dual_pairing_laws():
         for k in syms:
             assert D.antipode(D.el(dual_sym(k))).coeff(dual_sym(a)) == \
                 H.antipode(H.el(a)).coeff(k)
+
+
+@pytest.mark.parametrize("name", ["dual:grp-Z2", "dual:grp-S3",
+                                  "dual:sweedler-H4"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_dual_tables_match_column_formulas(name, field):
+    """The tabulated S, S^-1, product and coproduct of the dual, against
+    their defining formulas recomputed column by column from the base:
+    S(p) = p o S, (pq)(a) = (p (x) q)Delta(a), <Delta p, a (x) b> = p(ab)."""
+    D = build_instance(name, field)
+    H = D.base
+    syms = H.algebra.basis
+    for k in syms:
+        p = D.el(dual_sym(k))
+        for got, base_map in ((D.antipode(p), H.antipode),
+                              (D.antipode_inv(p), H.antipode_inv)):
+            want = Element(field, {dual_sym(a): base_map(H.el(a)).coeff(k)
+                                   for a in syms})
+            assert got == want
+        want = Element(field, {
+            Ten((dual_sym(a), dual_sym(b))):
+                H.algebra.mult(H.el(a), H.el(b)).coeff(k)
+            for a in syms for b in syms})
+        assert D.coproduct(p) == want
+        for j in syms:
+            want = Element(field, {
+                dual_sym(a): H.coproduct(H.el(a)).coeff(Ten((k, j)))
+                for a in syms})
+            assert D.algebra.mult(p, D.el(dual_sym(j))) == want
+
+
+@pytest.mark.parametrize("name", ["dual:grp-S3", "dual:sweedler-H4"])
+def test_dual_tables_are_not_shared_with_a_copy(name):
+    """Negative control in the style of acceptance criterion 9: with the
+    dual's tables built and every structure map warmed, an antipode x 2
+    copy.copy must fail the antipode laws with a witness."""
+    D = build_instance(name, QQ)
+    everything = Element(QQ, {s: QQ.one() for s in D.algebra.basis})
+    D.antipode(everything)
+    D.antipode_inv(everything)
+    D.coproduct(everything)
+    D.algebra.mult(everything, everything)
+    assert check_mha_axioms(D, samples=10, seed=0).ok
+
+    bad = copy.copy(D)
+    two = QQ.from_int(2)
+    bad._antipode = lambda s: D._antipode(s).scaled(two)
+    rep = check_mha_axioms(bad, samples=10, seed=0)
+    hit = [r for r in rep.laws if r.law == "antipode"]
+    assert len(hit) == 1 and not hit[0].ok and hit[0].witness, rep.summary()
 
 
 def test_dual_coregular_actions():
