@@ -40,11 +40,6 @@ SUITES = ["mha-axioms", "braid", "extended-modules", "comodule", "yd",
           "hq-monoidal"]
 
 
-def _merge(rep, sub, tag):
-    for r in sub.laws:
-        rep.add("%s[%s]" % (r.law, tag), r.statement, r.ok, r.witness)
-
-
 def _default_pairs(mha, name):
     """Twisted automorphism pairs available on an instance; identity
     otherwise."""
@@ -93,10 +88,10 @@ def run_suite(suite, name, field, samples, seed):
         return rep
     if suite == "comodule":
         rep = Report(suite, mha.name, mha.field.name, seed, samples)
-        _merge(rep, check_comodule(coproduct_coaction(regular_module(mha)),
-                                   samples, seed, suite), "delta")
-        _merge(rep, check_comodule(trivial_coaction(counit_module(mha)),
-                                   samples, seed, suite), "trivial")
+        rep.merge(check_comodule(coproduct_coaction(regular_module(mha)),
+                                 samples, seed, suite), "delta")
+        rep.merge(check_comodule(trivial_coaction(counit_module(mha)),
+                                 samples, seed, suite), "trivial")
         return rep
     if suite == "yd":
         return check_yd_suite(mha, samples, seed)
@@ -109,8 +104,8 @@ def run_suite(suite, name, field, samples, seed):
             pairs = [identity_pair(mha)] + pairs
         for i, pair in enumerate(pairs):
             for fx in gyd_fixtures_at(mha, pair):
-                _merge(rep, check_gyd(fx, samples, seed, suite),
-                       "%s@%d" % (fx.name, i))
+                rep.merge(check_gyd(fx, samples, seed, suite),
+                          "%s@%d" % (fx.name, i))
         return rep
     if suite == "t-category":
         return check_t_category(mha, _default_pairs(mha, name), samples, seed)
@@ -132,11 +127,11 @@ def run_suite(suite, name, field, samples, seed):
                              "instance (grp-Z2 or grp-Zn:<n>)")
         qt = qt_for_cyclic(n, field, mha=mha)
         rep = Report(suite, mha.name, mha.field.name, seed, samples)
-        _merge(rep, check_qt_coaction(
+        rep.merge(check_qt_coaction(
             translation_module_algebra(mha, group_Zn(n)), qt, samples, seed),
             "translation")
-        _merge(rep, check_qt_coaction(counit_module_algebra(mha), qt,
-                                      samples, seed), "counit")
+        rep.merge(check_qt_coaction(counit_module_algebra(mha), qt,
+                                    samples, seed), "counit")
         return rep
     if suite == "hq-monoidal":
         return check_hq_monoidal(mha, min(samples, 15), seed)

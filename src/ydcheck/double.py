@@ -152,21 +152,19 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
                     alg.basis[rng.randrange(len(alg.basis))])
                    for _ in range(samples)]
         mode = "sampled over %d basis triples" % len(triples)
-    ok, wit = True, None
-    for x, y, z in triples:
+
+    def trial(x, y, z):
         ex, ey, ez = alg.el(x), alg.el(y), alg.el(z)
         if alg.mult(alg.mult(ex, ey), ez) != alg.mult(ex, alg.mult(ey, ez)):
-            ok, wit = False, "x=%r y=%r z=%r" % (x, y, z)
-            break
-    rep.add("dcp-assoc", "(xy)z = x(yz), " + mode, ok, wit)
+            return "x=%r y=%r z=%r" % (x, y, z)
+    rep.law("dcp-assoc", "(xy)z = x(yz), " + mode,
+            (trial(x, y, z) for x, y, z in triples))
 
-    ok, wit = True, None
-    for x in alg.basis:
+    def trial(x):
         ex = alg.el(x)
         if alg.mult(alg.unit, ex) != ex or alg.mult(ex, alg.unit) != ex:
-            ok, wit = False, "x=%r" % (x,)
-            break
-    rep.add("dcp-unit", "eps >< 1 is a two-sided unit", ok, wit)
+            return "x=%r" % (x,)
+    rep.law("dcp-unit", "eps >< 1 is a two-sided unit", map(trial, alg.basis))
     return rep
 
 
@@ -208,19 +206,17 @@ def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
     def rm():
         return M.el(M.basis[rng.randrange(len(M.basis))])
 
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         d, dp, m = rd(), rd(), rm()
         if M.act(alg.mult(d, dp), m) != M.act(d, M.act(dp, m)):
-            ok, wit = False, "d=%r d'=%r m=%r" % (d, dp, m)
-            break
-    rep.add("dcp-module-assoc", "(dd').m = d.(d'.m)", ok, wit)
-    ok, wit = True, None
-    for s in M.basis:
+            return "d=%r d'=%r m=%r" % (d, dp, m)
+    rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)",
+            (trial() for _ in range(samples)))
+
+    def trial(s):
         if M.act(alg.unit, M.el(s)) != M.el(s):
-            ok, wit = False, "m=%r" % (s,)
-            break
-    rep.add("dcp-module-unit", "(eps >< 1).m = m", ok, wit)
+            return "m=%r" % (s,)
+    rep.law("dcp-module-unit", "(eps >< 1).m = m", map(trial, M.basis))
     return rep
 
 
@@ -326,45 +322,41 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
     for V in gyds:
         dcp = DiagonalCrossedProduct(mha, V.pair)
         M = yd_to_dcp_module(V, dcp)
-        sub = check_dcp_module(M, samples=samples, seed=seed, suite=suite)
-        for law in sub.laws:
-            rep.add("%s[%s]" % (law.law, V.name), law.statement, law.ok, law.witness)
+        rep.merge(check_dcp_module(M, samples=samples, seed=seed, suite=suite),
+                  V.name)
 
         back = dcp_module_to_yd(M, integrals)
-        ok, wit = True, None
-        for _ in range(samples):
+
+        def trial():
             a = random_alg_element(rng, mha)
             v = random_mod_element(rng, V.module)
             if back.module.act(a, v) != V.module.act(a, v):
-                ok, wit = False, "action differs at a=%r v=%r" % (a, v)
-                break
+                return "action differs at a=%r v=%r" % (a, v)
             ap = random_alg_element(rng, mha)
             if back.coaction.slice_r(v, ap) != V.coaction.slice_r(v, ap):
-                ok, wit = False, ("coaction differs at v=%r a'=%r: %r vs %r"
-                                  % (v, ap, back.coaction.slice_r(v, ap),
-                                     V.coaction.slice_r(v, ap)))
-                break
-        rep.add("yd-roundtrip[%s]" % V.name,
-                "dcpModuleToYd(ydToDcpModule(V)) = V extensionally", ok, wit)
+                return ("coaction differs at v=%r a'=%r: %r vs %r"
+                        % (v, ap, back.coaction.slice_r(v, ap),
+                           V.coaction.slice_r(v, ap)))
+        rep.law("yd-roundtrip[%s]" % V.name,
+                "dcpModuleToYd(ydToDcpModule(V)) = V extensionally",
+                (trial() for _ in range(samples)))
 
     # the other direction, from the regular crossed-product module
     dcp = DiagonalCrossedProduct(mha, gyds[0].pair if gyds else None)
     R = regular_dcp_module(dcp)
     W = dcp_module_to_yd(R, integrals)
-    sub = check_gyd(W, samples=samples, seed=seed, suite=suite)
-    for law in sub.laws:
-        rep.add("%s[regular]" % law.law, law.statement, law.ok, law.witness)
+    rep.merge(check_gyd(W, samples=samples, seed=seed, suite=suite), "regular")
     M2 = yd_to_dcp_module(W, dcp)
-    ok, wit = True, None
     alg = dcp.algebra
-    for _ in range(samples):
+
+    def trial():
         d = alg.el(alg.basis[rng.randrange(len(alg.basis))])
         m = R.el(R.basis[rng.randrange(len(R.basis))])
         if M2.act(d, m) != R.act(d, m):
-            ok, wit = False, "d=%r m=%r" % (d, m)
-            break
-    rep.add("module-roundtrip",
-            "ydToDcpModule(dcpModuleToYd(M)) = M extensionally", ok, wit)
+            return "d=%r m=%r" % (d, m)
+    rep.law("module-roundtrip",
+            "ydToDcpModule(dcpModuleToYd(M)) = M extensionally",
+            (trial() for _ in range(samples)))
     return rep
 
 

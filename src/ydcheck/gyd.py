@@ -84,20 +84,19 @@ def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
                  mha.field.name, seed, samples)
     rng = random.Random(seed)
     mod, coa = gyd.module, gyd.coaction
-    ok, wit = True, None
-    for _ in range(samples):
+
+    def trial():
         a, ap = random_alg_element(rng, mha), random_alg_element(rng, mha)
         v = random_mod_element(rng, mod)
         lhs = coa.slice_r(mod.act(a, v), ap)
         rhs = compat_rhs(mod, coa, a, ap, v,
                          alpha=gyd.pair.alpha, beta=gyd.pair.beta)
         if lhs != rhs:
-            ok, wit = False, "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
-            break
-    rep.add("gyd-compat",
+            return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
+    rep.law("gyd-compat",
             "(a.v)_(0) (x) (a.v)_(1)a' = "
             "a_(2).v_(0) (x) beta(a_(3))v_(1)alpha(S^-1(a_(1)))a'",
-            ok, wit)
+            (trial() for _ in range(samples)))
     return rep
 
 
@@ -405,31 +404,28 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     idp = identity_pair(mha)
 
     # group laws of the twisted square
-    ok, wit = True, None
-    for p in pairs:
-        for q in pairs:
-            for r in pairs:
-                lhs, rhs = p.product(q).product(r), p.product(q.product(r))
-                if not lhs.agrees_with(rhs, probes):
-                    ok, wit = False, "pairs %s,%s,%s" % (p.name, q.name, r.name)
-    rep.add("pair-assoc", "(p#q)#r = p#(q#r)", ok, wit)
-    ok, wit = True, None
-    for p in pairs:
+    def trial(p, q, r):
+        lhs, rhs = p.product(q).product(r), p.product(q.product(r))
+        if not lhs.agrees_with(rhs, probes):
+            return "pairs %s,%s,%s" % (p.name, q.name, r.name)
+    rep.law("pair-assoc", "(p#q)#r = p#(q#r)",
+            (trial(p, q, r) for p in pairs for q in pairs for r in pairs))
+
+    def trial(p):
         if not (p.product(p.inverse()).is_identity_on(probes)
                 and p.inverse().product(p).is_identity_on(probes)
                 and idp.product(p).agrees_with(p, probes)
                 and p.product(idp).agrees_with(p, probes)):
-            ok, wit = False, "pair %s" % p.name
-    rep.add("pair-inverse-unit", "p#p^-1 = p^-1#p = (i,i); (i,i) is a unit", ok, wit)
+            return "pair %s" % p.name
+    rep.law("pair-inverse-unit", "p#p^-1 = p^-1#p = (i,i); (i,i) is a unit",
+            map(trial, pairs))
 
     fixtures = []
     for p in pairs:
         fixtures.extend(gyd_fixtures_at(mha, p))
 
     for V in fixtures:
-        sub = check_gyd(V, samples=samples, seed=seed, suite=suite)
-        for law in sub.laws:
-            rep.add("%s[%s]" % (law.law, V.name), law.statement, law.ok, law.witness)
+        rep.merge(check_gyd(V, samples=samples, seed=seed, suite=suite), V.name)
 
     # tensor lands at the product pair
     for i, V in enumerate(fixtures):
@@ -456,34 +452,24 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
 
     W0 = fixtures[-1]
     C0 = crossed_functor(idp, W0)
-    ok, wit = True, None
-    for _ in range(samples):
+
+    def agree_trial(X, Y):
         a = random_alg_element(rng, mha)
         w = random_mod_element(rng, W0.module)
-        if C0.module.act(a, w) != W0.module.act(a, w):
-            ok, wit = False, "action differs at a=%r w=%r" % (a, w)
-            break
-        if C0.coaction.slice_r(w, a) != W0.coaction.slice_r(w, a):
-            ok, wit = False, "coaction differs at a=%r w=%r" % (a, w)
-            break
-    rep.add("crossed-identity", "phi_(i,i) leaves objects unchanged", ok, wit)
+        if X.module.act(a, w) != Y.module.act(a, w):
+            return "action differs at a=%r w=%r" % (a, w)
+        if X.coaction.slice_r(w, a) != Y.coaction.slice_r(w, a):
+            return "coaction differs at a=%r w=%r" % (a, w)
+    rep.law("crossed-identity", "phi_(i,i) leaves objects unchanged",
+            (agree_trial(C0, W0) for _ in range(samples)))
 
     # functoriality on sampled elements
     if len(pairs) >= 2:
         p, q = pairs[0], pairs[1]
         lhs = crossed_functor(p, crossed_functor(q, W0))
         rhs = crossed_functor(p.product(q), W0)
-        ok, wit = True, None
-        for _ in range(samples):
-            a = random_alg_element(rng, mha)
-            w = random_mod_element(rng, W0.module)
-            if lhs.module.act(a, w) != rhs.module.act(a, w):
-                ok, wit = False, "action differs at a=%r w=%r" % (a, w)
-                break
-            if lhs.coaction.slice_r(w, a) != rhs.coaction.slice_r(w, a):
-                ok, wit = False, "coaction differs at a=%r w=%r" % (a, w)
-                break
-        rep.add("crossed-functorial", "phi_p o phi_q = phi_(p#q) on samples", ok, wit)
+        rep.law("crossed-functorial", "phi_p o phi_q = phi_(p#q) on samples",
+                (agree_trial(lhs, rhs) for _ in range(samples)))
 
     # monoidality of the crossing on one sampled pair of objects
     V, W = fixtures[0], fixtures[-1]
@@ -491,8 +477,8 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     try:
         lhs = crossed_functor(p, gyd_tensor(V, W))
         rhs = gyd_tensor(crossed_functor(p, V), crossed_functor(p, W))
-        ok, wit = True, None
-        for _ in range(samples):
+
+        def trial():
             a = random_alg_element(rng, mha)
             t = tensor(random_mod_element(rng, V.module),
                        random_mod_element(rng, W.module))
@@ -501,17 +487,16 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
             ra = sum((rhs.module.act(a, rhs.module.el(s)).scaled(c)
                       for s, c in t.terms.items()), Element(mha.field))
             if la != ra:
-                ok, wit = False, "action differs at a=%r t=%r" % (a, t)
-                break
+                return "action differs at a=%r t=%r" % (a, t)
             ls = sum((lhs.coaction.slice_r(lhs.module.el(s), a).scaled(c)
                       for s, c in t.terms.items()), Element(mha.field))
             rs = sum((rhs.coaction.slice_r(rhs.module.el(s), a).scaled(c)
                       for s, c in t.terms.items()), Element(mha.field))
             if ls != rs:
-                ok, wit = False, "coaction differs at a=%r t=%r" % (a, t)
-                break
-        rep.add("crossed-monoidal",
-                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", ok, wit)
+                return "coaction differs at a=%r t=%r" % (a, t)
+        rep.law("crossed-monoidal",
+                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples",
+                (trial() for _ in range(samples)))
     except ValueError as exc:
         rep.add("crossed-monoidal",
                 "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", False, str(exc))
@@ -527,52 +512,58 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
             rep.add("braiding-linear[%s]" % name, "C is A-linear", False, str(exc))
             continue
 
-        ok, wit = True, None
-        ok2, wit2 = True, None
-        ok3, wit3 = True, None
         two = mha.field.from_int(2)
-        for _ in range(samples):
+
+        def draw():
             a = random_alg_element(rng, mha)
             v = random_mod_element(rng, V.module)
             w = random_mod_element(rng, W.module)
-            t = tensor(v, w)
-            if ok:
-                at = sum((src.module.act(a, src.module.el(s)).scaled(c)
-                          for s, c in t.terms.items()), Element(mha.field))
-                lhs = gyd_braiding(V, W, at)
-                ct = gyd_braiding(V, W, t)
-                rhs = sum((tgt.module.act(a, tgt.module.el(s)).scaled(c)
-                           for s, c in ct.terms.items()), Element(mha.field))
-                if lhs != rhs:
-                    ok, wit = False, "a=%r v=%r w=%r lhs=%r rhs=%r" % (a, v, w, lhs, rhs)
-            if ok2:
-                fwd = gyd_braiding(V, W, t)
-                if gyd_braiding_inv(V, W, fwd) != t:
-                    ok2, wit2 = False, "v(x)w=%r" % t
-            if ok3:
-                # naturality under the scalar morphism w -> 2w on W
-                if (gyd_braiding(V, W, tensor(v, w.scaled(two)))
-                        != gyd_braiding(V, W, t).scaled(two)):
-                    ok3, wit3 = False, "v=%r w=%r" % (v, w)
-        rep.add("braiding-linear[%s]" % name,
-                "C(a.(v (x) w)) = a.C(v (x) w)", ok, wit)
-        rep.add("braiding-invertible[%s]" % name,
-                "C^-1 o C = id, inverse solved with S and beta", ok2, wit2)
-        rep.add("braiding-natural[%s]" % name,
-                "C transports the scalar morphism on W", ok3, wit3)
+            return a, v, w, tensor(v, w)
+
+        def a_linear(sample):
+            a, v, w, t = sample
+            at = sum((src.module.act(a, src.module.el(s)).scaled(c)
+                      for s, c in t.terms.items()), Element(mha.field))
+            lhs = gyd_braiding(V, W, at)
+            ct = gyd_braiding(V, W, t)
+            rhs = sum((tgt.module.act(a, tgt.module.el(s)).scaled(c)
+                       for s, c in ct.terms.items()), Element(mha.field))
+            if lhs != rhs:
+                return "a=%r v=%r w=%r lhs=%r rhs=%r" % (a, v, w, lhs, rhs)
+
+        def invertible(sample):
+            t = sample[3]
+            if gyd_braiding_inv(V, W, gyd_braiding(V, W, t)) != t:
+                return "v(x)w=%r" % t
+
+        def natural(sample):
+            # naturality under the scalar morphism w -> 2w on W
+            _, v, w, t = sample
+            if (gyd_braiding(V, W, tensor(v, w.scaled(two)))
+                    != gyd_braiding(V, W, t).scaled(two)):
+                return "v=%r w=%r" % (v, w)
+
+        rep.law_group([
+            ("braiding-linear[%s]" % name, "C(a.(v (x) w)) = a.C(v (x) w)",
+             a_linear),
+            ("braiding-invertible[%s]" % name,
+             "C^-1 o C = id, inverse solved with S and beta", invertible),
+            ("braiding-natural[%s]" % name,
+             "C transports the scalar morphism on W", natural)],
+            (draw() for _ in range(samples)))
 
     # crossing the braiding: phi_p(C_{V,W}) = C_{phi_p V, phi_p W}
     V, W = fixtures[0], fixtures[-1]
     p = pairs[0]
     pV, pW = crossed_functor(p, V), crossed_functor(p, W)
-    ok, wit = True, None
-    for _ in range(samples):
+
+    def trial():
         v = random_mod_element(rng, V.module)
         w = random_mod_element(rng, W.module)
         t = tensor(v, w)
         if gyd_braiding(V, W, t) != gyd_braiding(pV, pW, t):
-            ok, wit = False, "v=%r w=%r" % (v, w)
-            break
-    rep.add("braiding-crossing",
-            "the braiding commutes with the crossing on samples", ok, wit)
+            return "v=%r w=%r" % (v, w)
+    rep.law("braiding-crossing",
+            "the braiding commutes with the crossing on samples",
+            (trial() for _ in range(samples)))
     return rep

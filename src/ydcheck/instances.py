@@ -597,14 +597,14 @@ class QTStructure:
                      alg.mult_tensor(self.r, self.r_inv), unit2)
         report.check("qt-invertible-2", "R^-1 R = 1 (x) 1",
                      alg.mult_tensor(self.r_inv, self.r), unit2)
-        ok, wit = True, None
         from .linear import flip
-        for s in alg.basis:
+
+        def trial(s):
             d = mha.coproduct(mha.el(s))
             if alg.mult_tensor(flip(d), self.r) != alg.mult_tensor(self.r, d):
-                ok, wit = False, "a=%r" % s
-                break
-        report.add("qt-intertwine", "Delta^cop(a) R = R Delta(a)", ok, wit)
+                return "a=%r" % s
+        report.law("qt-intertwine", "Delta^cop(a) R = R Delta(a)",
+                   map(trial, alg.basis))
 
         def widen(x2, positions):
             # embed an arity-2 element into legs `positions` of arity 3

@@ -225,11 +225,10 @@ def apply_pair_legs(x, i, f):
 
 def flip(x):
     """The flip map tau on arity-2 tensors."""
-    out = Element(x.field)
-    for s, c in x.terms.items():
+    def swap(s):
         a, b = legs(s)
-        out = out + Element.basis(x.field, Ten((b, a)), c)
-    return out
+        return Element.basis(x.field, Ten((b, a)))
+    return x.map_terms(swap)
 
 
 def _rref(rows, ncols, field):
@@ -368,13 +367,11 @@ class QuotientSpace:
             self._images[self.ambient_basis[pc]] = img
 
     def project(self, x):
-        out = Element(x.field)
-        for s, c in x.terms.items():
+        def image(s):
             if s in self._images:
-                out = out + Element(x.field, self._images[s]).scaled(c)
-            else:
-                out = out + Element.basis(x.field, s, c)
-        return out
+                return Element(x.field, self._images[s])
+            return Element.basis(x.field, s)
+        return x.map_terms(image)
 
     def section(self, q):
         """Embed a quotient Element (over free symbols) into the ambient."""

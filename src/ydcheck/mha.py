@@ -222,11 +222,10 @@ class MultiplierHopfAlgebra:
     # -- the canonical bijections T1..T4 on A (x) A ------------------------
 
     def _pairwise(self, x2, f):
-        out = Element(self.field)
-        for s, c in x2.terms.items():
+        def pair(s):
             a, b = legs(s)
-            out = out + f(self.el(a), self.el(b)).scaled(c)
-        return out
+            return f(self.el(a), self.el(b))
+        return x2.map_terms(pair)
 
     def t1(self, x2):
         return self._pairwise(x2, self.delta_r)
@@ -314,22 +313,15 @@ class MultiplierHopfAlgebra:
 
     def counit_leg(self, x, i):
         """(... (x) eps (x) ...): collapse leg i through the counit."""
-        out = Element(self.field)
-        for s, c in x.terms.items():
+        def collapse(s):
             ls = legs(s)
-            coeff = c * self._counit(ls[i])
-            if coeff != self.field.zero():
-                rest = ls[:i] + ls[i + 1:]
-                out = out + Element.basis(self.field, make_sym(rest), coeff)
-        return out
+            return Element.basis(self.field, make_sym(ls[:i] + ls[i + 1:]),
+                                 self._counit(ls[i]))
+        return x.map_terms(collapse)
 
     def mult_legs(self, x2):
         """m: A (x) A -> A on arity-2 elements."""
-        out = Element(self.field)
-        for s, c in x2.terms.items():
-            a, b = legs(s)
-            out = out + self.algebra.mult(self.el(a), self.el(b)).scaled(c)
-        return out
+        return self._pairwise(x2, self.algebra.mult)
 
 
 # -- seeded sampling -------------------------------------------------------
@@ -369,46 +361,39 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
         return random_alg_element(rng, mha)
 
     # associativity and non-degeneracy of the product
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, b, c = rand(), rand(), rand()
         if alg.mult(alg.mult(a, b), c) != alg.mult(a, alg.mult(b, c)):
-            ok, wit = False, "a=%r b=%r c=%r" % (a, b, c)
-            break
-    rep.add("assoc", "(ab)c = a(bc)", ok, wit)
+            return "a=%r b=%r c=%r" % (a, b, c)
+    rep.law("assoc", "(ab)c = a(bc)", (trial() for _ in range(samples)))
 
     probe = ([alg.el(s) for s in alg.basis] if alg.basis is not None
              else [rand() for _ in range(12)])
-    ok, wit = True, None
-    for a in probe:
+
+    def trial(a):
         if a.is_zero():
-            continue
+            return None
         if all(alg.mult(a, b).is_zero() for b in probe + [a]):
-            ok, wit = False, "a=%r has ab=0 for all probes" % a
-            break
+            return "a=%r has ab=0 for all probes" % a
         if all(alg.mult(b, a).is_zero() for b in probe + [a]):
-            ok, wit = False, "a=%r has ba=0 for all probes" % a
-            break
-    rep.add("nondegenerate", "product non-degenerate on probe set", ok, wit)
+            return "a=%r has ba=0 for all probes" % a
+    rep.law("nondegenerate", "product non-degenerate on probe set",
+            map(trial, probe))
 
     # local units
-    ok, wit = True, None
-    for _ in range(8):
+    def trial():
         xs = [rand() for _ in range(3)]
         e = alg.local_unit(xs)
         for x in xs:
             if alg.mult(e, x) != x or alg.mult(x, e) != x:
-                ok, wit = False, "e=%r x=%r" % (e, x)
-                break
-        if not ok:
-            break
-    rep.add("local-unit", "e x = x e = x for local units", ok, wit)
+                return "e=%r x=%r" % (e, x)
+    rep.law("local-unit", "e x = x e = x for local units",
+            (trial() for _ in range(8)))
 
     # sliced coassociativity:
     # (a (x) 1 (x) 1)(Delta (x) i)(Delta(b)(1 (x) c))
     #   = (i (x) Delta)((a (x) 1)Delta(b))(1 (x) 1 (x) c)
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, b, c = rand(), rand(), rand()
         lhs = Element(mha.field)
         for s, co in mha.delta_r(b, c).terms.items():
@@ -419,76 +404,65 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
             r, t = legs(s)
             rhs = rhs + tensor(mha.el(r), mha.delta_r(mha.el(t), c)).scaled(co)
         if lhs != rhs:
-            ok, wit = False, "a=%r b=%r c=%r lhs=%r rhs=%r" % (a, b, c, lhs, rhs)
-            break
-    rep.add("coassoc", "sliced coassociativity", ok, wit)
+            return "a=%r b=%r c=%r lhs=%r rhs=%r" % (a, b, c, lhs, rhs)
+    rep.law("coassoc", "sliced coassociativity", (trial() for _ in range(samples)))
 
     # counit laws on slices
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, b = rand(), rand()
         if mha.counit_leg(mha.delta_r(a, b), 1) != a.scaled(mha.counit(b)):
-            ok, wit = False, "(i (x) eps) failed: a=%r b=%r" % (a, b)
-            break
+            return "(i (x) eps) failed: a=%r b=%r" % (a, b)
         if mha.counit_leg(mha.delta_l(a, b), 0) != b.scaled(mha.counit(a)):
-            ok, wit = False, "(eps (x) i) failed: a=%r b=%r" % (a, b)
-            break
-    rep.add("counit", "(i(x)eps)Delta(a)(1(x)b) = a eps(b), and mirrored", ok, wit)
+            return "(eps (x) i) failed: a=%r b=%r" % (a, b)
+    rep.law("counit", "(i(x)eps)Delta(a)(1(x)b) = a eps(b), and mirrored",
+            (trial() for _ in range(samples)))
 
     # antipode laws: m(S (x) i)(Delta(a)(1 (x) b)) = eps(a) b
     #                m(i (x) S)((b (x) 1)Delta(a)) = eps(a) b
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, b = rand(), rand()
         lhs = mha.mult_legs(apply_leg(mha.delta_r(a, b), 0, mha.antipode))
         if lhs != b.scaled(mha.counit(a)):
-            ok, wit = False, "left antipode law: a=%r b=%r got %r" % (a, b, lhs)
-            break
+            return "left antipode law: a=%r b=%r got %r" % (a, b, lhs)
         lhs = mha.mult_legs(apply_leg(mha.delta_l(b, a), 1, mha.antipode))
         if lhs != b.scaled(mha.counit(a)):
-            ok, wit = False, "right antipode law: a=%r b=%r got %r" % (a, b, lhs)
-            break
-    rep.add("antipode", "m(S(x)i)T1 = eps(.)id and m(i(x)S)T2 = eps(.)id", ok, wit)
+            return "right antipode law: a=%r b=%r got %r" % (a, b, lhs)
+    rep.law("antipode", "m(S(x)i)T1 = eps(.)id and m(i(x)S)T2 = eps(.)id",
+            (trial() for _ in range(samples)))
 
     # bijectivity of S (regularity witness)
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a = rand()
         if mha.antipode(mha.antipode_inv(a)) != a or mha.antipode_inv(mha.antipode(a)) != a:
-            ok, wit = False, "a=%r" % a
-            break
-    rep.add("antipode-bijective", "S o S^-1 = S^-1 o S = id", ok, wit)
+            return "a=%r" % a
+    rep.law("antipode-bijective", "S o S^-1 = S^-1 o S = id",
+            (trial() for _ in range(samples)))
 
     # T_k round trips
     for k in (1, 2, 3, 4):
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             x2 = tensor(rand(), rand())
             if mha.inv_t(k)(mha.tmap(k)(x2)) != x2 or mha.tmap(k)(mha.inv_t(k)(x2)) != x2:
-                ok, wit = False, "x=%r" % x2
-                break
-        rep.add("t%d-bijective" % k, "T%d and its inverse round-trip" % k, ok, wit)
+                return "x=%r" % x2
+        rep.law("t%d-bijective" % k, "T%d and its inverse round-trip" % k,
+                (trial() for _ in range(samples)))
 
     # the twist factors through T2: scriptT o T2 = T4
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         x2 = tensor(rand(), rand())
         if mha.script_t(mha.t2(x2)) != mha.t4(x2):
-            ok, wit = False, "x=%r" % x2
-            break
-    rep.add("twist-t2-t4", "scriptT o T2 = T4", ok, wit)
+            return "x=%r" % x2
+    rep.law("twist-t2-t4", "scriptT o T2 = T4", (trial() for _ in range(samples)))
 
     # standard consequences, kept as smoke tests
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, b = rand(), rand()
         if mha.counit(mha.antipode(a)) != mha.counit(a):
-            ok, wit = False, "eps(S(a)) != eps(a): a=%r" % a
-            break
+            return "eps(S(a)) != eps(a): a=%r" % a
         if mha.antipode(alg.mult(a, b)) != alg.mult(mha.antipode(b), mha.antipode(a)):
-            ok, wit = False, "S(ab) != S(b)S(a): a=%r b=%r" % (a, b)
-            break
-    rep.add("antipode-antihom", "eps(S(a)) = eps(a); S(ab) = S(b)S(a)", ok, wit)
+            return "S(ab) != S(b)S(a): a=%r b=%r" % (a, b)
+    rep.law("antipode-antihom", "eps(S(a)) = eps(a); S(ab) = S(b)S(a)",
+            (trial() for _ in range(samples)))
 
     return rep
 
@@ -511,44 +485,36 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
 
     for lawid, op in (("braid-twist", mha.script_t),
                       ("braid-twist-prime", mha.script_t_prime)):
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             x3 = tensor(tensor(rand(), rand()), rand())
             lhs = apply_pair_legs(apply_pair_legs(apply_pair_legs(x3, 0, op), 1, op), 0, op)
             rhs = apply_pair_legs(apply_pair_legs(apply_pair_legs(x3, 1, op), 0, op), 1, op)
             if lhs != rhs:
-                ok, wit = False, "x=%r lhs=%r rhs=%r" % (x3, lhs, rhs)
-                break
-        rep.add(lawid, "(O(x)i)(i(x)O)(O(x)i) = (i(x)O)(O(x)i)(i(x)O)", ok, wit)
+                return "x=%r lhs=%r rhs=%r" % (x3, lhs, rhs)
+        rep.law(lawid, "(O(x)i)(i(x)O)(O(x)i) = (i(x)O)(O(x)i)(i(x)O)",
+                (trial() for _ in range(samples)))
 
     # round trips of the twists
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         x2 = tensor(rand(), rand())
         if mha.script_t_inv(mha.script_t(x2)) != x2:
-            ok, wit = False, "twist round trip: x=%r" % x2
-            break
+            return "twist round trip: x=%r" % x2
         if mha.script_t_prime_inv(mha.script_t_prime(x2)) != x2:
-            ok, wit = False, "twist-prime round trip: x=%r" % x2
-            break
-    rep.add("twist-invertible", "both twist operators round-trip with their inverses", ok, wit)
+            return "twist-prime round trip: x=%r" % x2
+    rep.law("twist-invertible", "both twist operators round-trip with their inverses",
+            (trial() for _ in range(samples)))
+
+    def flip_trial(op):
+        x2 = tensor(rand(), rand())
+        if op(x2) != flip(x2):
+            return "x=%r" % x2
 
     if mha.cocommutative:
-        ok, wit = True, None
-        for _ in range(samples):
-            x2 = tensor(rand(), rand())
-            if mha.script_t(x2) != flip(x2):
-                ok, wit = False, "x=%r" % x2
-                break
-        rep.add("cocommutative-flip", "cocommutative: scriptT = tau", ok, wit)
+        rep.law("cocommutative-flip", "cocommutative: scriptT = tau",
+                (flip_trial(mha.script_t) for _ in range(samples)))
 
     if mha.commutative:
-        ok, wit = True, None
-        for _ in range(samples):
-            x2 = tensor(rand(), rand())
-            if mha.script_t_prime(x2) != flip(x2):
-                ok, wit = False, "x=%r" % x2
-                break
-        rep.add("commutative-flip", "commutative: scriptT' = tau", ok, wit)
+        rep.law("commutative-flip", "commutative: scriptT' = tau",
+                (flip_trial(mha.script_t_prime) for _ in range(samples)))
 
     return rep

@@ -20,6 +20,7 @@ relators (m <- h) (x) n - m (x) (h -> n); well-definedness of the descended
 structures is tested (relator stability), never assumed.
 """
 
+import itertools
 import random
 
 from .linear import Element, Ten, tensor, legs, make_sym, QuotientSpace
@@ -33,12 +34,6 @@ from .report import Report
 
 def _rand(rng, field, basis, max_support=2):
     return random_element(rng, field, lambda r: r.choice(basis), max_support)
-
-
-def _merge(rep, sub, tag):
-    """Fold a sub-report into rep, tagging law ids with the fixture name."""
-    for r in sub.laws:
-        rep.add("%s[%s]" % (r.law, tag), r.statement, r.ok, r.witness)
 
 
 def _materialized(mha):
@@ -132,8 +127,7 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
     def ra():
         return random_alg_element(rng, mha)
 
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, x, xp = ra(), rx(), rx()
         lhs = ma.act(a, ma.alg.mult(x, xp))
         e = ma.module.local_unit([xp])
@@ -143,46 +137,49 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
             rhs = rhs + ma.alg.mult(ma.act(alg.el(p), x),
                                     ma.act(alg.el(q), xp)).scaled(c)
         if lhs != rhs:
-            ok, wit = False, "a=%r x=%r x'=%r lhs=%r rhs=%r" % (a, x, xp, lhs, rhs)
-            break
-    rep.add("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')", ok, wit)
+            return "a=%r x=%r x'=%r lhs=%r rhs=%r" % (a, x, xp, lhs, rhs)
+    rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')",
+            (trial() for _ in range(samples)))
 
     if _materialized(mha):
-        ok, wit = True, None
-        ok2, wit2 = True, None
-        for _ in range(samples):
+        def draw():
             a, x, xp = ra(), rx(), rx()
-            cop = mha.coproduct(a)
+            return a, x, xp, mha.coproduct(a)
+
+        def extend_left(sample):
+            a, x, xp, cop = sample
             lhs = ma.alg.mult(ma.act(a, x), xp)
             rhs = Element(mha.field)
             for s, c in cop.terms.items():
                 a1, a2 = legs(s)
                 rhs = rhs + ma.act(alg.el(a1), ma.alg.mult(
                     x, ma.act(mha.antipode(alg.el(a2)), xp))).scaled(c)
-            if ok and lhs != rhs:
-                ok, wit = False, "a=%r x=%r x'=%r" % (a, x, xp)
-            lhs2 = ma.alg.mult(x, ma.act(a, xp))
-            rhs2 = Element(mha.field)
+            if lhs != rhs:
+                return "a=%r x=%r x'=%r" % (a, x, xp)
+
+        def extend_right(sample):
+            a, x, xp, cop = sample
+            lhs = ma.alg.mult(x, ma.act(a, xp))
+            rhs = Element(mha.field)
             for s, c in cop.terms.items():
                 a1, a2 = legs(s)
-                rhs2 = rhs2 + ma.act(alg.el(a2), ma.alg.mult(
+                rhs = rhs + ma.act(alg.el(a2), ma.alg.mult(
                     ma.act(mha.antipode_inv(alg.el(a1)), x), xp)).scaled(c)
-            if ok2 and lhs2 != rhs2:
-                ok2, wit2 = False, "a=%r x=%r x'=%r" % (a, x, xp)
-            if not ok and not ok2:
-                break
-        rep.add("modalg-extend-left", "(a.x)x' = a_(1).(x (S(a_(2)).x'))", ok, wit)
-        rep.add("modalg-extend-right", "x(a.x') = a_(2).((S^-1(a_(1)).x) x')",
-                ok2, wit2)
+            if lhs != rhs:
+                return "a=%r x=%r x'=%r" % (a, x, xp)
+
+        rep.law_group([
+            ("modalg-extend-left", "(a.x)x' = a_(1).(x (S(a_(2)).x'))",
+             extend_left),
+            ("modalg-extend-right", "x(a.x') = a_(2).((S^-1(a_(1)).x) x')",
+             extend_right)], (draw() for _ in range(samples)))
 
     if ma.alg.has_unit:
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             a = ra()
             if ma.act(a, ma.alg.unit) != ma.alg.unit.scaled(mha.counit(a)):
-                ok, wit = False, "a=%r" % a
-                break
-        rep.add("modalg-unit", "a.1 = eps(a) 1", ok, wit)
+                return "a=%r" % a
+        rep.law("modalg-unit", "a.1 = eps(a) 1", (trial() for _ in range(samples)))
     return rep
 
 
@@ -206,8 +203,7 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
     def ra():
         return random_alg_element(rng, mha)
 
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         x, y, a = rx(), rx(), ra()
         lhs = coaction.slice_r(alg.mult(x, y), a)
         rhs = Element(mha.field)
@@ -218,14 +214,13 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
                 rhs = rhs + tensor(alg.mult(mod.el(x0), mod.el(y0)),
                                    mha.el(k)).scaled(c * c2)
         if lhs != rhs:
-            ok, wit = False, "x=%r y=%r a=%r lhs=%r rhs=%r" % (x, y, a, lhs, rhs)
-            break
-    rep.add("comodalg-multiplicative",
-            "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)", ok, wit)
+            return "x=%r y=%r a=%r lhs=%r rhs=%r" % (x, y, a, lhs, rhs)
+    rep.law("comodalg-multiplicative",
+            "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)",
+            (trial() for _ in range(samples)))
 
     if coaction.has_slice_l:
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             x, y, a = rx(), rx(), ra()
             lhs = coaction.slice_l(alg.mult(x, y), a)
             rhs = Element(mha.field)
@@ -236,10 +231,10 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
                     rhs = rhs + tensor(alg.mult(mod.el(x0), mod.el(y0)),
                                        mha.el(k)).scaled(c * c2)
             if lhs != rhs:
-                ok, wit = False, "x=%r y=%r a=%r" % (x, y, a)
-                break
-        rep.add("comodalg-multiplicative-left",
-                "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)", ok, wit)
+                return "x=%r y=%r a=%r" % (x, y, a)
+        rep.law("comodalg-multiplicative-left",
+                "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)",
+                (trial() for _ in range(samples)))
     return rep
 
 
@@ -351,8 +346,8 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
     rep = Report(suite, "%s/%s" % (mha.name, H.name), mha.field.name,
                  seed, samples)
     rng = random.Random(seed)
-    ok, wit = True, None
-    for _ in range(samples):
+
+    def trial():
         x = random_mod_element(rng, H.module)
         y = random_mod_element(rng, H.module)
         lhs = H.alg.mult(x, y)
@@ -363,9 +358,8 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
             rhs = rhs + H.alg.mult(H.module.el(y0),
                                    H.act(mha.el(m), x)).scaled(c)
         if lhs != rhs:
-            ok, wit = False, "x=%r y=%r lhs=%r rhs=%r" % (x, y, lhs, rhs)
-            break
-    rep.add("a-commutative", "xy = y_(0)(y_(1).x)", ok, wit)
+            return "x=%r y=%r lhs=%r rhs=%r" % (x, y, lhs, rhs)
+    rep.law("a-commutative", "xy = y_(0)(y_(1).x)", (trial() for _ in range(samples)))
     return rep
 
 
@@ -427,8 +421,8 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
     rep.laws.extend(check_yd(yd, samples, seed + 1, suite).laws)
 
     rng = random.Random(seed + 2)
-    ok, wit = True, None
-    for _ in range(samples):
+
+    def trial():
         m = random_mod_element(rng, ma.module)
         n = random_mod_element(rng, ma.module)
         direct = Element(mha.field)
@@ -438,11 +432,10 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
                                      ma.act(alg.el(i), m)).scaled(c)
         via = braiding_c(ma.module, yd, tensor(m, n))
         if direct != via:
-            ok, wit = False, "m=%r n=%r direct=%r via=%r" % (m, n, direct, via)
-            break
-    rep.add("qt-braiding",
+            return "m=%r n=%r direct=%r via=%r" % (m, n, direct, via)
+    rep.law("qt-braiding",
             "C(m (x) n) = tau(R)(n (x) m) through the induced coaction",
-            ok, wit)
+            (trial() for _ in range(samples)))
     return rep
 
 
@@ -534,16 +527,14 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
     def ra():
         return random_alg_element(rng, mha)
 
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         h, hp, m = rh(), rh(), rm()
         if M.h_act(H.alg.mult(h, hp), m) != M.h_act(h, M.h_act(hp, m)):
-            ok, wit = False, "h=%r h'=%r m=%r" % (h, hp, m)
-            break
-    rep.add("ha-left-module", "(hh') -> m = h -> (h' -> m)", ok, wit)
+            return "h=%r h'=%r m=%r" % (h, hp, m)
+    rep.law("ha-left-module", "(hh') -> m = h -> (h' -> m)",
+            (trial() for _ in range(samples)))
 
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, h, m = ra(), rh(), rm()
         lhs = M.module.act(a, M.h_act(h, m))
         e = M.module.local_unit([m])
@@ -553,12 +544,11 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
             rhs = rhs + M.h_act(H.module.act(mha.el(p), h),
                                 M.module.act(mha.el(q), m)).scaled(c)
         if lhs != rhs:
-            ok, wit = False, "a=%r h=%r m=%r lhs=%r rhs=%r" % (a, h, m, lhs, rhs)
-            break
-    rep.add("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)", ok, wit)
+            return "a=%r h=%r m=%r lhs=%r rhs=%r" % (a, h, m, lhs, rhs)
+    rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)",
+            (trial() for _ in range(samples)))
 
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         h, m, ap = rh(), rm(), ra()
         lhs = M.coaction.slice_r(M.h_act(h, m), ap)
         rhs = Element(mha.field)
@@ -569,11 +559,10 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
                 rhs = rhs + tensor(M.h_act(H.alg.el(h0), M.module.el(m0)),
                                    mha.el(k2)).scaled(c * c2)
         if lhs != rhs:
-            ok, wit = False, "h=%r m=%r a'=%r lhs=%r rhs=%r" % (h, m, ap, lhs, rhs)
-            break
-    rep.add("ha-coaction-compat",
+            return "h=%r m=%r a'=%r lhs=%r rhs=%r" % (h, m, ap, lhs, rhs)
+    rep.law("ha-coaction-compat",
             "rho(h -> m)(1 (x) a') = h_(0) -> m_(0) (x) m_(1) h_(1) a'",
-            ok, wit)
+            (trial() for _ in range(samples)))
 
     if M.coaction.has_slice_l:
         rep.laws.extend(check_yd(YDModule(M.module, M.coaction, name=M.name),
@@ -599,21 +588,26 @@ def check_h_bimodule(M, samples=40, seed=0, suite="hq-monoidal"):
     rep = Report(suite, "%s/%s" % (mha.name, M.name), mha.field.name,
                  seed, samples)
     rng = random.Random(seed)
-    ok, wit = True, None
-    ok2, wit2 = True, None
-    for _ in range(samples):
+
+    def draw():
         h = _rand(rng, M.field, H.alg.basis)
         hp = _rand(rng, M.field, H.alg.basis)
-        m = random_mod_element(rng, M.module)
-        if ok and M.r_act(m, H.alg.mult(h, hp)) != M.r_act(M.r_act(m, h), hp):
-            ok, wit = False, "h=%r h'=%r m=%r" % (h, hp, m)
-        if ok2 and M.r_act(M.h_act(h, m), hp) != M.h_act(h, M.r_act(m, hp)):
-            ok2, wit2 = False, "h=%r h'=%r m=%r" % (h, hp, m)
-        if not ok and not ok2:
-            break
-    rep.add("ha-right-module", "m <- (hh') = (m <- h) <- h'", ok, wit)
-    rep.add("ha-bimodule-interchange", "(h -> m) <- h' = h -> (m <- h')",
-            ok2, wit2)
+        return h, hp, random_mod_element(rng, M.module)
+
+    def right_module(sample):
+        h, hp, m = sample
+        if M.r_act(m, H.alg.mult(h, hp)) != M.r_act(M.r_act(m, h), hp):
+            return "h=%r h'=%r m=%r" % (h, hp, m)
+
+    def interchange(sample):
+        h, hp, m = sample
+        if M.r_act(M.h_act(h, m), hp) != M.h_act(h, M.r_act(m, hp)):
+            return "h=%r h'=%r m=%r" % (h, hp, m)
+
+    rep.law_group([
+        ("ha-right-module", "m <- (hh') = (m <- h) <- h'", right_module),
+        ("ha-bimodule-interchange", "(h -> m) <- h' = h -> (m <- h')",
+         interchange)], (draw() for _ in range(samples)))
     return rep
 
 
@@ -783,46 +777,51 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
     def rh():
         return _rand(rng, T.field, T.H.alg.basis)
 
-    ok_a, wit_a = True, None
-    ok_h, wit_h = True, None
-    ok_r, wit_r = True, None
-    ok_c, wit_c = True, None
-    for rel in rels:
+    def draw(rel):
         a = random_alg_element(rng, mha)
         h = rh()
-        if ok_a and not T.quot.project(T.act_amb(a, rel)).is_zero():
-            ok_a, wit_a = False, "a=%r rel=%r" % (a, rel)
-        if ok_h and not T.quot.project(T.h_amb(h, rel)).is_zero():
-            ok_h, wit_h = False, "h=%r rel=%r" % (h, rel)
-        if ok_r and not T.quot.project(T.r_amb(rel, h)).is_zero():
-            ok_r, wit_r = False, "h=%r rel=%r" % (h, rel)
-        ap = random_alg_element(rng, mha)
-        if ok_c and not project_legs(T.quot, T.slice_amb(rel, ap),
-                                     0, T.arity).is_zero():
-            ok_c, wit_c = False, "a'=%r rel=%r" % (ap, rel)
-    rep.add("tensor-relator-action", "the diagonal A-action preserves the "
-            "balancing relators", ok_a, wit_a)
-    rep.add("tensor-relator-h-action", "h -> (.) preserves the balancing "
-            "relators", ok_h, wit_h)
-    rep.add("tensor-relator-r-action", "(.) <- h preserves the balancing "
-            "relators", ok_r, wit_r)
-    rep.add("tensor-relator-coaction", "the composite coaction preserves the "
-            "balancing relators", ok_c, wit_c)
+        return rel, a, h, random_alg_element(rng, mha)
+
+    def action(sample):
+        rel, a, _, _ = sample
+        if not T.quot.project(T.act_amb(a, rel)).is_zero():
+            return "a=%r rel=%r" % (a, rel)
+
+    def h_action(sample):
+        rel, _, h, _ = sample
+        if not T.quot.project(T.h_amb(h, rel)).is_zero():
+            return "h=%r rel=%r" % (h, rel)
+
+    def r_action(sample):
+        rel, _, h, _ = sample
+        if not T.quot.project(T.r_amb(rel, h)).is_zero():
+            return "h=%r rel=%r" % (h, rel)
+
+    def coaction(sample):
+        rel, _, _, ap = sample
+        if not project_legs(T.quot, T.slice_amb(rel, ap), 0, T.arity).is_zero():
+            return "a'=%r rel=%r" % (ap, rel)
+
+    rep.law_group([
+        ("tensor-relator-action", "the diagonal A-action preserves the "
+         "balancing relators", action),
+        ("tensor-relator-h-action", "h -> (.) preserves the balancing "
+         "relators", h_action),
+        ("tensor-relator-r-action", "(.) <- h preserves the balancing "
+         "relators", r_action),
+        ("tensor-relator-coaction", "the composite coaction preserves the "
+         "balancing relators", coaction)], map(draw, rels))
 
     rep.laws.extend(check_ha_module(T.ham, samples, seed, suite).laws)
 
-    ok, wit = True, None
-    for _ in range(samples):
-        if not T.quot.basis:
-            break
+    def trial():
         m = _rand(rng, T.field, T.quot.basis)
         h = rh()
         if T.ham.r_act(m, h) != T.ham.r_act_formula(m, h):
-            ok, wit = False, "m=%r h=%r" % (m, h)
-            break
-    rep.add("tensor-right-action",
+            return "m=%r h=%r" % (m, h)
+    rep.law("tensor-right-action",
             "(m (x) n) <- h = m (x) (n <- h) matches h_(0) -> (h_(1).(m (x) n))",
-            ok, wit)
+            (trial() for _ in range(samples if T.quot.basis else 0)))
     return rep
 
 
@@ -877,36 +876,29 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
                 None if rk == len(T.quot.basis) == dim_m else
                 "image rank %d, dims %d/%d" % (rk, len(T.quot.basis), dim_m))
 
-        ok, wit = True, None
-        for _ in range(samples):
-            if not T.quot.basis:
-                break
+        def trial():
             c = _rand(rng, M.field, T.quot.basis)
             a = random_alg_element(rng, mha)
             h = _rand(rng, M.field, H.alg.basis)
             sec = T.quot.section(c)
             if psi(T.quot.section(T.ham.module.act(a, c))) != M.module.act(a, psi(sec)):
-                wit = "A-action at c=%r a=%r" % (c, a)
-            elif psi(T.quot.section(T.ham.h_act(h, c))) != M.h_act(h, psi(sec)):
-                wit = "H-action at c=%r h=%r" % (c, h)
-            else:
-                # coaction: map the carrier legs, keep the A-leg
-                got = Element(M.field)
-                for s, cc in T.ham.coaction.slice_r(c, a).terms.items():
-                    head, tail = split_sym(s, T.arity)
-                    img = psi(Element.basis(M.field, head))
-                    for si, ci in img.terms.items():
-                        got = got + Element.basis(
-                            M.field, make_sym(legs(si) + legs(tail)),
-                            cc * ci)
-                if got != M.coaction.slice_r(psi(sec), a):
-                    wit = "coaction at c=%r a=%r" % (c, a)
-            if wit:
-                ok = False
-                break
-        rep.add("tensor-unit-structure-%s" % side,
+                return "A-action at c=%r a=%r" % (c, a)
+            if psi(T.quot.section(T.ham.h_act(h, c))) != M.h_act(h, psi(sec)):
+                return "H-action at c=%r h=%r" % (c, h)
+            # coaction: map the carrier legs, keep the A-leg
+            got = Element(M.field)
+            for s, cc in T.ham.coaction.slice_r(c, a).terms.items():
+                head, tail = split_sym(s, T.arity)
+                img = psi(Element.basis(M.field, head))
+                for si, ci in img.terms.items():
+                    got = got + Element.basis(
+                        M.field, make_sym(legs(si) + legs(tail)),
+                        cc * ci)
+            if got != M.coaction.slice_r(psi(sec), a):
+                return "coaction at c=%r a=%r" % (c, a)
+        rep.law("tensor-unit-structure-%s" % side,
                 "the canonical unit map intertwines action, H-action and "
-                "coaction", ok, wit)
+                "coaction", (trial() for _ in range(samples if T.quot.basis else 0)))
     return rep
 
 
@@ -954,44 +946,33 @@ def check_associator(X, Y, Z, samples=15, seed=0, suite="hq-monoidal"):
              for a in X.module.basis for b in Y.module.basis
              for c in Z.module.basis]
     probe = flats if len(flats) <= 60 else rng.sample(flats, 60)
-    ok, wit = True, None
-    for t in probe:
+
+    def trial(t):
         ft = Element.basis(mha.field, t)
         if phi(to_l(ft)) != to_r(ft) or phi_inv(to_r(ft)) != to_l(ft):
-            ok, wit = False, "t=%r" % ft
-            break
-    rep.add("assoc-canonical", "the rebracketing map agrees with the flat "
-            "projections on every representative", ok, wit)
+            return "t=%r" % ft
+    rep.law("assoc-canonical", "the rebracketing map agrees with the flat "
+            "projections on every representative", map(trial, probe))
 
-    ok, wit = True, None
-    for b in TL.quot.basis:
+    def trial(side, b, there, back):
         c = Element.basis(mha.field, b)
-        if phi_inv(phi(c)) != c:
-            ok, wit = False, "left basis %r" % c
-            break
-    else:
-        for b in TR.quot.basis:
-            c = Element.basis(mha.field, b)
-            if phi(phi_inv(c)) != c:
-                ok, wit = False, "right basis %r" % c
-                break
-    rep.add("assoc-invertible", "the rebracketing map is invertible", ok, wit)
+        if back(there(c)) != c:
+            return "%s basis %r" % (side, c)
+    rep.law("assoc-invertible", "the rebracketing map is invertible",
+            itertools.chain(
+                (trial("left", b, phi, phi_inv) for b in TL.quot.basis),
+                (trial("right", b, phi_inv, phi) for b in TR.quot.basis)))
 
-    ok, wit = True, None
-    for _ in range(samples):
-        if not TL.quot.basis:
-            break
+    def trial():
         c = _rand(rng, mha.field, TL.quot.basis)
         a = random_alg_element(rng, mha)
         h = _rand(rng, mha.field, X.H.alg.basis)
         if phi(TL.ham.module.act(a, c)) != TR.ham.module.act(a, phi(c)):
-            ok, wit = False, "A-linearity at c=%r a=%r" % (c, a)
-            break
+            return "A-linearity at c=%r a=%r" % (c, a)
         if phi(TL.ham.h_act(h, c)) != TR.ham.h_act(h, phi(c)):
-            ok, wit = False, "H-linearity at c=%r h=%r" % (c, h)
-            break
-    rep.add("assoc-linear", "the rebracketing map is A-linear and H-linear",
-            ok, wit)
+            return "H-linearity at c=%r h=%r" % (c, h)
+    rep.law("assoc-linear", "the rebracketing map is A-linear and H-linear",
+            (trial() for _ in range(samples if TL.quot.basis else 0)))
     return rep
 
 
@@ -1038,16 +1019,14 @@ def check_pentagon(X, Y, Z, W, suite="hq-monoidal", seed=0):
         x = project_legs(T23_4.quot, x, a1, a2 + a3 + a4)
         return o3.quot.project(x)
 
-    ok, wit = True, None
-    for b in o1.quot.basis:
+    def trial(b):
         flat = o1.quot.section(Element.basis(mha.field, b))
         path_a = to_o4(o5.quot.section(to_o5(flat)))
         path_b = to_o4(o3.quot.section(to_o3(o2.quot.section(to_o2(flat)))))
         if path_a != path_b:
-            ok, wit = False, "class %r" % flat
-            break
-    rep.add("pentagon", "the two composite rebracketing paths agree",
-            ok, wit)
+            return "class %r" % flat
+    rep.law("pentagon", "the two composite rebracketing paths agree",
+            map(trial, o1.quot.basis))
     return rep
 
 
@@ -1057,37 +1036,37 @@ def check_module_algebra_suite(mha, samples=30, seed=0, suite="module-algebra"):
     """Module-algebra, comodule-algebra, A-commutativity and joint YD-algebra
     laws over the standard fixtures available on an instance."""
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    _merge(rep, check_module_algebra(counit_module_algebra(mha),
-                                     samples, seed, suite), "counit")
+    rep.merge(check_module_algebra(counit_module_algebra(mha),
+                                   samples, seed, suite), "counit")
     if mha.cocommutative and _materialized(mha):
-        _merge(rep, check_module_algebra(adjoint_module_algebra(mha),
-                                         samples, seed, suite), "adjoint")
+        rep.merge(check_module_algebra(adjoint_module_algebra(mha),
+                                       samples, seed, suite), "adjoint")
 
     carrier = counit_module(mha)
-    _merge(rep, check_comodule_algebra(mha.algebra,
-                                       coproduct_coaction(carrier),
-                                       samples, seed, suite), "delta")
-    _merge(rep, check_comodule_algebra(mha.algebra, trivial_coaction(carrier),
-                                       samples, seed, suite), "trivial")
+    rep.merge(check_comodule_algebra(mha.algebra,
+                                     coproduct_coaction(carrier),
+                                     samples, seed, suite), "delta")
+    rep.merge(check_comodule_algebra(mha.algebra, trivial_coaction(carrier),
+                                     samples, seed, suite), "trivial")
 
     k = trivial_yd_module_algebra(mha)
-    _merge(rep, check_yd_module_algebra(k, samples, seed, suite), "K")
-    _merge(rep, check_a_commutative(k, samples, seed, suite), "K")
+    rep.merge(check_yd_module_algebra(k, samples, seed, suite), "K")
+    rep.merge(check_a_commutative(k, samples, seed, suite), "K")
 
     ct = counit_yd_module_algebra(mha)
-    _merge(rep, check_yd_module_algebra(ct, samples, seed, suite),
-           "counit-trivial")
+    rep.merge(check_yd_module_algebra(ct, samples, seed, suite),
+              "counit-trivial")
     if mha.commutative:
-        _merge(rep, check_a_commutative(ct, samples, seed, suite),
-               "counit-trivial")
+        rep.merge(check_a_commutative(ct, samples, seed, suite),
+                  "counit-trivial")
     if mha.cocommutative and _materialized(mha):
-        _merge(rep, check_yd_module_algebra(
+        rep.merge(check_yd_module_algebra(
             adjoint_trivial_yd_module_algebra(mha), samples, seed, suite),
             "adjoint-trivial")
     if mha.cocommutative and _materialized(mha):
-        _merge(rep, check_yd_module_algebra(canonical_yd_module_algebra(mha),
-                                            samples, seed, suite),
-               "adjoint-delta")
+        rep.merge(check_yd_module_algebra(canonical_yd_module_algebra(mha),
+                                          samples, seed, suite),
+                  "adjoint-delta")
     return rep
 
 
@@ -1112,21 +1091,21 @@ def check_hq_monoidal(mha, samples=10, seed=0, suite="hq-monoidal"):
     the default fixtures."""
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     for tag, H, mods in default_hq_fixtures(mha):
-        _merge(rep, check_yd_module_algebra(H, samples, seed, suite), tag)
-        _merge(rep, check_a_commutative(H, samples, seed, suite), tag)
+        rep.merge(check_yd_module_algebra(H, samples, seed, suite), tag)
+        rep.merge(check_a_commutative(H, samples, seed, suite), tag)
         for M in mods:
             mtag = "%s:%s" % (tag, M.name)
-            _merge(rep, check_ha_module(M, samples, seed, suite), mtag)
-            _merge(rep, check_h_bimodule(M, samples, seed, suite), mtag)
+            rep.merge(check_ha_module(M, samples, seed, suite), mtag)
+            rep.merge(check_h_bimodule(M, samples, seed, suite), mtag)
             if M.module.basis is not None:
                 T = BalancedTensor(M, M)
-                _merge(rep, check_balanced_tensor(T, samples, seed, suite),
-                       mtag)
-                _merge(rep, check_unit_laws(M, samples, seed, suite), mtag)
+                rep.merge(check_balanced_tensor(T, samples, seed, suite),
+                          mtag)
+                rep.merge(check_unit_laws(M, samples, seed, suite), mtag)
         small = min(mods, key=lambda m: len(m.module.basis or [0]))
         if small.module.basis is not None:
-            _merge(rep, check_associator(mods[-1], small, small,
-                                         samples, seed, suite), tag)
-            _merge(rep, check_pentagon(small, small, small, small,
-                                       suite=suite, seed=seed), tag)
+            rep.merge(check_associator(mods[-1], small, small,
+                                       samples, seed, suite), tag)
+            rep.merge(check_pentagon(small, small, small, small,
+                                     suite=suite, seed=seed), tag)
     return rep

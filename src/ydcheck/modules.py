@@ -274,8 +274,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
 
     # Gamma(v) is a right-module map: Gamma(v)(1 (x) aa') agrees with
     # right-multiplying the second leg of Gamma(v)(1 (x) a) by a'
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         v, a, ap = rv(), ra(), ra()
         lhs = coaction.slice_r(v, alg.mult(a, ap))
         rhs = Element(mha.field)
@@ -283,16 +282,15 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
             v0, v1 = split_sym(s, mod.arity)
             rhs = rhs + tensor(mod.el(v0), alg.mult(alg.el(v1), ap)).scaled(c)
         if lhs != rhs:
-            ok, wit = False, "v=%r a=%r a'=%r lhs=%r rhs=%r" % (v, a, ap, lhs, rhs)
-            break
-    rep.add("coaction-module-map", "Gamma(v)(1(x)aa') = (Gamma(v)(1(x)a))(1(x)a')", ok, wit)
+            return "v=%r a=%r a'=%r lhs=%r rhs=%r" % (v, a, ap, lhs, rhs)
+    rep.law("coaction-module-map", "Gamma(v)(1(x)aa') = (Gamma(v)(1(x)a))(1(x)a')",
+            (trial() for _ in range(samples)))
 
     # sliced coassociativity:
     #   v_(0) (x) v_(1)(1) x (x) v_(1)(2) y  =  v_(0)(0) (x) v_(0)(1) x (x) v_(1) y
     # LHS: replace the multiplier v_(1) by v_(1)c for a coproduct cover c of
     # (x, y); then Delta(v_(1)c)(x (x) y) = deltaR2(., x) right-multiplied by y.
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         v, x, y = rv(), ra(), ra()
         c = mha.delta_cover([x], [y])
         lhs = Element(mha.field)
@@ -305,28 +303,26 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
                                    alg.mult(alg.el(w2), y)).scaled(co * c2)
         rhs = coaction.slice_r_leg(coaction.slice_r(v, y), 0, x)
         if lhs != rhs:
-            ok, wit = False, "v=%r x=%r y=%r lhs=%r rhs=%r" % (v, x, y, lhs, rhs)
-            break
-    rep.add("coaction-coassoc", "sliced coassociativity of Gamma", ok, wit)
+            return "v=%r x=%r y=%r lhs=%r rhs=%r" % (v, x, y, lhs, rhs)
+    rep.law("coaction-coassoc", "sliced coassociativity of Gamma",
+            (trial() for _ in range(samples)))
 
     # counitary
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         v, a = rv(), ra()
         got = Element(mha.field)
         for s, c in coaction.slice_r(v, a).terms.items():
             v0, v1 = split_sym(s, mod.arity)
             got = got + mod.el(v0, c * mha.counit(alg.el(v1)))
         if got != v.scaled(mha.counit(a)):
-            ok, wit = False, "v=%r a=%r got=%r" % (v, a, got)
-            break
-    rep.add("coaction-counit", "(i (x) eps)(Gamma(v)(1(x)a)) = v eps(a)", ok, wit)
+            return "v=%r a=%r got=%r" % (v, a, got)
+    rep.law("coaction-counit", "(i (x) eps)(Gamma(v)(1(x)a)) = v eps(a)",
+            (trial() for _ in range(samples)))
 
     if coaction.has_slice_l:
         # two-sided multiplier compatibility:
         # (1 (x) a)(Gamma(v)(1 (x) a')) = ((1 (x) a)Gamma(v))(1 (x) a')
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             v, a, ap = rv(), ra(), ra()
             lhs = Element(mha.field)
             for s, c in coaction.slice_r(v, ap).terms.items():
@@ -337,9 +333,9 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
                 v0, v1 = split_sym(s, mod.arity)
                 rhs = rhs + tensor(mod.el(v0), alg.mult(alg.el(v1), ap)).scaled(c)
             if lhs != rhs:
-                ok, wit = False, "v=%r a=%r a'=%r" % (v, a, ap)
-                break
-        rep.add("coaction-two-sided", "left and right slices agree as a two-sided multiplier", ok, wit)
+                return "v=%r a=%r a'=%r" % (v, a, ap)
+        rep.law("coaction-two-sided", "left and right slices agree as a two-sided multiplier",
+                (trial() for _ in range(samples)))
 
     return rep
 
@@ -364,40 +360,46 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
         probes = ([alg.el(s) for s in alg.basis] if alg.basis is not None
                   else [random_alg_element(rng, mha) for _ in range(10)])
 
-    ok, wit = True, None
-    compat_ok, compat_wit = True, None
-    for vsym in mod.basis:
-        v = mod.el(vsym)
+    def component(img, wsym):
+        out = Element(mha.field)
+        for s, c in img.terms.items():
+            w, a = split_sym(s, mod.arity)
+            if w == wsym:
+                out = out + alg.el(a, c)
+        return out
 
-        def component(img, wsym):
-            out = Element(mha.field)
-            for s, c in img.terms.items():
-                w, a = split_sym(s, mod.arity)
-                if w == wsym:
-                    out = out + alg.el(a, c)
-            return out
-
+    def components_used(vsym):
         used = set()
         for a in probes:
-            for s in coaction.slice_r(v, a).terms:
+            for s in coaction.slice_r(mod.el(vsym), a).terms:
                 used.add(split_sym(s, mod.arity)[0])
+        return vsym, used
+
+    def factorization(sample):
+        vsym, used = sample
         if len(used) > len(mod.basis):
-            ok, wit = False, "factorization rank %d exceeds dim %d at v=%r" % (
-                len(used), len(mod.basis), v)
-            break
+            return "factorization rank %d exceeds dim %d at v=%r" % (
+                len(used), len(mod.basis), mod.el(vsym))
+
+    def multipliers(sample):
+        vsym, used = sample
+        v = mod.el(vsym)
         for wsym in sorted(used, key=repr):
             m = Multiplier(
-                left=lambda a, vv=v, ww=wsym: component(coaction.slice_r(vv, a), ww),
+                left=lambda a, ww=wsym: component(coaction.slice_r(v, a), ww),
                 right=(None if not coaction.has_slice_l else
-                       lambda a, vv=v, ww=wsym: component(coaction.slice_l(vv, a), ww)),
+                       lambda a, ww=wsym: component(coaction.slice_l(v, a), ww)),
                 label="m[%r,%r]" % (vsym, wsym))
             if coaction.has_slice_l and not m.compatible_on(alg, probes, probes):
-                compat_ok, compat_wit = False, "component at v=%r w=%r" % (vsym, wsym)
-    rep.add("finite-dim-factorization",
-            "Gamma(v) = sum_i v_i (x) m_i with at most dim(V) components", ok, wit)
-    rep.add("finite-dim-multipliers",
-            "each factor m_i is a compatible multiplier on probe elements",
-            compat_ok, compat_wit)
+                return "component at v=%r w=%r" % (vsym, wsym)
+
+    rep.law_group([
+        ("finite-dim-factorization",
+         "Gamma(v) = sum_i v_i (x) m_i with at most dim(V) components",
+         factorization),
+        ("finite-dim-multipliers",
+         "each factor m_i is a compatible multiplier on probe elements",
+         multipliers)], map(components_used, mod.basis))
     return rep
 
 
@@ -417,48 +419,48 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
 
     # 1.x = x through the extension, and independence of the decomposition
     one = Multiplier(left=lambda y: y, right=lambda y: y, label="1")
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         x = rx()
         if extend_action(mod, one, x) != x:
-            ok, wit = False, "x=%r" % x
-            break
+            return "x=%r" % x
         # same multiplier, two different decompositions x = e.x = e'.x
         e2 = mod.local_unit([x, rx()])
         f = Multiplier.from_element(alg, ra())
         if extend_action(mod, f, x) != mod.act(f.left(e2), x):
-            ok, wit = False, "decomposition-dependent extension at x=%r" % x
-            break
-    rep.add("extend-action", "1.x = x and f.x independent of the decomposition", ok, wit)
+            return "decomposition-dependent extension at x=%r" % x
+    rep.law("extend-action", "1.x = x and f.x independent of the decomposition",
+            (trial() for _ in range(samples)))
 
     # for unital algebras the extension is the plain action (Y = X)
     if alg.has_unit:
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             a, x = ra(), rx()
             if extend_action(mod, Multiplier.from_element(alg, a), x) != mod.act(a, x):
-                ok, wit = False, "a=%r x=%r" % (a, x)
-                break
-        rep.add("unital-identity", "extension along A subset M(A) is the plain action", ok, wit)
+                return "a=%r x=%r" % (a, x)
+        rep.law("unital-identity", "extension along A subset M(A) is the plain action",
+                (trial() for _ in range(samples)))
 
     # rho embedding laws
-    ok, wit = True, None
-    inj_ok, inj_wit = True, None
-    for _ in range(samples):
+    def draw():
         x, a, ap = rx(), ra(), ra()
-        r = embed_rho(mod, x)
+        return x, a, ap, embed_rho(mod, x)
+
+    def left_kind(sample):
+        x, a, ap, r = sample
         if r.rho(alg.mult(a, ap)) != mod.act(a, r.rho(ap)):
-            ok, wit = False, "x=%r a=%r a'=%r" % (x, a, ap)
-            break
+            return "x=%r a=%r a'=%r" % (x, a, ap)
         # (a.rho_x)(a') = rho_x(a'a) = rho_{a.x}(a')
         if not r.acted_by(a).agrees_with(embed_rho(mod, mod.act(a, x)), [ap, a]):
-            ok, wit = False, "module-map law at x=%r a=%r" % (x, a)
-            break
-        if not x.is_zero():
-            e = mod.local_unit([x])
-            if r.rho(e).is_zero():
-                inj_ok, inj_wit = False, "x=%r killed by its local unit" % x
-    rep.add("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}", ok, wit)
-    rep.add("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
-            inj_ok, inj_wit)
+            return "module-map law at x=%r a=%r" % (x, a)
+
+    def injective(sample):
+        x, _, _, r = sample
+        if not x.is_zero() and r.rho(mod.local_unit([x])).is_zero():
+            return "x=%r killed by its local unit" % x
+
+    rep.law_group([
+        ("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}",
+         left_kind),
+        ("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
+         injective)], (draw() for _ in range(samples)))
     return rep

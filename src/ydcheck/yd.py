@@ -125,27 +125,31 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
     rng = random.Random(seed)
     mod, coa = yd.module, yd.coaction
 
-    ok, wit = True, None
-    ok2, wit2 = True, None
-    for _ in range(samples):
+    def draw():
         a, ap = random_alg_element(rng, mha), random_alg_element(rng, mha)
-        v = random_mod_element(rng, mod)
+        return a, ap, random_mod_element(rng, mod)
+
+    def compat(sample):
+        a, ap, v = sample
         lhs = coa.slice_r(mod.act(a, v), ap)
         rhs = compat_rhs(mod, coa, a, ap, v)
-        if ok and lhs != rhs:
-            ok, wit = False, "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
-        l2 = compat_alt_lhs(mod, coa, a, ap, v)
-        r2 = compat_alt_rhs(mod, coa, a, ap, v)
-        if ok2 and l2 != r2:
-            ok2, wit2 = False, "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, l2, r2)
-        if not ok and not ok2:
-            break
-    rep.add("yd-compat",
-            "(a.v)_(0) (x) (a.v)_(1)a' = a_(2).v_(0) (x) a_(3)v_(1)S^-1(a_(1))a'",
-            ok, wit)
-    rep.add("yd-compat-alt",
-            "(a_(2).v)_(0) (x) (a_(2).v)_(1)a_(1)a' = a_(1).v_(0) (x) a_(2)v_(1)a'",
-            ok2, wit2)
+        if lhs != rhs:
+            return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
+
+    def compat_alt(sample):
+        a, ap, v = sample
+        lhs = compat_alt_lhs(mod, coa, a, ap, v)
+        rhs = compat_alt_rhs(mod, coa, a, ap, v)
+        if lhs != rhs:
+            return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
+
+    rep.law_group([
+        ("yd-compat",
+         "(a.v)_(0) (x) (a.v)_(1)a' = a_(2).v_(0) (x) a_(3)v_(1)S^-1(a_(1))a'",
+         compat),
+        ("yd-compat-alt",
+         "(a_(2).v)_(0) (x) (a_(2).v)_(1)a_(1)a' = a_(1).v_(0) (x) a_(2)v_(1)a'",
+         compat_alt)], (draw() for _ in range(samples)))
     return rep
 
 
@@ -445,9 +449,7 @@ def check_yd_suite(mha, samples=30, seed=0, suite="yd"):
     from .report import Report
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     for V in yd_fixtures(mha):
-        sub = check_yd(V, samples=samples, seed=seed, suite=suite)
-        for law in sub.laws:
-            rep.add("%s[%s]" % (law.law, V.name), law.statement, law.ok, law.witness)
+        rep.merge(check_yd(V, samples=samples, seed=seed, suite=suite), V.name)
     return rep
 
 
@@ -467,8 +469,7 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
         return random_mod_element(rng, H.module)
 
     # right-module map in the first slot
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, b, v = ra(), ra(), rv()
         lhs = H.cA(alg.mult(b, a), v)
         rhs = Element(mha.field)
@@ -476,14 +477,13 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
             v0, m = split_sym(s, H.module.arity)
             rhs = rhs + tensor(H.module.el(v0), alg.mult(alg.el(m), a)).scaled(c)
         if lhs != rhs:
-            ok, wit = False, "a=%r b=%r v=%r" % (a, b, v)
-            break
-    rep.add("half-braiding-module-map", "C(ba (x) v) = C(b (x) v)(1 (x) a)", ok, wit)
+            return "a=%r b=%r v=%r" % (a, b, v)
+    rep.law("half-braiding-module-map", "C(ba (x) v) = C(b (x) v)(1 (x) a)",
+            (trial() for _ in range(samples)))
 
     # left A-linearity: a.C(x (x) v) = C(a.(x (x) v)), diagonal actions on
     # both sides realized with local-unit splits of a
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         a, x, v = ra(), ra(), rv()
         img = H.cA(x, v)
         lhs = Element(mha.field)
@@ -503,16 +503,16 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
             rhs = rhs + H.cA(alg.mult(alg.el(p), x),
                              H.module.act(alg.el(q), v)).scaled(c)
         if lhs != rhs:
-            ok, wit = False, "a=%r x=%r v=%r lhs=%r rhs=%r" % (a, x, v, lhs, rhs)
-            break
-    rep.add("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))", ok, wit)
+            return "a=%r x=%r v=%r lhs=%r rhs=%r" % (a, x, v, lhs, rhs)
+    rep.law("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))",
+            (trial() for _ in range(samples)))
 
     # tensor decomposition at X = Y = A:
     # C_{A (x) A, V} = (C_{A,V} (x) i)(i (x) C_{A,V})
     try:
         aa = tensor_module(reg, reg)
-        ok, wit = True, None
-        for _ in range(samples):
+
+        def trial():
             x, y, v = ra(), ra(), rv()
             lhs = H.component(aa, tensor(tensor(x, y), v))
             inner = H.component(reg, tensor(y, v))  # v0 (x) m.y
@@ -525,20 +525,19 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
                     rhs = rhs + tensor(tensor(H.module.el(v00), alg.el(m2)),
                                        alg.el(m)).scaled(c * c2)
             if lhs != rhs:
-                ok, wit = False, "x=%r y=%r v=%r" % (x, y, v)
-                break
-        rep.add("half-braiding-tensor", "C_{X(x)Y,V} = (C_{X,V}(x)i)(i(x)C_{Y,V}) at X=Y=A", ok, wit)
+                return "x=%r y=%r v=%r" % (x, y, v)
+        rep.law("half-braiding-tensor", "C_{X(x)Y,V} = (C_{X,V}(x)i)(i(x)C_{Y,V}) at X=Y=A",
+                (trial() for _ in range(samples)))
     except ValueError as exc:
         rep.add("half-braiding-tensor", "tensor decomposition at X=Y=A", False, str(exc))
 
     # derived-component consistency at X = A
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         x, v = ra(), rv()
         if H.component(reg, tensor(x, v)) != H.cA(x, v):
-            ok, wit = False, "x=%r v=%r" % (x, v)
-            break
-    rep.add("half-braiding-derived", "C_X from local units agrees with cA at X=A", ok, wit)
+            return "x=%r v=%r" % (x, v)
+    rep.law("half-braiding-derived", "C_X from local units agrees with cA at X=A",
+            (trial() for _ in range(samples)))
     return rep
 
 
@@ -566,46 +565,39 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
 
         # F(G(V)) = V: same module by construction, slices compared
         # extensionally
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             v, a = rv(), ra()
             if back.coaction.slice_r(v, a) != V.coaction.slice_r(v, a):
-                ok, wit = False, "right slice differs at v=%r a=%r" % (v, a)
-                break
+                return "right slice differs at v=%r a=%r" % (v, a)
             if back.coaction.slice_l(v, a) != V.coaction.slice_l(v, a):
-                ok, wit = False, ("left slice differs at v=%r a=%r: %r vs %r"
-                                  % (v, a, back.coaction.slice_l(v, a),
-                                     V.coaction.slice_l(v, a)))
-                break
-        rep.add("fg-identity[%s]" % V.name, "F(G(V)) = V extensionally", ok, wit)
+                return ("left slice differs at v=%r a=%r: %r vs %r"
+                        % (v, a, back.coaction.slice_l(v, a),
+                           V.coaction.slice_l(v, a)))
+        rep.law("fg-identity[%s]" % V.name, "F(G(V)) = V extensionally",
+                (trial() for _ in range(samples)))
 
         # G(F(H)) = H on the regular component
         H2 = functor_g(back)
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             v, a = rv(), ra()
             if H2.cA(a, v) != H.cA(a, v):
-                ok, wit = False, "v=%r a=%r" % (v, a)
-                break
-        rep.add("gf-identity[%s]" % V.name, "G(F(H)) = H extensionally", ok, wit)
+                return "v=%r a=%r" % (v, a)
+        rep.law("gf-identity[%s]" % V.name, "G(F(H)) = H extensionally",
+                (trial() for _ in range(samples)))
 
         # braiding round trips
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             xv = tensor(ra(), rv())
             if braiding_c_inv(reg, V, braiding_c(reg, V, xv)) != xv:
-                ok, wit = False, "x(x)v=%r" % xv
-                break
+                return "x(x)v=%r" % xv
             vx = tensor(rv(), ra())
             if braiding_c(reg, V, braiding_c_inv(reg, V, vx)) != vx:
-                ok, wit = False, "v(x)x=%r" % vx
-                break
-        rep.add("braiding-invertible[%s]" % V.name,
-                "C and C^-1 round-trip on X = A", ok, wit)
+                return "v(x)x=%r" % vx
+        rep.law("braiding-invertible[%s]" % V.name,
+                "C and C^-1 round-trip on X = A", (trial() for _ in range(samples)))
 
         # naturality in X under the right-multiplication module map
-        ok, wit = True, None
-        for _ in range(samples):
+        def trial():
             x, b, v = ra(), ra(), rv()
             lhs = braiding_c(reg, V, tensor(alg.mult(x, b), v))
             rhs = Element(mha.field)
@@ -613,20 +605,18 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
                 v0, m = split_sym(s, mod.arity)
                 rhs = rhs + tensor(mod.el(v0), alg.mult(alg.el(m), b)).scaled(c)
             if lhs != rhs:
-                ok, wit = False, "x=%r b=%r v=%r" % (x, b, v)
-                break
-        rep.add("braiding-natural[%s]" % V.name,
-                "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)", ok, wit)
+                return "x=%r b=%r v=%r" % (x, b, v)
+        rep.law("braiding-natural[%s]" % V.name,
+                "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)",
+                (trial() for _ in range(samples)))
 
-        sub = check_half_braiding(H, samples=samples, seed=seed, suite=suite)
-        for law in sub.laws:
-            rep.add("%s[%s]" % (law.law, V.name), law.statement, law.ok, law.witness)
+        rep.merge(check_half_braiding(H, samples=samples, seed=seed, suite=suite),
+                  V.name)
 
     # second hexagon half: C_{X, V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i)
     V, W = fixtures[0], fixtures[1]
     VW = yd_tensor(V, W)
-    ok, wit = True, None
-    for _ in range(samples):
+    def trial():
         x = random_alg_element(rng, mha)
         v = random_mod_element(rng, V.module)
         w = random_mod_element(rng, W.module)
@@ -641,22 +631,22 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
                 rhs = rhs + tensor(tensor(V.module.el(v0), W.module.el(w0)),
                                    alg.el(m2)).scaled(c * c2)
         if lhs != rhs:
-            ok, wit = False, "x=%r v=%r w=%r lhs=%r rhs=%r" % (x, v, w, lhs, rhs)
-            break
-    rep.add("braiding-hexagon",
-            "C_{X,V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i) at X=A", ok, wit)
+            return "x=%r v=%r w=%r lhs=%r rhs=%r" % (x, v, w, lhs, rhs)
+    rep.law("braiding-hexagon",
+            "C_{X,V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i) at X=A",
+            (trial() for _ in range(samples)))
 
     # morphism transport for a scalar YD morphism
     V = fixtures[1]
     two = mha.field.from_int(2)
-    ok, wit = True, None
-    for _ in range(samples):
+
+    def trial():
         x = random_alg_element(rng, mha)
         v = random_mod_element(rng, V.module)
         lhs = braiding_c(reg, V, tensor(x, v.scaled(two)))
         rhs = braiding_c(reg, V, tensor(x, v)).scaled(two)
         if lhs != rhs:
-            ok, wit = False, "x=%r v=%r" % (x, v)
-            break
-    rep.add("morphism-transport", "(f (x) i)C_{X,V} = C_{X,V}(i (x) f) for scalar f", ok, wit)
+            return "x=%r v=%r" % (x, v)
+    rep.law("morphism-transport", "(f (x) i)C_{X,V} = C_{X,V}(i (x) f) for scalar f",
+            (trial() for _ in range(samples)))
     return rep

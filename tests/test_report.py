@@ -1,0 +1,104 @@
+"""The law-sampling primitive and the sub-report merge of Report."""
+
+from ydcheck.report import Report
+
+
+def _report():
+    return Report("suite", "inst", "rational", 0, 5)
+
+
+def _counting(results):
+    """Trials that return the given results in turn, logging each run."""
+    ran = []
+
+    def trial(i):
+        ran.append(i)
+        return results[i]
+
+    return ran, (trial(i) for i in range(len(results)))
+
+
+def test_first_witness_is_recorded_and_ends_the_stream():
+    rep = _report()
+    ran, trials = _counting([None, "first", None, "second", "third"])
+    rep.law("l", "statement", trials)
+    assert ran == [0, 1]
+    (r,) = rep.laws
+    assert (r.law, r.statement, r.ok, r.witness) == ("l", "statement", False,
+                                                     "first")
+
+
+def test_a_passing_stream_is_consumed_in_full():
+    rep = _report()
+    ran, trials = _counting([None] * 7)
+    rep.law("l", "statement", trials)
+    assert ran == list(range(7))
+    (r,) = rep.laws
+    assert r.ok and r.witness is None
+    assert "witness" not in r.as_dict()
+
+
+def test_an_empty_stream_passes():
+    rep = _report()
+    rep.law("l", "statement", iter(()))
+    assert rep.laws[0].ok and rep.laws[0].witness is None
+
+
+def test_law_group_keeps_each_first_witness_and_stops_when_all_failed():
+    rep = _report()
+    drawn = []
+    calls = {"a": [], "b": [], "c": []}
+
+    def check(name, fails_at):
+        def run(i):
+            calls[name].append(i)
+            return "%s@%d" % (name, i) if i in fails_at else None
+        return (name, "statement " + name, run)
+
+    def samples():
+        for i in range(10):
+            drawn.append(i)
+            yield i
+
+    rep.law_group([check("a", {1, 2}), check("b", {4, 6}), check("c", {3})],
+                  samples())
+    # every law fails by sample 4, so sample 5 is never drawn
+    assert drawn == [0, 1, 2, 3, 4]
+    # a failed law is not evaluated again
+    assert calls == {"a": [0, 1], "b": [0, 1, 2, 3, 4], "c": [0, 1, 2, 3]}
+    assert [(r.law, r.statement, r.ok, r.witness) for r in rep.laws] == [
+        ("a", "statement a", False, "a@1"),
+        ("b", "statement b", False, "b@4"),
+        ("c", "statement c", False, "c@3")]
+
+
+def test_law_group_runs_on_while_one_law_holds():
+    rep = _report()
+    drawn = []
+
+    def samples():
+        for i in range(6):
+            drawn.append(i)
+            yield i
+
+    rep.law_group([("a", "sa", lambda i: "a@%d" % i if i == 0 else None),
+                   ("b", "sb", lambda i: None)], samples())
+    assert drawn == list(range(6))
+    assert [(r.ok, r.witness) for r in rep.laws] == [(False, "a@0"),
+                                                     (True, None)]
+
+
+def test_merge_tags_ids_and_keeps_order_and_fields():
+    sub = _report()
+    sub.add("x", "sx", True)
+    sub.add("y", "sy", False, "w")
+    sub.add("x", "sx2", False, "w2")
+    rep = _report()
+    rep.add("first", "s0", True)
+    rep.merge(sub, "tag:1")
+    assert [(r.law, r.statement, r.ok, r.witness) for r in rep.laws] == [
+        ("first", "s0", True, None),
+        ("x[tag:1]", "sx", True, None),
+        ("y[tag:1]", "sy", False, "w"),
+        ("x[tag:1]", "sx2", False, "w2")]
+    assert [r.law for r in sub.laws] == ["x", "y", "x"]
