@@ -16,7 +16,7 @@ the correspondence checks certify which one closes the round trips.
 
 import random
 
-from .linear import Element, Ten, tensor, legs, make_sym, sym_str
+from .linear import Element, Ten, tensor, legs, make_sym, sym_str, apply_legs
 from .mha import Algebra, random_alg_element
 from .modules import UnitalModule, Coaction, random_mod_element
 from .yd import split_sym
@@ -44,17 +44,6 @@ class DiagonalCrossedProduct:
         alpha, beta = self.pair.alpha, self.pair.beta
         dual, field = self.dual, self.field
 
-        def cop2(a):
-            """a_(1) (x) a_(2) (x) a_(3), materialized."""
-            out = Element(field)
-            for s, c in base.coproduct(a).terms.items():
-                l1, l2 = legs(s)
-                for s2, c2 in base.coproduct(base.el(l2)).terms.items():
-                    out = out + Element.basis(field,
-                                              Ten((l1,) + legs(s2)),
-                                              c * c2)
-            return out
-
         def bracket(a1, q, a3):
             """alpha(a1) |> q <| S^-1(beta(a3)) under the active convention."""
             left = alpha(base.el(a1))
@@ -66,14 +55,13 @@ class DiagonalCrossedProduct:
         def mult_basis(s1, s2):
             p, a = legs(s1)
             q, b = legs(s2)
-            out = Element(field)
-            for s, c in cop2(base.el(a)).terms.items():
+
+            def term(s):  # a_(1) (x) a_(2) (x) a_(3)
                 a1, a2, a3 = legs(s)
                 mid = bracket(a1, dual.el(q), a3)
-                dpart = dual.algebra.mult(dual.el(p), mid)
-                apart = base.algebra.mult(base.el(a2), base.el(b))
-                out = out + tensor(dpart, apart).scaled(c)
-            return out
+                return tensor(dual.algebra.mult(dual.el(p), mid),
+                              base.algebra.mult(base.el(a2), base.el(b)))
+            return base.sweedler(base.el(a), 3).map_terms(term)
 
         basis = [Ten((dual_sym(s), t)) for s in base.algebra.basis
                  for t in base.algebra.basis]
@@ -87,27 +75,24 @@ class DiagonalCrossedProduct:
 
     def counit(self, d):
         """eps(p >< a) = p(1) eps(a)."""
-        out = self.field.zero()
-        for s, c in d.terms.items():
+        def eps(s):
             p, a = legs(s)
-            out = out + (c * self.dual.counit(self.dual.el(p))
-                         * self.base.counit(self.base.el(a)))
-        return out
+            return (self.dual.counit(self.dual.el(p))
+                    * self.base.counit(self.base.el(a)))
+        return sum((c * eps(s) for s, c in d.terms.items()), self.field.zero())
 
     def coproduct(self, d):
         """Delta(p >< a) = (p_(2) >< a_(1)) (x) (p_(1) >< a_(2)): the dual
         leg carries the opposite coproduct."""
-        out = Element(self.field)
-        for s, c in d.terms.items():
+        def regroup(s):  # p_(1) (x) p_(2) (x) a_(1) (x) a_(2)
+            p1, p2, a1, a2 = legs(s)
+            return Element.basis(self.field, Ten((Ten((p2, a1)), Ten((p1, a2)))))
+
+        def term(s):
             p, a = legs(s)
-            for sp, cp in self.dual.coproduct(self.dual.el(p)).terms.items():
-                p1, p2 = legs(sp)
-                for sa, ca in self.base.coproduct(self.base.el(a)).terms.items():
-                    a1, a2 = legs(sa)
-                    out = out + Element.basis(
-                        self.field, Ten((Ten((p2, a1)), Ten((p1, a2)))),
-                        c * cp * ca)
-        return out
+            return tensor(self.dual.coproduct(self.dual.el(p)),
+                          self.base.coproduct(self.base.el(a))).map_terms(regroup)
+        return d.map_terms(term)
 
     def structure_constants(self):
         """The full multiplication table, JSON-ready and deterministic."""
@@ -185,11 +170,8 @@ class DcpModule:
         return Element.basis(self.field, sym, coeff)
 
     def act(self, d, m):
-        out = Element(self.field)
-        for sd, cd in d.terms.items():
-            for sm, cm in m.terms.items():
-                out = out + self._act_basis(sd, sm).scaled(cd * cm)
-        return out
+        return d.map_terms(lambda sd: m.map_terms(
+            lambda sm: self._act_basis(sd, sm)))
 
 
 def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
@@ -241,15 +223,15 @@ def yd_to_dcp_module(V, dcp=None):
 
     def act_basis(dsym, msym):
         p, a = legs(dsym)
-        am = V.module.act(base.el(a), V.module.el(msym))
-        out = Element(base.field)
-        for s, c in am.terms.items():
-            gm = V.coaction.slice_r(V.module.el(s), base.algebra.unit)
-            for s2, c2 in gm.terms.items():
-                m0, m1 = split_sym(s2, V.module.arity)
-                out = out + V.module.el(m0).scaled(
-                    c * c2 * dual.pairing(dual.el(p), base.el(m1)))
-        return out
+
+        def pair_leg(s):  # m_(0) p(m_(1))
+            m0, m1 = split_sym(s, V.module.arity)
+            return V.module.el(m0, dual.pairing(dual.el(p), base.el(m1)))
+
+        def term(s):  # (a.m)_(0) p((a.m)_(1))
+            return V.coaction.slice_r(V.module.el(s),
+                                      base.algebra.unit).map_terms(pair_leg)
+        return V.module.act(base.el(a), V.module.el(msym)).map_terms(term)
 
     return DcpModule(dcp, act_basis, V.module.basis,
                      name=V.name + ":as-dcp-module")
@@ -278,31 +260,24 @@ def dcp_module_to_yd(M, integrals=None, name=None):
 
     # materialize the coaction once per carrier basis symbol
     cop_t = base.coproduct(integrals.t)
-    coact = {}
-    for msym in M.basis:
-        out = Element(field)
-        for s, c in cop_t.terms.items():
+
+    def coaction_of(msym):
+        def term(s):
             t1, t2 = legs(s)
             # phi(. t_(2)) as a dual element
-            p = Element(field)
-            for b in base.algebra.basis:
-                cc = integrals.phi(base.algebra.mult(base.el(b), base.el(t2)))
-                if cc != field.zero():
-                    p = p + Element.basis(field, dual_sym(b), cc)
+            p = Element(field, {
+                dual_sym(b): integrals.phi(base.algebra.mult(base.el(b),
+                                                             base.el(t2)))
+                for b in base.algebra.basis})
             moved = M.act(tensor(p, base.algebra.unit), M.el(msym))
-            st1 = base.antipode_inv(base.el(t1))
-            for s2, c2 in moved.terms.items():
-                out = out + tensor(M.el(s2), st1.scaled(c * c2))
-        coact[msym] = out
+            return tensor(moved, base.antipode_inv(base.el(t1)))
+        return cop_t.map_terms(term)
+
+    coact = {msym: coaction_of(msym) for msym in M.basis}
 
     def slice_r(msym, asym):
-        out = Element(field)
-        for s, c in coact[msym].terms.items():
-            m0, m1 = split_sym(s, ar)
-            out = out + tensor(mod.el(m0),
-                               base.algebra.mult(base.el(m1),
-                                                 base.el(asym))).scaled(c)
-        return out
+        return apply_legs(coact[msym], ar, 1,
+                          lambda m1: base.algebra.mult(m1, base.el(asym)))
 
     coa = Coaction(mod, slice_r, name=mod.name + ":coact")
     return GYDModule(mod, coa, dcp.pair, name=mod.name)
@@ -383,11 +358,11 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
     for _ in range(samples):
         d, h, hp = rd(), rh(), rh()
         lhs = act(d, carrier.mult(h, hp))
-        rhs = Element(field)
-        for s, c in dcp.coproduct(d).terms.items():
+
+        def term(s):
             d1, d2 = legs(s)
-            rhs = rhs + carrier.mult(act(alg.el(d1), h),
-                                     act(alg.el(d2), hp)).scaled(c)
+            return carrier.mult(act(alg.el(d1), h), act(alg.el(d2), hp))
+        rhs = dcp.coproduct(d).map_terms(term)
         if lhs != rhs:
             raise ValueError(
                 "not a module algebra over %s: d.(hh') != (d_(1).h)(d_(2).h') "
@@ -404,14 +379,13 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
         ls1, ls2 = legs(s1), legs(s2)
         h, d = make_sym(ls1[:ha]), make_sym(ls1[ha:])
         hp, dp = make_sym(ls2[:ha]), make_sym(ls2[ha:])
-        out = Element(field)
-        for s, c in dcp.coproduct(alg.el(d)).terms.items():
+
+        def term(s):
             d1, d2 = legs(s)
             moved = act(alg.el(d1), carrier.el(hp))
-            hpart = carrier.mult(carrier.el(h), moved)
-            dpart = alg.mult(alg.el(d2), alg.el(dp))
-            out = out + tensor(hpart, dpart).scaled(c)
-        return out
+            return tensor(carrier.mult(carrier.el(h), moved),
+                          alg.mult(alg.el(d2), alg.el(dp)))
+        return dcp.coproduct(alg.el(d)).map_terms(term)
 
     basis = [tensor(carrier.el(h), alg.el(d)).support()[0]
              for h in carrier.basis for d in alg.basis]

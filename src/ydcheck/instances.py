@@ -12,7 +12,7 @@ Registry names (used by the CLI):
 
 import random
 
-from .linear import Element, Ten, tensor, legs, apply_leg
+from .linear import Element, Ten, tensor, legs, apply_legs
 from .mha import Algebra, MultiplierHopfAlgebra, random_alg_element
 
 
@@ -342,34 +342,22 @@ class DualHopf(MultiplierHopfAlgebra):
 
     def pairing(self, p, a):
         """<p, a> for p in the dual, a in the base."""
-        out = self.field.zero()
-        for s, c in p.terms.items():
-            out = out + c * a.coeff(s[1])
-        return out
+        return sum((c * a.coeff(s[1]) for s, c in p.terms.items()),
+                   self.field.zero())
 
     def act_left(self, a, p):
         """a |> p, i.e. x -> p(xa)."""
-        field = self.field
-        out = Element(field)
-        for s, cp in p.terms.items():
-            k = s[1]
-            for b in self.base.algebra.basis:
-                c = self.base.algebra.mult(self.base.el(b), a).coeff(k)
-                if c != field.zero():
-                    out = out + Element.basis(field, dual_sym(b), cp * c)
-        return out
+        base = self.base
+        return p.map_terms(lambda s: Element(self.field, {
+            dual_sym(b): base.algebra.mult(base.el(b), a).coeff(s[1])
+            for b in base.algebra.basis}))
 
     def act_right(self, p, a):
         """p <| a, i.e. x -> p(ax)."""
-        field = self.field
-        out = Element(field)
-        for s, cp in p.terms.items():
-            k = s[1]
-            for b in self.base.algebra.basis:
-                c = self.base.algebra.mult(a, self.base.el(b)).coeff(k)
-                if c != field.zero():
-                    out = out + Element.basis(field, dual_sym(b), cp * c)
-        return out
+        base = self.base
+        return p.map_terms(lambda s: Element(self.field, {
+            dual_sym(b): base.algebra.mult(a, base.el(b)).coeff(s[1])
+            for b in base.algebra.basis}))
 
 
 def dual_hopf(base, name=None):
@@ -387,20 +375,22 @@ class IntegralData:
         self.t = t
 
     def phi(self, x):
-        out = self.mha.field.zero()
-        for s, c in x.terms.items():
-            out = out + c * self.phi_coeffs.get(s, self.mha.field.zero())
-        return out
+        zero = self.mha.field.zero()
+        return sum((c * self.phi_coeffs.get(s, zero) for s, c in x.terms.items()),
+                   zero)
 
     def verify(self):
         """Re-check both defining equations on every basis element."""
         mha = self.mha
+        zero = mha.field.zero()
+
+        def phi_leg2(ts):  # (i (x) phi) on one basis tensor
+            l1, l2 = legs(ts)
+            return mha.el(l1, self.phi_coeffs.get(l2, zero))
+
         for s in mha.algebra.basis:
             a = mha.el(s)
-            lhs = Element(mha.field)
-            for ts, c in mha.coproduct(a).terms.items():
-                l1, l2 = legs(ts)
-                lhs = lhs + mha.el(l1, c * self.phi_coeffs.get(l2, mha.field.zero()))
+            lhs = mha.coproduct(a).map_terms(phi_leg2)
             if lhs != mha.algebra.unit.scaled(self.phi(a)):
                 return False, "integral equation fails at a=%r" % a
             if mha.algebra.mult(a, self.t) != self.t.scaled(mha.counit(a)):
@@ -525,7 +515,7 @@ class HopfAutomorphism:
                     "%s: not an algebra map at a=%r b=%r" % (self.name, a, b))
             # sliced form of (Delta o alpha) = (alpha (x) alpha) o Delta
             lhs = mha.delta_r(self._fwd(a), self._fwd(b))
-            rhs = apply_leg(apply_leg(mha.delta_r(a, b), 0, self._fwd), 1, self._fwd)
+            rhs = apply_legs(apply_legs(mha.delta_r(a, b), 0, 1, self._fwd), 1, 1, self._fwd)
             if lhs != rhs:
                 raise ConstructionError(
                     "%s: does not respect the coproduct at a=%r b=%r" % (self.name, a, b))
@@ -608,21 +598,19 @@ class QTStructure:
 
         def widen(x2, positions):
             # embed an arity-2 element into legs `positions` of arity 3
-            out = Element(mha.field)
-            for ts, c in x2.terms.items():
+            def embed(ts):
                 base = [None, None, None]
-                a, b = legs(ts)
-                base[positions[0]], base[positions[1]] = a, b
+                base[positions[0]], base[positions[1]] = legs(ts)
                 pieces = [mha.el(base[i]) if base[i] is not None else alg.unit
                           for i in range(3)]
-                out = out + tensor(tensor(pieces[0], pieces[1]), pieces[2]).scaled(c)
-            return out
+                return tensor(tensor(pieces[0], pieces[1]), pieces[2])
+            return x2.map_terms(embed)
 
         r13_23 = alg.mult_tensor(widen(self.r, (0, 2)), widen(self.r, (1, 2)))
-        lhs = apply_leg(self.r, 0, mha.coproduct)
+        lhs = apply_legs(self.r, 0, 1, mha.coproduct)
         report.check("qt-fusion-left", "(Delta (x) i)R = R13 R23", lhs, r13_23)
         r13_12 = alg.mult_tensor(widen(self.r, (0, 2)), widen(self.r, (0, 1)))
-        lhs = apply_leg(self.r, 1, mha.coproduct)
+        lhs = apply_legs(self.r, 1, 1, mha.coproduct)
         report.check("qt-fusion-right", "(i (x) Delta)R = R13 R12", lhs, r13_12)
         return report
 
@@ -640,14 +628,11 @@ def qt_for_cyclic(n, field, mha=None):
     n_inv = field.one() / field.from_int(n)
 
     def build(root):
-        out = Element(field)
-        for i in range(n):
-            for j in range(n):
-                c = field.one()
-                for _ in range((i * j) % n):
-                    c = c * root
-                out = out + Element.basis(field, Ten((i, j)), c * n_inv)
-        return out
+        powers = [field.one()]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * root)
+        return Element(field, {Ten((i, j)): powers[(i * j) % n] * n_inv
+                               for i in range(n) for j in range(n)})
 
     w_inv = field.one() / w
     return QTStructure(mha, build(w), build(w_inv))

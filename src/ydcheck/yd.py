@@ -12,7 +12,7 @@ factors cancel.  Each evaluator documents its slice composition.
 
 import random
 
-from .linear import Element, Ten, tensor, legs, split_sym
+from .linear import Element, Ten, tensor, legs, split_sym, apply_legs
 from .mha import random_alg_element
 from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
@@ -59,23 +59,27 @@ def compat_rhs(module, coaction, a, ap, v, alpha=None, beta=None):
     alg = mha.algebra
     u = alg.local_unit([ap])
     b = mha.antipode(_inv(alpha, u))
-    out = Element(mha.field)
-    for s, c in mha.delta_l(b, a).terms.items():
+
+    def outer(s):
         p, q = legs(s)
         f1 = alg.mult(_fwd(alpha, mha.antipode_inv(alg.el(p))), ap)
         x = coaction.slice_r(v, f1)
         if x.is_zero():
-            continue
+            return x
         u2 = _inv(beta, alg.local_unit(
             [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
-        for s2, c2 in mha.delta_r(alg.el(q), u2).terms.items():
+
+        def inner(s2):
             r, t = legs(s2)
             bt = _fwd(beta, alg.el(t))
-            for sx, cx in x.terms.items():
+
+            def leg(sx):
                 v0, m = split_sym(sx, module.arity)
-                out = out + tensor(module.act(alg.el(r), module.el(v0)),
-                                   alg.mult(bt, alg.el(m))).scaled(c * c2 * cx)
-    return out
+                return tensor(module.act(alg.el(r), module.el(v0)),
+                              alg.mult(bt, alg.el(m)))
+            return x.map_terms(leg)
+        return mha.delta_r(alg.el(q), u2).map_terms(inner)
+    return mha.delta_l(b, a).map_terms(outer)
 
 
 def compat_alt_lhs(module, coaction, a, ap, v):
@@ -87,12 +91,12 @@ def compat_alt_lhs(module, coaction, a, ap, v):
     mha = module.mha
     alg = mha.algebra
     u = module.local_unit([v])
-    out = Element(mha.field)
-    for s, c in mha.delta_r(a, u).terms.items():
+
+    def term(s):
         p, q = legs(s)
-        w = module.act(alg.el(q), v)
-        out = out + coaction.slice_r(w, alg.mult(alg.el(p), ap)).scaled(c)
-    return out
+        return coaction.slice_r(module.act(alg.el(q), v),
+                                alg.mult(alg.el(p), ap))
+    return mha.delta_r(a, u).map_terms(term)
 
 
 def compat_alt_rhs(module, coaction, a, ap, v):
@@ -107,14 +111,16 @@ def compat_alt_rhs(module, coaction, a, ap, v):
     if x.is_zero():
         return Element(mha.field)
     u = alg.local_unit([alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms])
-    out = Element(mha.field)
-    for s, c in mha.delta_r(a, u).terms.items():
+
+    def term(s):
         p, q = legs(s)
-        for sx, cx in x.terms.items():
+
+        def leg(sx):
             v0, m = split_sym(sx, module.arity)
-            out = out + tensor(module.act(alg.el(p), module.el(v0)),
-                               alg.mult(alg.el(q), alg.el(m))).scaled(c * cx)
-    return out
+            return tensor(module.act(alg.el(p), module.el(v0)),
+                          alg.mult(alg.el(q), alg.el(m)))
+        return x.map_terms(leg)
+    return mha.delta_r(a, u).map_terms(term)
 
 
 def check_yd(yd, samples=40, seed=0, suite="yd"):
@@ -164,12 +170,11 @@ def tensor_module(V, W, name=None):
     def act(asym, tsym):
         vs, ws = split_sym(tsym, V.arity)
         e = W.local_unit([W.el(ws)])
-        out = Element(mha.field)
-        for s, c in mha.delta_r(alg.el(asym), e).terms.items():
+
+        def term(s):
             p, q = legs(s)
-            out = out + tensor(V.act(alg.el(p), V.el(vs)),
-                               W.act(alg.el(q), W.el(ws))).scaled(c)
-        return out
+            return tensor(V.act(alg.el(p), V.el(vs)), W.act(alg.el(q), W.el(ws)))
+        return mha.delta_r(alg.el(asym), e).map_terms(term)
 
     basis = None
     if V.basis is not None and W.basis is not None:
@@ -217,28 +222,17 @@ def yd_tensor(V, W, name=None):
     def slice_r(tsym, asym):
         vs, ws = split_sym(tsym, va)
         x = ca_v.slice_r(V.module.el(vs), V.mha.el(asym))  # v0 (x) v1 a
-        out = Element(V.field)
-        for s, c in x.terms.items():
-            v0, m = split_sym(s, va)
-            y = ca_w.slice_r(W.module.el(ws), V.mha.el(m))  # w0 (x) w1 v1 a
-            for s2, c2 in y.terms.items():
-                w0, m2 = split_sym(s2, W.module.arity)
-                out = out + tensor(tensor(V.module.el(v0), W.module.el(w0)),
-                                   V.mha.el(m2)).scaled(c * c2)
-        return out
+        # v1 a -> w0 (x) w1 v1 a
+        return apply_legs(x, va, 1, lambda m: ca_w.slice_r(W.module.el(ws), m))
 
     def slice_l(tsym, asym):
         vs, ws = split_sym(tsym, va)
-        x = ca_w.slice_l(W.module.el(ws), V.mha.el(asym))  # w0 (x) a w1
-        out = Element(V.field)
-        for s, c in x.terms.items():
+
+        def term(s):  # w0 (x) a w1 -> v0 (x) w0 (x) a w1 v1
             w0, m = split_sym(s, W.module.arity)
-            y = ca_v.slice_l(V.module.el(vs), V.mha.el(m))  # v0 (x) a w1 v1
-            for s2, c2 in y.terms.items():
-                v0, m2 = split_sym(s2, va)
-                out = out + tensor(tensor(V.module.el(v0), W.module.el(w0)),
-                                   V.mha.el(m2)).scaled(c * c2)
-        return out
+            y = ca_v.slice_l(V.module.el(vs), V.mha.el(m))
+            return apply_legs(y, va, 1, lambda m2: tensor(W.module.el(w0), m2))
+        return ca_w.slice_l(W.module.el(ws), V.mha.el(asym)).map_terms(term)
 
     coa = Coaction(mod, slice_r, slice_l, name=mod.name + ":coact")
     return YDModule(mod, coa, name=name or ("%s(x)%s" % (V.name, W.name)))
@@ -249,34 +243,31 @@ def yd_tensor(V, W, name=None):
 def braiding_c(X, V, xv):
     """C_{X,V}(x (x) v) = v_(0) (x) v_(1).x, with v_(1) acting through a
     local unit decomposition of x."""
-    mha = V.mha
-    out = Element(mha.field)
-    for s, c in xv.terms.items():
+    def term(s):
         xs, vs = split_sym(s, X.arity)
         x = X.el(xs)
         e = X.local_unit([x])
-        for s2, c2 in V.coaction.slice_r(V.module.el(vs), e).terms.items():
-            v0, m = split_sym(s2, V.module.arity)
-            out = out + tensor(V.module.el(v0),
-                               X.act(mha.el(m), x)).scaled(c * c2)
-    return out
+        return apply_legs(V.coaction.slice_r(V.module.el(vs), e),
+                          V.module.arity, 1, lambda m: X.act(m, x))
+    return xv.map_terms(term)
 
 
 def braiding_c_inv(X, V, vx):
     """C^-1(v (x) x) = S(v_(1)).x (x) v_(0); S(v_(1)) e is produced as
     S applied to the left slice at S^-1(e)."""
     mha = V.mha
-    out = Element(mha.field)
-    for s, c in vx.terms.items():
+
+    def term(s):
         vs, xs = split_sym(s, V.module.arity)
         x = X.el(xs)
         e = X.local_unit([x])
-        w = V.coaction.slice_l(V.module.el(vs), mha.antipode_inv(e))
-        for s2, c2 in w.terms.items():
+
+        def leg(s2):
             v0, m = split_sym(s2, V.module.arity)
-            out = out + tensor(X.act(mha.antipode(mha.el(m)), x),
-                               V.module.el(v0)).scaled(c * c2)
-    return out
+            return tensor(X.act(mha.antipode(mha.el(m)), x), V.module.el(v0))
+        return V.coaction.slice_l(V.module.el(vs),
+                                  mha.antipode_inv(e)).map_terms(leg)
+    return vx.map_terms(term)
 
 
 # -- half-braidings and the centre -------------------------------------------
@@ -299,16 +290,13 @@ class HalfBraiding:
     def component(self, X, xv):
         """C_{X,V}(x (x) v) = (i (x) xbar) C_{A,V}(e (x) v) for a local unit
         e of x, where xbar(a) = a.x."""
-        out = Element(self.field)
-        for s, c in xv.terms.items():
+        def term(s):
             xs, vs = split_sym(s, X.arity)
             x = X.el(xs)
             e = X.local_unit([x])
-            for s2, c2 in self.cA(e, self.module.el(vs)).terms.items():
-                v0, m = split_sym(s2, self.module.arity)
-                out = out + tensor(self.module.el(v0),
-                                   X.act(self.mha.el(m), x)).scaled(c * c2)
-        return out
+            return apply_legs(self.cA(e, self.module.el(vs)),
+                              self.module.arity, 1, lambda m: X.act(m, x))
+        return xv.map_terms(term)
 
 
 def functor_g(V):
@@ -356,12 +344,7 @@ def functor_f(H, hypothesis=None):
         def slice_l(vsym, asym):
             gamma = H.cA(alg.unit, H.module.el(vsym))
             a = alg.el(asym)
-            out = Element(mha.field)
-            for s, c in gamma.terms.items():
-                v0, m = split_sym(s, H.module.arity)
-                out = out + tensor(H.module.el(v0),
-                                   alg.mult(a, alg.el(m))).scaled(c)
-            return out
+            return apply_legs(gamma, H.module.arity, 1, lambda m: alg.mult(a, m))
     elif hypothesis == "commutative":
         def slice_l(vsym, asym):
             return H.cA(alg.el(asym), H.module.el(vsym))
@@ -373,37 +356,29 @@ def functor_f(H, hypothesis=None):
 
         def components(v, b):
             """m_j b for every j, read off cA(b, v) against the basis."""
-            out = [Element(mha.field) for _ in basis]
+            out = [{} for _ in basis]
             for s, c in H.cA(b, v).terms.items():
                 v0, m = split_sym(s, H.module.arity)
-                out[index[v0]] = out[index[v0]] + alg.el(m).scaled(c)
-            return out
+                out[index[v0]][m] = c
+            return [Element(mha.field, t) for t in out]
 
         def slice_l(vsym, asym):
             v = H.module.el(vsym)
             a = alg.el(asym)
             e = alg.local_unit([a])
-            cand = [Element(mha.field) for _ in basis]
-            for j, mje in enumerate(components(v, e)):
-                for s, c in mje.terms.items():
-                    cand[j] = cand[j] + alg.mult(a, alg.el(s)).scaled(c)
+            cand = [alg.mult(a, mje) for mje in components(v, e)]
             # certify (a.m_j)b = a(m_j b) on a probe extending the local unit
             probe = alg.local_unit([a, e] + [x for x in cand if not x.is_zero()])
             mjp = components(v, probe)
             for j in range(len(basis)):
-                lhs = alg.mult(cand[j], probe)
-                rhs = Element(mha.field)
-                for s, c in mjp[j].terms.items():
-                    rhs = rhs + alg.mult(a, alg.el(s)).scaled(c)
-                if lhs != rhs:
+                if alg.mult(cand[j], probe) != alg.mult(a, mjp[j]):
                     raise ValueError(
                         "left multiplier a.m_j did not stabilize on %s"
                         % H.name)
-            out = Element(mha.field)
-            for j, b in enumerate(basis):
-                for s, c in cand[j].terms.items():
-                    out = out + tensor(H.module.el(b), alg.el(s)).scaled(c)
-            return out
+            # sum_j b_j (x) a.m_j; the summands have disjoint supports
+            return Element(mha.field, {
+                s: c for b, x in zip(basis, cand)
+                for s, c in tensor(H.module.el(b), x).terms.items()})
 
     coa = Coaction(H.module, slice_r, slice_l, name=H.name + ":F")
     return YDModule(H.module, coa, name=H.name + ":F")
@@ -472,10 +447,7 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
     def trial():
         a, b, v = ra(), ra(), rv()
         lhs = H.cA(alg.mult(b, a), v)
-        rhs = Element(mha.field)
-        for s, c in H.cA(b, v).terms.items():
-            v0, m = split_sym(s, H.module.arity)
-            rhs = rhs + tensor(H.module.el(v0), alg.mult(alg.el(m), a)).scaled(c)
+        rhs = apply_legs(H.cA(b, v), H.module.arity, 1, lambda m: alg.mult(m, a))
         if lhs != rhs:
             return "a=%r b=%r v=%r" % (a, b, v)
     rep.law("half-braiding-module-map", "C(ba (x) v) = C(b (x) v)(1 (x) a)",
@@ -486,22 +458,26 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
     def trial():
         a, x, v = ra(), ra(), rv()
         img = H.cA(x, v)
-        lhs = Element(mha.field)
+        lhs = img
         if not img.is_zero():
             u1 = alg.local_unit([alg.el(split_sym(s, H.module.arity)[1])
                                  for s in img.terms])
-            for s, c in mha.delta_r(a, u1).terms.items():
+
+            def term(s):
                 p, q = legs(s)
-                for s2, c2 in img.terms.items():
+
+                def leg(s2):
                     v0, m = split_sym(s2, H.module.arity)
-                    lhs = lhs + tensor(H.module.act(alg.el(p), H.module.el(v0)),
-                                       alg.mult(alg.el(q), alg.el(m))).scaled(c * c2)
-        rhs = Element(mha.field)
-        u2 = H.module.local_unit([v], [x])
-        for s, c in mha.delta_r(a, u2).terms.items():
+                    return tensor(H.module.act(alg.el(p), H.module.el(v0)),
+                                  alg.mult(alg.el(q), alg.el(m)))
+                return img.map_terms(leg)
+            lhs = mha.delta_r(a, u1).map_terms(term)
+
+        def term(s):
             p, q = legs(s)
-            rhs = rhs + H.cA(alg.mult(alg.el(p), x),
-                             H.module.act(alg.el(q), v)).scaled(c)
+            return H.cA(alg.mult(alg.el(p), x), H.module.act(alg.el(q), v))
+        u2 = H.module.local_unit([v], [x])
+        rhs = mha.delta_r(a, u2).map_terms(term)
         if lhs != rhs:
             return "a=%r x=%r v=%r lhs=%r rhs=%r" % (a, x, v, lhs, rhs)
     rep.law("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))",
@@ -516,14 +492,8 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
             x, y, v = ra(), ra(), rv()
             lhs = H.component(aa, tensor(tensor(x, y), v))
             inner = H.component(reg, tensor(y, v))  # v0 (x) m.y
-            rhs = Element(mha.field)
-            for s, c in inner.terms.items():
-                v0, m = split_sym(s, H.module.arity)
-                step = H.component(reg, tensor(x, H.module.el(v0)))
-                for s2, c2 in step.terms.items():
-                    v00, m2 = split_sym(s2, H.module.arity)
-                    rhs = rhs + tensor(tensor(H.module.el(v00), alg.el(m2)),
-                                       alg.el(m)).scaled(c * c2)
+            rhs = apply_legs(inner, 0, H.module.arity,
+                             lambda v0: H.component(reg, tensor(x, v0)))
             if lhs != rhs:
                 return "x=%r y=%r v=%r" % (x, y, v)
         rep.law("half-braiding-tensor", "C_{X(x)Y,V} = (C_{X,V}(x)i)(i(x)C_{Y,V}) at X=Y=A",
@@ -600,10 +570,8 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
         def trial():
             x, b, v = ra(), ra(), rv()
             lhs = braiding_c(reg, V, tensor(alg.mult(x, b), v))
-            rhs = Element(mha.field)
-            for s, c in braiding_c(reg, V, tensor(x, v)).terms.items():
-                v0, m = split_sym(s, mod.arity)
-                rhs = rhs + tensor(mod.el(v0), alg.mult(alg.el(m), b)).scaled(c)
+            rhs = apply_legs(braiding_c(reg, V, tensor(x, v)), mod.arity, 1,
+                             lambda m: alg.mult(m, b))
             if lhs != rhs:
                 return "x=%r b=%r v=%r" % (x, b, v)
         rep.law("braiding-natural[%s]" % V.name,
@@ -622,14 +590,8 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
         w = random_mod_element(rng, W.module)
         lhs = braiding_c(reg, VW, tensor(tensor(x, v), w))
         mid = braiding_c(reg, V, tensor(x, v))  # v0 (x) v1.x
-        rhs = Element(mha.field)
-        for s, c in mid.terms.items():
-            v0, m = split_sym(s, V.module.arity)
-            step = braiding_c(reg, W, tensor(alg.el(m), w))
-            for s2, c2 in step.terms.items():
-                w0, m2 = split_sym(s2, W.module.arity)
-                rhs = rhs + tensor(tensor(V.module.el(v0), W.module.el(w0)),
-                                   alg.el(m2)).scaled(c * c2)
+        rhs = apply_legs(mid, V.module.arity, 1,
+                         lambda m: braiding_c(reg, W, tensor(m, w)))
         if lhs != rhs:
             return "x=%r v=%r w=%r lhs=%r rhs=%r" % (x, v, w, lhs, rhs)
     rep.law("braiding-hexagon",

@@ -4,8 +4,8 @@ import pytest
 
 from ydcheck.fields import QQ, GF, PrimeField, parse_field
 from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, flip,
-                            apply_leg, apply_pair_legs, lin_solve,
-                            kernel_basis, quotient_space)
+                            apply_legs, lin_solve, kernel_basis,
+                            QuotientSpace)
 
 
 def e(sym, c=1):
@@ -75,15 +75,88 @@ def test_tensor_flattens():
     assert len(z.terms) == 4
 
 
-def test_flip_and_leg_maps():
+def test_flip_and_apply_legs():
     x = tensor(e("a"), e("b", 2))
     assert flip(x) == tensor(e("b", 2), e("a"))
-    doubled = apply_leg(x, 1, lambda v: v.scaled(Fraction(3)))
+    doubled = apply_legs(x, 1, 1, lambda v: v.scaled(Fraction(3)))
     assert doubled.coeff(Ten(("a", "b"))) == 6
     # apply an arity-2 map to the middle pair of a triple
     t3 = tensor(tensor(e("a"), e("b")), e("c"))
-    swapped = apply_pair_legs(t3, 1, flip)
+    swapped = apply_legs(t3, 1, 2, flip)
     assert swapped == tensor(tensor(e("a"), e("c")), e("b"))
+
+
+def ten(*syms, c=1):
+    return Element.basis(QQ, Ten(syms), Fraction(c))
+
+
+def mark(v):
+    """A map on any window: each basis symbol s goes to 2*s' + s'', where
+    s' and s'' tag s's legs (so the image keeps the window's arity)."""
+    def image(s):
+        ls = legs(s)
+        return (Element.basis(QQ, make_sym(tuple(l + "'" for l in ls)), Fraction(2))
+                + Element.basis(QQ, make_sym(tuple(l + "''" for l in ls))))
+    return v.map_terms(image)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_legs_windows_of_an_arity4_tensor(k):
+    x = ten("a", "b", "c", "d") + ten("e", "f", "g", "h", c=-3)
+    for i in sorted({0, (4 - k) // 2, 4 - k}):  # first, middle, last window
+        want = Element(QQ, {
+            Ten(ls[:i] + tuple(l + tag for l in ls[i:i + k]) + ls[i + k:]): c * w
+            for ls, c in ((legs(s), c) for s, c in x.terms.items())
+            for tag, w in (("'", 2), ("''", 1))})
+        got = apply_legs(x, i, k, mark)
+        assert got == want, (k, i)
+        assert len(got.terms) == 4
+
+
+def test_apply_legs_window_changes_arity():
+    # a window may map to a different number of legs: collapse the middle
+    # pair of (a (x) b (x) c) to one leg, and split one leg into two
+    x = ten("a", "b", "c")
+    def merge(v):
+        return v.map_terms(lambda s: e("".join(legs(s))))
+    assert apply_legs(x, 1, 2, merge) == ten("a", "bc")
+    assert apply_legs(x, 2, 1, lambda v: tensor(v, e("z"))) == ten("a", "b", "c", "z")
+
+
+def test_apply_legs_module_symbol_window():
+    # a module symbol of arity 2 sits in legs 0..1, followed by an A-leg;
+    # a slice of the module symbol with a' splices its new A-leg right
+    # after it
+    x = ten("m", "n", "a", c=2) + ten("p", "q", "a")
+    def slice_r(v):
+        def image(s):
+            m, n = legs(s)
+            return ten(m, n, "a'") + ten(n, m, "a''", c=-1)
+        return v.map_terms(image)
+    got = apply_legs(x, 0, 2, slice_r)
+    want = (ten("m", "n", "a'", "a", c=2) + ten("n", "m", "a''", "a", c=-2)
+            + ten("p", "q", "a'", "a") + ten("q", "p", "a''", "a", c=-1))
+    assert got == want
+
+
+def test_apply_legs_cancelling_images_give_zero():
+    # (a (x) b) - (a (x) c) with b and c both sent to d cancels exactly
+    x = ten("a", "b") - ten("a", "c")
+    got = apply_legs(x, 1, 1, lambda v: v.map_terms(lambda s: e("d")))
+    assert got.is_zero()
+    assert got == Element.zero(QQ)
+    assert got.terms == {}
+
+
+def test_map_terms_cancel_then_reappear():
+    # the running sum of "z" goes 1, 0, 2: the term cancels and then comes
+    # back, and the result equals the vector built directly
+    images = {"p": e("z") + e("u"), "q": e("z", -1), "r": e("z", 2) + e("u", -1)}
+    x = e("p") + e("q") + e("r")
+    got = x.map_terms(lambda s: images[s])
+    assert got == Element(QQ, {"z": Fraction(2)})
+    assert got.support() == ["z"]
+    assert repr(got) == repr(e("z", 2))
 
 
 def test_lin_solve():
@@ -109,7 +182,7 @@ def test_kernel_basis():
 
 
 def test_quotient_space():
-    q = quotient_space(["a", "b", "c"], [e("a") - e("b")])
+    q = QuotientSpace(["a", "b", "c"], [e("a") - e("b")])
     assert q.rank == 1
     assert len(q.basis) == 2
     # a and b agree in the quotient
