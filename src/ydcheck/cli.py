@@ -13,9 +13,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .fields import parse_field
+from .fields import parse_field, parse_scalar
 from .report import Report
 from .mha import check_mha_axioms, check_braid
 from .modules import (check_comodule, check_extended_modules,
@@ -48,15 +47,15 @@ def _default_pairs(mha, name):
         return [AutoPair(inner_automorphism(mha, g), inner_automorphism(mha, h)),
                 AutoPair(inner_automorphism(mha, h), inner_automorphism(mha, g))]
     if name == "sweedler-H4" and mha.field.name == "rational":
-        s2 = h4_scaling_automorphism(mha, Fraction(2))
-        s3 = h4_scaling_automorphism(mha, Fraction(3))
+        s2 = h4_scaling_automorphism(mha, mha.field.from_int(2))
+        s3 = h4_scaling_automorphism(mha, mha.field.from_int(3))
         return [AutoPair(s2, s3), AutoPair(s3, s2)]
     return [identity_pair(mha)]
 
 
 def parse_pair(mha, spec):
     """identity | inner:<i>,<j> | scale:<a>,<b> with i, j basis indices and
-    a, b rational scale factors."""
+    a, b scale factors written p, p/q or as decimals."""
     if spec == "identity":
         return None
     kind, _, rest = spec.partition(":")
@@ -68,8 +67,9 @@ def parse_pair(mha, spec):
         g, h = basis[int(parts[0])], basis[int(parts[1])]
         return AutoPair(inner_automorphism(mha, g), inner_automorphism(mha, h))
     if kind == "scale" and len(parts) == 2:
-        return AutoPair(h4_scaling_automorphism(mha, Fraction(parts[0])),
-                        h4_scaling_automorphism(mha, Fraction(parts[1])))
+        return AutoPair(
+            h4_scaling_automorphism(mha, parse_scalar(mha.field, parts[0])),
+            h4_scaling_automorphism(mha, parse_scalar(mha.field, parts[1])))
     raise ValueError("bad pair spec %r (identity | inner:<i>,<j> | "
                      "scale:<a>,<b>)" % spec)
 

@@ -1,8 +1,11 @@
 """Exact base fields: arbitrary-precision rationals and prime fields F_p.
 
-Every coefficient in the library is either a fractions.Fraction or a GF
-element; both support +, -, *, / and exact equality, so the linear algebra
-layer never needs to know which field it is working over.
+Over QQ a coefficient is a Python int, and becomes a fractions.Fraction
+only when a division has a non-integral quotient; over F_p it is a GF
+element.  Both kinds support +, -, * and exact equality, and are zero
+exactly when falsy, so the linear algebra layer never needs to know which
+field it is working over.  Every division goes through field.div, because
+int / int would give a float.
 """
 
 from fractions import Fraction
@@ -18,12 +21,12 @@ class GF:
         self.p = p
 
     def _lift(self, other):
-        if isinstance(other, GF):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields: F_%d vs F_%d" % (self.p, other.p))
+        if type(other) is GF and other.p == self.p:
             return other
         if isinstance(other, int):
             return GF(other, self.p)
+        if isinstance(other, GF):
+            raise ValueError("mixed prime fields: F_%d vs F_%d" % (self.p, other.p))
         return NotImplemented
 
     def __add__(self, other):
@@ -62,9 +65,11 @@ class GF:
         return GF(-self.val, self.p)
 
     def __eq__(self, other):
+        if type(other) is GF:
+            return other.val == self.val and other.p == self.p
         if isinstance(other, int):
             return self.val == other % self.p
-        return isinstance(other, GF) and other.p == self.p and other.val == self.val
+        return False
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -81,17 +86,20 @@ class GF:
 
 class RationalField:
     name = "rational"
-    _ZERO = Fraction(0)
-    _ONE = Fraction(1)
 
     def zero(self):
-        return self._ZERO
+        return 0
 
     def one(self):
-        return self._ONE
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
+
+    def div(self, a, b):
+        """a / b: an int when the quotient is integral, else a Fraction."""
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
     def elements(self):
         return None  # infinite
@@ -123,6 +131,9 @@ class PrimeField:
 
     def from_int(self, n):
         return GF(n, self.p)
+
+    def div(self, a, b):
+        return a / b
 
     def elements(self):
         return [GF(v, self.p) for v in range(self.p)]
@@ -157,3 +168,15 @@ def parse_field(spec):
     if spec.startswith("fp:"):
         return PrimeField(int(spec[3:]))
     raise ValueError("unknown field spec %r (want rational or fp:<p>)" % spec)
+
+
+def parse_scalar(field, text):
+    """Read a scalar written as fractions.Fraction reads it (p, p/q or a
+    decimal) into field; its reduced denominator must be invertible there."""
+    try:
+        q = Fraction(text)
+        return field.div(field.from_int(q.numerator),
+                         field.from_int(q.denominator))
+    except ZeroDivisionError:
+        raise ValueError("scalar %r has a zero denominator in %s"
+                         % (text, field.name)) from None

@@ -457,7 +457,7 @@ def compute_integrals(mha):
             data = IntegralData(mha, phi_coeffs, t)
             norm = data.phi(t)
             if norm != field.zero():
-                data.phi_coeffs = {s: c / norm for s, c in phi_coeffs.items()}
+                data.phi_coeffs = {s: field.div(c, norm) for s, c in phi_coeffs.items()}
                 ok, wit = data.verify()
                 if not ok:
                     raise ConstructionError("integral verification failed: %s" % wit)
@@ -552,7 +552,7 @@ def h4_scaling_automorphism(mha, lam, name=None):
     field = mha.field
     if lam == field.zero():
         raise ConstructionError("scaling parameter must be invertible")
-    lam_inv = field.one() / lam
+    lam_inv = field.div(field.one(), lam)
     scale = {"1": field.one(), "g": field.one(), "x": lam, "gx": lam}
     scale_inv = {"1": field.one(), "g": field.one(), "x": lam_inv, "gx": lam_inv}
 
@@ -625,7 +625,7 @@ def qt_for_cyclic(n, field, mha=None):
         w = {1: field.one(), 2: field.from_int(-1)}.get(n)
     if w is None:
         raise ConstructionError("no primitive %d-th root of unity in %s" % (n, field.name))
-    n_inv = field.one() / field.from_int(n)
+    n_inv = field.div(field.one(), field.from_int(n))
 
     def build(root):
         powers = [field.one()]
@@ -634,7 +634,7 @@ def qt_for_cyclic(n, field, mha=None):
         return Element(field, {Ten((i, j)): powers[(i * j) % n] * n_inv
                                for i in range(n) for j in range(n)})
 
-    w_inv = field.one() / w
+    w_inv = field.div(field.one(), w)
     return QTStructure(mha, build(w), build(w_inv))
 
 

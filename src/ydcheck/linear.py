@@ -82,8 +82,7 @@ class Element:
 
     def __init__(self, field, terms=None):
         self.field = field
-        zero = field.zero()
-        self.terms = {s: c for s, c in (terms or {}).items() if c != zero}
+        self.terms = {s: c for s, c in (terms or {}).items() if c}
 
     @classmethod
     def basis(cls, field, sym, coeff=None):
@@ -153,7 +152,6 @@ def tensor(x, y):
     """Bilinear tensor product; result symbols are flat Ten tuples."""
     out = Element(x.field)
     t = out.terms
-    zero = x.field.zero()
     for sx, cx in x.terms.items():
         lx = legs(sx)
         for sy, cy in y.terms.items():
@@ -161,7 +159,7 @@ def tensor(x, y):
             c = cx * cy
             if s in t:
                 c = t[s] + c
-            if c != zero:
+            if c:
                 t[s] = c
             else:
                 t.pop(s, None)
@@ -247,13 +245,13 @@ def flip(x):
 def _rref(rows, ncols, field):
     """Reduced row echelon form in place.  rows: list of lists of scalars.
     Returns list of pivot column indices."""
-    zero, one = field.zero(), field.one()
+    one = field.one()
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, len(rows)):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -261,9 +259,9 @@ def _rref(rows, ncols, field):
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
         if pv != one:
-            rows[r] = [v / pv for v in rows[r]]
+            rows[r] = [field.div(v, pv) for v in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -296,9 +294,8 @@ def lin_solve(rows, rhs):
         mat.append(line)
     pivots = _rref(mat, n, field)
     # inconsistent iff a row is 0 = nonzero
-    zero = field.zero()
     for line in mat:
-        if line[-1] != zero and all(v == zero for v in line[:-1]):
+        if line[-1] and not any(line[:-1]):
             return None
     sol = {}
     for r, c in enumerate(pivots):
@@ -335,7 +332,7 @@ def kernel_basis(rows, syms=None):
         vec = {syms[fc]: field.one()}
         for r, pc in enumerate(pivots):
             v = mat[r][fc]
-            if v != field.zero():
+            if v:
                 vec[syms[pc]] = -v
         basis.append(Element(field, vec))
     return basis
@@ -375,7 +372,7 @@ class QuotientSpace:
         for r, pc in enumerate(pivots):
             img = {}
             for c in range(n):
-                if c not in pivot_set and (mat[r][c] != field.zero() if field else False):
+                if c not in pivot_set and mat[r][c]:
                     img[self.ambient_basis[c]] = -mat[r][c]
             self._images[self.ambient_basis[pc]] = img
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, and byte-deterministic reports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ import sys
 
 import pytest
 
-from ydcheck.cli import main, SUITES
-from ydcheck.instances import INSTANCE_NAMES
+from ydcheck.cli import main, parse_pair, SUITES
+from ydcheck.double import DiagonalCrossedProduct, check_dcp
+from ydcheck.fields import PrimeField
+from ydcheck.instances import INSTANCE_NAMES, build_instance
 
 
 def run(args, capsys):
@@ -105,6 +108,57 @@ def test_dump_dcp_at_twisted_pair(tmp_path, capsys):
                     "--pair", "scale:2,3", "--out", p], capsys)
     assert rc == 0
     assert len(json.load(open(p))["basis"]) == 16
+
+
+def test_dump_dcp_at_scaling_pair_over_prime_field(tmp_path, capsys):
+    p = str(tmp_path / "h4-f5.json")
+    rc, _, err = run(["dump", "dcp", "--instance", "sweedler-H4", "--field",
+                      "fp:5", "--pair", "scale:2,3", "--out", p], capsys)
+    assert rc == 0, err
+    assert len(json.load(open(p))["basis"]) == 16
+    mha = build_instance("sweedler-H4", PrimeField(5))
+    dcp = DiagonalCrossedProduct(mha, parse_pair(mha, "scale:2,3"))
+    rep = check_dcp(dcp, samples=50, seed=0)
+    assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("pair,field,message", [
+    ("scale:5,1", "fp:5", "scaling parameter must be invertible"),
+    ("scale:1/5,3", "fp:5", "zero denominator"),
+    ("scale:1/0,3", "rational", "zero denominator"),
+])
+def test_scale_factor_zero_in_the_field_is_a_usage_error(pair, field, message,
+                                                         capsys):
+    rc, _, err = run(["dump", "dcp", "--instance", "sweedler-H4", "--field",
+                      field, "--pair", pair, "--out", "/tmp/never.json"],
+                     capsys)
+    assert rc == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("pair,digest", [
+    # 32 entries of this dump are 1/2
+    ("scale:1/2,3",
+     "7e0a397ba6fbf56d682a6ff9bd2cded16557c86eeaba0dba5d936baf0956aff9"),
+    # a decimal scale factor, read as fractions.Fraction reads it
+    ("scale:1.5,2",
+     "d6b1d6f78c1093e6bdd88789e13416be0cf0baee1187b65ad56b9436fcf56b6f"),
+])
+def test_rational_scale_dump_keeps_its_bytes(pair, digest, tmp_path, capsys):
+    # sha256 of each dump as written when QQ coefficients were all Fractions
+    p = str(tmp_path / "h4-scaled.json")
+    rc, _, _ = run(["dump", "dcp", "--instance", "sweedler-H4",
+                    "--pair", pair, "--out", p], capsys)
+    assert rc == 0
+    assert hashlib.sha256(open(p, "rb").read()).hexdigest() == digest
+
+
+def test_malformed_scale_factor_is_a_usage_error(capsys):
+    rc, _, err = run(["dump", "dcp", "--instance", "sweedler-H4",
+                      "--pair", "scale:x,2", "--out", "/tmp/never.json"],
+                     capsys)
+    assert rc == 2
+    assert "Invalid literal for Fraction: 'x'" in err
 
 
 def test_dump_bad_pair_is_a_usage_error(capsys):
