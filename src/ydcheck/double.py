@@ -19,8 +19,10 @@ import random
 from .linear import Element, Ten, tensor, legs, make_sym, sym_str, apply_legs
 from .mha import Algebra, random_alg_element
 from .modules import UnitalModule, Coaction, random_mod_element
-from .yd import split_sym
-from .gyd import GYDModule, AutoPair, identity_pair
+from .yd import split_sym, canonical_yd
+from .gyd import (GYDModule, AutoPair, identity_pair, check_gyd, trivial_gyd,
+                  gyd_from_yd)
+from .report import Report
 from .instances import dual_hopf, dual_sym, compute_integrals
 
 
@@ -118,10 +120,15 @@ def drinfeld_double(base, convention="standard", name=None):
                                   name=name or ("D(%s)" % base.name))
 
 
+def check_dcp_suite(mha, samples=200, seed=0):
+    """check_dcp on the Drinfeld double, at no fewer than 200 samples."""
+    return check_dcp(drinfeld_double(mha), samples=max(samples, 200),
+                     seed=seed)
+
+
 def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
     """Associativity (exhaustive on small bases, sampled otherwise) and the
     unit law."""
-    from .report import Report
     alg = dcp.algebra
     n = len(dcp.base.algebra.basis)
     rep = Report(suite, dcp.name, dcp.field.name, seed, samples)
@@ -176,7 +183,6 @@ class DcpModule:
 
 def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
     """Module associativity and the unit law over the crossed product."""
-    from .report import Report
     dcp = M.dcp
     alg = dcp.algebra
     rep = Report(suite, "%s/%s" % (dcp.name, M.name), dcp.field.name, seed, samples)
@@ -288,8 +294,6 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
     """Both round trips of the correspondence, module validity of the
     forward image, and GYD validity of the backward image (including the
     regular crossed-product module)."""
-    from .report import Report
-    from .gyd import check_gyd
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
     integrals = compute_integrals(mha)
@@ -333,6 +337,12 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
             "ydToDcpModule(dcpModuleToYd(M)) = M extensionally",
             (trial() for _ in range(samples)))
     return rep
+
+
+def check_double_correspondence_suite(mha, samples=40, seed=0):
+    """check_double_correspondence on the trivial and the canonical YD module."""
+    return check_double_correspondence(
+        mha, [trivial_gyd(mha), gyd_from_yd(canonical_yd(mha))], samples, seed)
 
 
 # -- smash products ---------------------------------------------------------------

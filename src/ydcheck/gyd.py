@@ -19,7 +19,11 @@ from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
                       coproduct_coaction)
 from .yd import compat_rhs, split_sym
-from .instances import HopfAutomorphism, identity_automorphism
+from .fields import parse_scalar
+from .instances import (HopfAutomorphism, identity_automorphism, group_Z,
+                        group_map_automorphism, inner_automorphism,
+                        h4_scaling_automorphism)
+from .report import Report
 
 
 class AutoPair:
@@ -61,6 +65,31 @@ def identity_pair(mha):
     return AutoPair(i, i, name="(i,i)")
 
 
+def parse_pair(mha, spec):
+    """identity | inner:<i>,<j> | scale:<a>,<b> with i, j basis indices and
+    a, b scale factors written p, p/q or as decimals."""
+    if spec == "identity":
+        return None
+    kind, _, rest = spec.partition(":")
+    parts = rest.split(",")
+    if kind == "inner" and len(parts) == 2:
+        basis = mha.algebra.basis
+        if basis is None:
+            raise ValueError("inner pairs need a finite basis")
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < len(basis) and 0 <= j < len(basis)):
+            raise ValueError("inner pair indices must lie in 0..%d"
+                             % (len(basis) - 1))
+        return AutoPair(inner_automorphism(mha, basis[i]),
+                        inner_automorphism(mha, basis[j]))
+    if kind == "scale" and len(parts) == 2:
+        return AutoPair(
+            h4_scaling_automorphism(mha, parse_scalar(mha.field, parts[0])),
+            h4_scaling_automorphism(mha, parse_scalar(mha.field, parts[1])))
+    raise ValueError("bad pair spec %r (identity | inner:<i>,<j> | "
+                     "scale:<a>,<b>)" % spec)
+
+
 class GYDModule:
     """A unital module with a right-multiplier-valued coaction satisfying the
     twisted compatibility law at the attached pair."""
@@ -78,7 +107,6 @@ class GYDModule:
 
 def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
     """The twisted compatibility law on seeded samples."""
-    from .report import Report
     mha = gyd.mha
     rep = Report(suite, "%s/%s@%s" % (mha.name, gyd.name, gyd.pair.name),
                  mha.field.name, seed, samples)
@@ -161,7 +189,6 @@ def stretch_gyd(mha, name=None):
     if mha.name != "fun-Z":
         raise ValueError("the stretch fixture is specific to fun-Z")
     alg = mha.algebra
-    from .instances import group_map_automorphism, group_Z
     neg = group_map_automorphism(mha, group_Z(), lambda n: -n, lambda n: -n,
                                  name="neg")
     pair = AutoPair(neg, identity_automorphism(mha), name="(neg,id)")
@@ -376,7 +403,6 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     its declared pair, functoriality and monoidality of the crossing, and
     A-linearity, invertibility, naturality and crossing-compatibility of
     the braiding."""
-    from .report import Report
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
     alg = mha.algebra
@@ -535,4 +561,16 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     rep.law("braiding-crossing",
             "the braiding commutes with the crossing on samples",
             (trial() for _ in range(samples)))
+    return rep
+
+
+def check_gyd_suite(mha, samples=40, seed=0, suite="gyd"):
+    """check_gyd at the identity pair and at every pair the instance offers."""
+    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    pairs = [identity_pair(mha)] + [parse_pair(mha, spec)
+                                    for spec in mha.pair_specs]
+    for i, pair in enumerate(pairs):
+        for fx in gyd_fixtures_at(mha, pair):
+            rep.merge(check_gyd(fx, samples, seed, suite),
+                      "%s@%d" % (fx.name, i))
     return rep

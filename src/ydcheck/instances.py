@@ -12,7 +12,8 @@ Registry names (used by the CLI):
 
 import random
 
-from .linear import Element, Ten, tensor, legs, apply_legs
+from .linear import (Element, Ten, tensor, legs, apply_legs, flip,
+                     kernel_basis)
 from .mha import Algebra, MultiplierHopfAlgebra, random_alg_element
 
 
@@ -27,8 +28,9 @@ class DiscreteGroup:
     unique per group element."""
 
     def __init__(self, name, identity, mul, inv, *, elements=None,
-                 sample=None, abelian=False):
+                 sample=None, abelian=False, cyclic_order=None):
         self.name = name
+        self.cyclic_order = cyclic_order  # n for Z/n, else None
         self.identity = identity
         self.mul = mul
         self.inv = inv
@@ -53,7 +55,7 @@ def group_Z():
 def group_Zn(n):
     return DiscreteGroup("Z%d" % n, 0, lambda a, b: (a + b) % n,
                          lambda a: (-a) % n, elements=list(range(n)),
-                         abelian=True)
+                         abelian=True, cyclic_order=n)
 
 
 def group_S3():
@@ -201,13 +203,15 @@ def group_algebra(group, field, name=None):
     alg = Algebra(field, mult_basis, basis=g.elements, unit=unit, name=name)
 
     one = field.one()
-    return from_unital_coproduct(
+    mha = from_unital_coproduct(
         alg,
         lambda s: Element.basis(field, Ten((s, s))),
         lambda s: one,
         lambda s: Element.basis(field, g.inv(s)),
         lambda s: Element.basis(field, g.inv(s)),
         commutative=g.abelian, cocommutative=True, name=name)
+    mha.cyclic_order = g.cyclic_order
+    return mha
 
 
 # -- Sweedler's 4-dimensional Hopf algebra -----------------------------------
@@ -406,7 +410,6 @@ def compute_integrals(mha):
     Raises ConstructionError when no normalized solution exists over the
     configured field.
     """
-    from .linear import kernel_basis
     if mha.algebra.basis is None or not mha.algebra.has_unit:
         raise ValueError("integrals are computed on finite-dimensional unital instances only")
     field = mha.field
@@ -550,6 +553,9 @@ def inner_automorphism(mha, g, name=None):
 def h4_scaling_automorphism(mha, lam, name=None):
     """g -> g, x -> lam * x on Sweedler H4 (lam invertible)."""
     field = mha.field
+    if mha.algebra.basis != ["1", "g", "x", "gx"]:
+        raise ValueError("scaling pairs need the basis 1, g, x, gx of "
+                         "Sweedler's H4, not %s's" % mha.name)
     if lam == field.zero():
         raise ConstructionError("scaling parameter must be invertible")
     lam_inv = field.div(field.one(), lam)
@@ -587,7 +593,6 @@ class QTStructure:
                      alg.mult_tensor(self.r, self.r_inv), unit2)
         report.check("qt-invertible-2", "R^-1 R = 1 (x) 1",
                      alg.mult_tensor(self.r_inv, self.r), unit2)
-        from .linear import flip
 
         def trial(s):
             d = mha.coproduct(mha.el(s))
@@ -615,14 +620,18 @@ class QTStructure:
         return report
 
 
+def root_of_unity(field, n):
+    """A primitive n-th root of unity in the field, or None if it has none."""
+    if hasattr(field, "primitive_root_of_unity"):
+        return field.primitive_root_of_unity(n)
+    return {1: field.one(), 2: field.from_int(-1)}.get(n)
+
+
 def qt_for_cyclic(n, field, mha=None):
     """R = n^-1 sum_ij w^(ij) g^i (x) g^j on the group algebra of Z/n, where
     w is a primitive n-th root of unity in the field."""
     mha = mha or group_algebra(group_Zn(n), field)
-    if hasattr(field, "primitive_root_of_unity"):
-        w = field.primitive_root_of_unity(n)
-    else:
-        w = {1: field.one(), 2: field.from_int(-1)}.get(n)
+    w = root_of_unity(field, n)
     if w is None:
         raise ConstructionError("no primitive %d-th root of unity in %s" % (n, field.name))
     n_inv = field.div(field.one(), field.from_int(n))
@@ -640,27 +649,43 @@ def qt_for_cyclic(n, field, mha=None):
 
 # -- registry -----------------------------------------------------------------
 
+def _cyclic(field, name):
+    n = name.partition(":")[2]
+    if not n.isdecimal() or int(n) < 1:
+        raise ValueError("grp-Zn:<n> needs a whole number n >= 1, not %r" % n)
+    return group_algebra(group_Zn(int(n)), field, name)
+
+
+#: listed name -> (build(field, name), pairs(field) -> the --pair specs of the
+#: twisted automorphism pairs offered, or None).  A family's listed name ends
+#: in a placeholder for what follows the ":", as in grp-Zn:4 or dual:grp-S3.
+INSTANCES = {
+    "fun-Z": (lambda f, name: function_algebra(group_Z(), f, name), None),
+    "fun-Dinf": (lambda f, name: function_algebra(group_Dinf(), f, name), None),
+    # conjugation by (1, 0, 2) and by (1, 2, 0), basis entries 2 and 3
+    "grp-S3": (lambda f, name: group_algebra(group_S3(), f, name),
+               lambda f: ("inner:2,3", "inner:3,2")),
+    "grp-Z2": (lambda f, name: group_algebra(group_Zn(2), f, name), None),
+    "grp-Zn:<n>": (_cyclic, None),
+    "sweedler-H4": (sweedler_h4, lambda f: ("scale:2,3", "scale:3,2")
+                    if f.name == "rational" else ()),
+    "dual:<name>": (lambda f, name: dual_hopf(
+        build_instance(name.partition(":")[2], f), name), None),
+}
+
+INSTANCE_NAMES = list(INSTANCES)
+
+
 def build_instance(name, field):
-    """Construct a registered instance by name."""
-    if name == "fun-Z":
-        return function_algebra(group_Z(), field, name)
-    if name == "fun-Dinf":
-        return function_algebra(group_Dinf(), field, name)
-    if name == "grp-S3":
-        return group_algebra(group_S3(), field, name)
-    if name == "grp-Z2":
-        return group_algebra(group_Zn(2), field, "grp-Z2")
-    if name.startswith("grp-Zn:"):
-        return group_algebra(group_Zn(int(name.split(":")[1])), field, name)
-    if name == "sweedler-H4":
-        return sweedler_h4(field, name)
-    if name.startswith("dual:"):
-        return dual_hopf(build_instance(name[5:], field), name)
+    """Construct a registered instance by name, with the pairs it offers."""
+    head, sep, _ = name.partition(":")
+    for listed, (build, pairs) in INSTANCES.items():
+        if listed.partition(":")[:2] == (head, sep):
+            mha = build(field, name)
+            mha.pair_specs = pairs(field) if pairs else ()
+            return mha
     raise KeyError("unknown instance %r" % name)
 
-
-INSTANCE_NAMES = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:<n>",
-                  "sweedler-H4", "dual:<name>"]
 
 #: the five core instances exercised by every suite
 CORE_INSTANCES = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "sweedler-H4"]

@@ -22,6 +22,7 @@ import random
 
 from .linear import (Element, linear, bilinear, tensor, legs, make_sym,
                      flip, apply_legs)
+from .report import Report
 
 
 class Algebra:
@@ -135,6 +136,9 @@ def _memoized_twist(factorization):
 
 
 class MultiplierHopfAlgebra:
+    cyclic_order = None  # n on the group algebra of Z/n (instances.group_algebra)
+    pair_specs = ()      # the --pair specs an instance offers (build_instance)
+
     def __init__(self, algebra, *, delta_r, delta_l, delta_r2, delta_l2,
                  counit, antipode, antipode_inv, delta_cover=None,
                  coproduct=None, eps_one=None, commutative=False,
@@ -347,7 +351,6 @@ def random_alg_element(rng, mha, max_support=4):
 def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
     """Run every structural law of a regular multiplier Hopf algebra on
     seeded random elements (plus exhaustive basis coverage when finite)."""
-    from .report import Report
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
     alg = mha.algebra
@@ -465,7 +468,6 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
     each twist is evaluated once per basis pair and its images are memoized
     per instance (see the twist operators on MultiplierHopfAlgebra); this
     assumes the structure maps are pure, as bilinear does."""
-    from .report import Report
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
 

@@ -28,8 +28,9 @@ from .mha import Algebra, random_element, random_alg_element
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
                       coproduct_coaction, trivial_coaction, random_mod_element)
-from .yd import YDModule, check_yd, split_sym, braiding_c
+from .yd import YDModule, check_yd, split_sym, braiding_c, trivial_yd
 from .report import Report
+from .instances import group_Zn, qt_for_cyclic
 
 
 def _rand(rng, field, basis, max_support=2):
@@ -178,7 +179,7 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
     mod = coaction.module
     rep = Report(suite, "%s/%s" % (mha.name, coaction.name),
                  mha.field.name, seed, samples)
-    rep.laws.extend(check_comodule(coaction, samples, seed, suite).laws)
+    rep.merge(check_comodule(coaction, samples, seed, suite), "comodule")
     rng = random.Random(seed + 1)
 
     def rx():
@@ -350,11 +351,11 @@ def check_yd_module_algebra(H, samples=30, seed=0, suite="module-algebra"):
     carrier."""
     rep = Report(suite, "%s/%s" % (H.mha.name, H.name), H.field.name,
                  seed, samples)
-    rep.laws.extend(check_module_algebra(H.ma, samples, seed, suite).laws)
-    rep.laws.extend(check_comodule_algebra(H.alg, H.coaction, samples, seed,
-                                           suite).laws)
-    rep.laws.extend(check_yd(YDModule(H.module, H.coaction, name=H.name),
-                             samples, seed, suite).laws)
+    rep.merge(check_module_algebra(H.ma, samples, seed, suite), "modalg")
+    rep.merge(check_comodule_algebra(H.alg, H.coaction, samples, seed, suite),
+              "comodalg")
+    rep.merge(check_yd(YDModule(H.module, H.coaction, name=H.name),
+                       samples, seed, suite), "yd")
     return rep
 
 
@@ -393,12 +394,12 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
     rep = Report(suite, "%s/%s" % (mha.name, ma.name), mha.field.name,
                  seed, samples)
     qt.check(rep)
-    rep.laws.extend(check_module_algebra(ma, samples, seed, suite).laws)
+    rep.merge(check_module_algebra(ma, samples, seed, suite), "modalg")
     coa = coaction_from_qt(ma.module, qt)
-    rep.laws.extend(check_comodule_algebra(ma.alg, coa, samples, seed,
-                                           suite).laws)
+    rep.merge(check_comodule_algebra(ma.alg, coa, samples, seed, suite),
+              "comodalg")
     yd = YDModule(ma.module, coa, name=ma.name + ":qt")
-    rep.laws.extend(check_yd(yd, samples, seed + 1, suite).laws)
+    rep.merge(check_yd(yd, samples, seed + 1, suite), "yd")
 
     rng = random.Random(seed + 2)
 
@@ -416,6 +417,18 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
     rep.law("qt-braiding",
             "C(m (x) n) = tau(R)(n (x) m) through the induced coaction",
             (trial() for _ in range(samples)))
+    return rep
+
+
+def check_qt_coaction_suite(mha, samples=30, seed=0, suite="qt-coaction"):
+    """check_qt_coaction on Z/n's translation and counit module algebras."""
+    n = mha.cyclic_order
+    qt = qt_for_cyclic(n, mha.field, mha=mha)
+    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep.merge(check_qt_coaction(translation_module_algebra(mha, group_Zn(n)),
+                                qt, samples, seed), "translation")
+    rep.merge(check_qt_coaction(counit_module_algebra(mha), qt, samples, seed),
+              "counit")
     return rep
 
 
@@ -541,8 +554,8 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
             (trial() for _ in range(samples)))
 
     if M.coaction.has_slice_l:
-        rep.laws.extend(check_yd(YDModule(M.module, M.coaction, name=M.name),
-                                 samples, seed, suite).laws)
+        rep.merge(check_yd(YDModule(M.module, M.coaction, name=M.name),
+                           samples, seed, suite), "yd")
     return rep
 
 
@@ -773,7 +786,7 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
         ("tensor-relator-coaction", "the composite coaction preserves the "
          "balancing relators", coaction)], map(draw, rels))
 
-    rep.laws.extend(check_ha_module(T.ham, samples, seed, suite).laws)
+    rep.merge(check_ha_module(T.ham, samples, seed, suite), "tensor")
 
     def trial():
         m = _rand(rng, T.field, T.quot.basis)
@@ -1024,7 +1037,6 @@ def default_hq_fixtures(mha):
     """The mixed-module fixtures available on an instance: always the
     one-dimensional collapse, plus a cyclic-subalgebra battery on finite
     unital instances."""
-    from .yd import trivial_yd
     out = []
     k = trivial_yd_module_algebra(mha)
     out.append(("K", k, [collapse_ha_module(k, trivial_yd(mha))]))
@@ -1038,7 +1050,8 @@ def default_hq_fixtures(mha):
 def check_hq_monoidal(mha, samples=10, seed=0, suite="hq-monoidal"):
     """Mixed-module laws, bimodule laws, balanced tensor products with
     relator stability, unit laws, associator and one pentagon sample over
-    the default fixtures."""
+    the default fixtures, at no more than 15 samples."""
+    samples = min(samples, 15)
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     for tag, H, mods in default_hq_fixtures(mha):
         rep.merge(check_yd_module_algebra(H, samples, seed, suite), tag)

@@ -11,6 +11,7 @@ import random
 
 from .linear import Element, Ten, bilinear, legs, split_sym, apply_legs
 from .mha import Multiplier, random_element, random_alg_element
+from .report import Report
 
 
 class UnitalModule:
@@ -243,7 +244,6 @@ def trivial_coaction(module, name=None):
 
 def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
     """All comodule laws, evaluated purely through slice compositions."""
-    from .report import Report
     mha = coaction.mha
     alg = mha.algebra
     mod = coaction.module
@@ -316,7 +316,6 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
     """Certify that Gamma(v) factors as a finite sum sum_i v_i (x) m_i with
     each m_i a genuine multiplier, for every basis vector of a
     finite-dimensional carrier."""
-    from .report import Report
     mha = coaction.mha
     alg = mha.algebra
     mod = coaction.module
@@ -371,9 +370,19 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
     return rep
 
 
+def check_comodule_suite(mha, samples=50, seed=0, suite="comodule"):
+    """check_comodule on Delta (regular module) and trivial (counit module)."""
+    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep.merge(check_comodule(coproduct_coaction(regular_module(mha)),
+                             samples, seed, suite), "delta")
+    rep.merge(check_comodule(trivial_coaction(counit_module(mha)),
+                             samples, seed, suite), "trivial")
+    return rep
+
+
 def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
-    """Action extension to M(A), the rho embedding, and its module-map law."""
-    from .report import Report
+    """Action extension to M(A), the rho embedding, and its module-map law;
+    on a finite basis also finite_dim_inclusion of Gamma = Delta."""
     alg = mha.algebra
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
@@ -431,4 +440,7 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
          left_kind),
         ("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
          injective)], (draw() for _ in range(samples)))
+    if alg.basis is not None:
+        rep.merge(finite_dim_inclusion(coproduct_coaction(mod), seed=seed),
+                  "delta")
     return rep

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: law ids are unique within a report
 
 
 @dataclass
@@ -45,6 +45,9 @@ class Report:
     laws: list = field(default_factory=list)
 
     def add(self, law, statement, ok, witness=None):
+        if any(r.law == law for r in self.laws):
+            raise ValueError("duplicate law id %r in a %s report"
+                             % (law, self.suite))
         self.laws.append(LawResult(law, statement, ok, witness))
 
     def law(self, law, statement, trials):

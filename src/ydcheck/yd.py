@@ -14,6 +14,7 @@ import random
 
 from .linear import Element, Ten, tensor, legs, split_sym, apply_legs
 from .mha import random_alg_element
+from .report import Report
 from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
                       adjoint_module, regular_module, coproduct_coaction)
@@ -125,7 +126,6 @@ def compat_alt_rhs(module, coaction, a, ap, v):
 
 def check_yd(yd, samples=40, seed=0, suite="yd"):
     """Both forms of the compatibility law on seeded samples."""
-    from .report import Report
     mha = yd.mha
     rep = Report(suite, "%s/%s" % (mha.name, yd.name), mha.field.name, seed, samples)
     rng = random.Random(seed)
@@ -421,7 +421,6 @@ def yd_fixtures(mha):
 # -- suite checkers ------------------------------------------------------------
 
 def check_yd_suite(mha, samples=30, seed=0, suite="yd"):
-    from .report import Report
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     for V in yd_fixtures(mha):
         rep.merge(check_yd(V, samples=samples, seed=seed, suite=suite), V.name)
@@ -430,7 +429,6 @@ def check_yd_suite(mha, samples=30, seed=0, suite="yd"):
 
 def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
     """The defining laws of a centre object, at the regular component."""
-    from .report import Report
     mha = H.mha
     alg = mha.algebra
     rep = Report(suite, "%s/%s" % (mha.name, H.name), mha.field.name, seed, samples)
@@ -514,7 +512,6 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
 def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
     """Round trips of the two functors, the braided-category laws, and
     morphism transport, on the registered fixtures."""
-    from .report import Report
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
     alg = mha.algebra

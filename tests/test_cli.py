@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, and byte-deterministic reports."""
 
+import copy
 import hashlib
 import json
 import os
@@ -8,10 +9,12 @@ import sys
 
 import pytest
 
+import ydcheck.cli as cli
 from ydcheck.cli import main, parse_pair, SUITES
 from ydcheck.double import DiagonalCrossedProduct, check_dcp
 from ydcheck.fields import PrimeField
 from ydcheck.instances import INSTANCE_NAMES, build_instance
+from ydcheck.report import Report
 
 
 def run(args, capsys):
@@ -23,10 +26,16 @@ def run(args, capsys):
 def test_list_suites_and_instances(capsys):
     rc, out, _ = run(["list", "suites"], capsys)
     assert rc == 0
-    assert out.split() == SUITES
+    assert out.split() == list(SUITES) == [
+        "mha-axioms", "braid", "extended-modules", "comodule", "yd",
+        "centre-equivalence", "gyd", "t-category", "dcp",
+        "double-correspondence", "module-algebra", "qt-coaction",
+        "hq-monoidal"]
     rc, out, _ = run(["list", "instances"], capsys)
     assert rc == 0
-    assert out.split() == INSTANCE_NAMES
+    assert out.split() == INSTANCE_NAMES == [
+        "fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:<n>", "sweedler-H4",
+        "dual:<name>"]
 
 
 def test_check_writes_report_and_exits_zero(tmp_path, capsys):
@@ -37,7 +46,7 @@ def test_check_writes_report_and_exits_zero(tmp_path, capsys):
     assert "PASS" in out
     data = json.loads(open(out_path).read())
     assert data["ok"] is True
-    assert data["schema"] == 1
+    assert data["schema"] == 2
     assert data["suite"] == "mha-axioms"
     assert data["laws"]
 
@@ -166,6 +175,111 @@ def test_dump_bad_pair_is_a_usage_error(capsys):
                       "--pair", "bogus:1", "--out", "/tmp/never.json"], capsys)
     assert rc == 2
     assert "pair" in err
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["dump", "dcp", "--instance", "grp-S3", "--pair", "inner:9,1"],
+     "inner pair indices must lie in 0..5"),
+    (["dump", "dcp", "--instance", "grp-S3", "--pair", "inner:-1,1"],
+     "inner pair indices must lie in 0..5"),
+    (["dump", "dcp", "--instance", "grp-S3", "--pair", "scale:2,3"],
+     "scaling pairs need the basis 1, g, x, gx of Sweedler's H4, not "
+     "grp-S3's"),
+    (["check", "mha-axioms", "--instance", "grp-Zn:0"],
+     "grp-Zn:<n> needs a whole number n >= 1, not '0'"),
+    (["check", "mha-axioms", "--instance", "grp-Zn:-3"],
+     "grp-Zn:<n> needs a whole number n >= 1, not '-3'"),
+], ids=["inner-too-large", "inner-negative", "scale-off-h4", "zn-zero",
+        "zn-negative"])
+def test_bad_input_is_a_usage_error_with_a_reason(args, reason, tmp_path,
+                                                  capsys):
+    out = str(tmp_path / "never.json")
+    rc, _, err = run(args + ["--out", out], capsys)
+    assert rc == 2
+    assert "error: %s\n" % reason in err
+    assert not os.path.exists(out)
+
+
+def test_zero_samples_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "never.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "mha-axioms", "--instance", "grp-Z2", "--samples", "0",
+              "--out", out])
+    assert exc.value.code == 2
+    assert "argument --samples: must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_a_corrupted_instance_is_an_internal_error(monkeypatch, capsys):
+    """An antipode x3 copy of grp-S3 breaks the inner automorphisms that
+    t-category conjugates by: a defect in the instance, not in the input."""
+    real = cli.build_instance
+
+    def build(name, field):
+        mha = real(name, field)
+        bad = copy.copy(mha)
+        three = field.from_int(3)
+        bad._antipode = lambda s: mha._antipode(s).scaled(three)
+        return bad
+
+    monkeypatch.setattr(cli, "build_instance", build)
+    rc, out, err = run(["check", "t-category", "--instance", "grp-S3",
+                        "--samples", "3"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.endswith("internal error: ConstructionError: conj:(1, 0, 2): "
+                        "not a bijection at a=1*(0, 1, 2)\n")
+
+
+PANEL = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:4", "sweedler-H4",
+         "dual:grp-Z2"]
+NOT_CYCLIC = ("qt-coaction needs a cyclic group algebra instance "
+              "(grp-Z2 or grp-Zn:<n>)")
+#: the panel cells the CLI refused before suites declared their needs
+REFUSED = {
+    **{("dcp", name, field): "the crossed product needs a "
+       "finite-dimensional unital instance"
+       for name in ("fun-Z", "fun-Dinf") for field in ("rational", "fp:5")},
+    **{("double-correspondence", name, field): "integrals are computed on "
+       "finite-dimensional unital instances only"
+       for name in ("fun-Z", "fun-Dinf") for field in ("rational", "fp:5")},
+    **{("qt-coaction", name, field): NOT_CYCLIC
+       for name in ("fun-Z", "fun-Dinf", "grp-S3", "sweedler-H4",
+                    "dual:grp-Z2") for field in ("rational", "fp:5")},
+    ("qt-coaction", "grp-Zn:4", "rational"):
+        "no primitive 4-th root of unity in rational",
+}
+
+
+def test_every_cell_runs_or_is_refused_before_any_law(tmp_path, monkeypatch,
+                                                      capsys):
+    """13 suites x PANEL x {QQ, F_5}: a refused cell exits 2 with its reason
+    before any law is sampled or recorded; every other cell passes with
+    law ids unique in its report."""
+    def no_law(*args, **kwargs):
+        raise AssertionError("a law was checked on a refused cell")
+
+    out = str(tmp_path / "rep.json")
+    for suite in SUITES:
+        for name in PANEL:
+            for field in ("rational", "fp:5"):
+                argv = ["check", suite, "--instance", name, "--field", field,
+                        "--samples", "1", "--out", out]
+                cell = (suite, name, field)
+                if cell in REFUSED:
+                    with monkeypatch.context() as m:
+                        m.setattr(Report, "law_group", no_law)
+                        m.setattr(Report, "add", no_law)
+                        rc, _, err = run(argv, capsys)
+                    assert rc == 2, (cell, err)
+                    assert err == "error: %s\n" % REFUSED[cell], cell
+                    assert not os.path.exists(out)
+                    continue
+                rc, _, err = run(argv, capsys)
+                assert rc == 0, (cell, err)
+                ids = [law["law"] for law in json.load(open(out))["laws"]]
+                assert ids and len(ids) == len(set(ids)), cell
+                os.remove(out)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

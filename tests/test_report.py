@@ -1,5 +1,7 @@
 """The law-sampling primitive and the sub-report merge of Report."""
 
+import pytest
+
 from ydcheck.report import Report
 
 
@@ -92,7 +94,7 @@ def test_merge_tags_ids_and_keeps_order_and_fields():
     sub = _report()
     sub.add("x", "sx", True)
     sub.add("y", "sy", False, "w")
-    sub.add("x", "sx2", False, "w2")
+    sub.add("z", "sz", False, "w2")
     rep = _report()
     rep.add("first", "s0", True)
     rep.merge(sub, "tag:1")
@@ -100,5 +102,18 @@ def test_merge_tags_ids_and_keeps_order_and_fields():
         ("first", "s0", True, None),
         ("x[tag:1]", "sx", True, None),
         ("y[tag:1]", "sy", False, "w"),
-        ("x[tag:1]", "sx2", False, "w2")]
-    assert [r.law for r in sub.laws] == ["x", "y", "x"]
+        ("z[tag:1]", "sz", False, "w2")]
+    assert [r.law for r in sub.laws] == ["x", "y", "z"]
+
+
+def test_a_law_id_is_recorded_once_per_report():
+    rep = _report()
+    rep.add("x", "sx", True)
+    with pytest.raises(ValueError, match="duplicate law id 'x'"):
+        rep.add("x", "sx", False, "w")
+    sub = _report()
+    sub.add("y", "sy", True)
+    rep.merge(sub, "a")
+    with pytest.raises(ValueError, match=r"duplicate law id 'y\[a\]'"):
+        rep.merge(sub, "a")
+    assert [r.law for r in rep.laws] == ["x", "y[a]"]
