@@ -16,7 +16,8 @@ the correspondence checks certify which one closes the round trips.
 
 import random
 
-from .linear import Element, Ten, tensor, legs, make_sym, sym_str, apply_legs
+from .linear import (Element, Ten, tensor, legs, make_sym, sym_str, apply_legs,
+                     bilinear)
 from .mha import Algebra, random_alg_element
 from .modules import UnitalModule, Coaction, random_mod_element
 from .yd import split_sym, canonical_yd
@@ -169,7 +170,8 @@ class DcpModule:
     def __init__(self, dcp, act_basis, basis, name=None):
         self.dcp = dcp
         self.field = dcp.field
-        self._act_basis = act_basis  # (dcp basis sym, carrier sym) -> Element
+        # (dcp basis sym, carrier sym) -> Element, memoized per pair
+        self._act = bilinear(self.field, act_basis)
         self.basis = basis
         self.name = name or "dcp-module"
 
@@ -177,8 +179,7 @@ class DcpModule:
         return Element.basis(self.field, sym, coeff)
 
     def act(self, d, m):
-        return d.map_terms(lambda sd: m.map_terms(
-            lambda sm: self._act_basis(sd, sm)))
+        return self._act(d, m)
 
 
 def check_dcp_module(M, samples=60, seed=0, suite="dcp"):

@@ -142,7 +142,7 @@ class PrimeField:
         """A primitive n-th root of unity in F_p, or None if there is none."""
         if (self.p - 1) % n != 0:
             return None
-        for g in range(2, self.p):
+        for g in range(1, self.p):
             w = pow(g, (self.p - 1) // n, self.p)
             if all(pow(w, k, self.p) != 1 for k in range(1, n)):
                 return GF(w, self.p)

@@ -7,18 +7,23 @@ The compatibility law at a pair (alpha, beta), in Sweedler legs:
     (a.v)_(0) (x) (a.v)_(1) a'
         = a_(2).v_(0) (x) beta(a_(3)) v_(1) alpha(S^-1(a_(1))) a'
 
-evaluated through the same twisted slice compositions as the untwisted case.
-Only the right coaction slice is required of these modules.
+evaluated by yd.compat_rhs.  The identity pair is not a special case: the
+twisted tensor product, braiding and adjoint action here are yd's
+tensor_module, tensor_coaction, braiding_c and modules.adjoint_module called
+with the pair's twists, and the untwisted ones are those same functions with
+every twist None.  Only the right coaction slice is required of these
+modules.
 """
 
 import random
 
-from .linear import Ten, tensor, legs, apply_legs
+from .linear import tensor, apply_legs
 from .mha import random_alg_element
 from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
-                      coproduct_coaction)
-from .yd import compat_rhs, split_sym
+                      adjoint_module, coproduct_coaction, SOFT_KINDS)
+from .yd import (compat_rhs, split_sym, tensor_module, tensor_coaction,
+                 braiding_c)
 from .fields import parse_scalar
 from .instances import (HopfAutomorphism, identity_automorphism, group_Z,
                         group_map_automorphism, inner_automorphism,
@@ -166,20 +171,9 @@ def twisted_adjoint_gyd(mha, pair, name=None):
     if mha._coproduct is None:
         raise ValueError("the twisted adjoint fixture needs a materialized "
                          "coproduct on %s" % mha.name)
-    alg = mha.algebra
-    alpha, beta = pair.alpha, pair.beta
-
-    def act(a, v):
-        def term(s):
-            a1, a2 = legs(s)
-            return alg.mult(alg.mult(beta(alg.el(a2)), alg.el(v)),
-                            alpha(mha.antipode_inv(alg.el(a1))))
-        return mha.coproduct(alg.el(a)).map_terms(term)
-
-    mod = UnitalModule(mha, act, basis=alg.basis, kind="other",
-                       name=(name or mha.name) + ":tw-adjoint@" + pair.name)
-    return GYDModule(mod, coproduct_coaction(mod), pair,
-                     name=mod.name)
+    mod = adjoint_module(mha, pair.alpha, pair.beta,
+                         name=(name or mha.name) + ":tw-adjoint@" + pair.name)
+    return GYDModule(mod, coproduct_coaction(mod), pair, name=mod.name)
 
 
 def stretch_gyd(mha, name=None):
@@ -213,68 +207,12 @@ def stretch_gyd(mha, name=None):
 def gyd_tensor(V, W, name=None):
     """V@(a,b) tensor W@(c,d), landing at the pair product: action
     c(x_(1)).v (x) c^-1 b c(x_(2)).w and coaction second leg w_(1)v_(1)a'."""
-    mha = V.mha
-    alg = mha.algebra
     gamma = W.pair.alpha
     theta = gamma.inverted().composed(V.pair.beta).composed(gamma)
-    Vm, Wm = V.module, W.module
-    va = Vm.arity
-
-    def act(asym, tsym):
-        vs, ws = split_sym(tsym, va)
-        e = theta.inverse(Wm.local_unit([Wm.el(ws)]))
-
-        def term(s):
-            p, q = legs(s)
-            return tensor(Vm.act(gamma(alg.el(p)), Vm.el(vs)),
-                          Wm.act(theta(alg.el(q)), Wm.el(ws)))
-        return mha.delta_r(alg.el(asym), e).map_terms(term)
-
-    basis = None
-    if Vm.basis is not None and Wm.basis is not None:
-        basis = [Ten(legs(v) + legs(w)) for v in Vm.basis for w in Wm.basis]
-
-    def sample(rng):
-        return tensor(Vm.el(Vm.sample_basis(rng)),
-                      Wm.el(Wm.sample_basis(rng))).support()[0]
-
-    def leg_elems(velems, side):
-        out = []
-        for x in velems:
-            for s in x.terms:
-                vs, ws = split_sym(s, va)
-                out.append(Vm.el(vs) if side == 0 else Wm.el(ws))
-        return out
-
-    if alg.has_unit:
-        lu = lambda velems, aelems: alg.unit
-    elif Vm.kind in ("counit", "trivial"):
-        # the first leg collapses through the counit (eps o gamma = eps)
-        def lu(velems, aelems):
-            base = theta.inverse(Wm.local_unit(leg_elems(velems, 1), ()))
-            return alg.local_unit([base] + list(aelems))
-    elif Wm.kind in ("counit", "trivial"):
-        def lu(velems, aelems):
-            base = gamma.inverse(Vm.local_unit(leg_elems(velems, 0), ()))
-            return alg.local_unit([base] + list(aelems))
-    else:
-        raise ValueError("no twisted diagonal local unit rule for %s (x) %s"
-                         % (Vm.name, Wm.name))
-
-    mod = UnitalModule(mha, act, basis=basis, sample_basis=sample,
-                       local_unit=lu, kind="tensor", arity=va + Wm.arity,
-                       name=name or ("%s(x)%s" % (V.name, W.name)))
-
-    ca_v, ca_w = V.coaction, W.coaction
-
-    def slice_r(tsym, asym):
-        vs, ws = split_sym(tsym, va)
-        x = ca_v.slice_r(Vm.el(vs), mha.el(asym))  # v0 (x) v1 a'
-        # v1 a' -> w0 (x) w1 v1 a'
-        return apply_legs(x, va, 1, lambda m: ca_w.slice_r(Wm.el(ws), m))
-
-    coa = Coaction(mod, slice_r, name=mod.name + ":coact")
-    return GYDModule(mod, coa, V.pair.product(W.pair), name=mod.name)
+    mod = tensor_module(V.module, W.module, gamma, theta,
+                        name=name or ("%s(x)%s" % (V.name, W.name)))
+    return GYDModule(mod, tensor_coaction(mod, V, W), V.pair.product(W.pair),
+                     name=mod.name)
 
 
 # -- the crossing functor -------------------------------------------------------
@@ -299,10 +237,10 @@ def crossed_functor(p, W, name=None):
     def lu(velems, aelems):
         if alg.has_unit:
             return alg.unit
-        base = theta.inverse(Wm.local_unit(velems, ()))
-        return alg.local_unit([base] + list(aelems))
+        # theta(e).w = w and theta(e)theta(a) = theta(a)
+        return theta.inverse(Wm.local_unit(velems, [theta(a) for a in aelems]))
 
-    kind = Wm.kind if Wm.kind in ("counit", "trivial") else "other"
+    kind = Wm.kind if Wm.kind in SOFT_KINDS else "other"
     mod = UnitalModule(mha, act, basis=Wm.basis, sample_basis=Wm.sample_basis,
                        local_unit=lu, kind=kind, arity=Wm.arity,
                        name=name or ("%s>%s" % (p.name, W.name)))
@@ -324,18 +262,8 @@ def crossed_functor(p, W, name=None):
 
 def gyd_braiding(V, W, vw):
     """C_{V,W}(v (x) w) = w_(0) (x) beta^-1(w_(1)).v into phi_V(W) (x) V,
-    with beta from V's pair; the acting leg is produced against a
-    beta-twisted local unit of v."""
-    beta = V.pair.beta
-    Vm, Wm = V.module, W.module
-
-    def term(s):
-        vs, ws = split_sym(s, Vm.arity)
-        v = Vm.el(vs)
-        e = Vm.local_unit([v])
-        return apply_legs(W.coaction.slice_r(Wm.el(ws), beta(e)), Wm.arity, 1,
-                          lambda m: Vm.act(beta.inverse(m), v))
-    return vw.map_terms(term)
+    with beta from V's pair: yd's braiding splice at that beta."""
+    return braiding_c(V.module, W, vw, V.pair.beta)
 
 
 def gyd_braiding_inv(V, W, wv, max_rounds=4):

@@ -159,12 +159,10 @@ def function_algebra(group, field, name=None):
 
 # -- unital instances from a materialized coproduct --------------------------
 
-def from_unital_coproduct(alg, coproduct_basis, counit, antipode_basis,
-                          antipode_inv_basis, *, commutative, cocommutative,
-                          name):
-    """Build the four slices of a unital instance by multiplying the
-    materialized coproduct inside A (x) A."""
-    field = alg.field
+def unital_slices(alg, coproduct_basis):
+    """The four slices of a unital instance, computed by multiplying the
+    materialized coproduct inside A (x) A, as keyword arguments of
+    MultiplierHopfAlgebra."""
     unit = alg.unit
 
     def cop(x):
@@ -182,11 +180,19 @@ def from_unital_coproduct(alg, coproduct_basis, counit, antipode_basis,
     def delta_l2(a, b):
         return alg.mult_tensor(tensor(unit, alg.el(a)), cop(alg.el(b)))
 
+    return dict(delta_r=delta_r, delta_l=delta_l, delta_r2=delta_r2,
+                delta_l2=delta_l2)
+
+
+def from_unital_coproduct(alg, coproduct_basis, counit, antipode_basis,
+                          antipode_inv_basis, *, commutative, cocommutative,
+                          name):
+    """A unital instance from its materialized coproduct."""
     return MultiplierHopfAlgebra(
-        alg, delta_r=delta_r, delta_l=delta_l, delta_r2=delta_r2,
-        delta_l2=delta_l2, counit=counit, antipode=antipode_basis,
-        antipode_inv=antipode_inv_basis, coproduct=coproduct_basis,
-        commutative=commutative, cocommutative=cocommutative, name=name)
+        alg, **unital_slices(alg, coproduct_basis), counit=counit,
+        antipode=antipode_basis, antipode_inv=antipode_inv_basis,
+        coproduct=coproduct_basis, commutative=commutative,
+        cocommutative=cocommutative, name=name)
 
 
 def group_algebra(group, field, name=None):
@@ -331,14 +337,7 @@ class DualHopf(MultiplierHopfAlgebra):
         def anti_inv(p):
             return anti_inv_t[p]
 
-        built = from_unital_coproduct(
-            alg, cop_basis, counit, anti, anti_inv,
-            commutative=base.cocommutative, cocommutative=base.commutative,
-            name=name)
-        super().__init__(alg, delta_r=lambda a, b: built.delta_r(built.el(a), built.el(b)),
-                         delta_l=lambda a, b: built.delta_l(built.el(a), built.el(b)),
-                         delta_r2=lambda a, b: built.delta_r2(built.el(a), built.el(b)),
-                         delta_l2=lambda a, b: built.delta_l2(built.el(a), built.el(b)),
+        super().__init__(alg, **unital_slices(alg, cop_basis),
                          counit=counit, antipode=anti, antipode_inv=anti_inv,
                          coproduct=cop_basis,
                          commutative=base.cocommutative,

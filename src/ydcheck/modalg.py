@@ -23,12 +23,15 @@ structures is tested (relator stability), never assumed.
 import itertools
 import random
 
-from .linear import Element, tensor, legs, make_sym, apply_legs, QuotientSpace
+from .linear import (Element, tensor, legs, make_sym, apply_legs, bilinear,
+                     QuotientSpace)
 from .mha import Algebra, random_element, random_alg_element
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
-                      coproduct_coaction, trivial_coaction, random_mod_element)
-from .yd import YDModule, check_yd, split_sym, braiding_c, trivial_yd
+                      coproduct_coaction, trivial_coaction, random_mod_element,
+                      SOFT_KINDS)
+from .yd import (YDModule, check_yd, split_sym, braiding_c, trivial_yd,
+                 tensor_module, tensor_coaction)
 from .report import Report
 from .instances import group_Zn, qt_for_cyclic
 
@@ -445,13 +448,12 @@ class HAModule:
         self.coaction = coaction
         self.mha = module.mha
         self.field = module.field
-        self._h_act = h_act_basis
+        self._h_act = bilinear(self.field, h_act_basis)
         self._r_act = r_act
         self.name = name or module.name
 
     def h_act(self, h, m):
-        return h.map_terms(lambda hs: m.map_terms(
-            lambda ms: self._h_act(hs, ms)))
+        return self._h_act(h, m)
 
     def r_act_formula(self, m, h):
         """m <- h = h_(0) -> (h_(1).m), h_(1) split against a local unit of
@@ -604,8 +606,9 @@ def check_h_bimodule(M, samples=40, seed=0, suite="hq-monoidal"):
 
 class BalancedTensor:
     """M (x)_H N: the quotient of M (x) N by the balancing relators
-    (m <- h) (x) n - m (x) (h -> n), carrying the diagonal A-action, the
-    composite coaction m_(0) (x) n_(0) (x) n_(1) m_(1) a', and the H-actions
+    (m <- h) (x) n - m (x) (h -> n), carrying the diagonal A-action and the
+    composite coaction m_(0) (x) n_(0) (x) n_(1) m_(1) a' of the ambient
+    amb = yd.tensor_module(M, N) with its tensor_coaction, and the H-actions
     h -> (m (x) n) = (h -> m) (x) n and (m (x) n) <- h = m (x) (n <- h)."""
 
     def __init__(self, M, N, name=None):
@@ -624,6 +627,8 @@ class BalancedTensor:
         self.an = N.module.arity
         self.arity = self.am + self.an
         self.name = name or ("%s(x)_H%s" % (M.name, N.name))
+        self.amb = tensor_module(M.module, N.module)
+        self.amb_coaction = tensor_coaction(self.amb, M, N)
         ambient = [make_sym(legs(a) + legs(b))
                    for a in M.module.basis for b in N.module.basis]
         rels = []
@@ -640,45 +645,7 @@ class BalancedTensor:
         self.quot = QuotientSpace(ambient, rels)
         self.ham = self._descend()
 
-    # structures on the ambient M (x) N
-    def act_amb(self, a, x):
-        Mm, Nm = self.M.module, self.N.module
-
-        def term(s):
-            ms, ns = split_sym(s, self.am)
-            n = Nm.el(ns)
-            e = Nm.local_unit([n])
-
-            def leg(s2):
-                p, q = legs(s2)
-                return tensor(Mm.act(self.mha.el(p), Mm.el(ms)),
-                              Nm.act(self.mha.el(q), n))
-            return self.mha.delta_r(a, e).map_terms(leg)
-        return x.map_terms(term)
-
-    def slice_amb(self, x, ap):
-        Mm, Nm = self.M.module, self.N.module
-
-        def term(s):  # m_(0) (x) m_(1)a' -> m_(0) (x) n_(0) (x) n_(1)m_(1)a'
-            ms, ns = split_sym(s, self.am)
-            return apply_legs(self.M.coaction.slice_r(Mm.el(ms), ap), self.am, 1,
-                              lambda k: self.N.coaction.slice_r(Nm.el(ns), k))
-        return x.map_terms(term)
-
-    def slice_l_amb(self, x, a):
-        Mm, Nm = self.M.module, self.N.module
-
-        def term(s):
-            ms, ns = split_sym(s, self.am)
-
-            def leg(s2):  # n_(0) (x) an_(1) -> m_(0) (x) n_(0) (x) an_(1)m_(1)
-                n0, k = split_sym(s2, self.an)
-                return apply_legs(
-                    self.M.coaction.slice_l(Mm.el(ms), self.mha.el(k)),
-                    self.am, 1, lambda k2: tensor(Nm.el(n0), k2))
-            return self.N.coaction.slice_l(Nm.el(ns), a).map_terms(leg)
-        return x.map_terms(term)
-
+    # the H-actions on the ambient M (x) N
     def h_amb(self, h, x):
         return apply_legs(x, 0, self.am, lambda m: self.M.h_act(h, m))
 
@@ -687,44 +654,26 @@ class BalancedTensor:
 
     def _descend(self):
         mha, q, field = self.mha, self.quot, self.field
-        Mm, Nm = self.M.module, self.N.module
-        soft = ("counit", "trivial")
-        kind = "trivial" if (Mm.kind in soft and Nm.kind in soft) else "other"
-        if mha.algebra.has_unit:
-            lu = None
-        else:
-            def leg_elems(velems, side):
-                out = []
-                for x in velems:
-                    for s in x.terms:
-                        ms, ns = split_sym(s, self.am)
-                        out.append(Mm.el(ms) if side == 0 else Nm.el(ns))
-                return out
-
-            if Mm.kind in soft:
-                # the counit leg collapses, a right-leg local unit suffices
-                lu = lambda velems, aelems: Nm.local_unit(
-                    leg_elems(velems, 1), aelems)
-            elif Nm.kind in soft:
-                lu = lambda velems, aelems: Mm.local_unit(
-                    leg_elems(velems, 0), aelems)
-            else:
-                raise ValueError("no local unit rule for %s" % self.name)
+        amb, ac = self.amb, self.amb_coaction
+        soft = (self.M.module.kind in SOFT_KINDS
+                and self.N.module.kind in SOFT_KINDS)
+        # quotient symbols are ambient symbols: the ambient local unit rule
+        # serves the quotient
         mod = UnitalModule(
             mha,
             lambda asym, qsym: q.project(
-                self.act_amb(mha.el(asym), Element.basis(field, qsym))),
-            basis=q.basis, arity=self.arity, kind=kind, local_unit=lu,
+                amb.act(mha.el(asym), Element.basis(field, qsym))),
+            basis=q.basis, arity=self.arity,
+            kind="trivial" if soft else "other", local_unit=amb.local_unit,
             name=self.name)
-        has_l = self.M.coaction.has_slice_l and self.N.coaction.has_slice_l
         coa = Coaction(
             mod,
             lambda qsym, asym: apply_legs(
-                self.slice_amb(Element.basis(field, qsym), mha.el(asym)),
+                ac.slice_r(Element.basis(field, qsym), mha.el(asym)),
                 0, self.arity, q.project),
-            (None if not has_l else
+            (None if not ac.has_slice_l else
              lambda qsym, asym: apply_legs(
-                 self.slice_l_amb(Element.basis(field, qsym), mha.el(asym)),
+                 ac.slice_l(Element.basis(field, qsym), mha.el(asym)),
                  0, self.arity, q.project)),
             name=self.name + ":coaction")
         return HAModule(
@@ -758,7 +707,7 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
 
     def action(sample):
         rel, a, _, _ = sample
-        if not T.quot.project(T.act_amb(a, rel)).is_zero():
+        if not T.quot.project(T.amb.act(a, rel)).is_zero():
             return "a=%r rel=%r" % (a, rel)
 
     def h_action(sample):
@@ -773,7 +722,8 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
 
     def coaction(sample):
         rel, _, _, ap = sample
-        if not apply_legs(T.slice_amb(rel, ap), 0, T.arity, T.quot.project).is_zero():
+        if not apply_legs(T.amb_coaction.slice_r(rel, ap), 0, T.arity,
+                          T.quot.project).is_zero():
             return "a'=%r rel=%r" % (ap, rel)
 
     rep.law_group([

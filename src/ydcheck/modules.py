@@ -14,6 +14,20 @@ from .mha import Multiplier, random_element, random_alg_element
 from .report import Report
 
 
+def twist(aut, x):
+    """aut(x), where aut None is the identity map."""
+    return x if aut is None else aut(x)
+
+
+def untwist(aut, x):
+    """aut^-1(x), where aut None is the identity map."""
+    return x if aut is None else aut.inverse(x)
+
+
+#: module kinds whose action factors through the counit
+SOFT_KINDS = ("counit", "trivial")
+
+
 class UnitalModule:
     """A unital non-degenerate left module over a multiplier Hopf algebra.
 
@@ -206,16 +220,18 @@ def trivial_module(mha, name=None):
         name=name or (mha.name + ":trivial"))
 
 
-def adjoint_module(mha, name=None):
+def adjoint_module(mha, alpha=None, beta=None, name=None):
     """A acting on itself by the inverse-antipode-twisted adjoint action
-    a.v = a_(2) v S^-1(a_(1)); needs the materialized coproduct."""
+    a.v = beta(a_(2)) v alpha(S^-1(a_(1))) at the pair (alpha, beta); the
+    untwisted action a_(2) v S^-1(a_(1)) is the one at alpha = beta = None.
+    Needs the materialized coproduct."""
     alg = mha.algebra
 
     def act(a, v):
         def term(s):
             a1, a2 = legs(s)
-            return alg.mult(alg.mult(alg.el(a2), alg.el(v)),
-                            mha.antipode_inv(alg.el(a1)))
+            return alg.mult(alg.mult(twist(beta, alg.el(a2)), alg.el(v)),
+                            twist(alpha, mha.antipode_inv(alg.el(a1))))
         return mha.coproduct(alg.el(a)).map_terms(term)
 
     return UnitalModule(mha, act, basis=alg.basis, kind="adjoint",

@@ -1,6 +1,12 @@
 """Yetter-Drinfel'd modules, their braided monoidal structure, half-braidings
 (centre objects) and the functors realizing the centre equivalence.
 
+Ordinary YD modules are the (alpha, beta)-YD modules of gyd.py at the pair
+alpha = beta = id, and the constructions here are the twisted ones with
+every twist None (the identity): compat_rhs, the diagonal action of
+tensor_module, its local unit rule and the braiding splice each take the
+twists and are the only implementation of both cases.
+
 The compatibility law used throughout, written in Sweedler legs, is
 
     (a.v)_(0) (x) (a.v)_(1) a'  =  a_(2).v_(0) (x) a_(3) v_(1) S^-1(a_(1)) a'
@@ -17,7 +23,8 @@ from .mha import random_alg_element
 from .report import Report
 from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
-                      adjoint_module, regular_module, coproduct_coaction)
+                      adjoint_module, regular_module, coproduct_coaction,
+                      twist, untwist, SOFT_KINDS)
 
 
 class YDModule:
@@ -38,12 +45,27 @@ class YDModule:
 
 # -- compatibility evaluators ------------------------------------------------
 
-def _fwd(aut, x):
-    return x if aut is None else aut(x)
+def act_on_slice(module, a, x, beta=None):
+    """a_(1).v (x) beta(a_(2))m for x = sum v (x) m in V (x) A, such as a
+    coaction slice: a is split once against a beta^-1-twisted left local
+    unit of the A-legs of x, so beta(a_(2)) multiplies them cleanly."""
+    mha = module.mha
+    alg = mha.algebra
+    if x.is_zero():
+        return x
+    u = untwist(beta, alg.local_unit(
+        [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
 
+    def term(s):
+        p, q = legs(s)
+        bq = twist(beta, alg.el(q))
 
-def _inv(aut, x):
-    return x if aut is None else aut.inverse(x)
+        def leg(sx):
+            v0, m = split_sym(sx, module.arity)
+            return tensor(module.act(alg.el(p), module.el(v0)),
+                          alg.mult(bq, alg.el(m)))
+        return x.map_terms(leg)
+    return mha.delta_r(a, u).map_terms(term)
 
 
 def compat_rhs(module, coaction, a, ap, v, alpha=None, beta=None):
@@ -52,34 +74,18 @@ def compat_rhs(module, coaction, a, ap, v, alpha=None, beta=None):
     Slice composition: with u a left local unit of a', the pairs of
     (S(alpha^-1(u)) (x) 1)Delta(a) are (S(alpha^-1(u))a_(1), a_(2)); applying
     alpha o S^-1 to the first gives alpha(S^-1(a_(1))) u, and u is absorbed
-    by a'.  The remaining leg is split once more against a beta^-1-twisted
-    left local unit of the coaction's A-leg, so beta(a_(3)) multiplies
-    cleanly from the left.
+    by a'.  The remaining leg acts on the coaction slice through
+    act_on_slice.
     """
     mha = module.mha
     alg = mha.algebra
     u = alg.local_unit([ap])
-    b = mha.antipode(_inv(alpha, u))
+    b = mha.antipode(untwist(alpha, u))
 
     def outer(s):
         p, q = legs(s)
-        f1 = alg.mult(_fwd(alpha, mha.antipode_inv(alg.el(p))), ap)
-        x = coaction.slice_r(v, f1)
-        if x.is_zero():
-            return x
-        u2 = _inv(beta, alg.local_unit(
-            [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
-
-        def inner(s2):
-            r, t = legs(s2)
-            bt = _fwd(beta, alg.el(t))
-
-            def leg(sx):
-                v0, m = split_sym(sx, module.arity)
-                return tensor(module.act(alg.el(r), module.el(v0)),
-                              alg.mult(bt, alg.el(m)))
-            return x.map_terms(leg)
-        return mha.delta_r(alg.el(q), u2).map_terms(inner)
+        f1 = alg.mult(twist(alpha, mha.antipode_inv(alg.el(p))), ap)
+        return act_on_slice(module, alg.el(q), coaction.slice_r(v, f1), beta)
     return mha.delta_l(b, a).map_terms(outer)
 
 
@@ -101,27 +107,8 @@ def compat_alt_lhs(module, coaction, a, ap, v):
 
 
 def compat_alt_rhs(module, coaction, a, ap, v):
-    """a_(1).v_(0) (x) a_(2) v_(1) a'.
-
-    Slices: first Gamma(v)(1 (x) a'), then Delta(a)(1 (x) u) against a left
-    local unit u of the produced A-leg.
-    """
-    mha = module.mha
-    alg = mha.algebra
-    x = coaction.slice_r(v, ap)
-    if x.is_zero():
-        return Element(mha.field)
-    u = alg.local_unit([alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms])
-
-    def term(s):
-        p, q = legs(s)
-
-        def leg(sx):
-            v0, m = split_sym(sx, module.arity)
-            return tensor(module.act(alg.el(p), module.el(v0)),
-                          alg.mult(alg.el(q), alg.el(m)))
-        return x.map_terms(leg)
-    return mha.delta_r(a, u).map_terms(term)
+    """a_(1).v_(0) (x) a_(2) v_(1) a': a acts on Gamma(v)(1 (x) a')."""
+    return act_on_slice(module, a, coaction.slice_r(v, ap))
 
 
 def check_yd(yd, samples=40, seed=0, suite="yd"):
@@ -161,19 +148,22 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
 
 # -- tensor product of YD modules --------------------------------------------
 
-def tensor_module(V, W, name=None):
-    """V (x) W with the diagonal action a_(1).v (x) a_(2).w, realized by
-    splitting a against a module local unit of the W component."""
+def tensor_module(V, W, gamma=None, theta=None, name=None):
+    """V (x) W with the diagonal action gamma(a_(1)).v (x) theta(a_(2)).w,
+    realized by splitting a against a theta^-1-twisted module local unit of
+    the W component.  The untwisted action a_(1).v (x) a_(2).w is the one at
+    gamma = theta = None."""
     mha = V.mha
     alg = mha.algebra
 
     def act(asym, tsym):
         vs, ws = split_sym(tsym, V.arity)
-        e = W.local_unit([W.el(ws)])
+        e = untwist(theta, W.local_unit([W.el(ws)]))
 
         def term(s):
             p, q = legs(s)
-            return tensor(V.act(alg.el(p), V.el(vs)), W.act(alg.el(q), W.el(ws)))
+            return tensor(V.act(twist(gamma, alg.el(p)), V.el(vs)),
+                          W.act(twist(theta, alg.el(q)), W.el(ws)))
         return mha.delta_r(alg.el(asym), e).map_terms(term)
 
     basis = None
@@ -184,72 +174,104 @@ def tensor_module(V, W, name=None):
         return tensor(V.el(V.sample_basis(rng)),
                       W.el(W.sample_basis(rng))).support()[0]
 
-    def leg_elems(velems, side):
-        out = []
-        for x in velems:
-            for s in x.terms:
-                vs, ws = split_sym(s, V.arity)
-                out.append((V.el(vs) if side == 0 else W.el(ws)))
-        return out
-
-    if alg.has_unit:
-        lu = lambda velems, aelems: alg.unit
-    elif V.kind in ("counit", "trivial"):
-        # the counit leg collapses: sum eps(e_(1)) e_(2).w = e.w
-        lu = lambda velems, aelems: W.local_unit(leg_elems(velems, 1), aelems)
-    elif W.kind in ("counit", "trivial"):
-        lu = lambda velems, aelems: V.local_unit(leg_elems(velems, 0), aelems)
-    elif V.kind == W.kind == "mult":
-        # both legs are multiplication on A: a coproduct cover is a diagonal
-        # local unit
-        def lu(velems, aelems):
-            c = mha.delta_cover(leg_elems(velems, 0), leg_elems(velems, 1))
-            return alg.local_unit([c] + list(aelems))
-    else:
-        raise ValueError("no diagonal local unit rule for %s (x) %s" % (V.name, W.name))
-
     return UnitalModule(mha, act, basis=basis, sample_basis=sample,
-                        local_unit=lu, kind="tensor", arity=V.arity + W.arity,
+                        local_unit=diagonal_local_unit(V, W, gamma, theta),
+                        kind="tensor", arity=V.arity + W.arity,
                         name=name or ("%s(x)%s" % (V.name, W.name)))
 
 
-def yd_tensor(V, W, name=None):
-    """The tensor product in the YD category: diagonal action and coaction
-    second leg w_(1) v_(1) a' (note the order)."""
-    mod = tensor_module(V.module, W.module)
-    va, ca_v, ca_w = V.module.arity, V.coaction, W.coaction
+def diagonal_local_unit(V, W, gamma=None, theta=None):
+    """The local unit rule of the diagonal action gamma(a_(1)).v (x)
+    theta(a_(2)).w on elements of V (x) W: the unit on unital instances;
+    when one factor acts through the counit (eps o gamma = eps), the other
+    factor's local unit, untwisted, absorbing the twisted algebra elements;
+    when both factors are A acting on itself untwisted, a coproduct cover."""
+    mha = V.mha
+    alg = mha.algebra
+    if alg.has_unit:
+        return lambda velems, aelems: alg.unit
+
+    def factor(velems, side):
+        return [(V, W)[side].el(split_sym(s, V.arity)[side])
+                for x in velems for s in x.terms]
+
+    if V.kind in SOFT_KINDS:
+        # the counit leg collapses: sum eps(e_(1)) theta(e_(2)).w = theta(e).w
+        def lu(velems, aelems):
+            return untwist(theta, W.local_unit(
+                factor(velems, 1), [twist(theta, a) for a in aelems]))
+    elif W.kind in SOFT_KINDS:
+        def lu(velems, aelems):
+            return untwist(gamma, V.local_unit(
+                factor(velems, 0), [twist(gamma, a) for a in aelems]))
+    elif V.kind == W.kind == "mult" and gamma is None and theta is None:
+        def lu(velems, aelems):
+            c = mha.delta_cover(factor(velems, 0), factor(velems, 1))
+            return alg.local_unit([c] + aelems)
+    else:
+        raise ValueError("no diagonal local unit rule for %s (x) %s"
+                         % (V.name, W.name))
+    return lu
+
+
+def tensor_coaction(mod, V, W):
+    """The coaction of V (x) W on its carrier mod: the right slice
+    v_(0) (x) w_(0) (x) w_(1)v_(1)a (note the order), and the left slice
+    v_(0) (x) w_(0) (x) a w_(1)v_(1) when both factors carry one."""
+    Vm, Wm = V.module, W.module
+    va, ca_v, ca_w = Vm.arity, V.coaction, W.coaction
+    alg = mod.mha.algebra
 
     def slice_r(tsym, asym):
         vs, ws = split_sym(tsym, va)
-        x = ca_v.slice_r(V.module.el(vs), V.mha.el(asym))  # v0 (x) v1 a
+        x = ca_v.slice_r(Vm.el(vs), alg.el(asym))  # v0 (x) v1 a
         # v1 a -> w0 (x) w1 v1 a
-        return apply_legs(x, va, 1, lambda m: ca_w.slice_r(W.module.el(ws), m))
+        return apply_legs(x, va, 1, lambda m: ca_w.slice_r(Wm.el(ws), m))
 
     def slice_l(tsym, asym):
         vs, ws = split_sym(tsym, va)
 
         def term(s):  # w0 (x) a w1 -> v0 (x) w0 (x) a w1 v1
-            w0, m = split_sym(s, W.module.arity)
-            y = ca_v.slice_l(V.module.el(vs), V.mha.el(m))
-            return apply_legs(y, va, 1, lambda m2: tensor(W.module.el(w0), m2))
-        return ca_w.slice_l(W.module.el(ws), V.mha.el(asym)).map_terms(term)
+            w0, m = split_sym(s, Wm.arity)
+            y = ca_v.slice_l(Vm.el(vs), alg.el(m))
+            return apply_legs(y, va, 1, lambda m2: tensor(Wm.el(w0), m2))
+        return ca_w.slice_l(Wm.el(ws), alg.el(asym)).map_terms(term)
 
-    coa = Coaction(mod, slice_r, slice_l, name=mod.name + ":coact")
-    return YDModule(mod, coa, name=name or ("%s(x)%s" % (V.name, W.name)))
+    both = ca_v.has_slice_l and ca_w.has_slice_l
+    return Coaction(mod, slice_r, slice_l if both else None,
+                    name=mod.name + ":coact")
+
+
+def yd_tensor(V, W, name=None):
+    """The tensor product in the YD category: diagonal action and the
+    tensor coaction."""
+    mod = tensor_module(V.module, W.module)
+    return YDModule(mod, tensor_coaction(mod, V, W),
+                    name=name or ("%s(x)%s" % (V.name, W.name)))
 
 
 # -- the braiding -------------------------------------------------------------
 
-def braiding_c(X, V, xv):
-    """C_{X,V}(x (x) v) = v_(0) (x) v_(1).x, with v_(1) acting through a
-    local unit decomposition of x."""
+def _splice(X, arity, slice_r, xv, beta=None):
+    """x (x) v -> v_(0) (x) beta^-1(v_(1)).x for a right slice
+    slice_r(v, a) = v_(0) (x) v_(1)a on a carrier of the given arity: the
+    slice is taken at beta(e) for a local unit e of x, so beta^-1 of its
+    A-leg acts on x = e.x."""
     def term(s):
         xs, vs = split_sym(s, X.arity)
         x = X.el(xs)
         e = X.local_unit([x])
-        return apply_legs(V.coaction.slice_r(V.module.el(vs), e),
-                          V.module.arity, 1, lambda m: X.act(m, x))
+        return apply_legs(slice_r(Element.basis(x.field, vs), twist(beta, e)),
+                          arity, 1,
+                          lambda m: X.act(untwist(beta, m), x))
     return xv.map_terms(term)
+
+
+def braiding_c(X, V, xv, beta=None):
+    """C_{X,V}(x (x) v) = v_(0) (x) beta^-1(v_(1)).x, with v_(1) acting
+    through a local unit decomposition of x; the YD braiding is the one at
+    beta = None."""
+    return _splice(X, V.module.arity, V.coaction.slice_r, xv, beta)
 
 
 def braiding_c_inv(X, V, vx):
@@ -290,13 +312,7 @@ class HalfBraiding:
     def component(self, X, xv):
         """C_{X,V}(x (x) v) = (i (x) xbar) C_{A,V}(e (x) v) for a local unit
         e of x, where xbar(a) = a.x."""
-        def term(s):
-            xs, vs = split_sym(s, X.arity)
-            x = X.el(xs)
-            e = X.local_unit([x])
-            return apply_legs(self.cA(e, self.module.el(vs)),
-                              self.module.arity, 1, lambda m: X.act(m, x))
-        return xv.map_terms(term)
+        return _splice(X, self.module.arity, lambda v, e: self.cA(e, v), xv)
 
 
 def functor_g(V):
@@ -455,21 +471,7 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
     # both sides realized with local-unit splits of a
     def trial():
         a, x, v = ra(), ra(), rv()
-        img = H.cA(x, v)
-        lhs = img
-        if not img.is_zero():
-            u1 = alg.local_unit([alg.el(split_sym(s, H.module.arity)[1])
-                                 for s in img.terms])
-
-            def term(s):
-                p, q = legs(s)
-
-                def leg(s2):
-                    v0, m = split_sym(s2, H.module.arity)
-                    return tensor(H.module.act(alg.el(p), H.module.el(v0)),
-                                  alg.mult(alg.el(q), alg.el(m)))
-                return img.map_terms(leg)
-            lhs = mha.delta_r(a, u1).map_terms(term)
+        lhs = act_on_slice(H.module, a, H.cA(x, v))
 
         def term(s):
             p, q = legs(s)

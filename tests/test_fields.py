@@ -43,6 +43,17 @@ def test_prime_div_is_multiplication_by_the_inverse():
             assert F.div(F.from_int(3), a) == F.from_int(3) * inv
 
 
+def test_one_is_a_primitive_first_root_of_unity_over_f2(tmp_path, capsys):
+    F = PrimeField(2)
+    assert F.primitive_root_of_unity(1) == F.one()
+    assert F.primitive_root_of_unity(2) is None
+    # the qt-coaction suite applies to Z/1 over F_2 and passes
+    rc = cli.main(["check", "qt-coaction", "--instance", "grp-Zn:1",
+                   "--field", "fp:2", "--samples", "3",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 0, capsys.readouterr()
+
+
 def test_gf_equality_fast_path_respects_the_prime():
     assert GF(3, 5) == GF(8, 5)
     assert GF(3, 5) != GF(3, 7)

@@ -1,6 +1,7 @@
 """Twisted Yetter-Drinfel'd modules, the twisted automorphism-pair group,
 and the pair-graded (T-category) structure."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from ydcheck.fields import QQ
 from ydcheck.linear import Element, Ten, tensor
 from ydcheck.instances import (build_instance, group_S3, inner_automorphism,
                                h4_scaling_automorphism, identity_automorphism)
+from ydcheck.mha import random_alg_element
+from ydcheck.modules import random_mod_element
 from ydcheck.yd import canonical_yd, yd_tensor
 from ydcheck.gyd import (AutoPair, identity_pair, GYDModule, check_gyd,
                          gyd_from_yd, trivial_gyd, counit_gyd,
@@ -73,6 +76,32 @@ def test_stretch_fixture_on_fun_z():
     assert not V.pair.alpha.is_identity_on([mha.el(1)])
     rep = check_gyd(V, samples=25, seed=3)
     assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("other", [trivial_gyd, counit_gyd])
+def test_stretch_tensors_on_fun_z_pass_at_the_product_pair(other):
+    # the twisted local unit rules on a non-unital instance: one tensor
+    # factor acts through the counit at (id, id) or (neg, neg), the other
+    # sits at (neg, id); e = local_unit([x], [a]) fixes x and a, also on
+    # the crossing of the stretch fixture by its own pair
+    mha = build_instance("fun-Z", QQ)
+    alg = mha.algebra
+    V = stretch_gyd(mha)
+    mods = [crossed_functor(V.pair, V).module]
+    for aut in (None, V.pair.alpha):
+        W = other(mha, aut)
+        for T in (gyd_tensor(V, W), gyd_tensor(W, V)):
+            rep = check_gyd(T, samples=15, seed=4)
+            assert rep.ok, rep.summary()
+            mods.append(T.module)
+    rng = random.Random(2)
+    for mod in mods:
+        for _ in range(6):
+            x = random_mod_element(rng, mod)
+            a = random_alg_element(rng, mha)
+            e = mod.local_unit([x], [a])
+            assert mod.act(e, x) == x, mod.name
+            assert alg.mult(e, a) == a == alg.mult(a, e), mod.name
 
 
 def test_corrupted_beta_fails_with_witness():

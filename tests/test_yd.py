@@ -1,6 +1,7 @@
 """Yetter-Drinfel'd compatibility, tensor structure, braiding, and the
 centre-equivalence functors, with grouplike hand-oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,13 @@ import pytest
 from ydcheck.fields import QQ
 from ydcheck.linear import Element, Ten, tensor
 from ydcheck.instances import build_instance, CORE_INSTANCES, group_S3
+from ydcheck.mha import random_alg_element
 from ydcheck.modules import (regular_module, coproduct_coaction, Coaction,
-                             adjoint_module)
+                             adjoint_module, random_mod_element)
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_half_braiding, check_equivalence,
-                        canonical_yd, trivial_yd)
+                        canonical_yd, trivial_yd, tensor_module)
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
@@ -62,6 +64,25 @@ def test_yd_tensor_passes_and_grouplike_coaction_order():
     got = VW.coaction.slice_r(VW.module.el(Ten((g, h))), mha.el(ap))
     expect = Element.basis(QQ, Ten((g, h, g3.mul(g3.mul(h, g), ap))))
     assert got == expect
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf"])
+def test_diagonal_local_unit_fixes_the_vector_and_the_algebra(name):
+    # e = local_unit([x], [a]) on a tensor module of a non-unital instance:
+    # e.x = x and ea = ae = a
+    mha = build_instance(name, QQ)
+    alg = mha.algebra
+    reg = regular_module(mha)
+    mods = [V.module for V in yd_fixtures(mha) if V.module.kind == "tensor"]
+    mods.append(tensor_module(reg, reg))
+    rng = random.Random(5)
+    for mod in mods:
+        for _ in range(6):
+            x = random_mod_element(rng, mod)
+            a = random_alg_element(rng, mha)
+            e = mod.local_unit([x], [a])
+            assert mod.act(e, x) == x, mod.name
+            assert alg.mult(e, a) == a == alg.mult(a, e), mod.name
 
 
 def test_braiding_grouplike_oracle():
