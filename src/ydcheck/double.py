@@ -8,10 +8,9 @@ the base at a pair (alpha, beta):
     (p >< a)(p' >< a')
         = p (alpha(a_(1)) |> p' <| S^-1(beta(a_(3)))) >< a_(2) a'
 
-with the coregular actions (a |> p)(x) = p(xa) and (p <| a)(x) = p(ax).
-The source material leaves the orientation of |>/<| to an external
-convention, so the constructor supports the mirrored assignment as well and
-the correspondence checks certify which one closes the round trips.
+with the coregular actions (a |> p)(x) = p(xa) and (p <| a)(x) = p(ax):
+alpha(a_(1)) acts on the left of p' and S^-1(beta(a_(3))) on its right (the
+standard orientation, which the correspondence round trips certify).
 """
 
 import random
@@ -21,7 +20,7 @@ from .linear import (Element, Ten, tensor, legs, make_sym, sym_str, apply_legs,
 from .mha import Algebra, random_alg_element
 from .modules import UnitalModule, Coaction, random_mod_element
 from .yd import split_sym, canonical_yd
-from .gyd import (GYDModule, AutoPair, identity_pair, check_gyd, trivial_gyd,
+from .gyd import (GYDModule, identity_pair, check_gyd, trivial_gyd,
                   gyd_from_yd)
 from .report import Report
 from .instances import dual_hopf, dual_sym, compute_integrals
@@ -31,16 +30,13 @@ class DiagonalCrossedProduct:
     """The crossed-product algebra on basis symbols (p_s >< t), together
     with the coalgebra structure used by smash products."""
 
-    def __init__(self, base, pair=None, convention="standard", name=None):
+    def __init__(self, base, pair=None, name=None):
         if base.algebra.basis is None or not base.algebra.has_unit:
             raise ValueError("the crossed product needs a finite-dimensional "
                              "unital instance")
-        if convention not in ("standard", "mirrored"):
-            raise ValueError("unknown coregular convention %r" % convention)
         self.base = base
         self.dual = dual_hopf(base)
         self.pair = pair if pair is not None else identity_pair(base)
-        self.convention = convention
         self.field = base.field
         self.name = name or ("%s><%s@%s" % (self.dual.name, base.name,
                                             self.pair.name))
@@ -48,12 +44,10 @@ class DiagonalCrossedProduct:
         dual, field = self.dual, self.field
 
         def bracket(a1, q, a3):
-            """alpha(a1) |> q <| S^-1(beta(a3)) under the active convention."""
+            """alpha(a1) |> q <| S^-1(beta(a3))."""
             left = alpha(base.el(a1))
             right = base.antipode_inv(beta(base.el(a3)))
-            if convention == "standard":
-                return dual.act_right(dual.act_left(left, q), right)
-            return dual.act_left(right, dual.act_right(q, left))
+            return dual.act_right(dual.act_left(left, q), right)
 
         def mult_basis(s1, s2):
             p, a = legs(s1)
@@ -110,14 +104,13 @@ class DiagonalCrossedProduct:
                                  for s, c in prod.terms.items())
                 if entries:
                     table.append([i, j, [[k, c] for k, c in entries]])
-        return {"name": self.name, "convention": self.convention,
+        return {"name": self.name, "convention": "standard",
                 "basis": labels, "table": table}
 
 
-def drinfeld_double(base, convention="standard", name=None):
+def drinfeld_double(base, name=None):
     """The crossed product at the identity pair."""
     return DiagonalCrossedProduct(base, identity_pair(base),
-                                  convention=convention,
                                   name=name or ("D(%s)" % base.name))
 
 
@@ -262,7 +255,7 @@ def dcp_module_to_yd(M, integrals=None, name=None):
     # carrier symbols may themselves be tensors (e.g. the regular module of
     # the crossed product); track their leg count so slices split correctly
     ar = len(legs(M.basis[0]))
-    mod = UnitalModule(base, act_basis, basis=M.basis, kind="other", arity=ar,
+    mod = UnitalModule(base, act_basis, basis=M.basis, arity=ar,
                        name=(name or M.name) + ":as-yd")
 
     # materialize the coaction once per carrier basis symbol

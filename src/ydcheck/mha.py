@@ -190,6 +190,11 @@ class MultiplierHopfAlgebra:
     def antipode_inv(self, x):
         return x.map_terms(self._antipode_inv)
 
+    @property
+    def materializes_coproduct(self):
+        """Whether coproduct(x) is available (unital instances only)."""
+        return self._coproduct is not None
+
     def coproduct(self, x):
         """Materialized Delta(x); only available on unital instances."""
         if self._coproduct is None:

@@ -28,8 +28,7 @@ from .linear import (Element, tensor, legs, make_sym, apply_legs, bilinear,
 from .mha import Algebra, random_element, random_alg_element
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
-                      coproduct_coaction, trivial_coaction, random_mod_element,
-                      SOFT_KINDS)
+                      coproduct_coaction, trivial_coaction, random_mod_element)
 from .yd import (YDModule, check_yd, split_sym, braiding_c, trivial_yd,
                  tensor_module, tensor_coaction)
 from .report import Report
@@ -38,10 +37,6 @@ from .instances import group_Zn, qt_for_cyclic
 
 def _rand(rng, field, basis, max_support=2):
     return random_element(rng, field, lambda r: r.choice(basis), max_support)
-
-
-def _materialized(mha):
-    return getattr(mha, "_coproduct", None) is not None
 
 
 # -- module algebras -----------------------------------------------------------
@@ -94,7 +89,7 @@ def translation_module_algebra(mha, group, name=None):
                   basis=els, unit=unit, name="fun(%s)" % mha.name)
     mod = UnitalModule(
         mha, lambda g, y: Element.basis(field, group.mul(y, group.inv(g))),
-        basis=els, kind="other", name=(name or (mha.name + ":translation")))
+        basis=els, name=(name or (mha.name + ":translation")))
     return ModuleAlgebra(fun, mod, name=name or (mha.name + ":translation"))
 
 
@@ -127,7 +122,7 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
     rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')",
             (trial() for _ in range(samples)))
 
-    if _materialized(mha):
+    if mha.materializes_coproduct:
         def draw():
             a, x, xp = ra(), rx(), rx()
             return a, x, xp, mha.coproduct(a)
@@ -290,10 +285,7 @@ def subgroup_yd_module_algebra(mha, syms, name=None):
                   lambda a, b: alg.mult(alg.el(a), alg.el(b)),
                   basis=list(syms), unit=alg.unit,
                   name=mha.name + ":sub")
-    mod = UnitalModule(mha,
-                       lambda a, v: sub.el(v, mha.counit(alg.el(a))),
-                       basis=list(syms), kind="counit",
-                       name=(name or (mha.name + ":sub")))
+    mod = counit_module(mha, name or (mha.name + ":sub"), basis=list(syms))
     return YDModuleAlgebra(ModuleAlgebra(sub, mod), trivial_coaction(mod),
                            name=name or (mha.name + ":sub"))
 
@@ -655,16 +647,13 @@ class BalancedTensor:
     def _descend(self):
         mha, q, field = self.mha, self.quot, self.field
         amb, ac = self.amb, self.amb_coaction
-        soft = (self.M.module.kind in SOFT_KINDS
-                and self.N.module.kind in SOFT_KINDS)
         # quotient symbols are ambient symbols: the ambient local unit rule
         # serves the quotient
         mod = UnitalModule(
             mha,
             lambda asym, qsym: q.project(
                 amb.act(mha.el(asym), Element.basis(field, qsym))),
-            basis=q.basis, arity=self.arity,
-            kind="trivial" if soft else "other", local_unit=amb.local_unit,
+            basis=q.basis, arity=self.arity, local_unit=amb.local_unit,
             name=self.name)
         coa = Coaction(
             mod,
@@ -815,21 +804,38 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
     return rep
 
 
+def bracketing(tree, built):
+    """A bracketing of balanced tensors: tree is an HAModule leaf or a pair
+    (left, right) of bracketings.  Returns (T, arity, project) for a pair:
+    T = left (x)_H right, arity the leg count of the flat tensor of the
+    leaves, and project the map from that flat tensor onto T's quotient.
+    Sub-bracketings already in the dict built are shared, not rebuilt."""
+    if tree not in built:
+        def part(sub):
+            if not isinstance(sub, tuple):
+                return sub, sub.module.arity, None
+            S, arity, project = bracketing(sub, built)
+            return S.ham, arity, project
+
+        (L, al, pl), (R, ar, pr) = map(part, tree)
+        T = BalancedTensor(L, R)
+
+        def project(flat):
+            if pl is not None:
+                flat = apply_legs(flat, 0, al, pl)
+            if pr is not None:
+                flat = apply_legs(flat, al, ar, pr)
+            return T.quot.project(flat)
+        built[tree] = T, al + ar, project
+    return built[tree]
+
+
 def associator_maps(X, Y, Z):
     """The two iterated balanced tensors and the rebracketing maps between
     them, realized through projections of the flat X (x) Y (x) Z space."""
-    TXY = BalancedTensor(X, Y)
-    TL = BalancedTensor(TXY.ham, Z)
-    TYZ = BalancedTensor(Y, Z)
-    TR = BalancedTensor(X, TYZ.ham)
-    ax, ay = X.module.arity, Y.module.arity
-    az = Z.module.arity
-
-    def to_l(flat):
-        return TL.quot.project(apply_legs(flat, 0, ax + ay, TXY.quot.project))
-
-    def to_r(flat):
-        return TR.quot.project(apply_legs(flat, ax, ay + az, TYZ.quot.project))
+    built = {}
+    TL, _, to_l = bracketing(((X, Y), Z), built)
+    TR, _, to_r = bracketing((X, (Y, Z)), built)
 
     def phi(c):
         return to_r(TL.quot.section(c))
@@ -896,47 +902,21 @@ def check_pentagon(X, Y, Z, W, suite="hq-monoidal", seed=0):
     rep = Report(suite, "%s/%s,%s,%s,%s" % (mha.name, X.name, Y.name,
                                             Z.name, W.name),
                  mha.field.name, seed, 0)
-    a1, a2 = X.module.arity, Y.module.arity
-    a3, a4 = Z.module.arity, W.module.arity
+    built = {}
+    (o1, _, _), o5, o4, o2, o3 = (bracketing(tree, built) for tree in [
+        (((X, Y), Z), W), ((X, Y), (Z, W)), (X, (Y, (Z, W))),
+        ((X, (Y, Z)), W), (X, ((Y, Z), W))])
 
-    T12 = BalancedTensor(X, Y)
-    T12_3 = BalancedTensor(T12.ham, Z)
-    o1 = BalancedTensor(T12_3.ham, W)
-    T34 = BalancedTensor(Z, W)
-    o5 = BalancedTensor(T12.ham, T34.ham)
-    T2_34 = BalancedTensor(Y, T34.ham)
-    o4 = BalancedTensor(X, T2_34.ham)
-    T23 = BalancedTensor(Y, Z)
-    T1_23 = BalancedTensor(X, T23.ham)
-    o2 = BalancedTensor(T1_23.ham, W)
-    T23_4 = BalancedTensor(T23.ham, W)
-    o3 = BalancedTensor(X, T23_4.ham)
-
-    def to_o5(flat):
-        x = apply_legs(flat, 0, a1 + a2, T12.quot.project)
-        x = apply_legs(x, a1 + a2, a3 + a4, T34.quot.project)
-        return o5.quot.project(x)
-
-    def to_o4(flat):
-        x = apply_legs(flat, a1 + a2, a3 + a4, T34.quot.project)
-        x = apply_legs(x, a1, a2 + a3 + a4, T2_34.quot.project)
-        return o4.quot.project(x)
-
-    def to_o2(flat):
-        x = apply_legs(flat, a1, a2 + a3, T23.quot.project)
-        x = apply_legs(x, 0, a1 + a2 + a3, T1_23.quot.project)
-        return o2.quot.project(x)
-
-    def to_o3(flat):
-        x = apply_legs(flat, a1, a2 + a3, T23.quot.project)
-        x = apply_legs(x, a1, a2 + a3 + a4, T23_4.quot.project)
-        return o3.quot.project(x)
+    def path(flat, *stops):
+        """Rebracket flat through each stop in turn, lifting it back to a
+        flat representative between stops."""
+        for T, _, project in stops[:-1]:
+            flat = T.quot.section(project(flat))
+        return stops[-1][2](flat)
 
     def trial(b):
         flat = o1.quot.section(Element.basis(mha.field, b))
-        path_a = to_o4(o5.quot.section(to_o5(flat)))
-        path_b = to_o4(o3.quot.section(to_o3(o2.quot.section(to_o2(flat)))))
-        if path_a != path_b:
+        if path(flat, o5, o4) != path(flat, o2, o3, o4):
             return "class %r" % flat
     rep.law("pentagon", "the two composite rebracketing paths agree",
             map(trial, o1.quot.basis))
@@ -951,7 +931,7 @@ def check_module_algebra_suite(mha, samples=30, seed=0, suite="module-algebra"):
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rep.merge(check_module_algebra(counit_module_algebra(mha),
                                    samples, seed, suite), "counit")
-    if mha.cocommutative and _materialized(mha):
+    if mha.cocommutative and mha.materializes_coproduct:
         rep.merge(check_module_algebra(adjoint_module_algebra(mha),
                                        samples, seed, suite), "adjoint")
 
@@ -972,11 +952,10 @@ def check_module_algebra_suite(mha, samples=30, seed=0, suite="module-algebra"):
     if mha.commutative:
         rep.merge(check_a_commutative(ct, samples, seed, suite),
                   "counit-trivial")
-    if mha.cocommutative and _materialized(mha):
+    if mha.cocommutative and mha.materializes_coproduct:
         rep.merge(check_yd_module_algebra(
             adjoint_trivial_yd_module_algebra(mha), samples, seed, suite),
             "adjoint-trivial")
-    if mha.cocommutative and _materialized(mha):
         rep.merge(check_yd_module_algebra(canonical_yd_module_algebra(mha),
                                           samples, seed, suite),
                   "adjoint-delta")

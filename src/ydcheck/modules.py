@@ -24,17 +24,14 @@ def untwist(aut, x):
     return x if aut is None else aut.inverse(x)
 
 
-#: module kinds whose action factors through the counit
-SOFT_KINDS = ("counit", "trivial")
-
-
 class UnitalModule:
     """A unital non-degenerate left module over a multiplier Hopf algebra.
 
     act_basis(a_sym, v_sym) gives the action of a basis algebra element on a
-    basis module vector.  local_unit(velems, aelems) must return e in A with
+    basis module vector.  local_unit(velems, aelems) returns e in A with
     e.v = v for the given module elements and ea = ae = a for the given
-    algebra elements (unital algebras just return the unit).
+    algebra elements: the unit on a unital instance, and the module's
+    local_unit rule, which non-unital instances require, otherwise.
 
     The action is extended bilinearly, and the image of each basis pair
     (a_sym, v_sym) is memoized in this module object, which assumes
@@ -44,13 +41,10 @@ class UnitalModule:
     """
 
     def __init__(self, mha, act_basis, *, basis=None, sample_basis=None,
-                 local_unit=None, kind="other", arity=1, name="module"):
+                 local_unit=None, arity=1, name="module"):
         self.mha = mha
         self.field = mha.field
         self.name = name
-        # kind tags how the action factors ("mult", "counit", "trivial",
-        # "adjoint", "tensor", "other"); tensor-module local units need it
-        self.kind = kind
         self.arity = arity  # how many tensor legs a basis symbol occupies
         self.basis = list(basis) if basis is not None else None
         self._act = bilinear(self.field, act_basis)
@@ -60,12 +54,10 @@ class UnitalModule:
             self._sample_basis = lambda rng: rng.choice(self.basis)
         else:
             raise ValueError("infinite module needs a basis sampler")
-        if local_unit is not None:
-            self._local_unit = local_unit
-        elif mha.algebra.has_unit:
-            self._local_unit = lambda velems, aelems: mha.algebra.unit
-        else:
+        self._unit = mha.algebra.unit
+        if local_unit is None and self._unit is None:
             raise ValueError("non-unital instance: module %s needs a local unit rule" % name)
+        self._local_unit = local_unit
 
     def el(self, sym, coeff=None):
         return Element.basis(self.field, sym, coeff)
@@ -80,6 +72,8 @@ class UnitalModule:
         return self._act(a, v)
 
     def local_unit(self, velems, aelems=()):
+        if self._unit is not None:
+            return self._unit
         return self._local_unit(list(velems), list(aelems))
 
 
@@ -97,34 +91,20 @@ def extend_action(module, f, x):
 
 
 class ExtendedElement:
-    """An element of an extended module, kept intensionally as its defining
-    map(s): lam realizes a |-> y.a and rho realizes a |-> a.y.  Equality is
-    only ever decided extensionally on finitely many probe arguments."""
+    """An element of the left extended module, kept intensionally as its
+    defining map rho: a |-> a.y.  Equality is only ever decided
+    extensionally on finitely many probe arguments."""
 
-    def __init__(self, module, kind, lam=None, rho=None, label="extended"):
-        if kind not in ("left", "right", "bimodule"):
-            raise ValueError("kind must be left, right or bimodule")
+    def __init__(self, module, rho, label="extended"):
         self.module = module
-        self.kind = kind
-        self._lam = lam
-        self._rho = rho
+        self.rho = rho
         self.label = label
-
-    def lam(self, a):
-        if self._lam is None:
-            raise ValueError("%s carries no lambda map" % self.label)
-        return self._lam(a)
-
-    def rho(self, a):
-        if self._rho is None:
-            raise ValueError("%s carries no rho map" % self.label)
-        return self._rho(a)
 
     def acted_by(self, a):
         """The left A-action on extended elements: (a.rho)(a') = rho(a'a)."""
         alg = self.module.mha.algebra
-        return ExtendedElement(self.module, self.kind,
-                               rho=lambda ap: self.rho(alg.mult(ap, a)),
+        return ExtendedElement(self.module,
+                               lambda ap: self.rho(alg.mult(ap, a)),
                                label="%r.%s" % (a, self.label))
 
     def agrees_with(self, other, probes):
@@ -133,8 +113,8 @@ class ExtendedElement:
 
 def embed_rho(module, x):
     """The canonical embedding of x as the extended element a |-> a.x."""
-    return ExtendedElement(module, "left",
-                           rho=lambda a: module.act(a, x), label="rho(%r)" % x)
+    return ExtendedElement(module, lambda a: module.act(a, x),
+                           label="rho(%r)" % x)
 
 
 # -- coactions ----------------------------------------------------------------
@@ -185,39 +165,25 @@ def regular_module(mha, name=None):
         basis=alg.basis,
         sample_basis=None if alg.basis is not None else alg._sample_basis,
         local_unit=lambda velems, aelems: alg.local_unit(velems + aelems),
-        kind="mult", name=name or (mha.name + ":regular"))
+        name=name or (mha.name + ":regular"))
 
 
-def counit_module(mha, name=None):
-    """A acting on itself through the counit: a.v = eps(a) v."""
+def counit_module(mha, name=None, *, basis=None):
+    """A acting through the counit, a.v = eps(a) v, on a carrier whose basis
+    defaults to A's; a given basis is sampled uniformly."""
     alg = mha.algebra
-
-    def lu(velems, aelems):
-        if alg.has_unit:
-            return alg.unit
-        # any e with eps(e) = 1 absorbing the algebra elements works
-        return alg.local_unit(aelems + [mha.eps_one])
-
     return UnitalModule(
-        mha, lambda a, v: alg.el(v, mha.counit(alg.el(a))),
-        basis=alg.basis,
-        sample_basis=None if alg.basis is not None else alg._sample_basis,
-        local_unit=lu, kind="counit", name=name or (mha.name + ":counit"))
+        mha, lambda a, v: Element.basis(mha.field, v, mha.counit(alg.el(a))),
+        basis=alg.basis if basis is None else basis,
+        sample_basis=alg._sample_basis if basis is None else None,
+        # any e with eps(e) = 1 absorbing the algebra elements works
+        local_unit=lambda velems, aelems: alg.local_unit(aelems + [mha.eps_one]),
+        name=name or (mha.name + ":counit"))
 
 
 def trivial_module(mha, name=None):
-    """The base field as a module: a.lambda = eps(a) lambda."""
-    alg = mha.algebra
-
-    def lu(velems, aelems):
-        if alg.has_unit:
-            return alg.unit
-        return alg.local_unit(list(aelems) + [mha.eps_one])
-
-    return UnitalModule(
-        mha, lambda a, v: Element.basis(mha.field, "*", mha.counit(alg.el(a))),
-        basis=["*"], local_unit=lu, kind="trivial",
-        name=name or (mha.name + ":trivial"))
+    """The base field as a module: the counit action on the carrier "*"."""
+    return counit_module(mha, name or (mha.name + ":trivial"), basis=["*"])
 
 
 def adjoint_module(mha, alpha=None, beta=None, name=None):
@@ -234,7 +200,7 @@ def adjoint_module(mha, alpha=None, beta=None, name=None):
                             twist(alpha, mha.antipode_inv(alg.el(a1))))
         return mha.coproduct(alg.el(a)).map_terms(term)
 
-    return UnitalModule(mha, act, basis=alg.basis, kind="adjoint",
+    return UnitalModule(mha, act, basis=alg.basis,
                         name=name or (mha.name + ":adjoint"))
 
 

@@ -24,7 +24,7 @@ from .report import Report
 from .modules import (UnitalModule, Coaction, random_mod_element,
                       trivial_module, trivial_coaction, counit_module,
                       adjoint_module, regular_module, coproduct_coaction,
-                      twist, untwist, SOFT_KINDS)
+                      twist, untwist)
 
 
 class YDModule:
@@ -152,7 +152,13 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
     """V (x) W with the diagonal action gamma(a_(1)).v (x) theta(a_(2)).w,
     realized by splitting a against a theta^-1-twisted module local unit of
     the W component.  The untwisted action a_(1).v (x) a_(2).w is the one at
-    gamma = theta = None."""
+    gamma = theta = None.
+
+    One local unit rule serves any two modules at any twist: with u, u'
+    local units of the V- and W-legs and c a coproduct cover of
+    gamma^-1(u) (x) theta^-1(u'), every e with ec = c fixes each v (x) w,
+    since (gamma (x) theta)(Delta(e)(gamma^-1(u) (x) theta^-1(u'))) = u (x) u'.
+    """
     mha = V.mha
     alg = mha.algebra
 
@@ -166,6 +172,17 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
                           W.act(twist(theta, alg.el(q)), W.el(ws)))
         return mha.delta_r(alg.el(asym), e).map_terms(term)
 
+    def local_unit(velems, aelems):
+        vlegs, wlegs = [], []
+        for x in velems:
+            for s in x.terms:
+                vs, ws = split_sym(s, V.arity)
+                vlegs.append(V.el(vs))
+                wlegs.append(W.el(ws))
+        c = mha.delta_cover([untwist(gamma, V.local_unit(vlegs))],
+                            [untwist(theta, W.local_unit(wlegs))])
+        return alg.local_unit([c] + aelems)
+
     basis = None
     if V.basis is not None and W.basis is not None:
         basis = [Ten(legs(v) + legs(w)) for v in V.basis for w in W.basis]
@@ -175,43 +192,8 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
                       W.el(W.sample_basis(rng))).support()[0]
 
     return UnitalModule(mha, act, basis=basis, sample_basis=sample,
-                        local_unit=diagonal_local_unit(V, W, gamma, theta),
-                        kind="tensor", arity=V.arity + W.arity,
+                        local_unit=local_unit, arity=V.arity + W.arity,
                         name=name or ("%s(x)%s" % (V.name, W.name)))
-
-
-def diagonal_local_unit(V, W, gamma=None, theta=None):
-    """The local unit rule of the diagonal action gamma(a_(1)).v (x)
-    theta(a_(2)).w on elements of V (x) W: the unit on unital instances;
-    when one factor acts through the counit (eps o gamma = eps), the other
-    factor's local unit, untwisted, absorbing the twisted algebra elements;
-    when both factors are A acting on itself untwisted, a coproduct cover."""
-    mha = V.mha
-    alg = mha.algebra
-    if alg.has_unit:
-        return lambda velems, aelems: alg.unit
-
-    def factor(velems, side):
-        return [(V, W)[side].el(split_sym(s, V.arity)[side])
-                for x in velems for s in x.terms]
-
-    if V.kind in SOFT_KINDS:
-        # the counit leg collapses: sum eps(e_(1)) theta(e_(2)).w = theta(e).w
-        def lu(velems, aelems):
-            return untwist(theta, W.local_unit(
-                factor(velems, 1), [twist(theta, a) for a in aelems]))
-    elif W.kind in SOFT_KINDS:
-        def lu(velems, aelems):
-            return untwist(gamma, V.local_unit(
-                factor(velems, 0), [twist(gamma, a) for a in aelems]))
-    elif V.kind == W.kind == "mult" and gamma is None and theta is None:
-        def lu(velems, aelems):
-            c = mha.delta_cover(factor(velems, 0), factor(velems, 1))
-            return alg.local_unit([c] + aelems)
-    else:
-        raise ValueError("no diagonal local unit rule for %s (x) %s"
-                         % (V.name, W.name))
-    return lu
 
 
 def tensor_coaction(mod, V, W):
@@ -411,7 +393,7 @@ def canonical_yd(mha):
     """The canonical nontrivial fixture: on unital instances A with the
     twisted adjoint action and Gamma = Delta; on commutative instances A with
     the counit action and Gamma = Delta."""
-    if mha._coproduct is not None:
+    if mha.materializes_coproduct:
         mod = adjoint_module(mha)
     elif mha.commutative:
         mod = counit_module(mha)

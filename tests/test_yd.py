@@ -16,6 +16,7 @@ from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_half_braiding, check_equivalence,
                         canonical_yd, trivial_yd, tensor_module)
+from ydcheck.gyd import stretch_gyd
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
@@ -69,12 +70,17 @@ def test_yd_tensor_passes_and_grouplike_coaction_order():
 @pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf"])
 def test_diagonal_local_unit_fixes_the_vector_and_the_algebra(name):
     # e = local_unit([x], [a]) on a tensor module of a non-unital instance:
-    # e.x = x and ea = ae = a
+    # e.x = x and ea = ae = a, for every pair of factors (tensors of
+    # tensors included) and, on fun-Z, the twisted stretch module
     mha = build_instance(name, QQ)
     alg = mha.algebra
     reg = regular_module(mha)
-    mods = [V.module for V in yd_fixtures(mha) if V.module.kind == "tensor"]
-    mods.append(tensor_module(reg, reg))
+    factors = [V.module for V in yd_fixtures(mha)] + [reg]
+    pairs = [tensor_module(V, W) for V in factors for W in factors]
+    mods = pairs + [tensor_module(T, reg) for T in pairs]
+    if name == "fun-Z":
+        stretch = stretch_gyd(mha).module
+        mods += [tensor_module(stretch, reg), tensor_module(reg, stretch)]
     rng = random.Random(5)
     for mod in mods:
         for _ in range(6):
