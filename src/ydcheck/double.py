@@ -2,15 +2,18 @@
 dual, Drinfel'd doubles, the correspondence between twisted Yetter-Drinfel'd
 modules and modules over the crossed product, and smash products.
 
-Multiplication in the crossed product, for p, p' in the dual and a, a' in
-the base at a pair (alpha, beta):
+The crossed product at a pair (alpha, beta) is the dual and the base glued
+by one exchange rule, for q in the dual and a in the base:
 
-    (p >< a)(p' >< a')
-        = p (alpha(a_(1)) |> p' <| S^-1(beta(a_(3)))) >< a_(2) a'
+    (1 >< a)(q >< 1) = alpha(a_(1)) |> q <| S^-1(beta(a_(3))) >< a_(2)
 
 with the coregular actions (a |> p)(x) = p(xa) and (p <| a)(x) = p(ax):
-alpha(a_(1)) acts on the left of p' and S^-1(beta(a_(3))) on its right (the
-standard orientation, which the correspondence round trips certify).
+alpha(a_(1)) acts on the left of q and S^-1(beta(a_(3))) on its right (the
+standard orientation, which the correspondence round trips certify).  The
+rule is evaluated once per basis pair (a, q), and every product reads it:
+
+    (p >< a)(q >< b) = (p >< 1)(1 >< a)(q >< 1)(1 >< b)
+        = p (alpha(a_(1)) |> q <| S^-1(beta(a_(3)))) >< a_(2) b
 """
 
 import random
@@ -43,22 +46,26 @@ class DiagonalCrossedProduct:
         alpha, beta = self.pair.alpha, self.pair.beta
         dual, field = self.dual, self.field
 
-        def bracket(a1, q, a3):
-            """alpha(a1) |> q <| S^-1(beta(a3))."""
-            left = alpha(base.el(a1))
-            right = base.antipode_inv(beta(base.el(a3)))
-            return dual.act_right(dual.act_left(left, q), right)
+        def exchange_basis(a, q):  # (1 >< a)(q >< 1)
+            def term(s):  # a_(1) (x) a_(2) (x) a_(3)
+                a1, a2, a3 = legs(s)
+                moved = dual.act_right(
+                    dual.act_left(alpha(base.el(a1)), dual.el(q)),
+                    base.antipode_inv(beta(base.el(a3))))
+                return tensor(moved, base.el(a2))
+            return base.sweedler(base.el(a), 3).map_terms(term)
 
-        def mult_basis(s1, s2):
+        exchange = bilinear(field, exchange_basis)
+
+        def mult_basis(s1, s2):  # (p >< 1)(1 >< a)(q >< 1)(1 >< b)
             p, a = legs(s1)
             q, b = legs(s2)
 
-            def term(s):  # a_(1) (x) a_(2) (x) a_(3)
-                a1, a2, a3 = legs(s)
-                mid = bracket(a1, dual.el(q), a3)
-                return tensor(dual.algebra.mult(dual.el(p), mid),
-                              base.algebra.mult(base.el(a2), base.el(b)))
-            return base.sweedler(base.el(a), 3).map_terms(term)
+            def term(s):
+                r, c = legs(s)
+                return tensor(dual.algebra.mult(dual.el(p), dual.el(r)),
+                              base.algebra.mult(base.el(c), base.el(b)))
+            return exchange(base.el(a), dual.el(q)).map_terms(term)
 
         basis = [Ten((dual_sym(s), t)) for s in base.algebra.basis
                  for t in base.algebra.basis]
@@ -260,16 +267,13 @@ def dcp_module_to_yd(M, integrals=None, name=None):
 
     # materialize the coaction once per carrier basis symbol
     cop_t = base.coproduct(integrals.t)
+    phi = Element(field, {dual_sym(s): c for s, c in integrals.phi_coeffs.items()})
 
     def coaction_of(msym):
         def term(s):
-            t1, t2 = legs(s)
-            # phi(. t_(2)) as a dual element
-            p = Element(field, {
-                dual_sym(b): integrals.phi(base.algebra.mult(base.el(b),
-                                                             base.el(t2)))
-                for b in base.algebra.basis})
-            moved = M.act(tensor(p, base.algebra.unit), M.el(msym))
+            t1, t2 = legs(s)  # phi(. t_(2)) = t_(2) |> phi
+            moved = M.act(tensor(dual.act_left(base.el(t2), phi),
+                                 base.algebra.unit), M.el(msym))
             return tensor(moved, base.antipode_inv(base.el(t1)))
         return cop_t.map_terms(term)
 

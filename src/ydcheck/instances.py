@@ -12,8 +12,8 @@ Registry names (used by the CLI):
 
 import random
 
-from .linear import (Element, Ten, tensor, legs, apply_legs, flip,
-                     kernel_basis)
+from .linear import (Element, Ten, tensor, legs, make_sym, apply_legs, flip,
+                     kernel_basis, linear, bilinear)
 from .mha import Algebra, MultiplierHopfAlgebra, random_alg_element
 
 
@@ -272,17 +272,31 @@ def dual_sym(s):
     return ("^", s)
 
 
+def transpose(field, domain, f):
+    """The transpose of a linear map f whose domain has the basis symbols
+    `domain`, as a basis map on functionals: k^ -> sum_a f(a)[k] a^.
+    Symbols are dualized legwise, so a functional on a tensor power is a
+    tensor of dual symbols.  Each image is memoized (f must be pure)."""
+    def column(k):
+        k = make_sym(tuple(p[1] for p in legs(k)))
+        return Element(field, {make_sym(tuple(map(dual_sym, legs(a)))):
+                               f(Element.basis(field, a)).coeff(k)
+                               for a in domain})
+    ext = linear(field, column)
+    return lambda k: ext(Element.basis(field, k))
+
+
 class DualHopf(MultiplierHopfAlgebra):
     """The dual Hopf algebra on the dual basis, with the canonical pairing
     and the two coregular actions (a |> p)(x) = p(xa), (p <| a)(x) = p(ax).
 
-    The structure maps are tabulated once, when the instance is built: the
-    base's product and coproduct tables are inverted into the dual's
-    coproduct and product tables, and the base's S and S^-1 are transposed
-    over the basis (n calls each).  The basis maps passed on are lookups in
-    those tables, which assumes the base's structure maps are pure.  They
-    remain the instance's own closures, so a copy.copy whose _antipode is
-    replaced sees its replacement.
+    Every structure map, and both actions, is the transpose of a base map:
+    the product transposes Delta, the coproduct m, the antipode and its
+    inverse S and S^-1, and a |> . and . <| a right and left multiplication
+    by a.  Each is evaluated on first use and memoized, which assumes the
+    base's structure maps are pure.  The basis maps passed on remain the instance's own
+    closures, so a copy.copy whose _antipode is replaced sees its
+    replacement.
     """
 
     def __init__(self, base, name):
@@ -291,51 +305,35 @@ class DualHopf(MultiplierHopfAlgebra):
         field = base.field
         self.base = base
         bsyms = base.algebra.basis
-        dsyms = [dual_sym(a) for a in bsyms]
+        mult = base.algebra.mult
 
-        # structure constants of the base, read backwards:
-        #   (pq)(a) = (p (x) q)(Delta(a)),  <Delta(p), a (x) b> = p(ab)
-        prod_t = {(p, q): {} for p in dsyms for q in dsyms}
-        for a in bsyms:
-            for s, c in base.coproduct(base.el(a)).terms.items():
-                i, j = legs(s)
-                prod_t[(dual_sym(i), dual_sym(j))][dual_sym(a)] = c
-        cop_t = {p: {} for p in dsyms}
-        for a in bsyms:
-            for b in bsyms:
-                ab = base.algebra.mult(base.el(a), base.el(b))
-                for k, c in ab.terms.items():
-                    cop_t[dual_sym(k)][Ten((dual_sym(a), dual_sym(b)))] = c
-        prod_t = {pq: Element(field, t) for pq, t in prod_t.items()}
-        cop_t = {p: Element(field, t) for p, t in cop_t.items()}
-
-        # S(p) = p o S: the transpose of S over the basis
-        def transpose(f):
-            cols = {a: f(base.el(a)) for a in bsyms}
-            return {dual_sym(k): Element(field, {dual_sym(a): cols[a].coeff(k)
-                                                 for a in bsyms})
-                    for k in bsyms}
-
-        anti_t = transpose(base.antipode)
-        anti_inv_t = transpose(base.antipode_inv)
-
-        def mult_basis(p, q):
-            return prod_t[(p, q)]
+        # (pq)(a) = (p (x) q)(Delta(a)),  <Delta(p), a (x) b> = p(ab),
+        # S(p) = p o S,  S^-1(p) = p o S^-1
+        product = transpose(field, bsyms, base.coproduct)
+        cop_basis = transpose(field, [Ten((a, b)) for a in bsyms for b in bsyms],
+                              base.mult_legs)
+        dual_s = transpose(field, bsyms, base.antipode)
+        dual_s_inv = transpose(field, bsyms, base.antipode_inv)
 
         unit = Element(field, {dual_sym(a): base.counit(base.el(a)) for a in bsyms})
-        alg = Algebra(field, mult_basis, basis=dsyms, unit=unit, name=name)
-
-        def cop_basis(p):
-            return cop_t[p]
+        alg = Algebra(field, lambda p, q: product(Ten((p, q))),
+                      basis=[dual_sym(a) for a in bsyms], unit=unit, name=name)
 
         def counit(p):  # eps(p) = p(1)
             return base.algebra.unit.coeff(p[1])
 
+        # named, so that perfbench/layertrace.py can count dual antipode calls
         def anti(p):
-            return anti_t[p]
+            return dual_s(p)
 
         def anti_inv(p):
-            return anti_inv_t[p]
+            return dual_s_inv(p)
+
+        # a |> p = p o (. a) and p <| a = p o (a .), per basis pair
+        self._act_left = bilinear(field, lambda a, p: transpose(
+            field, bsyms, lambda x: mult(x, base.el(a)))(p))
+        self._act_right = bilinear(field, lambda p, a: transpose(
+            field, bsyms, lambda x: mult(base.el(a), x))(p))
 
         super().__init__(alg, **unital_slices(alg, cop_basis),
                          counit=counit, antipode=anti, antipode_inv=anti_inv,
@@ -350,17 +348,11 @@ class DualHopf(MultiplierHopfAlgebra):
 
     def act_left(self, a, p):
         """a |> p, i.e. x -> p(xa)."""
-        base = self.base
-        return p.map_terms(lambda s: Element(self.field, {
-            dual_sym(b): base.algebra.mult(base.el(b), a).coeff(s[1])
-            for b in base.algebra.basis}))
+        return self._act_left(a, p)
 
     def act_right(self, p, a):
         """p <| a, i.e. x -> p(ax)."""
-        base = self.base
-        return p.map_terms(lambda s: Element(self.field, {
-            dual_sym(b): base.algebra.mult(a, base.el(b)).coeff(s[1])
-            for b in base.algebra.basis}))
+        return self._act_right(p, a)
 
 
 def dual_hopf(base, name=None):
@@ -596,7 +588,7 @@ class QTStructure:
         def trial(s):
             d = mha.coproduct(mha.el(s))
             if alg.mult_tensor(flip(d), self.r) != alg.mult_tensor(self.r, d):
-                return "a=%r" % s
+                return "a=%r" % (s,)
         report.law("qt-intertwine", "Delta^cop(a) R = R Delta(a)",
                    map(trial, alg.basis))
 

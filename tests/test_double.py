@@ -13,7 +13,7 @@ from ydcheck.instances import (build_instance, group_S3, dual_sym,
                                h4_scaling_automorphism)
 from ydcheck.yd import canonical_yd
 from ydcheck.gyd import (AutoPair, identity_pair, gyd_from_yd, trivial_gyd,
-                         counit_gyd, twisted_adjoint_gyd)
+                         counit_gyd, twisted_adjoint_gyd, parse_pair)
 from ydcheck.double import (DiagonalCrossedProduct, drinfeld_double, check_dcp,
                             DcpModule, check_dcp_module, regular_dcp_module,
                             yd_to_dcp_module, dcp_module_to_yd,
@@ -56,6 +56,50 @@ def test_double_ks3_conjugation_on_dual_basis():
             right = alg.el(Ten((dual_sym(h), e)))
             conj = g3.mul(g3.mul(g, h), g3.inv(g))
             assert alg.mult(left, right) == alg.el(Ten((dual_sym(conj), g)))
+
+
+@pytest.mark.parametrize("name,spec", [("grp-S3", "inner:2,3"),
+                                       ("sweedler-H4", "scale:2,3"),
+                                       ("dual:sweedler-H4", "identity")])
+def test_crossed_product_matches_its_defining_formula(name, spec):
+    """On every basis pair, (p >< a)(q >< b) equals
+    p (alpha(a_(1)) |> q <| S^-1(beta(a_(3)))) >< a_(2) b, with the bracket
+    and the dual product read off the pairing, not the library's actions:
+    (a |> q <| c)(x) = q(c x a) and (pr)(x) = p(x_(1)) r(x_(2))."""
+    mha = build_instance(name, QQ)
+    D = DiagonalCrossedProduct(mha, parse_pair(mha, spec))
+    alpha, beta = D.pair.alpha, D.pair.beta
+    H, pairing = mha.algebra, D.dual.pairing
+    zero = QQ.zero()
+
+    def functional(values):  # {x: f(x)} as a dual element
+        return Element(QQ, {dual_sym(x): v for x, v in values.items()})
+
+    def bracket(a, q, c):
+        return functional({x: pairing(q, H.mult(H.mult(c, H.el(x)), a))
+                           for x in H.basis})
+
+    def dual_mult(p, r):
+        def value(x):
+            return sum((c * pairing(p, H.el(x1)) * pairing(r, H.el(x2))
+                        for (x1, x2), c in mha.coproduct(H.el(x)).terms.items()),
+                       zero)
+        return functional({x: value(x) for x in H.basis})
+
+    for s1 in D.algebra.basis:
+        p, a = s1
+        for s2 in D.algebra.basis:
+            q, b = s2
+
+            def term(s):  # a_(1) (x) a_(2) (x) a_(3)
+                a1, a2, a3 = s
+                mid = bracket(alpha(H.el(a1)), D.dual.el(q),
+                              mha.antipode_inv(beta(H.el(a3))))
+                return tensor(dual_mult(D.dual.el(p), mid),
+                              H.mult(H.el(a2), H.el(b)))
+            want = mha.sweedler(H.el(a), 3).map_terms(term)
+            got = D.algebra.mult(D.algebra.el(s1), D.algebra.el(s2))
+            assert got == want, (s1, s2)
 
 
 def test_double_ks3_associative_sampled():

@@ -18,7 +18,8 @@ from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                dual_hopf, dual_sym, compute_integrals,
                                identity_automorphism, group_map_automorphism,
                                inner_automorphism, h4_scaling_automorphism,
-                               qt_for_cyclic, build_instance, ConstructionError)
+                               qt_for_cyclic, QTStructure, build_instance,
+                               ConstructionError)
 from ydcheck.mha import check_mha_axioms
 from ydcheck.report import Report
 
@@ -223,19 +224,25 @@ def test_dual_tables_are_not_shared_with_a_copy(name):
     assert len(hit) == 1 and not hit[0].ok and hit[0].witness, rep.summary()
 
 
-def test_dual_coregular_actions():
-    H = group_algebra(group_Zn(3), QQ)
+@pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_dual_coregular_actions(name, field):
+    """(a |> p)(x) = p(xa) and (p <| a)(x) = p(ax), pointwise on every basis
+    a and x, on noncommutative bases where the two actions differ."""
+    H = build_instance(name, field)
     D = dual_hopf(H)
-    p = D.el(dual_sym(1)) + D.el(dual_sym(2), Fraction(2))
-    a = H.el(1)
-    # (a |> p)(x) = p(xa) and (p <| a)(x) = p(ax), checked pointwise
-    for xsym in H.algebra.basis:
-        lhs = D.pairing(D.act_left(a, p), H.el(xsym))
-        rhs = D.pairing(p, H.algebra.mult(H.el(xsym), a))
-        assert lhs == rhs
-        lhs = D.pairing(D.act_right(p, a), H.el(xsym))
-        rhs = D.pairing(p, H.algebra.mult(a, H.el(xsym)))
-        assert lhs == rhs
+    syms = H.algebra.basis
+    p = Element(field, {dual_sym(s): field.from_int(i + 1)
+                        for i, s in enumerate(syms)})
+    for asym in syms:
+        a = H.el(asym)
+        for xsym in syms:
+            x = H.el(xsym)
+            assert D.pairing(D.act_left(a, p), x) == \
+                D.pairing(p, H.algebra.mult(x, a))
+            assert D.pairing(D.act_right(p, a), x) == \
+                D.pairing(p, H.algebra.mult(a, x))
+    assert any(D.act_left(H.el(s), p) != D.act_right(p, H.el(s)) for s in syms)
 
 
 def test_integrals_group_algebra():
@@ -310,6 +317,20 @@ def test_qt_cyclic():
 
     with pytest.raises(ConstructionError):
         qt_for_cyclic(3, QQ)
+
+
+def test_qt_intertwine_fails_with_a_witness_on_tuple_symbols():
+    """R = R^-1 = g (x) g with g = (1, 0, 2) on grp-S3 is invertible but does
+    not intertwine Delta with Delta^cop (S3 is not abelian); the witness
+    names a tuple basis symbol, which must format."""
+    H = build_instance("grp-S3", QQ)
+    g = H.el((1, 0, 2))
+    r = tensor(g, g)
+    rep = Report("qt", "grp-S3", "rational", 0, 0)
+    QTStructure(H, r, r).check(rep)
+    hit = [law for law in rep.laws if law.law == "qt-intertwine"]
+    assert len(hit) == 1 and not hit[0].ok, rep.summary()
+    assert hit[0].witness.startswith("a=("), hit[0].witness
 
 
 def test_registry():
