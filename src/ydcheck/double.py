@@ -83,7 +83,7 @@ class DiagonalCrossedProduct:
             p, a = legs(s)
             return (self.dual.counit(self.dual.el(p))
                     * self.base.counit(self.base.el(a)))
-        return sum((c * eps(s) for s, c in d.terms.items()), self.field.zero())
+        return self.field.reduce(sum(c * eps(s) for s, c in d.terms.items()))
 
     def coproduct(self, d):
         """Delta(p >< a) = (p_(2) >< a_(1)) (x) (p_(1) >< a_(2)): the dual

@@ -1,87 +1,21 @@
 """Exact base fields: arbitrary-precision rationals and prime fields F_p.
 
 Over QQ a coefficient is a Python int, and becomes a fractions.Fraction
-only when a division has a non-integral quotient; over F_p it is a GF
-element.  Both kinds support +, -, * and exact equality, and are zero
-exactly when falsy, so the linear algebra layer never needs to know which
-field it is working over.  Every division goes through field.div, because
-int / int would give a float.
+only when a division has a non-integral quotient; over F_p it is an int in
+[0, p).  Sums and products of coefficients are plain +, - and *; the field
+owns the reduction mod p, which happens in two places only: field.nonzero,
+which filters (and over F_p reduces) the terms of every Element as it is
+built, and field.reduce, for the few scalars computed outside an Element.
+Over QQ both are the plain filter and the identity, so the linear algebra
+layer never needs to know which field it is working over.  Every division
+goes through field.div, because int / int would give a float.
 """
 
 from fractions import Fraction
 
-
-class GF:
-    """An element of the prime field F_p.  Values are kept reduced mod p."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _lift(self, other):
-        if type(other) is GF and other.p == self.p:
-            return other
-        if isinstance(other, int):
-            return GF(other, self.p)
-        if isinstance(other, GF):
-            raise ValueError("mixed prime fields: F_%d vs F_%d" % (self.p, other.p))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else GF(self.val + o.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else GF(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else GF(o.val - self.val, self.p)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else GF(self.val * o.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.val == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return GF(self.val * pow(o.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is NotImplemented else o / self
-
-    def __neg__(self):
-        return GF(-self.val, self.p)
-
-    def __eq__(self, other):
-        if type(other) is GF:
-            return other.val == self.val and other.p == self.p
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return False
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return str(self.val)
+# perfbench/layertrace.py reads this name when it traces a run; F_p scalars
+# are ints, so it stands for int until the tracer stops reading it
+GF = int
 
 
 class RationalField:
@@ -95,6 +29,13 @@ class RationalField:
 
     def from_int(self, n):
         return n
+
+    def reduce(self, c):
+        return c
+
+    def nonzero(self, terms):
+        """The terms with a nonzero coefficient."""
+        return {s: c for s, c in terms.items() if c}
 
     def div(self, a, b):
         """a / b: an int when the quotient is integral, else a Fraction."""
@@ -120,23 +61,31 @@ class PrimeField:
             raise ValueError("%d is not prime" % p)
         self.p = p
         self.name = "fp:%d" % p
-        self._zero = GF(0, p)
-        self._one = GF(1, p)
 
     def zero(self):
-        return self._zero
+        return 0
 
     def one(self):
-        return self._one
+        return 1
 
     def from_int(self, n):
-        return GF(n, self.p)
+        return n % self.p
+
+    def reduce(self, c):
+        return c % self.p
+
+    def nonzero(self, terms):
+        """The terms reduced mod p, without those that reduce to 0."""
+        p = self.p
+        return {s: r for s, c in terms.items() if (r := c % p)}
 
     def div(self, a, b):
-        return a / b
+        if not b % self.p:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return a * pow(b, -1, self.p) % self.p
 
     def elements(self):
-        return [GF(v, self.p) for v in range(self.p)]
+        return list(range(self.p))
 
     def primitive_root_of_unity(self, n):
         """A primitive n-th root of unity in F_p, or None if there is none."""
@@ -145,7 +94,7 @@ class PrimeField:
         for g in range(1, self.p):
             w = pow(g, (self.p - 1) // n, self.p)
             if all(pow(w, k, self.p) != 1 for k in range(1, n)):
-                return GF(w, self.p)
+                return w
         return None
 
     def __repr__(self):

@@ -343,8 +343,8 @@ class DualHopf(MultiplierHopfAlgebra):
 
     def pairing(self, p, a):
         """<p, a> for p in the dual, a in the base."""
-        return sum((c * a.coeff(s[1]) for s, c in p.terms.items()),
-                   self.field.zero())
+        return self.field.reduce(
+            sum(c * a.coeff(s[1]) for s, c in p.terms.items()))
 
     def act_left(self, a, p):
         """a |> p, i.e. x -> p(xa)."""
@@ -370,9 +370,8 @@ class IntegralData:
         self.t = t
 
     def phi(self, x):
-        zero = self.mha.field.zero()
-        return sum((c * self.phi_coeffs.get(s, zero) for s, c in x.terms.items()),
-                   zero)
+        return self.mha.field.reduce(
+            sum(c * self.phi_coeffs.get(s, 0) for s, c in x.terms.items()))
 
     def verify(self):
         """Re-check both defining equations on every basis element."""

@@ -1,7 +1,10 @@
 """Finite formal linear combinations over an exact field, tensor products,
 exact linear solving and quotient spaces.
 
-An Element is a finite map {basis symbol -> nonzero coefficient}.  Basis
+An Element is a finite map {basis symbol -> nonzero coefficient}.  The
+kernels below accumulate coefficients with plain +, - and * from the
+literals 0 and 1; the field filters out the zeros (and over F_p reduces
+mod p) once, when the Element is built, in field.nonzero.  Basis
 symbols are opaque hashable labels (group elements in normal form, strings,
 dual-basis tags, ...).  Tensor legs are kept flat: a tensor basis symbol is a
 Ten (a tuple subclass) listing all legs, so A (x) A (x) A has Ten symbols of
@@ -82,11 +85,11 @@ class Element:
 
     def __init__(self, field, terms=None):
         self.field = field
-        self.terms = {s: c for s, c in (terms or {}).items() if c}
+        self.terms = field.nonzero(terms) if terms else {}
 
     @classmethod
     def basis(cls, field, sym, coeff=None):
-        return cls(field, {sym: field.one() if coeff is None else coeff})
+        return cls(field, {sym: 1 if coeff is None else coeff})
 
     @classmethod
     def zero(cls, field):
@@ -96,24 +99,22 @@ class Element:
         return not self.terms
 
     def coeff(self, sym):
-        return self.terms.get(sym, self.field.zero())
+        return self.terms.get(sym, 0)
 
     def support(self):
         return sorted(self.terms, key=sym_key)
 
     def __add__(self, other):
-        zero = self.field.zero()
         t = dict(self.terms)
         for s, c in other.terms.items():
-            t[s] = t.get(s, zero) + c
-        return Element(self.field, t)
+            t[s] = t.get(s, 0) + c
+        return Element(same_field(self, other), t)
 
     def __sub__(self, other):
-        zero = self.field.zero()
         t = dict(self.terms)
         for s, c in other.terms.items():
-            t[s] = t.get(s, zero) - c
-        return Element(self.field, t)
+            t[s] = t.get(s, 0) - c
+        return Element(same_field(self, other), t)
 
     def __neg__(self):
         return Element(self.field, {s: -c for s, c in self.terms.items()})
@@ -132,11 +133,10 @@ class Element:
 
     def map_terms(self, f):
         """Linear extension: f maps a basis symbol to an Element."""
-        zero = self.field.zero()
         acc = {}
         for s, c in self.terms.items():
             for si, ci in f(s).terms.items():
-                acc[si] = acc.get(si, zero) + c * ci
+                acc[si] = acc.get(si, 0) + c * ci
         return Element(self.field, acc)
 
     def __repr__(self):
@@ -148,22 +148,22 @@ class Element:
         return " + ".join(bits)
 
 
+def same_field(x, y):
+    """The field of x and y, which must be the same."""
+    if x.field is not y.field and x.field != y.field:
+        raise ValueError("mixed fields: %r vs %r" % (x.field, y.field))
+    return x.field
+
+
 def tensor(x, y):
     """Bilinear tensor product; result symbols are flat Ten tuples."""
-    out = Element(x.field)
-    t = out.terms
+    acc = {}
     for sx, cx in x.terms.items():
         lx = legs(sx)
         for sy, cy in y.terms.items():
             s = Ten(lx + legs(sy))
-            c = cx * cy
-            if s in t:
-                c = t[s] + c
-            if c:
-                t[s] = c
-            else:
-                t.pop(s, None)
-    return out
+            acc[s] = acc.get(s, 0) + cx * cy
+    return Element(same_field(x, y), acc)
 
 
 def linear(field, f):
@@ -171,7 +171,6 @@ def linear(field, f):
     of bilinear.  The image of each basis symbol is memoized (f must be
     pure)."""
     cache = {}
-    zero = field.zero()
 
     def ext(x):
         acc = {}
@@ -180,7 +179,7 @@ def linear(field, f):
             if img is None:
                 img = cache[sx] = f(sx).terms
             for s, c in img.items():
-                acc[s] = acc.get(s, zero) + c * cx
+                acc[s] = acc.get(s, 0) + c * cx
         return Element(field, acc)
 
     return ext
@@ -191,7 +190,6 @@ def bilinear(field, f):
     image of each basis pair is memoized (f must be pure, which every
     structure map here is)."""
     cache = {}
-    zero = field.zero()
 
     def ext(x, y):
         acc = {}
@@ -203,7 +201,7 @@ def bilinear(field, f):
                     img = cache[key] = f(sx, sy).terms
                 c0 = cx * cy
                 for s, c in img.items():
-                    acc[s] = acc.get(s, zero) + c * c0
+                    acc[s] = acc.get(s, 0) + c * c0
         return Element(field, acc)
 
     return ext
@@ -215,7 +213,6 @@ def apply_legs(x, i, k, f):
     as one basis Element (a Ten when k > 1), so k may be 1, 2, a module
     arity or a quotient arity, and its image may have any number of legs."""
     field = x.field
-    zero = field.zero()
     acc = {}
     for s, c in x.terms.items():
         ls = legs(s)
@@ -223,7 +220,7 @@ def apply_legs(x, i, k, f):
         img = f(Element.basis(field, make_sym(ls[i:i + k])))
         for si, ci in img.terms.items():
             new = make_sym(head + legs(si) + tail)
-            acc[new] = acc.get(new, zero) + c * ci
+            acc[new] = acc.get(new, 0) + c * ci
     return Element(field, acc)
 
 
@@ -245,7 +242,7 @@ def flip(x):
 def _rref(rows, ncols, field):
     """Reduced row echelon form in place.  rows: list of lists of scalars.
     Returns list of pivot column indices."""
-    one = field.one()
+    reduce = field.reduce
     pivots = []
     r = 0
     for c in range(ncols):
@@ -258,12 +255,12 @@ def _rref(rows, ncols, field):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        if pv != one:
+        if pv != 1:
             rows[r] = [field.div(v, pv) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+                rows[i] = [reduce(vi - f * vr) for vi, vr in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -288,7 +285,7 @@ def lin_solve(rows, rhs):
     n = len(syms)
     mat = []
     for r, b in zip(rows, rhs):
-        line = [field.zero()] * n + [b]
+        line = [0] * n + [field.reduce(b)]
         for s, c in r.terms.items():
             line[idx[s]] = c
         mat.append(line)
@@ -320,7 +317,7 @@ def kernel_basis(rows, syms=None):
     n = len(syms)
     mat = []
     for r in rows:
-        line = [field.zero()] * n
+        line = [0] * n
         for s, c in r.terms.items():
             line[idx[s]] = c
         mat.append(line)
@@ -329,7 +326,7 @@ def kernel_basis(rows, syms=None):
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free:
-        vec = {syms[fc]: field.one()}
+        vec = {syms[fc]: 1}
         for r, pc in enumerate(pivots):
             v = mat[r][fc]
             if v:
@@ -355,7 +352,7 @@ class QuotientSpace:
         n = len(self.ambient_basis)
         mat = []
         for r in relators:
-            line = [r.field.zero()] * n
+            line = [0] * n
             for s, c in r.terms.items():
                 if s not in idx:
                     raise ValueError("relator symbol %s outside ambient basis" % sym_str(s))

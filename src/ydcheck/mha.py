@@ -181,8 +181,8 @@ class MultiplierHopfAlgebra:
         return self.algebra.el(sym, coeff)
 
     def counit(self, x):
-        return sum((c * self._counit(s) for s, c in x.terms.items()),
-                   self.field.zero())
+        return self.field.reduce(
+            sum(c * self._counit(s) for s, c in x.terms.items()))
 
     def antipode(self, x):
         return x.map_terms(self._antipode)

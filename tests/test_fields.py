@@ -1,6 +1,8 @@
 """The scalar contract: over QQ a coefficient is an int, or a Fraction after
-a division with a non-integral quotient; over F_p it is a GF; every division
-goes through field.div, so no float can ever appear."""
+a division with a non-integral quotient; over F_p it is an int in [0, p),
+reduced by the field where an Element is built (field.nonzero) or a bare
+scalar is computed (field.reduce); every division goes through field.div,
+so no float can ever appear."""
 
 import ast
 import glob
@@ -10,8 +12,11 @@ from fractions import Fraction
 import pytest
 
 import ydcheck.cli as cli
-from ydcheck.fields import QQ, GF, PrimeField, parse_scalar
-from ydcheck.linear import Element
+from ydcheck.double import DiagonalCrossedProduct, drinfeld_double
+from ydcheck.fields import QQ, PrimeField, parse_scalar
+from ydcheck.instances import DualHopf, IntegralData
+from ydcheck.linear import Element, tensor
+from ydcheck.mha import MultiplierHopfAlgebra
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "ydcheck")
@@ -36,11 +41,17 @@ def test_div_by_zero_raises_in_both_fields():
 
 def test_prime_div_is_multiplication_by_the_inverse():
     F = PrimeField(7)
+    x = Element.basis(F, "x")
     for a in F.elements():
         if a:
             inv = F.div(F.one(), a)
-            assert type(inv) is GF and inv * a == F.one()
-            assert F.div(F.from_int(3), a) == F.from_int(3) * inv
+            assert type(inv) is int and 0 < inv < 7
+            assert F.reduce(inv * a) == F.one()
+            assert x.scaled(inv).scaled(a) == x
+            assert (Element.basis(F, "x", F.div(F.from_int(3), a))
+                    == Element.basis(F, "x", F.from_int(3)).scaled(inv))
+    # a bare product of ints is not a field product until it is reduced
+    assert 3 * F.div(1, 3) == 15 and F.reduce(15) == 1
 
 
 def test_one_is_a_primitive_first_root_of_unity_over_f2(tmp_path, capsys):
@@ -55,11 +66,19 @@ def test_one_is_a_primitive_first_root_of_unity_over_f2(tmp_path, capsys):
 
 
 def test_gf_equality_fast_path_respects_the_prime():
-    assert GF(3, 5) == GF(8, 5)
-    assert GF(3, 5) != GF(3, 7)
-    assert GF(3, 5) == 8
-    with pytest.raises(ValueError):
-        GF(1, 5) + GF(1, 7)
+    F5 = PrimeField(5)
+    assert Element.basis(F5, "x", 3) == Element.basis(F5, "x", 8)
+    assert Element(F5, {"x": 5, "y": -2}).terms == {"y": 3}
+    # an equal but distinct field instance is the same field
+    x5 = Element.basis(F5, "x")
+    assert x5 + Element.basis(PrimeField(5), "x") == Element.basis(F5, "x", 2)
+    for other in (PrimeField(7), QQ):
+        y = Element.basis(other, "x")
+        for op in (Element.__add__, Element.__sub__, tensor):
+            with pytest.raises(ValueError, match="mixed fields"):
+                op(x5, y)
+            with pytest.raises(ValueError, match="mixed fields"):
+                op(y, x5)
 
 
 def test_parse_scalar_reads_into_the_field():
@@ -114,19 +133,40 @@ NOT_APPLICABLE = {
 def test_no_float_coefficient_in_any_suite(monkeypatch):
     """Every suite on instances that exercise integrals, the cyclic
     R-matrix, scaling pairs, infinite bases and the dual, with every
-    coefficient of every Element built checked for its type."""
-    allowed = {QQ.name: (int, Fraction), "fp:5": (GF,)}
+    coefficient of every Element built (tensor products included) checked
+    for its type, and over F_5 for its range: 0 < c < 5 in an Element, and
+    0 <= c < 5 for the bare scalars that counit, pairing and the integral
+    return."""
+    allowed = {QQ.name: (int, Fraction), "fp:5": (int,)}
     real_init = Element.__init__
     seen = set()
+
+    def in_range(field, c, low):
+        if field.name == "fp:5":
+            assert type(c) is int and low <= c < 5, "F_5 scalar %r" % (c,)
 
     def init(self, field, terms=None):
         real_init(self, field, terms)
         types = allowed[field.name]
         for c in self.terms.values():
             assert type(c) in types, "%r coefficient %r" % (type(c), c)
+            in_range(field, c, 1)
             seen.add(type(c))
 
+    def guard(owner, name, field_of):
+        real = getattr(owner, name)
+
+        def checked(self, *args):
+            c = real(self, *args)
+            in_range(field_of(self), c, 0)
+            return c
+        monkeypatch.setattr(owner, name, checked)
+
     monkeypatch.setattr(Element, "__init__", init)
+    guard(MultiplierHopfAlgebra, "counit", lambda mha: mha.field)
+    guard(DualHopf, "pairing", lambda dual: dual.field)
+    guard(IntegralData, "phi", lambda data: data.mha.field)
+    guard(DiagonalCrossedProduct, "counit", lambda dcp: dcp.field)
     for name in ("grp-Z2", "sweedler-H4", "fun-Z", "dual:grp-Z2"):
         for field in (QQ, PrimeField(5)):
             for suite in cli.SUITES:
@@ -136,4 +176,19 @@ def test_no_float_coefficient_in_any_suite(monkeypatch):
                     continue
                 with pytest.raises(ValueError, match=refusal):
                     cli.run_suite(suite, name, field, 1, 0)
-    assert seen == {int, Fraction, GF}
+    assert seen == {int, Fraction}
+
+    # the suites' scalars happen to stay small, and only the smash product
+    # takes the crossed product's counit: sums of 4s leave [0, 5) unreduced
+    F5 = PrimeField(5)
+    H = cli.build_instance("sweedler-H4", F5)
+    dual = cli.build_instance("dual:sweedler-H4", F5)
+    D = drinfeld_double(H)
+
+    def fours(alg):
+        return Element(F5, {s: 4 for s in alg.basis})
+    H.counit(fours(H.algebra))
+    dual.pairing(fours(dual.algebra), fours(H.algebra))
+    IntegralData(H, {s: 4 for s in H.algebra.basis}, H.algebra.unit).phi(
+        fours(H.algebra))
+    D.counit(fours(D.algebra))

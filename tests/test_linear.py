@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ydcheck.fields import QQ, GF, PrimeField, parse_field
+from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, flip,
                             apply_legs, lin_solve, kernel_basis,
                             QuotientSpace)
@@ -15,15 +15,20 @@ def e(sym, c=1):
 def test_gf_arithmetic():
     f = PrimeField(5)
     a, b = f.from_int(3), f.from_int(4)
-    assert a + b == f.from_int(2)
-    assert a * b == f.from_int(2)
-    assert a / b == f.from_int(2)  # 3 * 4^-1 = 3*4 = 12 = 2
-    assert -a == f.from_int(2)
-    assert a - b == f.from_int(4)
-    assert 1 / b == f.from_int(4)
+    assert f.from_int(-1) == b and f.from_int(8) == a
+    x = lambda c: Element.basis(f, "x", c)  # noqa: E731
+    assert x(a) + x(b) == x(f.from_int(2))
+    assert x(a).scaled(b) == x(f.from_int(2))
+    assert f.reduce(a * b) == f.from_int(2)
+    assert f.div(a, b) == f.from_int(2)  # 3 * 4^-1 = 3*4 = 12 = 2
+    assert -x(a) == x(f.from_int(2))
+    assert x(a) - x(b) == x(f.from_int(4))
+    assert f.div(f.one(), b) == f.from_int(4)
+    assert (x(a) + x(f.from_int(2))).is_zero()
     assert bool(f.zero()) is False
-    with pytest.raises(ZeroDivisionError):
-        a / f.zero()
+    for zero in (f.zero(), 5, -10):
+        with pytest.raises(ZeroDivisionError):
+            f.div(a, zero)
     with pytest.raises(ValueError):
         PrimeField(6)
 
@@ -32,7 +37,8 @@ def test_primitive_roots():
     f = PrimeField(5)
     w = f.primitive_root_of_unity(4)
     assert w is not None
-    assert w * w * w * w == f.one() and w * w != f.one()
+    assert type(w) is int and 0 < w < 5
+    assert f.reduce(w ** 4) == f.one() and f.reduce(w * w) != f.one()
     assert f.primitive_root_of_unity(3) is None
 
 
@@ -169,6 +175,10 @@ def test_lin_solve():
     # underdetermined: free variables pinned to zero
     sol = lin_solve([e("x") + e("y")], [Fraction(4)])
     assert sol.coeff("x") + sol.coeff("y") == 4
+    # over F_5 a right-hand side is read mod 5: 0 = 5 is consistent
+    f = PrimeField(5)
+    x = Element.basis(f, "x")
+    assert lin_solve([x.scaled(3), x - x], [f.from_int(1), 5]) == x.scaled(2)
 
 
 def test_kernel_basis():
