@@ -4,13 +4,20 @@ exact linear solving and quotient spaces.
 An Element is a finite map {basis symbol -> nonzero coefficient}.  The
 kernels below accumulate coefficients with plain +, - and * from the
 literals 0 and 1; the field filters out the zeros (and over F_p reduces
-mod p) once, when the Element is built, in field.nonzero.  Basis
-symbols are opaque hashable labels (group elements in normal form, strings,
-dual-basis tags, ...).  Tensor legs are kept flat: a tensor basis symbol is a
-Ten (a tuple subclass) listing all legs, so A (x) A (x) A has Ten symbols of
-arity 3 and no nested reassociation ever happens.
+mod p) once, when the Element is built, in field.nonzero.  A basis vector
+with coefficient 1 skips that filter: the literal 1 is nonzero and reduced
+in every field.  Basis symbols are opaque hashable labels (group elements in
+normal form, strings, dual-basis tags, ...).  Tensor legs are kept flat: a
+tensor basis symbol is a Ten (a tuple subclass) listing all legs, so
+A (x) A (x) A has Ten symbols of arity 3 and no nested reassociation ever
+happens.
 
-All values are immutable after construction; every function here is pure.
+All values are immutable after construction (nothing writes to .terms
+outside __init__ and basis; CI rejects such a write); every function here is
+pure.  So the kernels share what they already hold: the memos of linear and
+bilinear keep the image Elements themselves, and linear, bilinear and
+map_terms return the image of a single term with coefficient 1 as it is,
+without copying it.
 
 Every structure map is the linear extension of a basis formula, and two
 kernels carry all of them:
@@ -89,7 +96,11 @@ class Element:
 
     @classmethod
     def basis(cls, field, sym, coeff=None):
-        return cls(field, {sym: 1 if coeff is None else coeff})
+        if coeff is not None:
+            return cls(field, {sym: coeff})
+        x = object.__new__(cls)
+        x.field, x.terms = field, {sym: 1}
+        return x
 
     @classmethod
     def zero(cls, field):
@@ -123,7 +134,8 @@ class Element:
         return Element(self.field, {s: scalar * c for s, c in self.terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, Element) and self.terms == other.terms
+        return (isinstance(other, Element) and self.terms == other.terms
+                and (self.field is other.field or self.field == other.field))
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -135,7 +147,10 @@ class Element:
         """Linear extension: f maps a basis symbol to an Element."""
         acc = {}
         for s, c in self.terms.items():
-            for si, ci in f(s).terms.items():
+            img = f(s)
+            if c == 1 and len(self.terms) == 1:
+                return img
+            for si, ci in img.terms.items():
                 acc[si] = acc.get(si, 0) + c * ci
         return Element(self.field, acc)
 
@@ -169,7 +184,7 @@ def tensor(x, y):
 def linear(field, f):
     """Extend f(sym) -> Element to a linear map on Elements; the unary twin
     of bilinear.  The image of each basis symbol is memoized (f must be
-    pure)."""
+    pure), and a basis vector's image is the memoized Element itself."""
     cache = {}
 
     def ext(x):
@@ -177,8 +192,10 @@ def linear(field, f):
         for sx, cx in x.terms.items():
             img = cache.get(sx)
             if img is None:
-                img = cache[sx] = f(sx).terms
-            for s, c in img.items():
+                img = cache[sx] = f(sx)
+            if cx == 1 and len(x.terms) == 1:
+                return img
+            for s, c in img.terms.items():
                 acc[s] = acc.get(s, 0) + c * cx
         return Element(field, acc)
 
@@ -188,7 +205,8 @@ def linear(field, f):
 def bilinear(field, f):
     """Extend f(sym, sym) -> Element to a bilinear map on Elements.  The
     image of each basis pair is memoized (f must be pure, which every
-    structure map here is)."""
+    structure map here is), and the image of a pair of basis vectors is the
+    memoized Element itself."""
     cache = {}
 
     def ext(x, y):
@@ -198,9 +216,11 @@ def bilinear(field, f):
                 key = (sx, sy)
                 img = cache.get(key)
                 if img is None:
-                    img = cache[key] = f(sx, sy).terms
+                    img = cache[key] = f(sx, sy)
                 c0 = cx * cy
-                for s, c in img.items():
+                if c0 == 1 and len(x.terms) == len(y.terms) == 1:
+                    return img
+                for s, c in img.terms.items():
                     acc[s] = acc.get(s, 0) + c * c0
         return Element(field, acc)
 
@@ -386,4 +406,4 @@ class QuotientSpace:
         for s in q.terms:
             if s not in basis:
                 raise ValueError("symbol %s is not a quotient basis symbol" % sym_str(s))
-        return Element(q.field, dict(q.terms))
+        return q

@@ -72,8 +72,12 @@ def test_gf_equality_fast_path_respects_the_prime():
     # an equal but distinct field instance is the same field
     x5 = Element.basis(F5, "x")
     assert x5 + Element.basis(PrimeField(5), "x") == Element.basis(F5, "x", 2)
+    assert x5 == Element.basis(PrimeField(5), "x")
     for other in (PrimeField(7), QQ):
+        # the same terms over another field: unequal, and mixing raises
         y = Element.basis(other, "x")
+        assert x5 != y and y != x5
+        assert Element(F5) != Element(other) and Element(other) != Element(F5)
         for op in (Element.__add__, Element.__sub__, tensor):
             with pytest.raises(ValueError, match="mixed fields"):
                 op(x5, y)
@@ -133,25 +137,34 @@ NOT_APPLICABLE = {
 def test_no_float_coefficient_in_any_suite(monkeypatch):
     """Every suite on instances that exercise integrals, the cyclic
     R-matrix, scaling pairs, infinite bases and the dual, with every
-    coefficient of every Element built (tensor products included) checked
-    for its type, and over F_5 for its range: 0 < c < 5 in an Element, and
-    0 <= c < 5 for the bare scalars that counit, pairing and the integral
-    return."""
+    coefficient of every Element built (tensor products and basis vectors,
+    which skip __init__, included) checked for its type, and over F_5 for
+    its range: 0 < c < 5 in an Element, and 0 <= c < 5 for the bare scalars
+    that counit, pairing and the integral return."""
     allowed = {QQ.name: (int, Fraction), "fp:5": (int,)}
     real_init = Element.__init__
+    real_basis = Element.basis
     seen = set()
 
     def in_range(field, c, low):
         if field.name == "fp:5":
             assert type(c) is int and low <= c < 5, "F_5 scalar %r" % (c,)
 
+    def check(x):
+        types = allowed[x.field.name]
+        for c in x.terms.values():
+            assert type(c) in types, "%r coefficient %r" % (type(c), c)
+            in_range(x.field, c, 1)
+            seen.add(type(c))
+
     def init(self, field, terms=None):
         real_init(self, field, terms)
-        types = allowed[field.name]
-        for c in self.terms.values():
-            assert type(c) in types, "%r coefficient %r" % (type(c), c)
-            in_range(field, c, 1)
-            seen.add(type(c))
+        check(self)
+
+    def basis(cls, field, sym, coeff=None):
+        x = real_basis(field, sym, coeff)
+        check(x)
+        return x
 
     def guard(owner, name, field_of):
         real = getattr(owner, name)
@@ -163,6 +176,7 @@ def test_no_float_coefficient_in_any_suite(monkeypatch):
         monkeypatch.setattr(owner, name, checked)
 
     monkeypatch.setattr(Element, "__init__", init)
+    monkeypatch.setattr(Element, "basis", classmethod(basis))
     guard(MultiplierHopfAlgebra, "counit", lambda mha: mha.field)
     guard(DualHopf, "pairing", lambda dual: dual.field)
     guard(IntegralData, "phi", lambda data: data.mha.field)

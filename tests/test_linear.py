@@ -5,7 +5,7 @@ import pytest
 from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, flip,
                             apply_legs, lin_solve, kernel_basis,
-                            QuotientSpace)
+                            QuotientSpace, linear, bilinear)
 
 
 def e(sym, c=1):
@@ -163,6 +163,55 @@ def test_map_terms_cancel_then_reappear():
     assert got == Element(QQ, {"z": Fraction(2)})
     assert got.support() == ["z"]
     assert repr(got) == repr(e("z", 2))
+
+
+def test_basis_vectors_skip_the_filter_and_other_coefficients_do_not():
+    s = Ten(("a", "b"))
+    assert Element.basis(PrimeField(2), s).terms == {s: 1}
+    assert Element.basis(PrimeField(5), s, 5).is_zero()
+    assert Element.basis(PrimeField(5), s, 7).terms == {s: 2}
+    assert Element.basis(QQ, s, 0).is_zero()
+
+
+def test_memoized_images_are_shared_and_never_scaled_in_place():
+    F5 = PrimeField(5)
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return Element(F5, {s + "'": 3, "u": 1})
+
+    def g(s, t):
+        calls.append((s, t))
+        return Element(F5, {s + t: 3, "u": 1})
+    lin, bil = linear(F5, f), bilinear(F5, g)
+    x, y = Element.basis(F5, "x"), Element.basis(F5, "y")
+    img = lin(x)
+    assert lin(Element.basis(F5, "x")) is img
+    pair = bil(x, y)
+    assert bil(Element.basis(F5, "x"), Element.basis(F5, "y")) is pair
+    assert calls == ["x", ("x", "y")]
+    # 2x and 4x take the accumulation loop: scaled, reduced mod 5, and the
+    # shared memo entry keeps its terms
+    for c, r in ((2, 1), (4, 2)):
+        cx, cy = Element.basis(F5, "x", c), Element.basis(F5, "y", c)
+        assert lin(cx).terms == {"x'": r, "u": c}
+        assert bil(cx, y).terms == bil(x, cy).terms == {"xy": r, "u": c}
+    assert img.terms == {"x'": 3, "u": 1}
+    assert pair.terms == {"xy": 3, "u": 1}
+    assert lin(x) is img and bil(x, y) is pair
+    assert calls == ["x", ("x", "y")]
+    # a sum of basis vectors is a fresh Element
+    assert lin(x + y) == Element(F5, {"x'": 3, "y'": 3, "u": 2})
+    assert img.terms == {"x'": 3, "u": 1}
+
+
+def test_map_terms_returns_a_basis_image_and_scales_any_other():
+    img = e("z", 3) + e("u")
+    assert e("p").map_terms(lambda s: img) is img
+    assert e("p", 2).map_terms(lambda s: img) == e("z", 6) + e("u", 2)
+    assert e("p", -1).map_terms(lambda s: img) == -img
+    assert img == e("z", 3) + e("u")
 
 
 def test_lin_solve():
