@@ -7,9 +7,10 @@
 
 SUITES gives each suite its runner and what it needs of an instance, checked
 on the built instance before anything else is built.  Exit codes: 0 all laws
-hold, 1 a law failed, 2 usage error (a suite that does not apply included),
-3 internal error.  Reports are JSON without timestamps; identical configs
-give byte-identical files (written atomically via a temporary file)."""
+hold, 1 a law failed, 2 usage error (a suite that does not apply, or an
+--out that is a directory or in a missing one), 3 internal error.  Reports
+are JSON without timestamps; identical configs give byte-identical files
+(written atomically via a temporary file)."""
 
 import argparse
 import json
@@ -92,7 +93,11 @@ def _write_atomic(path, text):
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         f.write(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def main(argv=None):
@@ -125,6 +130,11 @@ def main(argv=None):
         return 0
     if args.command == "check" and args.samples < 1:
         p_check.error("argument --samples: must be at least 1")
+    out = args.out if args.out is None else os.path.abspath(args.out)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+        print("error: --out %s is a directory or in a missing one" % args.out,
+              file=sys.stderr)
+        return 2
 
     # a dump of the crossed product needs what the dcp suite needs
     suite = args.suite if args.command == "check" else "dcp"

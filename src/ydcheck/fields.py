@@ -5,7 +5,8 @@ only when a division has a non-integral quotient; over F_p it is an int in
 [0, p).  Sums and products of coefficients are plain +, - and *; the field
 owns the reduction mod p, which happens in two places only: field.nonzero,
 which filters (and over F_p reduces) the terms of every Element as it is
-built, and field.reduce, for the few scalars computed outside an Element.
+built, keeping the dict itself when it is clean, and field.reduce, for the
+few scalars computed outside an Element.
 Over QQ both are the plain filter and the identity, so the linear algebra
 layer never needs to know which field it is working over.  Every division
 goes through field.div, because int / int would give a float.
@@ -34,8 +35,9 @@ class RationalField:
         return c
 
     def nonzero(self, terms):
-        """The terms with a nonzero coefficient."""
-        return {s: c for s, c in terms.items() if c}
+        """The terms with a nonzero coefficient (terms itself if all are)."""
+        return terms if 0 not in terms.values() else {
+            s: c for s, c in terms.items() if c}
 
     def div(self, a, b):
         """a / b: an int when the quotient is integral, else a Fraction."""
@@ -75,8 +77,11 @@ class PrimeField:
         return c % self.p
 
     def nonzero(self, terms):
-        """The terms reduced mod p, without those that reduce to 0."""
+        """The terms reduced mod p, zeros dropped (terms itself if clean)."""
         p = self.p
+        vals = terms.values()
+        if min(vals) > 0 and max(vals) < p:
+            return terms
         return {s: r for s, c in terms.items() if (r := c % p)}
 
     def div(self, a, b):

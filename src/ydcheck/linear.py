@@ -4,13 +4,14 @@ exact linear solving and quotient spaces.
 An Element is a finite map {basis symbol -> nonzero coefficient}.  The
 kernels below accumulate coefficients with plain +, - and * from the
 literals 0 and 1; the field filters out the zeros (and over F_p reduces
-mod p) once, when the Element is built, in field.nonzero.  A basis vector
-with coefficient 1 skips that filter: the literal 1 is nonzero and reduced
-in every field.  Basis symbols are opaque hashable labels (group elements in
+mod p) once, when the Element is built, in field.nonzero, which keeps the
+dict itself when there is nothing to filter.  A basis vector with
+coefficient 1 skips that filter: the literal 1 is nonzero and reduced in
+every field.  Basis symbols are opaque hashable labels (group elements in
 normal form, strings, dual-basis tags, ...).  Tensor legs are kept flat: a
-tensor basis symbol is a Ten (a tuple subclass) listing all legs, so
-A (x) A (x) A has Ten symbols of arity 3 and no nested reassociation ever
-happens.
+tensor basis symbol is a Ten (a tuple subclass) storing all legs and then a
+private tag, read back with legs(sym), so A (x) A (x) A has Ten symbols of
+arity 3 and no nested reassociation ever happens.
 
 All values are immutable after construction (nothing writes to .terms
 outside __init__ and basis; CI rejects such a write); every function here is
@@ -30,27 +31,38 @@ kernels carry all of them:
   [i, i+k) of every term and splices the image in place (k = 1, 2, a module
   arity or a quotient arity).
 
-linear and bilinear extend a basis map in the same way but keep their own
-accumulation loop, because they memoize the image of each basis symbol (or
-pair) and read it from the memo.
+linear and bilinear extend a basis map in the same way, but read the image
+of each basis symbol (or pair) from a memo.  All three add c * image with
+_add_scaled, which starts a sum from a copy of a first image with c == 1.
 """
 
 
+# frozenset() hashes alike under every PYTHONHASHSEED; no symbol ends in it
+_TAG = (frozenset(),)
+
+
 class Ten(tuple):
-    """A flat tensor basis symbol.  Distinct from plain tuples so that group
-    elements represented as tuples can never collide with tensor symbols."""
+    """A flat tensor basis symbol: its legs, then _TAG.  The tag keeps it
+    apart from the plain tuple of its legs (a group element represented as a
+    tuple) while hashing and equality stay tuple's own C slots.  Iteration,
+    len and repr show the legs only; legs(sym) is the accessor."""
 
-    def __eq__(self, other):
-        return type(other) is Ten and tuple.__eq__(self, other)
+    __slots__ = ()
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    def __new__(cls, ls):
+        return tuple.__new__(cls, tuple(ls) + _TAG)
 
-    def __hash__(self):
-        return tuple.__hash__(self) ^ 0x517CC1B7
+    def __getnewargs__(self):
+        return (self[:-1],)
+
+    def __iter__(self):
+        return iter(self[:-1])
+
+    def __len__(self):
+        return tuple.__len__(self) - 1
 
     def __repr__(self):
-        return "(" + " (x) ".join(sym_str(s) for s in self) + ")"
+        return "(" + " (x) ".join(sym_str(s) for s in self[:-1]) + ")"
 
 
 def sym_str(sym):
@@ -64,9 +76,9 @@ def sym_key(sym):
 
 
 def legs(sym):
-    """The tensor legs of a symbol: a Ten is its own legs, anything else is
+    """The tensor legs of a symbol: a Ten without its tag, anything else is
     a single leg."""
-    return tuple(sym) if type(sym) is Ten else (sym,)
+    return sym[:-1] if type(sym) is Ten else (sym,)
 
 
 def make_sym(leg_tuple):
@@ -85,7 +97,8 @@ class Element:
     """A finite formal linear combination of basis symbols over a field.
 
     Zero coefficients are never stored, so equality of the term dicts is
-    exactly equality of the vectors.
+    exactly equality of the vectors.  Element(field, terms) takes ownership
+    of terms (it may keep the dict itself): never write to it afterwards.
     """
 
     __slots__ = ("field", "terms")
@@ -150,8 +163,7 @@ class Element:
             img = f(s)
             if c == 1 and len(self.terms) == 1:
                 return img
-            for si, ci in img.terms.items():
-                acc[si] = acc.get(si, 0) + c * ci
+            acc = _add_scaled(acc, img, c)
         return Element(self.field, acc)
 
     def __repr__(self):
@@ -168,6 +180,16 @@ def same_field(x, y):
     if x.field is not y.field and x.field != y.field:
         raise ValueError("mixed fields: %r vs %r" % (x.field, y.field))
     return x.field
+
+
+def _add_scaled(acc, img, c):
+    """acc + c * img as a coefficient dict.  The first image with c == 1 is
+    copied with dict(), which keeps the hashes its dict already stores."""
+    if c == 1 and not acc:
+        return dict(img.terms)
+    for s, ci in img.terms.items():
+        acc[s] = acc.get(s, 0) + c * ci
+    return acc
 
 
 def tensor(x, y):
@@ -195,8 +217,7 @@ def linear(field, f):
                 img = cache[sx] = f(sx)
             if cx == 1 and len(x.terms) == 1:
                 return img
-            for s, c in img.terms.items():
-                acc[s] = acc.get(s, 0) + c * cx
+            acc = _add_scaled(acc, img, cx)
         return Element(field, acc)
 
     return ext
@@ -220,8 +241,7 @@ def bilinear(field, f):
                 c0 = cx * cy
                 if c0 == 1 and len(x.terms) == len(y.terms) == 1:
                     return img
-                for s, c in img.terms.items():
-                    acc[s] = acc.get(s, 0) + c * c0
+                acc = _add_scaled(acc, img, c0)
         return Element(field, acc)
 
     return ext

@@ -210,6 +210,37 @@ def test_zero_samples_is_a_usage_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "mha-axioms", "--instance", "grp-Z2", "--samples", "2"],
+    ["dump", "dcp", "--instance", "grp-Z2"],
+], ids=["check", "dump"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_unwritable_out_is_a_usage_error_before_any_build(
+        command, where, tmp_path, monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("an instance was built for an unwritable --out")
+    monkeypatch.setattr(cli, "build_instance", no_build)
+    out = tmp_path / "report"
+    if where == "a-directory":
+        out.mkdir()
+    else:
+        out = out / "x.json"
+    rc, stdout, err = run(command + ["--out", str(out)], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err == "error: --out %s is a directory or in a missing one\n" % out
+    assert sorted(os.listdir(tmp_path)) == (
+        ["report"] if where == "a-directory" else [])
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise PermissionError("replace refused")
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(PermissionError):
+        cli._write_atomic(str(tmp_path / "rep.json"), "{}")
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_corrupted_instance_is_an_internal_error(monkeypatch, capsys):
     """An antipode x3 copy of grp-S3 breaks the inner automorphisms that
     t-category conjugates by: a defect in the instance, not in the input."""

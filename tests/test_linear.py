@@ -1,8 +1,15 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from ydcheck.double import drinfeld_double
 from ydcheck.fields import QQ, PrimeField, parse_field
+from ydcheck.instances import build_instance
 from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, flip,
                             apply_legs, lin_solve, kernel_basis,
                             QuotientSpace, linear, bilinear)
@@ -69,6 +76,79 @@ def test_ten_is_not_a_plain_tuple():
     assert legs((1, 2)) == ((1, 2),)
     assert make_sym(("a",)) == "a"
     assert make_sym(("a", "b")) == Ten(("a", "b"))
+
+
+def test_ten_hashes_and_compares_with_tuple_slots():
+    assert Ten.__hash__ is tuple.__hash__
+    assert Ten.__eq__ is tuple.__eq__
+    assert Ten.__ne__ is tuple.__ne__
+
+
+def test_ten_shows_its_legs_only():
+    s = Ten(("p", 3))
+    p, a = s
+    assert (p, a) == ("p", 3)
+    assert len(s) == 2 and list(s) == ["p", 3] and tuple(s) == ("p", 3)
+    assert legs(s) == ("p", 3) and type(legs(s)) is tuple
+    assert repr(s) == "('p' (x) 3)"
+    assert Ten(Ten(("p", 3))) == s and Ten(["p", 3]) == s
+    assert len(Ten(Ten(("p", 3)))) == 2
+
+
+def test_ten_and_elements_of_tens_survive_pickle_and_deepcopy():
+    s = Ten((1, Ten(("a", "b"))))
+    x = Element(QQ, {s: Fraction(1, 2), Ten((2, 3)): -1})
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        assert clone(s) == s and type(clone(s)) is Ten
+        assert legs(clone(s)) == (1, Ten(("a", "b")))
+        assert clone(x) == x and clone(x).terms == x.terms
+
+
+def test_nested_ten_keeps_inner_tens_as_legs():
+    D = drinfeld_double(build_instance("grp-Z2", QQ))
+    d = D.coproduct(D.algebra.el(D.algebra.basis[1]))
+    assert d.terms
+    for s in d.terms:
+        left, right = legs(s)
+        assert type(left) is Ten and type(right) is Ten
+        assert len(legs(left)) == len(legs(right)) == 2
+
+
+def test_ten_hash_does_not_depend_on_the_hash_seed():
+    code = "from ydcheck.linear import Ten; print(hash(Ten((1, 2))))"
+    hashes = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        hashes.add(proc.stdout)
+    assert len(hashes) == 1
+
+
+def test_an_element_owns_a_clean_dict_and_filters_any_other():
+    s, t = Ten(("a", "b")), Ten(("b", "a"))
+    assert Element(QQ, {s: 0, t: 1}).terms == {t: 1}
+    assert Element(PrimeField(5), {s: 5, t: 7}).terms == {t: 2}
+    for field, clean in ((QQ, {s: Fraction(1, 2), t: -1}),
+                         (PrimeField(5), {s: 1, t: 4})):
+        x = Element(field, clean)
+        assert x.terms is clean and x == Element(field, dict(clean))
+
+
+def test_a_first_image_with_coefficient_one_is_copied_not_shared():
+    F5 = PrimeField(5)
+    images = {"p": Element(F5, {"z": 3, "u": 1}),
+              "q": Element(F5, {"z": 2, "w": 4})}
+    x = Element(F5, {"p": 1, "q": 1})
+    y = Element.basis(F5, "y")
+    lin = linear(F5, images.get)
+    bil = bilinear(F5, lambda s, t: images[s if t == "y" else t])
+    # the sum writes 3 + 2 = 0 into the first image's "z": on a copy
+    for got in (x.map_terms(images.get), lin(x), bil(x, y), bil(y, x)):
+        assert got.terms == {"u": 1, "w": 4}
+    assert images["p"].terms == {"z": 3, "u": 1}
+    assert images["q"].terms == {"z": 2, "w": 4}
+    assert lin(Element.basis(F5, "p")) is images["p"]
 
 
 def test_tensor_flattens():
