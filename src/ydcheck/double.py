@@ -18,8 +18,8 @@ rule is evaluated once per basis pair (a, q), and every product reads it:
 
 import random
 
-from .linear import (Element, Ten, tensor, legs, make_sym, sym_str, apply_legs,
-                     bilinear)
+from .linear import (Element, Ten, Memo2, tensor, legs, make_sym, sym_str,
+                     apply_legs, bilinear)
 from .mha import Algebra, random_alg_element
 from .modules import UnitalModule, Coaction, random_mod_element
 from .yd import split_sym, canonical_yd
@@ -55,7 +55,8 @@ class DiagonalCrossedProduct:
                 return tensor(moved, base.el(a2))
             return base.sweedler(base.el(a), 3).map_terms(term)
 
-        exchange = bilinear(field, exchange_basis)
+        exchange = Memo2(exchange_basis)
+        dual_mult, base_mult = dual.algebra.mult_basis, base.algebra.mult_basis
 
         def mult_basis(s1, s2):  # (p >< 1)(1 >< a)(q >< 1)(1 >< b)
             p, a = legs(s1)
@@ -63,9 +64,8 @@ class DiagonalCrossedProduct:
 
             def term(s):
                 r, c = legs(s)
-                return tensor(dual.algebra.mult(dual.el(p), dual.el(r)),
-                              base.algebra.mult(base.el(c), base.el(b)))
-            return exchange(base.el(a), dual.el(q)).map_terms(term)
+                return tensor(dual_mult[p, r], base_mult[c, b])
+            return exchange[a, q].map_terms(term)
 
         basis = [Ten((dual_sym(s), t)) for s in base.algebra.basis
                  for t in base.algebra.basis]
@@ -103,10 +103,10 @@ class DiagonalCrossedProduct:
         labels = [sym_str(s) for s in self.algebra.basis]
         table = []
         index = {s: i for i, s in enumerate(self.algebra.basis)}
+        mult = self.algebra.mult_basis
         for i, s1 in enumerate(self.algebra.basis):
             for j, s2 in enumerate(self.algebra.basis):
-                prod = self.algebra.mult(self.algebra.el(s1),
-                                         self.algebra.el(s2))
+                prod = mult[s1, s2]
                 entries = sorted((index[s], str(c))
                                  for s, c in prod.terms.items())
                 if entries:
@@ -146,9 +146,11 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
                    for _ in range(samples)]
         mode = "sampled over %d basis triples" % len(triples)
 
+    mult = alg.mult_basis
+
     def trial(x, y, z):
-        ex, ey, ez = alg.el(x), alg.el(y), alg.el(z)
-        if alg.mult(alg.mult(ex, ey), ez) != alg.mult(ex, alg.mult(ey, ez)):
+        if (alg.mult(mult[x, y], alg.el(z))
+                != alg.mult(alg.el(x), mult[y, z])):
             return "x=%r y=%r z=%r" % (x, y, z)
     rep.law("dcp-assoc", "(xy)z = x(yz), " + mode,
             (trial(x, y, z) for x, y, z in triples))
@@ -165,13 +167,14 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
 
 class DcpModule:
     """A left module over a crossed product, given by its action on basis
-    symbols of both sides."""
+    symbols of both sides, memoized per basis pair and read by symbol as
+    M.act_basis[d_sym, m_sym]."""
 
     def __init__(self, dcp, act_basis, basis, name=None):
         self.dcp = dcp
         self.field = dcp.field
-        # (dcp basis sym, carrier sym) -> Element, memoized per pair
-        self._act = bilinear(self.field, act_basis)
+        self.act_basis = Memo2(act_basis)
+        self._act = bilinear(self.field, self.act_basis)
         self.basis = basis
         self.name = name or "dcp-module"
 
@@ -211,10 +214,8 @@ def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
 
 def regular_dcp_module(dcp, name=None):
     """The crossed product acting on itself by left multiplication."""
-    return DcpModule(dcp,
-                     lambda d, m: dcp.algebra.mult(dcp.algebra.el(d),
-                                                   dcp.algebra.el(m)),
-                     dcp.algebra.basis,
+    mult = dcp.algebra.mult_basis
+    return DcpModule(dcp, lambda d, m: mult[d, m], dcp.algebra.basis,
                      name=name or (dcp.name + ":regular"))
 
 
@@ -238,7 +239,7 @@ def yd_to_dcp_module(V, dcp=None):
         def term(s):  # (a.m)_(0) p((a.m)_(1))
             return V.coaction.slice_r(V.module.el(s),
                                       base.algebra.unit).map_terms(pair_leg)
-        return V.module.act(base.el(a), V.module.el(msym)).map_terms(term)
+        return V.module.act_basis[a, msym].map_terms(term)
 
     return DcpModule(dcp, act_basis, V.module.basis,
                      name=V.name + ":as-dcp-module")
@@ -392,7 +393,7 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
             d1, d2 = legs(s)
             moved = act(alg.el(d1), carrier.el(hp))
             return tensor(carrier.mult(carrier.el(h), moved),
-                          alg.mult(alg.el(d2), alg.el(dp)))
+                          alg.mult_basis[d2, dp])
         return dcp.coproduct(alg.el(d)).map_terms(term)
 
     basis = [tensor(carrier.el(h), alg.el(d)).support()[0]

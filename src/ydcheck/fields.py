@@ -10,6 +10,12 @@ few scalars computed outside an Element.
 Over QQ both are the plain filter and the identity, so the linear algebra
 layer never needs to know which field it is working over.  Every division
 goes through field.div, because int / int would give a float.
+
+Each field also carries coeff_pool, the coefficients random elements are
+drawn from: the nonzero elements of F_p when p <= 11, else -2, -1, 1, 2.
+It is built once, with the field, from p alone.  A prime field's p is
+certified by a Miller-Rabin test that is exact below MAX_PRIME; a larger p
+is refused.
 """
 
 from fractions import Fraction
@@ -19,8 +25,43 @@ from fractions import Fraction
 GF = int
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# for every n below MAX_PRIME, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 2017); the first 12 alone are fooled
+# by 318665857834031151167461 = 399165290221 * 798330580441
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether n is prime, exactly for n < MAX_PRIME (a ValueError above)."""
+    if n >= MAX_PRIME:
+        raise ValueError("cannot certify %d as prime: p must be below %d"
+                         % (n, MAX_PRIME))
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class RationalField:
     name = "rational"
+    coeff_pool = (-2, -1, 1, 2)
 
     def zero(self):
         return 0
@@ -44,9 +85,6 @@ class RationalField:
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
 
-    def elements(self):
-        return None  # infinite
-
     def __repr__(self):
         return "QQ"
 
@@ -59,10 +97,12 @@ class RationalField:
 
 class PrimeField:
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p
         self.name = "fp:%d" % p
+        self.coeff_pool = (tuple(range(1, p)) if p <= 11 else
+                           tuple(n % p for n in RationalField.coeff_pool))
 
     def zero(self):
         return 0
@@ -88,9 +128,6 @@ class PrimeField:
         if not b % self.p:
             raise ZeroDivisionError("division by zero in F_%d" % self.p)
         return a * pow(b, -1, self.p) % self.p
-
-    def elements(self):
-        return list(range(self.p))
 
     def primitive_root_of_unity(self, n):
         """A primitive n-th root of unity in F_p, or None if there is none."""

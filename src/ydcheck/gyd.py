@@ -195,7 +195,8 @@ def stretch_gyd(mha, name=None):
 
     mod = UnitalModule(mha, act, basis=None, sample_basis=alg._sample_basis,
                        local_unit=lu, name=(name or mha.name) + ":stretch")
-    coa = Coaction(mod, lambda v, a: mha.delta_r(alg.el(v), alg.el(a)),
+    delta_r = mha.delta_r_basis
+    coa = Coaction(mod, lambda v, a: delta_r[v, a],
                    name=mod.name + ":delta")
     return GYDModule(mod, coa, pair, name=mod.name)
 

@@ -12,8 +12,8 @@ Registry names (used by the CLI):
 
 import random
 
-from .linear import (Element, Ten, tensor, legs, make_sym, apply_legs, flip,
-                     kernel_basis, linear, bilinear)
+from .linear import (Element, Ten, Memo, tensor, legs, make_sym, apply_legs,
+                     flip, kernel_basis, bilinear)
 from .mha import Algebra, MultiplierHopfAlgebra, random_alg_element
 
 
@@ -161,24 +161,22 @@ def function_algebra(group, field, name=None):
 
 def unital_slices(alg, coproduct_basis):
     """The four slices of a unital instance, computed by multiplying the
-    materialized coproduct inside A (x) A, as keyword arguments of
-    MultiplierHopfAlgebra."""
+    materialized coproduct of a basis symbol inside A (x) A, as keyword
+    arguments of MultiplierHopfAlgebra."""
     unit = alg.unit
-
-    def cop(x):
-        return x.map_terms(coproduct_basis)
+    cop = coproduct_basis
 
     def delta_r(a, b):
-        return alg.mult_tensor(cop(alg.el(a)), tensor(unit, alg.el(b)))
+        return alg.mult_tensor(cop(a), tensor(unit, alg.el(b)))
 
     def delta_l(a, b):
-        return alg.mult_tensor(tensor(alg.el(a), unit), cop(alg.el(b)))
+        return alg.mult_tensor(tensor(alg.el(a), unit), cop(b))
 
     def delta_r2(a, b):
-        return alg.mult_tensor(cop(alg.el(a)), tensor(alg.el(b), unit))
+        return alg.mult_tensor(cop(a), tensor(alg.el(b), unit))
 
     def delta_l2(a, b):
-        return alg.mult_tensor(tensor(unit, alg.el(a)), cop(alg.el(b)))
+        return alg.mult_tensor(tensor(unit, alg.el(a)), cop(b))
 
     return dict(delta_r=delta_r, delta_l=delta_l, delta_r2=delta_r2,
                 delta_l2=delta_l2)
@@ -273,17 +271,16 @@ def dual_sym(s):
 
 
 def transpose(field, domain, f):
-    """The transpose of a linear map f whose domain has the basis symbols
-    `domain`, as a basis map on functionals: k^ -> sum_a f(a)[k] a^.
-    Symbols are dualized legwise, so a functional on a tensor power is a
-    tensor of dual symbols.  Each image is memoized (f must be pure)."""
+    """The transpose of a linear map given on the basis symbols `domain` by
+    f(a) -> Element, as a memoized basis map on functionals:
+    transpose(field, domain, f)[k^] = sum_a f(a)[k] a^.  Symbols are
+    dualized legwise, so a functional on a tensor power is a tensor of dual
+    symbols.  f must be pure."""
     def column(k):
         k = make_sym(tuple(p[1] for p in legs(k)))
         return Element(field, {make_sym(tuple(map(dual_sym, legs(a)))):
-                               f(Element.basis(field, a)).coeff(k)
-                               for a in domain})
-    ext = linear(field, column)
-    return lambda k: ext(Element.basis(field, k))
+                               f(a).coeff(k) for a in domain})
+    return Memo(column)
 
 
 class DualHopf(MultiplierHopfAlgebra):
@@ -305,18 +302,19 @@ class DualHopf(MultiplierHopfAlgebra):
         field = base.field
         self.base = base
         bsyms = base.algebra.basis
-        mult = base.algebra.mult
+        mult = base.algebra.mult_basis
 
         # (pq)(a) = (p (x) q)(Delta(a)),  <Delta(p), a (x) b> = p(ab),
-        # S(p) = p o S,  S^-1(p) = p o S^-1
-        product = transpose(field, bsyms, base.coproduct)
-        cop_basis = transpose(field, [Ten((a, b)) for a in bsyms for b in bsyms],
-                              base.mult_legs)
-        dual_s = transpose(field, bsyms, base.antipode)
-        dual_s_inv = transpose(field, bsyms, base.antipode_inv)
+        # S(p) = p o S,  S^-1(p) = p o S^-1; the base's maps are read when
+        # a column is first needed
+        product = transpose(field, bsyms, lambda a: base._coproduct(a))
+        coproduct = transpose(field, [Ten((a, b)) for a in bsyms for b in bsyms],
+                              lambda t: mult[legs(t)])
+        dual_s = transpose(field, bsyms, lambda a: base._antipode(a))
+        dual_s_inv = transpose(field, bsyms, lambda a: base._antipode_inv(a))
 
         unit = Element(field, {dual_sym(a): base.counit(base.el(a)) for a in bsyms})
-        alg = Algebra(field, lambda p, q: product(Ten((p, q))),
+        alg = Algebra(field, lambda p, q: product[Ten((p, q))],
                       basis=[dual_sym(a) for a in bsyms], unit=unit, name=name)
 
         def counit(p):  # eps(p) = p(1)
@@ -324,16 +322,19 @@ class DualHopf(MultiplierHopfAlgebra):
 
         # named, so that perfbench/layertrace.py can count dual antipode calls
         def anti(p):
-            return dual_s(p)
+            return dual_s[p]
 
         def anti_inv(p):
-            return dual_s_inv(p)
+            return dual_s_inv[p]
+
+        def cop_basis(p):
+            return coproduct[p]
 
         # a |> p = p o (. a) and p <| a = p o (a .), per basis pair
         self._act_left = bilinear(field, lambda a, p: transpose(
-            field, bsyms, lambda x: mult(x, base.el(a)))(p))
+            field, bsyms, lambda x: mult[x, a])[p])
         self._act_right = bilinear(field, lambda p, a: transpose(
-            field, bsyms, lambda x: mult(base.el(a), x))(p))
+            field, bsyms, lambda x: mult[a, x])[p])
 
         super().__init__(alg, **unital_slices(alg, cop_basis),
                          counit=counit, antipode=anti, antipode_inv=anti_inv,
@@ -428,7 +429,7 @@ def compute_integrals(mha):
         eps = mha.counit(mha.el(asym))
         per_u = {}
         for ssym in bsyms:
-            prod = mha.algebra.mult(mha.el(asym), mha.el(ssym))
+            prod = mha.algebra.mult_basis[asym, ssym]
             for u, c in prod.terms.items():
                 per_u.setdefault(u, {})
                 per_u[u][("t", ssym)] = per_u[u].get(("t", ssym), field.zero()) + c

@@ -34,6 +34,19 @@ kernels carry all of them:
 linear and bilinear extend a basis map in the same way, but read the image
 of each basis symbol (or pair) from a memo.  All three add c * image with
 _add_scaled, which starts a sum from a copy of a first image with c == 1.
+
+The memo is a table a caller can read by symbol: Memo(f)[s] is f(s), and
+Memo2(f)[s, t] is f(s, t), each computed on the first read and kept.
+linear(field, memo) and bilinear(field, memo2) extend that same table to
+Elements, so a caller that already holds basis symbols reads
+alg.mult_basis[a, b] instead of wrapping a and b in basis Elements for
+alg.mult, and the two reads share every image (the identical Element).  An
+object keeps the table of each structure map it owns next to the map's
+extension; a table lives and dies with its object, and an object built from
+another basis map starts with an empty one.  The extensions are plain
+functions that keep the table under the closure name `cache`, and nothing
+is read off them but their values, so a caller may rebind linear and
+bilinear to wrappers (perfbench/layertrace.py does, to trace a run).
 """
 
 
@@ -203,18 +216,41 @@ def tensor(x, y):
     return Element(same_field(x, y), acc)
 
 
+class Memo(dict):
+    """The images of a pure basis formula f, computed on the first read and
+    kept: memo[s] is f(s), a dict lookup once it is known."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, s):
+        img = self[s] = self.f(s)
+        return img
+
+
+class Memo2(Memo):
+    """Memo for a basis formula of two symbols: memo2[s, t] is f(s, t)."""
+
+    __slots__ = ()
+
+    def __missing__(self, st):
+        img = self[st] = self.f(*st)
+        return img
+
+
 def linear(field, f):
     """Extend f(sym) -> Element to a linear map on Elements; the unary twin
     of bilinear.  The image of each basis symbol is memoized (f must be
-    pure), and a basis vector's image is the memoized Element itself."""
-    cache = {}
+    pure) in f itself when f is a Memo, else in a new one, and a basis
+    vector's image is the memoized Element itself."""
+    cache = f if type(f) is Memo else Memo(f)
 
     def ext(x):
         acc = {}
         for sx, cx in x.terms.items():
-            img = cache.get(sx)
-            if img is None:
-                img = cache[sx] = f(sx)
+            img = cache[sx]
             if cx == 1 and len(x.terms) == 1:
                 return img
             acc = _add_scaled(acc, img, cx)
@@ -226,18 +262,16 @@ def linear(field, f):
 def bilinear(field, f):
     """Extend f(sym, sym) -> Element to a bilinear map on Elements.  The
     image of each basis pair is memoized (f must be pure, which every
-    structure map here is), and the image of a pair of basis vectors is the
-    memoized Element itself."""
-    cache = {}
+    structure map here is) in f itself when f is a Memo2, else in a new one,
+    and the image of a pair of basis vectors is the memoized Element
+    itself."""
+    cache = f if type(f) is Memo2 else Memo2(f)
 
     def ext(x, y):
         acc = {}
         for sx, cx in x.terms.items():
             for sy, cy in y.terms.items():
-                key = (sx, sy)
-                img = cache.get(key)
-                if img is None:
-                    img = cache[key] = f(sx, sy)
+                img = cache[sx, sy]
                 c0 = cx * cy
                 if c0 == 1 and len(x.terms) == len(y.terms) == 1:
                     return img

@@ -20,8 +20,8 @@ the slices are derived from it.
 import functools
 import random
 
-from .linear import (Element, linear, bilinear, tensor, legs, make_sym,
-                     flip, apply_legs)
+from .linear import (Element, Memo2, linear, bilinear, tensor, legs,
+                     make_sym, flip, apply_legs)
 from .report import Report
 
 
@@ -30,7 +30,9 @@ class Algebra:
 
     mult_basis(sa, sb) gives the product of two basis vectors; basis is a
     list for finite instances and None for infinite ones, in which case
-    sample_basis supplies random basis symbols.
+    sample_basis supplies random basis symbols.  The product of basis
+    symbols is memoized in the table self.mult_basis, read by symbol as
+    alg.mult_basis[sa, sb]; mult extends the same table to Elements.
     """
 
     def __init__(self, field, mult_basis, *, basis=None, sample_basis=None,
@@ -38,7 +40,8 @@ class Algebra:
         self.field = field
         self.name = name
         self.basis = list(basis) if basis is not None else None
-        self._mult = bilinear(field, mult_basis)
+        self.mult_basis = Memo2(mult_basis)
+        self._mult = bilinear(field, self.mult_basis)
         self.unit = unit
         self.has_unit = unit is not None
         if sample_basis is not None:
@@ -54,13 +57,15 @@ class Algebra:
 
     def mult_tensor(self, x, y):
         """Legwise multiplication on a tensor power (arities must match)."""
+        mult = self.mult_basis
+
         def legwise(sx, sy):
             lx, ly = legs(sx), legs(sy)
             if len(lx) != len(ly):
                 raise ValueError("tensor arity mismatch: %d vs %d" % (len(lx), len(ly)))
-            acc = self.mult(self.el(lx[0]), self.el(ly[0]))
+            acc = mult[lx[0], ly[0]]
             for a, b in zip(lx[1:], ly[1:]):
-                acc = tensor(acc, self.mult(self.el(a), self.el(b)))
+                acc = tensor(acc, mult[a, b])
             return acc
         return x.map_terms(lambda sx: y.map_terms(lambda sy: legwise(sx, sy)))
 
@@ -152,10 +157,16 @@ class MultiplierHopfAlgebra:
         self.commutative = commutative
         self.cocommutative = cocommutative
         f = algebra.field
-        self.delta_r = bilinear(f, delta_r)
-        self.delta_l = bilinear(f, delta_l)
-        self.delta_r2 = bilinear(f, delta_r2)
-        self.delta_l2 = bilinear(f, delta_l2)
+        # each slice of basis symbols is memoized in a table read by symbol
+        # (mha.delta_r_basis[a, b]) and extended to Elements (mha.delta_r)
+        self.delta_r_basis = Memo2(delta_r)
+        self.delta_l_basis = Memo2(delta_l)
+        self.delta_r2_basis = Memo2(delta_r2)
+        self.delta_l2_basis = Memo2(delta_l2)
+        self.delta_r = bilinear(f, self.delta_r_basis)
+        self.delta_l = bilinear(f, self.delta_l_basis)
+        self.delta_r2 = bilinear(f, self.delta_r2_basis)
+        self.delta_l2 = bilinear(f, self.delta_l2_basis)
         self._counit = counit          # basis sym -> scalar
         self._antipode = antipode      # basis sym -> Element
         self._antipode_inv = antipode_inv
@@ -225,53 +236,58 @@ class MultiplierHopfAlgebra:
 
     # -- the canonical bijections T1..T4 on A (x) A ------------------------
 
-    def _pairwise(self, x2, f):
+    def _pairwise(self, x2, table):
+        """Sum table[a, b] over the terms a (x) b of x2: a basis-pair table,
+        such as the memo of a slice, read by symbol."""
         def pair(s):
             a, b = legs(s)
-            return f(self.el(a), self.el(b))
+            return table[a, b]
         return x2.map_terms(pair)
 
     def t1(self, x2):
-        return self._pairwise(x2, self.delta_r)
+        return self._pairwise(x2, self.delta_r_basis)
 
     def t2(self, x2):
-        return self._pairwise(x2, self.delta_l)
+        return self._pairwise(x2, self.delta_l_basis)
 
     def t3(self, x2):
-        return self._pairwise(x2, self.delta_r2)
+        return self._pairwise(x2, self.delta_r2_basis)
 
     def t4(self, x2):
-        return self._pairwise(x2, self.delta_l2)
+        return self._pairwise(x2, self.delta_l2_basis)
+
+    # each inverse is a formula per basis pair, read through a table that
+    # lives for one call (the antipode of a copy may be replaced)
 
     def inv_t1(self, x2):
         # a_(1) (x) S(a_(2))b  ==  (i (x) S)((1 (x) S^-1(b))Delta(a))
         def f(a, b):
-            w = self.delta_l2(self.antipode_inv(b), a)
+            w = self.delta_l2(self._antipode_inv(b), self.el(a))
             return apply_legs(w, 1, 1, self.antipode)
-        return self._pairwise(x2, f)
+        return self._pairwise(x2, Memo2(f))
 
     def inv_t2(self, x2):
         # aS(b_(1)) (x) b_(2)  ==  (S (x) i)(Delta(b)(S^-1(a) (x) 1))
         def f(a, b):
-            w = self.delta_r2(b, self.antipode_inv(a))
+            w = self.delta_r2(self.el(b), self._antipode_inv(a))
             return apply_legs(w, 0, 1, self.antipode)
-        return self._pairwise(x2, f)
+        return self._pairwise(x2, Memo2(f))
 
     def inv_t3(self, x2):
         # y_(2) (x) S^-1(y_(1))x  ==  tau (S^-1 (x) i)((S(x) (x) 1)Delta(y));
         # recovery reduces through S^-1(y_(2))y_(1) = eps(y)1, which holds
         # even when S^2 != id
         def f(x, y):
-            w = self.delta_l(self.antipode(x), y)
+            w = self.delta_l(self._antipode(x), self.el(y))
             return flip(apply_legs(w, 0, 1, self.antipode_inv))
-        return self._pairwise(x2, f)
+        return self._pairwise(x2, Memo2(f))
 
     def inv_t4(self, x2):
         # yS^-1(x_(2)) (x) x_(1)  ==  tau (i (x) S^-1)(Delta(x)(1 (x) S(y)))
         def f(x, y):
-            w = self.delta_r(x, self.antipode(y))
+            w = self.delta_r(self.el(x), self._antipode(y))
             return flip(apply_legs(w, 1, 1, self.antipode_inv))
-        return self._pairwise(x2, f)
+        return self._pairwise(x2, Memo2(f))
 
     def tmap(self, k):
         return [self.t1, self.t2, self.t3, self.t4][k - 1]
@@ -325,21 +341,13 @@ class MultiplierHopfAlgebra:
 
     def mult_legs(self, x2):
         """m: A (x) A -> A on arity-2 elements."""
-        return self._pairwise(x2, self.algebra.mult)
+        return self._pairwise(x2, self.algebra.mult_basis)
 
 
 # -- seeded sampling -------------------------------------------------------
 
-def coeff_pool(field):
-    """Spec'd coefficient pool: small integers, or all of F_p when small."""
-    els = field.elements()
-    if els is not None and len(els) <= 11:
-        return [e for e in els if e != field.zero()]
-    return [field.from_int(n) for n in (-2, -1, 1, 2)]
-
-
 def random_element(rng, field, sample_sym, max_support=4):
-    pool = coeff_pool(field)
+    pool = field.coeff_pool
     k = rng.randint(1, max_support)
     terms = {}
     for _ in range(k):

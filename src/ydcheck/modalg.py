@@ -23,8 +23,8 @@ structures is tested (relator stability), never assumed.
 import itertools
 import random
 
-from .linear import (Element, tensor, legs, make_sym, apply_legs, bilinear,
-                     QuotientSpace)
+from .linear import (Element, Memo2, tensor, legs, make_sym, apply_legs,
+                     bilinear, QuotientSpace)
 from .mha import Algebra, random_element, random_alg_element
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
@@ -280,10 +280,10 @@ def canonical_yd_module_algebra(mha, name=None):
 def subgroup_yd_module_algebra(mha, syms, name=None):
     """The span of a multiplicatively closed set of basis symbols (containing
     the unit), with the counit action and trivial coaction."""
-    alg = mha.algebra
+    mult = mha.algebra.mult_basis
     sub = Algebra(mha.field,
-                  lambda a, b: alg.mult(alg.el(a), alg.el(b)),
-                  basis=list(syms), unit=alg.unit,
+                  lambda a, b: mult[a, b],
+                  basis=list(syms), unit=mha.algebra.unit,
                   name=mha.name + ":sub")
     mod = counit_module(mha, name or (mha.name + ":sub"), basis=list(syms))
     return YDModuleAlgebra(ModuleAlgebra(sub, mod), trivial_coaction(mod),
@@ -314,7 +314,7 @@ def cyclic_subgroup_syms(alg, cap=12):
                 powers = None
                 break
             powers.append(cs)
-            cur = alg.mult(cur, alg.el(s))
+            cur = alg.mult_basis[cs, s]
     return None
 
 
@@ -359,21 +359,18 @@ def check_yd_module_algebra(H, samples=30, seed=0, suite="module-algebra"):
 def coaction_from_qt(module, qt, name=None):
     """rho(h) = tau(R)(h (x) 1): sliceR(h, a) = (r_(2).h) (x) r_(1)a and
     sliceL(h, a) = (r_(2).h) (x) a r_(1), summed over the materialized R."""
-    mha = module.mha
-    alg = mha.algebra
+    act, mult = module.act_basis, module.mha.algebra.mult_basis
 
     def slice_r(vsym, asym):
         def term(s):
             i, j = legs(s)
-            return tensor(module.act(alg.el(j), module.el(vsym)),
-                          alg.mult(alg.el(i), alg.el(asym)))
+            return tensor(act[j, vsym], mult[i, asym])
         return qt.r.map_terms(term)
 
     def slice_l(vsym, asym):
         def term(s):
             i, j = legs(s)
-            return tensor(module.act(alg.el(j), module.el(vsym)),
-                          alg.mult(alg.el(asym), alg.el(i)))
+            return tensor(act[j, vsym], mult[asym, i])
         return qt.r.map_terms(term)
 
     return Coaction(module, slice_r, slice_l,
@@ -432,7 +429,8 @@ def check_qt_coaction_suite(mha, samples=30, seed=0, suite="qt-coaction"):
 class HAModule:
     """A carrier with a unital A-action, an A-coaction, and a left action of
     a YD module algebra H over the same A, tied by the mixed compatibility
-    laws (verified by check_ha_module)."""
+    laws (verified by check_ha_module).  The H-action is memoized per basis
+    pair and read by symbol as M.h_act_basis[h_sym, m_sym]."""
 
     def __init__(self, H, module, coaction, h_act_basis, r_act=None, name=None):
         self.H = H
@@ -440,7 +438,8 @@ class HAModule:
         self.coaction = coaction
         self.mha = module.mha
         self.field = module.field
-        self._h_act = bilinear(self.field, h_act_basis)
+        self.h_act_basis = Memo2(h_act_basis)
+        self._h_act = bilinear(self.field, self.h_act_basis)
         self._r_act = r_act
         self.name = name or module.name
 
@@ -466,8 +465,8 @@ class HAModule:
 
 def h_unit_ha_module(H, name=None):
     """M = H acting on itself by multiplication."""
-    return HAModule(H, H.module, H.coaction,
-                    lambda hs, ms: H.alg.mult(H.alg.el(hs), H.alg.el(ms)),
+    mult = H.alg.mult_basis
+    return HAModule(H, H.module, H.coaction, lambda hs, ms: mult[hs, ms],
                     name=name or (H.name + ":unit-object"))
 
 
@@ -476,9 +475,9 @@ def mult_ha_module(H, name=None):
     multiplication inside A (H's carrier symbols must be A basis symbols)."""
     mha = H.mha
     mod = counit_module(mha)
+    mult = mha.algebra.mult_basis
     return HAModule(H, mod, trivial_coaction(mod),
-                    lambda hs, ms: mha.algebra.mult(mha.algebra.el(hs),
-                                                    mha.algebra.el(ms)),
+                    lambda hs, ms: mult[hs, ms],
                     name=name or (mha.name + ":mult-over-" + H.name))
 
 
@@ -629,8 +628,7 @@ class BalancedTensor:
                 for ns in N.module.basis:
                     r = (tensor(M.r_act(M.module.el(ms), H.alg.el(hs)),
                                 N.module.el(ns))
-                         - tensor(M.module.el(ms),
-                                  N.h_act(H.alg.el(hs), N.module.el(ns))))
+                         - tensor(M.module.el(ms), N.h_act_basis[hs, ns]))
                     if not r.is_zero():
                         rels.append(r)
         self.relators = rels
@@ -651,19 +649,16 @@ class BalancedTensor:
         # serves the quotient
         mod = UnitalModule(
             mha,
-            lambda asym, qsym: q.project(
-                amb.act(mha.el(asym), Element.basis(field, qsym))),
+            lambda asym, qsym: q.project(amb.act_basis[asym, qsym]),
             basis=q.basis, arity=self.arity, local_unit=amb.local_unit,
             name=self.name)
         coa = Coaction(
             mod,
             lambda qsym, asym: apply_legs(
-                ac.slice_r(Element.basis(field, qsym), mha.el(asym)),
-                0, self.arity, q.project),
+                ac.slice_r_basis[qsym, asym], 0, self.arity, q.project),
             (None if not ac.has_slice_l else
              lambda qsym, asym: apply_legs(
-                 ac.slice_l(Element.basis(field, qsym), mha.el(asym)),
-                 0, self.arity, q.project)),
+                 ac.slice_l_basis[qsym, asym], 0, self.arity, q.project)),
             name=self.name + ":coaction")
         return HAModule(
             self.H, mod, coa,
@@ -761,7 +756,7 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
             ("right", BalancedTensor(M, RH),
              lambda ms, hs: M.r_act(M.module.el(ms), H.alg.el(hs))),
             ("left", BalancedTensor(RH, M),
-             lambda hs, ms: M.h_act(H.alg.el(hs), M.module.el(ms)))]:
+             lambda hs, ms: M.h_act_basis[hs, ms])]:
         am = T.am
 
         def psi(x, _am=am, _mapper=mapper):

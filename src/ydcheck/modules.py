@@ -9,7 +9,7 @@ sliceL(v, a) = (1 (x) a)Gamma(v) = v_(0) (x) a v_(1).
 
 import random
 
-from .linear import Element, Ten, bilinear, legs, split_sym, apply_legs
+from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
 from .mha import Multiplier, random_element, random_alg_element
 from .report import Report
 
@@ -35,9 +35,10 @@ class UnitalModule:
 
     The action is extended bilinearly, and the image of each basis pair
     (a_sym, v_sym) is memoized in this module object, which assumes
-    act_basis is pure (as bilinear does).  The memo belongs to the object:
-    a module built from a different (say, corrupted) action map starts cold
-    and never sees this one's images.
+    act_basis is pure (as bilinear does): module.act_basis[a_sym, v_sym]
+    reads the memo by symbol, and act extends the same table.  The memo
+    belongs to the object: a module built from a different (say, corrupted)
+    action map starts cold and never sees this one's images.
     """
 
     def __init__(self, mha, act_basis, *, basis=None, sample_basis=None,
@@ -47,7 +48,8 @@ class UnitalModule:
         self.name = name
         self.arity = arity  # how many tensor legs a basis symbol occupies
         self.basis = list(basis) if basis is not None else None
-        self._act = bilinear(self.field, act_basis)
+        self.act_basis = Memo2(act_basis)
+        self._act = bilinear(self.field, self.act_basis)
         if sample_basis is not None:
             self._sample_basis = sample_basis
         elif self.basis is not None:
@@ -128,9 +130,12 @@ class Coaction:
 
     Each slice is extended bilinearly, and the image of each basis pair
     (v_sym, a_sym) is memoized in this coaction object, which assumes the
-    slice maps are pure (as bilinear does).  The memos belong to the object:
-    a coaction built from different (say, corrupted) slice maps starts cold
-    and never sees this one's images."""
+    slice maps are pure (as bilinear does): slice_r_basis[v_sym, a_sym] and
+    slice_l_basis[v_sym, a_sym] read the memos by symbol.  The memos belong
+    to the object: a coaction built from different (say, corrupted) slice
+    maps starts cold and never sees this one's images.  So do the braidings
+    read through its right and left slices (yd.braiding_c, braiding_c_inv),
+    memoized per basis symbol in _braidings."""
 
     def __init__(self, module, slice_r_basis, slice_l_basis=None,
                  name="coaction"):
@@ -138,9 +143,13 @@ class Coaction:
         self.mha = module.mha
         self.field = module.field
         self.name = name
-        self._slice_r = bilinear(self.field, slice_r_basis)
-        self._slice_l = (None if slice_l_basis is None
-                         else bilinear(self.field, slice_l_basis))
+        self.slice_r_basis = Memo2(slice_r_basis)
+        self._slice_r = bilinear(self.field, self.slice_r_basis)
+        self.slice_l_basis = self._slice_l = None
+        if slice_l_basis is not None:
+            self.slice_l_basis = Memo2(slice_l_basis)
+            self._slice_l = bilinear(self.field, self.slice_l_basis)
+        self._braidings = {}  # (kind, X, beta) -> memoized linear map
 
     @property
     def has_slice_l(self):
@@ -160,8 +169,9 @@ class Coaction:
 def regular_module(mha, name=None):
     """A acting on itself by multiplication."""
     alg = mha.algebra
+    mult = alg.mult_basis
     return UnitalModule(
-        mha, lambda a, v: alg.mult(alg.el(a), alg.el(v)),
+        mha, lambda a, v: mult[a, v],
         basis=alg.basis,
         sample_basis=None if alg.basis is not None else alg._sample_basis,
         local_unit=lambda velems, aelems: alg.local_unit(velems + aelems),
@@ -193,11 +203,14 @@ def adjoint_module(mha, alpha=None, beta=None, name=None):
     Needs the materialized coproduct."""
     alg = mha.algebra
 
+    mult = alg.mult_basis
+
     def act(a, v):
         def term(s):
             a1, a2 = legs(s)
-            return alg.mult(alg.mult(twist(beta, alg.el(a2)), alg.el(v)),
-                            twist(alpha, mha.antipode_inv(alg.el(a1))))
+            left = (mult[a2, v] if beta is None
+                    else alg.mult(beta(alg.el(a2)), alg.el(v)))
+            return alg.mult(left, twist(alpha, mha.antipode_inv(alg.el(a1))))
         return mha.coproduct(alg.el(a)).map_terms(term)
 
     return UnitalModule(mha, act, basis=alg.basis,
@@ -207,9 +220,10 @@ def adjoint_module(mha, alpha=None, beta=None, name=None):
 def coproduct_coaction(module, name=None):
     """Gamma = Delta on a module whose carrier is A itself; both slices."""
     mha = module.mha
+    delta_r, delta_l2 = mha.delta_r_basis, mha.delta_l2_basis
     return Coaction(module,
-                    lambda v, a: mha.delta_r(mha.el(v), mha.el(a)),
-                    lambda v, a: mha.delta_l2(mha.el(a), mha.el(v)),
+                    lambda v, a: delta_r[v, a],
+                    lambda v, a: delta_l2[a, v],
                     name=name or (module.name + ":delta"))
 
 

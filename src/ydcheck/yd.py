@@ -18,7 +18,7 @@ factors cancel.  Each evaluator documents its slice composition.
 
 import random
 
-from .linear import Element, Ten, tensor, legs, split_sym, apply_legs
+from .linear import Element, Ten, linear, tensor, legs, split_sym, apply_legs
 from .mha import random_alg_element
 from .report import Report
 from .modules import (UnitalModule, Coaction, random_mod_element,
@@ -55,15 +55,16 @@ def act_on_slice(module, a, x, beta=None):
         return x
     u = untwist(beta, alg.local_unit(
         [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
+    act, mult = module.act_basis, alg.mult_basis
 
     def term(s):
         p, q = legs(s)
-        bq = twist(beta, alg.el(q))
+        bq = None if beta is None else beta(alg.el(q))
 
         def leg(sx):
             v0, m = split_sym(sx, module.arity)
-            return tensor(module.act(alg.el(p), module.el(v0)),
-                          alg.mult(bq, alg.el(m)))
+            return tensor(act[p, v0], mult[q, m] if bq is None
+                          else alg.mult(bq, alg.el(m)))
         return x.map_terms(leg)
     return mha.delta_r(a, u).map_terms(term)
 
@@ -168,8 +169,8 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
 
         def term(s):
             p, q = legs(s)
-            return tensor(V.act(twist(gamma, alg.el(p)), V.el(vs)),
-                          W.act(twist(theta, alg.el(q)), W.el(ws)))
+            return tensor(_twisted_act(V, gamma, p, vs),
+                          _twisted_act(W, theta, q, ws))
         return mha.delta_r(alg.el(asym), e).map_terms(term)
 
     def local_unit(velems, aelems):
@@ -196,17 +197,24 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
                         name=name or ("%s(x)%s" % (V.name, W.name)))
 
 
+def _twisted_act(module, aut, asym, vsym):
+    """aut(a).v for basis symbols a and v; a read of the action's table when
+    aut is None (the identity)."""
+    if aut is None:
+        return module.act_basis[asym, vsym]
+    return module.act(aut(module.mha.el(asym)), module.el(vsym))
+
+
 def tensor_coaction(mod, V, W):
     """The coaction of V (x) W on its carrier mod: the right slice
     v_(0) (x) w_(0) (x) w_(1)v_(1)a (note the order), and the left slice
     v_(0) (x) w_(0) (x) a w_(1)v_(1) when both factors carry one."""
     Vm, Wm = V.module, W.module
     va, ca_v, ca_w = Vm.arity, V.coaction, W.coaction
-    alg = mod.mha.algebra
 
     def slice_r(tsym, asym):
         vs, ws = split_sym(tsym, va)
-        x = ca_v.slice_r(Vm.el(vs), alg.el(asym))  # v0 (x) v1 a
+        x = ca_v.slice_r_basis[vs, asym]  # v0 (x) v1 a
         # v1 a -> w0 (x) w1 v1 a
         return apply_legs(x, va, 1, lambda m: ca_w.slice_r(Wm.el(ws), m))
 
@@ -215,9 +223,9 @@ def tensor_coaction(mod, V, W):
 
         def term(s):  # w0 (x) a w1 -> v0 (x) w0 (x) a w1 v1
             w0, m = split_sym(s, Wm.arity)
-            y = ca_v.slice_l(Vm.el(vs), alg.el(m))
+            y = ca_v.slice_l_basis[vs, m]
             return apply_legs(y, va, 1, lambda m2: tensor(Wm.el(w0), m2))
-        return ca_w.slice_l(Wm.el(ws), alg.el(asym)).map_terms(term)
+        return ca_w.slice_l_basis[ws, asym].map_terms(term)
 
     both = ca_v.has_slice_l and ca_w.has_slice_l
     return Coaction(mod, slice_r, slice_l if both else None,
@@ -234,11 +242,24 @@ def yd_tensor(V, W, name=None):
 
 # -- the braiding -------------------------------------------------------------
 
-def _splice(X, arity, slice_r, xv, beta=None):
+def _memoized(owner, key, field, term):
+    """The linear extension of a braiding's per-symbol formula term,
+    memoized per basis symbol in owner._braidings[key].  The owner is the
+    object whose slice term reads, and key names the other factor X and the
+    twist, so the memo lives and dies with the maps it was computed from.
+    term reads the slice itself, never the owner, so the memo closes no
+    reference cycle and is freed with its owner."""
+    ext = owner._braidings.get(key)
+    if ext is None:
+        ext = owner._braidings[key] = linear(field, term)
+    return ext
+
+
+def _splice(owner, X, arity, slice_r, beta=None):
     """x (x) v -> v_(0) (x) beta^-1(v_(1)).x for a right slice
     slice_r(v, a) = v_(0) (x) v_(1)a on a carrier of the given arity: the
     slice is taken at beta(e) for a local unit e of x, so beta^-1 of its
-    A-leg acts on x = e.x."""
+    A-leg acts on x = e.x.  Memoized in owner, keyed by (X, beta)."""
     def term(s):
         xs, vs = split_sym(s, X.arity)
         x = X.el(xs)
@@ -246,32 +267,35 @@ def _splice(X, arity, slice_r, xv, beta=None):
         return apply_legs(slice_r(Element.basis(x.field, vs), twist(beta, e)),
                           arity, 1,
                           lambda m: X.act(untwist(beta, m), x))
-    return xv.map_terms(term)
+    return _memoized(owner, ("c", X, beta), X.field, term)
 
 
 def braiding_c(X, V, xv, beta=None):
     """C_{X,V}(x (x) v) = v_(0) (x) beta^-1(v_(1)).x, with v_(1) acting
     through a local unit decomposition of x; the YD braiding is the one at
-    beta = None."""
-    return _splice(X, V.module.arity, V.coaction.slice_r, xv, beta)
+    beta = None.  Memoized per basis symbol on V's coaction."""
+    coa = V.coaction
+    return _splice(coa, X, V.module.arity, coa._slice_r, beta)(xv)
 
 
 def braiding_c_inv(X, V, vx):
     """C^-1(v (x) x) = S(v_(1)).x (x) v_(0); S(v_(1)) e is produced as
-    S applied to the left slice at S^-1(e)."""
-    mha = V.mha
+    S applied to the left slice at S^-1(e).  Memoized per basis symbol on
+    V's coaction."""
+    mha, mod, coa = V.mha, V.module, V.coaction
+    # the bound method raises, naming the coaction, when it has no left slice
+    slice_l = coa._slice_l if coa.has_slice_l else coa.slice_l
 
     def term(s):
-        vs, xs = split_sym(s, V.module.arity)
+        vs, xs = split_sym(s, mod.arity)
         x = X.el(xs)
         e = X.local_unit([x])
 
         def leg(s2):
-            v0, m = split_sym(s2, V.module.arity)
-            return tensor(X.act(mha.antipode(mha.el(m)), x), V.module.el(v0))
-        return V.coaction.slice_l(V.module.el(vs),
-                                  mha.antipode_inv(e)).map_terms(leg)
-    return vx.map_terms(term)
+            v0, m = split_sym(s2, mod.arity)
+            return tensor(X.act(mha.antipode(mha.el(m)), x), mod.el(v0))
+        return slice_l(mod.el(vs), mha.antipode_inv(e)).map_terms(leg)
+    return _memoized(coa, ("c-inv", X), X.field, term)(vx)
 
 
 # -- half-braidings and the centre -------------------------------------------
@@ -287,14 +311,17 @@ class HalfBraiding:
         self.field = module.field
         self._cA = cA  # (Element of A, Element of V) -> Element of V (x) A
         self.name = name or (module.name + ":half-braiding")
+        self._braidings = {}  # ("c", X, None) -> memoized component
 
     def cA(self, a, v):
         return self._cA(a, v)
 
     def component(self, X, xv):
         """C_{X,V}(x (x) v) = (i (x) xbar) C_{A,V}(e (x) v) for a local unit
-        e of x, where xbar(a) = a.x."""
-        return _splice(X, self.module.arity, lambda v, e: self.cA(e, v), xv)
+        e of x, where xbar(a) = a.x; memoized per basis symbol."""
+        cA = self._cA
+        return _splice(self, X, self.module.arity,
+                       lambda v, e: cA(e, v))(xv)
 
 
 def functor_g(V):

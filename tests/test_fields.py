@@ -7,13 +7,15 @@ so no float can ever appear."""
 import ast
 import glob
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
 import ydcheck.cli as cli
 from ydcheck.double import DiagonalCrossedProduct, drinfeld_double
-from ydcheck.fields import QQ, PrimeField, parse_scalar
+from ydcheck.fields import (QQ, PrimeField, parse_field, parse_scalar,
+                            is_prime, MAX_PRIME)
 from ydcheck.instances import DualHopf, IntegralData
 from ydcheck.linear import Element, tensor
 from ydcheck.mha import MultiplierHopfAlgebra
@@ -42,7 +44,7 @@ def test_div_by_zero_raises_in_both_fields():
 def test_prime_div_is_multiplication_by_the_inverse():
     F = PrimeField(7)
     x = Element.basis(F, "x")
-    for a in F.elements():
+    for a in range(F.p):
         if a:
             inv = F.div(F.one(), a)
             assert type(inv) is int and 0 < inv < 7
@@ -63,6 +65,60 @@ def test_one_is_a_primitive_first_root_of_unity_over_f2(tmp_path, capsys):
                    "--field", "fp:2", "--samples", "3",
                    "--out", str(tmp_path / "r.json")])
     assert rc == 0, capsys.readouterr()
+
+
+def test_primality_agrees_with_trial_division_below_2000():
+    for n in range(-3, 2000):
+        trial = n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+        assert is_prime(n) is trial, n
+
+
+def test_a_large_prime_is_certified_at_once():
+    t0 = time.perf_counter()
+    F = parse_field("fp:%d" % (2 ** 61 - 1))
+    assert time.perf_counter() - t0 < 0.1
+    assert F.p == 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105,  # Carmichael numbers
+    2 ** 61 + 1,  # = 3 * 768614336404564651
+    # the least strong pseudoprime to the first 12 prime bases
+    318665857834031151167461,
+])
+def test_composites_are_refused(n):
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(n)
+
+
+def test_a_prime_field_too_large_to_certify_is_a_usage_error(capsys):
+    with pytest.raises(ValueError, match="cannot certify"):
+        is_prime(MAX_PRIME)
+    assert is_prime(MAX_PRIME - 2) in (True, False)
+    rc = cli.main(["check", "mha-axioms", "--instance", "grp-S3",
+                   "--field", "fp:%d" % MAX_PRIME])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: cannot certify"), err
+
+
+def test_the_coefficient_pool_is_read_off_p_once_per_field():
+    """The nonzero elements of F_p when p <= 11, else -2, -1, 1, 2 (the QQ
+    pool) reduced mod p; built with the field, never by listing it."""
+    assert QQ.coeff_pool == (-2, -1, 1, 2)
+    for p in (2, 3, 5, 7, 11, 13, 101, 99999999977):
+        F = PrimeField(p)
+        want = (range(1, p) if p <= 11
+                else [F.from_int(n) for n in (-2, -1, 1, 2)])
+        assert F.coeff_pool == tuple(want)
+
+
+def test_a_huge_prime_field_runs_the_axioms(tmp_path):
+    t0 = time.perf_counter()
+    rc = cli.main(["check", "mha-axioms", "--instance", "grp-S3",
+                   "--field", "fp:99999999977", "--samples", "2",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert time.perf_counter() - t0 < 2
 
 
 def test_gf_equality_fast_path_respects_the_prime():

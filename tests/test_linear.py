@@ -12,7 +12,10 @@ from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.instances import build_instance
 from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, flip,
                             apply_legs, lin_solve, kernel_basis,
-                            QuotientSpace, linear, bilinear)
+                            QuotientSpace, linear, bilinear, Memo, Memo2)
+from ydcheck.mha import Algebra
+from ydcheck.modules import (UnitalModule, Coaction, regular_module,
+                             coproduct_coaction)
 
 
 def e(sym, c=1):
@@ -149,6 +152,87 @@ def test_a_first_image_with_coefficient_one_is_copied_not_shared():
     assert images["p"].terms == {"z": 3, "u": 1}
     assert images["q"].terms == {"z": 2, "w": 4}
     assert lin(Element.basis(F5, "p")) is images["p"]
+
+
+def test_a_symbol_read_and_an_element_read_share_one_table():
+    """Memo(f)[s] and Memo2(f)[s, t] compute f once per basis symbol (pair)
+    and keep it; linear and bilinear extend the table they are given, so
+    whichever read comes first, f runs once and both return one object."""
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return e(s + "'")
+
+    def g(s, t):
+        calls.append((s, t))
+        return e(s + t)
+
+    table, table2 = Memo(f), Memo2(g)
+    ext, ext2 = linear(QQ, table), bilinear(QQ, table2)
+    first = table["a"]
+    assert ext(e("a")) is first and table["a"] is first
+    first = ext(e("b"))
+    assert table["b"] is first
+    first = table2["a", "b"]
+    assert ext2(e("a"), e("b")) is first and table2["a", "b"] is first
+    first = ext2(e("b"), e("a"))
+    assert table2["b", "a"] is first
+    assert calls == ["a", "b", ("a", "b"), ("b", "a")]
+    # a longer sum reads the same table and adds nothing to it
+    assert ext2(e("a") + e("b"), e("a")) == e("aa") + e("ba")
+    assert calls == ["a", "b", ("a", "b"), ("b", "a"), ("a", "a")]
+    assert set(table) == {"a", "b"} and len(table2) == 3
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_every_structure_map_reads_its_own_table_by_symbol(field):
+    """The product, the four slices, a module action and both coaction
+    slices: the symbol read and the Element read of each are one object."""
+    H = build_instance("sweedler-H4", field)
+    alg = H.algebra
+    reg = regular_module(H)
+    coa = coproduct_coaction(reg)
+    maps = [(alg.mult_basis, alg.mult), (H.delta_r_basis, H.delta_r),
+            (H.delta_l_basis, H.delta_l), (H.delta_r2_basis, H.delta_r2),
+            (H.delta_l2_basis, H.delta_l2), (reg.act_basis, reg.act),
+            (coa.slice_r_basis, coa.slice_r), (coa.slice_l_basis, coa.slice_l)]
+    for a in alg.basis:
+        for b in alg.basis:
+            for table, ext in maps:
+                assert table[a, b] is ext(H.el(a), H.el(b))
+                assert (a, b) in table
+    # the regular action and Gamma = Delta are the product and the slices
+    assert reg.act_basis["x", "g"] == alg.mult_basis["x", "g"]
+    assert coa.slice_l_basis["x", "g"] == H.delta_l2_basis["g", "x"]
+
+
+def test_an_object_built_from_another_map_starts_cold():
+    """Each object owns the tables of the maps it was built from: warming
+    one leaves another, built from a corrupted map, reading its own."""
+    H = build_instance("grp-S3", QQ)
+    two = QQ.from_int(2)
+    reg = regular_module(H)
+    coa = coproduct_coaction(reg)
+    for a in H.algebra.basis:
+        for b in H.algebra.basis:
+            reg.act(H.el(a), H.el(b))
+            coa.slice_r(H.el(a), H.el(b))
+    mult = H.algebra.mult_basis
+    bad_alg = Algebra(QQ, lambda a, b: mult[a, b].scaled(two),
+                      basis=H.algebra.basis, unit=H.algebra.unit)
+    bad_mod = UnitalModule(H, lambda a, v: reg.act_basis[a, v].scaled(two),
+                           basis=reg.basis)
+    bad_coa = Coaction(reg, lambda v, a: coa.slice_r_basis[v, a].scaled(two))
+    for bad in (bad_alg.mult_basis, bad_mod.act_basis, bad_coa.slice_r_basis):
+        assert len(bad) == 0
+    for a in H.algebra.basis:
+        for b in H.algebra.basis:
+            assert bad_alg.mult(H.el(a), H.el(b)) == mult[a, b].scaled(two)
+            assert bad_mod.act(H.el(a), H.el(b)) == reg.act_basis[a, b].scaled(two)
+            assert (bad_coa.slice_r(H.el(a), H.el(b))
+                    == coa.slice_r_basis[a, b].scaled(two))
+    assert len(reg.act_basis) == len(coa.slice_r_basis) == 36
 
 
 def test_tensor_flattens():

@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from ydcheck.fields import QQ
-from ydcheck.linear import Element, Ten, tensor
+from ydcheck.fields import QQ, PrimeField
+from ydcheck.linear import Element, Ten, tensor, split_sym, apply_legs
 from ydcheck.instances import build_instance, CORE_INSTANCES, group_S3
 from ydcheck.mha import random_alg_element
 from ydcheck.modules import (regular_module, coproduct_coaction, Coaction,
-                             adjoint_module, random_mod_element)
+                             adjoint_module, random_mod_element, twist,
+                             untwist)
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_half_braiding, check_equivalence,
                         canonical_yd, trivial_yd, tensor_module)
-from ydcheck.gyd import stretch_gyd
+from ydcheck.gyd import (stretch_gyd, parse_pair, gyd_fixtures_at,
+                         gyd_braiding)
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
@@ -171,3 +173,92 @@ def test_functor_f_finite_dimensional_recovery(name):
             for a in mha.algebra.basis:
                 x, y = V.module.el(v), mha.el(a)
                 assert F.coaction.slice_l(x, y) == V.coaction.slice_l(x, y)
+
+
+# -- the memoized braidings against their per-term formulas -------------------
+
+def splice_formula(X, arity, slice_r, xv, beta=None):
+    """x (x) v -> v_(0) (x) beta^-1(v_(1)).x, term by term, unmemoized."""
+    out = Element(xv.field)
+    for s, c in xv.terms.items():
+        xs, vs = split_sym(s, X.arity)
+        x = X.el(xs)
+        e = X.local_unit([x])
+        img = apply_legs(slice_r(Element.basis(x.field, vs), twist(beta, e)),
+                         arity, 1, lambda m: X.act(untwist(beta, m), x))
+        out = out + img.scaled(c)
+    return out
+
+
+def inverse_formula(X, V, vx):
+    """v (x) x -> S(v_(1)).x (x) v_(0), term by term, unmemoized."""
+    mha, mod = V.mha, V.module
+    out = Element(vx.field)
+    for s, c in vx.terms.items():
+        vs, xs = split_sym(s, mod.arity)
+        x = X.el(xs)
+        e = X.local_unit([x])
+        sl = V.coaction.slice_l(mod.el(vs), mha.antipode_inv(e))
+        for s2, c2 in sl.terms.items():
+            v0, m = split_sym(s2, mod.arity)
+            out = out + tensor(X.act(mha.antipode(mha.el(m)), x),
+                               mod.el(v0)).scaled(c * c2)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf", "grp-S3", "sweedler-H4"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_memoized_braidings_equal_their_formulas(name, field):
+    """braiding_c, braiding_c_inv and HalfBraiding.component are memoized
+    per basis symbol on the object whose slice they read, keyed by X; on
+    seeded inputs (read twice, so the second read comes from the memo) they
+    equal the per-term formula."""
+    mha = build_instance(name, field)
+    reg = regular_module(mha)
+    rng = random.Random(5)
+    for V in yd_fixtures(mha):
+        H = functor_g(V)
+        for X in (reg, tensor_module(reg, reg)):
+            for _ in range(4):
+                x = random_mod_element(rng, X)
+                v = random_mod_element(rng, V.module)
+                xv, vx = tensor(x, v), tensor(v, x)
+                for _ in range(2):
+                    assert braiding_c(X, V, xv) == splice_formula(
+                        X, V.module.arity, V.coaction.slice_r, xv)
+                    assert braiding_c_inv(X, V, vx) == inverse_formula(X, V, vx)
+                    assert H.component(X, xv) == splice_formula(
+                        X, V.module.arity, lambda v, e: H.cA(e, v), xv)
+            assert ("c", X, None) in V.coaction._braidings
+            assert ("c-inv", X) in V.coaction._braidings
+            assert ("c", X, None) in H._braidings
+        # a new coaction starts without the memo
+        assert functor_f(H).coaction._braidings == {}
+
+
+@pytest.mark.parametrize("name,field,specs", [
+    ("sweedler-H4", QQ, ("scale:2,3", "scale:3,2")),
+    ("sweedler-H4", PrimeField(5), ("scale:2,3", "scale:3,2")),
+    ("grp-S3", PrimeField(5), ("inner:2,3", "inner:3,2")),
+], ids=["H4-QQ", "H4-fp5", "S3-fp5"])
+def test_memoized_twisted_braiding_equals_its_formula(name, field, specs):
+    """The twisted braiding C_{V,W}(v (x) w) = w_(0) (x) beta^-1(w_(1)).v
+    is the splice memoized on W's coaction at (V's module, V's beta)."""
+    mha = build_instance(name, field)
+    fixtures = [fx for spec in specs
+                for fx in gyd_fixtures_at(mha, parse_pair(mha, spec))]
+    rng = random.Random(7)
+    for V in fixtures:
+        beta = V.pair.beta
+        for W in fixtures:
+            for _ in range(3):
+                t = tensor(random_mod_element(rng, V.module),
+                           random_mod_element(rng, W.module))
+                for _ in range(2):
+                    assert gyd_braiding(V, W, t) == splice_formula(
+                        V.module, W.module.arity, W.coaction.slice_r, t, beta)
+                    # the untwisted splice on the same X is a memo of its own
+                    assert braiding_c(V.module, W, t) == splice_formula(
+                        V.module, W.module.arity, W.coaction.slice_r, t)
+            assert ("c", V.module, beta) in W.coaction._braidings
+            assert ("c", V.module, None) in W.coaction._braidings
