@@ -20,8 +20,8 @@ import random
 
 from .linear import (Element, Ten, Memo2, tensor, legs, make_sym, sym_str,
                      apply_legs, bilinear)
-from .mha import Algebra, random_alg_element
-from .modules import UnitalModule, Coaction, random_mod_element
+from .mha import Space, Algebra, random_element
+from .modules import UnitalModule, Coaction
 from .yd import split_sym, canonical_yd
 from .gyd import (GYDModule, identity_pair, check_gyd, trivial_gyd,
                   gyd_from_yd)
@@ -70,7 +70,7 @@ class DiagonalCrossedProduct:
         basis = [Ten((dual_sym(s), t)) for s in base.algebra.basis
                  for t in base.algebra.basis]
         unit = tensor(dual.algebra.unit, base.algebra.unit)
-        self.algebra = Algebra(field, mult_basis, basis=basis, unit=unit,
+        self.algebra = Algebra(field, mult_basis, Space(basis), unit=unit,
                                name=self.name)
 
     def element(self, p, a):
@@ -263,7 +263,7 @@ def dcp_module_to_yd(M, integrals=None, name=None):
     # carrier symbols may themselves be tensors (e.g. the regular module of
     # the crossed product); track their leg count so slices split correctly
     ar = len(legs(M.basis[0]))
-    mod = UnitalModule(base, act_basis, basis=M.basis, arity=ar,
+    mod = UnitalModule(base, act_basis, Space(M.basis), arity=ar,
                        name=(name or M.name) + ":as-yd")
 
     # materialize the coaction once per carrier basis symbol
@@ -306,11 +306,11 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
         back = dcp_module_to_yd(M, integrals)
 
         def trial():
-            a = random_alg_element(rng, mha)
-            v = random_mod_element(rng, V.module)
+            a = random_element(rng, mha.algebra)
+            v = random_element(rng, V.module, 3)
             if back.module.act(a, v) != V.module.act(a, v):
                 return "action differs at a=%r v=%r" % (a, v)
-            ap = random_alg_element(rng, mha)
+            ap = random_element(rng, mha.algebra)
             if back.coaction.slice_r(v, ap) != V.coaction.slice_r(v, ap):
                 return ("coaction differs at v=%r a'=%r: %r vs %r"
                         % (v, ap, back.coaction.slice_r(v, ap),
@@ -396,8 +396,6 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
                           alg.mult_basis[d2, dp])
         return dcp.coproduct(alg.el(d)).map_terms(term)
 
-    basis = [tensor(carrier.el(h), alg.el(d)).support()[0]
-             for h in carrier.basis for d in alg.basis]
     unit = tensor(carrier.unit, alg.unit)
-    return Algebra(field, mult_basis, basis=basis, unit=unit,
-                   name=name or ("%s#%s" % (carrier.name, dcp.name)))
+    return Algebra(field, mult_basis, carrier.space.tensor(alg.space),
+                   unit=unit, name=name or ("%s#%s" % (carrier.name, dcp.name)))

@@ -18,10 +18,10 @@ modules.
 import random
 
 from .linear import tensor, apply_legs
-from .mha import random_alg_element
-from .modules import (UnitalModule, Coaction, random_mod_element,
-                      trivial_module, trivial_coaction, counit_module,
-                      adjoint_module, coproduct_coaction)
+from .mha import random_element
+from .modules import (UnitalModule, Coaction, trivial_module,
+                      trivial_coaction, counit_module, adjoint_module,
+                      coproduct_coaction)
 from .yd import (compat_rhs, split_sym, tensor_module, tensor_coaction,
                  braiding_c)
 from .fields import parse_scalar
@@ -118,8 +118,9 @@ def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
     mod, coa = gyd.module, gyd.coaction
 
     def trial():
-        a, ap = random_alg_element(rng, mha), random_alg_element(rng, mha)
-        v = random_mod_element(rng, mod)
+        a = random_element(rng, mha.algebra)
+        ap = random_element(rng, mha.algebra)
+        v = random_element(rng, mod, 3)
         lhs = coa.slice_r(mod.act(a, v), ap)
         rhs = compat_rhs(mod, coa, a, ap, v,
                          alpha=gyd.pair.alpha, beta=gyd.pair.beta)
@@ -193,8 +194,8 @@ def stretch_gyd(mha, name=None):
         doubled = [alg.el(2 * s) for x in velems for s in x.terms]
         return alg.local_unit(doubled + list(aelems))
 
-    mod = UnitalModule(mha, act, basis=None, sample_basis=alg._sample_basis,
-                       local_unit=lu, name=(name or mha.name) + ":stretch")
+    mod = UnitalModule(mha, act, alg.space, local_unit=lu,
+                       name=(name or mha.name) + ":stretch")
     delta_r = mha.delta_r_basis
     coa = Coaction(mod, lambda v, a: delta_r[v, a],
                    name=mod.name + ":delta")
@@ -237,8 +238,7 @@ def crossed_functor(p, W, name=None):
         # theta(e).w = w and theta(e)theta(a) = theta(a)
         return theta.inverse(Wm.local_unit(velems, [theta(a) for a in aelems]))
 
-    mod = UnitalModule(mha, act, basis=Wm.basis, sample_basis=Wm.sample_basis,
-                       local_unit=lu, arity=Wm.arity,
+    mod = UnitalModule(mha, act, Wm.space, local_unit=lu, arity=Wm.arity,
                        name=name or ("%s>%s" % (p.name, W.name)))
 
     def slice_r(wsym, asym):
@@ -300,7 +300,7 @@ def gyd_braiding_inv(V, W, wv, max_rounds=4):
 # -- the T-category suite ---------------------------------------------------------
 
 def _probes(mha, rng, n=12):
-    return [random_alg_element(rng, mha) for _ in range(n)]
+    return [random_element(rng, mha.algebra) for _ in range(n)]
 
 
 def gyd_fixtures_at(mha, pair):
@@ -380,8 +380,8 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     C0 = crossed_functor(idp, W0)
 
     def agree_trial(X, Y):
-        a = random_alg_element(rng, mha)
-        w = random_mod_element(rng, W0.module)
+        a = random_element(rng, mha.algebra)
+        w = random_element(rng, W0.module, 3)
         if X.module.act(a, w) != Y.module.act(a, w):
             return "action differs at a=%r w=%r" % (a, w)
         if X.coaction.slice_r(w, a) != Y.coaction.slice_r(w, a):
@@ -405,9 +405,9 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
         rhs = gyd_tensor(crossed_functor(p, V), crossed_functor(p, W))
 
         def trial():
-            a = random_alg_element(rng, mha)
-            t = tensor(random_mod_element(rng, V.module),
-                       random_mod_element(rng, W.module))
+            a = random_element(rng, mha.algebra)
+            t = tensor(random_element(rng, V.module, 3),
+                       random_element(rng, W.module, 3))
             if lhs.module.act(a, t) != rhs.module.act(a, t):
                 return "action differs at a=%r t=%r" % (a, t)
             if lhs.coaction.slice_r(t, a) != rhs.coaction.slice_r(t, a):
@@ -429,9 +429,9 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
         two = mha.field.from_int(2)
 
         def draw():
-            a = random_alg_element(rng, mha)
-            v = random_mod_element(rng, V.module)
-            w = random_mod_element(rng, W.module)
+            a = random_element(rng, mha.algebra)
+            v = random_element(rng, V.module, 3)
+            w = random_element(rng, W.module, 3)
             return a, v, w, tensor(v, w)
 
         def a_linear(sample):
@@ -468,8 +468,8 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     pV, pW = crossed_functor(p, V), crossed_functor(p, W)
 
     def trial():
-        v = random_mod_element(rng, V.module)
-        w = random_mod_element(rng, W.module)
+        v = random_element(rng, V.module, 3)
+        w = random_element(rng, W.module, 3)
         t = tensor(v, w)
         if gyd_braiding(V, W, t) != gyd_braiding(pV, pW, t):
             return "v=%r w=%r" % (v, w)

@@ -14,7 +14,7 @@ import random
 
 from .linear import (Element, Ten, Memo, tensor, legs, make_sym, apply_legs,
                      flip, kernel_basis, bilinear)
-from .mha import Algebra, MultiplierHopfAlgebra, random_alg_element
+from .mha import Space, Algebra, MultiplierHopfAlgebra, probe_elements
 
 
 class ConstructionError(Exception):
@@ -25,36 +25,31 @@ class ConstructionError(Exception):
 
 class DiscreteGroup:
     """A group given by normal forms: elements are hashable labels that are
-    unique per group element."""
+    unique per group element.  space is the Space of those labels, which
+    is the carrier of the group algebra and of the function algebra;
+    group.elements reads its basis (None for an infinite group)."""
 
-    def __init__(self, name, identity, mul, inv, *, elements=None,
-                 sample=None, abelian=False, cyclic_order=None):
+    def __init__(self, name, identity, mul, inv, space, *, abelian=False,
+                 cyclic_order=None):
         self.name = name
         self.cyclic_order = cyclic_order  # n for Z/n, else None
         self.identity = identity
         self.mul = mul
         self.inv = inv
-        self.elements = elements  # list for finite groups, else None
+        self.space = space
+        self.elements = space.basis
         self.abelian = abelian
-        if sample is not None:
-            self._sample = sample
-        elif elements is not None:
-            self._sample = lambda rng: rng.choice(self.elements)
-        else:
-            raise ValueError("infinite group needs a sampler")
-
-    def sample(self, rng):
-        return self._sample(rng)
 
 
 def group_Z():
     return DiscreteGroup("Z", 0, lambda a, b: a + b, lambda a: -a,
-                         sample=lambda rng: rng.randint(-5, 5), abelian=True)
+                         Space(sample=lambda rng: rng.randint(-5, 5)),
+                         abelian=True)
 
 
 def group_Zn(n):
     return DiscreteGroup("Z%d" % n, 0, lambda a, b: (a + b) % n,
-                         lambda a: (-a) % n, elements=list(range(n)),
+                         lambda a: (-a) % n, Space(range(n)),
                          abelian=True, cyclic_order=n)
 
 
@@ -71,7 +66,7 @@ def group_S3():
             out[pi] = i
         return tuple(out)
 
-    return DiscreteGroup("S3", (0, 1, 2), mul, inv, elements=els)
+    return DiscreteGroup("S3", (0, 1, 2), mul, inv, Space(els))
 
 
 def group_Dinf():
@@ -86,8 +81,8 @@ def group_Dinf():
         k, e = a
         return ((-k if e == 0 else k), e)
 
-    return DiscreteGroup("Dinf", (0, 0), mul, inv,
-                         sample=lambda rng: (rng.randint(-4, 4), rng.randint(0, 1)))
+    return DiscreteGroup("Dinf", (0, 0), mul, inv, Space(
+        sample=lambda rng: (rng.randint(-4, 4), rng.randint(0, 1))))
 
 
 # -- K(G): finitely supported functions on G --------------------------------
@@ -116,9 +111,8 @@ def function_algebra(group, field, name=None):
     if g.elements is not None:
         unit = Element(field, {s: field.one() for s in g.elements})
 
-    alg = Algebra(field, mult_basis, basis=g.elements,
-                  sample_basis=(None if g.elements is not None else g.sample),
-                  unit=unit, local_unit=local_unit, name=name)
+    alg = Algebra(field, mult_basis, g.space, unit=unit,
+                  local_unit=local_unit, name=name)
 
     one = field.one()
 
@@ -194,17 +188,16 @@ def from_unital_coproduct(alg, coproduct_basis, counit, antipode_basis,
 
 
 def group_algebra(group, field, name=None):
-    """KG: basis = group elements, grouplike coproduct g -> g (x) g."""
+    """KG on the group's Space (finite or sampled), with the grouplike
+    coproduct g -> g (x) g."""
     name = name or ("grp-" + group.name)
     g = group
-    if g.elements is None:
-        raise ValueError("group algebra instance requires a finite group")
 
     def mult_basis(a, b):
         return Element.basis(field, g.mul(a, b))
 
     unit = Element.basis(field, g.identity)
-    alg = Algebra(field, mult_basis, basis=g.elements, unit=unit, name=name)
+    alg = Algebra(field, mult_basis, g.space, unit=unit, name=name)
 
     one = field.one()
     mha = from_unital_coproduct(
@@ -241,7 +234,7 @@ def sweedler_h4(field, name="sweedler-H4"):
 
     basis = ["1", "g", "x", "gx"]
     unit = Element.basis(field, "1")
-    alg = Algebra(field, mult_basis, basis=basis, unit=unit, name=name)
+    alg = Algebra(field, mult_basis, Space(basis), unit=unit, name=name)
 
     def e(s, c=None):
         return Element.basis(field, s, c)
@@ -315,7 +308,7 @@ class DualHopf(MultiplierHopfAlgebra):
 
         unit = Element(field, {dual_sym(a): base.counit(base.el(a)) for a in bsyms})
         alg = Algebra(field, lambda p, q: product[Ten((p, q))],
-                      basis=[dual_sym(a) for a in bsyms], unit=unit, name=name)
+                      Space(map(dual_sym, bsyms)), unit=unit, name=name)
 
         def counit(p):  # eps(p) = p(1)
             return base.algebra.unit.coeff(p[1])
@@ -495,9 +488,7 @@ class HopfAutomorphism:
     def _validate(self, samples, seed):
         mha = self.mha
         rng = random.Random(seed)
-        probe = ([mha.el(s) for s in mha.algebra.basis]
-                 if mha.algebra.basis is not None
-                 else [random_alg_element(rng, mha) for _ in range(samples)])
+        probe = probe_elements(rng, mha.algebra, samples)
         for a in probe:
             if self._inv(self._fwd(a)) != a or self._fwd(self._inv(a)) != a:
                 raise ConstructionError("%s: not a bijection at a=%r" % (self.name, a))

@@ -20,36 +20,66 @@ the slices are derived from it.
 import functools
 import random
 
-from .linear import (Element, Memo2, linear, bilinear, tensor, legs,
+from .linear import (Element, Ten, Memo2, linear, bilinear, tensor, legs,
                      make_sym, flip, apply_legs)
 from .report import Report
 
 
-class Algebra:
-    """A non-degenerate algebra with an enumerable-or-sampleable basis.
+class Space:
+    """The carrier of an algebra, a module or a group: a finite basis, or a
+    sampler of basis symbols for an infinite one.
 
-    mult_basis(sa, sb) gives the product of two basis vectors; basis is a
-    list for finite instances and None for infinite ones, in which case
-    sample_basis supplies random basis symbols.  The product of basis
+    basis is a list for a finite carrier and None for an infinite one.
+    sample(rng) draws one basis symbol: with the given sampler when there
+    is one, else uniformly from the basis.  space.tensor(other) is the
+    carrier of a tensor product: flat Ten symbols, listed when both factors
+    are finite, and drawn by sampling each factor in turn.  A Space refers
+    to nothing but its basis and sampler, so an object holding one is freed
+    by reference counting alone.
+    """
+
+    __slots__ = ("basis", "_sample")
+
+    def __init__(self, basis=None, sample=None):
+        if basis is None and sample is None:
+            raise ValueError("an infinite carrier needs a basis sampler")
+        self.basis = list(basis) if basis is not None else None
+        self._sample = sample
+
+    def sample(self, rng):
+        if self._sample is None:
+            return rng.choice(self.basis)
+        return self._sample(rng)
+
+    def tensor(self, other):
+        basis = None
+        if self.basis is not None and other.basis is not None:
+            basis = [Ten(legs(v) + legs(w))
+                     for v in self.basis for w in other.basis]
+        return Space(basis, lambda rng: Ten(legs(self.sample(rng))
+                                            + legs(other.sample(rng))))
+
+
+class Algebra:
+    """A non-degenerate algebra on a carrier Space.
+
+    mult_basis(sa, sb) gives the product of two basis vectors; space lists
+    the basis of a finite instance or samples that of an infinite one, and
+    alg.basis reads its basis (None when infinite).  The product of basis
     symbols is memoized in the table self.mult_basis, read by symbol as
     alg.mult_basis[sa, sb]; mult extends the same table to Elements.
     """
 
-    def __init__(self, field, mult_basis, *, basis=None, sample_basis=None,
-                 unit=None, local_unit=None, name="algebra"):
+    def __init__(self, field, mult_basis, space, *, unit=None,
+                 local_unit=None, name="algebra"):
         self.field = field
         self.name = name
-        self.basis = list(basis) if basis is not None else None
+        self.space = space
+        self.basis = space.basis
         self.mult_basis = Memo2(mult_basis)
         self._mult = bilinear(field, self.mult_basis)
         self.unit = unit
         self.has_unit = unit is not None
-        if sample_basis is not None:
-            self._sample_basis = sample_basis
-        elif self.basis is not None:
-            self._sample_basis = lambda rng: rng.choice(self.basis)
-        else:
-            raise ValueError("infinite algebra needs a basis sampler")
         self._local_unit = local_unit
 
     def mult(self, x, y):
@@ -74,9 +104,6 @@ class Algebra:
 
     def zero(self):
         return Element(self.field)
-
-    def sample_basis(self, rng):
-        return self._sample_basis(rng)
 
     def local_unit(self, elems):
         """A two-sided local unit: e with e*x = x*e = x for the given elems."""
@@ -346,17 +373,24 @@ class MultiplierHopfAlgebra:
 
 # -- seeded sampling -------------------------------------------------------
 
-def random_element(rng, field, sample_sym, max_support=4):
-    pool = field.coeff_pool
+def random_element(rng, carrier, max_support=4):
+    """A random Element of an Algebra or a UnitalModule: up to max_support
+    terms, on basis symbols drawn from carrier.space, with coefficients
+    drawn from the field's coeff_pool."""
+    pool = carrier.field.coeff_pool
+    space = carrier.space
     k = rng.randint(1, max_support)
     terms = {}
     for _ in range(k):
-        terms[sample_sym(rng)] = rng.choice(pool)
-    return Element(field, terms)
+        terms[space.sample(rng)] = rng.choice(pool)
+    return Element(carrier.field, terms)
 
 
-def random_alg_element(rng, mha, max_support=4):
-    return random_element(rng, mha.field, mha.algebra.sample_basis, max_support)
+def probe_elements(rng, carrier, k):
+    """Every basis vector of a finite carrier, else k random Elements."""
+    if carrier.basis is not None:
+        return [carrier.el(s) for s in carrier.basis]
+    return [random_element(rng, carrier) for _ in range(k)]
 
 
 # -- axiom checkers --------------------------------------------------------
@@ -369,7 +403,7 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
     alg = mha.algebra
 
     def rand():
-        return random_alg_element(rng, mha)
+        return random_element(rng, alg)
 
     # associativity and non-degeneracy of the product
     def trial():
@@ -378,8 +412,7 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
             return "a=%r b=%r c=%r" % (a, b, c)
     rep.law("assoc", "(ab)c = a(bc)", (trial() for _ in range(samples)))
 
-    probe = ([alg.el(s) for s in alg.basis] if alg.basis is not None
-             else [rand() for _ in range(12)])
+    probe = probe_elements(rng, alg, 12)
 
     def trial(a):
         if a.is_zero():
@@ -485,7 +518,7 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
     rng = random.Random(seed)
 
     def rand():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     for lawid, op in (("braid-twist", mha.script_t),
                       ("braid-twist-prime", mha.script_t_prime)):

@@ -23,20 +23,16 @@ structures is tested (relator stability), never assumed.
 import itertools
 import random
 
-from .linear import (Element, Memo2, tensor, legs, make_sym, apply_legs,
-                     bilinear, QuotientSpace)
-from .mha import Algebra, random_element, random_alg_element
+from .linear import (Element, Memo2, tensor, legs, apply_legs, bilinear,
+                     QuotientSpace)
+from .mha import Space, Algebra, random_element
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
-                      coproduct_coaction, trivial_coaction, random_mod_element)
+                      coproduct_coaction, trivial_coaction)
 from .yd import (YDModule, check_yd, split_sym, braiding_c, trivial_yd,
                  tensor_module, tensor_coaction)
 from .report import Report
 from .instances import group_Zn, qt_for_cyclic
-
-
-def _rand(rng, field, basis, max_support=2):
-    return random_element(rng, field, lambda r: r.choice(basis), max_support)
 
 
 # -- module algebras -----------------------------------------------------------
@@ -82,14 +78,13 @@ def translation_module_algebra(mha, group, name=None):
     d_{y g^-1}.  Translation is an algebra automorphism, hence a module
     algebra action."""
     field = mha.field
-    els = list(group.elements)
-    unit = Element(field, {x: field.one() for x in els})
+    unit = Element(field, {x: field.one() for x in group.elements})
     fun = Algebra(field,
                   lambda a, b: Element.basis(field, a) if a == b else Element(field),
-                  basis=els, unit=unit, name="fun(%s)" % mha.name)
+                  group.space, unit=unit, name="fun(%s)" % mha.name)
     mod = UnitalModule(
         mha, lambda g, y: Element.basis(field, group.mul(y, group.inv(g))),
-        basis=els, name=(name or (mha.name + ":translation")))
+        group.space, name=(name or (mha.name + ":translation")))
     return ModuleAlgebra(fun, mod, name=name or (mha.name + ":translation"))
 
 
@@ -103,10 +98,10 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
     rng = random.Random(seed)
 
     def rx():
-        return random_mod_element(rng, ma.module)
+        return random_element(rng, ma.module, 3)
 
     def ra():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     def trial():
         a, x, xp = ra(), rx(), rx()
@@ -181,10 +176,10 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
     rng = random.Random(seed + 1)
 
     def rx():
-        return random_mod_element(rng, mod)
+        return random_element(rng, mod, 3)
 
     def ra():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     def trial():
         x, y, a = rx(), rx(), ra()
@@ -244,7 +239,7 @@ def trivial_yd_module_algebra(mha, name=None):
     """The base field as a YD module algebra (one-dimensional carrier)."""
     field = mha.field
     alg = Algebra(field, lambda a, b: Element.basis(field, "*"),
-                  basis=["*"], unit=Element.basis(field, "*"), name="K")
+                  Space(["*"]), unit=Element.basis(field, "*"), name="K")
     mod = trivial_module(mha)
     return YDModuleAlgebra(ModuleAlgebra(alg, mod), trivial_coaction(mod),
                            name=name or "K")
@@ -283,9 +278,9 @@ def subgroup_yd_module_algebra(mha, syms, name=None):
     mult = mha.algebra.mult_basis
     sub = Algebra(mha.field,
                   lambda a, b: mult[a, b],
-                  basis=list(syms), unit=mha.algebra.unit,
+                  Space(syms), unit=mha.algebra.unit,
                   name=mha.name + ":sub")
-    mod = counit_module(mha, name or (mha.name + ":sub"), basis=list(syms))
+    mod = counit_module(mha, name or (mha.name + ":sub"), sub.space)
     return YDModuleAlgebra(ModuleAlgebra(sub, mod), trivial_coaction(mod),
                            name=name or (mha.name + ":sub"))
 
@@ -326,8 +321,8 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
     rng = random.Random(seed)
 
     def trial():
-        x = random_mod_element(rng, H.module)
-        y = random_mod_element(rng, H.module)
+        x = random_element(rng, H.module, 3)
+        y = random_element(rng, H.module, 3)
         lhs = H.alg.mult(x, y)
         e = H.module.local_unit([x])
 
@@ -396,8 +391,8 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
     rng = random.Random(seed + 2)
 
     def trial():
-        m = random_mod_element(rng, ma.module)
-        n = random_mod_element(rng, ma.module)
+        m = random_element(rng, ma.module, 3)
+        n = random_element(rng, ma.module, 3)
 
         def term(s):
             i, j = legs(s)
@@ -501,13 +496,13 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
     rng = random.Random(seed)
 
     def rh():
-        return _rand(rng, M.field, H.alg.basis)
+        return random_element(rng, H.alg, 2)
 
     def rm():
-        return random_mod_element(rng, M.module)
+        return random_element(rng, M.module, 3)
 
     def ra():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     def trial():
         h, hp, m = rh(), rh(), rm()
@@ -572,9 +567,9 @@ def check_h_bimodule(M, samples=40, seed=0, suite="hq-monoidal"):
     rng = random.Random(seed)
 
     def draw():
-        h = _rand(rng, M.field, H.alg.basis)
-        hp = _rand(rng, M.field, H.alg.basis)
-        return h, hp, random_mod_element(rng, M.module)
+        h = random_element(rng, H.alg, 2)
+        hp = random_element(rng, H.alg, 2)
+        return h, hp, random_element(rng, M.module, 3)
 
     def right_module(sample):
         h, hp, m = sample
@@ -620,8 +615,6 @@ class BalancedTensor:
         self.name = name or ("%s(x)_H%s" % (M.name, N.name))
         self.amb = tensor_module(M.module, N.module)
         self.amb_coaction = tensor_coaction(self.amb, M, N)
-        ambient = [make_sym(legs(a) + legs(b))
-                   for a in M.module.basis for b in N.module.basis]
         rels = []
         for ms in M.module.basis:
             for hs in H.alg.basis:
@@ -632,7 +625,7 @@ class BalancedTensor:
                     if not r.is_zero():
                         rels.append(r)
         self.relators = rels
-        self.quot = QuotientSpace(ambient, rels)
+        self.quot = QuotientSpace(self.amb.basis, rels)
         self.ham = self._descend()
 
     # the H-actions on the ambient M (x) N
@@ -650,7 +643,7 @@ class BalancedTensor:
         mod = UnitalModule(
             mha,
             lambda asym, qsym: q.project(amb.act_basis[asym, qsym]),
-            basis=q.basis, arity=self.arity, local_unit=amb.local_unit,
+            Space(q.basis), arity=self.arity, local_unit=amb.local_unit,
             name=self.name)
         coa = Coaction(
             mod,
@@ -682,12 +675,12 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
         rels = rng.sample(rels, 60)
 
     def rh():
-        return _rand(rng, T.field, T.H.alg.basis)
+        return random_element(rng, T.H.alg, 2)
 
     def draw(rel):
-        a = random_alg_element(rng, mha)
+        a = random_element(rng, mha.algebra)
         h = rh()
-        return rel, a, h, random_alg_element(rng, mha)
+        return rel, a, h, random_element(rng, mha.algebra)
 
     def action(sample):
         rel, a, _, _ = sample
@@ -723,7 +716,7 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
     rep.merge(check_ha_module(T.ham, samples, seed, suite), "tensor")
 
     def trial():
-        m = _rand(rng, T.field, T.quot.basis)
+        m = random_element(rng, T.ham.module, 2)
         h = rh()
         if T.ham.r_act(m, h) != T.ham.r_act_formula(m, h):
             return "m=%r h=%r" % (m, h)
@@ -781,9 +774,9 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
                 "image rank %d, dims %d/%d" % (rk, len(T.quot.basis), dim_m))
 
         def trial():
-            c = _rand(rng, M.field, T.quot.basis)
-            a = random_alg_element(rng, mha)
-            h = _rand(rng, M.field, H.alg.basis)
+            c = random_element(rng, T.ham.module, 2)
+            a = random_element(rng, mha.algebra)
+            h = random_element(rng, H.alg, 2)
             sec = T.quot.section(c)
             if psi(T.quot.section(T.ham.module.act(a, c))) != M.module.act(a, psi(sec)):
                 return "A-action at c=%r a=%r" % (c, a)
@@ -856,9 +849,7 @@ def check_associator(X, Y, Z, samples=15, seed=0, suite="hq-monoidal"):
             None if len(TL.quot.basis) == len(TR.quot.basis) else
             "%d != %d" % (len(TL.quot.basis), len(TR.quot.basis)))
 
-    flats = [make_sym(legs(a) + legs(b) + legs(c))
-             for a in X.module.basis for b in Y.module.basis
-             for c in Z.module.basis]
+    flats = X.module.space.tensor(Y.module.space).tensor(Z.module.space).basis
     probe = flats if len(flats) <= 60 else rng.sample(flats, 60)
 
     def trial(t):
@@ -878,9 +869,9 @@ def check_associator(X, Y, Z, samples=15, seed=0, suite="hq-monoidal"):
                 (trial("right", b, phi_inv, phi) for b in TR.quot.basis)))
 
     def trial():
-        c = _rand(rng, mha.field, TL.quot.basis)
-        a = random_alg_element(rng, mha)
-        h = _rand(rng, mha.field, X.H.alg.basis)
+        c = random_element(rng, TL.ham.module, 2)
+        a = random_element(rng, mha.algebra)
+        h = random_element(rng, X.H.alg, 2)
         if phi(TL.ham.module.act(a, c)) != TR.ham.module.act(a, phi(c)):
             return "A-linearity at c=%r a=%r" % (c, a)
         if phi(TL.ham.h_act(h, c)) != TR.ham.h_act(h, phi(c)):

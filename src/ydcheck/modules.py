@@ -10,7 +10,7 @@ sliceL(v, a) = (1 (x) a)Gamma(v) = v_(0) (x) a v_(1).
 import random
 
 from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
-from .mha import Multiplier, random_element, random_alg_element
+from .mha import Space, Multiplier, random_element, probe_elements
 from .report import Report
 
 
@@ -25,13 +25,16 @@ def untwist(aut, x):
 
 
 class UnitalModule:
-    """A unital non-degenerate left module over a multiplier Hopf algebra.
+    """A unital non-degenerate left module over a multiplier Hopf algebra,
+    on a carrier Space.
 
     act_basis(a_sym, v_sym) gives the action of a basis algebra element on a
-    basis module vector.  local_unit(velems, aelems) returns e in A with
-    e.v = v for the given module elements and ea = ae = a for the given
-    algebra elements: the unit on a unital instance, and the module's
-    local_unit rule, which non-unital instances require, otherwise.
+    basis module vector; space lists or samples the module's basis symbols,
+    and module.basis reads its basis (None when infinite).
+    local_unit(velems, aelems) returns e in A with e.v = v for the given
+    module elements and ea = ae = a for the given algebra elements: the
+    unit on a unital instance, and the module's local_unit rule, which
+    non-unital instances require, otherwise.
 
     The action is extended bilinearly, and the image of each basis pair
     (a_sym, v_sym) is memoized in this module object, which assumes
@@ -41,21 +44,16 @@ class UnitalModule:
     action map starts cold and never sees this one's images.
     """
 
-    def __init__(self, mha, act_basis, *, basis=None, sample_basis=None,
-                 local_unit=None, arity=1, name="module"):
+    def __init__(self, mha, act_basis, space, *, local_unit=None, arity=1,
+                 name="module"):
         self.mha = mha
         self.field = mha.field
         self.name = name
         self.arity = arity  # how many tensor legs a basis symbol occupies
-        self.basis = list(basis) if basis is not None else None
+        self.space = space
+        self.basis = space.basis
         self.act_basis = Memo2(act_basis)
         self._act = bilinear(self.field, self.act_basis)
-        if sample_basis is not None:
-            self._sample_basis = sample_basis
-        elif self.basis is not None:
-            self._sample_basis = lambda rng: rng.choice(self.basis)
-        else:
-            raise ValueError("infinite module needs a basis sampler")
         self._unit = mha.algebra.unit
         if local_unit is None and self._unit is None:
             raise ValueError("non-unital instance: module %s needs a local unit rule" % name)
@@ -67,9 +65,6 @@ class UnitalModule:
     def zero(self):
         return Element(self.field)
 
-    def sample_basis(self, rng):
-        return self._sample_basis(rng)
-
     def act(self, a, v):
         return self._act(a, v)
 
@@ -77,10 +72,6 @@ class UnitalModule:
         if self._unit is not None:
             return self._unit
         return self._local_unit(list(velems), list(aelems))
-
-
-def random_mod_element(rng, module, max_support=3):
-    return random_element(rng, module.field, module.sample_basis, max_support)
 
 
 # -- extension of the action to multipliers ----------------------------------
@@ -171,21 +162,18 @@ def regular_module(mha, name=None):
     alg = mha.algebra
     mult = alg.mult_basis
     return UnitalModule(
-        mha, lambda a, v: mult[a, v],
-        basis=alg.basis,
-        sample_basis=None if alg.basis is not None else alg._sample_basis,
+        mha, lambda a, v: mult[a, v], alg.space,
         local_unit=lambda velems, aelems: alg.local_unit(velems + aelems),
         name=name or (mha.name + ":regular"))
 
 
-def counit_module(mha, name=None, *, basis=None):
-    """A acting through the counit, a.v = eps(a) v, on a carrier whose basis
-    defaults to A's; a given basis is sampled uniformly."""
+def counit_module(mha, name=None, space=None):
+    """A acting through the counit, a.v = eps(a) v, on a carrier Space that
+    defaults to A's."""
     alg = mha.algebra
     return UnitalModule(
         mha, lambda a, v: Element.basis(mha.field, v, mha.counit(alg.el(a))),
-        basis=alg.basis if basis is None else basis,
-        sample_basis=alg._sample_basis if basis is None else None,
+        alg.space if space is None else space,
         # any e with eps(e) = 1 absorbing the algebra elements works
         local_unit=lambda velems, aelems: alg.local_unit(aelems + [mha.eps_one]),
         name=name or (mha.name + ":counit"))
@@ -193,7 +181,7 @@ def counit_module(mha, name=None, *, basis=None):
 
 def trivial_module(mha, name=None):
     """The base field as a module: the counit action on the carrier "*"."""
-    return counit_module(mha, name or (mha.name + ":trivial"), basis=["*"])
+    return counit_module(mha, name or (mha.name + ":trivial"), Space(["*"]))
 
 
 def adjoint_module(mha, alpha=None, beta=None, name=None):
@@ -213,7 +201,7 @@ def adjoint_module(mha, alpha=None, beta=None, name=None):
             return alg.mult(left, twist(alpha, mha.antipode_inv(alg.el(a1))))
         return mha.coproduct(alg.el(a)).map_terms(term)
 
-    return UnitalModule(mha, act, basis=alg.basis,
+    return UnitalModule(mha, act, alg.space,
                         name=name or (mha.name + ":adjoint"))
 
 
@@ -248,10 +236,10 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
     rng = random.Random(seed)
 
     def rv():
-        return random_mod_element(rng, mod)
+        return random_element(rng, mod, 3)
 
     def ra():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     # Gamma(v) is a right-module map: Gamma(v)(1 (x) aa') agrees with
     # right-multiplying the second leg of Gamma(v)(1 (x) a) by a'
@@ -324,8 +312,7 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
 
     rng = random.Random(seed)
     if probes is None:
-        probes = ([alg.el(s) for s in alg.basis] if alg.basis is not None
-                  else [random_alg_element(rng, mha) for _ in range(10)])
+        probes = probe_elements(rng, alg, 10)
 
     def component(img, wsym):
         parts = (split_sym(s, mod.arity) + (c,) for s, c in img.terms.items())
@@ -385,10 +372,10 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
     mod = regular_module(mha)
 
     def rx():
-        return random_mod_element(rng, mod)
+        return random_element(rng, mod, 3)
 
     def ra():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     # 1.x = x through the extension, and independence of the decomposition
     one = Multiplier(left=lambda y: y, right=lambda y: y, label="1")

@@ -18,13 +18,12 @@ factors cancel.  Each evaluator documents its slice composition.
 
 import random
 
-from .linear import Element, Ten, linear, tensor, legs, split_sym, apply_legs
-from .mha import random_alg_element
+from .linear import Element, linear, tensor, legs, split_sym, apply_legs
+from .mha import random_element
 from .report import Report
-from .modules import (UnitalModule, Coaction, random_mod_element,
-                      trivial_module, trivial_coaction, counit_module,
-                      adjoint_module, regular_module, coproduct_coaction,
-                      twist, untwist)
+from .modules import (UnitalModule, Coaction, trivial_module,
+                      trivial_coaction, counit_module, adjoint_module,
+                      regular_module, coproduct_coaction, twist, untwist)
 
 
 class YDModule:
@@ -120,8 +119,9 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
     mod, coa = yd.module, yd.coaction
 
     def draw():
-        a, ap = random_alg_element(rng, mha), random_alg_element(rng, mha)
-        return a, ap, random_mod_element(rng, mod)
+        a = random_element(rng, mha.algebra)
+        ap = random_element(rng, mha.algebra)
+        return a, ap, random_element(rng, mod, 3)
 
     def compat(sample):
         a, ap, v = sample
@@ -184,15 +184,7 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
                             [untwist(theta, W.local_unit(wlegs))])
         return alg.local_unit([c] + aelems)
 
-    basis = None
-    if V.basis is not None and W.basis is not None:
-        basis = [Ten(legs(v) + legs(w)) for v in V.basis for w in W.basis]
-
-    def sample(rng):
-        return tensor(V.el(V.sample_basis(rng)),
-                      W.el(W.sample_basis(rng))).support()[0]
-
-    return UnitalModule(mha, act, basis=basis, sample_basis=sample,
+    return UnitalModule(mha, act, V.space.tensor(W.space),
                         local_unit=local_unit, arity=V.arity + W.arity,
                         name=name or ("%s(x)%s" % (V.name, W.name)))
 
@@ -461,10 +453,10 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
     reg = regular_module(mha)
 
     def ra():
-        return random_alg_element(rng, mha)
+        return random_element(rng, mha.algebra)
 
     def rv():
-        return random_mod_element(rng, H.module)
+        return random_element(rng, H.module, 3)
 
     # right-module map in the first slot
     def trial():
@@ -533,10 +525,10 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
         mod = V.module
 
         def rv():
-            return random_mod_element(rng, mod)
+            return random_element(rng, mod, 3)
 
         def ra():
-            return random_alg_element(rng, mha)
+            return random_element(rng, mha.algebra)
 
         H = functor_g(V)
         back = functor_f(H)
@@ -593,9 +585,9 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
     V, W = fixtures[0], fixtures[1]
     VW = yd_tensor(V, W)
     def trial():
-        x = random_alg_element(rng, mha)
-        v = random_mod_element(rng, V.module)
-        w = random_mod_element(rng, W.module)
+        x = random_element(rng, mha.algebra)
+        v = random_element(rng, V.module, 3)
+        w = random_element(rng, W.module, 3)
         lhs = braiding_c(reg, VW, tensor(tensor(x, v), w))
         mid = braiding_c(reg, V, tensor(x, v))  # v0 (x) v1.x
         rhs = apply_legs(mid, V.module.arity, 1,
@@ -611,8 +603,8 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
     two = mha.field.from_int(2)
 
     def trial():
-        x = random_alg_element(rng, mha)
-        v = random_mod_element(rng, V.module)
+        x = random_element(rng, mha.algebra)
+        v = random_element(rng, V.module, 3)
         lhs = braiding_c(reg, V, tensor(x, v.scaled(two)))
         rhs = braiding_c(reg, V, tensor(x, v)).scaled(two)
         if lhs != rhs:

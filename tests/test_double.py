@@ -7,7 +7,7 @@ import pytest
 
 from ydcheck.fields import QQ
 from ydcheck.linear import Element, Ten, tensor
-from ydcheck.mha import Algebra
+from ydcheck.mha import Space, Algebra
 from ydcheck.instances import (build_instance, group_S3, dual_sym,
                                compute_integrals, inner_automorphism,
                                h4_scaling_automorphism)
@@ -183,7 +183,7 @@ def test_double_correspondence_twisted_pairs():
 
 
 def _trivial_carrier():
-    return Algebra(QQ, lambda a, b: Element.basis(QQ, "*"), basis=["*"],
+    return Algebra(QQ, lambda a, b: Element.basis(QQ, "*"), Space(["*"]),
                    unit=Element.basis(QQ, "*"), name="K")
 
 

@@ -10,8 +10,7 @@ from ydcheck.fields import QQ
 from ydcheck.linear import Element, Ten, tensor
 from ydcheck.instances import (build_instance, group_S3, inner_automorphism,
                                h4_scaling_automorphism, identity_automorphism)
-from ydcheck.mha import random_alg_element
-from ydcheck.modules import random_mod_element
+from ydcheck.mha import random_element
 from ydcheck.yd import canonical_yd, yd_tensor
 from ydcheck.gyd import (AutoPair, identity_pair, GYDModule, check_gyd,
                          gyd_from_yd, trivial_gyd, counit_gyd,
@@ -97,8 +96,8 @@ def test_stretch_tensors_on_fun_z_pass_at_the_product_pair(other):
     rng = random.Random(2)
     for mod in mods:
         for _ in range(6):
-            x = random_mod_element(rng, mod)
-            a = random_alg_element(rng, mha)
+            x = random_element(rng, mod, 3)
+            a = random_element(rng, mha.algebra)
             e = mod.local_unit([x], [a])
             assert mod.act(e, x) == x, mod.name
             assert alg.mult(e, a) == a == alg.mult(a, e), mod.name

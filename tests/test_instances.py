@@ -22,6 +22,16 @@ from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                ConstructionError)
 from ydcheck.mha import check_mha_axioms
 from ydcheck.report import Report
+from ydcheck.cli import SUITES
+
+
+@pytest.mark.parametrize("suite", ["yd", "centre-equivalence", "gyd",
+                                   "t-category", "module-algebra"])
+def test_infinite_group_algebra(suite):
+    """KZ is unital on an infinite basis: the adjoint, counit and tensor
+    modules built on it draw their vectors from the group's sampler."""
+    rep = SUITES[suite][0](group_algebra(group_Z(), QQ), 10, 0)
+    assert rep.ok, rep.summary()
 
 
 def test_group_tables():

@@ -220,9 +220,9 @@ def test_an_object_built_from_another_map_starts_cold():
             coa.slice_r(H.el(a), H.el(b))
     mult = H.algebra.mult_basis
     bad_alg = Algebra(QQ, lambda a, b: mult[a, b].scaled(two),
-                      basis=H.algebra.basis, unit=H.algebra.unit)
+                      H.algebra.space, unit=H.algebra.unit)
     bad_mod = UnitalModule(H, lambda a, v: reg.act_basis[a, v].scaled(two),
-                           basis=reg.basis)
+                           reg.space)
     bad_coa = Coaction(reg, lambda v, a: coa.slice_r_basis[v, a].scaled(two))
     for bad in (bad_alg.mult_basis, bad_mod.act_basis, bad_coa.slice_r_basis):
         assert len(bad) == 0

@@ -2,6 +2,8 @@
 inverse slice bijections and the twist operators."""
 
 import copy
+import gc
+import weakref
 
 import pytest
 
@@ -12,7 +14,8 @@ from ydcheck.linear import Element, Ten, tensor, flip
 from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_algebra, sweedler_h4, function_algebra,
                                group_Z)
-from ydcheck.mha import check_mha_axioms, check_braid
+from ydcheck.mha import Space, Algebra, check_mha_axioms, check_braid
+from ydcheck.modules import trivial_module
 
 
 FIELDS = [QQ, PrimeField(7)]
@@ -156,3 +159,22 @@ def test_report_determinism():
     assert r1 == r2
     r3 = check_mha_axioms(mha, samples=10, seed=4).to_json()
     assert r1 != r3  # seed is recorded in the report
+
+
+def test_carriers_are_freed_by_reference_counting():
+    """An Algebra on a finite basis, the trivial module (whose finite
+    carrier is sampled uniformly) and a finite group hold no reference
+    cycle, so each is freed as soon as it is dropped."""
+    mha = group_algebra(group_S3(), QQ)
+    builds = [
+        lambda: Algebra(QQ, lambda a, b: Element.basis(QQ, "*"), Space(["*"])),
+        lambda: trivial_module(mha),
+        group_S3,
+    ]
+    gc.disable()
+    try:
+        for build in builds:
+            ref = weakref.ref(build())
+            assert ref() is None, ref
+    finally:
+        gc.enable()

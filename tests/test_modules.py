@@ -190,7 +190,7 @@ def test_module_memo_is_not_shared_between_modules():
         img = H.algebra.mult(H.el(a), H.el(v))
         return img.scaled(two) if (a, v) == ("x", "g") else img
 
-    mod = UnitalModule(H, bad_act, basis=H.algebra.basis, name="regular-bad")
+    mod = UnitalModule(H, bad_act, H.algebra.space, name="regular-bad")
     bad = YDModule(mod, _coadjoint_coaction(mod), name="regular-bad")
     rep = check_yd(bad, samples=20, seed=0)
     hit = [r for r in rep.laws if r.law == "yd-compat"]

@@ -9,9 +9,9 @@ import pytest
 from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, split_sym, apply_legs
 from ydcheck.instances import build_instance, CORE_INSTANCES, group_S3
-from ydcheck.mha import random_alg_element
+from ydcheck.mha import random_element
 from ydcheck.modules import (regular_module, coproduct_coaction, Coaction,
-                             adjoint_module, random_mod_element, twist,
+                             adjoint_module, twist,
                              untwist)
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
@@ -86,8 +86,8 @@ def test_diagonal_local_unit_fixes_the_vector_and_the_algebra(name):
     rng = random.Random(5)
     for mod in mods:
         for _ in range(6):
-            x = random_mod_element(rng, mod)
-            a = random_alg_element(rng, mha)
+            x = random_element(rng, mod, 3)
+            a = random_element(rng, mha.algebra)
             e = mod.local_unit([x], [a])
             assert mod.act(e, x) == x, mod.name
             assert alg.mult(e, a) == a == alg.mult(a, e), mod.name
@@ -108,15 +108,14 @@ def test_braiding_grouplike_oracle():
 @pytest.mark.parametrize("name", CORE_INSTANCES)
 def test_braiding_round_trips(name):
     import random
-    from ydcheck.mha import random_alg_element
-    from ydcheck.modules import random_mod_element
+    from ydcheck.mha import random_element
     mha = build_instance(name, QQ)
     reg = regular_module(mha)
     rng = random.Random(9)
     for V in yd_fixtures(mha):
         for _ in range(10):
-            xv = tensor(random_alg_element(rng, mha),
-                        random_mod_element(rng, V.module))
+            xv = tensor(random_element(rng, mha.algebra),
+                        random_element(rng, V.module, 3))
             assert braiding_c_inv(reg, V, braiding_c(reg, V, xv)) == xv
 
 
@@ -220,8 +219,8 @@ def test_memoized_braidings_equal_their_formulas(name, field):
         H = functor_g(V)
         for X in (reg, tensor_module(reg, reg)):
             for _ in range(4):
-                x = random_mod_element(rng, X)
-                v = random_mod_element(rng, V.module)
+                x = random_element(rng, X, 3)
+                v = random_element(rng, V.module, 3)
                 xv, vx = tensor(x, v), tensor(v, x)
                 for _ in range(2):
                     assert braiding_c(X, V, xv) == splice_formula(
@@ -252,8 +251,8 @@ def test_memoized_twisted_braiding_equals_its_formula(name, field, specs):
         beta = V.pair.beta
         for W in fixtures:
             for _ in range(3):
-                t = tensor(random_mod_element(rng, V.module),
-                           random_mod_element(rng, W.module))
+                t = tensor(random_element(rng, V.module, 3),
+                           random_element(rng, W.module, 3))
                 for _ in range(2):
                     assert gyd_braiding(V, W, t) == splice_formula(
                         V.module, W.module.arity, W.coaction.slice_r, t, beta)
