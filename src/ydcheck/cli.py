@@ -13,6 +13,7 @@ are JSON without timestamps; identical configs give byte-identical files
 (written atomically via a temporary file)."""
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -100,7 +101,11 @@ def _write_atomic(path, text):
         raise
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser and its check subparser, built on the first call
+    of main and shared by every later one in the process (parse_args keeps
+    no state between calls)."""
     parser = argparse.ArgumentParser(prog="ydcheck")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -121,7 +126,14 @@ def main(argv=None):
     p_dump.add_argument("--pair", default="identity")
     p_dump.add_argument("--field", default="rational")
     p_dump.add_argument("--out", required=True)
+    return parser, p_check
 
+
+def main(argv=None):
+    """Run one command; returns its exit code.  The parser is built once
+    per process, on the first call, so importing the module does not pay
+    for it."""
+    parser, p_check = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "list":

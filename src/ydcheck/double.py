@@ -18,8 +18,8 @@ rule is evaluated once per basis pair (a, q), and every product reads it:
 
 import random
 
-from .linear import (Element, Ten, Memo2, tensor, legs, make_sym, sym_str,
-                     apply_legs, bilinear)
+from .linear import (Element, Ten, Memo, Memo2, tensor, legs, make_sym,
+                     sym_str, apply_legs, bilinear)
 from .mha import Space, Algebra, random_element
 from .modules import UnitalModule, Coaction
 from .yd import split_sym, canonical_yd
@@ -31,7 +31,11 @@ from .instances import dual_hopf, dual_sym, compute_integrals
 
 class DiagonalCrossedProduct:
     """The crossed-product algebra on basis symbols (p_s >< t), together
-    with the coalgebra structure used by smash products."""
+    with the coalgebra structure used by smash products.
+
+    The exchange rule is a table per basis pair (a, q), and it reads
+    a_(1) (x) a_(2) (x) a_(3) from a table per basis symbol a, so Delta^2(a)
+    is computed n times for a base of dimension n, not n^2."""
 
     def __init__(self, base, pair=None, name=None):
         if base.algebra.basis is None or not base.algebra.has_unit:
@@ -45,15 +49,17 @@ class DiagonalCrossedProduct:
                                             self.pair.name))
         alpha, beta = self.pair.alpha, self.pair.beta
         dual, field = self.dual, self.field
+        # a_(1) (x) a_(2) (x) a_(3), once per basis symbol a
+        sweedler3 = Memo(lambda a: base.sweedler(base.el(a), 3))
 
         def exchange_basis(a, q):  # (1 >< a)(q >< 1)
-            def term(s):  # a_(1) (x) a_(2) (x) a_(3)
+            def term(s):
                 a1, a2, a3 = legs(s)
                 moved = dual.act_right(
                     dual.act_left(alpha(base.el(a1)), dual.el(q)),
                     base.antipode_inv(beta(base.el(a3))))
                 return tensor(moved, base.el(a2))
-            return base.sweedler(base.el(a), 3).map_terms(term)
+            return sweedler3[a].map_terms(term)
 
         exchange = Memo2(exchange_basis)
         dual_mult, base_mult = dual.algebra.mult_basis, base.algebra.mult_basis

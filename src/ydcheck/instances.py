@@ -154,23 +154,32 @@ def function_algebra(group, field, name=None):
 # -- unital instances from a materialized coproduct --------------------------
 
 def unital_slices(alg, coproduct_basis):
-    """The four slices of a unital instance, computed by multiplying the
-    materialized coproduct of a basis symbol inside A (x) A, as keyword
-    arguments of MultiplierHopfAlgebra."""
-    unit = alg.unit
-    cop = coproduct_basis
+    """The four slices of a unital instance, as keyword arguments of
+    MultiplierHopfAlgebra.  Each multiplies one leg of the materialized
+    coproduct of a basis symbol by the other symbol, reading the product
+    table, and leaves the other leg as it is:
+
+        Delta(a)(1 (x) b) = a_(1) (x) a_(2)b     leg 2 times b
+        (a (x) 1)Delta(b) = ab_(1) (x) b_(2)     a times leg 1
+        Delta(a)(b (x) 1) = a_(1)b (x) a_(2)     leg 1 times b
+        (1 (x) a)Delta(b) = b_(1) (x) ab_(2)     a times leg 2
+
+    The 1 of a slice is a multiplier that fixes its leg, so the unit is
+    never multiplied (it has one term per basis symbol on a dual of a
+    group algebra)."""
+    mult, cop, el = alg.mult_basis, coproduct_basis, alg.el
 
     def delta_r(a, b):
-        return alg.mult_tensor(cop(a), tensor(unit, alg.el(b)))
+        return cop(a).map_terms(lambda s: tensor(el(s[0]), mult[s[1], b]))
 
     def delta_l(a, b):
-        return alg.mult_tensor(tensor(alg.el(a), unit), cop(b))
+        return cop(b).map_terms(lambda s: tensor(mult[a, s[0]], el(s[1])))
 
     def delta_r2(a, b):
-        return alg.mult_tensor(cop(a), tensor(alg.el(b), unit))
+        return cop(a).map_terms(lambda s: tensor(mult[s[0], b], el(s[1])))
 
     def delta_l2(a, b):
-        return alg.mult_tensor(tensor(unit, alg.el(a)), cop(b))
+        return cop(b).map_terms(lambda s: tensor(el(s[0]), mult[a, s[1]]))
 
     return dict(delta_r=delta_r, delta_l=delta_l, delta_r2=delta_r2,
                 delta_l2=delta_l2)

@@ -19,6 +19,7 @@ the slices are derived from it.
 
 import functools
 import random
+import weakref
 
 from .linear import (Element, Ten, Memo2, linear, bilinear, tensor, legs,
                      make_sym, flip, apply_legs)
@@ -153,15 +154,18 @@ class Multiplier:
 
 def _memoized_twist(factorization):
     """Evaluate a twist factorization once per basis pair of A (x) A, in a
-    memo owned by the instance it is called on, and extend it linearly."""
+    memo owned by the instance it is called on, and extend it linearly.
+    The memo's formula reaches the instance through a weak reference, so
+    the memo closes no reference cycle through its owner."""
     name = factorization.__name__
 
     @functools.wraps(factorization)
     def twist(self, x2):
         ext = self._twist_memo.get(name)
         if ext is None:
+            owner = weakref.ref(self)
             ext = self._twist_memo[name] = linear(
-                self.field, lambda s: factorization(self, self.el(s)))
+                self.field, lambda s: factorization(owner(), owner().el(s)))
         return ext(x2)
 
     return twist

@@ -626,38 +626,40 @@ class BalancedTensor:
                         rels.append(r)
         self.relators = rels
         self.quot = QuotientSpace(self.amb.basis, rels)
+        am, an = self.am, self.an
+        # the H-actions on the ambient M (x) N, closed over M and N only
+        self.h_amb = lambda h, x: apply_legs(
+            x, 0, am, lambda m: M.h_act(h, m))
+        self.r_amb = lambda x, h: apply_legs(
+            x, am, an, lambda n: N.r_act(n, h))
         self.ham = self._descend()
 
-    # the H-actions on the ambient M (x) N
-    def h_amb(self, h, x):
-        return apply_legs(x, 0, self.am, lambda m: self.M.h_act(h, m))
-
-    def r_amb(self, x, h):
-        return apply_legs(x, self.am, self.an, lambda n: self.N.r_act(n, h))
-
     def _descend(self):
-        mha, q, field = self.mha, self.quot, self.field
+        # the descended maps read locals, never self: self.ham holds them,
+        # so a closure over self would make every balanced tensor a cycle
+        mha, q, field, H = self.mha, self.quot, self.field, self.H
+        h_amb, r_amb, arity = self.h_amb, self.r_amb, self.arity
         amb, ac = self.amb, self.amb_coaction
         # quotient symbols are ambient symbols: the ambient local unit rule
         # serves the quotient
         mod = UnitalModule(
             mha,
             lambda asym, qsym: q.project(amb.act_basis[asym, qsym]),
-            Space(q.basis), arity=self.arity, local_unit=amb.local_unit,
+            Space(q.basis), arity=arity, local_unit=amb.local_unit,
             name=self.name)
         coa = Coaction(
             mod,
             lambda qsym, asym: apply_legs(
-                ac.slice_r_basis[qsym, asym], 0, self.arity, q.project),
+                ac.slice_r_basis[qsym, asym], 0, arity, q.project),
             (None if not ac.has_slice_l else
              lambda qsym, asym: apply_legs(
-                 ac.slice_l_basis[qsym, asym], 0, self.arity, q.project)),
+                 ac.slice_l_basis[qsym, asym], 0, arity, q.project)),
             name=self.name + ":coaction")
         return HAModule(
-            self.H, mod, coa,
+            H, mod, coa,
             lambda hsym, qsym: q.project(
-                self.h_amb(self.H.alg.el(hsym), Element.basis(field, qsym))),
-            r_act=lambda m, h: q.project(self.r_amb(q.section(m), h)),
+                h_amb(H.alg.el(hsym), Element.basis(field, qsym))),
+            r_act=lambda m, h: q.project(r_amb(q.section(m), h)),
             name=self.name)
 
 

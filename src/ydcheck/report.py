@@ -15,18 +15,23 @@ seed alone.
 """
 
 import json
-from dataclasses import dataclass, field
 
 
 SCHEMA_VERSION = 2  # 2: law ids are unique within a report
 
 
-@dataclass
 class LawResult:
-    law: str          # stable law id, e.g. "antipode-left"
-    statement: str    # human-readable form of the law being checked
-    ok: bool
-    witness: str | None = None
+    """One law's outcome: its stable id (e.g. "antipode-left"), the
+    human-readable form of the law, whether it held, and the first witness
+    (a string, or None when it held)."""
+
+    __slots__ = ("law", "statement", "ok", "witness")
+
+    def __init__(self, law, statement, ok, witness=None):
+        self.law = law
+        self.statement = statement
+        self.ok = ok
+        self.witness = witness
 
     def as_dict(self):
         d = {"law": self.law, "statement": self.statement, "ok": self.ok}
@@ -35,14 +40,17 @@ class LawResult:
         return d
 
 
-@dataclass
 class Report:
-    suite: str
-    instance: str
-    field_name: str
-    seed: int
-    samples: int
-    laws: list = field(default_factory=list)
+    """The laws checked in one (suite, instance, field, seed, samples) run,
+    in the order they were recorded."""
+
+    def __init__(self, suite, instance, field_name, seed, samples):
+        self.suite = suite
+        self.instance = instance
+        self.field_name = field_name
+        self.seed = seed
+        self.samples = samples
+        self.laws = []
 
     def add(self, law, statement, ok, witness=None):
         if any(r.law == law for r in self.laws):

@@ -47,23 +47,29 @@ class YDModule:
 def act_on_slice(module, a, x, beta=None):
     """a_(1).v (x) beta(a_(2))m for x = sum v (x) m in V (x) A, such as a
     coaction slice: a is split once against a beta^-1-twisted left local
-    unit of the A-legs of x, so beta(a_(2)) multiplies them cleanly."""
+    unit of the A-legs of x, so beta(a_(2)) multiplies them cleanly.
+
+    Each term of x is split into (v, m) once.  A pair (a_(1), a_(2)) whose
+    second leg annihilates m (beta(a_(2))m = 0, which a local unit of
+    finitely supported functions makes common) contributes nothing, so
+    a_(1).v is read only where beta(a_(2))m is nonzero."""
     mha = module.mha
     alg = mha.algebra
     if x.is_zero():
         return x
-    u = untwist(beta, alg.local_unit(
-        [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
+    split = {sx: split_sym(sx, module.arity) for sx in x.terms}
+    u = untwist(beta, alg.local_unit([alg.el(m) for _, m in split.values()]))
     act, mult = module.act_basis, alg.mult_basis
+    zero = Element(mha.field)
 
     def term(s):
         p, q = legs(s)
         bq = None if beta is None else beta(alg.el(q))
 
         def leg(sx):
-            v0, m = split_sym(sx, module.arity)
-            return tensor(act[p, v0], mult[q, m] if bq is None
-                          else alg.mult(bq, alg.el(m)))
+            v0, m = split[sx]
+            qm = mult[q, m] if bq is None else alg.mult(bq, alg.el(m))
+            return tensor(act[p, v0], qm) if qm.terms else zero
         return x.map_terms(leg)
     return mha.delta_r(a, u).map_terms(term)
 

@@ -210,6 +210,49 @@ def test_zero_samples_is_a_usage_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("bad", [
+    ["check", "no-suite", "--instance", "grp-Z2"],
+    ["check", "mha-axioms", "--instance", "grp-Z2", "--samples", "0"],
+    ["check", "mha-axioms"],
+    ["dump", "dcp", "--instance", "grp-Z2"],
+], ids=["choice", "samples", "missing-instance", "missing-out"])
+def test_the_shared_parser_carries_nothing_between_calls(bad, tmp_path,
+                                                         capsys):
+    """main builds its parser once per process and shares it; a usage error
+    in one call changes neither the exit code nor the output of the next."""
+    out = str(tmp_path / "r.json")
+    good = ["check", "braid", "--instance", "grp-S3", "--field", "fp:5",
+            "--samples", "3", "--seed", "3", "--out", out]
+    cli._parser.cache_clear()
+    first = run(good, capsys)
+    parser = cli._parser()
+    with open(out, "rb") as f:
+        report = f.read()
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(good, capsys) == first
+    with open(out, "rb") as f:
+        assert f.read() == report
+    assert cli._parser() is parser
+
+
+def test_importing_the_cli_builds_no_parser_and_stays_light():
+    """The parser is built on the first call of main, not at import, and
+    importing the CLI pulls in neither dataclasses nor inspect."""
+    code = ("import sys, ydcheck.cli as cli; "
+            "assert cli._parser.cache_info().currsize == 0; "
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 @pytest.mark.parametrize("command", [
     ["check", "mha-axioms", "--instance", "grp-Z2", "--samples", "2"],
     ["dump", "dcp", "--instance", "grp-Z2"],

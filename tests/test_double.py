@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ydcheck.fields import QQ
+from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor
 from ydcheck.mha import Space, Algebra
 from ydcheck.instances import (build_instance, group_S3, dual_sym,
@@ -234,3 +234,37 @@ def test_structure_constant_dump_is_deterministic():
     d2 = drinfeld_double(build_instance("grp-Z2", QQ)).structure_constants()
     assert d1 == d2
     assert len(d1["basis"]) == 4
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("grp-S3", "identity"), ("sweedler-H4", "identity"),
+    ("sweedler-H4", "scale:2,3")])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_exchange_table_equals_the_per_pair_formula(name, spec, field):
+    """The crossed product reads a_(1) (x) a_(2) (x) a_(3) once per basis
+    symbol a; every basis product equals the exchange rule evaluated with
+    Delta^2(a) computed afresh for that pair."""
+    mha = build_instance(name, field)
+    D = DiagonalCrossedProduct(mha, parse_pair(mha, spec))
+    alpha, beta, dual = D.pair.alpha, D.pair.beta, D.dual
+
+    def exchange(a, q):  # (1 >< a)(q >< 1)
+        def term(s):
+            a1, a2, a3 = s
+            moved = dual.act_right(
+                dual.act_left(alpha(mha.el(a1)), dual.el(q)),
+                mha.antipode_inv(beta(mha.el(a3))))
+            return tensor(moved, mha.el(a2))
+        return mha.sweedler(mha.el(a), 3).map_terms(term)
+
+    for s1 in D.algebra.basis:
+        p, a = s1
+        for s2 in D.algebra.basis:
+            q, b = s2
+
+            def term(s):
+                r, c = s
+                return tensor(dual.algebra.mult(dual.el(p), dual.el(r)),
+                              mha.algebra.mult(mha.el(c), mha.el(b)))
+            want = exchange(a, q).map_terms(term)
+            assert D.algebra.mult_basis[s1, s2] == want, (s1, s2)

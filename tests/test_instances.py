@@ -350,3 +350,25 @@ def test_registry():
         assert inst.name == name
     with pytest.raises(KeyError):
         build_instance("nope", QQ)
+
+
+@pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4", "grp-Zn:4",
+                                  "dual:grp-S3", "dual:sweedler-H4"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_one_leg_slices_equal_the_products_with_the_unit(name, field):
+    """Each slice of a unital instance multiplies one leg of the coproduct;
+    on every basis pair it equals the legwise product in A (x) A with the
+    unit in the other leg."""
+    mha = build_instance(name, field)
+    alg = mha.algebra
+    unit, cop, el = alg.unit, mha._coproduct, alg.el
+    for a in alg.basis:
+        for b in alg.basis:
+            assert mha.delta_r_basis[a, b] == alg.mult_tensor(
+                cop(a), tensor(unit, el(b))), (a, b)
+            assert mha.delta_l_basis[a, b] == alg.mult_tensor(
+                tensor(el(a), unit), cop(b)), (a, b)
+            assert mha.delta_r2_basis[a, b] == alg.mult_tensor(
+                cop(a), tensor(el(b), unit)), (a, b)
+            assert mha.delta_l2_basis[a, b] == alg.mult_tensor(
+                tensor(unit, el(a)), cop(b)), (a, b)

@@ -178,3 +178,23 @@ def test_carriers_are_freed_by_reference_counting():
             assert ref() is None, ref
     finally:
         gc.enable()
+
+
+def test_an_instance_that_evaluated_its_twists_is_freed_by_reference_counting():
+    """The memoized twists reach their instance through a weak reference,
+    so an instance that has evaluated them is freed as soon as it is
+    dropped, and a copy.copy still starts with a cold memo."""
+    gc.disable()
+    try:
+        H = sweedler_h4(QQ)
+        x2 = tensor(H.el("x") + H.el("g"), H.el("gx"))
+        for name in ("script_t", "script_t_inv", "script_t_prime",
+                     "script_t_prime_inv"):
+            getattr(H, name)(x2)
+        assert H._twist_memo
+        assert copy.copy(H)._twist_memo == {}
+        ref = weakref.ref(H)
+        del H
+        assert ref() is None, ref
+    finally:
+        gc.enable()

@@ -2,6 +2,9 @@
 mixed (H, A)-modules and the balanced tensor product, with hand oracles on
 small group algebras."""
 
+import gc
+import weakref
+
 import pytest
 
 from ydcheck.fields import QQ, PrimeField
@@ -220,6 +223,25 @@ def test_balanced_tensor_relator_stability_and_laws():
     assert len(T.quot.basis) == 18
     rep = check_balanced_tensor(T, samples=12, seed=15)
     assert rep.ok, rep.summary()
+
+
+def test_a_balanced_tensor_is_freed_by_reference_counting():
+    """The descended action, coaction and H-actions close over locals, not
+    over the balanced tensor that holds them, so a balanced tensor whose
+    maps have been evaluated is freed as soon as it is dropped."""
+    s3 = build_instance("grp-S3", QQ)
+    H = subgroup_yd_module_algebra(s3, cyclic_subgroup_syms(s3.algebra))
+    M = mult_ha_module(H)
+    gc.disable()
+    try:
+        T = BalancedTensor(M, M)
+        rep = check_balanced_tensor(T, samples=2, seed=15)
+        assert rep.ok, rep.summary()
+        ref = weakref.ref(T)
+        del T, rep
+        assert ref() is None, ref
+    finally:
+        gc.enable()
 
 
 def test_associator_and_pentagon_on_small_fixture():

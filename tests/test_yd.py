@@ -16,7 +16,8 @@ from ydcheck.modules import (regular_module, coproduct_coaction, Coaction,
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_half_braiding, check_equivalence,
-                        canonical_yd, trivial_yd, tensor_module)
+                        canonical_yd, trivial_yd, tensor_module,
+                        act_on_slice)
 from ydcheck.gyd import (stretch_gyd, parse_pair, gyd_fixtures_at,
                          gyd_braiding)
 
@@ -261,3 +262,48 @@ def test_memoized_twisted_braiding_equals_its_formula(name, field, specs):
                         V.module, W.module.arity, W.coaction.slice_r, t)
             assert ("c", V.module, beta) in W.coaction._braidings
             assert ("c", V.module, None) in W.coaction._braidings
+
+
+def act_on_slice_formula(module, a, x, beta=None):
+    """a_(1).v (x) beta(a_(2))m as the unskipped double loop: every pair of
+    Delta(a)(1 (x) u) against every term of x, split anew each time."""
+    mha = module.mha
+    alg = mha.algebra
+    out = Element(x.field)
+    if x.is_zero():
+        return out
+    u = untwist(beta, alg.local_unit(
+        [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
+    for s, c in mha.delta_r(a, u).terms.items():
+        p, q = s
+        bq = alg.el(q) if beta is None else beta(alg.el(q))
+        for sx, cx in x.terms.items():
+            v0, m = split_sym(sx, module.arity)
+            out = out + tensor(module.act(alg.el(p), module.el(v0)),
+                               alg.mult(bq, alg.el(m))).scaled(c * cx)
+    return out
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("fun-Z", None), ("fun-Dinf", None), ("sweedler-H4", None),
+    ("sweedler-H4", "scale:2,3"), ("grp-S3", "inner:2,3")])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_act_on_slice_equals_the_unskipped_double_loop(name, spec, field):
+    """act_on_slice splits the slice once and skips the pairs whose second
+    leg annihilates it; on coaction slices of the YD fixtures (untwisted)
+    or of the fixtures at a pair (with its beta) it equals the double loop
+    over every pair and every term."""
+    mha = build_instance(name, field)
+    if spec is None:
+        fixtures, beta = yd_fixtures(mha), None
+    else:
+        pair = parse_pair(mha, spec)
+        fixtures, beta = gyd_fixtures_at(mha, pair), pair.beta
+    rng = random.Random(17)
+    for V in fixtures:
+        for _ in range(6):
+            a = random_element(rng, mha.algebra)
+            x = V.coaction.slice_r(random_element(rng, V.module, 3),
+                                   random_element(rng, mha.algebra))
+            assert act_on_slice(V.module, a, x, beta) == act_on_slice_formula(
+                V.module, a, x, beta), (V.name, a, x)
