@@ -20,7 +20,7 @@ import random
 
 from .linear import (Element, Ten, Memo, Memo2, tensor, legs, make_sym,
                      sym_str, apply_legs, bilinear)
-from .mha import Space, Algebra, random_element
+from .mha import Space, Algebra, below, random_element
 from .modules import UnitalModule, Coaction
 from .yd import split_sym, canonical_yd
 from .gyd import (GYDModule, identity_pair, check_gyd, trivial_gyd,
@@ -146,9 +146,9 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
                    for z in alg.basis]
         mode = "exhaustive over %d basis triples" % len(triples)
     else:
-        triples = [(alg.basis[rng.randrange(len(alg.basis))],
-                    alg.basis[rng.randrange(len(alg.basis))],
-                    alg.basis[rng.randrange(len(alg.basis))])
+        triples = [(alg.basis[below(rng, len(alg.basis))],
+                    alg.basis[below(rng, len(alg.basis))],
+                    alg.basis[below(rng, len(alg.basis))])
                    for _ in range(samples)]
         mode = "sampled over %d basis triples" % len(triples)
 
@@ -199,10 +199,10 @@ def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
     rng = random.Random(seed)
 
     def rd():
-        return alg.el(alg.basis[rng.randrange(len(alg.basis))])
+        return alg.el(alg.basis[below(rng, len(alg.basis))])
 
     def rm():
-        return M.el(M.basis[rng.randrange(len(M.basis))])
+        return M.el(M.basis[below(rng, len(M.basis))])
 
     def trial():
         d, dp, m = rd(), rd(), rm()
@@ -334,8 +334,8 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
     alg = dcp.algebra
 
     def trial():
-        d = alg.el(alg.basis[rng.randrange(len(alg.basis))])
-        m = R.el(R.basis[rng.randrange(len(R.basis))])
+        d = alg.el(alg.basis[below(rng, len(alg.basis))])
+        m = R.el(R.basis[below(rng, len(R.basis))])
         if M2.act(d, m) != R.act(d, m):
             return "d=%r m=%r" % (d, m)
     rep.law("module-roundtrip",
@@ -365,10 +365,10 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
     rng = random.Random(seed)
 
     def rd():
-        return alg.el(alg.basis[rng.randrange(len(alg.basis))])
+        return alg.el(alg.basis[below(rng, len(alg.basis))])
 
     def rh():
-        return carrier.el(carrier.basis[rng.randrange(len(carrier.basis))])
+        return carrier.el(carrier.basis[below(rng, len(carrier.basis))])
 
     for _ in range(samples):
         d, h, hp = rd(), rh(), rh()

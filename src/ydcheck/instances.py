@@ -13,8 +13,8 @@ Registry names (used by the CLI):
 import random
 
 from .linear import (Element, Ten, Memo, tensor, legs, make_sym, apply_legs,
-                     flip, kernel_basis, bilinear)
-from .mha import Space, Algebra, MultiplierHopfAlgebra, probe_elements
+                     flip, kernel_basis, linear, bilinear)
+from .mha import Space, Algebra, MultiplierHopfAlgebra, below, probe_elements
 
 
 class ConstructionError(Exception):
@@ -43,7 +43,7 @@ class DiscreteGroup:
 
 def group_Z():
     return DiscreteGroup("Z", 0, lambda a, b: a + b, lambda a: -a,
-                         Space(sample=lambda rng: rng.randint(-5, 5)),
+                         Space(sample=lambda rng: -5 + below(rng, 11)),
                          abelian=True)
 
 
@@ -82,7 +82,7 @@ def group_Dinf():
         return ((-k if e == 0 else k), e)
 
     return DiscreteGroup("Dinf", (0, 0), mul, inv, Space(
-        sample=lambda rng: (rng.randint(-4, 4), rng.randint(0, 1))))
+        sample=lambda rng: (-4 + below(rng, 9), below(rng, 2))))
 
 
 # -- K(G): finitely supported functions on G --------------------------------
@@ -464,7 +464,14 @@ def compute_integrals(mha):
 # -- Hopf algebra automorphisms ----------------------------------------------
 
 class HopfAutomorphism:
-    """A coproduct-respecting algebra automorphism, validated at construction."""
+    """A coproduct-respecting algebra automorphism, validated at construction.
+
+    fwd and inv are linear maps on Elements.  An automorphism given by a
+    formula on basis symbols (inner_automorphism) reads it from a table;
+    inverted() swaps the two maps, so it shares those tables, and
+    composed() is the composition of its factors' maps, not a table of its
+    own: a pair product builds fresh composites that are read only a few
+    times each, where filling a table would cost more than it saves."""
 
     def __init__(self, mha, fwd, inv, name="aut", samples=24, seed=0, _checked=False):
         self.mha = mha
@@ -502,8 +509,8 @@ class HopfAutomorphism:
             if self._inv(self._fwd(a)) != a or self._fwd(self._inv(a)) != a:
                 raise ConstructionError("%s: not a bijection at a=%r" % (self.name, a))
         for _ in range(samples):
-            a = probe[rng.randrange(len(probe))]
-            b = probe[rng.randrange(len(probe))]
+            a = probe[below(rng, len(probe))]
+            b = probe[below(rng, len(probe))]
             if self._fwd(mha.algebra.mult(a, b)) != mha.algebra.mult(self._fwd(a), self._fwd(b)):
                 raise ConstructionError(
                     "%s: not an algebra map at a=%r b=%r" % (self.name, a, b))
@@ -528,16 +535,16 @@ def group_map_automorphism(mha, group, phi, phi_inv, name):
 
 
 def inner_automorphism(mha, g, name=None):
-    """Conjugation by a group element on a group algebra."""
+    """Conjugation by a group element on a group algebra: x -> g x S(g),
+    with inverse x -> S(g) x g.  Each is the linear extension of its
+    formula on basis symbols, evaluated once per symbol in a table (as the
+    structure maps are), so the antipode of g is taken once, not on every
+    call, and two reads of one symbol give the identical Element."""
     alg = mha.algebra
     ge = mha.el(g)
-
-    def fwd(x):
-        return alg.mult(alg.mult(ge, x), mha.antipode(ge))
-
-    def inv(x):
-        return alg.mult(alg.mult(mha.antipode(ge), x), ge)
-
+    sg = mha.antipode(ge)
+    fwd = linear(mha.field, lambda s: alg.mult(alg.mult(ge, alg.el(s)), sg))
+    inv = linear(mha.field, lambda s: alg.mult(alg.mult(sg, alg.el(s)), ge))
     return HopfAutomorphism(mha, fwd, inv, name=name or ("conj:%r" % (g,)))
 
 

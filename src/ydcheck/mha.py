@@ -17,7 +17,6 @@ Unital instances may additionally materialize the coproduct, in which case
 the slices are derived from it.
 """
 
-import functools
 import random
 import weakref
 
@@ -26,17 +25,35 @@ from .linear import (Element, Ten, Memo2, linear, bilinear, tensor, legs,
 from .report import Report
 
 
+def below(rng, n):
+    """A uniform draw from range(n), read from rng.getrandbits: the same
+    draw, and so the same stream, as Random.randrange(n), which draws it
+    this way.  Every seeded draw of the library goes through below, without
+    the frames that wrap getrandbits in Random: randint(a, b) is
+    a + below(rng, b - a + 1), and choice(seq) is seq[below(rng, len(seq))].
+    Raises ValueError when n < 1 (getrandbits(0) is 0, so the loop would
+    never end at n = 0)."""
+    if n < 1:
+        raise ValueError("below(rng, n) needs n >= 1, not %r" % (n,))
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class Space:
     """The carrier of an algebra, a module or a group: a finite basis, or a
     sampler of basis symbols for an infinite one.
 
     basis is a list for a finite carrier and None for an infinite one.
     sample(rng) draws one basis symbol: with the given sampler when there
-    is one, else uniformly from the basis.  space.tensor(other) is the
-    carrier of a tensor product: flat Ten symbols, listed when both factors
-    are finite, and drawn by sampling each factor in turn.  A Space refers
-    to nothing but its basis and sampler, so an object holding one is freed
-    by reference counting alone.
+    is one, else uniformly from the basis through below, the draw of
+    Random.choice (an empty basis raises ValueError).  space.tensor(other)
+    is the carrier of a tensor product: flat Ten symbols, listed when both
+    factors are finite, and drawn by sampling each factor in turn.  A Space
+    refers to nothing but its basis and sampler, so an object holding one
+    is freed by reference counting alone.
     """
 
     __slots__ = ("basis", "_sample")
@@ -49,7 +66,7 @@ class Space:
 
     def sample(self, rng):
         if self._sample is None:
-            return rng.choice(self.basis)
+            return self.basis[below(rng, len(self.basis))]
         return self._sample(rng)
 
     def tensor(self, other):
@@ -152,23 +169,24 @@ class Multiplier:
                    label=repr(f))
 
 
-def _memoized_twist(factorization):
-    """Evaluate a twist factorization once per basis pair of A (x) A, in a
-    memo owned by the instance it is called on, and extend it linearly.
+def _memoized_pairs(formula):
+    """Evaluate formula(self, s) once per basis symbol s = a (x) b of
+    A (x) A, in a memo kept in the instance's _twist_memo under the
+    formula's name, and extend it linearly to the operator op(self, x2).
     The memo's formula reaches the instance through a weak reference, so
     the memo closes no reference cycle through its owner."""
-    name = factorization.__name__
+    name = formula.__name__
 
-    @functools.wraps(factorization)
-    def twist(self, x2):
+    def op(self, x2):
         ext = self._twist_memo.get(name)
         if ext is None:
             owner = weakref.ref(self)
             ext = self._twist_memo[name] = linear(
-                self.field, lambda s: factorization(owner(), owner().el(s)))
+                self.field, lambda s: formula(owner(), s))
         return ext(x2)
 
-    return twist
+    op.__name__, op.__qualname__ = name, formula.__qualname__
+    return op
 
 
 class MultiplierHopfAlgebra:
@@ -203,7 +221,7 @@ class MultiplierHopfAlgebra:
         self._antipode_inv = antipode_inv
         self._delta_cover = delta_cover
         self._coproduct = coproduct    # basis sym -> arity-2 Element, unital only
-        self._twist_memo = {}          # twist name -> memoized linear map
+        self._twist_memo = {}          # twist or inverse-T name -> its memo
 
     def __getstate__(self):
         # copies (copy.copy, deepcopy) start with an empty twist memo: a
@@ -287,38 +305,39 @@ class MultiplierHopfAlgebra:
     def t4(self, x2):
         return self._pairwise(x2, self.delta_l2_basis)
 
-    # each inverse is a formula per basis pair, read through a table that
-    # lives for one call (the antipode of a copy may be replaced)
+    # each inverse is a formula per basis pair, evaluated once per instance
+    # (a copy.copy, whose antipode may be replaced, starts with an empty
+    # memo)
 
-    def inv_t1(self, x2):
+    @_memoized_pairs
+    def inv_t1(self, s):
         # a_(1) (x) S(a_(2))b  ==  (i (x) S)((1 (x) S^-1(b))Delta(a))
-        def f(a, b):
-            w = self.delta_l2(self._antipode_inv(b), self.el(a))
-            return apply_legs(w, 1, 1, self.antipode)
-        return self._pairwise(x2, Memo2(f))
+        a, b = legs(s)
+        w = self.delta_l2(self._antipode_inv(b), self.el(a))
+        return apply_legs(w, 1, 1, self.antipode)
 
-    def inv_t2(self, x2):
+    @_memoized_pairs
+    def inv_t2(self, s):
         # aS(b_(1)) (x) b_(2)  ==  (S (x) i)(Delta(b)(S^-1(a) (x) 1))
-        def f(a, b):
-            w = self.delta_r2(self.el(b), self._antipode_inv(a))
-            return apply_legs(w, 0, 1, self.antipode)
-        return self._pairwise(x2, Memo2(f))
+        a, b = legs(s)
+        w = self.delta_r2(self.el(b), self._antipode_inv(a))
+        return apply_legs(w, 0, 1, self.antipode)
 
-    def inv_t3(self, x2):
+    @_memoized_pairs
+    def inv_t3(self, s):
         # y_(2) (x) S^-1(y_(1))x  ==  tau (S^-1 (x) i)((S(x) (x) 1)Delta(y));
         # recovery reduces through S^-1(y_(2))y_(1) = eps(y)1, which holds
         # even when S^2 != id
-        def f(x, y):
-            w = self.delta_l(self._antipode(x), self.el(y))
-            return flip(apply_legs(w, 0, 1, self.antipode_inv))
-        return self._pairwise(x2, Memo2(f))
+        x, y = legs(s)
+        w = self.delta_l(self._antipode(x), self.el(y))
+        return flip(apply_legs(w, 0, 1, self.antipode_inv))
 
-    def inv_t4(self, x2):
+    @_memoized_pairs
+    def inv_t4(self, s):
         # yS^-1(x_(2)) (x) x_(1)  ==  tau (i (x) S^-1)(Delta(x)(1 (x) S(y)))
-        def f(x, y):
-            w = self.delta_r(self.el(x), self._antipode(y))
-            return flip(apply_legs(w, 1, 1, self.antipode_inv))
-        return self._pairwise(x2, Memo2(f))
+        x, y = legs(s)
+        w = self.delta_r(self.el(x), self._antipode(y))
+        return flip(apply_legs(w, 1, 1, self.antipode_inv))
 
     def tmap(self, k):
         return [self.t1, self.t2, self.t3, self.t4][k - 1]
@@ -341,25 +360,29 @@ class MultiplierHopfAlgebra:
     def _sinv_leg(self, x2, i):
         return apply_legs(x2, i, 1, self.antipode_inv)
 
-    @_memoized_twist
-    def script_t(self, x2):
+    @_memoized_pairs
+    def script_t(self, s):
         # b_(2) (x) aS(b_(1))b_(3), via the factorization
         # T4 (S (x) i) T3 (i (x) S^-1) tau
+        x2 = self.el(s)
         return self.t4(self._s_leg(self.t3(self._sinv_leg(flip(x2), 1)), 0))
 
-    @_memoized_twist
-    def script_t_inv(self, x2):
+    @_memoized_pairs
+    def script_t_inv(self, s):
         # inverse of the factorization; equals bS^-1(a_(3))a_(1) (x) a_(2)
+        x2 = self.el(s)
         return flip(self._s_leg(self.inv_t3(self._sinv_leg(self.inv_t4(x2), 0)), 1))
 
-    @_memoized_twist
-    def script_t_prime(self, x2):
+    @_memoized_pairs
+    def script_t_prime(self, s):
         # b_(1) (x) S(b_(2))ab_(3), via (i (x) S) T4 tau (i (x) S^-1) T4
+        x2 = self.el(s)
         return self._s_leg(self.t4(flip(self._sinv_leg(self.t4(x2), 1))), 1)
 
-    @_memoized_twist
-    def script_t_prime_inv(self, x2):
+    @_memoized_pairs
+    def script_t_prime_inv(self, s):
         # a_(3)bS^-1(a_(2)) (x) a_(1), by inverting the factorization
+        x2 = self.el(s)
         return self.inv_t4(self._s_leg(flip(self.inv_t4(self._sinv_leg(x2, 1))), 1))
 
     def counit_leg(self, x, i):
@@ -380,13 +403,15 @@ class MultiplierHopfAlgebra:
 def random_element(rng, carrier, max_support=4):
     """A random Element of an Algebra or a UnitalModule: up to max_support
     terms, on basis symbols drawn from carrier.space, with coefficients
-    drawn from the field's coeff_pool."""
+    drawn from the field's coeff_pool.  The draws are those of
+    Random.randint(1, max_support) and Random.choice(pool), made through
+    below."""
     pool = carrier.field.coeff_pool
-    space = carrier.space
-    k = rng.randint(1, max_support)
+    n = len(pool)
+    sample = carrier.space.sample
     terms = {}
-    for _ in range(k):
-        terms[space.sample(rng)] = rng.choice(pool)
+    for _ in range(1 + below(rng, max_support)):
+        terms[sample(rng)] = pool[below(rng, n)]
     return Element(carrier.field, terms)
 
 

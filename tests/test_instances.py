@@ -7,6 +7,9 @@ instance) and compared with what the library returns.
 """
 
 import copy
+import gc
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,7 @@ from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                inner_automorphism, h4_scaling_automorphism,
                                qt_for_cyclic, QTStructure, build_instance,
                                ConstructionError)
-from ydcheck.mha import check_mha_axioms
+from ydcheck.mha import check_mha_axioms, random_element
 from ydcheck.report import Report
 from ydcheck.cli import SUITES
 
@@ -309,6 +312,60 @@ def test_automorphisms():
     with pytest.raises(ConstructionError):
         from ydcheck.instances import HopfAutomorphism
         HopfAutomorphism(H4, bad, bad, name="swap")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_inner_automorphisms_read_conjugation_tables(field):
+    """Every inner automorphism of grp-S3 is x -> g x S(g) with inverse
+    x -> S(g) x g, on basis vectors and random elements; so are its
+    inverse (which shares its tables) and its composites with every other
+    inner automorphism.  A basis vector's image is the one Element the
+    table holds, and no read takes the antipode again."""
+    H = group_algebra(group_S3(), field)
+    alg = H.algebra
+    rng = random.Random(1)
+    probes = ([H.el(s) for s in alg.basis]
+              + [random_element(rng, alg) for _ in range(12)])
+    S = H.antipode
+
+    def conj(g, x):
+        return alg.mult(alg.mult(H.el(g), x), S(H.el(g)))
+
+    def conj_inv(g, x):
+        return alg.mult(alg.mult(S(H.el(g)), x), H.el(g))
+
+    calls = []
+    H.antipode = lambda x: calls.append(x) or S(x)
+    auts = {g: inner_automorphism(H, g) for g in alg.basis}
+    built = len(calls)
+    for g, aut in auts.items():
+        inv = aut.inverted()
+        for x in probes:
+            assert aut(x) == conj(g, x) and aut.inverse(x) == conj_inv(g, x)
+            assert inv(x) == conj_inv(g, x) and inv.inverse(x) == conj(g, x)
+        for s in alg.basis:
+            assert aut(H.el(s)) is aut(H.el(s))
+            assert aut.inverse(H.el(s)) is aut.inverse(H.el(s))
+            assert inv(H.el(s)) is aut.inverse(H.el(s))
+        for h, other in auts.items():
+            both = aut.composed(other)
+            for x in probes:
+                assert both(x) == conj(g, conj(h, x))
+                assert both.inverse(x) == conj_inv(h, conj_inv(g, x))
+    assert len(calls) == built
+
+
+def test_an_inner_automorphism_is_freed_by_reference_counting():
+    H = group_algebra(group_S3(), QQ)
+    gc.disable()
+    try:
+        aut = inner_automorphism(H, (1, 2, 0))
+        aut(H.el((1, 0, 2)))
+        ref = weakref.ref(aut)
+        del aut
+        assert ref() is None, ref
+    finally:
+        gc.enable()
 
 
 def test_qt_cyclic():

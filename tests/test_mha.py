@@ -3,6 +3,7 @@ inverse slice bijections and the twist operators."""
 
 import copy
 import gc
+import random
 import weakref
 
 import pytest
@@ -10,11 +11,12 @@ import pytest
 from fractions import Fraction
 
 from ydcheck.fields import QQ, PrimeField
-from ydcheck.linear import Element, Ten, tensor, flip
+from ydcheck.linear import Element, Ten, tensor, flip, apply_legs
 from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_algebra, sweedler_h4, function_algebra,
                                group_Z)
-from ydcheck.mha import Space, Algebra, check_mha_axioms, check_braid
+from ydcheck.mha import (Space, Algebra, below, random_element,
+                         check_mha_axioms, check_braid)
 from ydcheck.modules import trivial_module
 
 
@@ -193,6 +195,139 @@ def test_an_instance_that_evaluated_its_twists_is_freed_by_reference_counting():
             getattr(H, name)(x2)
         assert H._twist_memo
         assert copy.copy(H)._twist_memo == {}
+        ref = weakref.ref(H)
+        del H
+        assert ref() is None, ref
+    finally:
+        gc.enable()
+
+
+# -- one draw primitive -----------------------------------------------------
+
+class _BoundedRandom(random.Random):
+    """A Random that raises after 1,000 getrandbits calls, so that a draw
+    which never returns fails the test instead of hanging it."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > 1000:
+            raise RuntimeError("the draw never returned")
+        return super().getrandbits(k)
+
+
+def test_below_draws_the_stream_of_randrange():
+    """below(rng, n) is rng.randrange(n), draw for draw, and the rewrites
+    of choice and randint through it are the originals."""
+    seq = "abcdefg"
+    for seed in range(30):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 70):
+            assert below(ours, n) == ref.randrange(n), (seed, n)
+        for a, b in ((-5, 5), (-4, 4), (0, 1), (1, 4), (7, 7)):
+            assert a + below(ours, b - a + 1) == ref.randint(a, b)
+            assert seq[below(ours, len(seq))] == ref.choice(seq)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_an_empty_draw_raises():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            below(_BoundedRandom(0), n)
+    with pytest.raises(ValueError):
+        Space([]).sample(_BoundedRandom(0))
+
+
+def _reference_samplers():
+    """The samplers of the carriers as they were written with Random's
+    randint and choice, before every draw went through below."""
+    finite = lambda basis: lambda rng: rng.choice(basis)  # noqa: E731
+    return {
+        "fun-Z": lambda basis: lambda rng: rng.randint(-5, 5),
+        "fun-Dinf": lambda basis: lambda rng: (rng.randint(-4, 4),
+                                               rng.randint(0, 1)),
+        "grp-S3": finite,
+        "sweedler-H4": finite,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_reference_samplers()))
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda f: f.name)
+def test_random_element_draws_as_randint_and_choice(name, field):
+    alg = build_instance(name, field).algebra
+    sample = _reference_samplers()[name](alg.basis)
+    pool = field.coeff_pool
+    for cap in (2, 3, 4):
+        ours, ref = random.Random(cap), random.Random(cap)
+        for _ in range(2000):
+            terms = {}
+            for _ in range(ref.randint(1, cap)):
+                terms[sample(ref)] = ref.choice(pool)
+            assert random_element(ours, alg, cap) == Element(field, terms)
+        assert ours.getstate() == ref.getstate()
+
+
+# -- inverse T tables -------------------------------------------------------
+
+def _inverse_t_per_pair(mha, k, a, b):
+    """The inverse of T_k on a (x) b, evaluated afresh through the slices
+    and the antipode of mha."""
+    S, S_inv = mha.antipode, mha.antipode_inv
+    if k == 1:
+        return apply_legs(mha.delta_l2(S_inv(mha.el(b)), mha.el(a)), 1, 1, S)
+    if k == 2:
+        return apply_legs(mha.delta_r2(mha.el(b), S_inv(mha.el(a))), 0, 1, S)
+    if k == 3:
+        return flip(apply_legs(mha.delta_l(S(mha.el(a)), mha.el(b)), 0, 1, S_inv))
+    return flip(apply_legs(mha.delta_r(mha.el(a), S(mha.el(b))), 1, 1, S_inv))
+
+
+INVERSE_TS = ("inv_t1", "inv_t2", "inv_t3", "inv_t4")
+
+
+@pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda f: f.name)
+def test_inverse_ts_are_tables_of_their_per_pair_formulas(name, field):
+    """On every basis pair each inverse T equals its formula and inverts
+    T_k both ways; a second read returns the Element the table holds, and
+    a copy.copy whose antipode is scaled by 2 reads cold tables of its own."""
+    H = build_instance(name, field)
+    pairs = [(a, b) for a in H.algebra.basis for b in H.algebra.basis]
+    for k in (1, 2, 3, 4):
+        for a, b in pairs:
+            x2 = H.el(Ten((a, b)))
+            img = H.inv_t(k)(x2)
+            assert img == _inverse_t_per_pair(H, k, a, b), (k, a, b)
+            assert H.inv_t(k)(x2) is img
+            assert H.tmap(k)(img) == x2
+            assert H.inv_t(k)(H.tmap(k)(x2)) == x2
+    assert set(INVERSE_TS) <= set(H._twist_memo)
+
+    bad = copy.copy(H)
+    two = field.from_int(2)
+    bad._antipode = lambda s: H._antipode(s).scaled(two)
+    assert bad._twist_memo == {}
+    every_pair = sum((H.el(Ten(p)) for p in pairs), Element(field))
+    for k in (1, 2, 3, 4):
+        img = bad.inv_t(k)(every_pair)
+        assert img == sum((_inverse_t_per_pair(bad, k, a, b) for a, b in pairs),
+                          Element(field))
+        assert img != H.inv_t(k)(every_pair), k
+    assert bad._twist_memo.keys() == set(INVERSE_TS)
+    assert all(bad._twist_memo[n] is not H._twist_memo[n] for n in INVERSE_TS)
+
+
+def test_an_instance_that_evaluated_its_inverse_ts_is_freed_by_reference_counting():
+    """The inverse T tables reach their instance through a weak reference,
+    as the twists' memos do."""
+    gc.disable()
+    try:
+        H = sweedler_h4(QQ)
+        x2 = tensor(H.el("x") + H.el("g"), H.el("gx"))
+        for k in (1, 2, 3, 4):
+            H.inv_t(k)(x2)
+        assert set(INVERSE_TS) <= set(H._twist_memo)
         ref = weakref.ref(H)
         del H
         assert ref() is None, ref
