@@ -20,13 +20,12 @@ import random
 
 from .linear import (Element, Ten, Memo, Memo2, tensor, legs, make_sym,
                      sym_str, apply_legs, bilinear)
-from .mha import Space, Algebra, below, random_element
+from .mha import Space, Algebra, random_element
 from .modules import UnitalModule, Coaction
-from .yd import split_sym, canonical_yd
-from .gyd import (GYDModule, identity_pair, check_gyd, trivial_gyd,
-                  gyd_from_yd)
+from .yd import YDModule, split_sym, canonical_yd
+from .gyd import check_gyd, trivial_gyd
 from .report import Report
-from .instances import dual_hopf, dual_sym, compute_integrals
+from .instances import dual_hopf, dual_sym, compute_integrals, identity_pair
 
 
 class DiagonalCrossedProduct:
@@ -146,10 +145,8 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
                    for z in alg.basis]
         mode = "exhaustive over %d basis triples" % len(triples)
     else:
-        triples = [(alg.basis[below(rng, len(alg.basis))],
-                    alg.basis[below(rng, len(alg.basis))],
-                    alg.basis[below(rng, len(alg.basis))])
-                   for _ in range(samples)]
+        draw = alg.space.sample
+        triples = [(draw(rng), draw(rng), draw(rng)) for _ in range(samples)]
         mode = "sampled over %d basis triples" % len(triples)
 
     mult = alg.mult_basis
@@ -172,16 +169,17 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
 # -- modules over the crossed product -------------------------------------------
 
 class DcpModule:
-    """A left module over a crossed product, given by its action on basis
-    symbols of both sides, memoized per basis pair and read by symbol as
-    M.act_basis[d_sym, m_sym]."""
+    """A left module over a crossed product on a finite carrier Space,
+    given by its action on basis symbols of both sides, memoized per basis
+    pair and read by symbol as M.act_basis[d_sym, m_sym]."""
 
-    def __init__(self, dcp, act_basis, basis, name=None):
+    def __init__(self, dcp, act_basis, space, name=None):
         self.dcp = dcp
         self.field = dcp.field
         self.act_basis = Memo2(act_basis)
         self._act = bilinear(self.field, self.act_basis)
-        self.basis = basis
+        self.space = space
+        self.basis = space.basis
         self.name = name or "dcp-module"
 
     def el(self, sym, coeff=None):
@@ -199,10 +197,10 @@ def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
     rng = random.Random(seed)
 
     def rd():
-        return alg.el(alg.basis[below(rng, len(alg.basis))])
+        return alg.el(alg.space.sample(rng))
 
     def rm():
-        return M.el(M.basis[below(rng, len(M.basis))])
+        return M.el(M.space.sample(rng))
 
     def trial():
         d, dp, m = rd(), rd(), rm()
@@ -221,7 +219,7 @@ def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
 def regular_dcp_module(dcp, name=None):
     """The crossed product acting on itself by left multiplication."""
     mult = dcp.algebra.mult_basis
-    return DcpModule(dcp, lambda d, m: mult[d, m], dcp.algebra.basis,
+    return DcpModule(dcp, lambda d, m: mult[d, m], dcp.algebra.space,
                      name=name or (dcp.name + ":regular"))
 
 
@@ -247,7 +245,7 @@ def yd_to_dcp_module(V, dcp=None):
                                       base.algebra.unit).map_terms(pair_leg)
         return V.module.act_basis[a, msym].map_terms(term)
 
-    return DcpModule(dcp, act_basis, V.module.basis,
+    return DcpModule(dcp, act_basis, V.module.space,
                      name=V.name + ":as-dcp-module")
 
 
@@ -269,7 +267,7 @@ def dcp_module_to_yd(M, integrals=None, name=None):
     # carrier symbols may themselves be tensors (e.g. the regular module of
     # the crossed product); track their leg count so slices split correctly
     ar = len(legs(M.basis[0]))
-    mod = UnitalModule(base, act_basis, Space(M.basis), arity=ar,
+    mod = UnitalModule(base, act_basis, M.space, arity=ar,
                        name=(name or M.name) + ":as-yd")
 
     # materialize the coaction once per carrier basis symbol
@@ -291,7 +289,7 @@ def dcp_module_to_yd(M, integrals=None, name=None):
                           lambda m1: base.algebra.mult(m1, base.el(asym)))
 
     coa = Coaction(mod, slice_r, name=mod.name + ":coact")
-    return GYDModule(mod, coa, dcp.pair, name=mod.name)
+    return YDModule(mod, coa, dcp.pair, name=mod.name)
 
 
 def check_double_correspondence(mha, gyds, samples=40, seed=0,
@@ -334,8 +332,8 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
     alg = dcp.algebra
 
     def trial():
-        d = alg.el(alg.basis[below(rng, len(alg.basis))])
-        m = R.el(R.basis[below(rng, len(R.basis))])
+        d = alg.el(alg.space.sample(rng))
+        m = R.el(R.space.sample(rng))
         if M2.act(d, m) != R.act(d, m):
             return "d=%r m=%r" % (d, m)
     rep.law("module-roundtrip",
@@ -347,7 +345,7 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
 def check_double_correspondence_suite(mha, samples=40, seed=0):
     """check_double_correspondence on the trivial and the canonical YD module."""
     return check_double_correspondence(
-        mha, [trivial_gyd(mha), gyd_from_yd(canonical_yd(mha))], samples, seed)
+        mha, [trivial_gyd(mha), canonical_yd(mha)], samples, seed)
 
 
 # -- smash products ---------------------------------------------------------------
@@ -365,10 +363,10 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
     rng = random.Random(seed)
 
     def rd():
-        return alg.el(alg.basis[below(rng, len(alg.basis))])
+        return alg.el(alg.space.sample(rng))
 
     def rh():
-        return carrier.el(carrier.basis[below(rng, len(carrier.basis))])
+        return carrier.el(carrier.space.sample(rng))
 
     for _ in range(samples):
         d, h, hp = rd(), rh(), rh()

@@ -7,11 +7,13 @@ The compatibility law at a pair (alpha, beta), in Sweedler legs:
     (a.v)_(0) (x) (a.v)_(1) a'
         = a_(2).v_(0) (x) beta(a_(3)) v_(1) alpha(S^-1(a_(1))) a'
 
-evaluated by yd.compat_rhs.  The identity pair is not a special case: the
-twisted tensor product, braiding and adjoint action here are yd's
-tensor_module, tensor_coaction, braiding_c and modules.adjoint_module called
-with the pair's twists, and the untwisted ones are those same functions with
-every twist None.  Only the right coaction slice is required of these
+evaluated by yd.compat_rhs.  The identity pair is not a special case: an
+(alpha, beta)-YD module is a yd.YDModule carrying its pair, its tensor
+product is yd.yd_tensor, and the twisted braiding and adjoint action are
+yd.braiding_c and modules.adjoint_module called with the pair's twists.
+The identity pair is (ID, ID), with the one identity instances.ID, so at
+it those functions are the untwisted ones and read the untwisted action
+and product tables.  Only the right coaction slice is required of these
 modules.
 """
 
@@ -22,51 +24,13 @@ from .mha import random_element
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
                       coproduct_coaction)
-from .yd import (compat_rhs, split_sym, tensor_module, tensor_coaction,
-                 braiding_c)
+from .yd import (YDModule, compat_rhs, split_sym, yd_tensor, braiding_c,
+                 _twisted_act)
 from .fields import parse_scalar
-from .instances import (identity_automorphism, group_Z, group_map_automorphism,
-                        inner_automorphism, h4_scaling_automorphism)
+from .instances import (ID, AutoPair, identity_pair, group_Z,
+                        group_map_automorphism, inner_automorphism,
+                        h4_scaling_automorphism)
 from .report import Report
-
-
-class AutoPair:
-    """An element (alpha, beta) of the twisted square of the automorphism
-    group, with product (a, b)#(c, d) = (ac, d c^-1 b c)."""
-
-    def __init__(self, alpha, beta, name=None):
-        if alpha.mha is not beta.mha:
-            raise ValueError("automorphisms over different instances")
-        self.alpha = alpha
-        self.beta = beta
-        self.mha = alpha.mha
-        self.name = name or ("(%s,%s)" % (alpha.name, beta.name))
-
-    def product(self, other):
-        a, b = self.alpha, self.beta
-        c, d = other.alpha, other.beta
-        return AutoPair(a.composed(c),
-                        d.composed(c.inverted()).composed(b).composed(c),
-                        name="%s#%s" % (self.name, other.name))
-
-    def inverse(self):
-        a, b = self.alpha, self.beta
-        return AutoPair(a.inverted(),
-                        a.composed(b.inverted()).composed(a.inverted()),
-                        name="%s^-1" % self.name)
-
-    def agrees_with(self, other, probes):
-        return all(self.alpha(x) == other.alpha(x)
-                   and self.beta(x) == other.beta(x) for x in probes)
-
-    def is_identity_on(self, probes):
-        return (self.alpha.is_identity_on(probes)
-                and self.beta.is_identity_on(probes))
-
-
-def identity_pair(mha):
-    i = identity_automorphism(mha)
-    return AutoPair(i, i, name="(i,i)")
 
 
 def parse_pair(mha, spec):
@@ -80,7 +44,7 @@ def parse_pair(mha, spec):
         basis = mha.algebra.basis
         if basis is None:
             raise ValueError("inner pairs need a finite basis")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = (_index(x) for x in parts)
         if not (0 <= i < len(basis) and 0 <= j < len(basis)):
             raise ValueError("inner pair indices must lie in 0..%d"
                              % (len(basis) - 1))
@@ -94,19 +58,12 @@ def parse_pair(mha, spec):
                      "scale:<a>,<b>)" % spec)
 
 
-class GYDModule:
-    """A unital module with a right-multiplier-valued coaction satisfying the
-    twisted compatibility law at the attached pair."""
-
-    def __init__(self, module, coaction, pair, name=None):
-        if coaction.module is not module:
-            raise ValueError("coaction built on a different module")
-        self.module = module
-        self.coaction = coaction
-        self.pair = pair
-        self.mha = module.mha
-        self.field = module.field
-        self.name = name or module.name
+def _index(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("inner pair indices must be whole numbers, not %r"
+                         % text) from None
 
 
 def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
@@ -135,33 +92,32 @@ def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
 
 # -- fixtures ------------------------------------------------------------------
 
-def gyd_from_yd(V, name=None):
-    """An untwisted YD module viewed at the identity pair."""
-    return GYDModule(V.module, V.coaction, identity_pair(V.mha),
-                     name=name or V.name)
+def _diagonal(mha, sigma):
+    """The pair (sigma, sigma), named after sigma, so (id,id) at ID; with no
+    sigma given, the identity pair, named (i,i).  Law ids carry both
+    names, so None here picks a name, not a twist."""
+    return identity_pair(mha) if sigma is None else AutoPair(sigma, sigma)
 
 
-def trivial_gyd(mha, aut=None, name=None):
+def trivial_gyd(mha, sigma=None, name=None):
     """The base field at a diagonal pair (sigma, sigma): the counit action
     absorbs the twist because beta(a_(2)) alpha(S^-1(a_(1))) collapses to
     eps(a) when alpha = beta."""
-    pair = (identity_pair(mha) if aut is None
-            else AutoPair(aut, aut, name="(%s,%s)" % (aut.name, aut.name)))
+    pair = _diagonal(mha, sigma)
     mod = trivial_module(mha)
-    return GYDModule(mod, trivial_coaction(mod), pair,
-                     name=name or (mha.name + ":gyd-trivial@" + pair.name))
+    return YDModule(mod, trivial_coaction(mod), pair,
+                    name=name or (mha.name + ":gyd-trivial@" + pair.name))
 
 
-def counit_gyd(mha, aut=None, name=None):
+def counit_gyd(mha, sigma=None, name=None):
     """A with the counit action and Gamma = Delta at a diagonal pair, on
     commutative instances."""
     if not mha.commutative:
         raise ValueError("the counit fixture needs a commutative instance")
-    pair = (identity_pair(mha) if aut is None
-            else AutoPair(aut, aut, name="(%s,%s)" % (aut.name, aut.name)))
+    pair = _diagonal(mha, sigma)
     mod = counit_module(mha)
-    return GYDModule(mod, coproduct_coaction(mod), pair,
-                     name=name or (mod.name + ":gyd@" + pair.name))
+    return YDModule(mod, coproduct_coaction(mod), pair,
+                    name=name or (mod.name + ":gyd@" + pair.name))
 
 
 def twisted_adjoint_gyd(mha, pair, name=None):
@@ -173,7 +129,7 @@ def twisted_adjoint_gyd(mha, pair, name=None):
                          "coproduct on %s" % mha.name)
     mod = adjoint_module(mha, pair.alpha, pair.beta,
                          name=(name or mha.name) + ":tw-adjoint@" + pair.name)
-    return GYDModule(mod, coproduct_coaction(mod), pair, name=mod.name)
+    return YDModule(mod, coproduct_coaction(mod), pair, name=mod.name)
 
 
 def stretch_gyd(mha, name=None):
@@ -185,7 +141,7 @@ def stretch_gyd(mha, name=None):
     alg = mha.algebra
     neg = group_map_automorphism(mha, group_Z(), lambda n: -n, lambda n: -n,
                                  name="neg")
-    pair = AutoPair(neg, identity_automorphism(mha), name="(neg,id)")
+    pair = AutoPair(neg, ID)
 
     def act(a, v):
         return alg.el(v, alg.el(a).coeff(2 * v))
@@ -199,20 +155,7 @@ def stretch_gyd(mha, name=None):
     delta_r = mha.delta_r_basis
     coa = Coaction(mod, lambda v, a: delta_r[v, a],
                    name=mod.name + ":delta")
-    return GYDModule(mod, coa, pair, name=mod.name)
-
-
-# -- twisted tensor product ----------------------------------------------------
-
-def gyd_tensor(V, W, name=None):
-    """V@(a,b) tensor W@(c,d), landing at the pair product: action
-    c(x_(1)).v (x) c^-1 b c(x_(2)).w and coaction second leg w_(1)v_(1)a'."""
-    gamma = W.pair.alpha
-    theta = gamma.inverted().composed(V.pair.beta).composed(gamma)
-    mod = tensor_module(V.module, W.module, gamma, theta,
-                        name=name or ("%s(x)%s" % (V.name, W.name)))
-    return GYDModule(mod, tensor_coaction(mod, V, W), V.pair.product(W.pair),
-                     name=mod.name)
+    return YDModule(mod, coa, pair, name=mod.name)
 
 
 # -- the crossing functor -------------------------------------------------------
@@ -232,7 +175,7 @@ def crossed_functor(p, W, name=None):
     Wm = W.module
 
     def act(asym, wsym):
-        return Wm.act(theta(alg.el(asym)), Wm.el(wsym))
+        return _twisted_act(Wm, theta, asym, wsym)
 
     def lu(velems, aelems):
         # theta(e).w = w and theta(e)theta(a) = theta(a)
@@ -251,7 +194,7 @@ def crossed_functor(p, W, name=None):
 
     coa = Coaction(mod, slice_r, name=mod.name + ":coact")
     target = p.product(W.pair).product(p.inverse())
-    return GYDModule(mod, coa, target, name=mod.name)
+    return YDModule(mod, coa, target, name=mod.name)
 
 
 # -- the graded braiding ---------------------------------------------------------
@@ -361,7 +304,7 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     # tensor lands at the product pair
     for i, V in enumerate(fixtures):
         W = fixtures[(i + 1) % len(fixtures)]
-        sub = check_gyd(gyd_tensor(V, W), samples=max(4, samples // 3),
+        sub = check_gyd(yd_tensor(V, W), samples=max(4, samples // 3),
                         seed=seed, suite=suite)
         rep.add("tensor-pair[%s,%s]" % (V.name, W.name),
                 "V (x) W passes at the product pair",
@@ -401,8 +344,8 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     V, W = fixtures[0], fixtures[-1]
     p = pairs[-1]
     try:
-        lhs = crossed_functor(p, gyd_tensor(V, W))
-        rhs = gyd_tensor(crossed_functor(p, V), crossed_functor(p, W))
+        lhs = crossed_functor(p, yd_tensor(V, W))
+        rhs = yd_tensor(crossed_functor(p, V), crossed_functor(p, W))
 
         def trial():
             a = random_element(rng, mha.algebra)
@@ -423,8 +366,8 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     for i, V in enumerate(fixtures):
         W = fixtures[(i + 1) % len(fixtures)]
         name = "%s,%s" % (V.name, W.name)
-        src = gyd_tensor(V, W)
-        tgt = gyd_tensor(crossed_functor(V.pair, W), V)
+        src = yd_tensor(V, W)
+        tgt = yd_tensor(crossed_functor(V.pair, W), V)
 
         two = mha.field.from_int(2)
 

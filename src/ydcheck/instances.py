@@ -463,6 +463,34 @@ def compute_integrals(mha):
 
 # -- Hopf algebra automorphisms ----------------------------------------------
 
+class Identity:
+    """The identity automorphism, one object for every instance: applying
+    it, inverting it or composing with it is one call that returns its
+    argument (it is not a HopfAutomorphism, whose application costs two).
+    Code that twists by an automorphism tests `aut is ID` where the
+    untwisted case reads a table instead."""
+
+    name = "id"
+
+    def __call__(self, x):
+        return x
+
+    def inverse(self, x):
+        return x
+
+    def inverted(self):
+        return self
+
+    def composed(self, other):
+        return other
+
+    def is_identity_on(self, elems):
+        return True
+
+
+ID = Identity()
+
+
 class HopfAutomorphism:
     """A coproduct-respecting algebra automorphism, validated at construction.
 
@@ -471,7 +499,8 @@ class HopfAutomorphism:
     inverted() swaps the two maps, so it shares those tables, and
     composed() is the composition of its factors' maps, not a table of its
     own: a pair product builds fresh composites that are read only a few
-    times each, where filling a table would cost more than it saves."""
+    times each, where filling a table would cost more than it saves.  A
+    composite with ID is the automorphism itself."""
 
     def __init__(self, mha, fwd, inv, name="aut", samples=24, seed=0, _checked=False):
         self.mha = mha
@@ -493,6 +522,8 @@ class HopfAutomorphism:
 
     def composed(self, other):
         """self o other."""
+        if other is ID:
+            return self
         return HopfAutomorphism(
             self.mha, lambda x: self._fwd(other._fwd(x)),
             lambda x: other._inv(self._inv(x)),
@@ -522,8 +553,46 @@ class HopfAutomorphism:
                     "%s: does not respect the coproduct at a=%r b=%r" % (self.name, a, b))
 
 
-def identity_automorphism(mha):
-    return HopfAutomorphism(mha, lambda x: x, lambda x: x, name="id", _checked=True)
+class AutoPair:
+    """An element (alpha, beta) of the twisted square of the automorphism
+    group, with product (a, b)#(c, d) = (ac, d c^-1 b c)."""
+
+    def __init__(self, alpha, beta, name=None):
+        if ID not in (alpha, beta) and alpha.mha is not beta.mha:
+            raise ValueError("automorphisms over different instances")
+        self.alpha = alpha
+        self.beta = beta
+        self.name = name or ("(%s,%s)" % (alpha.name, beta.name))
+
+    def product(self, other):
+        a, b = self.alpha, self.beta
+        c, d = other.alpha, other.beta
+        return AutoPair(a.composed(c),
+                        d.composed(c.inverted()).composed(b).composed(c),
+                        name="%s#%s" % (self.name, other.name))
+
+    def inverse(self):
+        a, b = self.alpha, self.beta
+        return AutoPair(a.inverted(),
+                        a.composed(b.inverted()).composed(a.inverted()),
+                        name="%s^-1" % self.name)
+
+    def agrees_with(self, other, probes):
+        return all(self.alpha(x) == other.alpha(x)
+                   and self.beta(x) == other.beta(x) for x in probes)
+
+    def is_identity_on(self, probes):
+        return (self.alpha.is_identity_on(probes)
+                and self.beta.is_identity_on(probes))
+
+
+_IDENTITY_PAIR = AutoPair(ID, ID, name="(i,i)")
+
+
+def identity_pair(mha):
+    """The identity pair (ID, ID), named (i,i): one object, the same for
+    every instance mha."""
+    return _IDENTITY_PAIR
 
 
 def group_map_automorphism(mha, group, phi, phi_inv, name):

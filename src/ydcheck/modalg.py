@@ -39,17 +39,19 @@ from .instances import group_Zn, qt_for_cyclic
 
 class ModuleAlgebra:
     """An algebra R whose carrier is also a unital A-module; the joint laws
-    are verified by check_module_algebra."""
+    are verified by check_module_algebra.  With a coaction on the same
+    module it is a YD module algebra, an algebra object of the YD
+    category, whose further laws check_yd_module_algebra verifies."""
 
-    def __init__(self, alg, module, name=None):
+    def __init__(self, alg, module, coaction=None, name=None):
+        if coaction is not None and coaction.module is not module:
+            raise ValueError("coaction built on a different carrier")
         self.alg = alg
         self.module = module
+        self.coaction = coaction
         self.mha = module.mha
         self.field = module.field
         self.name = name or module.name
-
-    def act(self, a, x):
-        return self.module.act(a, x)
 
 
 def counit_module_algebra(mha, name=None):
@@ -93,6 +95,7 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
     materialized) and the unit law."""
     mha = ma.mha
     alg = mha.algebra
+    act = ma.module.act
     rep = Report(suite, "%s/%s" % (mha.name, ma.name), mha.field.name,
                  seed, samples)
     rng = random.Random(seed)
@@ -105,12 +108,12 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
 
     def trial():
         a, x, xp = ra(), rx(), rx()
-        lhs = ma.act(a, ma.alg.mult(x, xp))
+        lhs = act(a, ma.alg.mult(x, xp))
         e = ma.module.local_unit([xp])
 
         def term(s):
             p, q = legs(s)
-            return ma.alg.mult(ma.act(alg.el(p), x), ma.act(alg.el(q), xp))
+            return ma.alg.mult(act(alg.el(p), x), act(alg.el(q), xp))
         rhs = mha.delta_r(a, e).map_terms(term)
         if lhs != rhs:
             return "a=%r x=%r x'=%r lhs=%r rhs=%r" % (a, x, xp, lhs, rhs)
@@ -124,24 +127,24 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
 
         def extend_left(sample):
             a, x, xp, cop = sample
-            lhs = ma.alg.mult(ma.act(a, x), xp)
+            lhs = ma.alg.mult(act(a, x), xp)
 
             def term(s):
                 a1, a2 = legs(s)
-                return ma.act(alg.el(a1), ma.alg.mult(
-                    x, ma.act(mha.antipode(alg.el(a2)), xp)))
+                return act(alg.el(a1), ma.alg.mult(
+                    x, act(mha.antipode(alg.el(a2)), xp)))
             rhs = cop.map_terms(term)
             if lhs != rhs:
                 return "a=%r x=%r x'=%r" % (a, x, xp)
 
         def extend_right(sample):
             a, x, xp, cop = sample
-            lhs = ma.alg.mult(x, ma.act(a, xp))
+            lhs = ma.alg.mult(x, act(a, xp))
 
             def term(s):
                 a1, a2 = legs(s)
-                return ma.act(alg.el(a2), ma.alg.mult(
-                    ma.act(mha.antipode_inv(alg.el(a1)), x), xp))
+                return act(alg.el(a2), ma.alg.mult(
+                    act(mha.antipode_inv(alg.el(a1)), x), xp))
             rhs = cop.map_terms(term)
             if lhs != rhs:
                 return "a=%r x=%r x'=%r" % (a, x, xp)
@@ -155,7 +158,7 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
     if ma.alg.has_unit:
         def trial():
             a = ra()
-            if ma.act(a, ma.alg.unit) != ma.alg.unit.scaled(mha.counit(a)):
+            if act(a, ma.alg.unit) != ma.alg.unit.scaled(mha.counit(a)):
                 return "a=%r" % a
         rep.law("modalg-unit", "a.1 = eps(a) 1", (trial() for _ in range(samples)))
     return rep
@@ -216,41 +219,21 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
 
 # -- Yetter-Drinfel'd module algebras ------------------------------------------
 
-class YDModuleAlgebra:
-    """A module algebra whose carrier also carries a compatible coaction;
-    jointly an algebra object of the YD category."""
-
-    def __init__(self, ma, coaction, name=None):
-        if coaction.module is not ma.module:
-            raise ValueError("coaction built on a different carrier")
-        self.ma = ma
-        self.alg = ma.alg
-        self.module = ma.module
-        self.coaction = coaction
-        self.mha = ma.mha
-        self.field = ma.field
-        self.name = name or ma.name
-
-    def act(self, a, x):
-        return self.module.act(a, x)
-
-
 def trivial_yd_module_algebra(mha, name=None):
     """The base field as a YD module algebra (one-dimensional carrier)."""
     field = mha.field
     alg = Algebra(field, lambda a, b: Element.basis(field, "*"),
                   Space(["*"]), unit=Element.basis(field, "*"), name="K")
     mod = trivial_module(mha)
-    return YDModuleAlgebra(ModuleAlgebra(alg, mod), trivial_coaction(mod),
-                           name=name or "K")
+    return ModuleAlgebra(alg, mod, trivial_coaction(mod), name=name or "K")
 
 
 def counit_yd_module_algebra(mha, name=None):
     """R = A with the counit action and the trivial coaction; valid over any
     instance, and A-commutative exactly when A is commutative."""
-    ma = counit_module_algebra(mha)
-    return YDModuleAlgebra(ma, trivial_coaction(ma.module),
-                           name=name or (mha.name + ":counit-trivial"))
+    mod = counit_module(mha)
+    return ModuleAlgebra(mha.algebra, mod, trivial_coaction(mod),
+                         name=name or (mha.name + ":counit-trivial"))
 
 
 def adjoint_trivial_yd_module_algebra(mha, name=None):
@@ -259,17 +242,17 @@ def adjoint_trivial_yd_module_algebra(mha, name=None):
     collapses to a (x) 1)."""
     if not mha.cocommutative:
         raise ValueError("the adjoint/trivial pair needs a cocommutative instance")
-    ma = adjoint_module_algebra(mha)
-    return YDModuleAlgebra(ma, trivial_coaction(ma.module),
-                           name=name or (mha.name + ":adjoint-trivial"))
+    mod = adjoint_module(mha)
+    return ModuleAlgebra(mha.algebra, mod, trivial_coaction(mod),
+                         name=name or (mha.name + ":adjoint-trivial"))
 
 
 def canonical_yd_module_algebra(mha, name=None):
     """R = A with the twisted adjoint action and Gamma = Delta; needs a
     materialized coproduct and cocommutativity for the product law."""
-    ma = adjoint_module_algebra(mha)
-    return YDModuleAlgebra(ma, coproduct_coaction(ma.module),
-                           name=name or (mha.name + ":adjoint-delta"))
+    mod = adjoint_module(mha)
+    return ModuleAlgebra(mha.algebra, mod, coproduct_coaction(mod),
+                         name=name or (mha.name + ":adjoint-delta"))
 
 
 def subgroup_yd_module_algebra(mha, syms, name=None):
@@ -281,8 +264,8 @@ def subgroup_yd_module_algebra(mha, syms, name=None):
                   Space(syms), unit=mha.algebra.unit,
                   name=mha.name + ":sub")
     mod = counit_module(mha, name or (mha.name + ":sub"), sub.space)
-    return YDModuleAlgebra(ModuleAlgebra(sub, mod), trivial_coaction(mod),
-                           name=name or (mha.name + ":sub"))
+    return ModuleAlgebra(sub, mod, trivial_coaction(mod),
+                         name=name or (mha.name + ":sub"))
 
 
 def cyclic_subgroup_syms(alg, cap=12):
@@ -328,7 +311,7 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
 
         def term(s):
             y0, m = split_sym(s, H.module.arity)
-            return H.alg.mult(H.module.el(y0), H.act(mha.el(m), x))
+            return H.alg.mult(H.module.el(y0), H.module.act(mha.el(m), x))
         rhs = H.coaction.slice_r(y, e).map_terms(term)
         if lhs != rhs:
             return "x=%r y=%r lhs=%r rhs=%r" % (x, y, lhs, rhs)
@@ -341,11 +324,10 @@ def check_yd_module_algebra(H, samples=30, seed=0, suite="module-algebra"):
     carrier."""
     rep = Report(suite, "%s/%s" % (H.mha.name, H.name), H.field.name,
                  seed, samples)
-    rep.merge(check_module_algebra(H.ma, samples, seed, suite), "modalg")
+    rep.merge(check_module_algebra(H, samples, seed, suite), "modalg")
     rep.merge(check_comodule_algebra(H.alg, H.coaction, samples, seed, suite),
               "comodalg")
-    rep.merge(check_yd(YDModule(H.module, H.coaction, name=H.name),
-                       samples, seed, suite), "yd")
+    rep.merge(check_yd(H, samples, seed, suite), "yd")
     return rep
 
 
@@ -396,7 +378,7 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
 
         def term(s):
             i, j = legs(s)
-            return tensor(ma.act(alg.el(j), n), ma.act(alg.el(i), m))
+            return tensor(ma.module.act(alg.el(j), n), ma.module.act(alg.el(i), m))
         direct = qt.r.map_terms(term)
         via = braiding_c(ma.module, yd, tensor(m, n))
         if direct != via:

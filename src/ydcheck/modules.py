@@ -5,6 +5,10 @@ A coaction is never materialized as Gamma(v) on non-unital instances; it is
 carried by its right slice sliceR(v, a) = Gamma(v)(1 (x) a) = v_(0) (x) v_(1)a
 and, when the coaction is two-sided-multiplier valued, also the left slice
 sliceL(v, a) = (1 (x) a)Gamma(v) = v_(0) (x) a v_(1).
+
+A twist is an automorphism called as aut(x) and aut.inverse(x); the
+identity is instances.ID, at which the twisted adjoint action reads the
+untwisted product table.
 """
 
 import random
@@ -12,16 +16,7 @@ import random
 from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
 from .mha import Space, Multiplier, random_element, probe_elements
 from .report import Report
-
-
-def twist(aut, x):
-    """aut(x), where aut None is the identity map."""
-    return x if aut is None else aut(x)
-
-
-def untwist(aut, x):
-    """aut^-1(x), where aut None is the identity map."""
-    return x if aut is None else aut.inverse(x)
+from .instances import ID
 
 
 class UnitalModule:
@@ -184,11 +179,12 @@ def trivial_module(mha, name=None):
     return counit_module(mha, name or (mha.name + ":trivial"), Space(["*"]))
 
 
-def adjoint_module(mha, alpha=None, beta=None, name=None):
+def adjoint_module(mha, alpha=ID, beta=ID, name=None):
     """A acting on itself by the inverse-antipode-twisted adjoint action
     a.v = beta(a_(2)) v alpha(S^-1(a_(1))) at the pair (alpha, beta); the
-    untwisted action a_(2) v S^-1(a_(1)) is the one at alpha = beta = None.
-    Needs the materialized coproduct."""
+    untwisted action a_(2) v S^-1(a_(1)) is the one at alpha = beta = ID,
+    where beta(a_(2)) v is a read of the product table.  Needs the
+    materialized coproduct."""
     alg = mha.algebra
 
     mult = alg.mult_basis
@@ -196,9 +192,9 @@ def adjoint_module(mha, alpha=None, beta=None, name=None):
     def act(a, v):
         def term(s):
             a1, a2 = legs(s)
-            left = (mult[a2, v] if beta is None
+            left = (mult[a2, v] if beta is ID
                     else alg.mult(beta(alg.el(a2)), alg.el(v)))
-            return alg.mult(left, twist(alpha, mha.antipode_inv(alg.el(a1))))
+            return alg.mult(left, alpha(mha.antipode_inv(alg.el(a1))))
         return mha.coproduct(alg.el(a)).map_terms(term)
 
     return UnitalModule(mha, act, alg.space,

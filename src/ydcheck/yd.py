@@ -1,11 +1,12 @@
 """Yetter-Drinfel'd modules, their braided monoidal structure, half-braidings
 (centre objects) and the functors realizing the centre equivalence.
 
-Ordinary YD modules are the (alpha, beta)-YD modules of gyd.py at the pair
-alpha = beta = id, and the constructions here are the twisted ones with
-every twist None (the identity): compat_rhs, the diagonal action of
-tensor_module, its local unit rule and the braiding splice each take the
-twists and are the only implementation of both cases.
+A YD module carries the pair (alpha, beta) it sits at, and ordinary YD
+modules are the ones at the identity pair (ID, ID) (gyd.py has the twisted
+laws).  compat_rhs, the diagonal action of tensor_module, its local unit
+rule, yd_tensor and the braiding splice each take the twists and are the
+only implementation of both cases; every twist defaults to instances.ID,
+and where a twist is ID the untwisted action and product tables are read.
 
 The compatibility law used throughout, written in Sweedler legs, is
 
@@ -23,20 +24,22 @@ from .mha import random_element
 from .report import Report
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
-                      regular_module, coproduct_coaction, twist, untwist)
+                      regular_module, coproduct_coaction)
+from .instances import ID, identity_pair
 
 
 class YDModule:
-    """A unital module with a two-sided-multiplier-valued coaction satisfying
-    the compatibility law above."""
+    """A unital module with a coaction satisfying the compatibility law at
+    the pair it carries, the identity pair by default.  The untwisted
+    braiding's inverse reads the coaction's left slice, which raises,
+    naming the coaction, when it has none."""
 
-    def __init__(self, module, coaction, name=None):
+    def __init__(self, module, coaction, pair=None, name=None):
         if coaction.module is not module:
             raise ValueError("coaction built on a different module")
-        if not coaction.has_slice_l:
-            raise ValueError("the coaction must carry both slices")
         self.module = module
         self.coaction = coaction
+        self.pair = identity_pair(module.mha) if pair is None else pair
         self.mha = module.mha
         self.field = module.field
         self.name = name or module.name
@@ -44,7 +47,7 @@ class YDModule:
 
 # -- compatibility evaluators ------------------------------------------------
 
-def act_on_slice(module, a, x, beta=None):
+def act_on_slice(module, a, x, beta=ID):
     """a_(1).v (x) beta(a_(2))m for x = sum v (x) m in V (x) A, such as a
     coaction slice: a is split once against a beta^-1-twisted left local
     unit of the A-legs of x, so beta(a_(2)) multiplies them cleanly.
@@ -58,13 +61,13 @@ def act_on_slice(module, a, x, beta=None):
     if x.is_zero():
         return x
     split = {sx: split_sym(sx, module.arity) for sx in x.terms}
-    u = untwist(beta, alg.local_unit([alg.el(m) for _, m in split.values()]))
+    u = beta.inverse(alg.local_unit([alg.el(m) for _, m in split.values()]))
     act, mult = module.act_basis, alg.mult_basis
     zero = Element(mha.field)
 
     def term(s):
         p, q = legs(s)
-        bq = None if beta is None else beta(alg.el(q))
+        bq = None if beta is ID else beta(alg.el(q))
 
         def leg(sx):
             v0, m = split[sx]
@@ -74,7 +77,7 @@ def act_on_slice(module, a, x, beta=None):
     return mha.delta_r(a, u).map_terms(term)
 
 
-def compat_rhs(module, coaction, a, ap, v, alpha=None, beta=None):
+def compat_rhs(module, coaction, a, ap, v, alpha=ID, beta=ID):
     """a_(2).v_(0) (x) beta(a_(3)) v_(1) alpha(S^-1(a_(1))) a'.
 
     Slice composition: with u a left local unit of a', the pairs of
@@ -86,11 +89,11 @@ def compat_rhs(module, coaction, a, ap, v, alpha=None, beta=None):
     mha = module.mha
     alg = mha.algebra
     u = alg.local_unit([ap])
-    b = mha.antipode(untwist(alpha, u))
+    b = mha.antipode(alpha.inverse(u))
 
     def outer(s):
         p, q = legs(s)
-        f1 = alg.mult(twist(alpha, mha.antipode_inv(alg.el(p))), ap)
+        f1 = alg.mult(alpha(mha.antipode_inv(alg.el(p))), ap)
         return act_on_slice(module, alg.el(q), coaction.slice_r(v, f1), beta)
     return mha.delta_l(b, a).map_terms(outer)
 
@@ -155,11 +158,11 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
 
 # -- tensor product of YD modules --------------------------------------------
 
-def tensor_module(V, W, gamma=None, theta=None, name=None):
+def tensor_module(V, W, gamma=ID, theta=ID, name=None):
     """V (x) W with the diagonal action gamma(a_(1)).v (x) theta(a_(2)).w,
     realized by splitting a against a theta^-1-twisted module local unit of
     the W component.  The untwisted action a_(1).v (x) a_(2).w is the one at
-    gamma = theta = None.
+    gamma = theta = ID, which reads both factors' action tables.
 
     One local unit rule serves any two modules at any twist: with u, u'
     local units of the V- and W-legs and c a coproduct cover of
@@ -171,7 +174,7 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
 
     def act(asym, tsym):
         vs, ws = split_sym(tsym, V.arity)
-        e = untwist(theta, W.local_unit([W.el(ws)]))
+        e = theta.inverse(W.local_unit([W.el(ws)]))
 
         def term(s):
             p, q = legs(s)
@@ -186,8 +189,8 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
                 vs, ws = split_sym(s, V.arity)
                 vlegs.append(V.el(vs))
                 wlegs.append(W.el(ws))
-        c = mha.delta_cover([untwist(gamma, V.local_unit(vlegs))],
-                            [untwist(theta, W.local_unit(wlegs))])
+        c = mha.delta_cover([gamma.inverse(V.local_unit(vlegs))],
+                            [theta.inverse(W.local_unit(wlegs))])
         return alg.local_unit([c] + aelems)
 
     return UnitalModule(mha, act, V.space.tensor(W.space),
@@ -197,8 +200,8 @@ def tensor_module(V, W, gamma=None, theta=None, name=None):
 
 def _twisted_act(module, aut, asym, vsym):
     """aut(a).v for basis symbols a and v; a read of the action's table when
-    aut is None (the identity)."""
-    if aut is None:
+    aut is ID."""
+    if aut is ID:
         return module.act_basis[asym, vsym]
     return module.act(aut(module.mha.el(asym)), module.el(vsym))
 
@@ -231,10 +234,14 @@ def tensor_coaction(mod, V, W):
 
 
 def yd_tensor(V, W, name=None):
-    """The tensor product in the YD category: diagonal action and the
-    tensor coaction."""
-    mod = tensor_module(V.module, W.module)
-    return YDModule(mod, tensor_coaction(mod, V, W),
+    """V@(a,b) (x) W@(c,d), landing at the pair product: the diagonal
+    action c(x_(1)).v (x) c^-1 b c(x_(2)).w and the tensor coaction, whose
+    second leg is w_(1)v_(1)a'.  At identity pairs both twists are ID, so
+    this is the untwisted tensor product of the YD category."""
+    gamma = W.pair.alpha
+    theta = gamma.inverted().composed(V.pair.beta).composed(gamma)
+    mod = tensor_module(V.module, W.module, gamma, theta)
+    return YDModule(mod, tensor_coaction(mod, V, W), V.pair.product(W.pair),
                     name=name or ("%s(x)%s" % (V.name, W.name)))
 
 
@@ -253,7 +260,7 @@ def _memoized(owner, key, field, term):
     return ext
 
 
-def _splice(owner, X, arity, slice_r, beta=None):
+def _splice(owner, X, arity, slice_r, beta=ID):
     """x (x) v -> v_(0) (x) beta^-1(v_(1)).x for a right slice
     slice_r(v, a) = v_(0) (x) v_(1)a on a carrier of the given arity: the
     slice is taken at beta(e) for a local unit e of x, so beta^-1 of its
@@ -262,16 +269,15 @@ def _splice(owner, X, arity, slice_r, beta=None):
         xs, vs = split_sym(s, X.arity)
         x = X.el(xs)
         e = X.local_unit([x])
-        return apply_legs(slice_r(Element.basis(x.field, vs), twist(beta, e)),
-                          arity, 1,
-                          lambda m: X.act(untwist(beta, m), x))
+        return apply_legs(slice_r(Element.basis(x.field, vs), beta(e)),
+                          arity, 1, lambda m: X.act(beta.inverse(m), x))
     return _memoized(owner, ("c", X, beta), X.field, term)
 
 
-def braiding_c(X, V, xv, beta=None):
+def braiding_c(X, V, xv, beta=ID):
     """C_{X,V}(x (x) v) = v_(0) (x) beta^-1(v_(1)).x, with v_(1) acting
     through a local unit decomposition of x; the YD braiding is the one at
-    beta = None.  Memoized per basis symbol on V's coaction."""
+    beta = ID.  Memoized per basis symbol on V's coaction."""
     coa = V.coaction
     return _splice(coa, X, V.module.arity, coa._slice_r, beta)(xv)
 
@@ -309,7 +315,7 @@ class HalfBraiding:
         self.field = module.field
         self._cA = cA  # (Element of A, Element of V) -> Element of V (x) A
         self.name = name or (module.name + ":half-braiding")
-        self._braidings = {}  # ("c", X, None) -> memoized component
+        self._braidings = {}  # ("c", X, ID) -> memoized component
 
     def cA(self, a, v):
         return self._cA(a, v)

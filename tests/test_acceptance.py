@@ -13,7 +13,7 @@ from ydcheck.modules import (regular_module, counit_module, coproduct_coaction,
 from ydcheck.yd import (YDModule, check_yd, yd_fixtures, check_equivalence,
                         canonical_yd)
 from ydcheck.gyd import (AutoPair, identity_pair, check_t_category,
-                         trivial_gyd, gyd_from_yd, twisted_adjoint_gyd)
+                         trivial_gyd, twisted_adjoint_gyd)
 from ydcheck.double import drinfeld_double, check_dcp, check_double_correspondence
 from ydcheck.instances import (build_instance, CORE_INSTANCES, compute_integrals,
                                qt_for_cyclic, group_Zn, inner_automorphism,
@@ -148,7 +148,7 @@ def test_criterion_7_doubles_and_correspondence():
         ok = ok and rep.ok
         if len(mha.algebra.basis) <= 4:
             ok = ok and "exhaustive" in rep.laws[0].statement
-        gyds = [trivial_gyd(mha), gyd_from_yd(canonical_yd(mha))]
+        gyds = [trivial_gyd(mha), canonical_yd(mha)]
         ok = ok and check_double_correspondence(mha, gyds, samples=40,
                                                 seed=0).ok
     h4 = build_instance("sweedler-H4", QQ)

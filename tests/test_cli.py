@@ -182,6 +182,8 @@ def test_dump_bad_pair_is_a_usage_error(capsys):
      "inner pair indices must lie in 0..5"),
     (["dump", "dcp", "--instance", "grp-S3", "--pair", "inner:-1,1"],
      "inner pair indices must lie in 0..5"),
+    (["dump", "dcp", "--instance", "grp-S3", "--pair", "inner:a,1"],
+     "inner pair indices must be whole numbers, not 'a'"),
     (["dump", "dcp", "--instance", "grp-S3", "--pair", "scale:2,3"],
      "scaling pairs need the basis 1, g, x, gx of Sweedler's H4, not "
      "grp-S3's"),
@@ -189,8 +191,8 @@ def test_dump_bad_pair_is_a_usage_error(capsys):
      "grp-Zn:<n> needs a whole number n >= 1, not '0'"),
     (["check", "mha-axioms", "--instance", "grp-Zn:-3"],
      "grp-Zn:<n> needs a whole number n >= 1, not '-3'"),
-], ids=["inner-too-large", "inner-negative", "scale-off-h4", "zn-zero",
-        "zn-negative"])
+], ids=["inner-too-large", "inner-negative", "inner-not-a-number",
+        "scale-off-h4", "zn-zero", "zn-negative"])
 def test_bad_input_is_a_usage_error_with_a_reason(args, reason, tmp_path,
                                                   capsys):
     out = str(tmp_path / "never.json")

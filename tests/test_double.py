@@ -12,7 +12,7 @@ from ydcheck.instances import (build_instance, group_S3, dual_sym,
                                compute_integrals, inner_automorphism,
                                h4_scaling_automorphism)
 from ydcheck.yd import canonical_yd
-from ydcheck.gyd import (AutoPair, identity_pair, gyd_from_yd, trivial_gyd,
+from ydcheck.gyd import (AutoPair, identity_pair, trivial_gyd,
                          counit_gyd, twisted_adjoint_gyd, parse_pair)
 from ydcheck.double import (DiagonalCrossedProduct, drinfeld_double, check_dcp,
                             DcpModule, check_dcp_module, regular_dcp_module,
@@ -160,7 +160,7 @@ def test_integrals_verified_on_core_unital_instances():
 @pytest.mark.parametrize("name", ["grp-Z2", "grp-S3", "sweedler-H4"])
 def test_double_correspondence_identity_pair(name):
     mha = build_instance(name, QQ)
-    gyds = [trivial_gyd(mha), gyd_from_yd(canonical_yd(mha))]
+    gyds = [trivial_gyd(mha), canonical_yd(mha)]
     rep = check_double_correspondence(mha, gyds, samples=25, seed=9)
     assert rep.ok, rep.summary()
 

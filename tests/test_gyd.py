@@ -9,12 +9,15 @@ import pytest
 from ydcheck.fields import QQ
 from ydcheck.linear import Element, Ten, tensor
 from ydcheck.instances import (build_instance, group_S3, inner_automorphism,
-                               h4_scaling_automorphism, identity_automorphism)
+                               h4_scaling_automorphism, ID)
 from ydcheck.mha import random_element
-from ydcheck.yd import canonical_yd, yd_tensor
-from ydcheck.gyd import (AutoPair, identity_pair, GYDModule, check_gyd,
-                         gyd_from_yd, trivial_gyd, counit_gyd,
-                         twisted_adjoint_gyd, stretch_gyd, gyd_tensor,
+from ydcheck.modules import (adjoint_module, regular_module, counit_module,
+                             Coaction)
+from ydcheck.yd import (YDModule, canonical_yd, yd_tensor, tensor_module,
+                        tensor_coaction, braiding_c, braiding_c_inv)
+from ydcheck.gyd import (AutoPair, identity_pair, check_gyd,
+                         trivial_gyd, counit_gyd,
+                         twisted_adjoint_gyd, stretch_gyd,
                          crossed_functor, gyd_braiding, gyd_braiding_inv,
                          check_t_category)
 
@@ -52,7 +55,7 @@ def test_pair_product_matches_inner_composition():
 def test_gyd_specializes_to_yd_at_identity_pair():
     for name in ["grp-S3", "sweedler-H4", "fun-Z"]:
         mha = build_instance(name, QQ)
-        V = gyd_from_yd(canonical_yd(mha))
+        V = canonical_yd(mha)
         rep = check_gyd(V, samples=20, seed=7)
         assert rep.ok, rep.summary()
 
@@ -89,7 +92,7 @@ def test_stretch_tensors_on_fun_z_pass_at_the_product_pair(other):
     mods = [crossed_functor(V.pair, V).module]
     for aut in (None, V.pair.alpha):
         W = other(mha, aut)
-        for T in (gyd_tensor(V, W), gyd_tensor(W, V)):
+        for T in (yd_tensor(V, W), yd_tensor(W, V)):
             rep = check_gyd(T, samples=15, seed=4)
             assert rep.ok, rep.summary()
             mods.append(T.module)
@@ -110,27 +113,30 @@ def test_corrupted_beta_fails_with_witness():
     s2 = h4_scaling_automorphism(mha, Fraction(2))
     s3 = h4_scaling_automorphism(mha, Fraction(3))
     good = twisted_adjoint_gyd(mha, AutoPair(s2, s3))
-    lying = GYDModule(good.module, good.coaction,
-                      AutoPair(s2, identity_automorphism(mha)), name="lying")
+    lying = YDModule(good.module, good.coaction, AutoPair(s2, ID),
+                     name="lying")
     rep = check_gyd(lying, samples=30, seed=1)
     assert not rep.ok
     assert all(r.witness for r in rep.failures())
 
 
 def test_gyd_tensor_at_identity_pairs_reduces_to_yd_tensor():
+    # yd_tensor at identity pairs is the untwisted diagonal action and
+    # tensor coaction, built directly from tensor_module and tensor_coaction
     mha = build_instance("grp-S3", QQ)
     V = canonical_yd(mha)
     yd_t = yd_tensor(V, V)
-    gyd_t = gyd_tensor(gyd_from_yd(V), gyd_from_yd(V))
+    mod = tensor_module(V.module, V.module)
+    coa = tensor_coaction(mod, V, V)
     g3 = group_S3()
     for g in g3.elements[:3]:
         for h in g3.elements[:3]:
             t = Ten((g, h))
             for a in g3.elements[:3]:
-                assert (gyd_t.module.act(mha.el(a), gyd_t.module.el(t))
-                        == yd_t.module.act(mha.el(a), yd_t.module.el(t)))
-                assert (gyd_t.coaction.slice_r(gyd_t.module.el(t), mha.el(a))
-                        == yd_t.coaction.slice_r(yd_t.module.el(t), mha.el(a)))
+                assert (yd_t.module.act(mha.el(a), yd_t.module.el(t))
+                        == mod.act(mha.el(a), mod.el(t)))
+                assert (yd_t.coaction.slice_r(yd_t.module.el(t), mha.el(a))
+                        == coa.slice_r(mod.el(t), mha.el(a)))
 
 
 def test_gyd_tensor_lands_at_product_pair():
@@ -138,7 +144,7 @@ def test_gyd_tensor_lands_at_product_pair():
     p, q = h4_pairs(mha)
     V = twisted_adjoint_gyd(mha, p)
     W = twisted_adjoint_gyd(mha, q)
-    T = gyd_tensor(V, W)
+    T = yd_tensor(V, W)
     probes = [mha.el(s) for s in mha.algebra.basis]
     assert T.pair.agrees_with(p.product(q), probes)
     rep = check_gyd(T, samples=12, seed=5)
@@ -163,7 +169,7 @@ def test_braiding_grouplike_oracle_and_round_trip():
     # with trivial pair and the conjugation fixture on a group algebra,
     # C(v (x) w) = w (x) w v w^-1 on grouplikes
     mha = build_instance("grp-S3", QQ)
-    V = gyd_from_yd(canonical_yd(mha))
+    V = canonical_yd(mha)
     g3 = group_S3()
     for v in g3.elements:
         for w in g3.elements:
@@ -190,3 +196,57 @@ def test_t_category_trivial_pairs_on_commutative():
     mha = build_instance("fun-Z", QQ)
     rep = check_t_category(mha, [identity_pair(mha)], samples=10, seed=17)
     assert rep.ok, rep.summary()
+
+
+def test_id_is_neutral():
+    # composing with ID, inverting ID and multiplying by the identity pair
+    # hand back the very objects they started from
+    mha = build_instance("grp-S3", QQ)
+    aut = inner_automorphism(mha, (1, 0, 2))
+    assert aut.composed(ID) is aut
+    assert ID.composed(aut) is aut
+    assert ID.inverted() is ID
+    assert ID.composed(ID) is ID
+    x = mha.el((1, 2, 0))
+    assert ID(x) is x and ID.inverse(x) is x
+    for p in s3_pairs(mha):
+        assert identity_pair(mha).product(p).alpha is p.alpha
+
+
+@pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4"])
+def test_twisted_adjoint_at_the_identity_pair_is_the_adjoint_action(name):
+    mha = build_instance(name, QQ)
+    tw = twisted_adjoint_gyd(mha, identity_pair(mha)).module
+    adj = adjoint_module(mha)
+    for a in mha.algebra.basis:
+        for v in mha.algebra.basis:
+            assert tw.act_basis[a, v] == adj.act_basis[a, v]
+
+
+def test_gyd_braiding_and_braiding_c_share_one_memo_at_the_identity():
+    mha = build_instance("sweedler-H4", QQ)
+    V = canonical_yd(mha)
+    W = twisted_adjoint_gyd(mha, identity_pair(mha))
+    rng = random.Random(3)
+    t = tensor(random_element(rng, V.module, 3),
+               random_element(rng, W.module, 3))
+    first = gyd_braiding(V, W, t)
+    assert list(W.coaction._braidings) == [("c", V.module, ID)]
+    assert braiding_c(V.module, W, t) == first
+    assert list(W.coaction._braidings) == [("c", V.module, ID)]
+
+
+def test_a_right_slice_only_yd_module():
+    # YDModule takes a coaction without a left slice: the twisted law needs
+    # only the right one, and the braiding inverse, which reads the left
+    # slice, names the coaction that lacks it
+    mha = build_instance("fun-Z", QQ)
+    mod = counit_module(mha)
+    delta_r = mha.delta_r_basis
+    V = YDModule(mod, Coaction(mod, lambda v, a: delta_r[v, a],
+                               name="right-only"))
+    rep = check_gyd(V, samples=15, seed=6)
+    assert rep.ok, rep.summary()
+    reg = regular_module(mha)
+    with pytest.raises(ValueError, match="right-only has no left slice"):
+        braiding_c_inv(reg, V, tensor(mod.el(2), mha.el(3)))

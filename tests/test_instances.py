@@ -19,7 +19,7 @@ from ydcheck.linear import Element, Ten, tensor, legs
 from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                function_algebra, group_algebra, sweedler_h4,
                                dual_hopf, dual_sym, compute_integrals,
-                               identity_automorphism, group_map_automorphism,
+                               ID, group_map_automorphism,
                                inner_automorphism, h4_scaling_automorphism,
                                qt_for_cyclic, QTStructure, build_instance,
                                ConstructionError)
@@ -288,7 +288,7 @@ def test_integrals_sweedler():
 
 def test_automorphisms():
     H = group_algebra(group_S3(), QQ)
-    ident = identity_automorphism(H)
+    ident = ID
     assert ident(H.el((1, 2, 0))) == H.el((1, 2, 0))
     conj = inner_automorphism(H, (1, 0, 2))
     assert conj.inverse(conj(H.el((1, 2, 0)))) == H.el((1, 2, 0))

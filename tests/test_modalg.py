@@ -40,7 +40,7 @@ def test_adjoint_module_algebra_ks3_with_grouplike_oracle():
     for g in g3.elements:
         for x in g3.elements[:3]:
             for y in g3.elements[:3]:
-                got = ma.act(mha.el(g), mha.algebra.mult(mha.el(x), mha.el(y)))
+                got = ma.module.act(mha.el(g), mha.algebra.mult(mha.el(x), mha.el(y)))
                 conj = g3.mul(g3.mul(g, g3.mul(x, y)), g3.inv(g))
                 assert got == mha.el(conj)
 

@@ -8,11 +8,10 @@ import pytest
 
 from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, split_sym, apply_legs
-from ydcheck.instances import build_instance, CORE_INSTANCES, group_S3
+from ydcheck.instances import build_instance, CORE_INSTANCES, group_S3, ID
 from ydcheck.mha import random_element
 from ydcheck.modules import (regular_module, coproduct_coaction, Coaction,
-                             adjoint_module, twist,
-                             untwist)
+                             adjoint_module)
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_half_braiding, check_equivalence,
@@ -177,15 +176,15 @@ def test_functor_f_finite_dimensional_recovery(name):
 
 # -- the memoized braidings against their per-term formulas -------------------
 
-def splice_formula(X, arity, slice_r, xv, beta=None):
+def splice_formula(X, arity, slice_r, xv, beta=ID):
     """x (x) v -> v_(0) (x) beta^-1(v_(1)).x, term by term, unmemoized."""
     out = Element(xv.field)
     for s, c in xv.terms.items():
         xs, vs = split_sym(s, X.arity)
         x = X.el(xs)
         e = X.local_unit([x])
-        img = apply_legs(slice_r(Element.basis(x.field, vs), twist(beta, e)),
-                         arity, 1, lambda m: X.act(untwist(beta, m), x))
+        img = apply_legs(slice_r(Element.basis(x.field, vs), beta(e)),
+                         arity, 1, lambda m: X.act(beta.inverse(m), x))
         out = out + img.scaled(c)
     return out
 
@@ -229,9 +228,9 @@ def test_memoized_braidings_equal_their_formulas(name, field):
                     assert braiding_c_inv(X, V, vx) == inverse_formula(X, V, vx)
                     assert H.component(X, xv) == splice_formula(
                         X, V.module.arity, lambda v, e: H.cA(e, v), xv)
-            assert ("c", X, None) in V.coaction._braidings
+            assert ("c", X, ID) in V.coaction._braidings
             assert ("c-inv", X) in V.coaction._braidings
-            assert ("c", X, None) in H._braidings
+            assert ("c", X, ID) in H._braidings
         # a new coaction starts without the memo
         assert functor_f(H).coaction._braidings == {}
 
@@ -261,10 +260,10 @@ def test_memoized_twisted_braiding_equals_its_formula(name, field, specs):
                     assert braiding_c(V.module, W, t) == splice_formula(
                         V.module, W.module.arity, W.coaction.slice_r, t)
             assert ("c", V.module, beta) in W.coaction._braidings
-            assert ("c", V.module, None) in W.coaction._braidings
+            assert ("c", V.module, ID) in W.coaction._braidings
 
 
-def act_on_slice_formula(module, a, x, beta=None):
+def act_on_slice_formula(module, a, x, beta=ID):
     """a_(1).v (x) beta(a_(2))m as the unskipped double loop: every pair of
     Delta(a)(1 (x) u) against every term of x, split anew each time."""
     mha = module.mha
@@ -272,11 +271,11 @@ def act_on_slice_formula(module, a, x, beta=None):
     out = Element(x.field)
     if x.is_zero():
         return out
-    u = untwist(beta, alg.local_unit(
+    u = beta.inverse(alg.local_unit(
         [alg.el(split_sym(sx, module.arity)[1]) for sx in x.terms]))
     for s, c in mha.delta_r(a, u).terms.items():
         p, q = s
-        bq = alg.el(q) if beta is None else beta(alg.el(q))
+        bq = beta(alg.el(q))
         for sx, cx in x.terms.items():
             v0, m = split_sym(sx, module.arity)
             out = out + tensor(module.act(alg.el(p), module.el(v0)),
@@ -295,7 +294,7 @@ def test_act_on_slice_equals_the_unskipped_double_loop(name, spec, field):
     over every pair and every term."""
     mha = build_instance(name, field)
     if spec is None:
-        fixtures, beta = yd_fixtures(mha), None
+        fixtures, beta = yd_fixtures(mha), ID
     else:
         pair = parse_pair(mha, spec)
         fixtures, beta = gyd_fixtures_at(mha, pair), pair.beta
