@@ -163,9 +163,6 @@ class Element:
         return (isinstance(other, Element) and self.terms == other.terms
                 and (self.field is other.field or self.field == other.field))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 

@@ -51,11 +51,13 @@ class Report:
         self.seed = seed
         self.samples = samples
         self.laws = []
+        self._ids = set()
 
     def add(self, law, statement, ok, witness=None):
-        if any(r.law == law for r in self.laws):
+        if law in self._ids:
             raise ValueError("duplicate law id %r in a %s report"
                              % (law, self.suite))
+        self._ids.add(law)
         self.laws.append(LawResult(law, statement, ok, witness))
 
     def law(self, law, statement, trials):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ydcheck.fields import QQ, PrimeField
+from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.linear import Element, Ten, tensor
 from ydcheck.mha import Space, Algebra
 from ydcheck.instances import (build_instance, group_S3, dual_sym,
@@ -268,3 +268,55 @@ def test_exchange_table_equals_the_per_pair_formula(name, spec, field):
                               mha.algebra.mult(mha.el(c), mha.el(b)))
             want = exchange(a, q).map_terms(term)
             assert D.algebra.mult_basis[s1, s2] == want, (s1, s2)
+
+
+def _dense_assoc_witness(alg):
+    """The reference scan: every basis triple in order, both sides through
+    the bilinear product; the first failing triple, or None."""
+    mult = alg.mult_basis
+    for x in alg.basis:
+        for y in alg.basis:
+            for z in alg.basis:
+                if (alg.mult(mult[x, y], alg.el(z))
+                        != alg.mult(alg.el(x), mult[y, z])):
+                    return "x=%r y=%r z=%r" % (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("name,field,spec", [
+    ("grp-Z2", "rational", None),
+    ("sweedler-H4", "rational", None),
+    ("sweedler-H4", "fp:5", None),
+    ("dual:sweedler-H4", "rational", None),
+    ("sweedler-H4", "rational", "scale:2,3")])
+@pytest.mark.parametrize("kind", ["zero-plus", "nonzero-plus",
+                                  "nonzero-to-zero"])
+def test_dcp_assoc_catches_a_product_table_mutant(name, field, spec, kind):
+    """The exhaustive pass evaluates only the triples where a side can be
+    nonzero.  One wrong product table entry, preset before the table is
+    first read, fails dcp-assoc with the dense scan's first failing triple.
+    The entry is the first basis product that is zero (zero-plus) or nonzero
+    (the others), plus the last basis vector or replaced by 0, so an entry
+    that turns nonzero and one that turns zero are both covered."""
+    def build():
+        mha = build_instance(name, parse_field(field))
+        if spec is None:
+            return drinfeld_double(mha)
+        return DiagonalCrossedProduct(mha, parse_pair(mha, spec))
+
+    D = build()
+    rep = check_dcp(D)
+    assert rep.ok and "exhaustive" in rep.laws[0].statement, rep.summary()
+    assert _dense_assoc_witness(D.algebra) is None
+
+    mult = D.algebra.mult_basis
+    x, y = next((x, y) for x in D.algebra.basis for y in D.algebra.basis
+                if mult[x, y].is_zero() == (kind == "zero-plus"))
+    D = build()
+    alg = D.algebra
+    alg.mult_basis[x, y] = (alg.zero() if kind == "nonzero-to-zero" else
+                            alg.mult_basis.f(x, y) + alg.el(alg.basis[-1]))
+    rep = check_dcp(D)
+    law = rep.laws[0]
+    assert law.law == "dcp-assoc" and not law.ok
+    assert law.witness == _dense_assoc_witness(alg)

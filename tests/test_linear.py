@@ -69,6 +69,11 @@ def test_element_basics():
     assert (-x).coeff("b") == -2
     # zero coefficients are dropped, so dict equality is vector equality
     assert (x + e("a", -1)).support() == ["b"]
+    # != is the negation of ==: equal, unequal, another field, a non-Element
+    assert not x != e("b", 2) + e("a")
+    assert x != y
+    assert x != Element(PrimeField(5), {"a": 1, "b": 2})
+    assert x != x.terms and x.terms != x and x != 3 and 3 != x
 
 
 def test_ten_is_not_a_plain_tuple():
