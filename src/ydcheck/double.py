@@ -28,11 +28,10 @@ read off table rows, never through the product of a wrapped basis symbol.
 """
 
 import random
-from itertools import starmap
 
 from .linear import (Element, Ten, Memo, Memo2, tensor, legs, make_sym,
                      sym_str, apply_legs, bilinear)
-from .mha import Space, Algebra, random_element
+from .mha import Space, Algebra, draws
 from .modules import UnitalModule, Coaction
 from .yd import YDModule, split_sym, canonical_yd
 from .gyd import check_gyd, trivial_gyd
@@ -174,21 +173,22 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
                             yield x, y, z
         triples = live()
     else:
-        draw = alg.space.sample
-        triples = [(draw(rng), draw(rng), draw(rng)) for _ in range(samples)]
-        mode = "sampled over %d basis triples" % len(triples)
+        sample = alg.space.sample
+        triples = ((sample(rng), sample(rng), sample(rng))
+                   for _ in range(samples))
+        mode = "sampled over %d basis triples" % samples
 
-    def trial(x, y, z):
+    def check(x, y, z):
         if (mult[x, y].map_terms(lambda k: mult[k, z])
                 != mult[y, z].map_terms(lambda m: mult[x, m])):
             return "x=%r y=%r z=%r" % (x, y, z)
-    rep.law("dcp-assoc", "(xy)z = x(yz), " + mode, starmap(trial, triples))
+    rep.law("dcp-assoc", "(xy)z = x(yz), " + mode, check, triples)
 
-    def trial(x):
+    def check(x):
         ex = alg.el(x)
         if alg.mult(alg.unit, ex) != ex or alg.mult(ex, alg.unit) != ex:
             return "x=%r" % (x,)
-    rep.law("dcp-unit", "eps >< 1 is a two-sided unit", map(trial, alg.basis))
+    rep.law("dcp-unit", "eps >< 1 is a two-sided unit", check, zip(alg.basis))
     return rep
 
 
@@ -222,23 +222,16 @@ def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
     rep = Report(suite, "%s/%s" % (dcp.name, M.name), dcp.field.name, seed, samples)
     rng = random.Random(seed)
 
-    def rd():
-        return alg.el(alg.space.sample(rng))
-
-    def rm():
-        return M.el(M.space.sample(rng))
-
-    def trial():
-        d, dp, m = rd(), rd(), rm()
+    def check(d, dp, m):
         if M.act(alg.mult(d, dp), m) != M.act(d, M.act(dp, m)):
             return "d=%r d'=%r m=%r" % (d, dp, m)
-    rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)",
-            (trial() for _ in range(samples)))
+    rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)", check,
+            draws(rng, samples, (alg, None), (alg, None), (M, None)))
 
-    def trial(s):
+    def check(s):
         if M.act(alg.unit, M.el(s)) != M.el(s):
             return "m=%r" % (s,)
-    rep.law("dcp-module-unit", "(eps >< 1).m = m", map(trial, M.basis))
+    rep.law("dcp-module-unit", "(eps >< 1).m = m", check, zip(M.basis))
     return rep
 
 
@@ -335,19 +328,20 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
 
         back = dcp_module_to_yd(M, integrals)
 
-        def trial():
-            a = random_element(rng, mha.algebra)
-            v = random_element(rng, V.module, 3)
+        # a' is drawn only once the actions agree
+        more = draws(rng, samples, mha.algebra)
+
+        def check(a, v):
             if back.module.act(a, v) != V.module.act(a, v):
                 return "action differs at a=%r v=%r" % (a, v)
-            ap = random_element(rng, mha.algebra)
+            ap, = next(more)
             if back.coaction.slice_r(v, ap) != V.coaction.slice_r(v, ap):
                 return ("coaction differs at v=%r a'=%r: %r vs %r"
                         % (v, ap, back.coaction.slice_r(v, ap),
                            V.coaction.slice_r(v, ap)))
         rep.law("yd-roundtrip[%s]" % V.name,
-                "dcpModuleToYd(ydToDcpModule(V)) = V extensionally",
-                (trial() for _ in range(samples)))
+                "dcpModuleToYd(ydToDcpModule(V)) = V extensionally", check,
+                draws(rng, samples, mha.algebra, (V.module, 3)))
 
     # the other direction, from the regular crossed-product module
     dcp = DiagonalCrossedProduct(mha, gyds[0].pair if gyds else None)
@@ -357,14 +351,12 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
     M2 = yd_to_dcp_module(W, dcp)
     alg = dcp.algebra
 
-    def trial():
-        d = alg.el(alg.space.sample(rng))
-        m = R.el(R.space.sample(rng))
+    def check(d, m):
         if M2.act(d, m) != R.act(d, m):
             return "d=%r m=%r" % (d, m)
     rep.law("module-roundtrip",
-            "ydToDcpModule(dcpModuleToYd(M)) = M extensionally",
-            (trial() for _ in range(samples)))
+            "ydToDcpModule(dcpModuleToYd(M)) = M extensionally", check,
+            draws(rng, samples, (alg, None), (R, None)))
     return rep
 
 
@@ -388,14 +380,8 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
     alg = dcp.algebra
     rng = random.Random(seed)
 
-    def rd():
-        return alg.el(alg.space.sample(rng))
-
-    def rh():
-        return carrier.el(carrier.space.sample(rng))
-
-    for _ in range(samples):
-        d, h, hp = rd(), rh(), rh()
+    for d, h, hp in draws(rng, samples, (alg, None), (carrier, None),
+                          (carrier, None)):
         lhs = act(d, carrier.mult(h, hp))
 
         def term(s):

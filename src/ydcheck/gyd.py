@@ -17,10 +17,11 @@ and product tables.  Only the right coaction slice is required of these
 modules.
 """
 
+import itertools
 import random
 
 from .linear import tensor, apply_legs
-from .mha import random_element
+from .mha import draws
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
                       coproduct_coaction)
@@ -74,10 +75,7 @@ def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
     rng = random.Random(seed)
     mod, coa = gyd.module, gyd.coaction
 
-    def trial():
-        a = random_element(rng, mha.algebra)
-        ap = random_element(rng, mha.algebra)
-        v = random_element(rng, mod, 3)
+    def check(a, ap, v):
         lhs = coa.slice_r(mod.act(a, v), ap)
         rhs = compat_rhs(mod, coa, a, ap, v,
                          alpha=gyd.pair.alpha, beta=gyd.pair.beta)
@@ -86,7 +84,7 @@ def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
     rep.law("gyd-compat",
             "(a.v)_(0) (x) (a.v)_(1)a' = "
             "a_(2).v_(0) (x) beta(a_(3))v_(1)alpha(S^-1(a_(1)))a'",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, mha.algebra, mha.algebra, (mod, 3)))
     return rep
 
 
@@ -242,15 +240,11 @@ def gyd_braiding_inv(V, W, wv, max_rounds=4):
 
 # -- the T-category suite ---------------------------------------------------------
 
-def _probes(mha, rng, n=12):
-    return [random_element(rng, mha.algebra) for _ in range(n)]
-
-
 def gyd_fixtures_at(mha, pair):
     """Fixtures living exactly at the given pair."""
     out = []
     rng = random.Random(1)
-    probes = _probes(mha, rng, 8)
+    probes = [x for x, in draws(rng, 8, mha.algebra)]
     diagonal = all(pair.alpha(x) == pair.beta(x) for x in probes)
     if diagonal:
         out.append(trivial_gyd(mha, pair.alpha))
@@ -273,26 +267,26 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     rep = Report(suite, mha.name, mha.field.name, seed, samples)
     rng = random.Random(seed)
     alg = mha.algebra
-    probes = _probes(mha, rng)
+    probes = [x for x, in draws(rng, 12, alg)]
     pairs = list(pairs)
     idp = identity_pair(mha)
 
     # group laws of the twisted square
-    def trial(p, q, r):
+    def check(p, q, r):
         lhs, rhs = p.product(q).product(r), p.product(q.product(r))
         if not lhs.agrees_with(rhs, probes):
             return "pairs %s,%s,%s" % (p.name, q.name, r.name)
-    rep.law("pair-assoc", "(p#q)#r = p#(q#r)",
-            (trial(p, q, r) for p in pairs for q in pairs for r in pairs))
+    rep.law("pair-assoc", "(p#q)#r = p#(q#r)", check,
+            itertools.product(pairs, repeat=3))
 
-    def trial(p):
+    def check(p):
         if not (p.product(p.inverse()).is_identity_on(probes)
                 and p.inverse().product(p).is_identity_on(probes)
                 and idp.product(p).agrees_with(p, probes)
                 and p.product(idp).agrees_with(p, probes)):
             return "pair %s" % p.name
     rep.law("pair-inverse-unit", "p#p^-1 = p^-1#p = (i,i); (i,i) is a unit",
-            map(trial, pairs))
+            check, zip(pairs))
 
     fixtures = []
     for p in pairs:
@@ -322,15 +316,15 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
     W0 = fixtures[-1]
     C0 = crossed_functor(idp, W0)
 
-    def agree_trial(X, Y):
-        a = random_element(rng, mha.algebra)
-        w = random_element(rng, W0.module, 3)
-        if X.module.act(a, w) != Y.module.act(a, w):
-            return "action differs at a=%r w=%r" % (a, w)
-        if X.coaction.slice_r(w, a) != Y.coaction.slice_r(w, a):
-            return "coaction differs at a=%r w=%r" % (a, w)
+    def agree(X, Y):
+        def check(a, w):
+            if X.module.act(a, w) != Y.module.act(a, w):
+                return "action differs at a=%r w=%r" % (a, w)
+            if X.coaction.slice_r(w, a) != Y.coaction.slice_r(w, a):
+                return "coaction differs at a=%r w=%r" % (a, w)
+        return check
     rep.law("crossed-identity", "phi_(i,i) leaves objects unchanged",
-            (agree_trial(C0, W0) for _ in range(samples)))
+            agree(C0, W0), draws(rng, samples, alg, (W0.module, 3)))
 
     # functoriality on sampled elements
     if len(pairs) >= 2:
@@ -338,7 +332,7 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
         lhs = crossed_functor(p, crossed_functor(q, W0))
         rhs = crossed_functor(p.product(q), W0)
         rep.law("crossed-functorial", "phi_p o phi_q = phi_(p#q) on samples",
-                (agree_trial(lhs, rhs) for _ in range(samples)))
+                agree(lhs, rhs), draws(rng, samples, alg, (W0.module, 3)))
 
     # monoidality of the crossing on one sampled pair of objects
     V, W = fixtures[0], fixtures[-1]
@@ -347,17 +341,15 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
         lhs = crossed_functor(p, yd_tensor(V, W))
         rhs = yd_tensor(crossed_functor(p, V), crossed_functor(p, W))
 
-        def trial():
-            a = random_element(rng, mha.algebra)
-            t = tensor(random_element(rng, V.module, 3),
-                       random_element(rng, W.module, 3))
+        def check(a, v, w):
+            t = tensor(v, w)
             if lhs.module.act(a, t) != rhs.module.act(a, t):
                 return "action differs at a=%r t=%r" % (a, t)
             if lhs.coaction.slice_r(t, a) != rhs.coaction.slice_r(t, a):
                 return "coaction differs at a=%r t=%r" % (a, t)
         rep.law("crossed-monoidal",
-                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples",
-                (trial() for _ in range(samples)))
+                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", check,
+                draws(rng, samples, alg, (V.module, 3), (W.module, 3)))
     except ValueError as exc:
         rep.add("crossed-monoidal",
                 "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", False, str(exc))
@@ -371,29 +363,22 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
 
         two = mha.field.from_int(2)
 
-        def draw():
-            a = random_element(rng, mha.algebra)
-            v = random_element(rng, V.module, 3)
-            w = random_element(rng, W.module, 3)
-            return a, v, w, tensor(v, w)
-
-        def a_linear(sample):
-            a, v, w, t = sample
+        def a_linear(a, v, w):
+            t = tensor(v, w)
             lhs = gyd_braiding(V, W, src.module.act(a, t))
             rhs = tgt.module.act(a, gyd_braiding(V, W, t))
             if lhs != rhs:
                 return "a=%r v=%r w=%r lhs=%r rhs=%r" % (a, v, w, lhs, rhs)
 
-        def invertible(sample):
-            t = sample[3]
+        def invertible(a, v, w):
+            t = tensor(v, w)
             if gyd_braiding_inv(V, W, gyd_braiding(V, W, t)) != t:
                 return "v(x)w=%r" % t
 
-        def natural(sample):
+        def natural(a, v, w):
             # naturality under the scalar morphism w -> 2w on W
-            _, v, w, t = sample
             if (gyd_braiding(V, W, tensor(v, w.scaled(two)))
-                    != gyd_braiding(V, W, t).scaled(two)):
+                    != gyd_braiding(V, W, tensor(v, w)).scaled(two)):
                 return "v=%r w=%r" % (v, w)
 
         rep.law_group([
@@ -403,22 +388,20 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
              "C^-1 o C = id, inverse solved with S and beta", invertible),
             ("braiding-natural[%s]" % name,
              "C transports the scalar morphism on W", natural)],
-            (draw() for _ in range(samples)))
+            draws(rng, samples, alg, (V.module, 3), (W.module, 3)))
 
     # crossing the braiding: phi_p(C_{V,W}) = C_{phi_p V, phi_p W}
     V, W = fixtures[0], fixtures[-1]
     p = pairs[0]
     pV, pW = crossed_functor(p, V), crossed_functor(p, W)
 
-    def trial():
-        v = random_element(rng, V.module, 3)
-        w = random_element(rng, W.module, 3)
+    def check(v, w):
         t = tensor(v, w)
         if gyd_braiding(V, W, t) != gyd_braiding(pV, pW, t):
             return "v=%r w=%r" % (v, w)
     rep.law("braiding-crossing",
-            "the braiding commutes with the crossing on samples",
-            (trial() for _ in range(samples)))
+            "the braiding commutes with the crossing on samples", check,
+            draws(rng, samples, (V.module, 3), (W.module, 3)))
     return rep
 
 

@@ -661,12 +661,12 @@ class QTStructure:
         report.check("qt-invertible-2", "R^-1 R = 1 (x) 1",
                      alg.mult_tensor(self.r_inv, self.r), unit2)
 
-        def trial(s):
+        def intertwines(s):
             d = mha.coproduct(mha.el(s))
             if alg.mult_tensor(flip(d), self.r) != alg.mult_tensor(self.r, d):
                 return "a=%r" % (s,)
         report.law("qt-intertwine", "Delta^cop(a) R = R Delta(a)",
-                   map(trial, alg.basis))
+                   intertwines, zip(alg.basis))
 
         def widen(x2, positions):
             # embed an arity-2 element into legs `positions` of arity 3

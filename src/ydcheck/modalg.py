@@ -20,12 +20,11 @@ relators (m <- h) (x) n - m (x) (h -> n); well-definedness of the descended
 structures is tested (relator stability), never assumed.
 """
 
-import itertools
 import random
 
 from .linear import (Element, Memo2, tensor, legs, apply_legs, bilinear,
                      QuotientSpace)
-from .mha import Space, Algebra, random_element
+from .mha import Space, Algebra, draws
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
                       coproduct_coaction, trivial_coaction)
@@ -100,14 +99,7 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
                  seed, samples)
     rng = random.Random(seed)
 
-    def rx():
-        return random_element(rng, ma.module, 3)
-
-    def ra():
-        return random_element(rng, mha.algebra)
-
-    def trial():
-        a, x, xp = ra(), rx(), rx()
+    def check(a, x, xp):
         lhs = act(a, ma.alg.mult(x, xp))
         e = ma.module.local_unit([xp])
 
@@ -117,35 +109,29 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
         rhs = mha.delta_r(a, e).map_terms(term)
         if lhs != rhs:
             return "a=%r x=%r x'=%r lhs=%r rhs=%r" % (a, x, xp, lhs, rhs)
-    rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')",
-            (trial() for _ in range(samples)))
+    rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')", check,
+            draws(rng, samples, alg, (ma.module, 3), (ma.module, 3)))
 
     if mha.materializes_coproduct:
-        def draw():
-            a, x, xp = ra(), rx(), rx()
-            return a, x, xp, mha.coproduct(a)
-
-        def extend_left(sample):
-            a, x, xp, cop = sample
+        def extend_left(a, x, xp):
             lhs = ma.alg.mult(act(a, x), xp)
 
             def term(s):
                 a1, a2 = legs(s)
                 return act(alg.el(a1), ma.alg.mult(
                     x, act(mha.antipode(alg.el(a2)), xp)))
-            rhs = cop.map_terms(term)
+            rhs = mha.coproduct(a).map_terms(term)
             if lhs != rhs:
                 return "a=%r x=%r x'=%r" % (a, x, xp)
 
-        def extend_right(sample):
-            a, x, xp, cop = sample
+        def extend_right(a, x, xp):
             lhs = ma.alg.mult(x, act(a, xp))
 
             def term(s):
                 a1, a2 = legs(s)
                 return act(alg.el(a2), ma.alg.mult(
                     act(mha.antipode_inv(alg.el(a1)), x), xp))
-            rhs = cop.map_terms(term)
+            rhs = mha.coproduct(a).map_terms(term)
             if lhs != rhs:
                 return "a=%r x=%r x'=%r" % (a, x, xp)
 
@@ -153,14 +139,15 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
             ("modalg-extend-left", "(a.x)x' = a_(1).(x (S(a_(2)).x'))",
              extend_left),
             ("modalg-extend-right", "x(a.x') = a_(2).((S^-1(a_(1)).x) x')",
-             extend_right)], (draw() for _ in range(samples)))
+             extend_right)],
+            draws(rng, samples, alg, (ma.module, 3), (ma.module, 3)))
 
     if ma.alg.has_unit:
-        def trial():
-            a = ra()
+        def check(a):
             if act(a, ma.alg.unit) != ma.alg.unit.scaled(mha.counit(a)):
                 return "a=%r" % a
-        rep.law("modalg-unit", "a.1 = eps(a) 1", (trial() for _ in range(samples)))
+        rep.law("modalg-unit", "a.1 = eps(a) 1", check,
+                draws(rng, samples, alg))
     return rep
 
 
@@ -178,14 +165,7 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
     rep.merge(check_comodule(coaction, samples, seed, suite), "comodule")
     rng = random.Random(seed + 1)
 
-    def rx():
-        return random_element(rng, mod, 3)
-
-    def ra():
-        return random_element(rng, mha.algebra)
-
-    def trial():
-        x, y, a = rx(), rx(), ra()
+    def check(x, y, a):
         lhs = coaction.slice_r(alg.mult(x, y), a)
 
         def term(s):  # y_(0) (x) y_(1)a -> x_(0)y_(0) (x) x_(1)y_(1)a
@@ -196,12 +176,11 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
         if lhs != rhs:
             return "x=%r y=%r a=%r lhs=%r rhs=%r" % (x, y, a, lhs, rhs)
     rep.law("comodalg-multiplicative",
-            "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)",
-            (trial() for _ in range(samples)))
+            "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)", check,
+            draws(rng, samples, (mod, 3), (mod, 3), mha.algebra))
 
     if coaction.has_slice_l:
-        def trial():
-            x, y, a = rx(), rx(), ra()
+        def check(x, y, a):
             lhs = coaction.slice_l(alg.mult(x, y), a)
 
             def term(s):  # x_(0) (x) ax_(1) -> x_(0)y_(0) (x) ax_(1)y_(1)
@@ -212,8 +191,8 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
             if lhs != rhs:
                 return "x=%r y=%r a=%r" % (x, y, a)
         rep.law("comodalg-multiplicative-left",
-                "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)",
-                (trial() for _ in range(samples)))
+                "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)", check,
+                draws(rng, samples, (mod, 3), (mod, 3), mha.algebra))
     return rep
 
 
@@ -303,9 +282,7 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
                  seed, samples)
     rng = random.Random(seed)
 
-    def trial():
-        x = random_element(rng, H.module, 3)
-        y = random_element(rng, H.module, 3)
+    def check(x, y):
         lhs = H.alg.mult(x, y)
         e = H.module.local_unit([x])
 
@@ -315,7 +292,8 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
         rhs = H.coaction.slice_r(y, e).map_terms(term)
         if lhs != rhs:
             return "x=%r y=%r lhs=%r rhs=%r" % (x, y, lhs, rhs)
-    rep.law("a-commutative", "xy = y_(0)(y_(1).x)", (trial() for _ in range(samples)))
+    rep.law("a-commutative", "xy = y_(0)(y_(1).x)", check,
+            draws(rng, samples, (H.module, 3), (H.module, 3)))
     return rep
 
 
@@ -372,10 +350,7 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
 
     rng = random.Random(seed + 2)
 
-    def trial():
-        m = random_element(rng, ma.module, 3)
-        n = random_element(rng, ma.module, 3)
-
+    def check(m, n):
         def term(s):
             i, j = legs(s)
             return tensor(ma.module.act(alg.el(j), n), ma.module.act(alg.el(i), m))
@@ -385,7 +360,7 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
             return "m=%r n=%r direct=%r via=%r" % (m, n, direct, via)
     rep.law("qt-braiding",
             "C(m (x) n) = tau(R)(n (x) m) through the induced coaction",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, (ma.module, 3), (ma.module, 3)))
     return rep
 
 
@@ -477,24 +452,13 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
                  seed, samples)
     rng = random.Random(seed)
 
-    def rh():
-        return random_element(rng, H.alg, 2)
-
-    def rm():
-        return random_element(rng, M.module, 3)
-
-    def ra():
-        return random_element(rng, mha.algebra)
-
-    def trial():
-        h, hp, m = rh(), rh(), rm()
+    def check(h, hp, m):
         if M.h_act(H.alg.mult(h, hp), m) != M.h_act(h, M.h_act(hp, m)):
             return "h=%r h'=%r m=%r" % (h, hp, m)
-    rep.law("ha-left-module", "(hh') -> m = h -> (h' -> m)",
-            (trial() for _ in range(samples)))
+    rep.law("ha-left-module", "(hh') -> m = h -> (h' -> m)", check,
+            draws(rng, samples, (H.alg, 2), (H.alg, 2), (M.module, 3)))
 
-    def trial():
-        a, h, m = ra(), rh(), rm()
+    def check(a, h, m):
         lhs = M.module.act(a, M.h_act(h, m))
         e = M.module.local_unit([m])
 
@@ -504,11 +468,10 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
         rhs = mha.delta_r(a, e).map_terms(term)
         if lhs != rhs:
             return "a=%r h=%r m=%r lhs=%r rhs=%r" % (a, h, m, lhs, rhs)
-    rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)",
-            (trial() for _ in range(samples)))
+    rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)", check,
+            draws(rng, samples, mha.algebra, (H.alg, 2), (M.module, 3)))
 
-    def trial():
-        h, m, ap = rh(), rm(), ra()
+    def check(h, m, ap):
         lhs = M.coaction.slice_r(M.h_act(h, m), ap)
 
         def term(s):  # h_(0) (x) h_(1)a' -> h_(0) -> m_(0) (x) m_(1)h_(1)a'
@@ -521,7 +484,7 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
             return "h=%r m=%r a'=%r lhs=%r rhs=%r" % (h, m, ap, lhs, rhs)
     rep.law("ha-coaction-compat",
             "rho(h -> m)(1 (x) a') = h_(0) -> m_(0) (x) m_(1) h_(1) a'",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, (H.alg, 2), (M.module, 3), mha.algebra))
 
     if M.coaction.has_slice_l:
         rep.merge(check_yd(YDModule(M.module, M.coaction, name=M.name),
@@ -548,25 +511,19 @@ def check_h_bimodule(M, samples=40, seed=0, suite="hq-monoidal"):
                  seed, samples)
     rng = random.Random(seed)
 
-    def draw():
-        h = random_element(rng, H.alg, 2)
-        hp = random_element(rng, H.alg, 2)
-        return h, hp, random_element(rng, M.module, 3)
-
-    def right_module(sample):
-        h, hp, m = sample
+    def right_module(h, hp, m):
         if M.r_act(m, H.alg.mult(h, hp)) != M.r_act(M.r_act(m, h), hp):
             return "h=%r h'=%r m=%r" % (h, hp, m)
 
-    def interchange(sample):
-        h, hp, m = sample
+    def interchange(h, hp, m):
         if M.r_act(M.h_act(h, m), hp) != M.h_act(h, M.r_act(m, hp)):
             return "h=%r h'=%r m=%r" % (h, hp, m)
 
     rep.law_group([
         ("ha-right-module", "m <- (hh') = (m <- h) <- h'", right_module),
         ("ha-bimodule-interchange", "(h -> m) <- h' = h -> (m <- h')",
-         interchange)], (draw() for _ in range(samples)))
+         interchange)],
+        draws(rng, samples, (H.alg, 2), (H.alg, 2), (M.module, 3)))
     return rep
 
 
@@ -658,31 +615,19 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
     if len(rels) > 60:
         rels = rng.sample(rels, 60)
 
-    def rh():
-        return random_element(rng, T.H.alg, 2)
-
-    def draw(rel):
-        a = random_element(rng, mha.algebra)
-        h = rh()
-        return rel, a, h, random_element(rng, mha.algebra)
-
-    def action(sample):
-        rel, a, _, _ = sample
+    def action(rel, a, h, ap):
         if not T.quot.project(T.amb.act(a, rel)).is_zero():
             return "a=%r rel=%r" % (a, rel)
 
-    def h_action(sample):
-        rel, _, h, _ = sample
+    def h_action(rel, a, h, ap):
         if not T.quot.project(T.h_amb(h, rel)).is_zero():
             return "h=%r rel=%r" % (h, rel)
 
-    def r_action(sample):
-        rel, _, h, _ = sample
+    def r_action(rel, a, h, ap):
         if not T.quot.project(T.r_amb(rel, h)).is_zero():
             return "h=%r rel=%r" % (h, rel)
 
-    def coaction(sample):
-        rel, _, _, ap = sample
+    def coaction(rel, a, h, ap):
         if not apply_legs(T.amb_coaction.slice_r(rel, ap), 0, T.arity,
                           T.quot.project).is_zero():
             return "a'=%r rel=%r" % (ap, rel)
@@ -695,18 +640,19 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
         ("tensor-relator-r-action", "(.) <- h preserves the balancing "
          "relators", r_action),
         ("tensor-relator-coaction", "the composite coaction preserves the "
-         "balancing relators", coaction)], map(draw, rels))
+         "balancing relators", coaction)],
+        ((rel,) + drawn for rel, drawn in zip(rels, draws(
+            rng, len(rels), mha.algebra, (T.H.alg, 2), mha.algebra))))
 
     rep.merge(check_ha_module(T.ham, samples, seed, suite), "tensor")
 
-    def trial():
-        m = random_element(rng, T.ham.module, 2)
-        h = rh()
+    def check(m, h):
         if T.ham.r_act(m, h) != T.ham.r_act_formula(m, h):
             return "m=%r h=%r" % (m, h)
     rep.law("tensor-right-action",
             "(m (x) n) <- h = m (x) (n <- h) matches h_(0) -> (h_(1).(m (x) n))",
-            (trial() for _ in range(samples if T.quot.basis else 0)))
+            check, draws(rng, samples if T.quot.basis else 0,
+                         (T.ham.module, 2), (T.H.alg, 2)))
     return rep
 
 
@@ -757,10 +703,7 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
                 None if rk == len(T.quot.basis) == dim_m else
                 "image rank %d, dims %d/%d" % (rk, len(T.quot.basis), dim_m))
 
-        def trial():
-            c = random_element(rng, T.ham.module, 2)
-            a = random_element(rng, mha.algebra)
-            h = random_element(rng, H.alg, 2)
+        def check(c, a, h):
             sec = T.quot.section(c)
             if psi(T.quot.section(T.ham.module.act(a, c))) != M.module.act(a, psi(sec)):
                 return "A-action at c=%r a=%r" % (c, a)
@@ -772,7 +715,9 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
                 return "coaction at c=%r a=%r" % (c, a)
         rep.law("tensor-unit-structure-%s" % side,
                 "the canonical unit map intertwines action, H-action and "
-                "coaction", (trial() for _ in range(samples if T.quot.basis else 0)))
+                "coaction", check,
+                draws(rng, samples if T.quot.basis else 0, (T.ham.module, 2),
+                      mha.algebra, (H.alg, 2)))
     return rep
 
 
@@ -836,32 +781,29 @@ def check_associator(X, Y, Z, samples=15, seed=0, suite="hq-monoidal"):
     flats = X.module.space.tensor(Y.module.space).tensor(Z.module.space).basis
     probe = flats if len(flats) <= 60 else rng.sample(flats, 60)
 
-    def trial(t):
+    def check(t):
         ft = Element.basis(mha.field, t)
         if phi(to_l(ft)) != to_r(ft) or phi_inv(to_r(ft)) != to_l(ft):
             return "t=%r" % ft
     rep.law("assoc-canonical", "the rebracketing map agrees with the flat "
-            "projections on every representative", map(trial, probe))
+            "projections on every representative", check, zip(probe))
 
-    def trial(side, b, there, back):
+    def check(side, b, there, back):
         c = Element.basis(mha.field, b)
         if back(there(c)) != c:
             return "%s basis %r" % (side, c)
-    rep.law("assoc-invertible", "the rebracketing map is invertible",
-            itertools.chain(
-                (trial("left", b, phi, phi_inv) for b in TL.quot.basis),
-                (trial("right", b, phi_inv, phi) for b in TR.quot.basis)))
+    rep.law("assoc-invertible", "the rebracketing map is invertible", check,
+            [("left", b, phi, phi_inv) for b in TL.quot.basis]
+            + [("right", b, phi_inv, phi) for b in TR.quot.basis])
 
-    def trial():
-        c = random_element(rng, TL.ham.module, 2)
-        a = random_element(rng, mha.algebra)
-        h = random_element(rng, X.H.alg, 2)
+    def check(c, a, h):
         if phi(TL.ham.module.act(a, c)) != TR.ham.module.act(a, phi(c)):
             return "A-linearity at c=%r a=%r" % (c, a)
         if phi(TL.ham.h_act(h, c)) != TR.ham.h_act(h, phi(c)):
             return "H-linearity at c=%r h=%r" % (c, h)
     rep.law("assoc-linear", "the rebracketing map is A-linear and H-linear",
-            (trial() for _ in range(samples if TL.quot.basis else 0)))
+            check, draws(rng, samples if TL.quot.basis else 0,
+                         (TL.ham.module, 2), mha.algebra, (X.H.alg, 2)))
     return rep
 
 
@@ -884,12 +826,12 @@ def check_pentagon(X, Y, Z, W, suite="hq-monoidal", seed=0):
             flat = T.quot.section(project(flat))
         return stops[-1][2](flat)
 
-    def trial(b):
+    def check(b):
         flat = o1.quot.section(Element.basis(mha.field, b))
         if path(flat, o5, o4) != path(flat, o2, o3, o4):
             return "class %r" % flat
     rep.law("pentagon", "the two composite rebracketing paths agree",
-            map(trial, o1.quot.basis))
+            check, zip(o1.quot.basis))
     return rep
 
 

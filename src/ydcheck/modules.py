@@ -14,7 +14,7 @@ untwisted product table.
 import random
 
 from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
-from .mha import Space, Multiplier, random_element, probe_elements
+from .mha import Space, Multiplier, draws, probe_elements
 from .report import Report
 from .instances import ID
 
@@ -231,30 +231,22 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
                  mha.field.name, seed, samples)
     rng = random.Random(seed)
 
-    def rv():
-        return random_element(rng, mod, 3)
-
-    def ra():
-        return random_element(rng, mha.algebra)
-
     # Gamma(v) is a right-module map: Gamma(v)(1 (x) aa') agrees with
     # right-multiplying the second leg of Gamma(v)(1 (x) a) by a'
-    def trial():
-        v, a, ap = rv(), ra(), ra()
+    def check(v, a, ap):
         lhs = coaction.slice_r(v, alg.mult(a, ap))
         rhs = apply_legs(coaction.slice_r(v, a), mod.arity, 1,
                          lambda v1: alg.mult(v1, ap))
         if lhs != rhs:
             return "v=%r a=%r a'=%r lhs=%r rhs=%r" % (v, a, ap, lhs, rhs)
     rep.law("coaction-module-map", "Gamma(v)(1(x)aa') = (Gamma(v)(1(x)a))(1(x)a')",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, (mod, 3), alg, alg))
 
     # sliced coassociativity:
     #   v_(0) (x) v_(1)(1) x (x) v_(1)(2) y  =  v_(0)(0) (x) v_(0)(1) x (x) v_(1) y
     # LHS: replace the multiplier v_(1) by v_(1)c for a coproduct cover c of
     # (x, y); then Delta(v_(1)c)(x (x) y) = deltaR2(., x) right-multiplied by y.
-    def trial():
-        v, x, y = rv(), ra(), ra()
+    def check(v, x, y):
         c = mha.delta_cover([x], [y])
         lhs = apply_legs(coaction.slice_r(v, c), mod.arity, 1,
                          lambda w: apply_legs(mha.delta_r2(w, x), 1, 1,
@@ -263,23 +255,21 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
                          lambda v0: coaction.slice_r(v0, x))
         if lhs != rhs:
             return "v=%r x=%r y=%r lhs=%r rhs=%r" % (v, x, y, lhs, rhs)
-    rep.law("coaction-coassoc", "sliced coassociativity of Gamma",
-            (trial() for _ in range(samples)))
+    rep.law("coaction-coassoc", "sliced coassociativity of Gamma", check,
+            draws(rng, samples, (mod, 3), alg, alg))
 
     # counitary
-    def trial():
-        v, a = rv(), ra()
+    def check(v, a):
         got = mha.counit_leg(coaction.slice_r(v, a), mod.arity)
         if got != v.scaled(mha.counit(a)):
             return "v=%r a=%r got=%r" % (v, a, got)
     rep.law("coaction-counit", "(i (x) eps)(Gamma(v)(1(x)a)) = v eps(a)",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, (mod, 3), alg))
 
     if coaction.has_slice_l:
         # two-sided multiplier compatibility:
         # (1 (x) a)(Gamma(v)(1 (x) a')) = ((1 (x) a)Gamma(v))(1 (x) a')
-        def trial():
-            v, a, ap = rv(), ra(), ra()
+        def check(v, a, ap):
             lhs = apply_legs(coaction.slice_r(v, ap), mod.arity, 1,
                              lambda v1: alg.mult(a, v1))
             rhs = apply_legs(coaction.slice_l(v, a), mod.arity, 1,
@@ -287,7 +277,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
             if lhs != rhs:
                 return "v=%r a=%r a'=%r" % (v, a, ap)
         rep.law("coaction-two-sided", "left and right slices agree as a two-sided multiplier",
-                (trial() for _ in range(samples)))
+                check, draws(rng, samples, (mod, 3), alg, alg))
 
     return rep
 
@@ -321,14 +311,12 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
                 used.add(split_sym(s, mod.arity)[0])
         return vsym, used
 
-    def factorization(sample):
-        vsym, used = sample
+    def factorization(vsym, used):
         if len(used) > len(mod.basis):
             return "factorization rank %d exceeds dim %d at v=%r" % (
                 len(used), len(mod.basis), mod.el(vsym))
 
-    def multipliers(sample):
-        vsym, used = sample
+    def multipliers(vsym, used):
         v = mod.el(vsym)
         for wsym in sorted(used, key=repr):
             m = Multiplier(
@@ -367,58 +355,49 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
     rng = random.Random(seed)
     mod = regular_module(mha)
 
-    def rx():
-        return random_element(rng, mod, 3)
-
-    def ra():
-        return random_element(rng, mha.algebra)
-
-    # 1.x = x through the extension, and independence of the decomposition
+    # 1.x = x through the extension, and independence of the decomposition;
+    # the second decomposition is drawn only once 1.x = x holds
     one = Multiplier(left=lambda y: y, right=lambda y: y, label="1")
-    def trial():
-        x = rx()
+    more = draws(rng, samples, (mod, 3), alg)
+
+    def check(x):
         if extend_action(mod, one, x) != x:
             return "x=%r" % x
         # same multiplier, two different decompositions x = e.x = e'.x
-        e2 = mod.local_unit([x, rx()])
-        f = Multiplier.from_element(alg, ra())
+        xp, a = next(more)
+        e2 = mod.local_unit([x, xp])
+        f = Multiplier.from_element(alg, a)
         if extend_action(mod, f, x) != mod.act(f.left(e2), x):
             return "decomposition-dependent extension at x=%r" % x
     rep.law("extend-action", "1.x = x and f.x independent of the decomposition",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, (mod, 3)))
 
     # for unital algebras the extension is the plain action (Y = X)
     if alg.has_unit:
-        def trial():
-            a, x = ra(), rx()
+        def check(a, x):
             if extend_action(mod, Multiplier.from_element(alg, a), x) != mod.act(a, x):
                 return "a=%r x=%r" % (a, x)
         rep.law("unital-identity", "extension along A subset M(A) is the plain action",
-                (trial() for _ in range(samples)))
+                check, draws(rng, samples, alg, (mod, 3)))
 
     # rho embedding laws
-    def draw():
-        x, a, ap = rx(), ra(), ra()
-        return x, a, ap, embed_rho(mod, x)
-
-    def left_kind(sample):
-        x, a, ap, r = sample
+    def left_kind(x, a, ap):
+        r = embed_rho(mod, x)
         if r.rho(alg.mult(a, ap)) != mod.act(a, r.rho(ap)):
             return "x=%r a=%r a'=%r" % (x, a, ap)
         # (a.rho_x)(a') = rho_x(a'a) = rho_{a.x}(a')
         if not r.acted_by(a).agrees_with(embed_rho(mod, mod.act(a, x)), [ap, a]):
             return "module-map law at x=%r a=%r" % (x, a)
 
-    def injective(sample):
-        x, _, _, r = sample
-        if not x.is_zero() and r.rho(mod.local_unit([x])).is_zero():
+    def injective(x, a, ap):
+        if not x.is_zero() and embed_rho(mod, x).rho(mod.local_unit([x])).is_zero():
             return "x=%r killed by its local unit" % x
 
     rep.law_group([
         ("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}",
          left_kind),
         ("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
-         injective)], (draw() for _ in range(samples)))
+         injective)], draws(rng, samples, (mod, 3), alg, alg))
     if alg.basis is not None:
         rep.merge(finite_dim_inclusion(coproduct_coaction(mod), seed=seed),
                   "delta")

@@ -5,13 +5,14 @@ Witnesses are rendered as canonical coefficient/basis-label text so a failing
 law is reproducible by eye.  The JSON contains no timestamps: identical
 configs must produce byte-identical files.
 
-Sampled laws are recorded through Report.law (one law) and Report.law_group
-(several laws on shared samples).  A trial is one evaluation of a law: it
-returns None when the law holds on it and a witness string when it does not.
-The first witness is recorded and ends the law's stream, so later trials
-never run.  Every random draw happens inside the trial (or, for a group, in
-the sample it is handed), in a fixed order, so a witness replays from the
-seed alone.
+A sampled law is a check, check(*variables) -> None when the law holds on
+those variables or a witness string when it does not, run over an iterable
+of variable tuples: mha.draws(rng, n, *carriers) for seeded samples, zip(xs)
+or itertools.product(...) for exhaustive ones.  Report.law records one law
+and Report.law_group several on shared tuples.  The first witness is
+recorded and ends the law's stream, so no later tuple is drawn.  The draws
+are lazy and made in a fixed order, so a witness replays from the seed
+alone.
 """
 
 import json
@@ -60,23 +61,21 @@ class Report:
         self._ids.add(law)
         self.laws.append(LawResult(law, statement, ok, witness))
 
-    def law(self, law, statement, trials):
-        """Record one sampled law.  trials yields None for each passing
-        trial or a witness string for a failing one; the first witness is
-        recorded and nothing after it is drawn from trials."""
-        self.law_group([(law, statement, lambda wit: wit)], trials)
+    def law(self, law, statement, check, samples):
+        """Record one sampled law: law_group with one law."""
+        self.law_group([(law, statement, check)], samples)
 
     def law_group(self, laws, samples):
         """Record several laws checked on shared samples.  laws lists
-        (law, statement, check); each sample drawn from samples is passed
-        to check(sample) -> None or a witness for every law, in order, that
-        has not failed yet.  Each law keeps its first witness, and the
-        stream ends once every law has failed."""
+        (law, statement, check); each variable tuple drawn from samples is
+        passed as check(*sample) -> None or a witness to every law, in
+        order, that has not failed yet.  Each law keeps its first witness,
+        and the stream ends once every law has failed."""
         wits = [None] * len(laws)
         for sample in samples:
             for i, (_, _, check) in enumerate(laws):
                 if wits[i] is None:
-                    wits[i] = check(sample)
+                    wits[i] = check(*sample)
             if None not in wits:
                 break
         for (law, statement, _), wit in zip(laws, wits):
@@ -88,12 +87,12 @@ class Report:
         for r in sub.laws:
             self.add("%s[%s]" % (r.law, tag), r.statement, r.ok, r.witness)
 
-    def check(self, law, statement, lhs, rhs, context=""):
+    def check(self, law, statement, lhs, rhs):
         """Record an exact-equality law; on failure render both sides."""
         ok = lhs == rhs
         witness = None
         if not ok:
-            witness = "%slhs = %r ; rhs = %r" % (context and context + " ; ", lhs, rhs)
+            witness = "lhs = %r ; rhs = %r" % (lhs, rhs)
         self.add(law, statement, ok, witness)
         return ok
 

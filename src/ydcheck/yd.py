@@ -20,7 +20,7 @@ factors cancel.  Each evaluator documents its slice composition.
 import random
 
 from .linear import Element, linear, tensor, legs, split_sym, apply_legs
-from .mha import random_element
+from .mha import draws
 from .report import Report
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
@@ -127,20 +127,13 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
     rng = random.Random(seed)
     mod, coa = yd.module, yd.coaction
 
-    def draw():
-        a = random_element(rng, mha.algebra)
-        ap = random_element(rng, mha.algebra)
-        return a, ap, random_element(rng, mod, 3)
-
-    def compat(sample):
-        a, ap, v = sample
+    def compat(a, ap, v):
         lhs = coa.slice_r(mod.act(a, v), ap)
         rhs = compat_rhs(mod, coa, a, ap, v)
         if lhs != rhs:
             return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
 
-    def compat_alt(sample):
-        a, ap, v = sample
+    def compat_alt(a, ap, v):
         lhs = compat_alt_lhs(mod, coa, a, ap, v)
         rhs = compat_alt_rhs(mod, coa, a, ap, v)
         if lhs != rhs:
@@ -152,7 +145,7 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
          compat),
         ("yd-compat-alt",
          "(a_(2).v)_(0) (x) (a_(2).v)_(1)a_(1)a' = a_(1).v_(0) (x) a_(2)v_(1)a'",
-         compat_alt)], (draw() for _ in range(samples)))
+         compat_alt)], draws(rng, samples, mha.algebra, mha.algebra, (mod, 3)))
     return rep
 
 
@@ -464,26 +457,18 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
     rng = random.Random(seed)
     reg = regular_module(mha)
 
-    def ra():
-        return random_element(rng, mha.algebra)
-
-    def rv():
-        return random_element(rng, H.module, 3)
-
     # right-module map in the first slot
-    def trial():
-        a, b, v = ra(), ra(), rv()
+    def check(a, b, v):
         lhs = H.cA(alg.mult(b, a), v)
         rhs = apply_legs(H.cA(b, v), H.module.arity, 1, lambda m: alg.mult(m, a))
         if lhs != rhs:
             return "a=%r b=%r v=%r" % (a, b, v)
     rep.law("half-braiding-module-map", "C(ba (x) v) = C(b (x) v)(1 (x) a)",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, alg, alg, (H.module, 3)))
 
     # left A-linearity: a.C(x (x) v) = C(a.(x (x) v)), diagonal actions on
     # both sides realized with local-unit splits of a
-    def trial():
-        a, x, v = ra(), ra(), rv()
+    def check(a, x, v):
         lhs = act_on_slice(H.module, a, H.cA(x, v))
 
         def term(s):
@@ -494,15 +479,14 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
         if lhs != rhs:
             return "a=%r x=%r v=%r lhs=%r rhs=%r" % (a, x, v, lhs, rhs)
     rep.law("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, alg, alg, (H.module, 3)))
 
     # tensor decomposition at X = Y = A:
     # C_{A (x) A, V} = (C_{A,V} (x) i)(i (x) C_{A,V})
     try:
         aa = tensor_module(reg, reg)
 
-        def trial():
-            x, y, v = ra(), ra(), rv()
+        def check(x, y, v):
             lhs = H.component(aa, tensor(tensor(x, y), v))
             inner = H.component(reg, tensor(y, v))  # v0 (x) m.y
             rhs = apply_legs(inner, 0, H.module.arity,
@@ -510,17 +494,16 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
             if lhs != rhs:
                 return "x=%r y=%r v=%r" % (x, y, v)
         rep.law("half-braiding-tensor", "C_{X(x)Y,V} = (C_{X,V}(x)i)(i(x)C_{Y,V}) at X=Y=A",
-                (trial() for _ in range(samples)))
+                check, draws(rng, samples, alg, alg, (H.module, 3)))
     except ValueError as exc:
         rep.add("half-braiding-tensor", "tensor decomposition at X=Y=A", False, str(exc))
 
     # derived-component consistency at X = A
-    def trial():
-        x, v = ra(), rv()
+    def check(x, v):
         if H.component(reg, tensor(x, v)) != H.cA(x, v):
             return "x=%r v=%r" % (x, v)
     rep.law("half-braiding-derived", "C_X from local units agrees with cA at X=A",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, alg, (H.module, 3)))
     return rep
 
 
@@ -535,20 +518,12 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
 
     for V in fixtures:
         mod = V.module
-
-        def rv():
-            return random_element(rng, mod, 3)
-
-        def ra():
-            return random_element(rng, mha.algebra)
-
         H = functor_g(V)
         back = functor_f(H)
 
         # F(G(V)) = V: same module by construction, slices compared
         # extensionally
-        def trial():
-            v, a = rv(), ra()
+        def check(v, a):
             if back.coaction.slice_r(v, a) != V.coaction.slice_r(v, a):
                 return "right slice differs at v=%r a=%r" % (v, a)
             if back.coaction.slice_l(v, a) != V.coaction.slice_l(v, a):
@@ -556,39 +531,41 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
                         % (v, a, back.coaction.slice_l(v, a),
                            V.coaction.slice_l(v, a)))
         rep.law("fg-identity[%s]" % V.name, "F(G(V)) = V extensionally",
-                (trial() for _ in range(samples)))
+                check, draws(rng, samples, (mod, 3), alg))
 
         # G(F(H)) = H on the regular component
         H2 = functor_g(back)
-        def trial():
-            v, a = rv(), ra()
+
+        def check(v, a):
             if H2.cA(a, v) != H.cA(a, v):
                 return "v=%r a=%r" % (v, a)
         rep.law("gf-identity[%s]" % V.name, "G(F(H)) = H extensionally",
-                (trial() for _ in range(samples)))
+                check, draws(rng, samples, (mod, 3), alg))
 
-        # braiding round trips
-        def trial():
-            xv = tensor(ra(), rv())
+        # braiding round trips; v (x) x is drawn only once x (x) v round-trips
+        more = draws(rng, samples, (mod, 3), alg)
+
+        def check(x, v):
+            xv = tensor(x, v)
             if braiding_c_inv(reg, V, braiding_c(reg, V, xv)) != xv:
                 return "x(x)v=%r" % xv
-            vx = tensor(rv(), ra())
+            vx = tensor(*next(more))
             if braiding_c(reg, V, braiding_c_inv(reg, V, vx)) != vx:
                 return "v(x)x=%r" % vx
         rep.law("braiding-invertible[%s]" % V.name,
-                "C and C^-1 round-trip on X = A", (trial() for _ in range(samples)))
+                "C and C^-1 round-trip on X = A", check,
+                draws(rng, samples, alg, (mod, 3)))
 
         # naturality in X under the right-multiplication module map
-        def trial():
-            x, b, v = ra(), ra(), rv()
+        def check(x, b, v):
             lhs = braiding_c(reg, V, tensor(alg.mult(x, b), v))
             rhs = apply_legs(braiding_c(reg, V, tensor(x, v)), mod.arity, 1,
                              lambda m: alg.mult(m, b))
             if lhs != rhs:
                 return "x=%r b=%r v=%r" % (x, b, v)
         rep.law("braiding-natural[%s]" % V.name,
-                "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)",
-                (trial() for _ in range(samples)))
+                "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)", check,
+                draws(rng, samples, alg, alg, (mod, 3)))
 
         rep.merge(check_half_braiding(H, samples=samples, seed=seed, suite=suite),
                   V.name)
@@ -596,10 +573,8 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
     # second hexagon half: C_{X, V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i)
     V, W = fixtures[0], fixtures[1]
     VW = yd_tensor(V, W)
-    def trial():
-        x = random_element(rng, mha.algebra)
-        v = random_element(rng, V.module, 3)
-        w = random_element(rng, W.module, 3)
+
+    def check(x, v, w):
         lhs = braiding_c(reg, VW, tensor(tensor(x, v), w))
         mid = braiding_c(reg, V, tensor(x, v))  # v0 (x) v1.x
         rhs = apply_legs(mid, V.module.arity, 1,
@@ -608,19 +583,17 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
             return "x=%r v=%r w=%r lhs=%r rhs=%r" % (x, v, w, lhs, rhs)
     rep.law("braiding-hexagon",
             "C_{X,V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i) at X=A",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, alg, (V.module, 3), (W.module, 3)))
 
     # morphism transport for a scalar YD morphism
     V = fixtures[1]
     two = mha.field.from_int(2)
 
-    def trial():
-        x = random_element(rng, mha.algebra)
-        v = random_element(rng, V.module, 3)
+    def check(x, v):
         lhs = braiding_c(reg, V, tensor(x, v.scaled(two)))
         rhs = braiding_c(reg, V, tensor(x, v)).scaled(two)
         if lhs != rhs:
             return "x=%r v=%r" % (x, v)
     rep.law("morphism-transport", "(f (x) i)C_{X,V} = C_{X,V}(i (x) f) for scalar f",
-            (trial() for _ in range(samples)))
+            check, draws(rng, samples, alg, (V.module, 3)))
     return rep

@@ -15,9 +15,11 @@ from ydcheck.linear import Element, Ten, tensor, flip, apply_legs
 from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_algebra, sweedler_h4, function_algebra,
                                group_Z)
-from ydcheck.mha import (Space, Algebra, below, random_element,
+from ydcheck.mha import (Space, Algebra, below, random_element, draws,
                          check_mha_axioms, check_braid)
-from ydcheck.modules import trivial_module
+from ydcheck.modules import trivial_module, regular_module
+from ydcheck.modalg import counit_yd_module_algebra
+from ydcheck.report import Report
 
 
 FIELDS = [QQ, PrimeField(7)]
@@ -266,6 +268,52 @@ def test_random_element_draws_as_randint_and_choice(name, field):
                 terms[sample(ref)] = ref.choice(pool)
             assert random_element(ours, alg, cap) == Element(field, terms)
         assert ours.getstate() == ref.getstate()
+
+
+# -- one source of variables ------------------------------------------------
+
+@pytest.mark.parametrize("name", ["grp-S3", "fun-Z", "fun-Dinf"])
+def test_draws_are_the_random_element_calls_written_out(name):
+    """draws reads one random_element per carrier, in the order given, at
+    cap 4 for a bare carrier and at the cap of a (carrier, cap) pair."""
+    mha = build_instance(name, QQ)
+    alg, mod, H = mha.algebra, regular_module(mha), counit_yd_module_algebra(mha)
+    for s in range(5):
+        ours, ref = random.Random(s), random.Random(s)
+        got = list(draws(ours, 6, alg, (mod, 3), (H.alg, 2)))
+        want = [(random_element(ref, alg), random_element(ref, mod, 3),
+                 random_element(ref, H.alg, 2)) for _ in range(6)]
+        assert got == want
+        assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("name", ["grp-S3", "fun-Z"])
+def test_a_basis_vector_spec_draws_one_basis_symbol(name):
+    alg = build_instance(name, PrimeField(5)).algebra
+    ours, ref = random.Random(3), random.Random(3)
+    got = list(draws(ours, 20, (alg, None), alg))
+    want = [(alg.el(alg.space.sample(ref)), random_element(ref, alg))
+            for _ in range(20)]
+    assert got == want
+    assert all(len(x.terms) == 1 for x, _ in got)
+    assert ours.getstate() == ref.getstate()
+
+
+def test_a_law_that_fails_on_its_first_tuple_draws_one_tuple():
+    alg = build_instance("sweedler-H4", QQ).algebra
+    ours, ref = random.Random(0), random.Random(0)
+    checked = []
+
+    def check(a, b):
+        checked.append((a, b))
+        return "a=%r b=%r" % (a, b)
+
+    rep = Report("suite", "inst", "rational", 0, 50)
+    rep.law("l", "fails at once", check, draws(ours, 50, alg, (alg, 3)))
+    one = (random_element(ref, alg), random_element(ref, alg, 3))
+    assert checked == [one]
+    assert ours.getstate() == ref.getstate()
+    assert rep.laws[0].witness == "a=%r b=%r" % one
 
 
 # -- inverse T tables -------------------------------------------------------
