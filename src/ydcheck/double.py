@@ -139,11 +139,10 @@ def drinfeld_double(base, name=None):
 
 def check_dcp_suite(mha, samples=200, seed=0):
     """check_dcp on the Drinfeld double, at no fewer than 200 samples."""
-    return check_dcp(drinfeld_double(mha), samples=max(samples, 200),
-                     seed=seed)
+    return check_dcp(drinfeld_double(mha), samples=max(samples, 200), seed=seed)
 
 
-def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
+def check_dcp(dcp, samples=500, seed=0):
     """Associativity (exhaustive on small bases, sampled otherwise) and the
     unit law.
 
@@ -156,8 +155,7 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
     alg = dcp.algebra
     basis = alg.basis
     n = len(dcp.base.algebra.basis)
-    rep = Report(suite, dcp.name, dcp.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("dcp", dcp, seed, samples)
     mult = alg.mult_basis
 
     if n <= 4:
@@ -173,7 +171,7 @@ def check_dcp(dcp, samples=500, seed=0, suite="dcp"):
                             yield x, y, z
         triples = live()
     else:
-        sample = alg.space.sample
+        sample, rng = alg.space.sample, rep.rng
         triples = ((sample(rng), sample(rng), sample(rng))
                    for _ in range(samples))
         mode = "sampled over %d basis triples" % samples
@@ -215,18 +213,16 @@ class DcpModule:
         return self._act(d, m)
 
 
-def check_dcp_module(M, samples=60, seed=0, suite="dcp"):
+def check_dcp_module(M, samples=60, seed=0):
     """Module associativity and the unit law over the crossed product."""
-    dcp = M.dcp
-    alg = dcp.algebra
-    rep = Report(suite, "%s/%s" % (dcp.name, M.name), dcp.field.name, seed, samples)
-    rng = random.Random(seed)
+    alg = M.dcp.algebra
+    rep = Report("dcp", M, seed, samples)
 
     def check(d, dp, m):
         if M.act(alg.mult(d, dp), m) != M.act(d, M.act(dp, m)):
             return "d=%r d'=%r m=%r" % (d, dp, m)
     rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)", check,
-            draws(rng, samples, (alg, None), (alg, None), (M, None)))
+            rep.draws((alg, None), (alg, None), (M, None)))
 
     def check(s):
         if M.act(alg.unit, M.el(s)) != M.el(s):
@@ -311,25 +307,22 @@ def dcp_module_to_yd(M, integrals=None, name=None):
     return YDModule(mod, coa, dcp.pair, name=mod.name)
 
 
-def check_double_correspondence(mha, gyds, samples=40, seed=0,
-                                suite="double-correspondence"):
+def check_double_correspondence(mha, gyds, samples=40, seed=0):
     """Both round trips of the correspondence, module validity of the
     forward image, and GYD validity of the backward image (including the
     regular crossed-product module)."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("double-correspondence", mha, seed, samples)
     integrals = compute_integrals(mha)
 
     for V in gyds:
         dcp = DiagonalCrossedProduct(mha, V.pair)
         M = yd_to_dcp_module(V, dcp)
-        rep.merge(check_dcp_module(M, samples=samples, seed=seed, suite=suite),
-                  V.name)
+        rep.merge(check_dcp_module(M, samples=samples, seed=seed), V.name)
 
         back = dcp_module_to_yd(M, integrals)
 
         # a' is drawn only once the actions agree
-        more = draws(rng, samples, mha.algebra)
+        more = rep.draws(mha.algebra)
 
         def check(a, v):
             if back.module.act(a, v) != V.module.act(a, v):
@@ -341,13 +334,13 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
                            V.coaction.slice_r(v, ap)))
         rep.law("yd-roundtrip[%s]" % V.name,
                 "dcpModuleToYd(ydToDcpModule(V)) = V extensionally", check,
-                draws(rng, samples, mha.algebra, (V.module, 3)))
+                rep.draws(mha.algebra, (V.module, 3)))
 
     # the other direction, from the regular crossed-product module
     dcp = DiagonalCrossedProduct(mha, gyds[0].pair if gyds else None)
     R = regular_dcp_module(dcp)
     W = dcp_module_to_yd(R, integrals)
-    rep.merge(check_gyd(W, samples=samples, seed=seed, suite=suite), "regular")
+    rep.merge(check_gyd(W, samples=samples, seed=seed), "regular")
     M2 = yd_to_dcp_module(W, dcp)
     alg = dcp.algebra
 
@@ -356,7 +349,7 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0,
             return "d=%r m=%r" % (d, m)
     rep.law("module-roundtrip",
             "ydToDcpModule(dcpModuleToYd(M)) = M extensionally", check,
-            draws(rng, samples, (alg, None), (R, None)))
+            rep.draws((alg, None), (R, None)))
     return rep
 
 

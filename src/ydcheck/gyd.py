@@ -67,12 +67,10 @@ def _index(text):
                          % text) from None
 
 
-def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
+def check_gyd(gyd, samples=40, seed=0):
     """The twisted compatibility law on seeded samples."""
     mha = gyd.mha
-    rep = Report(suite, "%s/%s@%s" % (mha.name, gyd.name, gyd.pair.name),
-                 mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("gyd", gyd, seed, samples)
     mod, coa = gyd.module, gyd.coaction
 
     def check(a, ap, v):
@@ -84,7 +82,7 @@ def check_gyd(gyd, samples=40, seed=0, suite="gyd"):
     rep.law("gyd-compat",
             "(a.v)_(0) (x) (a.v)_(1)a' = "
             "a_(2).v_(0) (x) beta(a_(3))v_(1)alpha(S^-1(a_(1)))a'",
-            check, draws(rng, samples, mha.algebra, mha.algebra, (mod, 3)))
+            check, rep.draws(mha.algebra, mha.algebra, (mod, 3)))
     return rep
 
 
@@ -203,11 +201,11 @@ def gyd_braiding(V, W, vw):
     return braiding_c(V.module, W, vw, V.pair.beta)
 
 
-def gyd_braiding_inv(V, W, wv, max_rounds=4):
+def gyd_braiding_inv(V, W, wv):
     """C^-1(w (x) v) = beta^-1(S(w_(1))).v (x) w_(0), solved with S and beta
-    and certified by stabilization: the acting leg is produced against
-    S^-1(beta(e)) where e is a module local unit fixing both v and the
-    previous round's output legs."""
+    and certified by stabilization within 4 rounds: the acting leg is
+    produced against S^-1(beta(e)) where e is a module local unit fixing
+    both v and the previous round's output legs."""
     mha = V.mha
     alg = mha.algebra
     beta = V.pair.beta
@@ -228,7 +226,7 @@ def gyd_braiding_inv(V, W, wv, max_rounds=4):
         return wv.map_terms(term)
 
     prev = attempt([])
-    for _ in range(max_rounds):
+    for _ in range(4):
         extra = [Vm.el(split_sym(s, Vm.arity)[0]) for s in prev.terms]
         cur = attempt(extra)
         if cur == prev:
@@ -258,16 +256,15 @@ def gyd_fixtures_at(mha, pair):
     return out
 
 
-def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
+def check_t_category(mha, pairs, samples=30, seed=0):
     """The graded-category laws over the given automorphism pairs: the
     twisted group structure, compatibility of every constructed object at
     its declared pair, functoriality and monoidality of the crossing, and
     A-linearity, invertibility, naturality and crossing-compatibility of
     the braiding."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("t-category", mha, seed, samples)
     alg = mha.algebra
-    probes = [x for x, in draws(rng, 12, alg)]
+    probes = [x for x, in rep.draws(alg, n=12)]
     pairs = list(pairs)
     idp = identity_pair(mha)
 
@@ -293,25 +290,24 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
         fixtures.extend(gyd_fixtures_at(mha, p))
 
     for V in fixtures:
-        rep.merge(check_gyd(V, samples=samples, seed=seed, suite=suite), V.name)
+        rep.merge(check_gyd(V, samples=samples, seed=seed), V.name)
 
     # tensor lands at the product pair
     for i, V in enumerate(fixtures):
         W = fixtures[(i + 1) % len(fixtures)]
-        sub = check_gyd(yd_tensor(V, W), samples=max(4, samples // 3),
-                        seed=seed, suite=suite)
+        sub = check_gyd(yd_tensor(V, W), samples=max(4, samples // 3), seed=seed)
         rep.add("tensor-pair[%s,%s]" % (V.name, W.name),
                 "V (x) W passes at the product pair",
-                sub.ok, None if sub.ok else sub.failures()[0].witness)
+                next((r.witness for r in sub.failures()), None))
 
     # crossing lands at the conjugated pair; identity pair is inert
     for p in pairs:
         for W in fixtures[:3]:
             C = crossed_functor(p, W)
-            sub = check_gyd(C, samples=max(4, samples // 3), seed=seed, suite=suite)
+            sub = check_gyd(C, samples=max(4, samples // 3), seed=seed)
             rep.add("crossed-pair[%s>%s]" % (p.name, W.name),
                     "phi_p(W) passes at p # pair(W) # p^-1",
-                    sub.ok, None if sub.ok else sub.failures()[0].witness)
+                    next((r.witness for r in sub.failures()), None))
 
     W0 = fixtures[-1]
     C0 = crossed_functor(idp, W0)
@@ -324,7 +320,7 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
                 return "coaction differs at a=%r w=%r" % (a, w)
         return check
     rep.law("crossed-identity", "phi_(i,i) leaves objects unchanged",
-            agree(C0, W0), draws(rng, samples, alg, (W0.module, 3)))
+            agree(C0, W0), rep.draws(alg, (W0.module, 3)))
 
     # functoriality on sampled elements
     if len(pairs) >= 2:
@@ -332,7 +328,7 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
         lhs = crossed_functor(p, crossed_functor(q, W0))
         rhs = crossed_functor(p.product(q), W0)
         rep.law("crossed-functorial", "phi_p o phi_q = phi_(p#q) on samples",
-                agree(lhs, rhs), draws(rng, samples, alg, (W0.module, 3)))
+                agree(lhs, rhs), rep.draws(alg, (W0.module, 3)))
 
     # monoidality of the crossing on one sampled pair of objects
     V, W = fixtures[0], fixtures[-1]
@@ -349,10 +345,10 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
                 return "coaction differs at a=%r t=%r" % (a, t)
         rep.law("crossed-monoidal",
                 "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", check,
-                draws(rng, samples, alg, (V.module, 3), (W.module, 3)))
+                rep.draws(alg, (V.module, 3), (W.module, 3)))
     except ValueError as exc:
         rep.add("crossed-monoidal",
-                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", False, str(exc))
+                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", str(exc))
 
     # braiding: A-linearity, round trips, naturality, crossing compatibility
     for i, V in enumerate(fixtures):
@@ -388,7 +384,7 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
              "C^-1 o C = id, inverse solved with S and beta", invertible),
             ("braiding-natural[%s]" % name,
              "C transports the scalar morphism on W", natural)],
-            draws(rng, samples, alg, (V.module, 3), (W.module, 3)))
+            rep.draws(alg, (V.module, 3), (W.module, 3)))
 
     # crossing the braiding: phi_p(C_{V,W}) = C_{phi_p V, phi_p W}
     V, W = fixtures[0], fixtures[-1]
@@ -401,17 +397,17 @@ def check_t_category(mha, pairs, samples=30, seed=0, suite="t-category"):
             return "v=%r w=%r" % (v, w)
     rep.law("braiding-crossing",
             "the braiding commutes with the crossing on samples", check,
-            draws(rng, samples, (V.module, 3), (W.module, 3)))
+            rep.draws((V.module, 3), (W.module, 3)))
     return rep
 
 
-def check_gyd_suite(mha, samples=40, seed=0, suite="gyd"):
+def check_gyd_suite(mha, samples=40, seed=0):
     """check_gyd at the identity pair and at every pair the instance offers."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep = Report("gyd", mha, seed, samples)
     pairs = [identity_pair(mha)] + [parse_pair(mha, spec)
                                     for spec in mha.pair_specs]
     for i, pair in enumerate(pairs):
         for fx in gyd_fixtures_at(mha, pair):
-            rep.merge(check_gyd(fx, samples, seed, suite),
+            rep.merge(check_gyd(fx, samples, seed),
                       "%s@%d" % (fx.name, i))
     return rep

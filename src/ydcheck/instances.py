@@ -500,15 +500,17 @@ class HopfAutomorphism:
     composed() is the composition of its factors' maps, not a table of its
     own: a pair product builds fresh composites that are read only a few
     times each, where filling a table would cost more than it saves.  A
-    composite with ID is the automorphism itself."""
+    composite with ID is the automorphism itself.  The validation probes
+    24 elements (every basis vector of a finite carrier) and 24 products,
+    from a stream seeded at 0."""
 
-    def __init__(self, mha, fwd, inv, name="aut", samples=24, seed=0, _checked=False):
+    def __init__(self, mha, fwd, inv, name="aut", _checked=False):
         self.mha = mha
         self._fwd = fwd  # Element -> Element
         self._inv = inv
         self.name = name
         if not _checked:
-            self._validate(samples, seed)
+            self._validate()
 
     def __call__(self, x):
         return self._fwd(x)
@@ -532,14 +534,14 @@ class HopfAutomorphism:
     def is_identity_on(self, elems):
         return all(self(x) == x for x in elems)
 
-    def _validate(self, samples, seed):
+    def _validate(self):
         mha = self.mha
-        rng = random.Random(seed)
-        probe = probe_elements(rng, mha.algebra, samples)
+        rng = random.Random(0)
+        probe = probe_elements(rng, mha.algebra, 24)
         for a in probe:
             if self._inv(self._fwd(a)) != a or self._fwd(self._inv(a)) != a:
                 raise ConstructionError("%s: not a bijection at a=%r" % (self.name, a))
-        for _ in range(samples):
+        for _ in range(24):
             a = probe[below(rng, len(probe))]
             b = probe[below(rng, len(probe))]
             if self._fwd(mha.algebra.mult(a, b)) != mha.algebra.mult(self._fwd(a), self._fwd(b)):

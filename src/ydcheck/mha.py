@@ -17,7 +17,6 @@ Unital instances may additionally materialize the coproduct, in which case
 the slices are derived from it.
 """
 
-import random
 import weakref
 
 from .linear import (Element, Ten, Memo2, linear, bilinear, tensor, legs,
@@ -436,24 +435,23 @@ def draws(rng, n, *carriers):
 
 # -- axiom checkers --------------------------------------------------------
 
-def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
+def check_mha_axioms(mha, samples=100, seed=0):
     """Run every structural law of a regular multiplier Hopf algebra on
     seeded random elements: each law draws its variables for `samples`
     tuples (local-unit for 8), on finite and infinite carriers alike.  No
     law enumerates basis tuples; nondegenerate alone reads every basis
     vector of a finite carrier, as its probe set (12 random elements of an
     infinite one)."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("mha-axioms", mha, seed, samples)
     alg = mha.algebra
 
     # associativity and non-degeneracy of the product
     def check(a, b, c):
         if alg.mult(alg.mult(a, b), c) != alg.mult(a, alg.mult(b, c)):
             return "a=%r b=%r c=%r" % (a, b, c)
-    rep.law("assoc", "(ab)c = a(bc)", check, draws(rng, samples, alg, alg, alg))
+    rep.law("assoc", "(ab)c = a(bc)", check, rep.draws(alg, alg, alg))
 
-    probe = probe_elements(rng, alg, 12)
+    probe = probe_elements(rep.rng, alg, 12)
 
     def check(a):
         if a.is_zero():
@@ -472,7 +470,7 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
             if alg.mult(e, x) != x or alg.mult(x, e) != x:
                 return "e=%r x=%r" % (e, x)
     rep.law("local-unit", "e x = x e = x for local units", check,
-            draws(rng, 8, alg, alg, alg))
+            rep.draws(alg, alg, alg, n=8))
 
     # sliced coassociativity:
     # (a (x) 1 (x) 1)(Delta (x) i)(Delta(b)(1 (x) c))
@@ -482,8 +480,7 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
         rhs = apply_legs(mha.delta_l(a, b), 1, 1, lambda t: mha.delta_r(t, c))
         if lhs != rhs:
             return "a=%r b=%r c=%r lhs=%r rhs=%r" % (a, b, c, lhs, rhs)
-    rep.law("coassoc", "sliced coassociativity", check,
-            draws(rng, samples, alg, alg, alg))
+    rep.law("coassoc", "sliced coassociativity", check, rep.draws(alg, alg, alg))
 
     # counit laws on slices
     def check(a, b):
@@ -492,7 +489,7 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
         if mha.counit_leg(mha.delta_l(a, b), 0) != b.scaled(mha.counit(a)):
             return "(eps (x) i) failed: a=%r b=%r" % (a, b)
     rep.law("counit", "(i(x)eps)Delta(a)(1(x)b) = a eps(b), and mirrored",
-            check, draws(rng, samples, alg, alg))
+            check, rep.draws(alg, alg))
 
     # antipode laws: m(S (x) i)(Delta(a)(1 (x) b)) = eps(a) b
     #                m(i (x) S)((b (x) 1)Delta(a)) = eps(a) b
@@ -504,14 +501,13 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
         if lhs != b.scaled(mha.counit(a)):
             return "right antipode law: a=%r b=%r got %r" % (a, b, lhs)
     rep.law("antipode", "m(S(x)i)T1 = eps(.)id and m(i(x)S)T2 = eps(.)id",
-            check, draws(rng, samples, alg, alg))
+            check, rep.draws(alg, alg))
 
     # bijectivity of S (regularity witness)
     def check(a):
         if mha.antipode(mha.antipode_inv(a)) != a or mha.antipode_inv(mha.antipode(a)) != a:
             return "a=%r" % a
-    rep.law("antipode-bijective", "S o S^-1 = S^-1 o S = id", check,
-            draws(rng, samples, alg))
+    rep.law("antipode-bijective", "S o S^-1 = S^-1 o S = id", check, rep.draws(alg))
 
     # T_k round trips
     for k in (1, 2, 3, 4):
@@ -520,15 +516,14 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
             if mha.inv_t(k)(mha.tmap(k)(x2)) != x2 or mha.tmap(k)(mha.inv_t(k)(x2)) != x2:
                 return "x=%r" % x2
         rep.law("t%d-bijective" % k, "T%d and its inverse round-trip" % k,
-                check, draws(rng, samples, alg, alg))
+                check, rep.draws(alg, alg))
 
     # the twist factors through T2: scriptT o T2 = T4
     def check(a, b):
         x2 = tensor(a, b)
         if mha.script_t(mha.t2(x2)) != mha.t4(x2):
             return "x=%r" % x2
-    rep.law("twist-t2-t4", "scriptT o T2 = T4", check,
-            draws(rng, samples, alg, alg))
+    rep.law("twist-t2-t4", "scriptT o T2 = T4", check, rep.draws(alg, alg))
 
     # standard consequences, kept as smoke tests
     def check(a, b):
@@ -537,12 +532,12 @@ def check_mha_axioms(mha, samples=100, seed=0, suite="mha-axioms"):
         if mha.antipode(alg.mult(a, b)) != alg.mult(mha.antipode(b), mha.antipode(a)):
             return "S(ab) != S(b)S(a): a=%r b=%r" % (a, b)
     rep.law("antipode-antihom", "eps(S(a)) = eps(a); S(ab) = S(b)S(a)",
-            check, draws(rng, samples, alg, alg))
+            check, rep.draws(alg, alg))
 
     return rep
 
 
-def check_braid(mha, samples=100, seed=0, suite="braid"):
+def check_braid(mha, samples=100, seed=0):
     """Both twist operators satisfy the braid relation on A (x) A (x) A;
     commutative / cocommutative instances collapse the right twist / twist
     to the flip map.
@@ -551,8 +546,7 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
     each twist is evaluated once per basis pair and its images are memoized
     per instance (see the twist operators on MultiplierHopfAlgebra); this
     assumes the structure maps are pure, as bilinear does."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("braid", mha, seed, samples)
     alg = mha.algebra
 
     for lawid, op in (("braid-twist", mha.script_t),
@@ -564,7 +558,7 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
             if lhs != rhs:
                 return "x=%r lhs=%r rhs=%r" % (x3, lhs, rhs)
         rep.law(lawid, "(O(x)i)(i(x)O)(O(x)i) = (i(x)O)(O(x)i)(i(x)O)",
-                check, draws(rng, samples, alg, alg, alg))
+                check, rep.draws(alg, alg, alg))
 
     # round trips of the twists
     def check(a, b):
@@ -574,7 +568,7 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
         if mha.script_t_prime_inv(mha.script_t_prime(x2)) != x2:
             return "twist-prime round trip: x=%r" % x2
     rep.law("twist-invertible", "both twist operators round-trip with their inverses",
-            check, draws(rng, samples, alg, alg))
+            check, rep.draws(alg, alg))
 
     def is_flip(op):
         def check(a, b):
@@ -585,10 +579,10 @@ def check_braid(mha, samples=100, seed=0, suite="braid"):
 
     if mha.cocommutative:
         rep.law("cocommutative-flip", "cocommutative: scriptT = tau",
-                is_flip(mha.script_t), draws(rng, samples, alg, alg))
+                is_flip(mha.script_t), rep.draws(alg, alg))
 
     if mha.commutative:
         rep.law("commutative-flip", "commutative: scriptT' = tau",
-                is_flip(mha.script_t_prime), draws(rng, samples, alg, alg))
+                is_flip(mha.script_t_prime), rep.draws(alg, alg))
 
     return rep

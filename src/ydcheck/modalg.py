@@ -20,11 +20,9 @@ relators (m <- h) (x) n - m (x) (h -> n); well-definedness of the descended
 structures is tested (relator stability), never assumed.
 """
 
-import random
-
 from .linear import (Element, Memo2, tensor, legs, apply_legs, bilinear,
                      QuotientSpace)
-from .mha import Space, Algebra, draws
+from .mha import Space, Algebra
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
                       coproduct_coaction, trivial_coaction)
@@ -89,15 +87,13 @@ def translation_module_algebra(mha, group, name=None):
     return ModuleAlgebra(fun, mod, name=name or (mha.name + ":translation"))
 
 
-def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
+def check_module_algebra(ma, samples=40, seed=0):
     """The product law, both extension laws (where a coproduct is
     materialized) and the unit law."""
     mha = ma.mha
     alg = mha.algebra
     act = ma.module.act
-    rep = Report(suite, "%s/%s" % (mha.name, ma.name), mha.field.name,
-                 seed, samples)
-    rng = random.Random(seed)
+    rep = Report("module-algebra", ma, seed, samples)
 
     def check(a, x, xp):
         lhs = act(a, ma.alg.mult(x, xp))
@@ -110,7 +106,7 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
         if lhs != rhs:
             return "a=%r x=%r x'=%r lhs=%r rhs=%r" % (a, x, xp, lhs, rhs)
     rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')", check,
-            draws(rng, samples, alg, (ma.module, 3), (ma.module, 3)))
+            rep.draws(alg, (ma.module, 3), (ma.module, 3)))
 
     if mha.materializes_coproduct:
         def extend_left(a, x, xp):
@@ -140,30 +136,26 @@ def check_module_algebra(ma, samples=40, seed=0, suite="module-algebra"):
              extend_left),
             ("modalg-extend-right", "x(a.x') = a_(2).((S^-1(a_(1)).x) x')",
              extend_right)],
-            draws(rng, samples, alg, (ma.module, 3), (ma.module, 3)))
+            rep.draws(alg, (ma.module, 3), (ma.module, 3)))
 
     if ma.alg.has_unit:
         def check(a):
             if act(a, ma.alg.unit) != ma.alg.unit.scaled(mha.counit(a)):
                 return "a=%r" % a
-        rep.law("modalg-unit", "a.1 = eps(a) 1", check,
-                draws(rng, samples, alg))
+        rep.law("modalg-unit", "a.1 = eps(a) 1", check, rep.draws(alg))
     return rep
 
 
 # -- comodule algebras ---------------------------------------------------------
 
-def check_comodule_algebra(alg, coaction, samples=40, seed=0,
-                           suite="module-algebra"):
+def check_comodule_algebra(alg, coaction, samples=40, seed=0):
     """All comodule laws plus multiplicativity of the coaction, through
     slices.  Finiteness of the slice outputs holds by construction (slices
     return finite sums); the counit law doubles as injectivity."""
     mha = coaction.mha
     mod = coaction.module
-    rep = Report(suite, "%s/%s" % (mha.name, coaction.name),
-                 mha.field.name, seed, samples)
-    rep.merge(check_comodule(coaction, samples, seed, suite), "comodule")
-    rng = random.Random(seed + 1)
+    rep = Report("module-algebra", coaction, seed + 1, samples)
+    rep.merge(check_comodule(coaction, samples, seed), "comodule")
 
     def check(x, y, a):
         lhs = coaction.slice_r(alg.mult(x, y), a)
@@ -177,7 +169,7 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
             return "x=%r y=%r a=%r lhs=%r rhs=%r" % (x, y, a, lhs, rhs)
     rep.law("comodalg-multiplicative",
             "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)", check,
-            draws(rng, samples, (mod, 3), (mod, 3), mha.algebra))
+            rep.draws((mod, 3), (mod, 3), mha.algebra))
 
     if coaction.has_slice_l:
         def check(x, y, a):
@@ -192,7 +184,7 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0,
                 return "x=%r y=%r a=%r" % (x, y, a)
         rep.law("comodalg-multiplicative-left",
                 "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)", check,
-                draws(rng, samples, (mod, 3), (mod, 3), mha.algebra))
+                rep.draws((mod, 3), (mod, 3), mha.algebra))
     return rep
 
 
@@ -247,9 +239,10 @@ def subgroup_yd_module_algebra(mha, syms, name=None):
                          name=name or (mha.name + ":sub"))
 
 
-def cyclic_subgroup_syms(alg, cap=12):
-    """Basis symbols of a cyclic unital subalgebra generated by a non-unit
-    basis symbol whose powers stay single basis vectors, or None."""
+def cyclic_subgroup_syms(alg):
+    """Basis symbols of a cyclic unital subalgebra, of order at most 12,
+    generated by a non-unit basis symbol whose powers stay single basis
+    vectors, or None."""
     if alg.basis is None or not alg.has_unit or len(alg.unit.terms) != 1:
         return None
     (us, uc), = alg.unit.terms.items()
@@ -260,7 +253,7 @@ def cyclic_subgroup_syms(alg, cap=12):
             continue
         powers = []
         cur = alg.el(s)
-        for _ in range(cap):
+        for _ in range(12):
             if len(cur.terms) != 1 or next(iter(cur.terms.values())) != alg.field.one():
                 powers = None
                 break
@@ -275,12 +268,10 @@ def cyclic_subgroup_syms(alg, cap=12):
     return None
 
 
-def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
+def check_a_commutative(H, samples=40, seed=0):
     """xy = y_(0)(y_(1).x), with y_(1) acting through a local unit of x."""
     mha = H.mha
-    rep = Report(suite, "%s/%s" % (mha.name, H.name), mha.field.name,
-                 seed, samples)
-    rng = random.Random(seed)
+    rep = Report("module-algebra", H, seed, samples)
 
     def check(x, y):
         lhs = H.alg.mult(x, y)
@@ -293,19 +284,18 @@ def check_a_commutative(H, samples=40, seed=0, suite="module-algebra"):
         if lhs != rhs:
             return "x=%r y=%r lhs=%r rhs=%r" % (x, y, lhs, rhs)
     rep.law("a-commutative", "xy = y_(0)(y_(1).x)", check,
-            draws(rng, samples, (H.module, 3), (H.module, 3)))
+            rep.draws((H.module, 3), (H.module, 3)))
     return rep
 
 
-def check_yd_module_algebra(H, samples=30, seed=0, suite="module-algebra"):
+def check_yd_module_algebra(H, samples=30, seed=0):
     """Module algebra + comodule algebra + the YD compatibility on one
     carrier."""
-    rep = Report(suite, "%s/%s" % (H.mha.name, H.name), H.field.name,
-                 seed, samples)
-    rep.merge(check_module_algebra(H, samples, seed, suite), "modalg")
-    rep.merge(check_comodule_algebra(H.alg, H.coaction, samples, seed, suite),
+    rep = Report("module-algebra", H, seed, samples)
+    rep.merge(check_module_algebra(H, samples, seed), "modalg")
+    rep.merge(check_comodule_algebra(H.alg, H.coaction, samples, seed),
               "comodalg")
-    rep.merge(check_yd(H, samples, seed, suite), "yd")
+    rep.merge(check_yd(H, samples, seed), "yd")
     return rep
 
 
@@ -332,23 +322,19 @@ def coaction_from_qt(module, qt, name=None):
                     name=name or (module.name + ":qt-coaction"))
 
 
-def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
+def check_qt_coaction(ma, qt, samples=30, seed=0):
     """End to end: the quasitriangular axioms, the module-algebra laws, the
     induced coaction's comodule-algebra and YD laws, and the induced braiding
     C(m (x) n) = tau(R)(n (x) m) against the categorical braiding."""
     mha = ma.mha
     alg = mha.algebra
-    rep = Report(suite, "%s/%s" % (mha.name, ma.name), mha.field.name,
-                 seed, samples)
+    rep = Report("qt-coaction", ma, seed + 2, samples)
     qt.check(rep)
-    rep.merge(check_module_algebra(ma, samples, seed, suite), "modalg")
+    rep.merge(check_module_algebra(ma, samples, seed), "modalg")
     coa = coaction_from_qt(ma.module, qt)
-    rep.merge(check_comodule_algebra(ma.alg, coa, samples, seed, suite),
-              "comodalg")
+    rep.merge(check_comodule_algebra(ma.alg, coa, samples, seed), "comodalg")
     yd = YDModule(ma.module, coa, name=ma.name + ":qt")
-    rep.merge(check_yd(yd, samples, seed + 1, suite), "yd")
-
-    rng = random.Random(seed + 2)
+    rep.merge(check_yd(yd, samples, seed + 1), "yd")
 
     def check(m, n):
         def term(s):
@@ -360,15 +346,15 @@ def check_qt_coaction(ma, qt, samples=30, seed=0, suite="qt-coaction"):
             return "m=%r n=%r direct=%r via=%r" % (m, n, direct, via)
     rep.law("qt-braiding",
             "C(m (x) n) = tau(R)(n (x) m) through the induced coaction",
-            check, draws(rng, samples, (ma.module, 3), (ma.module, 3)))
+            check, rep.draws((ma.module, 3), (ma.module, 3)))
     return rep
 
 
-def check_qt_coaction_suite(mha, samples=30, seed=0, suite="qt-coaction"):
+def check_qt_coaction_suite(mha, samples=30, seed=0):
     """check_qt_coaction on Z/n's translation and counit module algebras."""
     n = mha.cyclic_order
     qt = qt_for_cyclic(n, mha.field, mha=mha)
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep = Report("qt-coaction", mha, seed, samples)
     rep.merge(check_qt_coaction(translation_module_algebra(mha, group_Zn(n)),
                                 qt, samples, seed), "translation")
     rep.merge(check_qt_coaction(counit_module_algebra(mha), qt, samples, seed),
@@ -443,20 +429,18 @@ def collapse_ha_module(H, yd, name=None):
                     name=name or (yd.name + ":collapse"))
 
 
-def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
+def check_ha_module(M, samples=30, seed=0):
     """The left H-module law and both mixed compatibilities, plus the YD laws
     of the underlying A-structure when both slices are available."""
     mha = M.mha
     H = M.H
-    rep = Report(suite, "%s/%s" % (mha.name, M.name), mha.field.name,
-                 seed, samples)
-    rng = random.Random(seed)
+    rep = Report("hq-monoidal", M, seed, samples)
 
     def check(h, hp, m):
         if M.h_act(H.alg.mult(h, hp), m) != M.h_act(h, M.h_act(hp, m)):
             return "h=%r h'=%r m=%r" % (h, hp, m)
     rep.law("ha-left-module", "(hh') -> m = h -> (h' -> m)", check,
-            draws(rng, samples, (H.alg, 2), (H.alg, 2), (M.module, 3)))
+            rep.draws((H.alg, 2), (H.alg, 2), (M.module, 3)))
 
     def check(a, h, m):
         lhs = M.module.act(a, M.h_act(h, m))
@@ -469,7 +453,7 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
         if lhs != rhs:
             return "a=%r h=%r m=%r lhs=%r rhs=%r" % (a, h, m, lhs, rhs)
     rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)", check,
-            draws(rng, samples, mha.algebra, (H.alg, 2), (M.module, 3)))
+            rep.draws(mha.algebra, (H.alg, 2), (M.module, 3)))
 
     def check(h, m, ap):
         lhs = M.coaction.slice_r(M.h_act(h, m), ap)
@@ -484,11 +468,11 @@ def check_ha_module(M, samples=30, seed=0, suite="hq-monoidal"):
             return "h=%r m=%r a'=%r lhs=%r rhs=%r" % (h, m, ap, lhs, rhs)
     rep.law("ha-coaction-compat",
             "rho(h -> m)(1 (x) a') = h_(0) -> m_(0) (x) m_(1) h_(1) a'",
-            check, draws(rng, samples, (H.alg, 2), (M.module, 3), mha.algebra))
+            check, rep.draws((H.alg, 2), (M.module, 3), mha.algebra))
 
     if M.coaction.has_slice_l:
         rep.merge(check_yd(YDModule(M.module, M.coaction, name=M.name),
-                           samples, seed, suite), "yd")
+                           samples, seed), "yd")
     return rep
 
 
@@ -502,14 +486,11 @@ def right_h_action(M, samples=20, seed=0):
     return lambda m, h: M.r_act(m, h)
 
 
-def check_h_bimodule(M, samples=40, seed=0, suite="hq-monoidal"):
+def check_h_bimodule(M, samples=40, seed=0):
     """m <- h together with -> makes M an H-bimodule: right-module law and
     the interchange law on samples."""
-    mha = M.mha
     H = M.H
-    rep = Report(suite, "%s/%s" % (mha.name, M.name), mha.field.name,
-                 seed, samples)
-    rng = random.Random(seed)
+    rep = Report("hq-monoidal", M, seed, samples)
 
     def right_module(h, hp, m):
         if M.r_act(m, H.alg.mult(h, hp)) != M.r_act(M.r_act(m, h), hp):
@@ -523,7 +504,7 @@ def check_h_bimodule(M, samples=40, seed=0, suite="hq-monoidal"):
         ("ha-right-module", "m <- (hh') = (m <- h) <- h'", right_module),
         ("ha-bimodule-interchange", "(h -> m) <- h' = h -> (m <- h')",
          interchange)],
-        draws(rng, samples, (H.alg, 2), (H.alg, 2), (M.module, 3)))
+        rep.draws((H.alg, 2), (H.alg, 2), (M.module, 3)))
     return rep
 
 
@@ -602,18 +583,16 @@ class BalancedTensor:
             name=self.name)
 
 
-def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
+def check_balanced_tensor(T, samples=20, seed=0):
     """Relator stability of every descended structure (exact span-membership
     through the quotient projection), the mixed-module laws on the quotient,
     and agreement of the descended right action with the one recomputed from
     the quotient coaction."""
     mha = T.mha
-    rep = Report(suite, "%s/%s" % (mha.name, T.name), mha.field.name,
-                 seed, samples)
-    rng = random.Random(seed)
+    rep = Report("hq-monoidal", T, seed, samples)
     rels = T.relators
     if len(rels) > 60:
-        rels = rng.sample(rels, 60)
+        rels = rep.rng.sample(rels, 60)
 
     def action(rel, a, h, ap):
         if not T.quot.project(T.amb.act(a, rel)).is_zero():
@@ -641,18 +620,18 @@ def check_balanced_tensor(T, samples=20, seed=0, suite="hq-monoidal"):
          "relators", r_action),
         ("tensor-relator-coaction", "the composite coaction preserves the "
          "balancing relators", coaction)],
-        ((rel,) + drawn for rel, drawn in zip(rels, draws(
-            rng, len(rels), mha.algebra, (T.H.alg, 2), mha.algebra))))
+        ((rel,) + drawn for rel, drawn in zip(rels, rep.draws(
+            mha.algebra, (T.H.alg, 2), mha.algebra, n=len(rels)))))
 
-    rep.merge(check_ha_module(T.ham, samples, seed, suite), "tensor")
+    rep.merge(check_ha_module(T.ham, samples, seed), "tensor")
 
     def check(m, h):
         if T.ham.r_act(m, h) != T.ham.r_act_formula(m, h):
             return "m=%r h=%r" % (m, h)
     rep.law("tensor-right-action",
             "(m (x) n) <- h = m (x) (n <- h) matches h_(0) -> (h_(1).(m (x) n))",
-            check, draws(rng, samples if T.quot.basis else 0,
-                         (T.ham.module, 2), (T.H.alg, 2)))
+            check, rep.draws((T.ham.module, 2), (T.H.alg, 2),
+                             n=samples if T.quot.basis else 0))
     return rep
 
 
@@ -663,15 +642,13 @@ def _image_rank(images, ambient_basis):
     return QuotientSpace(ambient_basis, nz).rank
 
 
-def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
+def check_unit_laws(M, samples=15, seed=0):
     """M (x)_H H = M = H (x)_H M: dimensions match and the canonical maps
     m (x) h -> m <- h and h (x) m -> h -> m kill the relators, are bijective,
     and intertwine all three structures."""
     mha = M.mha
     H = M.H
-    rep = Report(suite, "%s/%s" % (mha.name, M.name), mha.field.name,
-                 seed, samples)
-    rng = random.Random(seed)
+    rep = Report("hq-monoidal", M, seed, samples)
     RH = h_unit_ha_module(H)
     dim_m = len(M.module.basis)
 
@@ -685,23 +662,21 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
         def psi(x, _am=am, _mapper=mapper):
             return x.map_terms(lambda s: _mapper(*split_sym(s, _am)))
 
+        dim_t = len(T.quot.basis)
         rep.add("tensor-unit-dim-%s" % side,
                 "dim(M (x)_H H) = dim(M) (%s unit law)" % side,
-                len(T.quot.basis) == dim_m,
-                None if len(T.quot.basis) == dim_m else
-                "dim %d != %d" % (len(T.quot.basis), dim_m))
-        ok = all(psi(rel).is_zero() for rel in T.relators)
+                None if dim_t == dim_m else "dim %d != %d" % (dim_t, dim_m))
         rep.add("tensor-unit-welldef-%s" % side,
-                "the canonical unit map kills the balancing relators", ok,
-                None if ok else "some relator has a nonzero image")
+                "the canonical unit map kills the balancing relators",
+                None if all(psi(rel).is_zero() for rel in T.relators)
+                else "some relator has a nonzero image")
         images = [psi(T.quot.section(Element.basis(M.field, b)))
                   for b in T.quot.basis]
         rk = _image_rank(images, M.module.basis)
         rep.add("tensor-unit-bijective-%s" % side,
                 "the canonical unit map is bijective",
-                rk == len(T.quot.basis) == dim_m,
-                None if rk == len(T.quot.basis) == dim_m else
-                "image rank %d, dims %d/%d" % (rk, len(T.quot.basis), dim_m))
+                None if rk == dim_t == dim_m else
+                "image rank %d, dims %d/%d" % (rk, dim_t, dim_m))
 
         def check(c, a, h):
             sec = T.quot.section(c)
@@ -716,8 +691,8 @@ def check_unit_laws(M, samples=15, seed=0, suite="hq-monoidal"):
         rep.law("tensor-unit-structure-%s" % side,
                 "the canonical unit map intertwines action, H-action and "
                 "coaction", check,
-                draws(rng, samples if T.quot.basis else 0, (T.ham.module, 2),
-                      mha.algebra, (H.alg, 2)))
+                rep.draws((T.ham.module, 2), mha.algebra, (H.alg, 2),
+                          n=samples if T.quot.basis else 0))
     return rep
 
 
@@ -763,23 +738,20 @@ def associator_maps(X, Y, Z):
     return TL, TR, phi, phi_inv, to_l, to_r
 
 
-def check_associator(X, Y, Z, samples=15, seed=0, suite="hq-monoidal"):
+def check_associator(X, Y, Z, samples=15, seed=0):
     """The rebracketing map is well-defined (it agrees with the flat
     projections on every representative), invertible, and linear over A and
     H on samples."""
     mha = X.mha
-    rep = Report(suite, "%s/%s,%s,%s" % (mha.name, X.name, Y.name, Z.name),
-                 mha.field.name, seed, samples)
+    rep = Report("hq-monoidal", X, seed, samples)
     TL, TR, phi, phi_inv, to_l, to_r = associator_maps(X, Y, Z)
-    rng = random.Random(seed)
 
+    dims = len(TL.quot.basis), len(TR.quot.basis)
     rep.add("assoc-dim", "both bracketings have the same dimension",
-            len(TL.quot.basis) == len(TR.quot.basis),
-            None if len(TL.quot.basis) == len(TR.quot.basis) else
-            "%d != %d" % (len(TL.quot.basis), len(TR.quot.basis)))
+            None if dims[0] == dims[1] else "%d != %d" % dims)
 
     flats = X.module.space.tensor(Y.module.space).tensor(Z.module.space).basis
-    probe = flats if len(flats) <= 60 else rng.sample(flats, 60)
+    probe = flats if len(flats) <= 60 else rep.rng.sample(flats, 60)
 
     def check(t):
         ft = Element.basis(mha.field, t)
@@ -802,18 +774,16 @@ def check_associator(X, Y, Z, samples=15, seed=0, suite="hq-monoidal"):
         if phi(TL.ham.h_act(h, c)) != TR.ham.h_act(h, phi(c)):
             return "H-linearity at c=%r h=%r" % (c, h)
     rep.law("assoc-linear", "the rebracketing map is A-linear and H-linear",
-            check, draws(rng, samples if TL.quot.basis else 0,
-                         (TL.ham.module, 2), mha.algebra, (X.H.alg, 2)))
+            check, rep.draws((TL.ham.module, 2), mha.algebra, (X.H.alg, 2),
+                             n=samples if TL.quot.basis else 0))
     return rep
 
 
-def check_pentagon(X, Y, Z, W, suite="hq-monoidal", seed=0):
+def check_pentagon(X, Y, Z, W, seed=0):
     """Both composite rebracketing paths from (((X (x) Y) (x) Z) (x) W) to
     (X (x) (Y (x) (Z (x) W))) agree on every basis class."""
     mha = X.mha
-    rep = Report(suite, "%s/%s,%s,%s,%s" % (mha.name, X.name, Y.name,
-                                            Z.name, W.name),
-                 mha.field.name, seed, 0)
+    rep = Report("hq-monoidal", X, seed, 0)
     built = {}
     (o1, _, _), o5, o4, o2, o3 = (bracketing(tree, built) for tree in [
         (((X, Y), Z), W), ((X, Y), (Z, W)), (X, (Y, (Z, W))),
@@ -837,39 +807,39 @@ def check_pentagon(X, Y, Z, W, suite="hq-monoidal", seed=0):
 
 # -- suite drivers ---------------------------------------------------------------
 
-def check_module_algebra_suite(mha, samples=30, seed=0, suite="module-algebra"):
+def check_module_algebra_suite(mha, samples=30, seed=0):
     """Module-algebra, comodule-algebra, A-commutativity and joint YD-algebra
     laws over the standard fixtures available on an instance."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep = Report("module-algebra", mha, seed, samples)
     rep.merge(check_module_algebra(counit_module_algebra(mha),
-                                   samples, seed, suite), "counit")
+                                   samples, seed), "counit")
     if mha.cocommutative and mha.materializes_coproduct:
         rep.merge(check_module_algebra(adjoint_module_algebra(mha),
-                                       samples, seed, suite), "adjoint")
+                                       samples, seed), "adjoint")
 
     carrier = counit_module(mha)
     rep.merge(check_comodule_algebra(mha.algebra,
                                      coproduct_coaction(carrier),
-                                     samples, seed, suite), "delta")
+                                     samples, seed), "delta")
     rep.merge(check_comodule_algebra(mha.algebra, trivial_coaction(carrier),
-                                     samples, seed, suite), "trivial")
+                                     samples, seed), "trivial")
 
     k = trivial_yd_module_algebra(mha)
-    rep.merge(check_yd_module_algebra(k, samples, seed, suite), "K")
-    rep.merge(check_a_commutative(k, samples, seed, suite), "K")
+    rep.merge(check_yd_module_algebra(k, samples, seed), "K")
+    rep.merge(check_a_commutative(k, samples, seed), "K")
 
     ct = counit_yd_module_algebra(mha)
-    rep.merge(check_yd_module_algebra(ct, samples, seed, suite),
+    rep.merge(check_yd_module_algebra(ct, samples, seed),
               "counit-trivial")
     if mha.commutative:
-        rep.merge(check_a_commutative(ct, samples, seed, suite),
+        rep.merge(check_a_commutative(ct, samples, seed),
                   "counit-trivial")
     if mha.cocommutative and mha.materializes_coproduct:
         rep.merge(check_yd_module_algebra(
-            adjoint_trivial_yd_module_algebra(mha), samples, seed, suite),
+            adjoint_trivial_yd_module_algebra(mha), samples, seed),
             "adjoint-trivial")
         rep.merge(check_yd_module_algebra(canonical_yd_module_algebra(mha),
-                                          samples, seed, suite),
+                                          samples, seed),
                   "adjoint-delta")
     return rep
 
@@ -888,28 +858,27 @@ def default_hq_fixtures(mha):
     return out
 
 
-def check_hq_monoidal(mha, samples=10, seed=0, suite="hq-monoidal"):
+def check_hq_monoidal(mha, samples=10, seed=0):
     """Mixed-module laws, bimodule laws, balanced tensor products with
     relator stability, unit laws, associator and one pentagon sample over
     the default fixtures, at no more than 15 samples."""
     samples = min(samples, 15)
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep = Report("hq-monoidal", mha, seed, samples)
     for tag, H, mods in default_hq_fixtures(mha):
-        rep.merge(check_yd_module_algebra(H, samples, seed, suite), tag)
-        rep.merge(check_a_commutative(H, samples, seed, suite), tag)
+        rep.merge(check_yd_module_algebra(H, samples, seed), tag)
+        rep.merge(check_a_commutative(H, samples, seed), tag)
         for M in mods:
             mtag = "%s:%s" % (tag, M.name)
-            rep.merge(check_ha_module(M, samples, seed, suite), mtag)
-            rep.merge(check_h_bimodule(M, samples, seed, suite), mtag)
+            rep.merge(check_ha_module(M, samples, seed), mtag)
+            rep.merge(check_h_bimodule(M, samples, seed), mtag)
             if M.module.basis is not None:
                 T = BalancedTensor(M, M)
-                rep.merge(check_balanced_tensor(T, samples, seed, suite),
+                rep.merge(check_balanced_tensor(T, samples, seed),
                           mtag)
-                rep.merge(check_unit_laws(M, samples, seed, suite), mtag)
+                rep.merge(check_unit_laws(M, samples, seed), mtag)
         small = min(mods, key=lambda m: len(m.module.basis or [0]))
         if small.module.basis is not None:
-            rep.merge(check_associator(mods[-1], small, small,
-                                       samples, seed, suite), tag)
-            rep.merge(check_pentagon(small, small, small, small,
-                                     suite=suite, seed=seed), tag)
+            rep.merge(check_associator(mods[-1], small, small, samples, seed), tag)
+            rep.merge(check_pentagon(small, small, small, small, seed=seed),
+                      tag)
     return rep

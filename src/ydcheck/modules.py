@@ -11,10 +11,8 @@ identity is instances.ID, at which the twisted adjoint action reads the
 untwisted product table.
 """
 
-import random
-
 from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
-from .mha import Space, Multiplier, draws, probe_elements
+from .mha import Space, Multiplier, probe_elements
 from .report import Report
 from .instances import ID
 
@@ -222,14 +220,12 @@ def trivial_coaction(module, name=None):
 
 # -- checkers ------------------------------------------------------------------
 
-def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
+def check_comodule(coaction, samples=50, seed=0):
     """All comodule laws, evaluated purely through slice compositions."""
     mha = coaction.mha
     alg = mha.algebra
     mod = coaction.module
-    rep = Report(suite, "%s/%s" % (mha.name, coaction.name),
-                 mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("comodule", coaction, seed, samples)
 
     # Gamma(v) is a right-module map: Gamma(v)(1 (x) aa') agrees with
     # right-multiplying the second leg of Gamma(v)(1 (x) a) by a'
@@ -240,7 +236,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
         if lhs != rhs:
             return "v=%r a=%r a'=%r lhs=%r rhs=%r" % (v, a, ap, lhs, rhs)
     rep.law("coaction-module-map", "Gamma(v)(1(x)aa') = (Gamma(v)(1(x)a))(1(x)a')",
-            check, draws(rng, samples, (mod, 3), alg, alg))
+            check, rep.draws((mod, 3), alg, alg))
 
     # sliced coassociativity:
     #   v_(0) (x) v_(1)(1) x (x) v_(1)(2) y  =  v_(0)(0) (x) v_(0)(1) x (x) v_(1) y
@@ -256,7 +252,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
         if lhs != rhs:
             return "v=%r x=%r y=%r lhs=%r rhs=%r" % (v, x, y, lhs, rhs)
     rep.law("coaction-coassoc", "sliced coassociativity of Gamma", check,
-            draws(rng, samples, (mod, 3), alg, alg))
+            rep.draws((mod, 3), alg, alg))
 
     # counitary
     def check(v, a):
@@ -264,7 +260,7 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
         if got != v.scaled(mha.counit(a)):
             return "v=%r a=%r got=%r" % (v, a, got)
     rep.law("coaction-counit", "(i (x) eps)(Gamma(v)(1(x)a)) = v eps(a)",
-            check, draws(rng, samples, (mod, 3), alg))
+            check, rep.draws((mod, 3), alg))
 
     if coaction.has_slice_l:
         # two-sided multiplier compatibility:
@@ -277,28 +273,26 @@ def check_comodule(coaction, samples=50, seed=0, suite="comodule"):
             if lhs != rhs:
                 return "v=%r a=%r a'=%r" % (v, a, ap)
         rep.law("coaction-two-sided", "left and right slices agree as a two-sided multiplier",
-                check, draws(rng, samples, (mod, 3), alg, alg))
+                check, rep.draws((mod, 3), alg, alg))
 
     return rep
 
 
-def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"):
+def finite_dim_inclusion(coaction, seed=0):
     """Certify that Gamma(v) factors as a finite sum sum_i v_i (x) m_i with
     each m_i a genuine multiplier, for every basis vector of a
-    finite-dimensional carrier."""
+    finite-dimensional carrier, probing with the basis of A (10 seeded
+    elements of an infinite one)."""
     mha = coaction.mha
     alg = mha.algebra
     mod = coaction.module
-    rep = Report(suite, "%s/%s" % (mha.name, coaction.name),
-                 mha.field.name, seed, 0)
+    rep = Report("extended-modules", coaction, seed, 0)
     if mod.basis is None:
-        rep.add("finite-dim", "carrier is finite-dimensional", False,
+        rep.add("finite-dim", "carrier is finite-dimensional",
                 "module %s has no finite basis" % mod.name)
         return rep
 
-    rng = random.Random(seed)
-    if probes is None:
-        probes = probe_elements(rng, alg, 10)
+    probes = probe_elements(rep.rng, alg, 10)
 
     def component(img, wsym):
         parts = (split_sym(s, mod.arity) + (c,) for s, c in img.terms.items())
@@ -337,28 +331,27 @@ def finite_dim_inclusion(coaction, probes=None, seed=0, suite="extended-modules"
     return rep
 
 
-def check_comodule_suite(mha, samples=50, seed=0, suite="comodule"):
+def check_comodule_suite(mha, samples=50, seed=0):
     """check_comodule on Delta (regular module) and trivial (counit module)."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+    rep = Report("comodule", mha, seed, samples)
     rep.merge(check_comodule(coproduct_coaction(regular_module(mha)),
-                             samples, seed, suite), "delta")
+                             samples, seed), "delta")
     rep.merge(check_comodule(trivial_coaction(counit_module(mha)),
-                             samples, seed, suite), "trivial")
+                             samples, seed), "trivial")
     return rep
 
 
-def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
+def check_extended_modules(mha, samples=40, seed=0):
     """Action extension to M(A), the rho embedding, and its module-map law;
     on a finite basis also finite_dim_inclusion of Gamma = Delta."""
     alg = mha.algebra
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("extended-modules", mha, seed, samples)
     mod = regular_module(mha)
 
     # 1.x = x through the extension, and independence of the decomposition;
     # the second decomposition is drawn only once 1.x = x holds
     one = Multiplier(left=lambda y: y, right=lambda y: y, label="1")
-    more = draws(rng, samples, (mod, 3), alg)
+    more = rep.draws((mod, 3), alg)
 
     def check(x):
         if extend_action(mod, one, x) != x:
@@ -370,7 +363,7 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
         if extend_action(mod, f, x) != mod.act(f.left(e2), x):
             return "decomposition-dependent extension at x=%r" % x
     rep.law("extend-action", "1.x = x and f.x independent of the decomposition",
-            check, draws(rng, samples, (mod, 3)))
+            check, rep.draws((mod, 3)))
 
     # for unital algebras the extension is the plain action (Y = X)
     if alg.has_unit:
@@ -378,7 +371,7 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
             if extend_action(mod, Multiplier.from_element(alg, a), x) != mod.act(a, x):
                 return "a=%r x=%r" % (a, x)
         rep.law("unital-identity", "extension along A subset M(A) is the plain action",
-                check, draws(rng, samples, alg, (mod, 3)))
+                check, rep.draws(alg, (mod, 3)))
 
     # rho embedding laws
     def left_kind(x, a, ap):
@@ -397,7 +390,7 @@ def check_extended_modules(mha, samples=40, seed=0, suite="extended-modules"):
         ("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}",
          left_kind),
         ("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
-         injective)], draws(rng, samples, (mod, 3), alg, alg))
+         injective)], rep.draws((mod, 3), alg, alg))
     if alg.basis is not None:
         rep.merge(finite_dim_inclusion(coproduct_coaction(mod), seed=seed),
                   "delta")

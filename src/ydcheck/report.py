@@ -1,21 +1,25 @@
 """Law-check reports and deterministic JSON rendering.
 
-A Report aggregates per-law results for one (suite, instance, config) run.
-Witnesses are rendered as canonical coefficient/basis-label text so a failing
-law is reproducible by eye.  The JSON contains no timestamps: identical
-configs must produce byte-identical files.
+A Report is one seeded run of one suite on one subject (an instance, a
+module, a crossed product, ...): Report(suite, subject, seed, samples) reads
+the subject's name and field, and owns the run's one seeded stream,
+rep.rng = random.Random(seed).  Witnesses are rendered as canonical
+coefficient/basis-label text so a failing law is reproducible by eye.  The
+JSON contains no timestamps: identical configs must produce byte-identical
+files.
 
 A sampled law is a check, check(*variables) -> None when the law holds on
 those variables or a witness string when it does not, run over an iterable
-of variable tuples: mha.draws(rng, n, *carriers) for seeded samples, zip(xs)
-or itertools.product(...) for exhaustive ones.  Report.law records one law
-and Report.law_group several on shared tuples.  The first witness is
-recorded and ends the law's stream, so no later tuple is drawn.  The draws
-are lazy and made in a fixed order, so a witness replays from the seed
-alone.
+of variable tuples: rep.draws(*carriers) for seeded samples, zip(xs) or
+itertools.product(...) for exhaustive ones.  Report.law records one law and
+Report.law_group several on shared tuples.  The first witness is recorded
+and ends the law's stream, so no later tuple is drawn.  The draws are lazy
+and made from rep.rng in a fixed order, so a witness replays from the
+report's seed alone.
 """
 
 import json
+import random
 
 
 SCHEMA_VERSION = 2  # 2: law ids are unique within a report
@@ -23,16 +27,19 @@ SCHEMA_VERSION = 2  # 2: law ids are unique within a report
 
 class LawResult:
     """One law's outcome: its stable id (e.g. "antipode-left"), the
-    human-readable form of the law, whether it held, and the first witness
-    (a string, or None when it held)."""
+    human-readable form of the law, and its first witness (a string, or
+    None when the law held)."""
 
-    __slots__ = ("law", "statement", "ok", "witness")
+    __slots__ = ("law", "statement", "witness")
 
-    def __init__(self, law, statement, ok, witness=None):
+    def __init__(self, law, statement, witness=None):
         self.law = law
         self.statement = statement
-        self.ok = ok
         self.witness = witness
+
+    @property
+    def ok(self):
+        return self.witness is None
 
     def as_dict(self):
         d = {"law": self.law, "statement": self.statement, "ok": self.ok}
@@ -42,24 +49,32 @@ class LawResult:
 
 
 class Report:
-    """The laws checked in one (suite, instance, field, seed, samples) run,
-    in the order they were recorded."""
+    """The laws checked in one seeded run of a suite on a subject (anything
+    with a name and a field), in the order they were recorded."""
 
-    def __init__(self, suite, instance, field_name, seed, samples):
+    def __init__(self, suite, subject, seed, samples):
         self.suite = suite
-        self.instance = instance
-        self.field_name = field_name
+        self.instance = subject.name
+        self.field_name = subject.field.name
         self.seed = seed
         self.samples = samples
+        self.rng = random.Random(seed)
         self.laws = []
         self._ids = set()
 
-    def add(self, law, statement, ok, witness=None):
+    def add(self, law, statement, witness=None):
+        """Record a law that held (witness None) or failed with witness."""
         if law in self._ids:
             raise ValueError("duplicate law id %r in a %s report"
                              % (law, self.suite))
         self._ids.add(law)
-        self.laws.append(LawResult(law, statement, ok, witness))
+        self.laws.append(LawResult(law, statement, witness))
+
+    def draws(self, *carriers, n=None):
+        """mha.draws from this run's stream: n tuples of variables, one per
+        carrier (self.samples tuples when n is None; n=0 gives none)."""
+        from .mha import draws  # here, since mha imports this module
+        return draws(self.rng, self.samples if n is None else n, *carriers)
 
     def law(self, law, statement, check, samples):
         """Record one sampled law: law_group with one law."""
@@ -79,22 +94,18 @@ class Report:
             if None not in wits:
                 break
         for (law, statement, _), wit in zip(laws, wits):
-            self.add(law, statement, wit is None, wit)
+            self.add(law, statement, wit)
 
     def merge(self, sub, tag):
         """Fold a sub-report's laws into this one, in order, with their ids
         tagged as law[tag]."""
         for r in sub.laws:
-            self.add("%s[%s]" % (r.law, tag), r.statement, r.ok, r.witness)
+            self.add("%s[%s]" % (r.law, tag), r.statement, r.witness)
 
     def check(self, law, statement, lhs, rhs):
         """Record an exact-equality law; on failure render both sides."""
-        ok = lhs == rhs
-        witness = None
-        if not ok:
-            witness = "lhs = %r ; rhs = %r" % (lhs, rhs)
-        self.add(law, statement, ok, witness)
-        return ok
+        self.add(law, statement,
+                 None if lhs == rhs else "lhs = %r ; rhs = %r" % (lhs, rhs))
 
     @property
     def ok(self):
@@ -122,6 +133,6 @@ class Report:
         lines = []
         for r in self.laws:
             lines.append("%-4s %s" % ("ok" if r.ok else "FAIL", r.law))
-            if not r.ok and r.witness:
+            if r.witness:
                 lines.append("     witness: %s" % r.witness)
         return "\n".join(lines)

@@ -17,10 +17,8 @@ produced by slice maps against covers/local units chosen so the spurious
 factors cancel.  Each evaluator documents its slice composition.
 """
 
-import random
 
 from .linear import Element, linear, tensor, legs, split_sym, apply_legs
-from .mha import draws
 from .report import Report
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
@@ -120,11 +118,10 @@ def compat_alt_rhs(module, coaction, a, ap, v):
     return act_on_slice(module, a, coaction.slice_r(v, ap))
 
 
-def check_yd(yd, samples=40, seed=0, suite="yd"):
+def check_yd(yd, samples=40, seed=0):
     """Both forms of the compatibility law on seeded samples."""
     mha = yd.mha
-    rep = Report(suite, "%s/%s" % (mha.name, yd.name), mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("yd", yd, seed, samples)
     mod, coa = yd.module, yd.coaction
 
     def compat(a, ap, v):
@@ -145,7 +142,7 @@ def check_yd(yd, samples=40, seed=0, suite="yd"):
          compat),
         ("yd-compat-alt",
          "(a_(2).v)_(0) (x) (a_(2).v)_(1)a_(1)a' = a_(1).v_(0) (x) a_(2)v_(1)a'",
-         compat_alt)], draws(rng, samples, mha.algebra, mha.algebra, (mod, 3)))
+         compat_alt)], rep.draws(mha.algebra, mha.algebra, (mod, 3)))
     return rep
 
 
@@ -442,19 +439,18 @@ def yd_fixtures(mha):
 
 # -- suite checkers ------------------------------------------------------------
 
-def check_yd_suite(mha, samples=30, seed=0, suite="yd"):
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
+def check_yd_suite(mha, samples=30, seed=0):
+    rep = Report("yd", mha, seed, samples)
     for V in yd_fixtures(mha):
-        rep.merge(check_yd(V, samples=samples, seed=seed, suite=suite), V.name)
+        rep.merge(check_yd(V, samples=samples, seed=seed), V.name)
     return rep
 
 
-def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
+def check_half_braiding(H, samples=30, seed=0):
     """The defining laws of a centre object, at the regular component."""
     mha = H.mha
     alg = mha.algebra
-    rep = Report(suite, "%s/%s" % (mha.name, H.name), mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("centre-equivalence", H, seed, samples)
     reg = regular_module(mha)
 
     # right-module map in the first slot
@@ -464,7 +460,7 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
         if lhs != rhs:
             return "a=%r b=%r v=%r" % (a, b, v)
     rep.law("half-braiding-module-map", "C(ba (x) v) = C(b (x) v)(1 (x) a)",
-            check, draws(rng, samples, alg, alg, (H.module, 3)))
+            check, rep.draws(alg, alg, (H.module, 3)))
 
     # left A-linearity: a.C(x (x) v) = C(a.(x (x) v)), diagonal actions on
     # both sides realized with local-unit splits of a
@@ -479,7 +475,7 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
         if lhs != rhs:
             return "a=%r x=%r v=%r lhs=%r rhs=%r" % (a, x, v, lhs, rhs)
     rep.law("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))",
-            check, draws(rng, samples, alg, alg, (H.module, 3)))
+            check, rep.draws(alg, alg, (H.module, 3)))
 
     # tensor decomposition at X = Y = A:
     # C_{A (x) A, V} = (C_{A,V} (x) i)(i (x) C_{A,V})
@@ -494,24 +490,23 @@ def check_half_braiding(H, samples=30, seed=0, suite="centre-equivalence"):
             if lhs != rhs:
                 return "x=%r y=%r v=%r" % (x, y, v)
         rep.law("half-braiding-tensor", "C_{X(x)Y,V} = (C_{X,V}(x)i)(i(x)C_{Y,V}) at X=Y=A",
-                check, draws(rng, samples, alg, alg, (H.module, 3)))
+                check, rep.draws(alg, alg, (H.module, 3)))
     except ValueError as exc:
-        rep.add("half-braiding-tensor", "tensor decomposition at X=Y=A", False, str(exc))
+        rep.add("half-braiding-tensor", "tensor decomposition at X=Y=A", str(exc))
 
     # derived-component consistency at X = A
     def check(x, v):
         if H.component(reg, tensor(x, v)) != H.cA(x, v):
             return "x=%r v=%r" % (x, v)
     rep.law("half-braiding-derived", "C_X from local units agrees with cA at X=A",
-            check, draws(rng, samples, alg, (H.module, 3)))
+            check, rep.draws(alg, (H.module, 3)))
     return rep
 
 
-def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
+def check_equivalence(mha, samples=30, seed=0):
     """Round trips of the two functors, the braided-category laws, and
     morphism transport, on the registered fixtures."""
-    rep = Report(suite, mha.name, mha.field.name, seed, samples)
-    rng = random.Random(seed)
+    rep = Report("centre-equivalence", mha, seed, samples)
     alg = mha.algebra
     reg = regular_module(mha)
     fixtures = yd_fixtures(mha)
@@ -531,7 +526,7 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
                         % (v, a, back.coaction.slice_l(v, a),
                            V.coaction.slice_l(v, a)))
         rep.law("fg-identity[%s]" % V.name, "F(G(V)) = V extensionally",
-                check, draws(rng, samples, (mod, 3), alg))
+                check, rep.draws((mod, 3), alg))
 
         # G(F(H)) = H on the regular component
         H2 = functor_g(back)
@@ -540,10 +535,10 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
             if H2.cA(a, v) != H.cA(a, v):
                 return "v=%r a=%r" % (v, a)
         rep.law("gf-identity[%s]" % V.name, "G(F(H)) = H extensionally",
-                check, draws(rng, samples, (mod, 3), alg))
+                check, rep.draws((mod, 3), alg))
 
         # braiding round trips; v (x) x is drawn only once x (x) v round-trips
-        more = draws(rng, samples, (mod, 3), alg)
+        more = rep.draws((mod, 3), alg)
 
         def check(x, v):
             xv = tensor(x, v)
@@ -554,7 +549,7 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
                 return "v(x)x=%r" % vx
         rep.law("braiding-invertible[%s]" % V.name,
                 "C and C^-1 round-trip on X = A", check,
-                draws(rng, samples, alg, (mod, 3)))
+                rep.draws(alg, (mod, 3)))
 
         # naturality in X under the right-multiplication module map
         def check(x, b, v):
@@ -565,10 +560,9 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
                 return "x=%r b=%r v=%r" % (x, b, v)
         rep.law("braiding-natural[%s]" % V.name,
                 "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)", check,
-                draws(rng, samples, alg, alg, (mod, 3)))
+                rep.draws(alg, alg, (mod, 3)))
 
-        rep.merge(check_half_braiding(H, samples=samples, seed=seed, suite=suite),
-                  V.name)
+        rep.merge(check_half_braiding(H, samples=samples, seed=seed), V.name)
 
     # second hexagon half: C_{X, V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i)
     V, W = fixtures[0], fixtures[1]
@@ -583,7 +577,7 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
             return "x=%r v=%r w=%r lhs=%r rhs=%r" % (x, v, w, lhs, rhs)
     rep.law("braiding-hexagon",
             "C_{X,V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i) at X=A",
-            check, draws(rng, samples, alg, (V.module, 3), (W.module, 3)))
+            check, rep.draws(alg, (V.module, 3), (W.module, 3)))
 
     # morphism transport for a scalar YD morphism
     V = fixtures[1]
@@ -595,5 +589,5 @@ def check_equivalence(mha, samples=30, seed=0, suite="centre-equivalence"):
         if lhs != rhs:
             return "x=%r v=%r" % (x, v)
     rep.law("morphism-transport", "(f (x) i)C_{X,V} = C_{X,V}(i (x) f) for scalar f",
-            check, draws(rng, samples, alg, (V.module, 3)))
+            check, rep.draws(alg, (V.module, 3)))
     return rep

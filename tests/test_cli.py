@@ -51,6 +51,15 @@ def test_check_writes_report_and_exits_zero(tmp_path, capsys):
     assert data["laws"]
 
 
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_each_runner_reports_its_suite_instance_and_seed(suite):
+    rep = cli.run_suite(suite, "grp-Z2", PrimeField(5), 1, 3)
+    instance = "D(grp-Z2)" if suite == "dcp" else "grp-Z2"
+    assert (rep.suite, rep.instance, rep.field_name, rep.seed) == (
+        suite, instance, "fp:5", 3)
+    assert rep.ok and rep.laws, rep.summary()
+
+
 def test_reports_are_byte_identical_for_identical_configs(tmp_path, capsys):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     args = ["check", "yd", "--instance", "grp-S3", "--samples", "12",

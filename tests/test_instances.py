@@ -370,7 +370,7 @@ def test_an_inner_automorphism_is_freed_by_reference_counting():
 
 def test_qt_cyclic():
     qt = qt_for_cyclic(2, QQ)
-    rep = Report("qt", "grp-Z2", "rational", 0, 0)
+    rep = Report("qt", qt.mha, 0, 0)
     qt.check(rep)
     assert rep.ok, rep.summary()
     # explicit form: (1/2)(1(x)1 + 1(x)g + g(x)1 - g(x)g)
@@ -378,7 +378,7 @@ def test_qt_cyclic():
     assert qt.r.coeff(Ten((1, 1))) == Fraction(-1, 2)
 
     qt5 = qt_for_cyclic(4, PrimeField(5))
-    rep = Report("qt", "grp-Zn:4", "fp:5", 0, 0)
+    rep = Report("qt", qt5.mha, 0, 0)
     qt5.check(rep)
     assert rep.ok, rep.summary()
 
@@ -393,7 +393,7 @@ def test_qt_intertwine_fails_with_a_witness_on_tuple_symbols():
     H = build_instance("grp-S3", QQ)
     g = H.el((1, 0, 2))
     r = tensor(g, g)
-    rep = Report("qt", "grp-S3", "rational", 0, 0)
+    rep = Report("qt", H, 0, 0)
     QTStructure(H, r, r).check(rep)
     hit = [law for law in rep.laws if law.law == "qt-intertwine"]
     assert len(hit) == 1 and not hit[0].ok, rep.summary()

@@ -1,13 +1,36 @@
 """The law-sampling primitive and the sub-report merge of Report: a law is
-a check of its variables, run over an iterable of variable tuples."""
+a check of its variables, run over an iterable of variable tuples drawn
+from the report's own seeded stream."""
+
+import random
 
 import pytest
 
+from ydcheck.fields import QQ
+from ydcheck.instances import build_instance
+from ydcheck.mha import draws
+from ydcheck.modules import regular_module
 from ydcheck.report import Report
 
 
 def _report():
-    return Report("suite", "inst", "rational", 0, 5)
+    return Report("suite", build_instance("grp-Z2", QQ), 0, 5)
+
+
+def test_a_report_reads_its_subject_and_draws_from_its_seed():
+    A = build_instance("sweedler-H4", QQ)
+    alg, mod = A.algebra, regular_module(A)
+    rep = Report("s", A, 7, 5)
+    assert (rep.suite, rep.instance, rep.field_name, rep.seed,
+            rep.samples) == ("s", "sweedler-H4", "rational", 7, 5)
+    got = list(rep.draws(alg, (mod, 3)))
+    assert len(got) == 5
+    assert got == list(draws(random.Random(7), 5, alg, (mod, 3)))
+    # n overrides samples, and n=0 draws nothing at all
+    state = rep.rng.getstate()
+    assert list(rep.draws(alg, n=0)) == []
+    assert rep.rng.getstate() == state
+    assert len(list(rep.draws(alg, n=2))) == 2
 
 
 def _counting(n):
@@ -116,11 +139,11 @@ def test_law_group_runs_on_while_one_law_holds():
 
 def test_merge_tags_ids_and_keeps_order_and_fields():
     sub = _report()
-    sub.add("x", "sx", True)
-    sub.add("y", "sy", False, "w")
-    sub.add("z", "sz", False, "w2")
+    sub.add("x", "sx")
+    sub.add("y", "sy", "w")
+    sub.add("z", "sz", "w2")
     rep = _report()
-    rep.add("first", "s0", True)
+    rep.add("first", "s0")
     rep.merge(sub, "tag:1")
     assert [(r.law, r.statement, r.ok, r.witness) for r in rep.laws] == [
         ("first", "s0", True, None),
@@ -132,11 +155,11 @@ def test_merge_tags_ids_and_keeps_order_and_fields():
 
 def test_a_law_id_is_recorded_once_per_report():
     rep = _report()
-    rep.add("x", "sx", True)
+    rep.add("x", "sx")
     with pytest.raises(ValueError, match="duplicate law id 'x'"):
-        rep.add("x", "sx", False, "w")
+        rep.add("x", "sx", "w")
     sub = _report()
-    sub.add("y", "sy", True)
+    sub.add("y", "sy")
     rep.merge(sub, "a")
     with pytest.raises(ValueError, match=r"duplicate law id 'y\[a\]'"):
         rep.merge(sub, "a")
