@@ -441,7 +441,17 @@ def check_mha_axioms(mha, samples=100, seed=0):
     tuples (local-unit for 8), on finite and infinite carriers alike.  No
     law enumerates basis tuples; nondegenerate alone reads every basis
     vector of a finite carrier, as its probe set (12 random elements of an
-    infinite one)."""
+    infinite one).
+
+    Van Daele's definition, clause by clause: A is an associative algebra
+    (assoc) with a non-degenerate product (nondegenerate; local-unit for
+    the local units every slice composition here relies on); Delta is a
+    homomorphism A -> M(A (x) A) (delta-mult); Delta is coassociative
+    (coassoc); T1 and T2 are bijective (t1-bijective, t2-bijective), and,
+    for regularity, so are T3 and T4 (t3-bijective, t4-bijective).  The
+    counit and the antipode are then theorems, checked as counit,
+    antipode, antipode-bijective and antipode-antihom; twist-t2-t4 checks
+    the twist built from them."""
     rep = Report("mha-axioms", mha, seed, samples)
     alg = mha.algebra
 
@@ -533,6 +543,29 @@ def check_mha_axioms(mha, samples=100, seed=0):
             return "S(ab) != S(b)S(a): a=%r b=%r" % (a, b)
     rep.law("antipode-antihom", "eps(S(a)) = eps(a); S(ab) = S(b)S(a)",
             check, rep.draws(alg, alg))
+
+    # Delta is multiplicative, on slices: with p (x) r the terms of
+    # Delta(b)(1 (x) c), Delta(ab)(1 (x) c) = sum [Delta(a)(1 (x) r)](p (x) 1);
+    # mirrored, with p (x) r the terms of (c (x) 1)Delta(a),
+    # (c (x) 1)Delta(ab) = sum (p (x) 1)[(1 (x) r)Delta(b)]
+    def check(a, b, c):
+        ab = alg.mult(a, b)
+
+        def right(s):
+            p, r = legs(s)
+            return apply_legs(mha.delta_r(a, alg.el(r)), 0, 1,
+                              lambda x: alg.mult(x, alg.el(p)))
+        if mha.delta_r(ab, c) != mha.delta_r(b, c).map_terms(right):
+            return "Delta(ab)(1(x)c): a=%r b=%r c=%r" % (a, b, c)
+
+        def left(s):
+            p, r = legs(s)
+            return apply_legs(mha.delta_l2(alg.el(r), b), 0, 1,
+                              lambda x: alg.mult(alg.el(p), x))
+        if mha.delta_l(c, ab) != mha.delta_l(c, a).map_terms(left):
+            return "(c(x)1)Delta(ab): a=%r b=%r c=%r" % (a, b, c)
+    rep.law("delta-mult", "Delta(ab)(1(x)c) = Delta(a)(Delta(b)(1(x)c)), "
+            "and mirrored", check, rep.draws(alg, alg, alg))
 
     return rep
 

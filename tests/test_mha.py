@@ -9,12 +9,13 @@ import weakref
 import pytest
 
 from fractions import Fraction
+from math import comb
 
 from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, flip, apply_legs
 from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_algebra, sweedler_h4, function_algebra,
-                               group_Z)
+                               group_Z, from_unital_coproduct)
 from ydcheck.mha import (Space, Algebra, below, random_element, draws,
                          check_mha_axioms, check_braid)
 from ydcheck.modules import trivial_module, regular_module
@@ -31,6 +32,46 @@ def test_axiom_suite(name, field):
     mha = build_instance(name, field)
     rep = check_mha_axioms(mha, samples=25, seed=7)
     assert rep.ok, rep.summary()
+
+
+def _taft_q1(field):
+    """The Taft-style table at q = 1: basis g^i x^j (i, j < 3) as (i, j),
+    g^3 = 1, x^3 = 0, xg = gx, Delta(g) = g (x) g, Delta(x) = x (x) 1 +
+    g (x) x, extended to g^i x^j as (g (x) g)^i (x (x) 1 + g (x) x)^j.  That
+    Delta is coassociative and S(g^i x^j) = (-1)^j g^(2i+2j) x^j is an
+    antipode, but Delta(x)^3 = 3(x^2 g (x) x + x g^2 (x) x^2) != 0 = Delta(x^3)
+    over F_7, so Delta is not multiplicative."""
+    basis = [(i, j) for i in range(3) for j in range(3)]
+
+    def e(i, j, c=None):
+        return Element.basis(field, (i % 3, j), c)
+
+    def mult_basis(a, b):
+        (i, j), (k, l) = a, b
+        return Element(field) if j + l >= 3 else e(i + k, j + l)
+
+    alg = Algebra(field, mult_basis, Space(basis), unit=e(0, 0),
+                  name="taft-q1")
+    cop = {(i, j): sum((tensor(e(i + k, j - k, field.from_int(comb(j, k))),
+                               e(i, k)) for k in range(1, j + 1)),
+                       tensor(e(i, j), e(i, 0)))
+           for i, j in basis}
+    anti = {(i, j): e(2 * i + 2 * j, j, field.from_int((-1) ** j))
+            for i, j in basis}
+    return from_unital_coproduct(
+        alg, cop.__getitem__,
+        lambda s: field.one() if s[1] == 0 else field.zero(),
+        anti.__getitem__, anti.__getitem__, commutative=True,
+        cocommutative=False, name="taft-q1")
+
+
+@pytest.mark.parametrize("samples", [40, 200])
+def test_delta_mult_is_the_law_that_catches_a_non_multiplicative_delta(
+        samples):
+    rep = check_mha_axioms(_taft_q1(PrimeField(7)), samples, 0)
+    assert rep.laws[-1].law == "delta-mult"
+    assert [r.law for r in rep.failures()] == ["delta-mult"], rep.summary()
+    assert rep.laws[-1].witness.startswith("Delta(ab)(1(x)c): a=")
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
