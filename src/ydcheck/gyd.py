@@ -408,6 +408,5 @@ def check_gyd_suite(mha, samples=40, seed=0):
                                     for spec in mha.pair_specs]
     for i, pair in enumerate(pairs):
         for fx in gyd_fixtures_at(mha, pair):
-            rep.merge(check_gyd(fx, samples, seed),
-                      "%s@%d" % (fx.name, i))
+            rep.merge(check_gyd(fx, samples, seed), "%s@%d" % (fx.name, i))
     return rep

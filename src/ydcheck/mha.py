@@ -436,22 +436,17 @@ def draws(rng, n, *carriers):
 # -- axiom checkers --------------------------------------------------------
 
 def check_mha_axioms(mha, samples=100, seed=0):
-    """Run every structural law of a regular multiplier Hopf algebra on
-    seeded random elements: each law draws its variables for `samples`
-    tuples (local-unit for 8), on finite and infinite carriers alike.  No
-    law enumerates basis tuples; nondegenerate alone reads every basis
-    vector of a finite carrier, as its probe set (12 random elements of an
-    infinite one).
-
-    Van Daele's definition, clause by clause: A is an associative algebra
-    (assoc) with a non-degenerate product (nondegenerate; local-unit for
-    the local units every slice composition here relies on); Delta is a
-    homomorphism A -> M(A (x) A) (delta-mult); Delta is coassociative
-    (coassoc); T1 and T2 are bijective (t1-bijective, t2-bijective), and,
-    for regularity, so are T3 and T4 (t3-bijective, t4-bijective).  The
-    counit and the antipode are then theorems, checked as counit,
-    antipode, antipode-bijective and antipode-antihom; twist-t2-t4 checks
-    the twist built from them."""
+    """Run every law of a regular multiplier Hopf algebra on `samples`
+    seeded tuples (local-unit on 8), on finite and infinite carriers alike;
+    no law enumerates basis tuples, and nondegenerate alone reads every
+    basis vector of a finite carrier as its probe set (12 random elements
+    of an infinite one).  Van Daele's definition, clause by clause: A is
+    associative (assoc) and non-degenerate (nondegenerate, with local-unit
+    for the local units the slices rely on); Delta is a homomorphism into
+    M(A (x) A) (delta-mult) and coassociative (coassoc); T1, T2 and, for
+    regularity, T3, T4 are bijective (t1- to t4-bijective).  The counit and
+    the antipode are then theorems: counit, antipode, antipode-bijective,
+    antipode-antihom, and twist-t2-t4 for the twist built from them."""
     rep = Report("mha-axioms", mha, seed, samples)
     alg = mha.algebra
 

@@ -818,8 +818,7 @@ def check_module_algebra_suite(mha, samples=30, seed=0):
                                        samples, seed), "adjoint")
 
     carrier = counit_module(mha)
-    rep.merge(check_comodule_algebra(mha.algebra,
-                                     coproduct_coaction(carrier),
+    rep.merge(check_comodule_algebra(mha.algebra, coproduct_coaction(carrier),
                                      samples, seed), "delta")
     rep.merge(check_comodule_algebra(mha.algebra, trivial_coaction(carrier),
                                      samples, seed), "trivial")
@@ -829,18 +828,15 @@ def check_module_algebra_suite(mha, samples=30, seed=0):
     rep.merge(check_a_commutative(k, samples, seed), "K")
 
     ct = counit_yd_module_algebra(mha)
-    rep.merge(check_yd_module_algebra(ct, samples, seed),
-              "counit-trivial")
+    rep.merge(check_yd_module_algebra(ct, samples, seed), "counit-trivial")
     if mha.commutative:
-        rep.merge(check_a_commutative(ct, samples, seed),
-                  "counit-trivial")
+        rep.merge(check_a_commutative(ct, samples, seed), "counit-trivial")
     if mha.cocommutative and mha.materializes_coproduct:
         rep.merge(check_yd_module_algebra(
             adjoint_trivial_yd_module_algebra(mha), samples, seed),
             "adjoint-trivial")
         rep.merge(check_yd_module_algebra(canonical_yd_module_algebra(mha),
-                                          samples, seed),
-                  "adjoint-delta")
+                                          samples, seed), "adjoint-delta")
     return rep
 
 
@@ -873,12 +869,10 @@ def check_hq_monoidal(mha, samples=10, seed=0):
             rep.merge(check_h_bimodule(M, samples, seed), mtag)
             if M.module.basis is not None:
                 T = BalancedTensor(M, M)
-                rep.merge(check_balanced_tensor(T, samples, seed),
-                          mtag)
+                rep.merge(check_balanced_tensor(T, samples, seed), mtag)
                 rep.merge(check_unit_laws(M, samples, seed), mtag)
         small = min(mods, key=lambda m: len(m.module.basis or [0]))
         if small.module.basis is not None:
             rep.merge(check_associator(mods[-1], small, small, samples, seed), tag)
-            rep.merge(check_pentagon(small, small, small, small, seed=seed),
-                      tag)
+            rep.merge(check_pentagon(small, small, small, small, seed=seed), tag)
     return rep
