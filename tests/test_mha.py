@@ -65,13 +65,29 @@ def _taft_q1(field):
         cocommutative=False, name="taft-q1")
 
 
-@pytest.mark.parametrize("samples", [40, 200])
-def test_delta_mult_is_the_law_that_catches_a_non_multiplicative_delta(
-        samples):
-    rep = check_mha_axioms(_taft_q1(PrimeField(7)), samples, 0)
+def _doubled_delta_l2(field):
+    """Sweedler's H4 whose (1 (x) a)Delta(b) slice is doubled: of the laws
+    of mha-axioms, only the mirror form of delta-mult and the inverse of T1
+    read that slice."""
+    H = sweedler_h4(field)
+    bad = copy.copy(H)
+    two = field.from_int(2)
+    bad.delta_l2 = lambda a, b: H.delta_l2(a, b).scaled(two)
+    return bad
+
+
+@pytest.mark.parametrize("build, samples, failing, witness", [
+    (_taft_q1, 40, ["delta-mult"], "Delta(ab)(1(x)c): a="),
+    (_taft_q1, 200, ["delta-mult"], "Delta(ab)(1(x)c): a="),
+    (_doubled_delta_l2, 40, ["t1-bijective", "delta-mult"],
+     "(c(x)1)Delta(ab): a=")], ids=["taft-q1-40", "taft-q1-200",
+                                     "doubled-delta-l2"])
+def test_delta_mult_fails_on_each_slice_form(build, samples, failing,
+                                             witness):
+    rep = check_mha_axioms(build(PrimeField(7)), samples, 0)
     assert rep.laws[-1].law == "delta-mult"
-    assert [r.law for r in rep.failures()] == ["delta-mult"], rep.summary()
-    assert rep.laws[-1].witness.startswith("Delta(ab)(1(x)c): a=")
+    assert [r.law for r in rep.failures()] == failing, rep.summary()
+    assert rep.laws[-1].witness.startswith(witness)
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
