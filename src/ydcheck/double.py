@@ -35,7 +35,7 @@ from .mha import Space, Algebra, draws
 from .modules import UnitalModule, Coaction
 from .yd import YDModule, split_sym, canonical_yd
 from .gyd import check_gyd, trivial_gyd
-from .report import Report
+from .report import Report, equal
 from .instances import dual_hopf, dual_sym, compute_integrals, identity_pair
 
 
@@ -182,11 +182,9 @@ def check_dcp(dcp, samples=500, seed=0):
             return "x=%r y=%r z=%r" % (x, y, z)
     rep.law("dcp-assoc", "(xy)z = x(yz), " + mode, check, triples)
 
-    def check(x):
-        ex = alg.el(x)
-        if alg.mult(alg.unit, ex) != ex or alg.mult(ex, alg.unit) != ex:
-            return "x=%r" % (x,)
-    rep.law("dcp-unit", "eps >< 1 is a two-sided unit", check, zip(alg.basis))
+    rep.law("dcp-unit", "eps >< 1 is a two-sided unit", equal(
+        lambda x: alg.mult(alg.unit, x), lambda x: x,
+        lambda x: alg.mult(x, alg.unit), lambda x: x), zip(map(alg.el, basis)))
     return rep
 
 
@@ -218,16 +216,13 @@ def check_dcp_module(M, samples=60, seed=0):
     alg = M.dcp.algebra
     rep = Report("dcp", M, seed, samples)
 
-    def check(d, dp, m):
-        if M.act(alg.mult(d, dp), m) != M.act(d, M.act(dp, m)):
-            return "d=%r d'=%r m=%r" % (d, dp, m)
-    rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)", check,
+    rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)",
+            equal(lambda d, dp, m: M.act(alg.mult(d, dp), m),
+                  lambda d, dp, m: M.act(d, M.act(dp, m))),
             rep.draws((alg, None), (alg, None), (M, None)))
-
-    def check(s):
-        if M.act(alg.unit, M.el(s)) != M.el(s):
-            return "m=%r" % (s,)
-    rep.law("dcp-module-unit", "(eps >< 1).m = m", check, zip(M.basis))
+    rep.law("dcp-module-unit", "(eps >< 1).m = m",
+            equal(lambda m: M.act(alg.unit, m), lambda m: m),
+            zip(map(M.el, M.basis)))
     return rep
 
 
@@ -344,11 +339,9 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0):
     M2 = yd_to_dcp_module(W, dcp)
     alg = dcp.algebra
 
-    def check(d, m):
-        if M2.act(d, m) != R.act(d, m):
-            return "d=%r m=%r" % (d, m)
     rep.law("module-roundtrip",
-            "ydToDcpModule(dcpModuleToYd(M)) = M extensionally", check,
+            "ydToDcpModule(dcpModuleToYd(M)) = M extensionally",
+            equal(lambda d, m: M2.act(d, m), R.act),
             rep.draws((alg, None), (R, None)))
     return rep
 
@@ -373,22 +366,22 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
     alg = dcp.algebra
     rng = random.Random(seed)
 
-    for d, h, hp in draws(rng, samples, (alg, None), (carrier, None),
-                          (carrier, None)):
-        lhs = act(d, carrier.mult(h, hp))
-
+    def rhs(d, h, hp):
         def term(s):
             d1, d2 = legs(s)
             return carrier.mult(act(alg.el(d1), h), act(alg.el(d2), hp))
-        rhs = dcp.coproduct(d).map_terms(term)
-        if lhs != rhs:
+        return dcp.coproduct(d).map_terms(term)
+    check = equal(lambda d, h, hp: act(d, carrier.mult(h, hp)), rhs,
+                  lambda d, h, hp: act(d, carrier.unit),
+                  lambda d, h, hp: carrier.unit.scaled(dcp.counit(d)))
+    for variables in draws(rng, samples, (alg, None), (carrier, None),
+                           (carrier, None)):
+        witness = check(*variables)
+        if witness is not None:
             raise ValueError(
-                "not a module algebra over %s: d.(hh') != (d_(1).h)(d_(2).h') "
-                "at d=%r h=%r h'=%r" % (dcp.name, d, h, hp))
-        if act(d, carrier.unit) != carrier.unit.scaled(dcp.counit(d)):
-            raise ValueError(
-                "not a module algebra over %s: d.1 != eps(d)1 at d=%r"
-                % (dcp.name, d))
+                "not a module algebra over %s (equation 1 is d.(hh') = "
+                "(d_(1).h)(d_(2).h'), equation 2 is d.1 = eps(d)1): %s"
+                % (dcp.name, witness))
 
     # symbols are flattened h-legs followed by crossed-product legs
     ha = len(legs(carrier.basis[0]))

@@ -31,7 +31,7 @@ from .fields import parse_scalar
 from .instances import (ID, AutoPair, identity_pair, group_Z,
                         group_map_automorphism, inner_automorphism,
                         h4_scaling_automorphism)
-from .report import Report
+from .report import Report, equal
 
 
 def parse_pair(mha, spec):
@@ -73,16 +73,14 @@ def check_gyd(gyd, samples=40, seed=0):
     rep = Report("gyd", gyd, seed, samples)
     mod, coa = gyd.module, gyd.coaction
 
-    def check(a, ap, v):
-        lhs = coa.slice_r(mod.act(a, v), ap)
-        rhs = compat_rhs(mod, coa, a, ap, v,
-                         alpha=gyd.pair.alpha, beta=gyd.pair.beta)
-        if lhs != rhs:
-            return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
     rep.law("gyd-compat",
             "(a.v)_(0) (x) (a.v)_(1)a' = "
             "a_(2).v_(0) (x) beta(a_(3))v_(1)alpha(S^-1(a_(1)))a'",
-            check, rep.draws(mha.algebra, mha.algebra, (mod, 3)))
+            equal(lambda a, ap, v: coa.slice_r(mod.act(a, v), ap),
+                  lambda a, ap, v: compat_rhs(mod, coa, a, ap, v,
+                                              alpha=gyd.pair.alpha,
+                                              beta=gyd.pair.beta)),
+            rep.draws(mha.algebra, mha.algebra, (mod, 3)))
     return rep
 
 
@@ -313,12 +311,10 @@ def check_t_category(mha, pairs, samples=30, seed=0):
     C0 = crossed_functor(idp, W0)
 
     def agree(X, Y):
-        def check(a, w):
-            if X.module.act(a, w) != Y.module.act(a, w):
-                return "action differs at a=%r w=%r" % (a, w)
-            if X.coaction.slice_r(w, a) != Y.coaction.slice_r(w, a):
-                return "coaction differs at a=%r w=%r" % (a, w)
-        return check
+        return equal(lambda a, w: X.module.act(a, w),
+                     lambda a, w: Y.module.act(a, w),
+                     lambda a, w: X.coaction.slice_r(w, a),
+                     lambda a, w: Y.coaction.slice_r(w, a))
     rep.law("crossed-identity", "phi_(i,i) leaves objects unchanged",
             agree(C0, W0), rep.draws(alg, (W0.module, 3)))
 
@@ -330,74 +326,54 @@ def check_t_category(mha, pairs, samples=30, seed=0):
         rep.law("crossed-functorial", "phi_p o phi_q = phi_(p#q) on samples",
                 agree(lhs, rhs), rep.draws(alg, (W0.module, 3)))
 
-    # monoidality of the crossing on one sampled pair of objects
+    # monoidality of the crossing on one sampled pair of objects, at
+    # w = v (x) w'
     V, W = fixtures[0], fixtures[-1]
     p = pairs[-1]
     try:
-        lhs = crossed_functor(p, yd_tensor(V, W))
-        rhs = yd_tensor(crossed_functor(p, V), crossed_functor(p, W))
-
-        def check(a, v, w):
-            t = tensor(v, w)
-            if lhs.module.act(a, t) != rhs.module.act(a, t):
-                return "action differs at a=%r t=%r" % (a, t)
-            if lhs.coaction.slice_r(t, a) != rhs.coaction.slice_r(t, a):
-                return "coaction differs at a=%r t=%r" % (a, t)
         rep.law("crossed-monoidal",
-                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", check,
-                rep.draws(alg, (V.module, 3), (W.module, 3)))
+                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples",
+                agree(crossed_functor(p, yd_tensor(V, W)),
+                      yd_tensor(crossed_functor(p, V), crossed_functor(p, W))),
+                ((a, tensor(v, w)) for a, v, w in rep.draws(
+                    alg, (V.module, 3), (W.module, 3))))
     except ValueError as exc:
         rep.add("crossed-monoidal",
                 "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", str(exc))
 
-    # braiding: A-linearity, round trips, naturality, crossing compatibility
+    # braiding: A-linearity, round trips, naturality, crossing compatibility,
+    # each at t = v (x) w
+    two = mha.field.from_int(2)
     for i, V in enumerate(fixtures):
         W = fixtures[(i + 1) % len(fixtures)]
         name = "%s,%s" % (V.name, W.name)
         src = yd_tensor(V, W)
         tgt = yd_tensor(crossed_functor(V.pair, W), V)
-
-        two = mha.field.from_int(2)
-
-        def a_linear(a, v, w):
-            t = tensor(v, w)
-            lhs = gyd_braiding(V, W, src.module.act(a, t))
-            rhs = tgt.module.act(a, gyd_braiding(V, W, t))
-            if lhs != rhs:
-                return "a=%r v=%r w=%r lhs=%r rhs=%r" % (a, v, w, lhs, rhs)
-
-        def invertible(a, v, w):
-            t = tensor(v, w)
-            if gyd_braiding_inv(V, W, gyd_braiding(V, W, t)) != t:
-                return "v(x)w=%r" % t
-
-        def natural(a, v, w):
-            # naturality under the scalar morphism w -> 2w on W
-            if (gyd_braiding(V, W, tensor(v, w.scaled(two)))
-                    != gyd_braiding(V, W, tensor(v, w)).scaled(two)):
-                return "v=%r w=%r" % (v, w)
-
         rep.law_group([
-            ("braiding-linear[%s]" % name, "C(a.(v (x) w)) = a.C(v (x) w)",
-             a_linear),
+            ("braiding-linear[%s]" % name, "C(a.(v (x) w)) = a.C(v (x) w)", equal(
+                lambda a, v, w, t: gyd_braiding(V, W, src.module.act(a, t)),
+                lambda a, v, w, t: tgt.module.act(a, gyd_braiding(V, W, t)))),
             ("braiding-invertible[%s]" % name,
-             "C^-1 o C = id, inverse solved with S and beta", invertible),
+             "C^-1 o C = id, inverse solved with S and beta", equal(
+                 lambda a, v, w, t: gyd_braiding_inv(V, W, gyd_braiding(V, W, t)),
+                 lambda a, v, w, t: t)),
+            # naturality under the scalar morphism w -> 2w on W
             ("braiding-natural[%s]" % name,
-             "C transports the scalar morphism on W", natural)],
-            rep.draws(alg, (V.module, 3), (W.module, 3)))
+             "C transports the scalar morphism on W", equal(
+                 lambda a, v, w, t: gyd_braiding(V, W, tensor(v, w.scaled(two))),
+                 lambda a, v, w, t: gyd_braiding(V, W, t).scaled(two)))],
+            ((a, v, w, tensor(v, w)) for a, v, w in rep.draws(
+                alg, (V.module, 3), (W.module, 3))))
 
     # crossing the braiding: phi_p(C_{V,W}) = C_{phi_p V, phi_p W}
     V, W = fixtures[0], fixtures[-1]
     p = pairs[0]
     pV, pW = crossed_functor(p, V), crossed_functor(p, W)
-
-    def check(v, w):
-        t = tensor(v, w)
-        if gyd_braiding(V, W, t) != gyd_braiding(pV, pW, t):
-            return "v=%r w=%r" % (v, w)
     rep.law("braiding-crossing",
-            "the braiding commutes with the crossing on samples", check,
-            rep.draws((V.module, 3), (W.module, 3)))
+            "the braiding commutes with the crossing on samples",
+            equal(lambda t: gyd_braiding(V, W, t),
+                  lambda t: gyd_braiding(pV, pW, t)),
+            ((tensor(v, w),) for v, w in rep.draws((V.module, 3), (W.module, 3))))
     return rep
 
 

@@ -15,6 +15,7 @@ import random
 from .linear import (Element, Ten, Memo, tensor, legs, make_sym, apply_legs,
                      flip, kernel_basis, linear, bilinear)
 from .mha import Space, Algebra, MultiplierHopfAlgebra, below, probe_elements
+from .report import equal
 
 
 class ConstructionError(Exception):
@@ -548,9 +549,8 @@ class HopfAutomorphism:
                 raise ConstructionError(
                     "%s: not an algebra map at a=%r b=%r" % (self.name, a, b))
             # sliced form of (Delta o alpha) = (alpha (x) alpha) o Delta
-            lhs = mha.delta_r(self._fwd(a), self._fwd(b))
-            rhs = apply_legs(apply_legs(mha.delta_r(a, b), 0, 1, self._fwd), 1, 1, self._fwd)
-            if lhs != rhs:
+            image = mha.delta_r(self._fwd(a), self._fwd(b))
+            if image != apply_legs(apply_legs(mha.delta_r(a, b), 0, 1, self._fwd), 1, 1, self._fwd):
                 raise ConstructionError(
                     "%s: does not respect the coproduct at a=%r b=%r" % (self.name, a, b))
 
@@ -663,12 +663,11 @@ class QTStructure:
         report.check("qt-invertible-2", "R^-1 R = 1 (x) 1",
                      alg.mult_tensor(self.r_inv, self.r), unit2)
 
-        def intertwines(s):
-            d = mha.coproduct(mha.el(s))
-            if alg.mult_tensor(flip(d), self.r) != alg.mult_tensor(self.r, d):
-                return "a=%r" % (s,)
+        # on each basis symbol a, with d = Delta(a)
         report.law("qt-intertwine", "Delta^cop(a) R = R Delta(a)",
-                   intertwines, zip(alg.basis))
+                   equal(lambda a, d: alg.mult_tensor(flip(d), self.r),
+                         lambda a, d: alg.mult_tensor(self.r, d)),
+                   ((s, mha.coproduct(mha.el(s))) for s in alg.basis))
 
         def widen(x2, positions):
             # embed an arity-2 element into legs `positions` of arity 3

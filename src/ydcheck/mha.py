@@ -21,7 +21,7 @@ import weakref
 
 from .linear import (Element, Ten, Memo2, linear, bilinear, tensor, legs,
                      make_sym, flip, apply_legs)
-from .report import Report
+from .report import Report, equal
 
 
 def below(rng, n):
@@ -451,10 +451,10 @@ def check_mha_axioms(mha, samples=100, seed=0):
     alg = mha.algebra
 
     # associativity and non-degeneracy of the product
-    def check(a, b, c):
-        if alg.mult(alg.mult(a, b), c) != alg.mult(a, alg.mult(b, c)):
-            return "a=%r b=%r c=%r" % (a, b, c)
-    rep.law("assoc", "(ab)c = a(bc)", check, rep.draws(alg, alg, alg))
+    rep.law("assoc", "(ab)c = a(bc)",
+            equal(lambda a, b, c: alg.mult(alg.mult(a, b), c),
+                  lambda a, b, c: alg.mult(a, alg.mult(b, c))),
+            rep.draws(alg, alg, alg))
 
     probe = probe_elements(rep.rng, alg, 12)
 
@@ -480,87 +480,78 @@ def check_mha_axioms(mha, samples=100, seed=0):
     # sliced coassociativity:
     # (a (x) 1 (x) 1)(Delta (x) i)(Delta(b)(1 (x) c))
     #   = (i (x) Delta)((a (x) 1)Delta(b))(1 (x) 1 (x) c)
-    def check(a, b, c):
-        lhs = apply_legs(mha.delta_r(b, c), 0, 1, lambda p: mha.delta_l(a, p))
-        rhs = apply_legs(mha.delta_l(a, b), 1, 1, lambda t: mha.delta_r(t, c))
-        if lhs != rhs:
-            return "a=%r b=%r c=%r lhs=%r rhs=%r" % (a, b, c, lhs, rhs)
-    rep.law("coassoc", "sliced coassociativity", check, rep.draws(alg, alg, alg))
+    rep.law("coassoc", "sliced coassociativity", equal(
+        lambda a, b, c: apply_legs(mha.delta_r(b, c), 0, 1,
+                                   lambda p: mha.delta_l(a, p)),
+        lambda a, b, c: apply_legs(mha.delta_l(a, b), 1, 1,
+                                   lambda t: mha.delta_r(t, c))),
+        rep.draws(alg, alg, alg))
 
     # counit laws on slices
-    def check(a, b):
-        if mha.counit_leg(mha.delta_r(a, b), 1) != a.scaled(mha.counit(b)):
-            return "(i (x) eps) failed: a=%r b=%r" % (a, b)
-        if mha.counit_leg(mha.delta_l(a, b), 0) != b.scaled(mha.counit(a)):
-            return "(eps (x) i) failed: a=%r b=%r" % (a, b)
-    rep.law("counit", "(i(x)eps)Delta(a)(1(x)b) = a eps(b), and mirrored",
-            check, rep.draws(alg, alg))
+    rep.law("counit", "(i(x)eps)Delta(a)(1(x)b) = a eps(b), and mirrored", equal(
+        lambda a, b: mha.counit_leg(mha.delta_r(a, b), 1),
+        lambda a, b: a.scaled(mha.counit(b)),
+        lambda a, b: mha.counit_leg(mha.delta_l(a, b), 0),
+        lambda a, b: b.scaled(mha.counit(a))), rep.draws(alg, alg))
 
     # antipode laws: m(S (x) i)(Delta(a)(1 (x) b)) = eps(a) b
     #                m(i (x) S)((b (x) 1)Delta(a)) = eps(a) b
-    def check(a, b):
-        lhs = mha.mult_legs(apply_legs(mha.delta_r(a, b), 0, 1, mha.antipode))
-        if lhs != b.scaled(mha.counit(a)):
-            return "left antipode law: a=%r b=%r got %r" % (a, b, lhs)
-        lhs = mha.mult_legs(apply_legs(mha.delta_l(b, a), 1, 1, mha.antipode))
-        if lhs != b.scaled(mha.counit(a)):
-            return "right antipode law: a=%r b=%r got %r" % (a, b, lhs)
-    rep.law("antipode", "m(S(x)i)T1 = eps(.)id and m(i(x)S)T2 = eps(.)id",
-            check, rep.draws(alg, alg))
+    rep.law("antipode", "m(S(x)i)T1 = eps(.)id and m(i(x)S)T2 = eps(.)id", equal(
+        lambda a, b: mha.mult_legs(apply_legs(mha.delta_r(a, b), 0, 1,
+                                              mha.antipode)),
+        lambda a, b: b.scaled(mha.counit(a)),
+        lambda a, b: mha.mult_legs(apply_legs(mha.delta_l(b, a), 1, 1,
+                                              mha.antipode)),
+        lambda a, b: b.scaled(mha.counit(a))), rep.draws(alg, alg))
 
     # bijectivity of S (regularity witness)
-    def check(a):
-        if mha.antipode(mha.antipode_inv(a)) != a or mha.antipode_inv(mha.antipode(a)) != a:
-            return "a=%r" % a
-    rep.law("antipode-bijective", "S o S^-1 = S^-1 o S = id", check, rep.draws(alg))
+    rep.law("antipode-bijective", "S o S^-1 = S^-1 o S = id", equal(
+        lambda a: mha.antipode(mha.antipode_inv(a)), lambda a: a,
+        lambda a: mha.antipode_inv(mha.antipode(a)), lambda a: a),
+        rep.draws(alg))
 
-    # T_k round trips
+    # T_k round trips, and the twist factors through T2: scriptT o T2 = T4;
+    # each law's variable is x = a (x) b
     for k in (1, 2, 3, 4):
-        def check(a, b):
-            x2 = tensor(a, b)
-            if mha.inv_t(k)(mha.tmap(k)(x2)) != x2 or mha.tmap(k)(mha.inv_t(k)(x2)) != x2:
-                return "x=%r" % x2
+        t, inv = mha.tmap(k), mha.inv_t(k)
         rep.law("t%d-bijective" % k, "T%d and its inverse round-trip" % k,
-                check, rep.draws(alg, alg))
+                equal(lambda x: inv(t(x)), lambda x: x,
+                      lambda x: t(inv(x)), lambda x: x),
+                ((tensor(a, b),) for a, b in rep.draws(alg, alg)))
 
-    # the twist factors through T2: scriptT o T2 = T4
-    def check(a, b):
-        x2 = tensor(a, b)
-        if mha.script_t(mha.t2(x2)) != mha.t4(x2):
-            return "x=%r" % x2
-    rep.law("twist-t2-t4", "scriptT o T2 = T4", check, rep.draws(alg, alg))
+    rep.law("twist-t2-t4", "scriptT o T2 = T4",
+            equal(lambda x: mha.script_t(mha.t2(x)), mha.t4),
+            ((tensor(a, b),) for a, b in rep.draws(alg, alg)))
 
     # standard consequences, kept as smoke tests
-    def check(a, b):
-        if mha.counit(mha.antipode(a)) != mha.counit(a):
-            return "eps(S(a)) != eps(a): a=%r" % a
-        if mha.antipode(alg.mult(a, b)) != alg.mult(mha.antipode(b), mha.antipode(a)):
-            return "S(ab) != S(b)S(a): a=%r b=%r" % (a, b)
-    rep.law("antipode-antihom", "eps(S(a)) = eps(a); S(ab) = S(b)S(a)",
-            check, rep.draws(alg, alg))
+    rep.law("antipode-antihom", "eps(S(a)) = eps(a); S(ab) = S(b)S(a)", equal(
+        lambda a, b: mha.counit(mha.antipode(a)), lambda a, b: mha.counit(a),
+        lambda a, b: mha.antipode(alg.mult(a, b)),
+        lambda a, b: alg.mult(mha.antipode(b), mha.antipode(a))),
+        rep.draws(alg, alg))
 
     # Delta is multiplicative, on slices: with p (x) r the terms of
     # Delta(b)(1 (x) c), Delta(ab)(1 (x) c) = sum [Delta(a)(1 (x) r)](p (x) 1);
     # mirrored, with p (x) r the terms of (c (x) 1)Delta(a),
     # (c (x) 1)Delta(ab) = sum (p (x) 1)[(1 (x) r)Delta(b)]
-    def check(a, b, c):
-        ab = alg.mult(a, b)
-
-        def right(s):
+    def right(a, b, c, ab):
+        def term(s):
             p, r = legs(s)
             return apply_legs(mha.delta_r(a, alg.el(r)), 0, 1,
                               lambda x: alg.mult(x, alg.el(p)))
-        if mha.delta_r(ab, c) != mha.delta_r(b, c).map_terms(right):
-            return "Delta(ab)(1(x)c): a=%r b=%r c=%r" % (a, b, c)
+        return mha.delta_r(b, c).map_terms(term)
 
-        def left(s):
+    def left(a, b, c, ab):
+        def term(s):
             p, r = legs(s)
             return apply_legs(mha.delta_l2(alg.el(r), b), 0, 1,
                               lambda x: alg.mult(alg.el(p), x))
-        if mha.delta_l(c, ab) != mha.delta_l(c, a).map_terms(left):
-            return "(c(x)1)Delta(ab): a=%r b=%r c=%r" % (a, b, c)
+        return mha.delta_l(c, a).map_terms(term)
     rep.law("delta-mult", "Delta(ab)(1(x)c) = Delta(a)(Delta(b)(1(x)c)), "
-            "and mirrored", check, rep.draws(alg, alg, alg))
+            "and mirrored",
+            equal(lambda a, b, c, ab: mha.delta_r(ab, c), right,
+                  lambda a, b, c, ab: mha.delta_l(c, ab), left),
+            ((a, b, c, alg.mult(a, b)) for a, b, c in rep.draws(alg, alg, alg)))
 
     return rep
 
@@ -577,40 +568,31 @@ def check_braid(mha, samples=100, seed=0):
     rep = Report("braid", mha, seed, samples)
     alg = mha.algebra
 
+    # each law's variable is x = a (x) b (x) c, or a (x) b for a twist
     for lawid, op in (("braid-twist", mha.script_t),
                       ("braid-twist-prime", mha.script_t_prime)):
-        def check(a, b, c):
-            x3 = tensor(tensor(a, b), c)
-            lhs = apply_legs(apply_legs(apply_legs(x3, 0, 2, op), 1, 2, op), 0, 2, op)
-            rhs = apply_legs(apply_legs(apply_legs(x3, 1, 2, op), 0, 2, op), 1, 2, op)
-            if lhs != rhs:
-                return "x=%r lhs=%r rhs=%r" % (x3, lhs, rhs)
-        rep.law(lawid, "(O(x)i)(i(x)O)(O(x)i) = (i(x)O)(O(x)i)(i(x)O)",
-                check, rep.draws(alg, alg, alg))
+        rep.law(lawid, "(O(x)i)(i(x)O)(O(x)i) = (i(x)O)(O(x)i)(i(x)O)", equal(
+            lambda x: apply_legs(apply_legs(apply_legs(x, 0, 2, op),
+                                            1, 2, op), 0, 2, op),
+            lambda x: apply_legs(apply_legs(apply_legs(x, 1, 2, op),
+                                            0, 2, op), 1, 2, op)),
+            ((tensor(tensor(a, b), c),) for a, b, c in rep.draws(alg, alg, alg)))
+
+    def pairs():
+        return ((tensor(a, b),) for a, b in rep.draws(alg, alg))
 
     # round trips of the twists
-    def check(a, b):
-        x2 = tensor(a, b)
-        if mha.script_t_inv(mha.script_t(x2)) != x2:
-            return "twist round trip: x=%r" % x2
-        if mha.script_t_prime_inv(mha.script_t_prime(x2)) != x2:
-            return "twist-prime round trip: x=%r" % x2
     rep.law("twist-invertible", "both twist operators round-trip with their inverses",
-            check, rep.draws(alg, alg))
-
-    def is_flip(op):
-        def check(a, b):
-            x2 = tensor(a, b)
-            if op(x2) != flip(x2):
-                return "x=%r" % x2
-        return check
+            equal(lambda x: mha.script_t_inv(mha.script_t(x)), lambda x: x,
+                  lambda x: mha.script_t_prime_inv(mha.script_t_prime(x)),
+                  lambda x: x), pairs())
 
     if mha.cocommutative:
         rep.law("cocommutative-flip", "cocommutative: scriptT = tau",
-                is_flip(mha.script_t), rep.draws(alg, alg))
+                equal(lambda x: mha.script_t(x), flip), pairs())
 
     if mha.commutative:
         rep.law("commutative-flip", "commutative: scriptT' = tau",
-                is_flip(mha.script_t_prime), rep.draws(alg, alg))
+                equal(lambda x: mha.script_t_prime(x), flip), pairs())
 
     return rep

@@ -28,7 +28,7 @@ from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       coproduct_coaction, trivial_coaction)
 from .yd import (YDModule, check_yd, split_sym, braiding_c, trivial_yd,
                  tensor_module, tensor_coaction)
-from .report import Report
+from .report import Report, equal
 from .instances import group_Zn, qt_for_cyclic
 
 
@@ -95,54 +95,46 @@ def check_module_algebra(ma, samples=40, seed=0):
     act = ma.module.act
     rep = Report("module-algebra", ma, seed, samples)
 
-    def check(a, x, xp):
-        lhs = act(a, ma.alg.mult(x, xp))
-        e = ma.module.local_unit([xp])
-
+    def rhs(a, x, xp):
         def term(s):
             p, q = legs(s)
             return ma.alg.mult(act(alg.el(p), x), act(alg.el(q), xp))
-        rhs = mha.delta_r(a, e).map_terms(term)
-        if lhs != rhs:
-            return "a=%r x=%r x'=%r lhs=%r rhs=%r" % (a, x, xp, lhs, rhs)
-    rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')", check,
+        return mha.delta_r(a, ma.module.local_unit([xp])).map_terms(term)
+    rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')",
+            equal(lambda a, x, xp: act(a, ma.alg.mult(x, xp)), rhs),
             rep.draws(alg, (ma.module, 3), (ma.module, 3)))
 
     if mha.materializes_coproduct:
-        def extend_left(a, x, xp):
-            lhs = ma.alg.mult(act(a, x), xp)
-
+        # both laws read da = Delta(a)
+        def extend_left(a, x, xp, da):
             def term(s):
                 a1, a2 = legs(s)
                 return act(alg.el(a1), ma.alg.mult(
                     x, act(mha.antipode(alg.el(a2)), xp)))
-            rhs = mha.coproduct(a).map_terms(term)
-            if lhs != rhs:
-                return "a=%r x=%r x'=%r" % (a, x, xp)
+            return da.map_terms(term)
 
-        def extend_right(a, x, xp):
-            lhs = ma.alg.mult(x, act(a, xp))
-
+        def extend_right(a, x, xp, da):
             def term(s):
                 a1, a2 = legs(s)
                 return act(alg.el(a2), ma.alg.mult(
                     act(mha.antipode_inv(alg.el(a1)), x), xp))
-            rhs = mha.coproduct(a).map_terms(term)
-            if lhs != rhs:
-                return "a=%r x=%r x'=%r" % (a, x, xp)
+            return da.map_terms(term)
 
         rep.law_group([
             ("modalg-extend-left", "(a.x)x' = a_(1).(x (S(a_(2)).x'))",
-             extend_left),
+             equal(lambda a, x, xp, da: ma.alg.mult(act(a, x), xp),
+                   extend_left)),
             ("modalg-extend-right", "x(a.x') = a_(2).((S^-1(a_(1)).x) x')",
-             extend_right)],
-            rep.draws(alg, (ma.module, 3), (ma.module, 3)))
+             equal(lambda a, x, xp, da: ma.alg.mult(x, act(a, xp)),
+                   extend_right))],
+            ((a, x, xp, mha.coproduct(a)) for a, x, xp in rep.draws(
+                alg, (ma.module, 3), (ma.module, 3))))
 
     if ma.alg.has_unit:
-        def check(a):
-            if act(a, ma.alg.unit) != ma.alg.unit.scaled(mha.counit(a)):
-                return "a=%r" % a
-        rep.law("modalg-unit", "a.1 = eps(a) 1", check, rep.draws(alg))
+        rep.law("modalg-unit", "a.1 = eps(a) 1",
+                equal(lambda a: act(a, ma.alg.unit),
+                      lambda a: ma.alg.unit.scaled(mha.counit(a))),
+                rep.draws(alg))
     return rep
 
 
@@ -157,33 +149,27 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0):
     rep = Report("module-algebra", coaction, seed + 1, samples)
     rep.merge(check_comodule(coaction, samples, seed), "comodule")
 
-    def check(x, y, a):
-        lhs = coaction.slice_r(alg.mult(x, y), a)
-
+    def rhs(x, y, a):
         def term(s):  # y_(0) (x) y_(1)a -> x_(0)y_(0) (x) x_(1)y_(1)a
             y0, m = split_sym(s, mod.arity)
             return apply_legs(coaction.slice_r(x, mha.el(m)), 0, mod.arity,
                               lambda x0: alg.mult(x0, mod.el(y0)))
-        rhs = coaction.slice_r(y, a).map_terms(term)
-        if lhs != rhs:
-            return "x=%r y=%r a=%r lhs=%r rhs=%r" % (x, y, a, lhs, rhs)
+        return coaction.slice_r(y, a).map_terms(term)
     rep.law("comodalg-multiplicative",
-            "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)", check,
+            "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)",
+            equal(lambda x, y, a: coaction.slice_r(alg.mult(x, y), a), rhs),
             rep.draws((mod, 3), (mod, 3), mha.algebra))
 
     if coaction.has_slice_l:
-        def check(x, y, a):
-            lhs = coaction.slice_l(alg.mult(x, y), a)
-
+        def rhs(x, y, a):
             def term(s):  # x_(0) (x) ax_(1) -> x_(0)y_(0) (x) ax_(1)y_(1)
                 x0, m = split_sym(s, mod.arity)
                 return apply_legs(coaction.slice_l(y, mha.el(m)), 0, mod.arity,
                                   lambda y0: alg.mult(mod.el(x0), y0))
-            rhs = coaction.slice_l(x, a).map_terms(term)
-            if lhs != rhs:
-                return "x=%r y=%r a=%r" % (x, y, a)
+            return coaction.slice_l(x, a).map_terms(term)
         rep.law("comodalg-multiplicative-left",
-                "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)", check,
+                "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)",
+                equal(lambda x, y, a: coaction.slice_l(alg.mult(x, y), a), rhs),
                 rep.draws((mod, 3), (mod, 3), mha.algebra))
     return rep
 
@@ -273,17 +259,13 @@ def check_a_commutative(H, samples=40, seed=0):
     mha = H.mha
     rep = Report("module-algebra", H, seed, samples)
 
-    def check(x, y):
-        lhs = H.alg.mult(x, y)
-        e = H.module.local_unit([x])
-
+    def rhs(x, y):
         def term(s):
             y0, m = split_sym(s, H.module.arity)
             return H.alg.mult(H.module.el(y0), H.module.act(mha.el(m), x))
-        rhs = H.coaction.slice_r(y, e).map_terms(term)
-        if lhs != rhs:
-            return "x=%r y=%r lhs=%r rhs=%r" % (x, y, lhs, rhs)
-    rep.law("a-commutative", "xy = y_(0)(y_(1).x)", check,
+        return H.coaction.slice_r(y, H.module.local_unit([x])).map_terms(term)
+    rep.law("a-commutative", "xy = y_(0)(y_(1).x)",
+            equal(lambda x, y: H.alg.mult(x, y), rhs),
             rep.draws((H.module, 3), (H.module, 3)))
     return rep
 
@@ -336,17 +318,15 @@ def check_qt_coaction(ma, qt, samples=30, seed=0):
     yd = YDModule(ma.module, coa, name=ma.name + ":qt")
     rep.merge(check_yd(yd, samples, seed + 1), "yd")
 
-    def check(m, n):
+    def direct(m, n):
         def term(s):
             i, j = legs(s)
             return tensor(ma.module.act(alg.el(j), n), ma.module.act(alg.el(i), m))
-        direct = qt.r.map_terms(term)
-        via = braiding_c(ma.module, yd, tensor(m, n))
-        if direct != via:
-            return "m=%r n=%r direct=%r via=%r" % (m, n, direct, via)
+        return qt.r.map_terms(term)
     rep.law("qt-braiding",
             "C(m (x) n) = tau(R)(n (x) m) through the induced coaction",
-            check, rep.draws((ma.module, 3), (ma.module, 3)))
+            equal(direct, lambda m, n: braiding_c(ma.module, yd, tensor(m, n))),
+            rep.draws((ma.module, 3), (ma.module, 3)))
     return rep
 
 
@@ -436,39 +416,30 @@ def check_ha_module(M, samples=30, seed=0):
     H = M.H
     rep = Report("hq-monoidal", M, seed, samples)
 
-    def check(h, hp, m):
-        if M.h_act(H.alg.mult(h, hp), m) != M.h_act(h, M.h_act(hp, m)):
-            return "h=%r h'=%r m=%r" % (h, hp, m)
-    rep.law("ha-left-module", "(hh') -> m = h -> (h' -> m)", check,
+    rep.law("ha-left-module", "(hh') -> m = h -> (h' -> m)",
+            equal(lambda h, hp, m: M.h_act(H.alg.mult(h, hp), m),
+                  lambda h, hp, m: M.h_act(h, M.h_act(hp, m))),
             rep.draws((H.alg, 2), (H.alg, 2), (M.module, 3)))
 
-    def check(a, h, m):
-        lhs = M.module.act(a, M.h_act(h, m))
-        e = M.module.local_unit([m])
-
-        def term(s):
-            p, q = legs(s)
-            return M.h_act(H.module.act(mha.el(p), h), M.module.act(mha.el(q), m))
-        rhs = mha.delta_r(a, e).map_terms(term)
-        if lhs != rhs:
-            return "a=%r h=%r m=%r lhs=%r rhs=%r" % (a, h, m, lhs, rhs)
-    rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)", check,
+    # the right side applies -> to the diagonal action on h (x) m
+    pair = tensor_module(H.module, M.module)
+    rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)",
+            equal(lambda a, h, m: M.module.act(a, M.h_act(h, m)),
+                  lambda a, h, m: pair.act(a, tensor(h, m)).map_terms(
+                      lambda s: M.h_act_basis[split_sym(s, H.module.arity)])),
             rep.draws(mha.algebra, (H.alg, 2), (M.module, 3)))
 
-    def check(h, m, ap):
-        lhs = M.coaction.slice_r(M.h_act(h, m), ap)
-
+    def rhs(h, m, ap):
         def term(s):  # h_(0) (x) h_(1)a' -> h_(0) -> m_(0) (x) m_(1)h_(1)a'
             h0, k = split_sym(s, H.module.arity)
             return apply_legs(M.coaction.slice_r(m, mha.el(k)), 0,
                               M.module.arity,
                               lambda m0: M.h_act(H.alg.el(h0), m0))
-        rhs = H.coaction.slice_r(h, ap).map_terms(term)
-        if lhs != rhs:
-            return "h=%r m=%r a'=%r lhs=%r rhs=%r" % (h, m, ap, lhs, rhs)
+        return H.coaction.slice_r(h, ap).map_terms(term)
     rep.law("ha-coaction-compat",
             "rho(h -> m)(1 (x) a') = h_(0) -> m_(0) (x) m_(1) h_(1) a'",
-            check, rep.draws((H.alg, 2), (M.module, 3), mha.algebra))
+            equal(lambda h, m, ap: M.coaction.slice_r(M.h_act(h, m), ap), rhs),
+            rep.draws((H.alg, 2), (M.module, 3), mha.algebra))
 
     if M.coaction.has_slice_l:
         rep.merge(check_yd(YDModule(M.module, M.coaction, name=M.name),
@@ -492,18 +463,13 @@ def check_h_bimodule(M, samples=40, seed=0):
     H = M.H
     rep = Report("hq-monoidal", M, seed, samples)
 
-    def right_module(h, hp, m):
-        if M.r_act(m, H.alg.mult(h, hp)) != M.r_act(M.r_act(m, h), hp):
-            return "h=%r h'=%r m=%r" % (h, hp, m)
-
-    def interchange(h, hp, m):
-        if M.r_act(M.h_act(h, m), hp) != M.h_act(h, M.r_act(m, hp)):
-            return "h=%r h'=%r m=%r" % (h, hp, m)
-
     rep.law_group([
-        ("ha-right-module", "m <- (hh') = (m <- h) <- h'", right_module),
+        ("ha-right-module", "m <- (hh') = (m <- h) <- h'",
+         equal(lambda h, hp, m: M.r_act(m, H.alg.mult(h, hp)),
+               lambda h, hp, m: M.r_act(M.r_act(m, h), hp))),
         ("ha-bimodule-interchange", "(h -> m) <- h' = h -> (m <- h')",
-         interchange)],
+         equal(lambda h, hp, m: M.r_act(M.h_act(h, m), hp),
+               lambda h, hp, m: M.h_act(h, M.r_act(m, hp))))],
         rep.draws((H.alg, 2), (H.alg, 2), (M.module, 3)))
     return rep
 
@@ -594,44 +560,35 @@ def check_balanced_tensor(T, samples=20, seed=0):
     if len(rels) > 60:
         rels = rep.rng.sample(rels, 60)
 
-    def action(rel, a, h, ap):
-        if not T.quot.project(T.amb.act(a, rel)).is_zero():
-            return "a=%r rel=%r" % (a, rel)
-
-    def h_action(rel, a, h, ap):
-        if not T.quot.project(T.h_amb(h, rel)).is_zero():
-            return "h=%r rel=%r" % (h, rel)
-
-    def r_action(rel, a, h, ap):
-        if not T.quot.project(T.r_amb(rel, h)).is_zero():
-            return "h=%r rel=%r" % (h, rel)
-
-    def coaction(rel, a, h, ap):
-        if not apply_legs(T.amb_coaction.slice_r(rel, ap), 0, T.arity,
-                          T.quot.project).is_zero():
-            return "a'=%r rel=%r" % (ap, rel)
-
+    zero = Element(mha.field)
     rep.law_group([
         ("tensor-relator-action", "the diagonal A-action preserves the "
-         "balancing relators", action),
+         "balancing relators", equal(
+             lambda rel, a, h, ap: T.quot.project(T.amb.act(a, rel)),
+             lambda *_: zero)),
         ("tensor-relator-h-action", "h -> (.) preserves the balancing "
-         "relators", h_action),
+         "relators", equal(
+             lambda rel, a, h, ap: T.quot.project(T.h_amb(h, rel)),
+             lambda *_: zero)),
         ("tensor-relator-r-action", "(.) <- h preserves the balancing "
-         "relators", r_action),
+         "relators", equal(
+             lambda rel, a, h, ap: T.quot.project(T.r_amb(rel, h)),
+             lambda *_: zero)),
         ("tensor-relator-coaction", "the composite coaction preserves the "
-         "balancing relators", coaction)],
+         "balancing relators", equal(
+             lambda rel, a, h, ap: apply_legs(T.amb_coaction.slice_r(rel, ap),
+                                              0, T.arity, T.quot.project),
+             lambda *_: zero))],
         ((rel,) + drawn for rel, drawn in zip(rels, rep.draws(
             mha.algebra, (T.H.alg, 2), mha.algebra, n=len(rels)))))
 
     rep.merge(check_ha_module(T.ham, samples, seed), "tensor")
 
-    def check(m, h):
-        if T.ham.r_act(m, h) != T.ham.r_act_formula(m, h):
-            return "m=%r h=%r" % (m, h)
     rep.law("tensor-right-action",
             "(m (x) n) <- h = m (x) (n <- h) matches h_(0) -> (h_(1).(m (x) n))",
-            check, rep.draws((T.ham.module, 2), (T.H.alg, 2),
-                             n=samples if T.quot.basis else 0))
+            equal(lambda m, h: T.ham.r_act(m, h), T.ham.r_act_formula),
+            rep.draws((T.ham.module, 2), (T.H.alg, 2),
+                      n=samples if T.quot.basis else 0))
     return rep
 
 
@@ -678,21 +635,21 @@ def check_unit_laws(M, samples=15, seed=0):
                 None if rk == dim_t == dim_m else
                 "image rank %d, dims %d/%d" % (rk, dim_t, dim_m))
 
-        def check(c, a, h):
-            sec = T.quot.section(c)
-            if psi(T.quot.section(T.ham.module.act(a, c))) != M.module.act(a, psi(sec)):
-                return "A-action at c=%r a=%r" % (c, a)
-            if psi(T.quot.section(T.ham.h_act(h, c))) != M.h_act(h, psi(sec)):
-                return "H-action at c=%r h=%r" % (c, h)
-            # coaction: map the carrier legs, keep the A-leg
-            got = apply_legs(T.ham.coaction.slice_r(c, a), 0, T.arity, psi)
-            if got != M.coaction.slice_r(psi(sec), a):
-                return "coaction at c=%r a=%r" % (c, a)
+        # each equation reads m = psi(c), the image of a section of c
         rep.law("tensor-unit-structure-%s" % side,
                 "the canonical unit map intertwines action, H-action and "
-                "coaction", check,
-                rep.draws((T.ham.module, 2), mha.algebra, (H.alg, 2),
-                          n=samples if T.quot.basis else 0))
+                "coaction", equal(
+                    lambda c, m, a, h: psi(T.quot.section(T.ham.module.act(a, c))),
+                    lambda c, m, a, h: M.module.act(a, m),
+                    lambda c, m, a, h: psi(T.quot.section(T.ham.h_act(h, c))),
+                    lambda c, m, a, h: M.h_act(h, m),
+                    # coaction: map the carrier legs, keep the A-leg
+                    lambda c, m, a, h: apply_legs(T.ham.coaction.slice_r(c, a),
+                                                  0, T.arity, psi),
+                    lambda c, m, a, h: M.coaction.slice_r(m, a)),
+                ((c, psi(T.quot.section(c)), a, h) for c, a, h in rep.draws(
+                    (T.ham.module, 2), mha.algebra, (H.alg, 2),
+                    n=samples if T.quot.basis else 0)))
     return rep
 
 
@@ -753,29 +710,33 @@ def check_associator(X, Y, Z, samples=15, seed=0):
     flats = X.module.space.tensor(Y.module.space).tensor(Z.module.space).basis
     probe = flats if len(flats) <= 60 else rep.rng.sample(flats, 60)
 
-    def check(t):
-        ft = Element.basis(mha.field, t)
-        if phi(to_l(ft)) != to_r(ft) or phi_inv(to_r(ft)) != to_l(ft):
-            return "t=%r" % ft
+    def el(sym):
+        return Element.basis(mha.field, sym)
+
+    # on each flat t, with l and r its projections to the two bracketings
     rep.law("assoc-canonical", "the rebracketing map agrees with the flat "
-            "projections on every representative", check, zip(probe))
+            "projections on every representative",
+            equal(lambda t, l, r: phi(l), lambda t, l, r: r,
+                  lambda t, l, r: phi_inv(r), lambda t, l, r: l),
+            ((t, to_l(t), to_r(t)) for t in map(el, probe)))
 
-    def check(side, b, there, back):
-        c = Element.basis(mha.field, b)
-        if back(there(c)) != c:
-            return "%s basis %r" % (side, c)
-    rep.law("assoc-invertible", "the rebracketing map is invertible", check,
-            [("left", b, phi, phi_inv) for b in TL.quot.basis]
-            + [("right", b, phi_inv, phi) for b in TR.quot.basis])
+    # on the basis of each bracketing, the map there and its inverse back
+    maps = {"left": (phi, phi_inv), "right": (phi_inv, phi)}
+    rep.law("assoc-invertible", "the rebracketing map is invertible",
+            equal(lambda side, c: maps[side][1](maps[side][0](c)),
+                  lambda side, c: c),
+            [("left", el(b)) for b in TL.quot.basis]
+            + [("right", el(b)) for b in TR.quot.basis])
 
-    def check(c, a, h):
-        if phi(TL.ham.module.act(a, c)) != TR.ham.module.act(a, phi(c)):
-            return "A-linearity at c=%r a=%r" % (c, a)
-        if phi(TL.ham.h_act(h, c)) != TR.ham.h_act(h, phi(c)):
-            return "H-linearity at c=%r h=%r" % (c, h)
+    # both equations read phi(c)
     rep.law("assoc-linear", "the rebracketing map is A-linear and H-linear",
-            check, rep.draws((TL.ham.module, 2), mha.algebra, (X.H.alg, 2),
-                             n=samples if TL.quot.basis else 0))
+            equal(lambda c, pc, a, h: phi(TL.ham.module.act(a, c)),
+                  lambda c, pc, a, h: TR.ham.module.act(a, pc),
+                  lambda c, pc, a, h: phi(TL.ham.h_act(h, c)),
+                  lambda c, pc, a, h: TR.ham.h_act(h, pc)),
+            ((c, phi(c), a, h) for c, a, h in rep.draws(
+                (TL.ham.module, 2), mha.algebra, (X.H.alg, 2),
+                n=samples if TL.quot.basis else 0)))
     return rep
 
 
@@ -796,12 +757,11 @@ def check_pentagon(X, Y, Z, W, seed=0):
             flat = T.quot.section(project(flat))
         return stops[-1][2](flat)
 
-    def check(b):
-        flat = o1.quot.section(Element.basis(mha.field, b))
-        if path(flat, o5, o4) != path(flat, o2, o3, o4):
-            return "class %r" % flat
     rep.law("pentagon", "the two composite rebracketing paths agree",
-            check, zip(o1.quot.basis))
+            equal(lambda flat: path(flat, o5, o4),
+                  lambda flat: path(flat, o2, o3, o4)),
+            ((o1.quot.section(Element.basis(mha.field, b)),)
+             for b in o1.quot.basis))
     return rep
 
 

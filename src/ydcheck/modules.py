@@ -13,7 +13,7 @@ untwisted product table.
 
 from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
 from .mha import Space, Multiplier, probe_elements
-from .report import Report
+from .report import Report, equal
 from .instances import ID
 
 
@@ -93,8 +93,8 @@ class ExtendedElement:
                                lambda ap: self.rho(alg.mult(ap, a)),
                                label="%r.%s" % (a, self.label))
 
-    def agrees_with(self, other, probes):
-        return all(self.rho(a) == other.rho(a) for a in probes)
+    def __repr__(self):
+        return self.label
 
 
 def embed_rho(module, x):
@@ -229,51 +229,41 @@ def check_comodule(coaction, samples=50, seed=0):
 
     # Gamma(v) is a right-module map: Gamma(v)(1 (x) aa') agrees with
     # right-multiplying the second leg of Gamma(v)(1 (x) a) by a'
-    def check(v, a, ap):
-        lhs = coaction.slice_r(v, alg.mult(a, ap))
-        rhs = apply_legs(coaction.slice_r(v, a), mod.arity, 1,
-                         lambda v1: alg.mult(v1, ap))
-        if lhs != rhs:
-            return "v=%r a=%r a'=%r lhs=%r rhs=%r" % (v, a, ap, lhs, rhs)
     rep.law("coaction-module-map", "Gamma(v)(1(x)aa') = (Gamma(v)(1(x)a))(1(x)a')",
-            check, rep.draws((mod, 3), alg, alg))
+            equal(lambda v, a, ap: coaction.slice_r(v, alg.mult(a, ap)),
+                  lambda v, a, ap: apply_legs(coaction.slice_r(v, a), mod.arity,
+                                              1, lambda v1: alg.mult(v1, ap))),
+            rep.draws((mod, 3), alg, alg))
 
     # sliced coassociativity:
     #   v_(0) (x) v_(1)(1) x (x) v_(1)(2) y  =  v_(0)(0) (x) v_(0)(1) x (x) v_(1) y
     # LHS: replace the multiplier v_(1) by v_(1)c for a coproduct cover c of
     # (x, y); then Delta(v_(1)c)(x (x) y) = deltaR2(., x) right-multiplied by y.
-    def check(v, x, y):
+    def lhs(v, x, y):
         c = mha.delta_cover([x], [y])
-        lhs = apply_legs(coaction.slice_r(v, c), mod.arity, 1,
-                         lambda w: apply_legs(mha.delta_r2(w, x), 1, 1,
-                                              lambda w2: alg.mult(w2, y)))
-        rhs = apply_legs(coaction.slice_r(v, y), 0, mod.arity,
-                         lambda v0: coaction.slice_r(v0, x))
-        if lhs != rhs:
-            return "v=%r x=%r y=%r lhs=%r rhs=%r" % (v, x, y, lhs, rhs)
-    rep.law("coaction-coassoc", "sliced coassociativity of Gamma", check,
-            rep.draws((mod, 3), alg, alg))
+        return apply_legs(coaction.slice_r(v, c), mod.arity, 1,
+                          lambda w: apply_legs(mha.delta_r2(w, x), 1, 1,
+                                               lambda w2: alg.mult(w2, y)))
+    rep.law("coaction-coassoc", "sliced coassociativity of Gamma", equal(
+        lhs, lambda v, x, y: apply_legs(coaction.slice_r(v, y), 0, mod.arity,
+                                        lambda v0: coaction.slice_r(v0, x))),
+        rep.draws((mod, 3), alg, alg))
 
     # counitary
-    def check(v, a):
-        got = mha.counit_leg(coaction.slice_r(v, a), mod.arity)
-        if got != v.scaled(mha.counit(a)):
-            return "v=%r a=%r got=%r" % (v, a, got)
     rep.law("coaction-counit", "(i (x) eps)(Gamma(v)(1(x)a)) = v eps(a)",
-            check, rep.draws((mod, 3), alg))
+            equal(lambda v, a: mha.counit_leg(coaction.slice_r(v, a), mod.arity),
+                  lambda v, a: v.scaled(mha.counit(a))),
+            rep.draws((mod, 3), alg))
 
     if coaction.has_slice_l:
         # two-sided multiplier compatibility:
         # (1 (x) a)(Gamma(v)(1 (x) a')) = ((1 (x) a)Gamma(v))(1 (x) a')
-        def check(v, a, ap):
-            lhs = apply_legs(coaction.slice_r(v, ap), mod.arity, 1,
-                             lambda v1: alg.mult(a, v1))
-            rhs = apply_legs(coaction.slice_l(v, a), mod.arity, 1,
-                             lambda v1: alg.mult(v1, ap))
-            if lhs != rhs:
-                return "v=%r a=%r a'=%r" % (v, a, ap)
         rep.law("coaction-two-sided", "left and right slices agree as a two-sided multiplier",
-                check, rep.draws((mod, 3), alg, alg))
+                equal(lambda v, a, ap: apply_legs(coaction.slice_r(v, ap), mod.arity,
+                                                  1, lambda v1: alg.mult(a, v1)),
+                      lambda v, a, ap: apply_legs(coaction.slice_l(v, a), mod.arity,
+                                                  1, lambda v1: alg.mult(v1, ap))),
+                rep.draws((mod, 3), alg, alg))
 
     return rep
 
@@ -367,30 +357,29 @@ def check_extended_modules(mha, samples=40, seed=0):
 
     # for unital algebras the extension is the plain action (Y = X)
     if alg.has_unit:
-        def check(a, x):
-            if extend_action(mod, Multiplier.from_element(alg, a), x) != mod.act(a, x):
-                return "a=%r x=%r" % (a, x)
         rep.law("unital-identity", "extension along A subset M(A) is the plain action",
-                check, rep.draws(alg, (mod, 3)))
+                equal(lambda a, x: extend_action(
+                    mod, Multiplier.from_element(alg, a), x),
+                    lambda a, x: mod.act(a, x)),
+                rep.draws(alg, (mod, 3)))
 
-    # rho embedding laws
-    def left_kind(x, a, ap):
-        r = embed_rho(mod, x)
-        if r.rho(alg.mult(a, ap)) != mod.act(a, r.rho(ap)):
-            return "x=%r a=%r a'=%r" % (x, a, ap)
-        # (a.rho_x)(a') = rho_x(a'a) = rho_{a.x}(a')
-        if not r.acted_by(a).agrees_with(embed_rho(mod, mod.act(a, x)), [ap, a]):
-            return "module-map law at x=%r a=%r" % (x, a)
-
-    def injective(x, a, ap):
-        if not x.is_zero() and embed_rho(mod, x).rho(mod.local_unit([x])).is_zero():
+    # rho embedding laws, on r = rho_x: rho(aa') = a.rho(a'), and
+    # (a.rho_x)(p) = rho_x(pa) = rho_{a.x}(p) on the probes p = a', a
+    def injective(x, r, a, ap):
+        if not x.is_zero() and r.rho(mod.local_unit([x])).is_zero():
             return "x=%r killed by its local unit" % x
 
     rep.law_group([
-        ("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}",
-         left_kind),
+        ("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}", equal(
+            lambda x, r, a, ap: r.rho(alg.mult(a, ap)),
+            lambda x, r, a, ap: mod.act(a, r.rho(ap)),
+            lambda x, r, a, ap: [r.acted_by(a).rho(p) for p in (ap, a)],
+            lambda x, r, a, ap: [embed_rho(mod, mod.act(a, x)).rho(p)
+                                 for p in (ap, a)])),
         ("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
-         injective)], rep.draws((mod, 3), alg, alg))
+         injective)],
+        ((x, embed_rho(mod, x), a, ap)
+         for x, a, ap in rep.draws((mod, 3), alg, alg)))
     if alg.basis is not None:
         rep.merge(finite_dim_inclusion(coproduct_coaction(mod), seed=seed),
                   "delta")

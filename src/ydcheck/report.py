@@ -16,6 +16,21 @@ Report.law_group several on shared tuples.  The first witness is recorded
 and ends the law's stream, so no later tuple is drawn.  The draws are lazy
 and made from rep.rng in a fixed order, so a witness replays from the
 report's seed alone.
+
+A law that is an equation is built by equal(lhs, rhs[, lhs2, rhs2, ...]):
+each side is a function of the law's variables, the equations are tried in
+order, and the first that fails renders the one witness format,
+
+    [equation k ; ]a=<a> ; b=<b> ; lhs = <lhs> ; rhs = <rhs>
+
+with the variables named by the first side's parameters; Report.check
+records a law on two computed sides in the same format, with no variables.
+A value that both sides (or several laws of a group) read is derived once
+per tuple in the stream, ((a, b, tensor(a, b)) for a, b in
+rep.draws(alg, alg)), and is then one more named variable.  Only laws that
+are not equations keep a hand-written check and its text: probe scans, an
+implication, a second stream read with next(), factorization certificates
+and a table scan.
 """
 
 import json
@@ -23,6 +38,37 @@ import random
 
 
 SCHEMA_VERSION = 2  # 2: law ids are unique within a report
+
+
+def show(names, variables, lhs, rhs):
+    """The witness of a failed equation: each variable as name=<value>,
+    then both sides."""
+    return " ; ".join(["%s=%r" % (n, v) for n, v in zip(names, variables)]
+                      + ["lhs = %r" % (lhs,), "rhs = %r" % (rhs,)])
+
+
+def equal(*sides):
+    """The check of a law that is one or more equations, given as sides
+    lhs, rhs, lhs2, rhs2, ... over the law's variables: check(*variables)
+    evaluates the equations in order and, at the first whose sides differ,
+    returns its witness (show, prefixed "equation k ; " when there are
+    several), evaluating no later side; None when every equation holds.
+    The witness names the variables by the first side's parameters, so
+    that side is a lambda or def over them, not a bound method."""
+    if not sides or len(sides) % 2:
+        raise ValueError("equal takes sides in lhs, rhs pairs")
+    code = sides[0].__code__
+    names = code.co_varnames[:code.co_argcount]
+    pairs = list(zip(sides[::2], sides[1::2]))
+    tag = len(pairs) > 1
+
+    def check(*variables):
+        for k, (lhs, rhs) in enumerate(pairs, 1):
+            left, right = lhs(*variables), rhs(*variables)
+            if left != right:
+                wit = show(names, variables, left, right)
+                return "equation %d ; %s" % (k, wit) if tag else wit
+    return check
 
 
 class LawResult:
@@ -104,8 +150,7 @@ class Report:
 
     def check(self, law, statement, lhs, rhs):
         """Record an exact-equality law; on failure render both sides."""
-        self.add(law, statement,
-                 None if lhs == rhs else "lhs = %r ; rhs = %r" % (lhs, rhs))
+        self.add(law, statement, None if lhs == rhs else show((), (), lhs, rhs))
 
     @property
     def ok(self):

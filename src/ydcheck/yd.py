@@ -19,7 +19,7 @@ factors cancel.  Each evaluator documents its slice composition.
 
 
 from .linear import Element, linear, tensor, legs, split_sym, apply_legs
-from .report import Report
+from .report import Report, equal
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
                       regular_module, coproduct_coaction)
@@ -124,25 +124,16 @@ def check_yd(yd, samples=40, seed=0):
     rep = Report("yd", yd, seed, samples)
     mod, coa = yd.module, yd.coaction
 
-    def compat(a, ap, v):
-        lhs = coa.slice_r(mod.act(a, v), ap)
-        rhs = compat_rhs(mod, coa, a, ap, v)
-        if lhs != rhs:
-            return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
-
-    def compat_alt(a, ap, v):
-        lhs = compat_alt_lhs(mod, coa, a, ap, v)
-        rhs = compat_alt_rhs(mod, coa, a, ap, v)
-        if lhs != rhs:
-            return "a=%r a'=%r v=%r lhs=%r rhs=%r" % (a, ap, v, lhs, rhs)
-
     rep.law_group([
         ("yd-compat",
          "(a.v)_(0) (x) (a.v)_(1)a' = a_(2).v_(0) (x) a_(3)v_(1)S^-1(a_(1))a'",
-         compat),
+         equal(lambda a, ap, v: coa.slice_r(mod.act(a, v), ap),
+               lambda a, ap, v: compat_rhs(mod, coa, a, ap, v))),
         ("yd-compat-alt",
          "(a_(2).v)_(0) (x) (a_(2).v)_(1)a_(1)a' = a_(1).v_(0) (x) a_(2)v_(1)a'",
-         compat_alt)], rep.draws(mha.algebra, mha.algebra, (mod, 3)))
+         equal(lambda a, ap, v: compat_alt_lhs(mod, coa, a, ap, v),
+               lambda a, ap, v: compat_alt_rhs(mod, coa, a, ap, v)))],
+        rep.draws(mha.algebra, mha.algebra, (mod, 3)))
     return rep
 
 
@@ -454,52 +445,42 @@ def check_half_braiding(H, samples=30, seed=0):
     reg = regular_module(mha)
 
     # right-module map in the first slot
-    def check(a, b, v):
-        lhs = H.cA(alg.mult(b, a), v)
-        rhs = apply_legs(H.cA(b, v), H.module.arity, 1, lambda m: alg.mult(m, a))
-        if lhs != rhs:
-            return "a=%r b=%r v=%r" % (a, b, v)
     rep.law("half-braiding-module-map", "C(ba (x) v) = C(b (x) v)(1 (x) a)",
-            check, rep.draws(alg, alg, (H.module, 3)))
+            equal(lambda a, b, v: H.cA(alg.mult(b, a), v),
+                  lambda a, b, v: apply_legs(H.cA(b, v), H.module.arity, 1,
+                                             lambda m: alg.mult(m, a))),
+            rep.draws(alg, alg, (H.module, 3)))
 
     # left A-linearity: a.C(x (x) v) = C(a.(x (x) v)), diagonal actions on
     # both sides realized with local-unit splits of a
-    def check(a, x, v):
-        lhs = act_on_slice(H.module, a, H.cA(x, v))
-
+    def rhs(a, x, v):
         def term(s):
             p, q = legs(s)
             return H.cA(alg.mult(alg.el(p), x), H.module.act(alg.el(q), v))
-        u2 = H.module.local_unit([v], [x])
-        rhs = mha.delta_r(a, u2).map_terms(term)
-        if lhs != rhs:
-            return "a=%r x=%r v=%r lhs=%r rhs=%r" % (a, x, v, lhs, rhs)
+        return mha.delta_r(a, H.module.local_unit([v], [x])).map_terms(term)
     rep.law("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))",
-            check, rep.draws(alg, alg, (H.module, 3)))
+            equal(lambda a, x, v: act_on_slice(H.module, a, H.cA(x, v)), rhs),
+            rep.draws(alg, alg, (H.module, 3)))
 
     # tensor decomposition at X = Y = A:
     # C_{A (x) A, V} = (C_{A,V} (x) i)(i (x) C_{A,V})
     try:
         aa = tensor_module(reg, reg)
 
-        def check(x, y, v):
-            lhs = H.component(aa, tensor(tensor(x, y), v))
+        def rhs(x, y, v):
             inner = H.component(reg, tensor(y, v))  # v0 (x) m.y
-            rhs = apply_legs(inner, 0, H.module.arity,
-                             lambda v0: H.component(reg, tensor(x, v0)))
-            if lhs != rhs:
-                return "x=%r y=%r v=%r" % (x, y, v)
+            return apply_legs(inner, 0, H.module.arity,
+                              lambda v0: H.component(reg, tensor(x, v0)))
         rep.law("half-braiding-tensor", "C_{X(x)Y,V} = (C_{X,V}(x)i)(i(x)C_{Y,V}) at X=Y=A",
-                check, rep.draws(alg, alg, (H.module, 3)))
+                equal(lambda x, y, v: H.component(aa, tensor(tensor(x, y), v)), rhs),
+                rep.draws(alg, alg, (H.module, 3)))
     except ValueError as exc:
         rep.add("half-braiding-tensor", "tensor decomposition at X=Y=A", str(exc))
 
     # derived-component consistency at X = A
-    def check(x, v):
-        if H.component(reg, tensor(x, v)) != H.cA(x, v):
-            return "x=%r v=%r" % (x, v)
     rep.law("half-braiding-derived", "C_X from local units agrees with cA at X=A",
-            check, rep.draws(alg, (H.module, 3)))
+            equal(lambda x, v: H.component(reg, tensor(x, v)), H.cA),
+            rep.draws(alg, (H.module, 3)))
     return rep
 
 
@@ -518,24 +499,16 @@ def check_equivalence(mha, samples=30, seed=0):
 
         # F(G(V)) = V: same module by construction, slices compared
         # extensionally
-        def check(v, a):
-            if back.coaction.slice_r(v, a) != V.coaction.slice_r(v, a):
-                return "right slice differs at v=%r a=%r" % (v, a)
-            if back.coaction.slice_l(v, a) != V.coaction.slice_l(v, a):
-                return ("left slice differs at v=%r a=%r: %r vs %r"
-                        % (v, a, back.coaction.slice_l(v, a),
-                           V.coaction.slice_l(v, a)))
-        rep.law("fg-identity[%s]" % V.name, "F(G(V)) = V extensionally",
-                check, rep.draws((mod, 3), alg))
+        rep.law("fg-identity[%s]" % V.name, "F(G(V)) = V extensionally", equal(
+            lambda v, a: back.coaction.slice_r(v, a), V.coaction.slice_r,
+            lambda v, a: back.coaction.slice_l(v, a), V.coaction.slice_l),
+            rep.draws((mod, 3), alg))
 
         # G(F(H)) = H on the regular component
         H2 = functor_g(back)
-
-        def check(v, a):
-            if H2.cA(a, v) != H.cA(a, v):
-                return "v=%r a=%r" % (v, a)
         rep.law("gf-identity[%s]" % V.name, "G(F(H)) = H extensionally",
-                check, rep.draws((mod, 3), alg))
+                equal(lambda v, a: H2.cA(a, v), lambda v, a: H.cA(a, v)),
+                rep.draws((mod, 3), alg))
 
         # braiding round trips; v (x) x is drawn only once x (x) v round-trips
         more = rep.draws((mod, 3), alg)
@@ -552,14 +525,12 @@ def check_equivalence(mha, samples=30, seed=0):
                 rep.draws(alg, (mod, 3)))
 
         # naturality in X under the right-multiplication module map
-        def check(x, b, v):
-            lhs = braiding_c(reg, V, tensor(alg.mult(x, b), v))
-            rhs = apply_legs(braiding_c(reg, V, tensor(x, v)), mod.arity, 1,
-                             lambda m: alg.mult(m, b))
-            if lhs != rhs:
-                return "x=%r b=%r v=%r" % (x, b, v)
         rep.law("braiding-natural[%s]" % V.name,
-                "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)", check,
+                "(i (x) .b) C_{A,V} = C_{A,V}(.b (x) i)", equal(
+                    lambda x, b, v: braiding_c(reg, V, tensor(alg.mult(x, b), v)),
+                    lambda x, b, v: apply_legs(braiding_c(reg, V, tensor(x, v)),
+                                               mod.arity, 1,
+                                               lambda m: alg.mult(m, b))),
                 rep.draws(alg, alg, (mod, 3)))
 
         rep.merge(check_half_braiding(H, samples=samples, seed=seed), V.name)
@@ -568,26 +539,20 @@ def check_equivalence(mha, samples=30, seed=0):
     V, W = fixtures[0], fixtures[1]
     VW = yd_tensor(V, W)
 
-    def check(x, v, w):
-        lhs = braiding_c(reg, VW, tensor(tensor(x, v), w))
+    def rhs(x, v, w):
         mid = braiding_c(reg, V, tensor(x, v))  # v0 (x) v1.x
-        rhs = apply_legs(mid, V.module.arity, 1,
-                         lambda m: braiding_c(reg, W, tensor(m, w)))
-        if lhs != rhs:
-            return "x=%r v=%r w=%r lhs=%r rhs=%r" % (x, v, w, lhs, rhs)
+        return apply_legs(mid, V.module.arity, 1,
+                          lambda m: braiding_c(reg, W, tensor(m, w)))
     rep.law("braiding-hexagon",
             "C_{X,V(x)W} = (i (x) C_{X,W})(C_{X,V} (x) i) at X=A",
-            check, rep.draws(alg, (V.module, 3), (W.module, 3)))
+            equal(lambda x, v, w: braiding_c(reg, VW, tensor(tensor(x, v), w)), rhs),
+            rep.draws(alg, (V.module, 3), (W.module, 3)))
 
     # morphism transport for a scalar YD morphism
     V = fixtures[1]
     two = mha.field.from_int(2)
-
-    def check(x, v):
-        lhs = braiding_c(reg, V, tensor(x, v.scaled(two)))
-        rhs = braiding_c(reg, V, tensor(x, v)).scaled(two)
-        if lhs != rhs:
-            return "x=%r v=%r" % (x, v)
     rep.law("morphism-transport", "(f (x) i)C_{X,V} = C_{X,V}(i (x) f) for scalar f",
-            check, rep.draws(alg, (V.module, 3)))
+            equal(lambda x, v: braiding_c(reg, V, tensor(x, v.scaled(two))),
+                  lambda x, v: braiding_c(reg, V, tensor(x, v)).scaled(two)),
+            rep.draws(alg, (V.module, 3)))
     return rep

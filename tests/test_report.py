@@ -1,6 +1,7 @@
 """The law-sampling primitive and the sub-report merge of Report: a law is
 a check of its variables, run over an iterable of variable tuples drawn
-from the report's own seeded stream."""
+from the report's own seeded stream; an equation law's check is built by
+equal, which renders the one witness format."""
 
 import random
 
@@ -10,7 +11,7 @@ from ydcheck.fields import QQ
 from ydcheck.instances import build_instance
 from ydcheck.mha import draws
 from ydcheck.modules import regular_module
-from ydcheck.report import Report
+from ydcheck.report import Report, equal
 
 
 def _report():
@@ -164,3 +165,45 @@ def test_a_law_id_is_recorded_once_per_report():
     with pytest.raises(ValueError, match=r"duplicate law id 'y\[a\]'"):
         rep.merge(sub, "a")
     assert [r.law for r in rep.laws] == ["x", "y[a]"]
+
+
+def test_equal_names_the_variables_by_the_first_side():
+    def lhs(a, b):
+        return a + b
+    # the second side's parameter names play no part in the witness
+    check = equal(lhs, lambda x, y: x * y)
+    assert check(2, 2) is None
+    assert check(1, 3) == "a=1 ; b=3 ; lhs = 4 ; rhs = 3"
+    check = equal(lambda v, w: [v, w], lambda v, w: [w, v])
+    assert check("p", "q") == ("v='p' ; w='q' ; lhs = ['p', 'q'] ; "
+                               "rhs = ['q', 'p']")
+    with pytest.raises(ValueError, match="lhs, rhs pairs"):
+        equal(lhs)
+
+
+def test_equal_tries_its_equations_in_order_and_stops_at_the_first_failure():
+    evaluated = []
+
+    def side(name, value):
+        def f(a):
+            evaluated.append(name)
+            return value(a)
+        return f
+
+    check = equal(side("l1", abs), side("r1", abs),
+                  side("l2", lambda a: a), side("r2", lambda a: -a),
+                  side("l3", lambda a: a), side("r3", lambda a: a + 1))
+    assert check(0) == "equation 3 ; a=0 ; lhs = 0 ; rhs = 1"
+    assert evaluated == ["l1", "r1", "l2", "r2", "l3", "r3"]
+    evaluated.clear()
+    # no side after the first failing equation is evaluated
+    assert check(2) == "equation 2 ; a=2 ; lhs = 2 ; rhs = -2"
+    assert evaluated == ["l1", "r1", "l2", "r2"]
+
+
+def test_equal_without_variables_renders_the_report_check_witness():
+    rep = _report()
+    rep.check("c", "sc", [1], [2])
+    rep.law("l", "sl", equal(lambda: [1], lambda: [2]), [()])
+    assert rep.laws[0].witness == rep.laws[1].witness == "lhs = [1] ; rhs = [2]"
+    assert equal(lambda: 1, lambda: 1)() is None
