@@ -8,9 +8,9 @@
 SUITES gives each suite its runner and what it needs of an instance, checked
 on the built instance before anything else is built.  Exit codes: 0 all laws
 hold, 1 a law failed, 2 usage error (a suite that does not apply, or an
---out that is a directory or in a missing one), 3 internal error.  Reports
-are JSON without timestamps; identical configs give byte-identical files
-(written atomically via a temporary file)."""
+--out that is a directory, in a missing one or cannot be written), 3
+internal error.  Reports are JSON without timestamps; identical configs give
+byte-identical files (written atomically via a temporary file)."""
 
 import argparse
 import functools
@@ -27,8 +27,7 @@ from .double import (DiagonalCrossedProduct, check_dcp_suite,
                      check_double_correspondence_suite)
 from .modalg import (check_module_algebra_suite, check_hq_monoidal,
                      check_qt_coaction_suite)
-from .instances import (build_instance, INSTANCE_NAMES, ConstructionError,
-                        root_of_unity)
+from .instances import build_instance, INSTANCE_NAMES, ConstructionError
 
 
 class NotApplicable(ValueError):
@@ -47,7 +46,7 @@ def _cyclic_with_root(mha):
     if n is None:
         raise NotApplicable("qt-coaction needs a cyclic group algebra "
                             "instance (grp-Z2 or grp-Zn:<n>)")
-    if root_of_unity(mha.field, n) is None:
+    if mha.field.primitive_root_of_unity(n) is None:
         raise NotApplicable("no primitive %d-th root of unity in %s"
                             % (n, mha.field.name))
 
@@ -91,12 +90,15 @@ def run_suite(suite, name, field, samples, seed):
 
 
 def _write_atomic(path, text):
+    """Write text to path through path + ".tmp", which is removed again if
+    writing or renaming it fails."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
+    f = open(tmp, "w")
     try:
+        with f:
+            f.write(text)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         os.remove(tmp)
         raise
 
@@ -170,15 +172,23 @@ def main(argv=None):
         return 3
 
     if args.command == "dump":
-        _write_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True))
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        print(rep.summary())
+        print("%s: %s on %s (%s), %d laws" %
+              ("PASS" if rep.ok else "FAIL", args.suite, args.instance,
+               args.field, len(rep.laws)))
+        text = rep.to_json() if args.out else None
+    if text is not None:
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            print("error: cannot write --out %s: %s" % (args.out, exc),
+                  file=sys.stderr)
+            return 2
+    if args.command == "dump":
         print("wrote %s" % args.out)
         return 0
-    print(rep.summary())
-    print("%s: %s on %s (%s), %d laws" %
-          ("PASS" if rep.ok else "FAIL", args.suite, args.instance,
-           args.field, len(rep.laws)))
-    if args.out:
-        _write_atomic(args.out, rep.to_json())
     return 0 if rep.ok else 1
 
 

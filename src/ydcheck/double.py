@@ -33,7 +33,7 @@ from .linear import (Element, Ten, Memo, Memo2, tensor, legs, make_sym,
                      sym_str, apply_legs, bilinear)
 from .mha import Space, Algebra, draws
 from .modules import UnitalModule, Coaction
-from .yd import YDModule, split_sym, canonical_yd
+from .yd import YDModule, canonical_yd
 from .gyd import check_gyd, trivial_gyd
 from .report import Report, equal
 from .instances import dual_hopf, dual_sym, compute_integrals, identity_pair
@@ -63,13 +63,12 @@ class DiagonalCrossedProduct:
         sweedler3 = Memo(lambda a: base.sweedler(base.el(a), 3))
 
         def exchange_basis(a, q):  # (1 >< a)(q >< 1)
-            def term(s):
-                a1, a2, a3 = legs(s)
+            def term(a1, a2, a3):
                 moved = dual.act_right(
                     dual.act_left(alpha(base.el(a1)), dual.el(q)),
                     base.antipode_inv(beta(base.el(a3))))
                 return tensor(moved, base.el(a2))
-            return sweedler3[a].map_terms(term)
+            return sweedler3[a].map_legs(term)
 
         exchange = Memo2(exchange_basis)
         dual_mult, base_mult = dual.algebra.mult_basis, base.algebra.mult_basis
@@ -78,20 +77,14 @@ class DiagonalCrossedProduct:
             p, a = legs(s1)
             q, b = legs(s2)
 
-            def term(s):
-                r, c = legs(s)
-                return tensor(dual_mult[p, r], base_mult[c, b])
-            return exchange[a, q].map_terms(term)
+            return exchange[a, q].map_legs(
+                lambda r, c: tensor(dual_mult[p, r], base_mult[c, b]))
 
         basis = [Ten((dual_sym(s), t)) for s in base.algebra.basis
                  for t in base.algebra.basis]
         unit = tensor(dual.algebra.unit, base.algebra.unit)
         self.algebra = Algebra(field, mult_basis, Space(basis), unit=unit,
                                name=self.name)
-
-    def element(self, p, a):
-        """p >< a for p in the dual and a in the base (Elements)."""
-        return tensor(p, a)
 
     def counit(self, d):
         """eps(p >< a) = p(1) eps(a)."""
@@ -104,15 +97,13 @@ class DiagonalCrossedProduct:
     def coproduct(self, d):
         """Delta(p >< a) = (p_(2) >< a_(1)) (x) (p_(1) >< a_(2)): the dual
         leg carries the opposite coproduct."""
-        def regroup(s):  # p_(1) (x) p_(2) (x) a_(1) (x) a_(2)
-            p1, p2, a1, a2 = legs(s)
+        def regroup(p1, p2, a1, a2):  # p_(1) (x) p_(2) (x) a_(1) (x) a_(2)
             return Element.basis(self.field, Ten((Ten((p2, a1)), Ten((p1, a2)))))
 
-        def term(s):
-            p, a = legs(s)
+        def term(p, a):
             return tensor(self.dual.coproduct(self.dual.el(p)),
-                          self.base.coproduct(self.base.el(a))).map_terms(regroup)
-        return d.map_terms(term)
+                          self.base.coproduct(self.base.el(a))).map_legs(regroup)
+        return d.map_legs(term)
 
     def structure_constants(self):
         """The full multiplication table, JSON-ready and deterministic."""
@@ -131,10 +122,10 @@ class DiagonalCrossedProduct:
                 "basis": labels, "table": table}
 
 
-def drinfeld_double(base, name=None):
+def drinfeld_double(base):
     """The crossed product at the identity pair."""
     return DiagonalCrossedProduct(base, identity_pair(base),
-                                  name=name or ("D(%s)" % base.name))
+                                  name="D(%s)" % base.name)
 
 
 def check_dcp_suite(mha, samples=200, seed=0):
@@ -226,11 +217,11 @@ def check_dcp_module(M, samples=60, seed=0):
     return rep
 
 
-def regular_dcp_module(dcp, name=None):
+def regular_dcp_module(dcp):
     """The crossed product acting on itself by left multiplication."""
     mult = dcp.algebra.mult_basis
     return DcpModule(dcp, lambda d, m: mult[d, m], dcp.algebra.space,
-                     name=name or (dcp.name + ":regular"))
+                     name=dcp.name + ":regular")
 
 
 def yd_to_dcp_module(V, dcp=None):
@@ -246,20 +237,19 @@ def yd_to_dcp_module(V, dcp=None):
     def act_basis(dsym, msym):
         p, a = legs(dsym)
 
-        def pair_leg(s):  # m_(0) p(m_(1))
-            m0, m1 = split_sym(s, V.module.arity)
+        def pair_leg(m0, m1):  # m_(0) p(m_(1))
             return V.module.el(m0, dual.pairing(dual.el(p), base.el(m1)))
 
         def term(s):  # (a.m)_(0) p((a.m)_(1))
-            return V.coaction.slice_r(V.module.el(s),
-                                      base.algebra.unit).map_terms(pair_leg)
+            gamma = V.coaction.slice_r(V.module.el(s), base.algebra.unit)
+            return gamma.map_legs(pair_leg, at=V.module.arity)
         return V.module.act_basis[a, msym].map_terms(term)
 
     return DcpModule(dcp, act_basis, V.module.space,
                      name=V.name + ":as-dcp-module")
 
 
-def dcp_module_to_yd(M, integrals=None, name=None):
+def dcp_module_to_yd(M, integrals=None):
     """A module over the crossed product as a twisted YD module:
     a.m = (eps >< a).m and the coaction
     m_(0) (x) m_(1) = (phi(. t_(2)) >< 1).m (x) S^-1(t_(1))."""
@@ -278,19 +268,18 @@ def dcp_module_to_yd(M, integrals=None, name=None):
     # the crossed product); track their leg count so slices split correctly
     ar = len(legs(M.basis[0]))
     mod = UnitalModule(base, act_basis, M.space, arity=ar,
-                       name=(name or M.name) + ":as-yd")
+                       name=M.name + ":as-yd")
 
     # materialize the coaction once per carrier basis symbol
     cop_t = base.coproduct(integrals.t)
     phi = Element(field, {dual_sym(s): c for s, c in integrals.phi_coeffs.items()})
 
     def coaction_of(msym):
-        def term(s):
-            t1, t2 = legs(s)  # phi(. t_(2)) = t_(2) |> phi
+        def term(t1, t2):  # phi(. t_(2)) = t_(2) |> phi
             moved = M.act(tensor(dual.act_left(base.el(t2), phi),
                                  base.algebra.unit), M.el(msym))
             return tensor(moved, base.antipode_inv(base.el(t1)))
-        return cop_t.map_terms(term)
+        return cop_t.map_legs(term)
 
     coact = {msym: coaction_of(msym) for msym in M.basis}
 
@@ -354,27 +343,26 @@ def check_double_correspondence_suite(mha, samples=40, seed=0):
 
 # -- smash products ---------------------------------------------------------------
 
-def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
+def smash_product(dcp, carrier, act):
     """The smash product of a unital module algebra over the crossed
     product: (h # d)(h' # d') = h (d_(1).h') # d_(2) d'.
 
     `carrier` is a unital Algebra and `act(d, h)` the action; the
     module-algebra law d.(hh') = (d_(1).h)(d_(2).h') and the unit laws are
-    verified on samples and violations are rejected.
+    verified on 40 samples drawn from a stream seeded at 0, and violations
+    are rejected.
     """
     field = dcp.field
     alg = dcp.algebra
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def rhs(d, h, hp):
-        def term(s):
-            d1, d2 = legs(s)
-            return carrier.mult(act(alg.el(d1), h), act(alg.el(d2), hp))
-        return dcp.coproduct(d).map_terms(term)
+        return dcp.coproduct(d).map_legs(lambda d1, d2: carrier.mult(
+            act(alg.el(d1), h), act(alg.el(d2), hp)))
     check = equal(lambda d, h, hp: act(d, carrier.mult(h, hp)), rhs,
                   lambda d, h, hp: act(d, carrier.unit),
                   lambda d, h, hp: carrier.unit.scaled(dcp.counit(d)))
-    for variables in draws(rng, samples, (alg, None), (carrier, None),
+    for variables in draws(rng, 40, (alg, None), (carrier, None),
                            (carrier, None)):
         witness = check(*variables)
         if witness is not None:
@@ -391,13 +379,12 @@ def smash_product(dcp, carrier, act, samples=40, seed=0, name=None):
         h, d = make_sym(ls1[:ha]), make_sym(ls1[ha:])
         hp, dp = make_sym(ls2[:ha]), make_sym(ls2[ha:])
 
-        def term(s):
-            d1, d2 = legs(s)
+        def term(d1, d2):
             moved = act(alg.el(d1), carrier.el(hp))
             return tensor(carrier.mult(carrier.el(h), moved),
                           alg.mult_basis[d2, dp])
-        return dcp.coproduct(alg.el(d)).map_terms(term)
+        return dcp.coproduct(alg.el(d)).map_legs(term)
 
     unit = tensor(carrier.unit, alg.unit)
     return Algebra(field, mult_basis, carrier.space.tensor(alg.space),
-                   unit=unit, name=name or ("%s#%s" % (carrier.name, dcp.name)))
+                   unit=unit, name="%s#%s" % (carrier.name, dcp.name))

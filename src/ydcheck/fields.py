@@ -85,6 +85,11 @@ class RationalField:
         q = Fraction(a, b)
         return q.numerator if q.denominator == 1 else q
 
+    def primitive_root_of_unity(self, n):
+        """A primitive n-th root of unity in QQ: 1 and -1 are the only
+        roots of unity there, so None for n > 2."""
+        return {1: 1, 2: -1}.get(n)
+
     def __repr__(self):
         return "QQ"
 

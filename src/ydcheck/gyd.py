@@ -93,17 +93,17 @@ def _diagonal(mha, sigma):
     return identity_pair(mha) if sigma is None else AutoPair(sigma, sigma)
 
 
-def trivial_gyd(mha, sigma=None, name=None):
+def trivial_gyd(mha, sigma=None):
     """The base field at a diagonal pair (sigma, sigma): the counit action
     absorbs the twist because beta(a_(2)) alpha(S^-1(a_(1))) collapses to
     eps(a) when alpha = beta."""
     pair = _diagonal(mha, sigma)
     mod = trivial_module(mha)
     return YDModule(mod, trivial_coaction(mod), pair,
-                    name=name or (mha.name + ":gyd-trivial@" + pair.name))
+                    name=mha.name + ":gyd-trivial@" + pair.name)
 
 
-def counit_gyd(mha, sigma=None, name=None):
+def counit_gyd(mha, sigma=None):
     """A with the counit action and Gamma = Delta at a diagonal pair, on
     commutative instances."""
     if not mha.commutative:
@@ -111,10 +111,10 @@ def counit_gyd(mha, sigma=None, name=None):
     pair = _diagonal(mha, sigma)
     mod = counit_module(mha)
     return YDModule(mod, coproduct_coaction(mod), pair,
-                    name=name or (mod.name + ":gyd@" + pair.name))
+                    name=mod.name + ":gyd@" + pair.name)
 
 
-def twisted_adjoint_gyd(mha, pair, name=None):
+def twisted_adjoint_gyd(mha, pair):
     """A acting on itself by a.v = beta(a_(2)) v alpha(S^-1(a_(1))) with
     Gamma = Delta, at the pair (alpha, beta); needs the materialized
     coproduct."""
@@ -122,11 +122,11 @@ def twisted_adjoint_gyd(mha, pair, name=None):
         raise ValueError("the twisted adjoint fixture needs a materialized "
                          "coproduct on %s" % mha.name)
     mod = adjoint_module(mha, pair.alpha, pair.beta,
-                         name=(name or mha.name) + ":tw-adjoint@" + pair.name)
+                         name=mha.name + ":tw-adjoint@" + pair.name)
     return YDModule(mod, coproduct_coaction(mod), pair, name=mod.name)
 
 
-def stretch_gyd(mha, name=None):
+def stretch_gyd(mha):
     """On the delta-function instance over the integers: the action
     a.delta_m = a(2m) delta_m with Gamma = Delta sits at the pair
     (negation, identity) -- a twisted fixture on a non-unital instance."""
@@ -145,7 +145,7 @@ def stretch_gyd(mha, name=None):
         return alg.local_unit(doubled + list(aelems))
 
     mod = UnitalModule(mha, act, alg.space, local_unit=lu,
-                       name=(name or mha.name) + ":stretch")
+                       name=mha.name + ":stretch")
     delta_r = mha.delta_r_basis
     coa = Coaction(mod, lambda v, a: delta_r[v, a],
                    name=mod.name + ":delta")
@@ -154,7 +154,7 @@ def stretch_gyd(mha, name=None):
 
 # -- the crossing functor -------------------------------------------------------
 
-def crossed_functor(p, W, name=None):
+def crossed_functor(p, W):
     """phi_p(W) for p = (alpha, beta) and W at (gamma, delta): same carrier,
     action a -> gamma^-1 beta gamma alpha^-1(a). and coaction
     w_(0) (x) alpha beta^-1(w_(1)) a', landing at p # (gamma, delta) # p^-1.
@@ -176,7 +176,7 @@ def crossed_functor(p, W, name=None):
         return theta.inverse(Wm.local_unit(velems, [theta(a) for a in aelems]))
 
     mod = UnitalModule(mha, act, Wm.space, local_unit=lu, arity=Wm.arity,
-                       name=name or ("%s>%s" % (p.name, W.name)))
+                       name="%s>%s" % (p.name, W.name))
 
     def slice_r(wsym, asym):
         # Gamma(w)(1 (x) a') = w0 (x) coat(w1) a': slice against
@@ -210,18 +210,16 @@ def gyd_braiding_inv(V, W, wv):
     Vm, Wm = V.module, W.module
 
     def attempt(extra):
-        def term(s):
-            ws, vs = split_sym(s, Wm.arity)
+        def term(ws, vs):
             v = Vm.el(vs)
             e = Vm.local_unit([v] + extra)
 
-            def leg(s2):
-                w0, m = split_sym(s2, Wm.arity)
+            def leg(w0, m):
                 return tensor(Vm.act(beta.inverse(mha.antipode(alg.el(m))), v),
                               Wm.el(w0))
-            return W.coaction.slice_r(Wm.el(ws),
-                                      mha.antipode_inv(beta(e))).map_terms(leg)
-        return wv.map_terms(term)
+            gamma = W.coaction.slice_r(Wm.el(ws), mha.antipode_inv(beta(e)))
+            return gamma.map_legs(leg, at=Wm.arity)
+        return wv.map_legs(term, at=Wm.arity)
 
     prev = attempt([])
     for _ in range(4):

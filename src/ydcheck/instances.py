@@ -171,16 +171,16 @@ def unital_slices(alg, coproduct_basis):
     mult, cop, el = alg.mult_basis, coproduct_basis, alg.el
 
     def delta_r(a, b):
-        return cop(a).map_terms(lambda s: tensor(el(s[0]), mult[s[1], b]))
+        return cop(a).map_legs(lambda p, q: tensor(el(p), mult[q, b]))
 
     def delta_l(a, b):
-        return cop(b).map_terms(lambda s: tensor(mult[a, s[0]], el(s[1])))
+        return cop(b).map_legs(lambda p, q: tensor(mult[a, p], el(q)))
 
     def delta_r2(a, b):
-        return cop(a).map_terms(lambda s: tensor(mult[s[0], b], el(s[1])))
+        return cop(a).map_legs(lambda p, q: tensor(mult[p, b], el(q)))
 
     def delta_l2(a, b):
-        return cop(b).map_terms(lambda s: tensor(el(s[0]), mult[a, s[1]]))
+        return cop(b).map_legs(lambda p, q: tensor(el(p), mult[a, q]))
 
     return dict(delta_r=delta_r, delta_l=delta_l, delta_r2=delta_r2,
                 delta_l2=delta_l2)
@@ -382,13 +382,12 @@ class IntegralData:
         mha = self.mha
         zero = mha.field.zero()
 
-        def phi_leg2(ts):  # (i (x) phi) on one basis tensor
-            l1, l2 = legs(ts)
+        def phi_leg2(l1, l2):  # (i (x) phi) on one basis tensor
             return mha.el(l1, self.phi_coeffs.get(l2, zero))
 
         for s in mha.algebra.basis:
             a = mha.el(s)
-            lhs = mha.coproduct(a).map_terms(phi_leg2)
+            lhs = mha.coproduct(a).map_legs(phi_leg2)
             if lhs != mha.algebra.unit.scaled(self.phi(a)):
                 return False, "integral equation fails at a=%r" % a
             if mha.algebra.mult(a, self.t) != self.t.scaled(mha.counit(a)):
@@ -605,7 +604,7 @@ def group_map_automorphism(mha, group, phi, phi_inv, name):
     return HopfAutomorphism(mha, fwd, inv, name=name)
 
 
-def inner_automorphism(mha, g, name=None):
+def inner_automorphism(mha, g):
     """Conjugation by a group element on a group algebra: x -> g x S(g),
     with inverse x -> S(g) x g.  Each is the linear extension of its
     formula on basis symbols, evaluated once per symbol in a table (as the
@@ -616,10 +615,10 @@ def inner_automorphism(mha, g, name=None):
     sg = mha.antipode(ge)
     fwd = linear(mha.field, lambda s: alg.mult(alg.mult(ge, alg.el(s)), sg))
     inv = linear(mha.field, lambda s: alg.mult(alg.mult(sg, alg.el(s)), ge))
-    return HopfAutomorphism(mha, fwd, inv, name=name or ("conj:%r" % (g,)))
+    return HopfAutomorphism(mha, fwd, inv, name="conj:%r" % (g,))
 
 
-def h4_scaling_automorphism(mha, lam, name=None):
+def h4_scaling_automorphism(mha, lam):
     """g -> g, x -> lam * x on Sweedler H4 (lam invertible)."""
     field = mha.field
     if mha.algebra.basis != ["1", "g", "x", "gx"]:
@@ -637,7 +636,7 @@ def h4_scaling_automorphism(mha, lam, name=None):
     def inv(x):
         return x.map_terms(lambda s: Element.basis(field, s, scale_inv[s]))
 
-    return HopfAutomorphism(mha, fwd, inv, name=name or ("scale:%s" % lam))
+    return HopfAutomorphism(mha, fwd, inv, name="scale:%s" % lam)
 
 
 # -- quasitriangular structures ----------------------------------------------
@@ -671,13 +670,13 @@ class QTStructure:
 
         def widen(x2, positions):
             # embed an arity-2 element into legs `positions` of arity 3
-            def embed(ts):
+            def embed(*pair):
                 base = [None, None, None]
-                base[positions[0]], base[positions[1]] = legs(ts)
+                base[positions[0]], base[positions[1]] = pair
                 pieces = [mha.el(base[i]) if base[i] is not None else alg.unit
                           for i in range(3)]
                 return tensor(tensor(pieces[0], pieces[1]), pieces[2])
-            return x2.map_terms(embed)
+            return x2.map_legs(embed)
 
         r13_23 = alg.mult_tensor(widen(self.r, (0, 2)), widen(self.r, (1, 2)))
         lhs = apply_legs(self.r, 0, 1, mha.coproduct)
@@ -688,18 +687,11 @@ class QTStructure:
         return report
 
 
-def root_of_unity(field, n):
-    """A primitive n-th root of unity in the field, or None if it has none."""
-    if hasattr(field, "primitive_root_of_unity"):
-        return field.primitive_root_of_unity(n)
-    return {1: field.one(), 2: field.from_int(-1)}.get(n)
-
-
 def qt_for_cyclic(n, field, mha=None):
     """R = n^-1 sum_ij w^(ij) g^i (x) g^j on the group algebra of Z/n, where
     w is a primitive n-th root of unity in the field."""
     mha = mha or group_algebra(group_Zn(n), field)
-    w = root_of_unity(field, n)
+    w = field.primitive_root_of_unity(n)
     if w is None:
         raise ConstructionError("no primitive %d-th root of unity in %s" % (n, field.name))
     n_inv = field.div(field.one(), field.from_int(n))

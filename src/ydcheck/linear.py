@@ -16,23 +16,27 @@ arity 3 and no nested reassociation ever happens.
 All values are immutable after construction (nothing writes to .terms
 outside __init__ and basis; CI rejects such a write); every function here is
 pure.  So the kernels share what they already hold: the memos of linear and
-bilinear keep the image Elements themselves, and linear, bilinear and
-map_terms return the image of a single term with coefficient 1 as it is,
-without copying it.
+bilinear keep the image Elements themselves, and linear, bilinear,
+map_terms and map_legs return the image of a single term with coefficient 1
+as it is, without copying it.
 
-Every structure map is the linear extension of a basis formula, and two
+Every structure map is the linear extension of a basis formula, and these
 kernels carry all of them:
 
-- Element.map_terms(f) sums c * f(s) over the terms c*s of an Element; a
-  Sweedler sum such as a_(1) (x) a_(2)b is a (nested) map_terms over the
-  slice it is read from, never a loop that adds each term to a copy of the
-  running sum;
+- Element.map_terms(f) sums c * f(s) over the terms c*s of an Element, and
+  Element.map_legs(f) sums c * f(*legs) over the legs of each term, or
+  c * f(head, rest) with map_legs(f, at) for a module symbol of arity `at`
+  ahead of its other legs.  A Sweedler sum such as a_(1) (x) a_(2)b is a
+  (nested) map_legs over the slice it is read from,
+  mha.delta_r(a, b).map_legs(lambda p, q: ...), never a loop that adds each
+  term to a copy of the running sum, and never a callback that unpacks its
+  symbol's legs itself;
 - apply_legs(x, i, k, f) applies a linear map f to the window of legs
   [i, i+k) of every term and splices the image in place (k = 1, 2, a module
   arity or a quotient arity).
 
 linear and bilinear extend a basis map in the same way, but read the image
-of each basis symbol (or pair) from a memo.  All three add c * image with
+of each basis symbol (or pair) from a memo.  All four add c * image with
 _add_scaled, which starts a sum from a copy of a first image with c == 1.
 
 The memo is a table a caller can read by symbol: Memo(f)[s] is f(s), and
@@ -128,10 +132,6 @@ class Element:
         x.field, x.terms = field, {sym: 1}
         return x
 
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
     def is_zero(self):
         return not self.terms
 
@@ -171,6 +171,22 @@ class Element:
         acc = {}
         for s, c in self.terms.items():
             img = f(s)
+            if c == 1 and len(self.terms) == 1:
+                return img
+            acc = _add_scaled(acc, img, c)
+        return Element(self.field, acc)
+
+    def map_legs(self, f, at=None):
+        """Linear extension of a formula on legs: f(*legs(s)) for each basis
+        symbol s, or f(*split_sym(s, at)) when at is given.  The loop of
+        map_terms, with the legs read inline."""
+        acc = {}
+        for s, c in self.terms.items():
+            ls = s[:-1] if type(s) is Ten else (s,)
+            if at is None:
+                img = f(*ls)
+            else:
+                img = f(make_sym(ls[:at]), make_sym(ls[at:]))
             if c == 1 and len(self.terms) == 1:
                 return img
             acc = _add_scaled(acc, img, c)
@@ -304,10 +320,7 @@ apply_pair_legs = lambda x, i, f: apply_legs(x, i, 2, f)  # noqa: E731
 
 def flip(x):
     """The flip map tau on arity-2 tensors."""
-    def swap(s):
-        a, b = legs(s)
-        return Element.basis(x.field, Ten((b, a)))
-    return x.map_terms(swap)
+    return x.map_legs(lambda a, b: Element.basis(x.field, Ten((b, a))))
 
 
 def _rref(rows, ncols, field):

@@ -106,21 +106,17 @@ class Algebra:
         """Legwise multiplication on a tensor power (arities must match)."""
         mult = self.mult_basis
 
-        def legwise(sx, sy):
-            lx, ly = legs(sx), legs(sy)
+        def legwise(lx, ly):
             if len(lx) != len(ly):
                 raise ValueError("tensor arity mismatch: %d vs %d" % (len(lx), len(ly)))
             acc = mult[lx[0], ly[0]]
             for a, b in zip(lx[1:], ly[1:]):
                 acc = tensor(acc, mult[a, b])
             return acc
-        return x.map_terms(lambda sx: y.map_terms(lambda sy: legwise(sx, sy)))
+        return x.map_legs(lambda *lx: y.map_legs(lambda *ly: legwise(lx, ly)))
 
     def el(self, sym, coeff=None):
         return Element.basis(self.field, sym, coeff)
-
-    def zero(self):
-        return Element(self.field)
 
     def local_unit(self, elems):
         """A two-sided local unit: e with e*x = x*e = x for the given elems."""
@@ -287,10 +283,7 @@ class MultiplierHopfAlgebra:
     def _pairwise(self, x2, table):
         """Sum table[a, b] over the terms a (x) b of x2: a basis-pair table,
         such as the memo of a slice, read by symbol."""
-        def pair(s):
-            a, b = legs(s)
-            return table[a, b]
-        return x2.map_terms(pair)
+        return x2.map_legs(lambda a, b: table[a, b])
 
     def t1(self, x2):
         return self._pairwise(x2, self.delta_r_basis)
@@ -386,11 +379,8 @@ class MultiplierHopfAlgebra:
 
     def counit_leg(self, x, i):
         """(... (x) eps (x) ...): collapse leg i through the counit."""
-        def collapse(s):
-            ls = legs(s)
-            return Element.basis(self.field, make_sym(ls[:i] + ls[i + 1:]),
-                                 self._counit(ls[i]))
-        return x.map_terms(collapse)
+        return x.map_legs(lambda *ls: Element.basis(
+            self.field, make_sym(ls[:i] + ls[i + 1:]), self._counit(ls[i])))
 
     def mult_legs(self, x2):
         """m: A (x) A -> A on arity-2 elements."""
@@ -535,18 +525,12 @@ def check_mha_axioms(mha, samples=100, seed=0):
     # mirrored, with p (x) r the terms of (c (x) 1)Delta(a),
     # (c (x) 1)Delta(ab) = sum (p (x) 1)[(1 (x) r)Delta(b)]
     def right(a, b, c, ab):
-        def term(s):
-            p, r = legs(s)
-            return apply_legs(mha.delta_r(a, alg.el(r)), 0, 1,
-                              lambda x: alg.mult(x, alg.el(p)))
-        return mha.delta_r(b, c).map_terms(term)
+        return mha.delta_r(b, c).map_legs(lambda p, r: apply_legs(
+            mha.delta_r(a, alg.el(r)), 0, 1, lambda x: alg.mult(x, alg.el(p))))
 
     def left(a, b, c, ab):
-        def term(s):
-            p, r = legs(s)
-            return apply_legs(mha.delta_l2(alg.el(r), b), 0, 1,
-                              lambda x: alg.mult(alg.el(p), x))
-        return mha.delta_l(c, a).map_terms(term)
+        return mha.delta_l(c, a).map_legs(lambda p, r: apply_legs(
+            mha.delta_l2(alg.el(r), b), 0, 1, lambda x: alg.mult(alg.el(p), x)))
     rep.law("delta-mult", "Delta(ab)(1(x)c) = Delta(a)(Delta(b)(1(x)c)), "
             "and mirrored",
             equal(lambda a, b, c, ab: mha.delta_r(ab, c), right,

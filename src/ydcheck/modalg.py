@@ -20,14 +20,14 @@ relators (m <- h) (x) n - m (x) (h -> n); well-definedness of the descended
 structures is tested (relator stability), never assumed.
 """
 
-from .linear import (Element, Memo2, tensor, legs, apply_legs, bilinear,
+from .linear import (Element, Memo2, tensor, apply_legs, bilinear,
                      QuotientSpace)
 from .mha import Space, Algebra
 from .modules import (UnitalModule, Coaction, check_comodule, counit_module,
                       adjoint_module, regular_module, trivial_module,
                       coproduct_coaction, trivial_coaction)
-from .yd import (YDModule, check_yd, split_sym, braiding_c, trivial_yd,
-                 tensor_module, tensor_coaction)
+from .yd import (YDModule, check_yd, braiding_c, trivial_yd, tensor_module,
+                 tensor_coaction)
 from .report import Report, equal
 from .instances import group_Zn, qt_for_cyclic
 
@@ -51,27 +51,27 @@ class ModuleAlgebra:
         self.name = name or module.name
 
 
-def counit_module_algebra(mha, name=None):
+def counit_module_algebra(mha):
     """R = A with the counit action a.x = eps(a) x."""
     return ModuleAlgebra(mha.algebra, counit_module(mha),
-                         name=name or (mha.name + ":counit-modalg"))
+                         name=mha.name + ":counit-modalg")
 
 
-def adjoint_module_algebra(mha, name=None):
+def adjoint_module_algebra(mha):
     """R = A with the twisted adjoint action a.x = a_(2) x S^-1(a_(1));
     a module algebra on cocommutative instances."""
     return ModuleAlgebra(mha.algebra, adjoint_module(mha),
-                         name=name or (mha.name + ":adjoint-modalg"))
+                         name=mha.name + ":adjoint-modalg")
 
 
-def regular_module_algebra(mha, name=None):
+def regular_module_algebra(mha):
     """R = A with the left regular action: NOT a module algebra in general;
     kept as the standard negative control."""
     return ModuleAlgebra(mha.algebra, regular_module(mha),
-                         name=name or (mha.name + ":regular-modalg"))
+                         name=mha.name + ":regular-modalg")
 
 
-def translation_module_algebra(mha, group, name=None):
+def translation_module_algebra(mha, group):
     """Functions on a finite group under pointwise product, with the group
     algebra acting by right translation: (g.f)(x) = f(xg), so g.d_y =
     d_{y g^-1}.  Translation is an algebra automorphism, hence a module
@@ -83,8 +83,8 @@ def translation_module_algebra(mha, group, name=None):
                   group.space, unit=unit, name="fun(%s)" % mha.name)
     mod = UnitalModule(
         mha, lambda g, y: Element.basis(field, group.mul(y, group.inv(g))),
-        group.space, name=(name or (mha.name + ":translation")))
-    return ModuleAlgebra(fun, mod, name=name or (mha.name + ":translation"))
+        group.space, name=mha.name + ":translation")
+    return ModuleAlgebra(fun, mod, name=mha.name + ":translation")
 
 
 def check_module_algebra(ma, samples=40, seed=0):
@@ -96,10 +96,9 @@ def check_module_algebra(ma, samples=40, seed=0):
     rep = Report("module-algebra", ma, seed, samples)
 
     def rhs(a, x, xp):
-        def term(s):
-            p, q = legs(s)
+        def term(p, q):
             return ma.alg.mult(act(alg.el(p), x), act(alg.el(q), xp))
-        return mha.delta_r(a, ma.module.local_unit([xp])).map_terms(term)
+        return mha.delta_r(a, ma.module.local_unit([xp])).map_legs(term)
     rep.law("modalg-product", "a.(xx') = (a_(1).x)(a_(2).x')",
             equal(lambda a, x, xp: act(a, ma.alg.mult(x, xp)), rhs),
             rep.draws(alg, (ma.module, 3), (ma.module, 3)))
@@ -107,18 +106,12 @@ def check_module_algebra(ma, samples=40, seed=0):
     if mha.materializes_coproduct:
         # both laws read da = Delta(a)
         def extend_left(a, x, xp, da):
-            def term(s):
-                a1, a2 = legs(s)
-                return act(alg.el(a1), ma.alg.mult(
-                    x, act(mha.antipode(alg.el(a2)), xp)))
-            return da.map_terms(term)
+            return da.map_legs(lambda a1, a2: act(alg.el(a1), ma.alg.mult(
+                x, act(mha.antipode(alg.el(a2)), xp))))
 
         def extend_right(a, x, xp, da):
-            def term(s):
-                a1, a2 = legs(s)
-                return act(alg.el(a2), ma.alg.mult(
-                    act(mha.antipode_inv(alg.el(a1)), x), xp))
-            return da.map_terms(term)
+            return da.map_legs(lambda a1, a2: act(alg.el(a2), ma.alg.mult(
+                act(mha.antipode_inv(alg.el(a1)), x), xp)))
 
         rep.law_group([
             ("modalg-extend-left", "(a.x)x' = a_(1).(x (S(a_(2)).x'))",
@@ -150,11 +143,10 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0):
     rep.merge(check_comodule(coaction, samples, seed), "comodule")
 
     def rhs(x, y, a):
-        def term(s):  # y_(0) (x) y_(1)a -> x_(0)y_(0) (x) x_(1)y_(1)a
-            y0, m = split_sym(s, mod.arity)
+        def term(y0, m):  # y_(0) (x) y_(1)a -> x_(0)y_(0) (x) x_(1)y_(1)a
             return apply_legs(coaction.slice_r(x, mha.el(m)), 0, mod.arity,
                               lambda x0: alg.mult(x0, mod.el(y0)))
-        return coaction.slice_r(y, a).map_terms(term)
+        return coaction.slice_r(y, a).map_legs(term, at=mod.arity)
     rep.law("comodalg-multiplicative",
             "Gamma(xy)(1 (x) a) = Gamma(x)Gamma(y)(1 (x) a)",
             equal(lambda x, y, a: coaction.slice_r(alg.mult(x, y), a), rhs),
@@ -162,11 +154,10 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0):
 
     if coaction.has_slice_l:
         def rhs(x, y, a):
-            def term(s):  # x_(0) (x) ax_(1) -> x_(0)y_(0) (x) ax_(1)y_(1)
-                x0, m = split_sym(s, mod.arity)
+            def term(x0, m):  # x_(0) (x) ax_(1) -> x_(0)y_(0) (x) ax_(1)y_(1)
                 return apply_legs(coaction.slice_l(y, mha.el(m)), 0, mod.arity,
                                   lambda y0: alg.mult(mod.el(x0), y0))
-            return coaction.slice_l(x, a).map_terms(term)
+            return coaction.slice_l(x, a).map_legs(term, at=mod.arity)
         rep.law("comodalg-multiplicative-left",
                 "(1 (x) a)Gamma(xy) = ((1 (x) a)Gamma(x))Gamma(y)",
                 equal(lambda x, y, a: coaction.slice_l(alg.mult(x, y), a), rhs),
@@ -176,24 +167,24 @@ def check_comodule_algebra(alg, coaction, samples=40, seed=0):
 
 # -- Yetter-Drinfel'd module algebras ------------------------------------------
 
-def trivial_yd_module_algebra(mha, name=None):
+def trivial_yd_module_algebra(mha):
     """The base field as a YD module algebra (one-dimensional carrier)."""
     field = mha.field
     alg = Algebra(field, lambda a, b: Element.basis(field, "*"),
                   Space(["*"]), unit=Element.basis(field, "*"), name="K")
     mod = trivial_module(mha)
-    return ModuleAlgebra(alg, mod, trivial_coaction(mod), name=name or "K")
+    return ModuleAlgebra(alg, mod, trivial_coaction(mod), name="K")
 
 
-def counit_yd_module_algebra(mha, name=None):
+def counit_yd_module_algebra(mha):
     """R = A with the counit action and the trivial coaction; valid over any
     instance, and A-commutative exactly when A is commutative."""
     mod = counit_module(mha)
     return ModuleAlgebra(mha.algebra, mod, trivial_coaction(mod),
-                         name=name or (mha.name + ":counit-trivial"))
+                         name=mha.name + ":counit-trivial")
 
 
-def adjoint_trivial_yd_module_algebra(mha, name=None):
+def adjoint_trivial_yd_module_algebra(mha):
     """R = A with the twisted adjoint action and the trivial coaction; a YD
     module algebra on cocommutative instances (a_(2) (x) a_(3)S^-1(a_(1))
     collapses to a (x) 1)."""
@@ -201,18 +192,18 @@ def adjoint_trivial_yd_module_algebra(mha, name=None):
         raise ValueError("the adjoint/trivial pair needs a cocommutative instance")
     mod = adjoint_module(mha)
     return ModuleAlgebra(mha.algebra, mod, trivial_coaction(mod),
-                         name=name or (mha.name + ":adjoint-trivial"))
+                         name=mha.name + ":adjoint-trivial")
 
 
-def canonical_yd_module_algebra(mha, name=None):
+def canonical_yd_module_algebra(mha):
     """R = A with the twisted adjoint action and Gamma = Delta; needs a
     materialized coproduct and cocommutativity for the product law."""
     mod = adjoint_module(mha)
     return ModuleAlgebra(mha.algebra, mod, coproduct_coaction(mod),
-                         name=name or (mha.name + ":adjoint-delta"))
+                         name=mha.name + ":adjoint-delta")
 
 
-def subgroup_yd_module_algebra(mha, syms, name=None):
+def subgroup_yd_module_algebra(mha, syms):
     """The span of a multiplicatively closed set of basis symbols (containing
     the unit), with the counit action and trivial coaction."""
     mult = mha.algebra.mult_basis
@@ -220,9 +211,9 @@ def subgroup_yd_module_algebra(mha, syms, name=None):
                   lambda a, b: mult[a, b],
                   Space(syms), unit=mha.algebra.unit,
                   name=mha.name + ":sub")
-    mod = counit_module(mha, name or (mha.name + ":sub"), sub.space)
+    mod = counit_module(mha, mha.name + ":sub", sub.space)
     return ModuleAlgebra(sub, mod, trivial_coaction(mod),
-                         name=name or (mha.name + ":sub"))
+                         name=mha.name + ":sub")
 
 
 def cyclic_subgroup_syms(alg):
@@ -260,10 +251,10 @@ def check_a_commutative(H, samples=40, seed=0):
     rep = Report("module-algebra", H, seed, samples)
 
     def rhs(x, y):
-        def term(s):
-            y0, m = split_sym(s, H.module.arity)
+        def term(y0, m):
             return H.alg.mult(H.module.el(y0), H.module.act(mha.el(m), x))
-        return H.coaction.slice_r(y, H.module.local_unit([x])).map_terms(term)
+        return H.coaction.slice_r(y, H.module.local_unit([x])).map_legs(
+            term, at=H.module.arity)
     rep.law("a-commutative", "xy = y_(0)(y_(1).x)",
             equal(lambda x, y: H.alg.mult(x, y), rhs),
             rep.draws((H.module, 3), (H.module, 3)))
@@ -283,25 +274,19 @@ def check_yd_module_algebra(H, samples=30, seed=0):
 
 # -- coactions induced by a quasitriangular structure --------------------------
 
-def coaction_from_qt(module, qt, name=None):
+def coaction_from_qt(module, qt):
     """rho(h) = tau(R)(h (x) 1): sliceR(h, a) = (r_(2).h) (x) r_(1)a and
     sliceL(h, a) = (r_(2).h) (x) a r_(1), summed over the materialized R."""
     act, mult = module.act_basis, module.mha.algebra.mult_basis
 
     def slice_r(vsym, asym):
-        def term(s):
-            i, j = legs(s)
-            return tensor(act[j, vsym], mult[i, asym])
-        return qt.r.map_terms(term)
+        return qt.r.map_legs(lambda i, j: tensor(act[j, vsym], mult[i, asym]))
 
     def slice_l(vsym, asym):
-        def term(s):
-            i, j = legs(s)
-            return tensor(act[j, vsym], mult[asym, i])
-        return qt.r.map_terms(term)
+        return qt.r.map_legs(lambda i, j: tensor(act[j, vsym], mult[asym, i]))
 
     return Coaction(module, slice_r, slice_l,
-                    name=name or (module.name + ":qt-coaction"))
+                    name=module.name + ":qt-coaction")
 
 
 def check_qt_coaction(ma, qt, samples=30, seed=0):
@@ -319,10 +304,8 @@ def check_qt_coaction(ma, qt, samples=30, seed=0):
     rep.merge(check_yd(yd, samples, seed + 1), "yd")
 
     def direct(m, n):
-        def term(s):
-            i, j = legs(s)
-            return tensor(ma.module.act(alg.el(j), n), ma.module.act(alg.el(i), m))
-        return qt.r.map_terms(term)
+        return qt.r.map_legs(lambda i, j: tensor(ma.module.act(alg.el(j), n),
+                                                 ma.module.act(alg.el(i), m)))
     rep.law("qt-braiding",
             "C(m (x) n) = tau(R)(n (x) m) through the induced coaction",
             equal(direct, lambda m, n: braiding_c(ma.module, yd, tensor(m, n))),
@@ -370,10 +353,10 @@ class HAModule:
         mha = self.mha
         e = self.module.local_unit([m])
 
-        def term(s):
-            h0, k = split_sym(s, self.H.module.arity)
+        def term(h0, k):
             return self.h_act(self.H.alg.el(h0), self.module.act(mha.el(k), m))
-        return self.H.coaction.slice_r(h, e).map_terms(term)
+        return self.H.coaction.slice_r(h, e).map_legs(
+            term, at=self.H.module.arity)
 
     def r_act(self, m, h):
         if self._r_act is not None:
@@ -381,14 +364,14 @@ class HAModule:
         return self.r_act_formula(m, h)
 
 
-def h_unit_ha_module(H, name=None):
+def h_unit_ha_module(H):
     """M = H acting on itself by multiplication."""
     mult = H.alg.mult_basis
     return HAModule(H, H.module, H.coaction, lambda hs, ms: mult[hs, ms],
-                    name=name or (H.name + ":unit-object"))
+                    name=H.name + ":unit-object")
 
 
-def mult_ha_module(H, name=None):
+def mult_ha_module(H):
     """M = A with the counit action and trivial coaction, H acting by left
     multiplication inside A (H's carrier symbols must be A basis symbols)."""
     mha = H.mha
@@ -396,17 +379,17 @@ def mult_ha_module(H, name=None):
     mult = mha.algebra.mult_basis
     return HAModule(H, mod, trivial_coaction(mod),
                     lambda hs, ms: mult[hs, ms],
-                    name=name or (mha.name + ":mult-over-" + H.name))
+                    name=mha.name + ":mult-over-" + H.name)
 
 
-def collapse_ha_module(H, yd, name=None):
+def collapse_ha_module(H, yd):
     """H = K acting by scalars on a plain YD module: the mixed laws collapse
     to the YD laws."""
     if H.alg.basis != ["*"]:
         raise ValueError("collapse fixture needs the one-dimensional H")
     return HAModule(H, yd.module, yd.coaction,
                     lambda hs, ms: yd.module.el(ms),
-                    name=name or (yd.name + ":collapse"))
+                    name=yd.name + ":collapse")
 
 
 def check_ha_module(M, samples=30, seed=0):
@@ -425,17 +408,17 @@ def check_ha_module(M, samples=30, seed=0):
     pair = tensor_module(H.module, M.module)
     rep.law("ha-action-compat", "a.(h -> m) = (a_(1).h) -> (a_(2).m)",
             equal(lambda a, h, m: M.module.act(a, M.h_act(h, m)),
-                  lambda a, h, m: pair.act(a, tensor(h, m)).map_terms(
-                      lambda s: M.h_act_basis[split_sym(s, H.module.arity)])),
+                  lambda a, h, m: pair.act(a, tensor(h, m)).map_legs(
+                      lambda h0, m0: M.h_act_basis[h0, m0],
+                      at=H.module.arity)),
             rep.draws(mha.algebra, (H.alg, 2), (M.module, 3)))
 
     def rhs(h, m, ap):
-        def term(s):  # h_(0) (x) h_(1)a' -> h_(0) -> m_(0) (x) m_(1)h_(1)a'
-            h0, k = split_sym(s, H.module.arity)
+        def term(h0, k):  # h_(0) (x) h_(1)a' -> h_(0) -> m_(0) (x) m_(1)h_(1)a'
             return apply_legs(M.coaction.slice_r(m, mha.el(k)), 0,
                               M.module.arity,
                               lambda m0: M.h_act(H.alg.el(h0), m0))
-        return H.coaction.slice_r(h, ap).map_terms(term)
+        return H.coaction.slice_r(h, ap).map_legs(term, at=H.module.arity)
     rep.law("ha-coaction-compat",
             "rho(h -> m)(1 (x) a') = h_(0) -> m_(0) (x) m_(1) h_(1) a'",
             equal(lambda h, m, ap: M.coaction.slice_r(M.h_act(h, m), ap), rhs),
@@ -483,7 +466,7 @@ class BalancedTensor:
     amb = yd.tensor_module(M, N) with its tensor_coaction, and the H-actions
     h -> (m (x) n) = (h -> m) (x) n and (m (x) n) <- h = m (x) (n <- h)."""
 
-    def __init__(self, M, N, name=None):
+    def __init__(self, M, N):
         if M.H is not N.H:
             raise ValueError("balanced tensor needs a common H")
         H = M.H
@@ -498,7 +481,7 @@ class BalancedTensor:
         self.am = M.module.arity
         self.an = N.module.arity
         self.arity = self.am + self.an
-        self.name = name or ("%s(x)_H%s" % (M.name, N.name))
+        self.name = "%s(x)_H%s" % (M.name, N.name)
         self.amb = tensor_module(M.module, N.module)
         self.amb_coaction = tensor_coaction(self.amb, M, N)
         rels = []
@@ -617,7 +600,7 @@ def check_unit_laws(M, samples=15, seed=0):
         am = T.am
 
         def psi(x, _am=am, _mapper=mapper):
-            return x.map_terms(lambda s: _mapper(*split_sym(s, _am)))
+            return x.map_legs(_mapper, at=_am)
 
         dim_t = len(T.quot.basis)
         rep.add("tensor-unit-dim-%s" % side,

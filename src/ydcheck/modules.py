@@ -11,7 +11,7 @@ identity is instances.ID, at which the twisted adjoint action reads the
 untwisted product table.
 """
 
-from .linear import Element, Ten, Memo2, bilinear, legs, split_sym, apply_legs
+from .linear import Element, Ten, Memo2, bilinear, split_sym, apply_legs
 from .mha import Space, Multiplier, probe_elements
 from .report import Report, equal
 from .instances import ID
@@ -54,9 +54,6 @@ class UnitalModule:
 
     def el(self, sym, coeff=None):
         return Element.basis(self.field, sym, coeff)
-
-    def zero(self):
-        return Element(self.field)
 
     def act(self, a, v):
         return self._act(a, v)
@@ -150,14 +147,14 @@ class Coaction:
 
 # -- standard fixtures ---------------------------------------------------------
 
-def regular_module(mha, name=None):
+def regular_module(mha):
     """A acting on itself by multiplication."""
     alg = mha.algebra
     mult = alg.mult_basis
     return UnitalModule(
         mha, lambda a, v: mult[a, v], alg.space,
         local_unit=lambda velems, aelems: alg.local_unit(velems + aelems),
-        name=name or (mha.name + ":regular"))
+        name=mha.name + ":regular")
 
 
 def counit_module(mha, name=None, space=None):
@@ -172,9 +169,9 @@ def counit_module(mha, name=None, space=None):
         name=name or (mha.name + ":counit"))
 
 
-def trivial_module(mha, name=None):
+def trivial_module(mha):
     """The base field as a module: the counit action on the carrier "*"."""
-    return counit_module(mha, name or (mha.name + ":trivial"), Space(["*"]))
+    return counit_module(mha, mha.name + ":trivial", Space(["*"]))
 
 
 def adjoint_module(mha, alpha=ID, beta=ID, name=None):
@@ -188,34 +185,33 @@ def adjoint_module(mha, alpha=ID, beta=ID, name=None):
     mult = alg.mult_basis
 
     def act(a, v):
-        def term(s):
-            a1, a2 = legs(s)
+        def term(a1, a2):
             left = (mult[a2, v] if beta is ID
                     else alg.mult(beta(alg.el(a2)), alg.el(v)))
             return alg.mult(left, alpha(mha.antipode_inv(alg.el(a1))))
-        return mha.coproduct(alg.el(a)).map_terms(term)
+        return mha.coproduct(alg.el(a)).map_legs(term)
 
     return UnitalModule(mha, act, alg.space,
                         name=name or (mha.name + ":adjoint"))
 
 
-def coproduct_coaction(module, name=None):
+def coproduct_coaction(module):
     """Gamma = Delta on a module whose carrier is A itself; both slices."""
     mha = module.mha
     delta_r, delta_l2 = mha.delta_r_basis, mha.delta_l2_basis
     return Coaction(module,
                     lambda v, a: delta_r[v, a],
                     lambda v, a: delta_l2[a, v],
-                    name=name or (module.name + ":delta"))
+                    name=module.name + ":delta")
 
 
-def trivial_coaction(module, name=None):
+def trivial_coaction(module):
     """Gamma(v) = v (x) 1 through slices (valid without a unit)."""
     field = module.field
     return Coaction(module,
                     lambda v, a: Element.basis(field, Ten((v, a))),
                     lambda v, a: Element.basis(field, Ten((v, a))),
-                    name=name or (module.name + ":trivial"))
+                    name=module.name + ":trivial")
 
 
 # -- checkers ------------------------------------------------------------------

@@ -18,7 +18,7 @@ factors cancel.  Each evaluator documents its slice composition.
 """
 
 
-from .linear import Element, linear, tensor, legs, split_sym, apply_legs
+from .linear import Element, linear, tensor, split_sym, apply_legs
 from .report import Report, equal
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, counit_module, adjoint_module,
@@ -63,8 +63,7 @@ def act_on_slice(module, a, x, beta=ID):
     act, mult = module.act_basis, alg.mult_basis
     zero = Element(mha.field)
 
-    def term(s):
-        p, q = legs(s)
+    def term(p, q):
         bq = None if beta is ID else beta(alg.el(q))
 
         def leg(sx):
@@ -72,7 +71,7 @@ def act_on_slice(module, a, x, beta=ID):
             qm = mult[q, m] if bq is None else alg.mult(bq, alg.el(m))
             return tensor(act[p, v0], qm) if qm.terms else zero
         return x.map_terms(leg)
-    return mha.delta_r(a, u).map_terms(term)
+    return mha.delta_r(a, u).map_legs(term)
 
 
 def compat_rhs(module, coaction, a, ap, v, alpha=ID, beta=ID):
@@ -89,11 +88,10 @@ def compat_rhs(module, coaction, a, ap, v, alpha=ID, beta=ID):
     u = alg.local_unit([ap])
     b = mha.antipode(alpha.inverse(u))
 
-    def outer(s):
-        p, q = legs(s)
+    def outer(p, q):
         f1 = alg.mult(alpha(mha.antipode_inv(alg.el(p))), ap)
         return act_on_slice(module, alg.el(q), coaction.slice_r(v, f1), beta)
-    return mha.delta_l(b, a).map_terms(outer)
+    return mha.delta_l(b, a).map_legs(outer)
 
 
 def compat_alt_lhs(module, coaction, a, ap, v):
@@ -106,11 +104,10 @@ def compat_alt_lhs(module, coaction, a, ap, v):
     alg = mha.algebra
     u = module.local_unit([v])
 
-    def term(s):
-        p, q = legs(s)
+    def term(p, q):
         return coaction.slice_r(module.act(alg.el(q), v),
                                 alg.mult(alg.el(p), ap))
-    return mha.delta_r(a, u).map_terms(term)
+    return mha.delta_r(a, u).map_legs(term)
 
 
 def compat_alt_rhs(module, coaction, a, ap, v):
@@ -139,7 +136,7 @@ def check_yd(yd, samples=40, seed=0):
 
 # -- tensor product of YD modules --------------------------------------------
 
-def tensor_module(V, W, gamma=ID, theta=ID, name=None):
+def tensor_module(V, W, gamma=ID, theta=ID):
     """V (x) W with the diagonal action gamma(a_(1)).v (x) theta(a_(2)).w,
     realized by splitting a against a theta^-1-twisted module local unit of
     the W component.  The untwisted action a_(1).v (x) a_(2).w is the one at
@@ -157,11 +154,10 @@ def tensor_module(V, W, gamma=ID, theta=ID, name=None):
         vs, ws = split_sym(tsym, V.arity)
         e = theta.inverse(W.local_unit([W.el(ws)]))
 
-        def term(s):
-            p, q = legs(s)
+        def term(p, q):
             return tensor(_twisted_act(V, gamma, p, vs),
                           _twisted_act(W, theta, q, ws))
-        return mha.delta_r(alg.el(asym), e).map_terms(term)
+        return mha.delta_r(alg.el(asym), e).map_legs(term)
 
     def local_unit(velems, aelems):
         vlegs, wlegs = [], []
@@ -176,7 +172,7 @@ def tensor_module(V, W, gamma=ID, theta=ID, name=None):
 
     return UnitalModule(mha, act, V.space.tensor(W.space),
                         local_unit=local_unit, arity=V.arity + W.arity,
-                        name=name or ("%s(x)%s" % (V.name, W.name)))
+                        name="%s(x)%s" % (V.name, W.name))
 
 
 def _twisted_act(module, aut, asym, vsym):
@@ -203,18 +199,17 @@ def tensor_coaction(mod, V, W):
     def slice_l(tsym, asym):
         vs, ws = split_sym(tsym, va)
 
-        def term(s):  # w0 (x) a w1 -> v0 (x) w0 (x) a w1 v1
-            w0, m = split_sym(s, Wm.arity)
+        def term(w0, m):  # w0 (x) a w1 -> v0 (x) w0 (x) a w1 v1
             y = ca_v.slice_l_basis[vs, m]
             return apply_legs(y, va, 1, lambda m2: tensor(Wm.el(w0), m2))
-        return ca_w.slice_l_basis[ws, asym].map_terms(term)
+        return ca_w.slice_l_basis[ws, asym].map_legs(term, at=Wm.arity)
 
     both = ca_v.has_slice_l and ca_w.has_slice_l
     return Coaction(mod, slice_r, slice_l if both else None,
                     name=mod.name + ":coact")
 
 
-def yd_tensor(V, W, name=None):
+def yd_tensor(V, W):
     """V@(a,b) (x) W@(c,d), landing at the pair product: the diagonal
     action c(x_(1)).v (x) c^-1 b c(x_(2)).w and the tensor coaction, whose
     second leg is w_(1)v_(1)a'.  At identity pairs both twists are ID, so
@@ -223,7 +218,7 @@ def yd_tensor(V, W, name=None):
     theta = gamma.inverted().composed(V.pair.beta).composed(gamma)
     mod = tensor_module(V.module, W.module, gamma, theta)
     return YDModule(mod, tensor_coaction(mod, V, W), V.pair.product(W.pair),
-                    name=name or ("%s(x)%s" % (V.name, W.name)))
+                    name="%s(x)%s" % (V.name, W.name))
 
 
 # -- the braiding -------------------------------------------------------------
@@ -276,10 +271,10 @@ def braiding_c_inv(X, V, vx):
         x = X.el(xs)
         e = X.local_unit([x])
 
-        def leg(s2):
-            v0, m = split_sym(s2, mod.arity)
+        def leg(v0, m):
             return tensor(X.act(mha.antipode(mha.el(m)), x), mod.el(v0))
-        return slice_l(mod.el(vs), mha.antipode_inv(e)).map_terms(leg)
+        return slice_l(mod.el(vs), mha.antipode_inv(e)).map_legs(
+            leg, at=mod.arity)
     return _memoized(coa, ("c-inv", X), X.field, term)(vx)
 
 
@@ -454,10 +449,9 @@ def check_half_braiding(H, samples=30, seed=0):
     # left A-linearity: a.C(x (x) v) = C(a.(x (x) v)), diagonal actions on
     # both sides realized with local-unit splits of a
     def rhs(a, x, v):
-        def term(s):
-            p, q = legs(s)
+        def term(p, q):
             return H.cA(alg.mult(alg.el(p), x), H.module.act(alg.el(q), v))
-        return mha.delta_r(a, H.module.local_unit([v], [x])).map_terms(term)
+        return mha.delta_r(a, H.module.local_unit([v], [x])).map_legs(term)
     rep.law("half-braiding-linear", "a.C(x (x) v) = C(a.(x (x) v))",
             equal(lambda a, x, v: act_on_slice(H.module, a, H.cA(x, v)), rhs),
             rep.draws(alg, alg, (H.module, 3)))

@@ -295,6 +295,33 @@ def test_a_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the write itself fails
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(str(tmp_path / "rep.json"), "\ud800")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "mha-axioms", "--instance", "grp-Z2", "--samples", "2"],
+    ["dump", "dcp", "--instance", "grp-Z2"],
+], ids=["check", "dump"])
+def test_an_out_that_cannot_be_written_is_a_usage_error(command, tmp_path,
+                                                         capsys):
+    """The temporary file's path is taken by a directory: the run exits 2
+    with one error line and no traceback, and leaves that directory and no
+    file of its own."""
+    out = tmp_path / "rep.json"
+    (tmp_path / "rep.json.tmp").mkdir()
+    rc, stdout, err = run(command + ["--out", str(out)], capsys)
+    assert rc == 2
+    assert "wrote" not in stdout
+    assert err.startswith("error: cannot write --out %s: " % out)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["rep.json.tmp"]
+    assert os.listdir(tmp_path / "rep.json.tmp") == []
+
+
 def test_a_corrupted_instance_is_an_internal_error(monkeypatch, capsys):
     """An antipode x3 copy of grp-S3 breaks the inner automorphisms that
     t-category conjugates by: a defect in the instance, not in the input."""

@@ -67,6 +67,13 @@ def test_one_is_a_primitive_first_root_of_unity_over_f2(tmp_path, capsys):
     assert rc == 0, capsys.readouterr()
 
 
+def test_the_roots_of_unity_in_qq_are_one_and_minus_one():
+    assert QQ.primitive_root_of_unity(1) == 1
+    assert QQ.primitive_root_of_unity(2) == -1
+    for n in (3, 4, 6):
+        assert QQ.primitive_root_of_unity(n) is None
+
+
 def test_primality_agrees_with_trial_division_below_2000():
     for n in range(-3, 2000):
         trial = n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))

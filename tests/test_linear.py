@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,10 +11,10 @@ import pytest
 from ydcheck.double import drinfeld_double
 from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.instances import build_instance
-from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, flip,
-                            apply_legs, lin_solve, kernel_basis,
+from ydcheck.linear import (Element, Ten, tensor, legs, make_sym, split_sym,
+                            flip, apply_legs, lin_solve, kernel_basis,
                             QuotientSpace, linear, bilinear, Memo, Memo2)
-from ydcheck.mha import Algebra
+from ydcheck.mha import Algebra, random_element
 from ydcheck.modules import (UnitalModule, Coaction, regular_module,
                              coproduct_coaction)
 
@@ -319,7 +320,7 @@ def test_apply_legs_cancelling_images_give_zero():
     x = ten("a", "b") - ten("a", "c")
     got = apply_legs(x, 1, 1, lambda v: v.map_terms(lambda s: e("d")))
     assert got.is_zero()
-    assert got == Element.zero(QQ)
+    assert got == Element(QQ)
     assert got.terms == {}
 
 
@@ -381,6 +382,67 @@ def test_map_terms_returns_a_basis_image_and_scales_any_other():
     assert e("p", 2).map_terms(lambda s: img) == e("z", 6) + e("u", 2)
     assert e("p", -1).map_terms(lambda s: img) == -img
     assert img == e("z", 3) + e("u")
+
+
+def test_map_legs_reads_the_legs_of_each_term():
+    # a plain symbol is one leg; a Ten of arity 2 or 3 gives its legs
+    assert e("a", 2).map_legs(lambda a: e(a + "'")) == e("a'", 2)
+    x = ten("a", "b") + ten("c", "d", c=-3)
+    assert x.map_legs(lambda p, q: ten(q, p)) == (ten("b", "a")
+                                                  + ten("d", "c", c=-3))
+    y = ten("a", "b", "c", c=2) + ten("d", "e", "f")
+    assert y.map_legs(lambda p, q, r: e(r + q + p)) == e("cba", 2) + e("fed")
+
+
+def test_map_legs_at_splits_a_module_symbol_from_the_rest():
+    # at=2 on arity 3: a module symbol of arity 2, then one A-leg
+    seen = []
+
+    def f(head, rest):
+        seen.append((head, rest))
+        return ten(rest, "x")
+    x = ten("m", "n", "a", c=2) + ten("p", "q", "b")
+    assert x.map_legs(f, at=2) == ten("a", "x", c=2) + ten("b", "x")
+    assert seen == [(Ten(("m", "n")), "a"), (Ten(("p", "q")), "b")]
+
+
+def test_map_legs_returns_a_basis_image_and_scales_any_other():
+    img = e("z", 3) + e("u")
+    assert Element.basis(QQ, Ten(("p", "q"))).map_legs(lambda p, q: img) is img
+    assert Element.basis(QQ, "p").map_legs(lambda p: img) is img
+    assert ten("p", "q", c=2).map_legs(lambda p, q: img) == img.scaled(2)
+    assert img == e("z", 3) + e("u")
+
+
+def test_map_legs_cancelling_images_give_zero():
+    x = ten("a", "b") - ten("a", "c")
+    got = x.map_legs(lambda p, q: e("d"))
+    assert got.is_zero() and got.terms == {}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_map_legs_is_map_terms_over_the_legs(field):
+    """On random elements of arity 2 and 3 of grp-S3, map_legs gives the
+    map_terms form it replaces, term for term and in the same order."""
+    mha = build_instance("grp-S3", field)
+    alg = mha.algebra
+    rng = random.Random(4)
+
+    def f(p, q):
+        return mha.delta_r_basis[p, q]
+
+    def g(head, rest):
+        return tensor(Element.basis(field, rest), alg.mult_basis[head, head])
+    for _ in range(20):
+        a, b, c = (random_element(rng, alg) for _ in range(3))
+        x2, x3 = tensor(a, b), tensor(tensor(a, b), c)
+        for got, want in (
+                (x2.map_legs(f), x2.map_terms(lambda s: f(*legs(s)))),
+                (x3.map_legs(g, at=1),
+                 x3.map_terms(lambda s: g(*split_sym(s, 1)))),
+                (x3.map_legs(lambda p, q, r: f(r, p)),
+                 x3.map_terms(lambda s: f(legs(s)[2], legs(s)[0])))):
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_lin_solve():
