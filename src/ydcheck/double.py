@@ -1,6 +1,6 @@
 """Diagonal crossed products of a finite-dimensional unital instance with its
-dual, Drinfel'd doubles, the correspondence between twisted Yetter-Drinfel'd
-modules and modules over the crossed product, and smash products.
+dual, Drinfel'd doubles, and the correspondence between twisted
+Yetter-Drinfel'd modules and modules over the crossed product.
 
 The crossed product at a pair (alpha, beta) is the dual and the base glued
 by one exchange rule, for q in the dual and a in the base:
@@ -27,11 +27,9 @@ the dense order, so a failure has the dense scan's witness.  Each side is
 read off table rows, never through the product of a wrapped basis symbol.
 """
 
-import random
-
-from .linear import (Element, Ten, Memo, Memo2, tensor, legs, make_sym,
-                     sym_str, apply_legs, bilinear)
-from .mha import Space, Algebra, draws
+from .linear import (Element, Ten, Memo, Memo2, tensor, legs, sym_str,
+                     apply_legs, bilinear)
+from .mha import Space, Algebra
 from .modules import UnitalModule, Coaction
 from .yd import YDModule, canonical_yd
 from .gyd import check_gyd, trivial_gyd
@@ -41,7 +39,7 @@ from .instances import dual_hopf, dual_sym, compute_integrals, identity_pair
 
 class DiagonalCrossedProduct:
     """The crossed-product algebra on basis symbols (p_s >< t), together
-    with the coalgebra structure used by smash products.
+    with its counit and coproduct.
 
     The exchange rule is a table per basis pair (a, q), and it reads
     a_(1) (x) a_(2) (x) a_(3) from a table per basis symbol a, so Delta^2(a)
@@ -339,52 +337,3 @@ def check_double_correspondence_suite(mha, samples=40, seed=0):
     """check_double_correspondence on the trivial and the canonical YD module."""
     return check_double_correspondence(
         mha, [trivial_gyd(mha), canonical_yd(mha)], samples, seed)
-
-
-# -- smash products ---------------------------------------------------------------
-
-def smash_product(dcp, carrier, act):
-    """The smash product of a unital module algebra over the crossed
-    product: (h # d)(h' # d') = h (d_(1).h') # d_(2) d'.
-
-    `carrier` is a unital Algebra and `act(d, h)` the action; the
-    module-algebra law d.(hh') = (d_(1).h)(d_(2).h') and the unit laws are
-    verified on 40 samples drawn from a stream seeded at 0, and violations
-    are rejected.
-    """
-    field = dcp.field
-    alg = dcp.algebra
-    rng = random.Random(0)
-
-    def rhs(d, h, hp):
-        return dcp.coproduct(d).map_legs(lambda d1, d2: carrier.mult(
-            act(alg.el(d1), h), act(alg.el(d2), hp)))
-    check = equal(lambda d, h, hp: act(d, carrier.mult(h, hp)), rhs,
-                  lambda d, h, hp: act(d, carrier.unit),
-                  lambda d, h, hp: carrier.unit.scaled(dcp.counit(d)))
-    for variables in draws(rng, 40, (alg, None), (carrier, None),
-                           (carrier, None)):
-        witness = check(*variables)
-        if witness is not None:
-            raise ValueError(
-                "not a module algebra over %s (equation 1 is d.(hh') = "
-                "(d_(1).h)(d_(2).h'), equation 2 is d.1 = eps(d)1): %s"
-                % (dcp.name, witness))
-
-    # symbols are flattened h-legs followed by crossed-product legs
-    ha = len(legs(carrier.basis[0]))
-
-    def mult_basis(s1, s2):
-        ls1, ls2 = legs(s1), legs(s2)
-        h, d = make_sym(ls1[:ha]), make_sym(ls1[ha:])
-        hp, dp = make_sym(ls2[:ha]), make_sym(ls2[ha:])
-
-        def term(d1, d2):
-            moved = act(alg.el(d1), carrier.el(hp))
-            return tensor(carrier.mult(carrier.el(h), moved),
-                          alg.mult_basis[d2, dp])
-        return dcp.coproduct(alg.el(d)).map_legs(term)
-
-    unit = tensor(carrier.unit, alg.unit)
-    return Algebra(field, mult_basis, carrier.space.tensor(alg.space),
-                   unit=unit, name="%s#%s" % (carrier.name, dcp.name))

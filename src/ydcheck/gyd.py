@@ -14,7 +14,9 @@ yd.braiding_c and modules.adjoint_module called with the pair's twists.
 The identity pair is (ID, ID), with the one identity instances.ID, so at
 it those functions are the untwisted ones and read the untwisted action
 and product tables.  Only the right coaction slice is required of these
-modules.
+modules.  The fixtures are the trivial module at a diagonal pair and the
+twisted adjoint module at any pair on any instance, unital or not: its
+action and its local unit rule are both read from slices of Delta.
 """
 
 import itertools
@@ -23,14 +25,12 @@ import random
 from .linear import tensor, apply_legs
 from .mha import draws
 from .modules import (UnitalModule, Coaction, trivial_module,
-                      trivial_coaction, counit_module, adjoint_module,
-                      coproduct_coaction)
+                      trivial_coaction, adjoint_module, coproduct_coaction)
 from .yd import (YDModule, compat_rhs, split_sym, yd_tensor, braiding_c,
                  _twisted_act)
 from .fields import parse_scalar
-from .instances import (ID, AutoPair, identity_pair, group_Z,
-                        group_map_automorphism, inner_automorphism,
-                        h4_scaling_automorphism)
+from .instances import (AutoPair, IDENTITY_PAIR, identity_pair,
+                        inner_automorphism, h4_scaling_automorphism)
 from .report import Report, equal
 
 
@@ -86,70 +86,24 @@ def check_gyd(gyd, samples=40, seed=0):
 
 # -- fixtures ------------------------------------------------------------------
 
-def _diagonal(mha, sigma):
-    """The pair (sigma, sigma), named after sigma, so (id,id) at ID; with no
-    sigma given, the identity pair, named (i,i).  Law ids carry both
-    names, so None here picks a name, not a twist."""
-    return identity_pair(mha) if sigma is None else AutoPair(sigma, sigma)
-
-
-def trivial_gyd(mha, sigma=None):
-    """The base field at a diagonal pair (sigma, sigma): the counit action
-    absorbs the twist because beta(a_(2)) alpha(S^-1(a_(1))) collapses to
-    eps(a) when alpha = beta."""
-    pair = _diagonal(mha, sigma)
+def trivial_gyd(mha, pair=IDENTITY_PAIR):
+    """The base field at a diagonal pair (sigma, sigma), the identity pair
+    (i,i) by default: the counit action absorbs the twist because
+    beta(a_(2)) alpha(S^-1(a_(1))) collapses to eps(a) when alpha = beta."""
     mod = trivial_module(mha)
     return YDModule(mod, trivial_coaction(mod), pair,
                     name=mha.name + ":gyd-trivial@" + pair.name)
 
 
-def counit_gyd(mha, sigma=None):
-    """A with the counit action and Gamma = Delta at a diagonal pair, on
-    commutative instances."""
-    if not mha.commutative:
-        raise ValueError("the counit fixture needs a commutative instance")
-    pair = _diagonal(mha, sigma)
-    mod = counit_module(mha)
-    return YDModule(mod, coproduct_coaction(mod), pair,
-                    name=mod.name + ":gyd@" + pair.name)
-
-
 def twisted_adjoint_gyd(mha, pair):
     """A acting on itself by a.v = beta(a_(2)) v alpha(S^-1(a_(1))) with
-    Gamma = Delta, at the pair (alpha, beta); needs the materialized
-    coproduct."""
-    if not mha.materializes_coproduct:
-        raise ValueError("the twisted adjoint fixture needs a materialized "
-                         "coproduct on %s" % mha.name)
+    Gamma = Delta, at the pair (alpha, beta), on every instance: both the
+    action and its local unit rule are read from slices
+    (modules.adjoint_module).  On a commutative instance at a diagonal
+    pair this is the counit action."""
     mod = adjoint_module(mha, pair.alpha, pair.beta,
                          name=mha.name + ":tw-adjoint@" + pair.name)
     return YDModule(mod, coproduct_coaction(mod), pair, name=mod.name)
-
-
-def stretch_gyd(mha):
-    """On the delta-function instance over the integers: the action
-    a.delta_m = a(2m) delta_m with Gamma = Delta sits at the pair
-    (negation, identity) -- a twisted fixture on a non-unital instance."""
-    if mha.name != "fun-Z":
-        raise ValueError("the stretch fixture is specific to fun-Z")
-    alg = mha.algebra
-    neg = group_map_automorphism(mha, group_Z(), lambda n: -n, lambda n: -n,
-                                 name="neg")
-    pair = AutoPair(neg, ID)
-
-    def act(a, v):
-        return alg.el(v, alg.el(a).coeff(2 * v))
-
-    def lu(velems, aelems):
-        doubled = [alg.el(2 * s) for x in velems for s in x.terms]
-        return alg.local_unit(doubled + list(aelems))
-
-    mod = UnitalModule(mha, act, alg.space, local_unit=lu,
-                       name=mha.name + ":stretch")
-    delta_r = mha.delta_r_basis
-    coa = Coaction(mod, lambda v, a: delta_r[v, a],
-                   name=mod.name + ":delta")
-    return YDModule(mod, coa, pair, name=mod.name)
 
 
 # -- the crossing functor -------------------------------------------------------
@@ -235,21 +189,14 @@ def gyd_braiding_inv(V, W, wv):
 # -- the T-category suite ---------------------------------------------------------
 
 def gyd_fixtures_at(mha, pair):
-    """Fixtures living exactly at the given pair."""
-    out = []
+    """Fixtures living exactly at the given pair: the trivial module when
+    the pair is diagonal, then the twisted adjoint."""
     rng = random.Random(1)
     probes = [x for x, in draws(rng, 8, mha.algebra)]
-    diagonal = all(pair.alpha(x) == pair.beta(x) for x in probes)
-    if diagonal:
-        out.append(trivial_gyd(mha, pair.alpha))
-        if mha.commutative:
-            out.append(counit_gyd(mha, pair.alpha))
-    if mha.materializes_coproduct:
-        out.append(twisted_adjoint_gyd(mha, pair))
-    if not out:
-        raise ValueError("no fixture available at pair %s on %s"
-                         % (pair.name, mha.name))
-    return out
+    out = []
+    if all(pair.alpha(x) == pair.beta(x) for x in probes):
+        out.append(trivial_gyd(mha, pair))
+    return out + [twisted_adjoint_gyd(mha, pair)]
 
 
 def check_t_category(mha, pairs, samples=30, seed=0):

@@ -587,13 +587,13 @@ class AutoPair:
                 and self.beta.is_identity_on(probes))
 
 
-_IDENTITY_PAIR = AutoPair(ID, ID, name="(i,i)")
+IDENTITY_PAIR = AutoPair(ID, ID, name="(i,i)")
 
 
 def identity_pair(mha):
     """The identity pair (ID, ID), named (i,i): one object, the same for
     every instance mha."""
-    return _IDENTITY_PAIR
+    return IDENTITY_PAIR
 
 
 def group_map_automorphism(mha, group, phi, phi_inv, name):

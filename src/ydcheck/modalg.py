@@ -196,8 +196,8 @@ def adjoint_trivial_yd_module_algebra(mha):
 
 
 def canonical_yd_module_algebra(mha):
-    """R = A with the twisted adjoint action and Gamma = Delta; needs a
-    materialized coproduct and cocommutativity for the product law."""
+    """R = A with the twisted adjoint action and Gamma = Delta; the product
+    law needs cocommutativity."""
     mod = adjoint_module(mha)
     return ModuleAlgebra(mha.algebra, mod, coproduct_coaction(mod),
                          name=mha.name + ":adjoint-delta")
@@ -428,16 +428,6 @@ def check_ha_module(M, samples=30, seed=0):
         rep.merge(check_yd(YDModule(M.module, M.coaction, name=M.name),
                            samples, seed), "yd")
     return rep
-
-
-def right_h_action(M, samples=20, seed=0):
-    """The right action m <- h = h_(0) -> (h_(1).m); only defined over an
-    A-commutative H (rejected otherwise with the failing pair)."""
-    comm = check_a_commutative(M.H, samples, seed)
-    if not comm.ok:
-        raise ValueError("right action needs an A-commutative H: %s"
-                         % comm.failures()[0].witness)
-    return lambda m, h: M.r_act(m, h)
 
 
 def check_h_bimodule(M, samples=40, seed=0):

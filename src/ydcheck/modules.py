@@ -8,10 +8,11 @@ sliceL(v, a) = (1 (x) a)Gamma(v) = v_(0) (x) a v_(1).
 
 A twist is an automorphism called as aut(x) and aut.inverse(x); the
 identity is instances.ID, at which the twisted adjoint action reads the
-untwisted product table.
+untwisted slice table delta_r.
 """
 
-from .linear import Element, Ten, Memo2, bilinear, split_sym, apply_legs
+from .linear import (Element, Ten, Memo, Memo2, bilinear, split_sym,
+                     apply_legs)
 from .mha import Space, Multiplier, probe_elements
 from .report import Report, equal
 from .instances import ID
@@ -176,22 +177,38 @@ def trivial_module(mha):
 
 def adjoint_module(mha, alpha=ID, beta=ID, name=None):
     """A acting on itself by the inverse-antipode-twisted adjoint action
-    a.v = beta(a_(2)) v alpha(S^-1(a_(1))) at the pair (alpha, beta); the
-    untwisted action a_(2) v S^-1(a_(1)) is the one at alpha = beta = ID,
-    where beta(a_(2)) v is a read of the product table.  Needs the
-    materialized coproduct."""
-    alg = mha.algebra
+    a.v = beta(a_(2)) v alpha(S^-1(a_(1))) at the pair (alpha, beta), read
+    from the slice Delta(a)(1 (x) beta^-1(v)) = a_(1) (x) a_(2)beta^-1(v);
+    at beta = ID that slice is a read of delta_r's table.  The untwisted
+    action a_(2) v S^-1(a_(1)) is the one at alpha = beta = ID.
 
-    mult = alg.mult_basis
+    The local unit rule comes from the slices too: with u a local unit of
+    a basis symbol of v and c a coproduct cover of
+    S(alpha^-1(u)) (x) beta^-1(u), memoized per symbol, every e with ec = c
+    fixes S(alpha^-1(u))e_(1) (x) e_(2)beta^-1(u) on a commutative A, so
+    e.v = e.(uvu) = v.  On K(G) at the identity that is delta_e, the
+    counit module's rule."""
+    alg = mha.algebra
+    delta_r = mha.delta_r_basis
+    twisted = Memo(lambda p: alpha(mha.antipode_inv(alg.el(p))))
 
     def act(a, v):
-        def term(a1, a2):
-            left = (mult[a2, v] if beta is ID
-                    else alg.mult(beta(alg.el(a2)), alg.el(v)))
-            return alg.mult(left, alpha(mha.antipode_inv(alg.el(a1))))
-        return mha.coproduct(alg.el(a)).map_legs(term)
+        x = (delta_r[a, v] if beta is ID
+             else mha.delta_r(alg.el(a), beta.inverse(alg.el(v))))
+        return x.map_legs(
+            lambda p, q: alg.mult(beta(alg.el(q)), twisted[p]))
 
-    return UnitalModule(mha, act, alg.space,
+    def cover(s):
+        u = alg.local_unit([alg.el(s)])
+        return mha.delta_cover([mha.antipode(alpha.inverse(u))],
+                               [beta.inverse(u)])
+    covers = Memo(cover)
+
+    def local_unit(velems, aelems):
+        return alg.local_unit([covers[s] for v in velems for s in v.terms]
+                              + aelems)
+
+    return UnitalModule(mha, act, alg.space, local_unit=local_unit,
                         name=name or (mha.name + ":adjoint"))
 
 

@@ -21,8 +21,8 @@ factors cancel.  Each evaluator documents its slice composition.
 from .linear import Element, linear, tensor, split_sym, apply_legs
 from .report import Report, equal
 from .modules import (UnitalModule, Coaction, trivial_module,
-                      trivial_coaction, counit_module, adjoint_module,
-                      regular_module, coproduct_coaction)
+                      trivial_coaction, adjoint_module, regular_module,
+                      coproduct_coaction)
 from .instances import ID, identity_pair
 
 
@@ -397,15 +397,10 @@ def trivial_yd(mha):
 
 
 def canonical_yd(mha):
-    """The canonical nontrivial fixture: on unital instances A with the
-    twisted adjoint action and Gamma = Delta; on commutative instances A with
-    the counit action and Gamma = Delta."""
-    if mha.materializes_coproduct:
-        mod = adjoint_module(mha)
-    elif mha.commutative:
-        mod = counit_module(mha)
-    else:
-        raise ValueError("no canonical fixture for %s" % mha.name)
+    """The canonical nontrivial fixture on every instance: A with the
+    adjoint action a_(2) v S^-1(a_(1)), read from slices, and Gamma = Delta
+    (on a commutative instance the adjoint action is the counit action)."""
+    mod = adjoint_module(mha)
     return YDModule(mod, coproduct_coaction(mod), name=mod.name + ":yd")
 
 

@@ -1,5 +1,5 @@
-"""Diagonal crossed products, Drinfel'd doubles, the module correspondence,
-and smash products, with hand oracles on small group algebras."""
+"""Diagonal crossed products, Drinfel'd doubles and the module
+correspondence, with hand oracles on small group algebras."""
 
 from fractions import Fraction
 
@@ -7,17 +7,16 @@ import pytest
 
 from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.linear import Element, Ten, tensor
-from ydcheck.mha import Space, Algebra
 from ydcheck.instances import (build_instance, group_S3, dual_sym,
                                compute_integrals, inner_automorphism,
                                h4_scaling_automorphism)
 from ydcheck.yd import canonical_yd
 from ydcheck.gyd import (AutoPair, identity_pair, trivial_gyd,
-                         counit_gyd, twisted_adjoint_gyd, parse_pair)
+                         twisted_adjoint_gyd, parse_pair)
 from ydcheck.double import (DiagonalCrossedProduct, drinfeld_double, check_dcp,
                             DcpModule, check_dcp_module, regular_dcp_module,
                             yd_to_dcp_module, dcp_module_to_yd,
-                            check_double_correspondence, smash_product)
+                            check_double_correspondence)
 
 
 def test_double_kz2_is_group_algebra_of_klein_four():
@@ -137,9 +136,10 @@ def test_trivial_module_action_formula():
 
 
 def test_grouplike_module_action_formula():
-    # counit action + grouplike coaction on KZ2: (p >< g).h = p(h) h
+    # adjoint action + grouplike coaction on KZ2: (p >< g).h = p(h) h, as
+    # g.h = ghg^-1 = h on the commutative KZ2
     mha = build_instance("grp-Z2", QQ)
-    V = counit_gyd(mha)
+    V = twisted_adjoint_gyd(mha, identity_pair(mha))
     M = yd_to_dcp_module(V)
     D = M.dcp
     for g in mha.algebra.basis:
@@ -182,49 +182,18 @@ def test_double_correspondence_twisted_pairs():
     assert rep.ok, rep.summary()
 
 
-def _trivial_carrier():
-    return Algebra(QQ, lambda a, b: Element.basis(QQ, "*"), Space(["*"]),
-                   unit=Element.basis(QQ, "*"), name="K")
+@pytest.mark.parametrize("name", ["grp-Z2", "sweedler-H4"])
+def test_crossed_product_coproduct_is_counital(name):
+    # (eps (x) i)Delta(d) = d = (i (x) eps)Delta(d) on every basis element
+    D = drinfeld_double(build_instance(name, QQ))
+    alg = D.algebra
 
-
-def test_smash_with_trivial_carrier_is_the_double():
-    mha = build_instance("grp-Z2", QQ)
-    D = drinfeld_double(mha)
-    K = _trivial_carrier()
-    S = smash_product(D, K, lambda d, h: h.scaled(D.counit(d)))
-    # (* # d)(* # d') = * # dd'
-    star = Element.basis(QQ, "*")
-    for x in D.algebra.basis:
-        for y in D.algebra.basis:
-            got = S.mult(tensor(star, D.algebra.el(x)),
-                         tensor(star, D.algebra.el(y)))
-            expect = tensor(star, D.algebra.mult(D.algebra.el(x),
-                                                 D.algebra.el(y)))
-            assert got == expect
-
-
-def test_smash_rejects_left_regular_action():
-    mha = build_instance("grp-Z2", QQ)
-    D = drinfeld_double(mha)
-    with pytest.raises(ValueError):
-        smash_product(D, D.algebra, lambda d, h: D.algebra.mult(d, h))
-
-
-def test_smash_counit_action_is_tensor_algebra():
-    mha = build_instance("grp-Z2", QQ)
-    D = drinfeld_double(mha)
-    carrier = mha.algebra
-    S = smash_product(D, carrier, lambda d, h: h.scaled(D.counit(d)))
-    for h in carrier.basis:
-        for x in D.algebra.basis:
-            for hp in carrier.basis:
-                for y in D.algebra.basis:
-                    got = S.mult(tensor(carrier.el(h), D.algebra.el(x)),
-                                 tensor(carrier.el(hp), D.algebra.el(y)))
-                    expect = tensor(carrier.mult(carrier.el(h), carrier.el(hp)),
-                                    D.algebra.mult(D.algebra.el(x),
-                                                   D.algebra.el(y)))
-                    assert got == expect
+    def eps(s):
+        return D.counit(alg.el(s))
+    for s in alg.basis:
+        d = D.coproduct(alg.el(s))
+        assert d.map_legs(lambda x, y: alg.el(y).scaled(eps(x))) == alg.el(s)
+        assert d.map_legs(lambda x, y: alg.el(x).scaled(eps(y))) == alg.el(s)
 
 
 def test_structure_constant_dump_is_deterministic():

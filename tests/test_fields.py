@@ -255,8 +255,8 @@ def test_no_float_coefficient_in_any_suite(monkeypatch):
                     cli.run_suite(suite, name, field, 1, 0)
     assert seen == {int, Fraction}
 
-    # the suites' scalars happen to stay small, and only the smash product
-    # takes the crossed product's counit: sums of 4s leave [0, 5) unreduced
+    # the suites' scalars happen to stay small, and no suite takes the
+    # crossed product's counit: sums of 4s leave [0, 5) unreduced
     F5 = PrimeField(5)
     H = cli.build_instance("sweedler-H4", F5)
     dual = cli.build_instance("dual:sweedler-H4", F5)

@@ -6,18 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from ydcheck.fields import QQ
+from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor
-from ydcheck.instances import (build_instance, group_S3, inner_automorphism,
+from ydcheck.instances import (build_instance, group_S3, group_Z, group_Dinf,
+                               group_map_automorphism, inner_automorphism,
                                h4_scaling_automorphism, ID)
 from ydcheck.mha import random_element
 from ydcheck.modules import (adjoint_module, regular_module, counit_module,
-                             Coaction)
-from ydcheck.yd import (YDModule, canonical_yd, yd_tensor, tensor_module,
-                        tensor_coaction, braiding_c, braiding_c_inv)
+                             Coaction, UnitalModule)
+from ydcheck.yd import (YDModule, canonical_yd, yd_tensor, yd_fixtures,
+                        tensor_module, tensor_coaction, braiding_c,
+                        braiding_c_inv)
 from ydcheck.gyd import (AutoPair, identity_pair, check_gyd,
-                         trivial_gyd, counit_gyd,
-                         twisted_adjoint_gyd, stretch_gyd,
+                         trivial_gyd, twisted_adjoint_gyd, gyd_fixtures_at,
                          crossed_functor, gyd_braiding, gyd_braiding_inv,
                          check_t_category)
 
@@ -33,6 +34,37 @@ def h4_pairs(mha):
     s2 = h4_scaling_automorphism(mha, Fraction(2))
     s3 = h4_scaling_automorphism(mha, Fraction(3))
     return [AutoPair(s2, s3), AutoPair(s3, s2)]
+
+
+def neg(mha):
+    """Negation on fun-Z (n -> -n) and on fun-Dinf ((n, e) -> (-n, e)),
+    lifted to the function algebra."""
+    if mha.name == "fun-Z":
+        return group_map_automorphism(mha, group_Z(), lambda n: -n,
+                                      lambda n: -n, name="neg")
+    flip = lambda s: (-s[0], s[1])
+    return group_map_automorphism(mha, group_Dinf(), flip, flip, name="neg")
+
+
+def counit_gyd(mha, pair):
+    """The twisted adjoint at a diagonal pair: on a commutative instance it
+    acts through the counit."""
+    return twisted_adjoint_gyd(mha, pair)
+
+
+def local_unit_failures(mod, n, seed):
+    """How many of n draws (v, a) break e.v = v or ea = ae = a for the
+    module's local unit e = local_unit([v], [a])."""
+    alg = mod.mha.algebra
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(n):
+        v = random_element(rng, mod, 3)
+        a = random_element(rng, alg)
+        e = mod.local_unit([v], [a])
+        if not (mod.act(e, v) == v and alg.mult(e, a) == a == alg.mult(a, e)):
+            bad += 1
+    return bad
 
 
 def test_pair_product_matches_inner_composition():
@@ -72,10 +104,15 @@ def test_twisted_adjoint_fixtures_pass():
 
 
 def test_stretch_fixture_on_fun_z():
-    # nontrivial pair (negation, identity) on a non-unital instance
+    # nontrivial pair (negation, identity) on a non-unital instance: there
+    # the twisted adjoint stretches, a.delta_m = a(2m) delta_m
     mha = build_instance("fun-Z", QQ)
-    V = stretch_gyd(mha)
+    V = twisted_adjoint_gyd(mha, AutoPair(neg(mha), ID))
     assert not V.pair.alpha.is_identity_on([mha.el(1)])
+    for g in range(-4, 5):
+        for m in range(-2, 3):
+            expect = mha.el(m) if g == 2 * m else Element(QQ)
+            assert V.module.act_basis[g, m] == expect
     rep = check_gyd(V, samples=25, seed=3)
     assert rep.ok, rep.summary()
 
@@ -83,15 +120,15 @@ def test_stretch_fixture_on_fun_z():
 @pytest.mark.parametrize("other", [trivial_gyd, counit_gyd])
 def test_stretch_tensors_on_fun_z_pass_at_the_product_pair(other):
     # the twisted local unit rules on a non-unital instance: one tensor
-    # factor acts through the counit at (id, id) or (neg, neg), the other
-    # sits at (neg, id); e = local_unit([x], [a]) fixes x and a, also on
-    # the crossing of the stretch fixture by its own pair
+    # factor sits at (i, i) or (neg, neg), the other at (neg, id);
+    # e = local_unit([x], [a]) fixes x and a, also on the crossing of the
+    # stretch fixture by its own pair
     mha = build_instance("fun-Z", QQ)
     alg = mha.algebra
-    V = stretch_gyd(mha)
+    V = twisted_adjoint_gyd(mha, AutoPair(neg(mha), ID))
     mods = [crossed_functor(V.pair, V).module]
-    for aut in (None, V.pair.alpha):
-        W = other(mha, aut)
+    for pair in (identity_pair(mha), AutoPair(V.pair.alpha, V.pair.alpha)):
+        W = other(mha, pair)
         for T in (yd_tensor(V, W), yd_tensor(W, V)):
             rep = check_gyd(T, samples=15, seed=4)
             assert rep.ok, rep.summary()
@@ -104,6 +141,55 @@ def test_stretch_tensors_on_fun_z_pass_at_the_product_pair(other):
             e = mod.local_unit([x], [a])
             assert mod.act(e, x) == x, mod.name
             assert alg.mult(e, a) == a == alg.mult(a, e), mod.name
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["rational", "fp5"])
+@pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf"])
+def test_twisted_adjoint_on_non_unital_instances_at_four_pairs(name, field):
+    # the slice-built adjoint at (i,i), (neg,id), (id,neg) and (neg,neg):
+    # every fixture passes check_gyd, the T-category laws hold over the
+    # four pairs, and the local unit of every fixture, tensor and crossing
+    # fixes its vector and its algebra element
+    mha = build_instance(name, field)
+    n = neg(mha)
+    pairs = [identity_pair(mha), AutoPair(n, ID), AutoPair(ID, n),
+             AutoPair(n, n)]
+    fixtures = [V for p in pairs for V in gyd_fixtures_at(mha, p)]
+    assert len(fixtures) == 6
+    for V in fixtures:
+        rep = check_gyd(V, samples=10, seed=3)
+        assert rep.ok, rep.summary()
+    rep = check_t_category(mha, pairs, samples=6, seed=3)
+    assert rep.ok, rep.summary()
+    objects = (fixtures + yd_fixtures(mha)
+               + [yd_tensor(V, W) for V in fixtures for W in fixtures]
+               + [crossed_functor(p, W) for p in pairs for W in fixtures])
+    for X in objects:
+        assert local_unit_failures(X.module, 6, seed=5) == 0, X.name
+
+
+def test_a_naive_local_unit_fails_at_a_twisted_pair():
+    # control: the stretch action with the counit-style rule
+    # e = local unit of (v's, a's, eps_one) does not fix v at (neg, id)
+    mha = build_instance("fun-Z", QQ)
+    alg = mha.algebra
+    good = twisted_adjoint_gyd(mha, AutoPair(neg(mha), ID)).module
+    naive = UnitalModule(
+        mha, lambda a, v: good.act_basis[a, v], alg.space,
+        local_unit=lambda vs, avs: alg.local_unit(vs + avs + [mha.eps_one]),
+        name="naive")
+    assert local_unit_failures(good, 50, seed=1) == 0
+    assert local_unit_failures(naive, 50, seed=1) > 40
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf"])
+def test_adjoint_at_the_identity_is_the_counit_action(name):
+    mha = build_instance(name, QQ)
+    adj, cou = adjoint_module(mha), counit_module(mha)
+    rng = random.Random(8)
+    for _ in range(50):
+        a, v = random_element(rng, mha.algebra), random_element(rng, adj, 3)
+        assert adj.act(a, v) == cou.act(a, v)
 
 
 def test_corrupted_beta_fails_with_witness():

@@ -25,7 +25,7 @@ from ydcheck.modalg import (ModuleAlgebra, counit_module_algebra,
                             coaction_from_qt, check_qt_coaction, HAModule,
                             h_unit_ha_module, mult_ha_module,
                             collapse_ha_module, check_ha_module,
-                            right_h_action, check_h_bimodule, BalancedTensor,
+                            check_h_bimodule, BalancedTensor,
                             check_balanced_tensor, check_unit_laws,
                             check_associator, check_pentagon,
                             check_module_algebra_suite, check_hq_monoidal)
@@ -169,17 +169,21 @@ def test_corrupted_h_action_fails_with_witness():
 
 
 def test_right_action_rejects_non_a_commutative():
+    # m <- h = h_(0) -> (h_(1).m) needs an A-commutative H, and the
+    # canonical YD module algebra on S3 is not one
     mha = build_instance("grp-S3", QQ)
     H = canonical_yd_module_algebra(mha)
-    with pytest.raises(ValueError):
-        right_h_action(h_unit_ha_module(H), samples=30, seed=12)
+    rep = check_a_commutative(h_unit_ha_module(H).H, samples=30, seed=12)
+    assert not rep.ok
+    assert all(r.witness for r in rep.failures())
 
 
 def test_right_action_formulas_and_bimodule():
     z2 = build_instance("grp-Z2", QQ)
     H = subgroup_yd_module_algebra(z2, cyclic_subgroup_syms(z2.algebra))
     M = mult_ha_module(H)
-    r = right_h_action(M, samples=20, seed=13)
+    assert check_a_commutative(H, samples=20, seed=13).ok
+    r = M.r_act
     # trivial coaction: m <- h = h -> m
     for m in M.module.basis:
         for h in H.alg.basis:

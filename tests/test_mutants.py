@@ -41,7 +41,7 @@ EXPECTED = {
         "braiding-invertible[sweedler-H4:adjoint:yd(x)sweedler-H4:yd-trivial]",
         "braiding-invertible[sweedler-H4:yd-trivial(x)sweedler-H4:adjoint:yd]"],
     "gyd": [
-        "gyd-compat[sweedler-H4:gyd-trivial@(id,id)@0]",
+        "gyd-compat[sweedler-H4:gyd-trivial@(i,i)@0]",
         "gyd-compat[sweedler-H4:tw-adjoint@(i,i)@0]",
         "gyd-compat[sweedler-H4:tw-adjoint@(scale:2,scale:3)@1]",
         "gyd-compat[sweedler-H4:tw-adjoint@(scale:3,scale:2)@2]"],

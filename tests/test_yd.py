@@ -8,7 +8,9 @@ import pytest
 
 from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, split_sym, apply_legs
-from ydcheck.instances import build_instance, CORE_INSTANCES, group_S3, ID
+from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
+                               group_Z, group_Dinf, group_map_automorphism,
+                               ID)
 from ydcheck.mha import random_element
 from ydcheck.modules import (regular_module, coproduct_coaction, Coaction,
                              adjoint_module)
@@ -17,8 +19,8 @@ from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         functor_f, check_half_braiding, check_equivalence,
                         canonical_yd, trivial_yd, tensor_module,
                         act_on_slice)
-from ydcheck.gyd import (stretch_gyd, parse_pair, gyd_fixtures_at,
-                         gyd_braiding)
+from ydcheck.gyd import (AutoPair, twisted_adjoint_gyd, parse_pair,
+                         gyd_fixtures_at, gyd_braiding)
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
@@ -73,16 +75,19 @@ def test_yd_tensor_passes_and_grouplike_coaction_order():
 def test_diagonal_local_unit_fixes_the_vector_and_the_algebra(name):
     # e = local_unit([x], [a]) on a tensor module of a non-unital instance:
     # e.x = x and ea = ae = a, for every pair of factors (tensors of
-    # tensors included) and, on fun-Z, the twisted stretch module
+    # tensors included) and the twisted adjoint module at (neg, id)
     mha = build_instance(name, QQ)
     alg = mha.algebra
     reg = regular_module(mha)
     factors = [V.module for V in yd_fixtures(mha)] + [reg]
     pairs = [tensor_module(V, W) for V in factors for W in factors]
     mods = pairs + [tensor_module(T, reg) for T in pairs]
-    if name == "fun-Z":
-        stretch = stretch_gyd(mha).module
-        mods += [tensor_module(stretch, reg), tensor_module(reg, stretch)]
+    # negation: n -> -n on Z, (n, e) -> (-n, e) on Dinf
+    group, flip = ((group_Z(), lambda n: -n) if name == "fun-Z"
+                   else (group_Dinf(), lambda s: (-s[0], s[1])))
+    neg = group_map_automorphism(mha, group, flip, flip, name="neg")
+    stretch = twisted_adjoint_gyd(mha, AutoPair(neg, ID)).module
+    mods += [tensor_module(stretch, reg), tensor_module(reg, stretch)]
     rng = random.Random(5)
     for mod in mods:
         for _ in range(6):
