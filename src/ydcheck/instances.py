@@ -596,7 +596,7 @@ def identity_pair(mha):
     return IDENTITY_PAIR
 
 
-def group_map_automorphism(mha, group, phi, phi_inv, name):
+def group_map_automorphism(mha, phi, phi_inv, name):
     """Lift a group automorphism to K(G) or KG (both have group-element
     basis symbols)."""
     fwd = lambda x: x.map_terms(lambda s: Element.basis(mha.field, phi(s)))

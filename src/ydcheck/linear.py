@@ -33,11 +33,13 @@ kernels carry all of them:
   symbol's legs itself;
 - apply_legs(x, i, k, f) applies a linear map f to the window of legs
   [i, i+k) of every term and splices the image in place (k = 1, 2, a module
-  arity or a quotient arity).
+  arity or a quotient arity), running f once per distinct window in a call.
 
 linear and bilinear extend a basis map in the same way, but read the image
-of each basis symbol (or pair) from a memo.  All four add c * image with
-_add_scaled, which starts a sum from a copy of a first image with c == 1.
+of each basis symbol (or pair) from a memo.  All four add c * image in their
+own loop, skip zero images and start from a dict() copy of a first image
+with c == 1 (it keeps its dict's hashes).  make_sym and tensor (which reads
+y's legs once) build a Ten as tuple.__new__(Ten, legs + _TAG), frame-free.
 
 The memo is a table a caller can read by symbol: Memo(f)[s] is f(s), and
 Memo2(f)[s, t] is f(s, t), each computed on the first read and kept.
@@ -99,8 +101,9 @@ def legs(sym):
 
 
 def make_sym(leg_tuple):
-    """Rebuild a symbol from legs, unwrapping singletons."""
-    return leg_tuple[0] if len(leg_tuple) == 1 else Ten(leg_tuple)
+    """Rebuild a symbol from a tuple of legs, unwrapping singletons."""
+    return (leg_tuple[0] if len(leg_tuple) == 1
+            else tuple.__new__(Ten, leg_tuple + _TAG))
 
 
 def split_sym(sym, n_left):
@@ -171,9 +174,13 @@ class Element:
         acc = {}
         for s, c in self.terms.items():
             img = f(s)
-            if c == 1 and len(self.terms) == 1:
-                return img
-            acc = _add_scaled(acc, img, c)
+            if c == 1 and not acc:
+                if len(self.terms) == 1:
+                    return img
+                acc = dict(img.terms)
+            elif img.terms:
+                for si, ci in img.terms.items():
+                    acc[si] = acc.get(si, 0) + c * ci
         return Element(self.field, acc)
 
     def map_legs(self, f, at=None):
@@ -187,9 +194,13 @@ class Element:
                 img = f(*ls)
             else:
                 img = f(make_sym(ls[:at]), make_sym(ls[at:]))
-            if c == 1 and len(self.terms) == 1:
-                return img
-            acc = _add_scaled(acc, img, c)
+            if c == 1 and not acc:
+                if len(self.terms) == 1:
+                    return img
+                acc = dict(img.terms)
+            elif img.terms:
+                for si, ci in img.terms.items():
+                    acc[si] = acc.get(si, 0) + c * ci
         return Element(self.field, acc)
 
     def __repr__(self):
@@ -208,23 +219,16 @@ def same_field(x, y):
     return x.field
 
 
-def _add_scaled(acc, img, c):
-    """acc + c * img as a coefficient dict.  The first image with c == 1 is
-    copied with dict(), which keeps the hashes its dict already stores."""
-    if c == 1 and not acc:
-        return dict(img.terms)
-    for s, ci in img.terms.items():
-        acc[s] = acc.get(s, 0) + c * ci
-    return acc
-
-
 def tensor(x, y):
     """Bilinear tensor product; result symbols are flat Ten tuples."""
     acc = {}
+    # y's legs and tag (a Ten ends in it), read once unless x is zero
+    ys = x.terms and [(sy if type(sy) is Ten else (sy,) + _TAG, cy)
+                      for sy, cy in y.terms.items()]
     for sx, cx in x.terms.items():
-        lx = legs(sx)
-        for sy, cy in y.terms.items():
-            s = Ten(lx + legs(sy))
+        lx = sx[:-1] if type(sx) is Ten else (sx,)
+        for ly, cy in ys:
+            s = tuple.__new__(Ten, lx + ly)
             acc[s] = acc.get(s, 0) + cx * cy
     return Element(same_field(x, y), acc)
 
@@ -264,9 +268,13 @@ def linear(field, f):
         acc = {}
         for sx, cx in x.terms.items():
             img = cache[sx]
-            if cx == 1 and len(x.terms) == 1:
-                return img
-            acc = _add_scaled(acc, img, cx)
+            if cx == 1 and not acc:
+                if len(x.terms) == 1:
+                    return img
+                acc = dict(img.terms)
+            elif img.terms:
+                for s, c in img.terms.items():
+                    acc[s] = acc.get(s, 0) + cx * c
         return Element(field, acc)
 
     return ext
@@ -286,25 +294,32 @@ def bilinear(field, f):
             for sy, cy in y.terms.items():
                 img = cache[sx, sy]
                 c0 = cx * cy
-                if c0 == 1 and len(x.terms) == len(y.terms) == 1:
-                    return img
-                acc = _add_scaled(acc, img, c0)
+                if c0 == 1 and not acc:
+                    if len(x.terms) == len(y.terms) == 1:
+                        return img
+                    acc = dict(img.terms)
+                elif img.terms:
+                    for s, c in img.terms.items():
+                        acc[s] = acc.get(s, 0) + c0 * c
         return Element(field, acc)
 
     return ext
 
 
 def apply_legs(x, i, k, f):
-    """Apply the linear map f to legs [i, i+k) of every term of x and splice
-    the image in place, keeping the other legs fixed.  f receives the window
-    as one basis Element (a Ten when k > 1), so k may be 1, 2, a module
-    arity or a quotient arity, and its image may have any number of legs."""
+    """Apply the linear map f to legs [i, i+k) of every term of x, splicing
+    the image in place.  f runs once per distinct window in a call, on it as
+    one basis Element (a Ten when k > 1), so k may be 1, 2, a module arity or
+    a quotient arity, and its image may have any number of legs."""
     field = x.field
-    acc = {}
+    acc, images = {}, {}
     for s, c in x.terms.items():
-        ls = legs(s)
+        ls = s[:-1] if type(s) is Ten else (s,)
+        w = ls[i:i + k]
+        img = images.get(w)
+        if img is None:
+            img = images[w] = f(Element.basis(field, make_sym(w)))
         head, tail = ls[:i], ls[i + k:]
-        img = f(Element.basis(field, make_sym(ls[i:i + k])))
         for si, ci in img.terms.items():
             new = make_sym(head + legs(si) + tail)
             acc[new] = acc.get(new, 0) + c * ci

@@ -392,15 +392,25 @@ class MultiplierHopfAlgebra:
 def random_element(rng, carrier, max_support=4):
     """A random Element of an Algebra or a UnitalModule: up to max_support
     terms, on basis symbols drawn from carrier.space, with coefficients
-    drawn from the field's coeff_pool.  The draws are those of
-    Random.randint(1, max_support) and Random.choice(pool), made through
-    below."""
-    pool = carrier.field.coeff_pool
-    n = len(pool)
-    sample = carrier.space.sample
-    terms = {}
+    drawn from the field's coeff_pool: Random.randint(1, max_support), then
+    per term Random.choice(pool) before the symbol, the stream of
+    terms[sample(rng)] = pool[below(rng, n)] (Python evaluates its right
+    side first).  The loop reads rng.getrandbits itself, as below does."""
+    pool, space = carrier.field.coeff_pool, carrier.space
+    basis = space.basis if space._sample is None and space.basis else None
+    n, nb = len(pool), len(basis or ())
+    k, kb, bits, terms = n.bit_length(), nb.bit_length(), rng.getrandbits, {}
     for _ in range(1 + below(rng, max_support)):
-        terms[sample(rng)] = pool[below(rng, n)]
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        if basis is None:  # a sampler, or an empty basis Space.sample refuses
+            terms[space.sample(rng)] = pool[r]
+            continue
+        b = bits(kb)
+        while b >= nb:
+            b = bits(kb)
+        terms[basis[b]] = pool[r]
     return Element(carrier.field, terms)
 
 

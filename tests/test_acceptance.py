@@ -6,7 +6,6 @@ import json
 import time
 
 from ydcheck.fields import QQ, PrimeField
-from ydcheck.linear import tensor
 from ydcheck.mha import check_mha_axioms, check_braid
 from ydcheck.modules import (regular_module, counit_module, coproduct_coaction,
                              Coaction)

@@ -14,9 +14,7 @@ from ydcheck.yd import canonical_yd
 from ydcheck.gyd import (AutoPair, identity_pair, trivial_gyd,
                          twisted_adjoint_gyd, parse_pair)
 from ydcheck.double import (DiagonalCrossedProduct, drinfeld_double, check_dcp,
-                            DcpModule, check_dcp_module, regular_dcp_module,
-                            yd_to_dcp_module, dcp_module_to_yd,
-                            check_double_correspondence)
+                            yd_to_dcp_module, check_double_correspondence)
 
 
 def test_double_kz2_is_group_algebra_of_klein_four():

@@ -8,7 +8,7 @@ import pytest
 
 from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor
-from ydcheck.instances import (build_instance, group_S3, group_Z, group_Dinf,
+from ydcheck.instances import (build_instance, group_S3,
                                group_map_automorphism, inner_automorphism,
                                h4_scaling_automorphism, ID)
 from ydcheck.mha import random_element
@@ -40,10 +40,10 @@ def neg(mha):
     """Negation on fun-Z (n -> -n) and on fun-Dinf ((n, e) -> (-n, e)),
     lifted to the function algebra."""
     if mha.name == "fun-Z":
-        return group_map_automorphism(mha, group_Z(), lambda n: -n,
-                                      lambda n: -n, name="neg")
+        return group_map_automorphism(mha, lambda n: -n, lambda n: -n,
+                                      name="neg")
     flip = lambda s: (-s[0], s[1])
-    return group_map_automorphism(mha, group_Dinf(), flip, flip, name="neg")
+    return group_map_automorphism(mha, flip, flip, name="neg")
 
 
 def counit_gyd(mha, pair):

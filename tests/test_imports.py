@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module or a test module imports is used in that
+module."""
 
 import ast
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import ydcheck
 
 SRC = pathlib.Path(ydcheck.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def unused_imports(path):
@@ -18,6 +20,15 @@ def unused_imports(path):
     return sorted(imported - used)
 
 
+def unused_in(directory):
+    found = {path.name: unused_imports(path)
+             for path in sorted(directory.glob("*.py"))}
+    return {name: names for name, names in found.items() if names}
+
+
 def test_no_module_imports_a_name_it_never_uses():
-    found = {path.name: unused_imports(path) for path in sorted(SRC.glob("*.py"))}
-    assert {name: names for name, names in found.items() if names} == {}
+    assert unused_in(SRC) == {}
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    assert unused_in(TESTS) == {}

@@ -480,3 +480,102 @@ def test_quotient_space():
     assert q.project(e("a") - e("b")).is_zero()
     for s in q.basis:
         assert q.project(q.section(Element.basis(QQ, s))) == Element.basis(QQ, s)
+
+
+def per_term_apply_legs(x, i, k, f):
+    """apply_legs term by term: f on each term's window, spliced in."""
+    out = Element(x.field)
+    for s, c in x.terms.items():
+        ls = legs(s)
+        img = f(Element.basis(x.field, make_sym(ls[i:i + k])))
+        for si, ci in img.terms.items():
+            out = out + Element.basis(
+                x.field, make_sym(ls[:i] + legs(si) + ls[i + k:]), c * ci)
+    return out
+
+
+@pytest.mark.parametrize("i,k", [(0, 1), (1, 2), (2, 1)])
+def test_apply_legs_reads_each_distinct_window_once(i, k):
+    # windows [i, i+k) repeat across the terms; the image of one window
+    # has one leg and another three, so the splice changes the arity
+    x = (ten("a", "b", "c") + ten("d", "b", "c", c=2) + ten("a", "b", "e", c=-1)
+         + ten("a", "f", "c", c=3))
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return v.map_terms(lambda s: e("".join(legs(s)) + "'")
+                           + ten(*legs(s), "z", c=-2))
+    want = per_term_apply_legs(x, i, k, f)
+    windows = {legs(s)[i:i + k] for s in x.terms}
+    del calls[:]
+    assert apply_legs(x, i, k, f) == want
+    assert len(calls) == len(windows) < len(x.terms)
+
+
+def plain_sum(field, pairs):
+    """The sum of c * img over (c, img) pairs, one Element addition each."""
+    total = Element(field)
+    for c, img in pairs:
+        total = total + img.scaled(c)
+    return total
+
+
+F5 = PrimeField(5)
+KERNEL_CASES = {
+    # images that are zero: first (before a coefficient-1 copy) and later
+    "empty": (QQ, {"p": 1, "q": 1, "r": Fraction(-2), "s": 3},
+              {"p": Element(QQ), "q": e("z") + e("u"), "r": e("z", 3),
+               "s": Element(QQ)}),
+    # every term of the sum cancels, one after another
+    "cancelling": (QQ, {"p": 1, "q": 1, "r": 1},
+                   {"p": e("z") + e("u"), "q": e("z", -1), "r": e("u", -1)}),
+    # one term with coefficient 3: 3 * 4 = 12 reduces to 2 in F_5
+    "single-F5": (F5, {"p": 3}, {"p": Element(F5, {"z": 4, "u": 1})}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_sums_equal_a_plain_reference_sum(case):
+    field, coeffs, images = KERNEL_CASES[case]
+    x = Element(field, dict(coeffs))
+    y = Element(field, {"y": 1, "w": 2})
+    weight = {"y": 1, "w": 3}
+
+    def g(s, t):
+        return images[s].scaled(weight[t])
+    want = plain_sum(field, [(c, images[s]) for s, c in x.terms.items()])
+    want2 = plain_sum(field, [(cx * cy, g(sx, sy))
+                              for sx, cx in x.terms.items()
+                              for sy, cy in y.terms.items()])
+    x2 = tensor(x, Element.basis(field, "y"))
+    for got in (x.map_terms(images.get), linear(field, images.get)(x),
+                x.map_legs(images.get), x2.map_legs(lambda p, q: images[p])):
+        assert got == want, case
+    bil = bilinear(field, g)
+    assert bil(x, y) == want2, case
+    assert bil(x, Element.basis(field, "y")) == want, case
+
+
+def test_a_single_coefficient_one_term_returns_its_image_itself():
+    images = {"p": e("z", 3) + e("u"), "o": Element(QQ)}
+    lin = linear(QQ, Memo(images.get))
+    bil = bilinear(QQ, Memo2(lambda s, t: images[s]))
+    for s in ("p", "o"):  # a nonzero image and a zero one
+        x = e(s)
+        for got in (x.map_terms(images.get), x.map_legs(images.get), lin(x),
+                    bil(x, e("y")),
+                    ten(s, "y").map_legs(lambda p, q: images[p])):
+            assert got is images[s]
+
+
+def test_tensor_adds_colliding_terms_of_mixed_arity():
+    # a (x) (b (x) c) and (a (x) b) (x) c are one flat symbol (a, b, c)
+    x = e("a", 2) + ten("a", "b", c=3)
+    y = ten("b", "c", c=5) + e("c", 7)
+    assert tensor(x, y) == Element(QQ, {
+        Ten(("a", "b", "c")): Fraction(2 * 5 + 3 * 7),
+        Ten(("a", "c")): Fraction(14), Ten(("a", "b", "b", "c")): Fraction(15)})
+    # and cancel when they sum to zero
+    z = tensor(x, ten("b", "c", c=3) + e("c", -2))
+    assert Ten(("a", "b", "c")) not in z.terms and len(z.terms) == 2

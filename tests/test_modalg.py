@@ -8,12 +8,14 @@ import weakref
 import pytest
 
 from ydcheck.fields import QQ, PrimeField
-from ydcheck.linear import Element, tensor
+import ydcheck.modalg as modalg
+from ydcheck.linear import tensor
 from ydcheck.instances import (build_instance, group_S3, group_Zn,
                                QTStructure, qt_for_cyclic, CORE_INSTANCES)
-from ydcheck.modules import counit_module, coproduct_coaction, Coaction
+from ydcheck.modules import (UnitalModule, counit_module, coproduct_coaction,
+                             Coaction)
 from ydcheck.yd import trivial_yd, canonical_yd
-from ydcheck.modalg import (ModuleAlgebra, counit_module_algebra,
+from ydcheck.modalg import (counit_module_algebra,
                             adjoint_module_algebra, regular_module_algebra,
                             translation_module_algebra, check_module_algebra,
                             check_comodule_algebra, check_a_commutative,
@@ -279,3 +281,50 @@ def test_hq_monoidal_driver(name):
     mha = build_instance(name, QQ)
     rep = check_hq_monoidal(mha, samples=6, seed=19)
     assert rep.ok, rep.summary()
+
+
+def tagged(rep, tag):
+    """The laws of rep whose id ends in tag, in order, with the tag cut off:
+    (law, ok, witness)."""
+    return [(r.law[:-len(tag)], r.ok, r.witness) for r in rep.laws
+            if r.law.endswith(tag)]
+
+
+def assert_shared_fixture_reads_alike(rep):
+    """The counit action with the trivial coaction is one fixture: its
+    module-algebra laws read the same under [counit] and
+    [modalg][counit-trivial], its comodule-algebra laws under [trivial]
+    and [comodalg][counit-trivial]."""
+    for one, other in (("[counit]", "[modalg][counit-trivial]"),
+                       ("[trivial]", "[comodalg][counit-trivial]")):
+        assert tagged(rep, one) and tagged(rep, one) == tagged(rep, other)
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "grp-S3"])
+def test_the_suite_reads_the_counit_trivial_fixture_under_both_tags(name):
+    rep = check_module_algebra_suite(build_instance(name, QQ), samples=6,
+                                     seed=4)
+    assert rep.ok, rep.summary()
+    assert_shared_fixture_reads_alike(rep)
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "grp-S3"])
+def test_a_corrupted_counit_action_fails_alike_under_both_tags(name,
+                                                               monkeypatch):
+    real = modalg.counit_module
+
+    def doubled(mha, *args):
+        mod = real(mha, *args)
+        return UnitalModule(mha, lambda a, v: mod.act_basis[a, v].scaled(2),
+                            mod.space, local_unit=mod.local_unit,
+                            name=mod.name)
+    monkeypatch.setattr(modalg, "counit_module", doubled)
+    # on fun-Z the product law sees the factor 2 only where eps(a) and xx'
+    # are both nonzero, which 40 samples reach
+    rep = check_module_algebra_suite(build_instance(name, QQ), samples=40,
+                                     seed=4)
+    assert_shared_fixture_reads_alike(rep)
+    failed = [law for law, ok, _ in tagged(rep, "[modalg][counit-trivial]")
+              if not ok]
+    assert "modalg-product" in failed
+    assert all(ok for _, ok, _ in tagged(rep, "[trivial]"))

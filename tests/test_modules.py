@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ydcheck.fields import QQ
-from ydcheck.linear import Element, Ten, tensor, legs
+from ydcheck.linear import Element, tensor, legs
 from ydcheck.instances import build_instance, CORE_INSTANCES
 from ydcheck.mha import Multiplier
 from ydcheck.modules import (UnitalModule, regular_module, trivial_module,
