@@ -28,7 +28,7 @@ read off table rows, never through the product of a wrapped basis symbol.
 """
 
 from .linear import (Element, Ten, Memo, Memo2, tensor, legs, sym_str,
-                     apply_legs, bilinear)
+                     apply_legs)
 from .mha import Space, Algebra
 from .modules import UnitalModule, Coaction
 from .yd import YDModule, canonical_yd
@@ -179,30 +179,9 @@ def check_dcp(dcp, samples=500, seed=0):
 
 # -- modules over the crossed product -------------------------------------------
 
-class DcpModule:
-    """A left module over a crossed product on a finite carrier Space,
-    given by its action on basis symbols of both sides, memoized per basis
-    pair and read by symbol as M.act_basis[d_sym, m_sym]."""
-
-    def __init__(self, dcp, act_basis, space, name=None):
-        self.dcp = dcp
-        self.field = dcp.field
-        self.act_basis = Memo2(act_basis)
-        self._act = bilinear(self.field, self.act_basis)
-        self.space = space
-        self.basis = space.basis
-        self.name = name or "dcp-module"
-
-    def el(self, sym, coeff=None):
-        return Element.basis(self.field, sym, coeff)
-
-    def act(self, d, m):
-        return self._act(d, m)
-
-
 def check_dcp_module(M, samples=60, seed=0):
-    """Module associativity and the unit law over the crossed product."""
-    alg = M.dcp.algebra
+    """Module associativity and the unit law over the crossed product M.mha."""
+    alg = M.mha.algebra
     rep = Report("dcp", M, seed, samples)
 
     rep.law("dcp-module-assoc", "(dd').m = d.(d'.m)",
@@ -218,8 +197,8 @@ def check_dcp_module(M, samples=60, seed=0):
 def regular_dcp_module(dcp):
     """The crossed product acting on itself by left multiplication."""
     mult = dcp.algebra.mult_basis
-    return DcpModule(dcp, lambda d, m: mult[d, m], dcp.algebra.space,
-                     name=dcp.name + ":regular")
+    return UnitalModule(dcp, lambda d, m: mult[d, m], dcp.algebra.space,
+                        arity=2, name=dcp.name + ":regular")
 
 
 def yd_to_dcp_module(V, dcp=None):
@@ -243,15 +222,15 @@ def yd_to_dcp_module(V, dcp=None):
             return gamma.map_legs(pair_leg, at=V.module.arity)
         return V.module.act_basis[a, msym].map_terms(term)
 
-    return DcpModule(dcp, act_basis, V.module.space,
-                     name=V.name + ":as-dcp-module")
+    return UnitalModule(dcp, act_basis, V.module.space,
+                        arity=V.module.arity, name=V.name + ":as-dcp-module")
 
 
 def dcp_module_to_yd(M, integrals=None):
     """A module over the crossed product as a twisted YD module:
     a.m = (eps >< a).m and the coaction
     m_(0) (x) m_(1) = (phi(. t_(2)) >< 1).m (x) S^-1(t_(1))."""
-    dcp = M.dcp
+    dcp = M.mha
     base = dcp.base
     dual = dcp.dual
     field = dcp.field
@@ -262,10 +241,7 @@ def dcp_module_to_yd(M, integrals=None):
         d = tensor(dual.algebra.unit, base.el(asym))
         return M.act(d, M.el(msym))
 
-    # carrier symbols may themselves be tensors (e.g. the regular module of
-    # the crossed product); track their leg count so slices split correctly
-    ar = len(legs(M.basis[0]))
-    mod = UnitalModule(base, act_basis, M.space, arity=ar,
+    mod = UnitalModule(base, act_basis, M.space, arity=M.arity,
                        name=M.name + ":as-yd")
 
     # materialize the coaction once per carrier basis symbol
@@ -282,7 +258,7 @@ def dcp_module_to_yd(M, integrals=None):
     coact = {msym: coaction_of(msym) for msym in M.basis}
 
     def slice_r(msym, asym):
-        return apply_legs(coact[msym], ar, 1,
+        return apply_legs(coact[msym], M.arity, 1,
                           lambda m1: base.algebra.mult(m1, base.el(asym)))
 
     coa = Coaction(mod, slice_r, name=mod.name + ":coact")

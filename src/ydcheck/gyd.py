@@ -9,14 +9,14 @@ The compatibility law at a pair (alpha, beta), in Sweedler legs:
 
 evaluated by yd.compat_rhs.  The identity pair is not a special case: an
 (alpha, beta)-YD module is a yd.YDModule carrying its pair, its tensor
-product is yd.yd_tensor, and the twisted braiding and adjoint action are
-yd.braiding_c and modules.adjoint_module called with the pair's twists.
-The identity pair is (ID, ID), with the one identity instances.ID, so at
-it those functions are the untwisted ones and read the untwisted action
-and product tables.  Only the right coaction slice is required of these
-modules.  The fixtures are the trivial module at a diagonal pair and the
-twisted adjoint module at any pair on any instance, unital or not: its
-action and its local unit rule are both read from slices of Delta.
+product is yd.yd_tensor, a twisted action is a modules.twisted_module,
+and the braiding, its inverse and the adjoint action are yd.braiding_c,
+yd.braiding_c_inv and modules.adjoint_module at the pair's twists.  At
+the identity pair (ID, ID) they are the untwisted ones and read the
+untwisted tables.  Only the right coaction slice is required, except by
+the braiding inverse.  The fixtures are the trivial module at a diagonal
+pair and the twisted adjoint at any pair on any instance, unital or not:
+its action and local unit rule are both read from slices of Delta.
 """
 
 import itertools
@@ -24,10 +24,10 @@ import random
 
 from .linear import tensor, apply_legs
 from .mha import draws
-from .modules import (UnitalModule, Coaction, trivial_module,
-                      trivial_coaction, adjoint_module, coproduct_coaction)
-from .yd import (YDModule, compat_rhs, split_sym, yd_tensor, braiding_c,
-                 _twisted_act)
+from .modules import (Coaction, trivial_module, trivial_coaction,
+                      adjoint_module, coproduct_coaction, twisted_module)
+from .yd import (YDModule, compat_rhs, yd_tensor, braiding_c,
+                 braiding_c_inv)
 from .fields import parse_scalar
 from .instances import (AutoPair, IDENTITY_PAIR, identity_pair,
                         inner_automorphism, h4_scaling_automorphism)
@@ -109,10 +109,10 @@ def twisted_adjoint_gyd(mha, pair):
 # -- the crossing functor -------------------------------------------------------
 
 def crossed_functor(p, W):
-    """phi_p(W) for p = (alpha, beta) and W at (gamma, delta): same carrier,
-    action a -> gamma^-1 beta gamma alpha^-1(a). and coaction
-    w_(0) (x) alpha beta^-1(w_(1)) a', landing at p # (gamma, delta) # p^-1.
-    The functor is the identity on morphisms."""
+    """phi_p(W) for p = (alpha, beta) and W at (gamma, delta): W's module
+    twisted by theta = gamma^-1 beta gamma alpha^-1 (modules.twisted_module)
+    and the coaction w_(0) (x) alpha beta^-1(w_(1)) a', landing at
+    p # (gamma, delta) # p^-1.  The functor is the identity on morphisms."""
     mha = W.mha
     alg = mha.algebra
     alpha, beta = p.alpha, p.beta
@@ -121,16 +121,8 @@ def crossed_functor(p, W):
              .composed(alpha.inverted()))
     coat = alpha.composed(beta.inverted())  # applied to the coaction A-leg
     Wm = W.module
-
-    def act(asym, wsym):
-        return _twisted_act(Wm, theta, asym, wsym)
-
-    def lu(velems, aelems):
-        # theta(e).w = w and theta(e)theta(a) = theta(a)
-        return theta.inverse(Wm.local_unit(velems, [theta(a) for a in aelems]))
-
-    mod = UnitalModule(mha, act, Wm.space, local_unit=lu, arity=Wm.arity,
-                       name="%s>%s" % (p.name, W.name))
+    name = "%s>%s" % (p.name, W.name)
+    mod = twisted_module(Wm, theta, name)
 
     def slice_r(wsym, asym):
         # Gamma(w)(1 (x) a') = w0 (x) coat(w1) a': slice against
@@ -140,9 +132,9 @@ def crossed_functor(p, W):
         x = W.coaction.slice_r(Wm.el(wsym), coat.inverse(e))
         return apply_legs(x, Wm.arity, 1, lambda m: alg.mult(coat(m), ap))
 
-    coa = Coaction(mod, slice_r, name=mod.name + ":coact")
+    coa = Coaction(mod, slice_r, name=name + ":coact")
     target = p.product(W.pair).product(p.inverse())
-    return YDModule(mod, coa, target, name=mod.name)
+    return YDModule(mod, coa, target, name=name)
 
 
 # -- the graded braiding ---------------------------------------------------------
@@ -154,36 +146,9 @@ def gyd_braiding(V, W, vw):
 
 
 def gyd_braiding_inv(V, W, wv):
-    """C^-1(w (x) v) = beta^-1(S(w_(1))).v (x) w_(0), solved with S and beta
-    and certified by stabilization within 4 rounds: the acting leg is
-    produced against S^-1(beta(e)) where e is a module local unit fixing
-    both v and the previous round's output legs."""
-    mha = V.mha
-    alg = mha.algebra
-    beta = V.pair.beta
-    Vm, Wm = V.module, W.module
-
-    def attempt(extra):
-        def term(ws, vs):
-            v = Vm.el(vs)
-            e = Vm.local_unit([v] + extra)
-
-            def leg(w0, m):
-                return tensor(Vm.act(beta.inverse(mha.antipode(alg.el(m))), v),
-                              Wm.el(w0))
-            gamma = W.coaction.slice_r(Wm.el(ws), mha.antipode_inv(beta(e)))
-            return gamma.map_legs(leg, at=Wm.arity)
-        return wv.map_legs(term, at=Wm.arity)
-
-    prev = attempt([])
-    for _ in range(4):
-        extra = [Vm.el(split_sym(s, Vm.arity)[0]) for s in prev.terms]
-        cur = attempt(extra)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise ValueError("braiding inverse did not stabilize on %s (x) %s"
-                     % (W.name, V.name))
+    """C^-1(w (x) v) = beta^-1(S(w_(1))).v (x) w_(0), with beta from V's
+    pair: yd's braiding inverse at that beta, which reads W's left slice."""
+    return braiding_c_inv(V.module, W, wv, V.pair.beta)
 
 
 # -- the T-category suite ---------------------------------------------------------

@@ -8,7 +8,7 @@ sliceL(v, a) = (1 (x) a)Gamma(v) = v_(0) (x) a v_(1).
 
 A twist is an automorphism called as aut(x) and aut.inverse(x); the
 identity is instances.ID, at which the twisted adjoint action reads the
-untwisted slice table delta_r.
+untwisted slice table delta_r and twisted_module is the module itself.
 """
 
 from .linear import (Element, Ten, Memo, Memo2, bilinear, split_sym,
@@ -19,8 +19,8 @@ from .instances import ID
 
 
 class UnitalModule:
-    """A unital non-degenerate left module over a multiplier Hopf algebra,
-    on a carrier Space.
+    """A unital non-degenerate left module over a multiplier Hopf algebra
+    or a crossed product (mha), on a carrier Space.
 
     act_basis(a_sym, v_sym) gives the action of a basis algebra element on a
     basis module vector; space lists or samples the module's basis symbols,
@@ -63,6 +63,26 @@ class UnitalModule:
         if self._unit is not None:
             return self._unit
         return self._local_unit(list(velems), list(aelems))
+
+
+def twisted_module(module, aut, name=None):
+    """The module twisted by an automorphism aut: a.v = aut(a).v on the
+    same carrier, memoized per basis pair like any action.  Its local unit
+    is aut^-1(e) for e = module.local_unit(v's, aut(a)'s): aut(aut^-1(e)).v
+    = e.v = v and aut^-1(e)a = aut^-1(e aut(a)) = a.  At aut = ID it is
+    module itself, so its action table is read."""
+    if aut is ID:
+        return module
+    alg = module.mha.algebra
+
+    def act(a, v):
+        return module.act(aut(alg.el(a)), module.el(v))
+
+    def local_unit(velems, aelems):
+        return aut.inverse(module.local_unit(velems, [aut(a) for a in aelems]))
+
+    return UnitalModule(module.mha, act, module.space, local_unit=local_unit,
+                        arity=module.arity, name=name or module.name)
 
 
 # -- extension of the action to multipliers ----------------------------------

@@ -3,10 +3,12 @@
 
 A YD module carries the pair (alpha, beta) it sits at, and ordinary YD
 modules are the ones at the identity pair (ID, ID) (gyd.py has the twisted
-laws).  compat_rhs, the diagonal action of tensor_module, its local unit
-rule, yd_tensor and the braiding splice each take the twists and are the
-only implementation of both cases; every twist defaults to instances.ID,
-and where a twist is ID the untwisted action and product tables are read.
+laws).  compat_rhs, yd_tensor, the braiding splice and its inverse each
+take the twists and are the only implementation of both cases; every twist
+defaults to instances.ID, and where a twist is ID the untwisted action and
+product tables are read.  A twisted tensor product is the untwisted
+tensor_module of two modules.twisted_module's.  Only the right coaction
+slice is required, except by the braiding inverse, which reads the left.
 
 The compatibility law used throughout, written in Sweedler legs, is
 
@@ -22,15 +24,15 @@ from .linear import Element, linear, tensor, split_sym, apply_legs
 from .report import Report, equal
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, adjoint_module, regular_module,
-                      coproduct_coaction)
+                      coproduct_coaction, twisted_module)
 from .instances import ID, identity_pair
 
 
 class YDModule:
     """A unital module with a coaction satisfying the compatibility law at
-    the pair it carries, the identity pair by default.  The untwisted
-    braiding's inverse reads the coaction's left slice, which raises,
-    naming the coaction, when it has none."""
+    the pair it carries, the identity pair by default.  The braiding's
+    inverse reads the coaction's left slice, which raises, naming the
+    coaction, when it has none."""
 
     def __init__(self, module, coaction, pair=None, name=None):
         if coaction.module is not module:
@@ -53,7 +55,8 @@ def act_on_slice(module, a, x, beta=ID):
     Each term of x is split into (v, m) once.  A pair (a_(1), a_(2)) whose
     second leg annihilates m (beta(a_(2))m = 0, which a local unit of
     finitely supported functions makes common) contributes nothing, so
-    a_(1).v is read only where beta(a_(2))m is nonzero."""
+    a_(1).v is read only where beta(a_(2))m is nonzero, and tensored with
+    it only where a_(1).v is nonzero too."""
     mha = module.mha
     alg = mha.algebra
     if x.is_zero():
@@ -69,7 +72,10 @@ def act_on_slice(module, a, x, beta=ID):
         def leg(sx):
             v0, m = split[sx]
             qm = mult[q, m] if bq is None else alg.mult(bq, alg.el(m))
-            return tensor(act[p, v0], qm) if qm.terms else zero
+            if not qm.terms:
+                return zero
+            y = act[p, v0]
+            return tensor(y, qm) if y.terms else zero
         return x.map_terms(leg)
     return mha.delta_r(a, u).map_legs(term)
 
@@ -136,28 +142,26 @@ def check_yd(yd, samples=40, seed=0):
 
 # -- tensor product of YD modules --------------------------------------------
 
-def tensor_module(V, W, gamma=ID, theta=ID):
-    """V (x) W with the diagonal action gamma(a_(1)).v (x) theta(a_(2)).w,
-    realized by splitting a against a theta^-1-twisted module local unit of
-    the W component.  The untwisted action a_(1).v (x) a_(2).w is the one at
-    gamma = theta = ID, which reads both factors' action tables.
+def tensor_module(V, W):
+    """V (x) W with the diagonal action a_(1).v (x) a_(2).w, realized by
+    splitting a against a module local unit of the W component and reading
+    both factors' action tables.  A twisted tensor product is this one of
+    two modules.twisted_module's.
 
-    One local unit rule serves any two modules at any twist: with u, u'
-    local units of the V- and W-legs and c a coproduct cover of
-    gamma^-1(u) (x) theta^-1(u'), every e with ec = c fixes each v (x) w,
-    since (gamma (x) theta)(Delta(e)(gamma^-1(u) (x) theta^-1(u'))) = u (x) u'.
+    One local unit rule serves any two modules: with u, u' local units of
+    the V- and W-legs and c a coproduct cover of u (x) u', every e with
+    ec = c fixes each v (x) w, since Delta(e)(u (x) u') = u (x) u'.
     """
     mha = V.mha
     alg = mha.algebra
+    vact, wact = V.act_basis, W.act_basis
 
     def act(asym, tsym):
         vs, ws = split_sym(tsym, V.arity)
-        e = theta.inverse(W.local_unit([W.el(ws)]))
 
         def term(p, q):
-            return tensor(_twisted_act(V, gamma, p, vs),
-                          _twisted_act(W, theta, q, ws))
-        return mha.delta_r(alg.el(asym), e).map_legs(term)
+            return tensor(vact[p, vs], wact[q, ws])
+        return mha.delta_r(alg.el(asym), W.local_unit([W.el(ws)])).map_legs(term)
 
     def local_unit(velems, aelems):
         vlegs, wlegs = [], []
@@ -166,21 +170,12 @@ def tensor_module(V, W, gamma=ID, theta=ID):
                 vs, ws = split_sym(s, V.arity)
                 vlegs.append(V.el(vs))
                 wlegs.append(W.el(ws))
-        c = mha.delta_cover([gamma.inverse(V.local_unit(vlegs))],
-                            [theta.inverse(W.local_unit(wlegs))])
+        c = mha.delta_cover([V.local_unit(vlegs)], [W.local_unit(wlegs)])
         return alg.local_unit([c] + aelems)
 
     return UnitalModule(mha, act, V.space.tensor(W.space),
                         local_unit=local_unit, arity=V.arity + W.arity,
                         name="%s(x)%s" % (V.name, W.name))
-
-
-def _twisted_act(module, aut, asym, vsym):
-    """aut(a).v for basis symbols a and v; a read of the action's table when
-    aut is ID."""
-    if aut is ID:
-        return module.act_basis[asym, vsym]
-    return module.act(aut(module.mha.el(asym)), module.el(vsym))
 
 
 def tensor_coaction(mod, V, W):
@@ -216,7 +211,8 @@ def yd_tensor(V, W):
     this is the untwisted tensor product of the YD category."""
     gamma = W.pair.alpha
     theta = gamma.inverted().composed(V.pair.beta).composed(gamma)
-    mod = tensor_module(V.module, W.module, gamma, theta)
+    mod = tensor_module(twisted_module(V.module, gamma),
+                        twisted_module(W.module, theta))
     return YDModule(mod, tensor_coaction(mod, V, W), V.pair.product(W.pair),
                     name="%s(x)%s" % (V.name, W.name))
 
@@ -258,10 +254,12 @@ def braiding_c(X, V, xv, beta=ID):
     return _splice(coa, X, V.module.arity, coa._slice_r, beta)(xv)
 
 
-def braiding_c_inv(X, V, vx):
-    """C^-1(v (x) x) = S(v_(1)).x (x) v_(0); S(v_(1)) e is produced as
-    S applied to the left slice at S^-1(e).  Memoized per basis symbol on
-    V's coaction."""
+def braiding_c_inv(X, V, vx, beta=ID):
+    """C^-1(v (x) x) = beta^-1(S(v_(1))).x (x) v_(0), the mirror of
+    braiding_c: the left slice is taken at S^-1(beta(e)) for a local unit
+    e of x, and beta^-1 o S of its A-leg is beta^-1(S(v_(1))beta(e)) =
+    beta^-1(S(v_(1)))e, which acts on x = e.x.  Memoized per basis symbol
+    on V's coaction, keyed by (X, beta)."""
     mha, mod, coa = V.mha, V.module, V.coaction
     # the bound method raises, naming the coaction, when it has no left slice
     slice_l = coa._slice_l if coa.has_slice_l else coa.slice_l
@@ -272,10 +270,11 @@ def braiding_c_inv(X, V, vx):
         e = X.local_unit([x])
 
         def leg(v0, m):
-            return tensor(X.act(mha.antipode(mha.el(m)), x), mod.el(v0))
-        return slice_l(mod.el(vs), mha.antipode_inv(e)).map_legs(
+            return tensor(X.act(beta.inverse(mha.antipode(mha.el(m))), x),
+                          mod.el(v0))
+        return slice_l(mod.el(vs), mha.antipode_inv(beta(e))).map_legs(
             leg, at=mod.arity)
-    return _memoized(coa, ("c-inv", X), X.field, term)(vx)
+    return _memoized(coa, ("c-inv", X, beta), X.field, term)(vx)
 
 
 # -- half-braidings and the centre -------------------------------------------

@@ -10,11 +10,13 @@ from ydcheck.linear import Element, Ten, tensor
 from ydcheck.instances import (build_instance, group_S3, dual_sym,
                                compute_integrals, inner_automorphism,
                                h4_scaling_automorphism)
-from ydcheck.yd import canonical_yd
+from ydcheck.modules import UnitalModule
+from ydcheck.yd import canonical_yd, trivial_yd, yd_tensor
 from ydcheck.gyd import (AutoPair, identity_pair, trivial_gyd,
                          twisted_adjoint_gyd, parse_pair)
 from ydcheck.double import (DiagonalCrossedProduct, drinfeld_double, check_dcp,
-                            yd_to_dcp_module, check_double_correspondence)
+                            yd_to_dcp_module, dcp_module_to_yd,
+                            regular_dcp_module, check_double_correspondence)
 
 
 def test_double_kz2_is_group_algebra_of_klein_four():
@@ -124,7 +126,7 @@ def test_trivial_module_action_formula():
     mha = build_instance("grp-Z2", QQ)
     V = trivial_gyd(mha)
     M = yd_to_dcp_module(V)
-    D = M.dcp
+    D = M.mha
     for p in D.dual.algebra.basis:
         for a in mha.algebra.basis:
             got = M.act(D.algebra.el(Ten((p, a))), M.el("*"))
@@ -139,7 +141,7 @@ def test_grouplike_module_action_formula():
     mha = build_instance("grp-Z2", QQ)
     V = twisted_adjoint_gyd(mha, identity_pair(mha))
     M = yd_to_dcp_module(V)
-    D = M.dcp
+    D = M.mha
     for g in mha.algebra.basis:
         for h in mha.algebra.basis:
             for p in mha.algebra.basis:
@@ -287,3 +289,28 @@ def test_dcp_assoc_catches_a_product_table_mutant(name, field, spec, kind):
     law = rep.laws[0]
     assert law.law == "dcp-assoc" and not law.ok
     assert law.witness == _dense_assoc_witness(alg)
+
+
+@pytest.mark.parametrize("name", ["grp-Z2", "sweedler-H4"])
+def test_crossed_product_modules_carry_their_arity(name):
+    # the regular module has arity 2 and yd_to_dcp_module keeps its YD
+    # module's, which dcp_module_to_yd splits the coaction by; control: the
+    # same action declared at the other arity breaks the round trip
+    mha = build_instance(name, QQ)
+    dcp = drinfeld_double(mha)
+    assert regular_dcp_module(dcp).arity == 2
+    V = canonical_yd(mha)
+    for X in (V, yd_tensor(V, trivial_yd(mha))):
+        M = yd_to_dcp_module(X, dcp)
+        assert M.mha is dcp and M.arity == X.module.arity
+        back = dcp_module_to_yd(M)
+        assert back.module.arity == M.arity
+
+        def slices(Y):
+            return [Y.coaction.slice_r(Y.module.el(v), mha.el(a))
+                    for v in X.module.basis for a in mha.algebra.basis]
+        assert slices(back) == slices(X)
+        wrong = UnitalModule(dcp, lambda d, m, M=M: M.act_basis[d, m],
+                             M.space, arity=3 - M.arity, name="wrong-arity")
+        with pytest.raises((KeyError, TypeError)):
+            slices(dcp_module_to_yd(wrong))

@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 
 from ydcheck.fields import QQ, PrimeField
-from ydcheck.linear import Element, Ten, tensor
+from ydcheck.linear import Element, Ten, tensor, split_sym
 from ydcheck.instances import (build_instance, group_S3,
                                group_map_automorphism, inner_automorphism,
                                h4_scaling_automorphism, ID)
 from ydcheck.mha import random_element
 from ydcheck.modules import (adjoint_module, regular_module, counit_module,
-                             Coaction, UnitalModule)
+                             Coaction, UnitalModule, twisted_module)
 from ydcheck.yd import (YDModule, canonical_yd, yd_tensor, yd_fixtures,
                         tensor_module, tensor_coaction, braiding_c,
                         braiding_c_inv)
@@ -336,3 +336,132 @@ def test_a_right_slice_only_yd_module():
     reg = regular_module(mha)
     with pytest.raises(ValueError, match="right-only has no left slice"):
         braiding_c_inv(reg, V, tensor(mod.el(2), mha.el(3)))
+    # so does the twisted inverse, which reads the same left slice
+    X = twisted_adjoint_gyd(mha, AutoPair(neg(mha), ID))
+    with pytest.raises(ValueError, match="right-only has no left slice"):
+        gyd_braiding_inv(X, V, tensor(mod.el(2), mha.el(3)))
+
+
+def twisted_pairs(mha):
+    """The inner pairs of grp-S3, the scale pairs of sweedler-H4, and
+    (neg, id) on fun-Z."""
+    return {"grp-S3": s3_pairs, "sweedler-H4": h4_pairs}.get(
+        mha.name, lambda m: [AutoPair(neg(m), ID)])(mha)
+
+
+def twist_failures(mod, T, aut, seed):
+    """How many checks of T as mod twisted by aut fail: a.v = aut(a).v on
+    basis pairs (a window of the basis of an infinite carrier) and on
+    random elements, and e.v = v and ea = a for e = T.local_unit([v], [a])."""
+    mha = mod.mha
+    alg = mha.algebra
+    basis = alg.basis or range(-3, 4)
+    bad = sum(T.act(mha.el(a), T.el(v)) != mod.act(aut(mha.el(a)), mod.el(v))
+              for a in basis for v in (mod.basis or range(-3, 4)))
+    rng = random.Random(seed)
+    for _ in range(30):
+        a, v = random_element(rng, alg), random_element(rng, mod, 3)
+        e = T.local_unit([v], [a])
+        bad += T.act(a, v) != mod.act(aut(a), v)
+        bad += T.act(e, v) != v or alg.mult(e, a) != a
+    return bad
+
+
+@pytest.mark.parametrize("name,field", [
+    ("grp-S3", QQ), ("grp-S3", PrimeField(5)), ("fun-Z", QQ)],
+    ids=["grp-S3-QQ", "grp-S3-fp5", "fun-Z-QQ"])
+def test_twisted_module_acts_through_the_twist(name, field):
+    # a.v = aut(a).v, with the local unit aut^-1(e) of e for aut's images;
+    # controls: the untwisted action, and the twisted action with the
+    # untwisted local unit rule, which fixes v only on the non-unital fun-Z
+    mha = build_instance(name, field)
+    for pair in twisted_pairs(mha):
+        for mod in (regular_module(mha), twisted_adjoint_gyd(mha, pair).module):
+            assert twisted_module(mod, ID) is mod
+            for aut in (pair.alpha, pair.beta):
+                if aut is ID:
+                    continue
+                T = twisted_module(mod, aut)
+                assert (T.arity, T.space, T.name) == (mod.arity, mod.space, mod.name)
+                assert twist_failures(mod, T, aut, seed=3) == 0
+                assert twist_failures(mod, mod, aut, seed=3) > 0
+                if mha.algebra.has_unit:
+                    continue
+                naive = UnitalModule(
+                    mha, lambda a, v, T=T: T.act_basis[a, v], mod.space,
+                    local_unit=lambda vs, avs, mod=mod: mod.local_unit(vs, avs),
+                    name="naive")
+                assert twist_failures(mod, naive, aut, seed=3) > 0
+
+
+def stabilized_braiding_inv(V, W, wv):
+    """Reference: the braiding inverse as it was once solved, from W's
+    right slice at S^-1(beta(e)) for a module local unit e of v, retried
+    against the output legs until two rounds agree (at most 4 retries)."""
+    mha, beta = V.mha, V.pair.beta
+    Vm, Wm = V.module, W.module
+
+    def attempt(extra):
+        def term(ws, vs):
+            v = Vm.el(vs)
+            e = Vm.local_unit([v] + extra)
+
+            def leg(w0, m):
+                return tensor(Vm.act(beta.inverse(mha.antipode(mha.el(m))), v),
+                              Wm.el(w0))
+            return W.coaction.slice_r(Wm.el(ws), mha.antipode_inv(beta(e))
+                                      ).map_legs(leg, at=Wm.arity)
+        return wv.map_legs(term, at=Wm.arity)
+
+    prev = attempt([])
+    for _ in range(4):
+        cur = attempt([Vm.el(split_sym(s, Vm.arity)[0]) for s in prev.terms])
+        if cur == prev:
+            return cur
+        prev = cur
+    raise AssertionError("the reference did not stabilize")
+
+
+def left_slice_inv(V, W, wv, beta, at):
+    """A candidate inverse beta^-1(S(w_(1))).v (x) w_(0), reading W's left
+    slice at at(e) for a module local unit e of v."""
+    mha, Vm, Wm = V.mha, V.module, W.module
+
+    def term(ws, vs):
+        v = Vm.el(vs)
+
+        def leg(w0, m):
+            return tensor(Vm.act(beta.inverse(mha.antipode(mha.el(m))), v),
+                          Wm.el(w0))
+        return W.coaction.slice_l(Wm.el(ws), at(Vm.local_unit([v]))
+                                  ).map_legs(leg, at=Wm.arity)
+    return wv.map_legs(term, at=Wm.arity)
+
+
+@pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4", "fun-Z"])
+def test_gyd_braiding_inv_round_trips_and_equals_the_stabilized_formula(name):
+    # on the fixtures at the instance's twisted pairs and their tensors;
+    # controls: the same left-slice formula without beta, caught at the
+    # inner and scale pairs, and read at beta(e) instead of S^-1(beta(e)),
+    # caught on the non-unital fun-Z (where beta is the identity, and on a
+    # unital instance e = 1 = S^-1(beta(1)))
+    mha = build_instance(name, QQ)
+    fx = [V for p in twisted_pairs(mha) for V in gyd_fixtures_at(mha, p)]
+    objects = fx + [yd_tensor(V, W) for V in fx for W in fx]
+    caught = {"no beta": 0, "no S^-1": 0}
+    rng = random.Random(4)
+    for V, W in [(V, W) for V in objects for W in fx] + [
+            (V, W) for V in fx for W in objects[len(fx):]]:
+        for _ in range(2):
+            v = random_element(rng, V.module, 3)
+            w = random_element(rng, W.module, 3)
+            vw, wv = tensor(v, w), tensor(w, v)
+            inv = gyd_braiding_inv(V, W, wv)
+            assert gyd_braiding_inv(V, W, gyd_braiding(V, W, vw)) == vw
+            assert gyd_braiding(V, W, inv) == wv
+            assert inv == stabilized_braiding_inv(V, W, wv)
+            beta = V.pair.beta
+            caught["no beta"] += left_slice_inv(
+                V, W, wv, ID, mha.antipode_inv) != inv
+            caught["no S^-1"] += left_slice_inv(V, W, wv, beta, beta) != inv
+    assert caught["no beta" if mha.algebra.has_unit else "no S^-1"] > 0

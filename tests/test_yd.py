@@ -230,7 +230,7 @@ def test_memoized_braidings_equal_their_formulas(name, field):
                     assert H.component(X, xv) == splice_formula(
                         X, V.module.arity, lambda v, e: H.cA(e, v), xv)
             assert ("c", X, ID) in V.coaction._braidings
-            assert ("c-inv", X) in V.coaction._braidings
+            assert ("c-inv", X, ID) in V.coaction._braidings
             assert ("c", X, ID) in H._braidings
         # a new coaction starts without the memo
         assert functor_f(H).coaction._braidings == {}
