@@ -252,7 +252,7 @@ def dcp_module_to_yd(M, integrals=None):
         def term(t1, t2):  # phi(. t_(2)) = t_(2) |> phi
             moved = M.act(tensor(dual.act_left(base.el(t2), phi),
                                  base.algebra.unit), M.el(msym))
-            return tensor(moved, base.antipode_inv(base.el(t1)))
+            return tensor(moved, base.antipode_inv_basis[t1])
         return cop_t.map_legs(term)
 
     coact = {msym: coaction_of(msym) for msym in M.basis}

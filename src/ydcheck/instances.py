@@ -15,7 +15,7 @@ import random
 from .linear import (Element, Ten, Memo, tensor, legs, make_sym, apply_legs,
                      flip, kernel_basis, linear, bilinear)
 from .mha import Space, Algebra, MultiplierHopfAlgebra, below, probe_elements
-from .report import equal
+from .report import Report, equal
 
 
 class ConstructionError(Exception):
@@ -644,16 +644,24 @@ def h4_scaling_automorphism(mha, lam):
 class QTStructure:
     """An invertible R in A (x) A (materialized; finite unital instances).
 
-    The four standard axioms are checked by check_qt below; the Sweedler-leg
-    fusion identities are evaluated with materialized coproducts.
+    check records its five axioms in a report (the fusion identities read
+    materialized coproducts).  They read no seeded stream, so they are
+    evaluated on the first check, and a later one records the same laws.
     """
 
     def __init__(self, mha, r, r_inv):
         self.mha = mha
         self.r = r
         self.r_inv = r_inv
+        self._laws = None  # the axioms' LawResults, once evaluated
 
     def check(self, report):
+        if self._laws is None:
+            self._laws = self._axioms(Report("qt", self.mha, 0, 0)).laws
+        for r in self._laws:
+            report.add(r.law, r.statement, r.witness)
+
+    def _axioms(self, report):
         mha = self.mha
         alg = mha.algebra
         unit2 = tensor(alg.unit, alg.unit)

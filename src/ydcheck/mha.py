@@ -8,10 +8,10 @@ square; an instance carries exactly the four computable slice maps
     delta_r2(a, b) = Delta(a)(b (x) 1)         a_(1)b (x) a_(2)
     delta_l2(a, b) = (1 (x) a)Delta(b)         b_(1) (x) a b_(2)
 
-together with the counit and a bijective antipode.  Sweedler-style
-expressions elsewhere in the library are always realized as compositions of
-these slices with local units inserted; the composition used is documented
-next to each formula.
+together with the counit and a bijective antipode, S and S^-1 read from
+tables per basis symbol.  Sweedler-style expressions elsewhere are realized
+as compositions of these slices against the element a leg multiplies, or a
+local unit; the composition used is documented next to each formula.
 
 Unital instances may additionally materialize the coproduct, in which case
 the slices are derived from it.
@@ -19,8 +19,8 @@ the slices are derived from it.
 
 import weakref
 
-from .linear import (Element, Ten, Memo2, linear, bilinear, tensor, legs,
-                     make_sym, flip, apply_legs)
+from .linear import (Element, Ten, Memo, Memo2, linear, bilinear, tensor,
+                     legs, make_sym, flip, apply_legs)
 from .report import Report, equal
 
 
@@ -216,19 +216,22 @@ class MultiplierHopfAlgebra:
         self._antipode_inv = antipode_inv
         self._delta_cover = delta_cover
         self._coproduct = coproduct    # basis sym -> arity-2 Element, unital only
-        self._twist_memo = {}          # twist or inverse-T name -> its memo
+        self._cold_tables()
 
-    def __getstate__(self):
-        # copies (copy.copy, deepcopy) start with an empty twist memo: a
-        # copy may get its structure maps replaced, and the original's
-        # cached images would then mask the change
-        state = dict(self.__dict__)
-        del state["_twist_memo"]
-        return state
+    def _cold_tables(self):
+        # the tables filled from the instance's own basis maps on first
+        # read, through a weak reference, so they close no reference cycle:
+        # the twist memos, and S and S^-1 per basis symbol
+        owner = weakref.ref(self)
+        self._twist_memo = {}          # twist or inverse-T name -> its memo
+        self.antipode_basis = Memo(lambda s: owner()._antipode(s))
+        self.antipode_inv_basis = Memo(lambda s: owner()._antipode_inv(s))
 
     def __setstate__(self, state):
+        # a copy starts its tables cold: it may get its structure maps
+        # replaced, and the original's images would then mask the change
         self.__dict__.update(state)
-        self._twist_memo = {}
+        self._cold_tables()
 
     # -- basic linear maps -------------------------------------------------
 
@@ -240,10 +243,13 @@ class MultiplierHopfAlgebra:
             sum(c * self._counit(s) for s, c in x.terms.items()))
 
     def antipode(self, x):
-        return x.map_terms(self._antipode)
+        """S(x), read from the table mha.antipode_basis[s] of S on basis
+        symbols, each filled from the basis map _antipode on first read."""
+        return x.map_terms(self.antipode_basis.__getitem__)
 
     def antipode_inv(self, x):
-        return x.map_terms(self._antipode_inv)
+        """S^-1(x), read from antipode_inv_basis as antipode reads S."""
+        return x.map_terms(self.antipode_inv_basis.__getitem__)
 
     @property
     def materializes_coproduct(self):
@@ -305,14 +311,14 @@ class MultiplierHopfAlgebra:
     def inv_t1(self, s):
         # a_(1) (x) S(a_(2))b  ==  (i (x) S)((1 (x) S^-1(b))Delta(a))
         a, b = legs(s)
-        w = self.delta_l2(self._antipode_inv(b), self.el(a))
+        w = self.delta_l2(self.antipode_inv_basis[b], self.el(a))
         return apply_legs(w, 1, 1, self.antipode)
 
     @_memoized_pairs
     def inv_t2(self, s):
         # aS(b_(1)) (x) b_(2)  ==  (S (x) i)(Delta(b)(S^-1(a) (x) 1))
         a, b = legs(s)
-        w = self.delta_r2(self.el(b), self._antipode_inv(a))
+        w = self.delta_r2(self.el(b), self.antipode_inv_basis[a])
         return apply_legs(w, 0, 1, self.antipode)
 
     @_memoized_pairs
@@ -321,14 +327,14 @@ class MultiplierHopfAlgebra:
         # recovery reduces through S^-1(y_(2))y_(1) = eps(y)1, which holds
         # even when S^2 != id
         x, y = legs(s)
-        w = self.delta_l(self._antipode(x), self.el(y))
+        w = self.delta_l(self.antipode_basis[x], self.el(y))
         return flip(apply_legs(w, 0, 1, self.antipode_inv))
 
     @_memoized_pairs
     def inv_t4(self, s):
         # yS^-1(x_(2)) (x) x_(1)  ==  tau (i (x) S^-1)(Delta(x)(1 (x) S(y)))
         x, y = legs(s)
-        w = self.delta_r(self.el(x), self._antipode(y))
+        w = self.delta_r(self.el(x), self.antipode_basis[y])
         return flip(apply_legs(w, 1, 1, self.antipode_inv))
 
     def tmap(self, k):

@@ -210,7 +210,7 @@ def adjoint_module(mha, alpha=ID, beta=ID, name=None):
     counit module's rule."""
     alg = mha.algebra
     delta_r = mha.delta_r_basis
-    twisted = Memo(lambda p: alpha(mha.antipode_inv(alg.el(p))))
+    twisted = Memo(lambda p: alpha(mha.antipode_inv_basis[p]))
 
     def act(a, v):
         x = (delta_r[a, v] if beta is ID

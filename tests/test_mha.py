@@ -261,6 +261,54 @@ def test_an_instance_that_evaluated_its_twists_is_freed_by_reference_counting():
         gc.enable()
 
 
+@pytest.mark.parametrize("name", ["sweedler-H4", "fun-Z", "dual:sweedler-H4"])
+def test_antipode_tables_start_cold_in_a_copy(name):
+    """S and S^-1 are tables per basis symbol.  A copy.copy of an instance
+    that has filled both, with its _antipode and _antipode_inv then
+    replaced, reads the replacements; the original keeps its own images,
+    the identical Elements its tables hold."""
+    H = build_instance(name, QQ)
+    syms = H.algebra.basis or list(range(-3, 4))
+    x = sum((H.el(s) for s in syms), Element(QQ))
+    s_x, s_inv_x = H.antipode(x), H.antipode_inv(x)
+    assert set(H.antipode_basis) == set(H.antipode_inv_basis) == set(syms)
+    images = {s: (H.antipode_basis[s], H.antipode_inv_basis[s]) for s in syms}
+    for s in syms:
+        assert H.antipode(H.el(s)) is images[s][0]
+        assert H.antipode_inv(H.el(s)) is images[s][1]
+
+    bad = copy.copy(H)
+    two, three = QQ.from_int(2), QQ.from_int(3)
+    bad._antipode = lambda s: H._antipode(s).scaled(two)
+    bad._antipode_inv = lambda s: H._antipode_inv(s).scaled(three)
+    assert bad.antipode_basis == {} and bad.antipode_inv_basis == {}
+    assert bad.antipode(x) == s_x.scaled(two)
+    assert bad.antipode_inv(x) == s_inv_x.scaled(three)
+    assert H.antipode(x) == s_x and H.antipode_inv(x) == s_inv_x
+    for s in syms:
+        assert H.antipode_basis[s] is images[s][0]
+        assert H.antipode_inv_basis[s] is images[s][1]
+
+
+def test_an_instance_that_filled_its_antipode_tables_is_freed_by_reference_counting():
+    """The S and S^-1 tables reach their instance through a weak reference,
+    so an instance that has filled them, and a copy that has, is freed as
+    soon as it is dropped."""
+    gc.disable()
+    try:
+        H = sweedler_h4(QQ)
+        x = H.el("x") + H.el("gx")
+        H.antipode(x), H.antipode_inv(x)
+        bad = copy.copy(H)
+        bad.antipode(x), bad.antipode_inv(x)
+        assert H.antipode_basis and bad.antipode_inv_basis
+        refs = [weakref.ref(H), weakref.ref(bad)]
+        del H, bad
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 # -- one draw primitive -----------------------------------------------------
 
 class _BoundedRandom(random.Random):

@@ -30,7 +30,8 @@ from ydcheck.modalg import (counit_module_algebra,
                             check_h_bimodule, BalancedTensor,
                             check_balanced_tensor, check_unit_laws,
                             check_associator, check_pentagon,
-                            check_module_algebra_suite, check_hq_monoidal)
+                            check_module_algebra_suite, check_hq_monoidal,
+                            check_qt_coaction_suite)
 
 
 def test_adjoint_module_algebra_ks3_with_grouplike_oracle():
@@ -127,6 +128,40 @@ def test_nontrivial_qt_coaction_passes_end_to_end(field):
     coa = coaction_from_qt(ma.module, qt)
     e = mha.algebra.unit
     assert coa.slice_r(ma.module.el(0), e) != tensor(ma.module.el(0), e)
+
+
+QT_AXIOMS = ["qt-invertible", "qt-invertible-2", "qt-intertwine",
+             "qt-fusion-left", "qt-fusion-right"]
+
+
+@pytest.mark.parametrize("name,field", [("grp-Z2", QQ),
+                                        ("grp-Zn:4", PrimeField(5))])
+def test_the_qt_suite_evaluates_the_axioms_of_r_once(monkeypatch, name,
+                                                      field):
+    """check_qt_coaction_suite builds one R and checks it under both module
+    algebras: its five axioms are evaluated once, and head both sub-reports
+    with the outcomes one check_qt_coaction records on a fresh R."""
+    calls = []
+    axioms = QTStructure._axioms
+
+    def counted(qt, report):
+        calls.append(qt)
+        return axioms(qt, report)
+    monkeypatch.setattr(QTStructure, "_axioms", counted)
+    mha = build_instance(name, field)
+    rep = check_qt_coaction_suite(mha, samples=3, seed=2)
+    assert len(calls) == 1 and rep.ok, rep.summary()
+    ids = [r.law for r in rep.laws]
+    for tag in ("translation", "counit"):
+        head = ids.index("qt-invertible[%s]" % tag)
+        assert ids[head:head + 5] == ["%s[%s]" % (law, tag)
+                                      for law in QT_AXIOMS]
+    fresh = check_qt_coaction(counit_module_algebra(mha), qt_for_cyclic(
+        mha.cyclic_order, field, mha=mha), samples=3, seed=2)
+    assert len(calls) == 2
+    assert [(r.law, r.statement, r.witness) for r in fresh.laws] == [
+        (r.law.rsplit("[", 1)[0], r.statement, r.witness)
+        for r in rep.laws if r.law.endswith("[counit]")]
 
 
 def test_ha_collapse_to_plain_yd():

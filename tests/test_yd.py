@@ -1,7 +1,9 @@
 """Yetter-Drinfel'd compatibility, tensor structure, braiding, and the
 centre-equivalence functors, with grouplike hand-oracles."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -14,9 +16,9 @@ from ydcheck.modules import regular_module, coproduct_coaction
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_equivalence, canonical_yd,
-                        tensor_module, act_on_slice)
-from ydcheck.gyd import (AutoPair, twisted_adjoint_gyd, parse_pair,
-                         gyd_fixtures_at, gyd_braiding)
+                        tensor_module, act_on_slice, check_half_braiding)
+from ydcheck.gyd import (AutoPair, identity_pair, twisted_adjoint_gyd,
+                         parse_pair, gyd_fixtures_at, gyd_braiding)
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
@@ -236,6 +238,50 @@ def test_memoized_braidings_equal_their_formulas(name, field):
         assert functor_f(H).coaction._braidings == {}
 
 
+@pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf", "sweedler-H4"])
+def test_g_of_v_reads_the_braiding_table_of_v(name):
+    """G(V) keeps its components in the braiding tables of V's coaction:
+    on a basis vector x (x) v, H.component(reg, .) is the identical Element
+    braiding_c(reg, V, .) holds, whichever of the two is read first."""
+    mha = build_instance(name, QQ)
+    reg = regular_module(mha)
+    rng = random.Random(3)
+    for V in yd_fixtures(mha):
+        H = functor_g(V)
+        assert H._braidings is V.coaction._braidings
+        for k in range(6):
+            t = tensor(reg.el(reg.space.sample(rng)),
+                       V.module.el(V.module.space.sample(rng)))
+            first, second = ((H.component(reg, t), braiding_c(reg, V, t))
+                             if k % 2 else
+                             (braiding_c(reg, V, t), H.component(reg, t)))
+            assert first is second, (V.name, t)
+        assert list(V.coaction._braidings) == [("c", reg, ID)]
+
+
+def test_g_of_v_and_v_are_freed_by_reference_counting():
+    """cA of G(V) closes over V's slice map, not over V, so a fixture V
+    and G(V) that have filled the shared braiding table, and passed a
+    centre check, are freed as soon as they are dropped."""
+    mha = build_instance("fun-Z", QQ)
+    reg = regular_module(mha)
+    gc.disable()
+    try:
+        V = canonical_yd(mha)
+        H = functor_g(V)
+        t = tensor(reg.el(1) + reg.el(-2), V.module.el(3))
+        assert H.component(reg, t) == braiding_c(reg, V, t)
+        assert H.cA(mha.el(1), V.module.el(1)) == V.coaction.slice_r(
+            V.module.el(1), mha.el(1))
+        assert check_half_braiding(H, reg, 3, 0).ok
+        assert list(V.coaction._braidings) == [("c", reg, ID)]
+        refs = [weakref.ref(o) for o in (V, H, V.coaction, V.module)]
+        del V, H
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name,field,specs", [
     ("sweedler-H4", QQ, ("scale:2,3", "scale:3,2")),
     ("sweedler-H4", PrimeField(5), ("scale:2,3", "scale:3,2")),
@@ -266,7 +312,8 @@ def test_memoized_twisted_braiding_equals_its_formula(name, field, specs):
 
 def act_on_slice_formula(module, a, x, beta=ID):
     """a_(1).v (x) beta(a_(2))m as the unskipped double loop: every pair of
-    Delta(a)(1 (x) u) against every term of x, split anew each time."""
+    Delta(a)(1 (x) u), for u a beta^-1-twisted local unit of the A-legs of
+    x, against every term of x, split anew each time."""
     mha = module.mha
     alg = mha.algebra
     out = Element(x.field)
@@ -284,26 +331,54 @@ def act_on_slice_formula(module, a, x, beta=ID):
     return out
 
 
+def neg_pair(mha, spec):
+    """(neg, id) or (id, neg) on fun-Z, with neg the lift of n -> -n (as
+    tests/test_gyd.py builds it)."""
+    neg = group_map_automorphism(mha, lambda n: -n, lambda n: -n, name="neg")
+    return AutoPair(neg, ID) if spec == "neg,id" else AutoPair(ID, neg)
+
+
+def act_on_slice_unbeta(module, a, x, beta):
+    """A wrong act_on_slice for the control: a split against each A-leg m
+    as Delta(a)(1 (x) m), without beta^-1, then beta on the second leg."""
+    alg = module.mha.algebra
+
+    def term(v0, m):
+        return module.mha.delta_r(a, alg.el(m)).map_legs(lambda p, q: tensor(
+            module.act(alg.el(p), module.el(v0)), beta(alg.el(q))))
+    return x.map_legs(term, at=module.arity)
+
+
 @pytest.mark.parametrize("name,spec", [
     ("fun-Z", None), ("fun-Dinf", None), ("sweedler-H4", None),
-    ("sweedler-H4", "scale:2,3"), ("grp-S3", "inner:2,3")])
+    ("sweedler-H4", "scale:2,3"), ("grp-S3", "inner:2,3"),
+    ("fun-Z", "neg,id"), ("fun-Z", "id,neg")])
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
 def test_act_on_slice_equals_the_unskipped_double_loop(name, spec, field):
-    """act_on_slice splits the slice once and skips the pairs whose second
-    leg annihilates it; on coaction slices of the YD fixtures (untwisted)
-    or of the fixtures at a pair (with its beta) it equals the double loop
-    over every pair and every term."""
+    """act_on_slice splits a against each A-leg of the slice it acts on;
+    on coaction slices of the YD fixtures (untwisted) or of the fixtures at
+    a pair (with its beta) it equals the double loop over every pair of a
+    split against a local unit and every term.  Where beta is not ID (a
+    twisted pair, non-unital on fun-Z at (id, neg)), the split without
+    beta^-1 differs on some draw."""
     mha = build_instance(name, field)
     if spec is None:
-        fixtures, beta = yd_fixtures(mha), ID
+        pair = identity_pair(mha)
+    elif spec in ("neg,id", "id,neg"):
+        pair = neg_pair(mha, spec)
     else:
         pair = parse_pair(mha, spec)
-        fixtures, beta = gyd_fixtures_at(mha, pair), pair.beta
+    fixtures = yd_fixtures(mha) if spec is None else gyd_fixtures_at(mha, pair)
+    beta = pair.beta
     rng = random.Random(17)
+    differs = False
     for V in fixtures:
         for _ in range(6):
             a = random_element(rng, mha.algebra)
             x = V.coaction.slice_r(random_element(rng, V.module, 3),
                                    random_element(rng, mha.algebra))
-            assert act_on_slice(V.module, a, x, beta) == act_on_slice_formula(
-                V.module, a, x, beta), (V.name, a, x)
+            got = act_on_slice(V.module, a, x, beta)
+            assert got == act_on_slice_formula(V.module, a, x, beta), (
+                V.name, a, x)
+            differs |= got != act_on_slice_unbeta(V.module, a, x, beta)
+    assert differs == (beta is not ID)
