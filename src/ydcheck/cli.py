@@ -41,6 +41,12 @@ def _finite_unital(reason):
     return need
 
 
+def _unital_or_commutative(mha):
+    if not (mha.algebra.has_unit or mha.commutative):
+        raise NotApplicable("the centre equivalence needs a unital or a "
+                            "commutative instance")
+
+
 def _cyclic_with_root(mha):
     n = mha.cyclic_order
     if n is None:
@@ -63,7 +69,7 @@ SUITES = {
     "extended-modules": (check_extended_modules,),
     "comodule": (check_comodule_suite,),
     "yd": (check_yd_suite,),
-    "centre-equivalence": (check_equivalence,),
+    "centre-equivalence": (check_equivalence, _unital_or_commutative),
     "gyd": (check_gyd_suite,),
     "t-category": (lambda mha, samples, seed: check_t_category(
         mha, _default_pairs(mha), samples, seed),),

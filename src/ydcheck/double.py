@@ -38,8 +38,8 @@ from .instances import dual_hopf, dual_sym, compute_integrals, identity_pair
 
 
 class DiagonalCrossedProduct:
-    """The crossed-product algebra on basis symbols (p_s >< t), together
-    with its counit and coproduct.
+    """The crossed-product algebra on basis symbols (p_s >< t), all that the
+    dump and the correspondence with twisted YD modules read.
 
     The exchange rule is a table per basis pair (a, q), and it reads
     a_(1) (x) a_(2) (x) a_(3) from a table per basis symbol a, so Delta^2(a)
@@ -83,25 +83,6 @@ class DiagonalCrossedProduct:
         unit = tensor(dual.algebra.unit, base.algebra.unit)
         self.algebra = Algebra(field, mult_basis, Space(basis), unit=unit,
                                name=self.name)
-
-    def counit(self, d):
-        """eps(p >< a) = p(1) eps(a)."""
-        def eps(s):
-            p, a = legs(s)
-            return (self.dual.counit(self.dual.el(p))
-                    * self.base.counit(self.base.el(a)))
-        return self.field.reduce(sum(c * eps(s) for s, c in d.terms.items()))
-
-    def coproduct(self, d):
-        """Delta(p >< a) = (p_(2) >< a_(1)) (x) (p_(1) >< a_(2)): the dual
-        leg carries the opposite coproduct."""
-        def regroup(p1, p2, a1, a2):  # p_(1) (x) p_(2) (x) a_(1) (x) a_(2)
-            return Element.basis(self.field, Ten((Ten((p2, a1)), Ten((p1, a2)))))
-
-        def term(p, a):
-            return tensor(self.dual.coproduct(self.dual.el(p)),
-                          self.base.coproduct(self.base.el(a))).map_legs(regroup)
-        return d.map_legs(term)
 
     def structure_constants(self):
         """The full multiplication table, JSON-ready and deterministic."""
@@ -201,12 +182,10 @@ def regular_dcp_module(dcp):
                         arity=2, name=dcp.name + ":regular")
 
 
-def yd_to_dcp_module(V, dcp=None):
-    """A twisted YD module as a module over the crossed product:
-    (p >< a).m = p((a.m)_(1)) (a.m)_(0)."""
+def yd_to_dcp_module(V, dcp):
+    """A twisted YD module as a module over dcp, the crossed product at its
+    pair: (p >< a).m = p((a.m)_(1)) (a.m)_(0)."""
     base = V.mha
-    if dcp is None:
-        dcp = DiagonalCrossedProduct(base, V.pair)
     dual = dcp.dual
     if V.module.basis is None:
         raise ValueError("the correspondence needs a finite-dimensional carrier")
@@ -226,16 +205,15 @@ def yd_to_dcp_module(V, dcp=None):
                         arity=V.module.arity, name=V.name + ":as-dcp-module")
 
 
-def dcp_module_to_yd(M, integrals=None):
+def dcp_module_to_yd(M, integrals):
     """A module over the crossed product as a twisted YD module:
     a.m = (eps >< a).m and the coaction
-    m_(0) (x) m_(1) = (phi(. t_(2)) >< 1).m (x) S^-1(t_(1))."""
+    m_(0) (x) m_(1) = (phi(. t_(2)) >< 1).m (x) S^-1(t_(1)), with phi and t
+    read from integrals."""
     dcp = M.mha
     base = dcp.base
     dual = dcp.dual
     field = dcp.field
-    if integrals is None:
-        integrals = compute_integrals(base)
 
     def act_basis(asym, msym):
         d = tensor(dual.algebra.unit, base.el(asym))

@@ -240,16 +240,12 @@ def check_t_category(mha, pairs, samples=30, seed=0):
     # w = v (x) w'
     V, W = fixtures[0], fixtures[-1]
     p = pairs[-1]
-    try:
-        rep.law("crossed-monoidal",
-                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples",
-                agree(crossed_functor(p, yd_tensor(V, W)),
-                      yd_tensor(crossed_functor(p, V), crossed_functor(p, W))),
-                ((a, tensor(v, w)) for a, v, w in rep.draws(
-                    alg, (V.module, 3), (W.module, 3))))
-    except ValueError as exc:
-        rep.add("crossed-monoidal",
-                "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples", str(exc))
+    rep.law("crossed-monoidal",
+            "phi_p(V (x) W) = phi_p(V) (x) phi_p(W) on samples",
+            agree(crossed_functor(p, yd_tensor(V, W)),
+                  yd_tensor(crossed_functor(p, V), crossed_functor(p, W))),
+            ((a, tensor(v, w)) for a, v, w in rep.draws(
+                alg, (V.module, 3), (W.module, 3))))
 
     # braiding: A-linearity, round trips, naturality, crossing compatibility,
     # each at t = v (x) w

@@ -275,15 +275,15 @@ def dual_sym(s):
 
 def transpose(field, domain, f):
     """The transpose of a linear map given on the basis symbols `domain` by
-    f(a) -> Element, as a memoized basis map on functionals:
-    transpose(field, domain, f)[k^] = sum_a f(a)[k] a^.  Symbols are
+    f(a) -> Element, as a basis map on functionals:
+    transpose(field, domain, f)(k^) = sum_a f(a)[k] a^.  Symbols are
     dualized legwise, so a functional on a tensor power is a tensor of dual
-    symbols.  f must be pure."""
+    symbols.  Each call computes its column: memoize it in a table."""
     def column(k):
         k = make_sym(tuple(p[1] for p in legs(k)))
         return Element(field, {make_sym(tuple(map(dual_sym, legs(a)))):
                                f(a).coeff(k) for a in domain})
-    return Memo(column)
+    return column
 
 
 class DualHopf(MultiplierHopfAlgebra):
@@ -293,10 +293,10 @@ class DualHopf(MultiplierHopfAlgebra):
     Every structure map, and both actions, is the transpose of a base map:
     the product transposes Delta, the coproduct m, the antipode and its
     inverse S and S^-1, and a |> . and . <| a right and left multiplication
-    by a.  Each is evaluated on first use and memoized, which assumes the
-    base's structure maps are pure.  The basis maps passed on remain the instance's own
-    closures, so a copy.copy whose _antipode is replaced sees its
-    replacement.
+    by a.  Each column is memoized in the one table that reads it, which
+    assumes the base's structure maps are pure.  The basis maps passed on
+    remain the instance's own closures, so a copy.copy whose _antipode is
+    replaced sees its replacement.
     """
 
     def __init__(self, base, name):
@@ -311,13 +311,15 @@ class DualHopf(MultiplierHopfAlgebra):
         # S(p) = p o S,  S^-1(p) = p o S^-1; the base's maps are read when
         # a column is first needed
         product = transpose(field, bsyms, lambda a: base._coproduct(a))
-        coproduct = transpose(field, [Ten((a, b)) for a in bsyms for b in bsyms],
-                              lambda t: mult[legs(t)])
+        # the one memo of the coproduct, read by all four slices
+        coproduct = Memo(transpose(
+            field, [Ten((a, b)) for a in bsyms for b in bsyms],
+            lambda t: mult[legs(t)])).__getitem__
         dual_s = transpose(field, bsyms, lambda a: base._antipode(a))
         dual_s_inv = transpose(field, bsyms, lambda a: base._antipode_inv(a))
 
         unit = Element(field, {dual_sym(a): base.counit(base.el(a)) for a in bsyms})
-        alg = Algebra(field, lambda p, q: product[Ten((p, q))],
+        alg = Algebra(field, lambda p, q: product(Ten((p, q))),
                       Space(map(dual_sym, bsyms)), unit=unit, name=name)
 
         def counit(p):  # eps(p) = p(1)
@@ -325,23 +327,21 @@ class DualHopf(MultiplierHopfAlgebra):
 
         # named, so that perfbench/layertrace.py can count dual antipode calls
         def anti(p):
-            return dual_s[p]
+            return dual_s(p)
 
         def anti_inv(p):
-            return dual_s_inv[p]
+            return dual_s_inv(p)
 
-        def cop_basis(p):
-            return coproduct[p]
+        # a |> p = p o (. a), x -> p(xa), and p <| a = p o (a .),
+        # x -> p(ax), each one column per basis pair
+        self.act_left = bilinear(field, lambda a, p: transpose(
+            field, bsyms, lambda x: mult[x, a])(p))
+        self.act_right = bilinear(field, lambda p, a: transpose(
+            field, bsyms, lambda x: mult[a, x])(p))
 
-        # a |> p = p o (. a) and p <| a = p o (a .), per basis pair
-        self._act_left = bilinear(field, lambda a, p: transpose(
-            field, bsyms, lambda x: mult[x, a])[p])
-        self._act_right = bilinear(field, lambda p, a: transpose(
-            field, bsyms, lambda x: mult[a, x])[p])
-
-        super().__init__(alg, **unital_slices(alg, cop_basis),
+        super().__init__(alg, **unital_slices(alg, coproduct),
                          counit=counit, antipode=anti, antipode_inv=anti_inv,
-                         coproduct=cop_basis,
+                         coproduct=coproduct,
                          commutative=base.cocommutative,
                          cocommutative=base.commutative, name=name)
 
@@ -349,14 +349,6 @@ class DualHopf(MultiplierHopfAlgebra):
         """<p, a> for p in the dual, a in the base."""
         return self.field.reduce(
             sum(c * a.coeff(s[1]) for s, c in p.terms.items()))
-
-    def act_left(self, a, p):
-        """a |> p, i.e. x -> p(xa)."""
-        return self._act_left(a, p)
-
-    def act_right(self, p, a):
-        """p <| a, i.e. x -> p(ax)."""
-        return self._act_right(p, a)
 
 
 def dual_hopf(base, name=None):

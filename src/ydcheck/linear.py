@@ -399,39 +399,17 @@ def lin_solve(rows, rhs):
     return Element(field, sol)
 
 
-def kernel_basis(rows, syms=None):
-    """A basis of the kernel of the homogeneous system given by rows.
-
-    syms optionally fixes the unknown set (and order source); otherwise the
-    union of supports is used.
-    """
+def kernel_basis(rows, syms):
+    """A basis of the kernel of the homogeneous system rows over the unknowns
+    syms, from the quotient of their span by rows: per free symbol f, 1 at f
+    and, at each pivot, the coefficient of f in that pivot's image."""
     if not rows:
-        return []
-    field = rows[0].field
-    if syms is None:
-        syms = sorted({s for r in rows for s in r.terms}, key=sym_key)
-    else:
-        syms = sorted(syms, key=sym_key)
-    idx = {s: j for j, s in enumerate(syms)}
-    n = len(syms)
-    mat = []
-    for r in rows:
-        line = [0] * n
-        for s, c in r.terms.items():
-            line[idx[s]] = c
-        mat.append(line)
-    pivots = _rref(mat, n, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = {syms[fc]: 1}
-        for r, pc in enumerate(pivots):
-            v = mat[r][fc]
-            if v:
-                vec[syms[pc]] = -v
-        basis.append(Element(field, vec))
-    return basis
+        raise ValueError("no equations")
+    quot = QuotientSpace(sorted(syms, key=sym_key), rows)
+    images = quot._images.items()
+    return [Element(quot.field,
+                    {f: 1, **{p: img[f] for p, img in images if f in img}})
+            for f in quot.basis]
 
 
 class QuotientSpace:

@@ -281,9 +281,6 @@ class MultiplierHopfAlgebra:
             return self.algebra.unit
         raise ValueError("no coproduct cover rule for %s" % self.name)
 
-    def local_unit(self, elems):
-        return self.algebra.local_unit(elems)
-
     # -- the canonical bijections T1..T4 on A (x) A ------------------------
 
     def _pairwise(self, x2, table):

@@ -294,77 +294,33 @@ def functor_g(V):
                         V.coaction._braidings, name=V.name + ":G")
 
 
-def functor_f(H, hypothesis=None):
+def functor_f(H):
     """Centre object -> YD module.  sliceR is cA itself; sliceL is the left
     product (1 (x) a)Gamma(v), recovered from the right slices.
 
-    Only the three classes where that recovery is assured are accepted:
+    It has a left slice rule on two classes and raises ValueError on others:
 
     - unital: Gamma(v) = cA(1, v) is an honest element, multiply its A-leg
       from the left;
     - commutative: left and right products by 1 (x) a coincide on the range
-      of the coaction, so sliceL = sliceR;
-    - finite-dimensional carrier: Gamma(v) = sum_j v_j (x) m_j against the
-      basis, each m_j known through its left action b -> m_j b; a.m_j is the
-      unique element with (a.m_j)b = a(m_j b), found by stabilizing against
-      growing local units and certified on probe elements.
+      of the coaction, so sliceL = sliceR.
     """
     mha = H.module.mha
     alg = mha.algebra
-    if hypothesis is None:
-        if alg.has_unit:
-            hypothesis = "unital"
-        elif mha.commutative:
-            hypothesis = "commutative"
-        elif H.module.basis is not None:
-            hypothesis = "finite-dimensional"
-        else:
-            raise ValueError(
-                "cannot build a two-sided coaction: instance %s is non-unital "
-                "and non-commutative and the carrier %s is not finite-"
-                "dimensional" % (mha.name, H.module.name))
 
     def slice_r(vsym, asym):
         return H.cA(alg.el(asym), H.module.el(vsym))
 
-    if hypothesis == "unital":
+    if alg.has_unit:
         def slice_l(vsym, asym):
             gamma = H.cA(alg.unit, H.module.el(vsym))
             a = alg.el(asym)
             return apply_legs(gamma, H.module.arity, 1, lambda m: alg.mult(a, m))
-    elif hypothesis == "commutative":
+    elif mha.commutative:
         slice_l = slice_r
     else:
-        basis = H.module.basis
-        if basis is None:
-            raise ValueError("finite-dimensional recovery needs a basis")
-        index = {b: i for i, b in enumerate(basis)}
-
-        def components(v, b):
-            """m_j b for every j, read off cA(b, v) against the basis."""
-            out = [{} for _ in basis]
-            for s, c in H.cA(b, v).terms.items():
-                v0, m = split_sym(s, H.module.arity)
-                out[index[v0]][m] = c
-            return [Element(mha.field, t) for t in out]
-
-        def slice_l(vsym, asym):
-            v = H.module.el(vsym)
-            a = alg.el(asym)
-            e = alg.local_unit([a])
-            cand = [alg.mult(a, mje) for mje in components(v, e)]
-            # certify (a.m_j)b = a(m_j b) on a probe extending the local unit
-            probe = alg.local_unit([a, e] + [x for x in cand if not x.is_zero()])
-            mjp = components(v, probe)
-            for j in range(len(basis)):
-                if alg.mult(cand[j], probe) != alg.mult(a, mjp[j]):
-                    raise ValueError(
-                        "left multiplier a.m_j did not stabilize on %s"
-                        % H.name)
-            # sum_j b_j (x) a.m_j; the summands have disjoint supports
-            return Element(mha.field, {
-                s: c for b, x in zip(basis, cand)
-                for s, c in tensor(H.module.el(b), x).terms.items()})
+        raise ValueError("cannot build a two-sided coaction: instance %s is "
+                         "neither unital nor commutative" % mha.name)
 
     coa = Coaction(H.module, slice_r, slice_l, name=H.name + ":F")
     return YDModule(H.module, coa, name=H.name + ":F")

@@ -394,6 +394,28 @@ def test_every_cell_runs_or_is_refused_before_any_law(tmp_path, monkeypatch,
                 os.remove(out)
 
 
+def test_centre_equivalence_refuses_an_instance_outside_its_hypothesis(
+        monkeypatch, capsys):
+    # fun-Dinf with commutativity masked is neither unital nor commutative,
+    # so F has no left slice rule on it: the cell is refused with exit 2,
+    # while a suite without that hypothesis still runs there
+    real = cli.build_instance
+
+    def masked(name, field):
+        mha = real(name, field)
+        mha.commutative = False
+        return mha
+    monkeypatch.setattr(cli, "build_instance", masked)
+    rc, _, err = run(["check", "centre-equivalence", "--instance", "fun-Dinf",
+                      "--samples", "2"], capsys)
+    assert rc == 2
+    assert "unital or a commutative instance" in err
+    assert "Traceback" not in err
+    rc, _, _ = run(["check", "yd", "--instance", "fun-Dinf", "--samples", "2"],
+                   capsys)
+    assert rc in (0, 1)
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 

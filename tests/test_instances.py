@@ -112,7 +112,7 @@ def test_function_algebra_is_nonunital_with_local_units():
     A = function_algebra(group_Z(), QQ)
     assert not A.algebra.has_unit
     x = A.el(2) + A.el(-1, Fraction(3))
-    e = A.local_unit([x])
+    e = A.algebra.local_unit([x])
     assert A.algebra.mult(e, x) == x and A.algebra.mult(x, e) == x
     # the cover acts as a unit through the slices
     y = A.el(5)

@@ -163,20 +163,6 @@ def test_functor_f_unital_matches_materialized_gamma():
             assert back.coaction.slice_l(V.module.el(vs), mha.el(a)) == expect
 
 
-@pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4"])
-def test_functor_f_finite_dimensional_recovery(name):
-    # no registered instance is non-unital, non-commutative and finite, so
-    # no suite reaches this recovery; forced here, it must rebuild the left
-    # slice of every finite fixture exactly
-    mha = build_instance(name, QQ)
-    for V in yd_fixtures(mha):
-        F = functor_f(functor_g(V), hypothesis="finite-dimensional")
-        for v in V.module.basis:
-            for a in mha.algebra.basis:
-                x, y = V.module.el(v), mha.el(a)
-                assert F.coaction.slice_l(x, y) == V.coaction.slice_l(x, y)
-
-
 # -- the memoized braidings against their per-term formulas -------------------
 
 def splice_formula(X, arity, slice_r, xv, beta=ID):
