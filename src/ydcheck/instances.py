@@ -401,7 +401,10 @@ def compute_integrals(mha):
     bsyms = mha.algebra.basis
     unit = mha.algebra.unit
 
-    # (i (x) phi)Delta(a) = phi(a) 1: one equation per (basis a, ambient u)
+    # (i (x) phi)Delta(a) = phi(a) 1: one equation per (basis a, ambient u).
+    # Rows come in a fixed order, per_u's and then basis order: the kernel
+    # does not depend on it, but the solver's pivot search would follow
+    # the hash order of a set of symbols
     rows = []
     for asym in bsyms:
         d2 = mha.coproduct(mha.el(asym))
@@ -410,7 +413,8 @@ def compute_integrals(mha):
             u, t = legs(ts)
             per_u.setdefault(u, {})
             per_u[u][("phi", t)] = per_u[u].get(("phi", t), field.zero()) + c
-        for u in set(per_u) | set(unit.terms):
+        for u in [*per_u, *(s for s in bsyms
+                            if s in unit.terms and s not in per_u)]:
             row = dict(per_u.get(u, {}))
             key = ("phi", asym)
             row[key] = row.get(key, field.zero()) - unit.coeff(u)
@@ -427,7 +431,7 @@ def compute_integrals(mha):
             for u, c in prod.terms.items():
                 per_u.setdefault(u, {})
                 per_u[u][("t", ssym)] = per_u[u].get(("t", ssym), field.zero()) + c
-        for u in set(per_u) | set(bsyms):
+        for u in [*per_u, *(s for s in bsyms if s not in per_u)]:
             row = dict(per_u.get(u, {}))
             key = ("t", u)
             row[key] = row.get(key, field.zero()) - eps

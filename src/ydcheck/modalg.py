@@ -482,11 +482,12 @@ class BalancedTensor:
         self.amb_coaction = tensor_coaction(self.amb, M, N)
         rels = []
         for ms in M.module.basis:
+            m = M.module.el(ms)
             for hs in H.alg.basis:
+                mh = M.r_act(m, H.alg.el(hs))
                 for ns in N.module.basis:
-                    r = (tensor(M.r_act(M.module.el(ms), H.alg.el(hs)),
-                                N.module.el(ns))
-                         - tensor(M.module.el(ms), N.h_act_basis[hs, ns]))
+                    r = (tensor(mh, N.module.el(ns))
+                         - tensor(m, N.h_act_basis[hs, ns]))
                     if not r.is_zero():
                         rels.append(r)
         self.relators = rels

@@ -30,12 +30,19 @@ class UnitalModule:
     unit on a unital instance, and the module's local_unit rule, which
     non-unital instances require, otherwise.
 
-    The action is extended bilinearly, and the image of each basis pair
-    (a_sym, v_sym) is memoized in this module object, which assumes
-    act_basis is pure (as bilinear does): module.act_basis[a_sym, v_sym]
-    reads the memo by symbol, and act extends the same table.  The memo
-    belongs to the object: a module built from a different (say, corrupted)
-    action map starts cold and never sees this one's images.
+    The module keeps three kinds of table, each read by basis symbol and
+    each assuming the map it memoizes is pure (as bilinear does):
+
+    - act_basis[a_sym, v_sym], the action of a basis pair, which act
+      extends bilinearly;
+    - local_unit_basis[v_sym], the local unit of el(v_sym) alone, that is
+      local_unit([el(v_sym)]);
+    - _slice_acts[beta], one per twist, the bilinear extension of the
+      table of yd.act_on_slice's per-pair formula at beta (filled there).
+
+    The tables belong to the object: a module built from a different (say,
+    corrupted) action map starts cold and never sees this one's images.
+    None of them closes over the module, so none makes a reference cycle.
     """
 
     def __init__(self, mha, act_basis, space, *, local_unit=None, arity=1,
@@ -52,6 +59,11 @@ class UnitalModule:
         if local_unit is None and self._unit is None:
             raise ValueError("non-unital instance: module %s needs a local unit rule" % name)
         self._local_unit = local_unit
+        unit, field = self._unit, self.field
+        self.local_unit_basis = Memo(
+            (lambda s: unit) if unit is not None
+            else lambda s: local_unit([Element.basis(field, s)], []))
+        self._slice_acts = {}  # beta -> yd.act_on_slice's extension
 
     def el(self, sym, coeff=None):
         return Element.basis(self.field, sym, coeff)

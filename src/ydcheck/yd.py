@@ -21,7 +21,8 @@ no such element.  Each evaluator documents its slice composition.
 """
 
 
-from .linear import Element, linear, tensor, split_sym, apply_legs
+from .linear import (Element, linear, bilinear, tensor, split_sym,
+                     apply_legs)
 from .report import Report, equal
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, adjoint_module, regular_module,
@@ -50,19 +51,33 @@ class YDModule:
 
 def act_on_slice(module, a, x, beta=ID):
     """a_(1).v (x) beta(a_(2))m for x = sum v (x) m in V (x) A, such as a
-    coaction slice, with no local unit: a is split against the A-leg m of
-    each term, read once as Delta(a)(1 (x) beta^-1(m)) = a_(1) (x)
-    a_(2)beta^-1(m) (a read of delta_r's table at beta = ID), and a pair
-    with a_(1).v = 0 (read from the action table) is not tensored."""
-    mha, act, field = module.mha, module.act_basis, module.field
+    coaction slice, with no local unit: the bilinear extension of a
+    per-pair formula, (a_sym, v (x) m) |-> sum a_(1).v (x) beta(a_(2))m,
+    in which a_sym is split against the A-leg m it multiplies, read as
+    Delta(a)(1 (x) beta^-1(m)) = a_(1) (x) a_(2)beta^-1(m) (a read of
+    delta_r's table at beta = ID), and a pair with a_(1).v = 0 (read from
+    the action table) is not tensored.  The formula's images are a table
+    kept on the module per twist, module._slice_acts[beta]; the formula
+    closes over the action table, never over the module."""
+    ext = module._slice_acts.get(beta)
+    if ext is None:
+        mha, act, arity = module.mha, module.act_basis, module.arity
+        delta_r, field = mha.delta_r_basis, module.field
 
-    def term(v0, m):
-        def pair(p, q):
-            y = act[p, v0]
-            return tensor(y, beta(Element.basis(field, q))) if y.terms else y
-        split = mha.delta_r(a, beta.inverse(Element.basis(field, m)))
-        return split.map_legs(pair)
-    return x.map_legs(term, at=module.arity)
+        def formula(asym, tsym):
+            v0, m = split_sym(tsym, arity)
+
+            def pair(p, q):
+                y = act[p, v0]
+                if not y.terms:
+                    return y
+                return tensor(y, beta(Element.basis(field, q)))
+            split = (delta_r[asym, m] if beta is ID else
+                     mha.delta_r(Element.basis(field, asym),
+                                 beta.inverse(Element.basis(field, m))))
+            return split.map_legs(pair)
+        ext = module._slice_acts[beta] = bilinear(field, formula)
+    return ext(a, x)
 
 
 def compat_rhs(module, coaction, a, ap, v, alpha=ID, beta=ID):
@@ -124,9 +139,10 @@ def check_yd(yd, samples=40, seed=0):
 
 def tensor_module(V, W):
     """V (x) W with the diagonal action a_(1).v (x) a_(2).w, realized by
-    splitting a against a module local unit of the W component and reading
-    both factors' action tables.  A twisted tensor product is this one of
-    two modules.twisted_module's.
+    splitting a against the local unit of the W component, read from W's
+    table by symbol (W.local_unit_basis), and reading both factors' action
+    tables.  A twisted tensor product is this one of two
+    modules.twisted_module's.
 
     One local unit rule serves any two modules: with u, u' local units of
     the V- and W-legs and c a coproduct cover of u (x) u', every e with
@@ -134,14 +150,14 @@ def tensor_module(V, W):
     """
     mha = V.mha
     alg = mha.algebra
-    vact, wact = V.act_basis, W.act_basis
+    vact, wact, wunit = V.act_basis, W.act_basis, W.local_unit_basis
 
     def act(asym, tsym):
         vs, ws = split_sym(tsym, V.arity)
 
         def term(p, q):
             return tensor(vact[p, vs], wact[q, ws])
-        return mha.delta_r(alg.el(asym), W.local_unit([W.el(ws)])).map_legs(term)
+        return mha.delta_r(alg.el(asym), wunit[ws]).map_legs(term)
 
     def local_unit(velems, aelems):
         vlegs, wlegs = [], []
@@ -215,12 +231,13 @@ def _memoized(owner, key, field, term):
 def _splice(owner, X, arity, slice_r, beta=ID):
     """x (x) v -> v_(0) (x) beta^-1(v_(1)).x for a right slice
     slice_r(v, a) = v_(0) (x) v_(1)a on a carrier of the given arity: the
-    slice is taken at beta(e) for a local unit e of x, so beta^-1 of its
-    A-leg acts on x = e.x.  Memoized in owner, keyed by (X, beta)."""
+    slice is taken at beta(e) for the local unit e of the basis vector x,
+    read from X.local_unit_basis, so beta^-1 of its A-leg acts on x = e.x.
+    Memoized in owner, keyed by (X, beta)."""
     def term(s):
         xs, vs = split_sym(s, X.arity)
         x = X.el(xs)
-        e = X.local_unit([x])
+        e = X.local_unit_basis[xs]
         return apply_legs(slice_r(Element.basis(x.field, vs), beta(e)),
                           arity, 1, lambda m: X.act(beta.inverse(m), x))
     return _memoized(owner, ("c", X, beta), X.field, term)
@@ -236,8 +253,9 @@ def braiding_c(X, V, xv, beta=ID):
 
 def braiding_c_inv(X, V, vx, beta=ID):
     """C^-1(v (x) x) = beta^-1(S(v_(1))).x (x) v_(0), the mirror of
-    braiding_c: the left slice is taken at S^-1(beta(e)) for a local unit
-    e of x, and beta^-1 o S of its A-leg is beta^-1(S(v_(1))beta(e)) =
+    braiding_c: the left slice is taken at S^-1(beta(e)) for the local
+    unit e of the basis vector x, read from X.local_unit_basis, and
+    beta^-1 o S of its A-leg is beta^-1(S(v_(1))beta(e)) =
     beta^-1(S(v_(1)))e, which acts on x = e.x.  Memoized per basis symbol
     on V's coaction, keyed by (X, beta)."""
     mha, mod, coa = V.mha, V.module, V.coaction
@@ -247,7 +265,7 @@ def braiding_c_inv(X, V, vx, beta=ID):
     def term(s):
         vs, xs = split_sym(s, mod.arity)
         x = X.el(xs)
-        e = X.local_unit([x])
+        e = X.local_unit_basis[xs]
 
         def leg(v0, m):
             return tensor(X.act(beta.inverse(mha.antipode_basis[m]), x),

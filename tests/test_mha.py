@@ -15,12 +15,14 @@ from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, flip, apply_legs
 from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_algebra, sweedler_h4, function_algebra,
-                               group_Z, from_unital_coproduct)
+                               group_Z, from_unital_coproduct, ID)
 from ydcheck.mha import (Space, Algebra, below, random_element, draws,
                          check_mha_axioms, check_braid)
 from ydcheck.modules import trivial_module, regular_module
 from ydcheck.modalg import counit_yd_module_algebra
 from ydcheck.report import Report
+from ydcheck.yd import act_on_slice, check_yd_suite, check_equivalence
+from ydcheck.gyd import parse_pair, twisted_adjoint_gyd
 
 
 FIELDS = [QQ, PrimeField(7)]
@@ -483,6 +485,44 @@ def test_an_instance_that_evaluated_its_inverse_ts_is_freed_by_reference_countin
         assert set(INVERSE_TS) <= set(H._twist_memo)
         ref = weakref.ref(H)
         del H
+        assert ref() is None, ref
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "sweedler-H4"])
+def test_a_finished_yd_and_centre_cell_leaves_no_cyclic_garbage(name):
+    """The yd and centre-equivalence suites fill every module's act_on_slice
+    and local-unit tables, the braiding tables and the action tables, none
+    of which closes over the object that holds it: once a finished cell's
+    fixtures are dropped, the collector finds nothing to free."""
+    mha = build_instance(name, PrimeField(5))
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_yd_suite(mha, samples=3, seed=0).ok
+        assert check_equivalence(mha, samples=3, seed=0).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_module_that_filled_its_tables_is_freed_by_reference_counting():
+    """A module whose act_on_slice tables (at ID and at a twisted beta)
+    and local-unit table are filled is freed as soon as it is dropped."""
+    mha = sweedler_h4(QQ)
+    pair = parse_pair(mha, "scale:2,3")
+    gc.disable()
+    try:
+        mod = twisted_adjoint_gyd(mha, pair).module
+        x = tensor(mod.el("x") + mod.el("g"), mha.el("gx"))
+        for beta in (ID, pair.beta):
+            act_on_slice(mod, mha.el("x") + mha.el("g"), x, beta)
+        mod.local_unit_basis["gx"]
+        assert set(mod._slice_acts) == {ID, pair.beta}
+        assert mod.local_unit_basis
+        ref = weakref.ref(mod)
+        del mod
         assert ref() is None, ref
     finally:
         gc.enable()

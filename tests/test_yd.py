@@ -12,7 +12,8 @@ from ydcheck.linear import Element, Ten, tensor, split_sym, apply_legs
 from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_map_automorphism, ID)
 from ydcheck.mha import random_element
-from ydcheck.modules import regular_module, coproduct_coaction
+from ydcheck.modules import (UnitalModule, regular_module,
+                              coproduct_coaction)
 from ydcheck.yd import (YDModule, check_yd, check_yd_suite, yd_tensor,
                         yd_fixtures, braiding_c, braiding_c_inv, functor_g,
                         functor_f, check_equivalence, canonical_yd,
@@ -338,15 +339,16 @@ def act_on_slice_unbeta(module, a, x, beta):
 @pytest.mark.parametrize("name,spec", [
     ("fun-Z", None), ("fun-Dinf", None), ("sweedler-H4", None),
     ("sweedler-H4", "scale:2,3"), ("grp-S3", "inner:2,3"),
-    ("fun-Z", "neg,id"), ("fun-Z", "id,neg")])
+    ("grp-S3", "inner:1,2"), ("fun-Z", "neg,id"), ("fun-Z", "id,neg")])
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
 def test_act_on_slice_equals_the_unskipped_double_loop(name, spec, field):
     """act_on_slice splits a against each A-leg of the slice it acts on;
     on coaction slices of the YD fixtures (untwisted) or of the fixtures at
-    a pair (with its beta) it equals the double loop over every pair of a
-    split against a local unit and every term.  Where beta is not ID (a
-    twisted pair, non-unital on fun-Z at (id, neg)), the split without
-    beta^-1 differs on some draw."""
+    a pair (with its beta), and on random elements of V (x) A, it equals the
+    double loop over every pair of a split against a local unit and every
+    term, also when read a second time from the table its module keeps at
+    beta.  Where beta is not ID (a twisted pair, non-unital on fun-Z at
+    (id, neg)), the split without beta^-1 differs on some draw."""
     mha = build_instance(name, field)
     if spec is None:
         pair = identity_pair(mha)
@@ -359,12 +361,69 @@ def test_act_on_slice_equals_the_unskipped_double_loop(name, spec, field):
     rng = random.Random(17)
     differs = False
     for V in fixtures:
-        for _ in range(6):
+        for k in range(8):
             a = random_element(rng, mha.algebra)
-            x = V.coaction.slice_r(random_element(rng, V.module, 3),
-                                   random_element(rng, mha.algebra))
-            got = act_on_slice(V.module, a, x, beta)
-            assert got == act_on_slice_formula(V.module, a, x, beta), (
-                V.name, a, x)
+            v = random_element(rng, V.module, 3)
+            x = (tensor(v, random_element(rng, mha.algebra)) if k % 2 else
+                 V.coaction.slice_r(v, random_element(rng, mha.algebra)))
+            expect = act_on_slice_formula(V.module, a, x, beta)
+            for _ in range(2):
+                got = act_on_slice(V.module, a, x, beta)
+                assert got == expect, (V.name, a, x)
             differs |= got != act_on_slice_unbeta(V.module, a, x, beta)
+        assert beta in V.module._slice_acts
     assert differs == (beta is not ID)
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "fun-Dinf", "sweedler-H4"])
+def test_local_unit_basis_fixes_its_basis_vector(name):
+    """module.local_unit_basis[s] is the local unit of el(s): e.v = v for
+    sampled symbols s of every YD fixture's module and every module of the
+    fixtures at the instance's pairs; it equals local_unit([el(s)]) and a
+    second read is the identical Element."""
+    mha = build_instance(name, QQ)
+    pairs = [identity_pair(mha)] + [parse_pair(mha, s) for s in mha.pair_specs]
+    modules = [V.module for V in yd_fixtures(mha)] + [
+        V.module for pair in pairs for V in gyd_fixtures_at(mha, pair)]
+    rng = random.Random(23)
+    for M in modules:
+        for _ in range(5):
+            s = M.space.sample(rng)
+            e = M.local_unit_basis[s]
+            assert M.act(e, M.el(s)) == M.el(s), (M.name, s)
+            assert e == M.local_unit([M.el(s)])
+            assert M.local_unit_basis[s] is e
+
+
+@pytest.mark.parametrize("name", ["fun-Z", "sweedler-H4"])
+def test_a_corrupted_action_starts_with_cold_slice_and_unit_tables(name):
+    """A module built from a corrupted (doubled) action map keeps tables of
+    its own: after the good module has filled its act_on_slice and
+    local-unit tables, the bad one starts with both empty, and its
+    act_on_slice is twice the good one's, not the good one's images."""
+    mha = build_instance(name, QQ)
+    V = canonical_yd(mha)
+    good = V.module
+    rng = random.Random(29)
+    draws = [(random_element(rng, mha.algebra),
+              V.coaction.slice_r(random_element(rng, good, 3),
+                                 random_element(rng, mha.algebra)))
+             for _ in range(6)]
+    for a, x in draws:
+        act_on_slice(good, a, x)
+    syms = [good.space.sample(rng) for _ in range(4)]
+    for s in syms:
+        good.local_unit_basis[s]
+    assert list(good._slice_acts) == [ID] and good.local_unit_basis
+
+    two = QQ.from_int(2)
+    bad = UnitalModule(mha, lambda a, v: good.act_basis[a, v].scaled(two),
+                       good.space, local_unit=good._local_unit, name="bad")
+    assert bad._slice_acts == {} and bad.local_unit_basis == {}
+    images = [act_on_slice(bad, a, x) for a, x in draws]
+    for (a, x), y in zip(draws, images):
+        assert y == act_on_slice(good, a, x).scaled(two)
+    assert any(y != act_on_slice(good, a, x)
+               for (a, x), y in zip(draws, images))
+    for s in syms:
+        assert bad.local_unit_basis[s] == good.local_unit_basis[s]
