@@ -27,8 +27,7 @@ the dense order, so a failure has the dense scan's witness.  Each side is
 read off table rows, never through the product of a wrapped basis symbol.
 """
 
-from .linear import (Element, Ten, Memo, Memo2, tensor, legs, sym_str,
-                     apply_legs)
+from .linear import Element, Ten, Memo, Memo2, tensor, legs, apply_legs
 from .mha import Space, Algebra
 from .modules import UnitalModule, Coaction
 from .yd import YDModule, canonical_yd
@@ -86,7 +85,7 @@ class DiagonalCrossedProduct:
 
     def structure_constants(self):
         """The full multiplication table, JSON-ready and deterministic."""
-        labels = [sym_str(s) for s in self.algebra.basis]
+        labels = list(map(repr, self.algebra.basis))
         table = []
         index = {s: i for i, s in enumerate(self.algebra.basis)}
         mult = self.algebra.mult_basis

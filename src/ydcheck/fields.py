@@ -2,13 +2,14 @@
 
 Over QQ a coefficient is a Python int, and becomes a fractions.Fraction
 only when a division has a non-integral quotient; over F_p it is an int in
-[0, p).  Sums and products of coefficients are plain +, - and *; the field
-owns the reduction mod p, which happens in two places only: field.nonzero,
-which filters (and over F_p reduces) the terms of every Element as it is
-built, keeping the dict itself when it is clean, and field.reduce, for the
-few scalars computed outside an Element.
-Over QQ both are the plain filter and the identity, so the linear algebra
-layer never needs to know which field it is working over.  Every division
+[0, p).  So 0 and 1 are the literals 0 and 1 in every field, and a field
+has no zero() or one().  Sums and products of coefficients are plain +, -
+and *; the field owns the reduction mod p, which happens in two places
+only: field.nonzero, which filters (and over F_p reduces) the terms of
+every Element as it is built, keeping the dict itself when it is clean, and
+field.reduce, for the few scalars computed outside an Element.  Over QQ
+both are the plain filter and the identity, so the linear algebra layer
+never needs to know which field it is working over.  Every division
 goes through field.div, because int / int would give a float.
 
 Each field also carries coeff_pool, the coefficients random elements are
@@ -63,12 +64,6 @@ class RationalField:
     name = "rational"
     coeff_pool = (-2, -1, 1, 2)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n):
         return n
 
@@ -108,12 +103,6 @@ class PrimeField:
         self.name = "fp:%d" % p
         self.coeff_pool = (tuple(range(1, p)) if p <= 11 else
                            tuple(n % p for n in RationalField.coeff_pool))
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n % self.p

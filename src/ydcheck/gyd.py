@@ -185,8 +185,8 @@ def check_t_category(mha, pairs, samples=30, seed=0):
             itertools.product(pairs, repeat=3))
 
     def check(p):
-        if not (p.product(p.inverse()).is_identity_on(probes)
-                and p.inverse().product(p).is_identity_on(probes)
+        if not (p.product(p.inverse()).agrees_with(idp, probes)
+                and p.inverse().product(p).agrees_with(idp, probes)
                 and idp.product(p).agrees_with(p, probes)
                 and p.product(idp).agrees_with(p, probes)):
             return "pair %s" % p.name

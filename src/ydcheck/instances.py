@@ -106,16 +106,14 @@ def function_algebra(group, field, name=None):
         return syms
 
     def local_unit(elems):
-        return Element(field, {s: field.one() for s in support_union(elems)})
+        return Element(field, {s: 1 for s in support_union(elems)})
 
     unit = None
     if g.elements is not None:
-        unit = Element(field, {s: field.one() for s in g.elements})
+        unit = Element(field, {s: 1 for s in g.elements})
 
     alg = Algebra(field, mult_basis, g.space, unit=unit,
                   local_unit=local_unit, name=name)
-
-    one = field.one()
 
     # Delta(delta_g)(1 (x) delta_h) = delta_{g h^-1} (x) delta_h
     def delta_r(a, b):
@@ -134,7 +132,7 @@ def function_algebra(group, field, name=None):
         return Element.basis(field, Ten((g.mul(b, g.inv(a)), a)))
 
     def counit(a):
-        return one if a == g.identity else field.zero()
+        return 1 if a == g.identity else 0
 
     def antipode(a):
         return Element.basis(field, g.inv(a))
@@ -142,7 +140,7 @@ def function_algebra(group, field, name=None):
     def delta_cover(xs, ys):
         # Delta(c)(x (x) y) = x (x) y iff c is 1 on supp(x) * supp(y)
         prods = {g.mul(p, q) for p in support_union(xs) for q in support_union(ys)}
-        return Element(field, {s: one for s in prods})
+        return Element(field, {s: 1 for s in prods})
 
     return MultiplierHopfAlgebra(
         alg, delta_r=delta_r, delta_l=delta_l, delta_r2=delta_r2,
@@ -208,12 +206,10 @@ def group_algebra(group, field, name=None):
 
     unit = Element.basis(field, g.identity)
     alg = Algebra(field, mult_basis, g.space, unit=unit, name=name)
-
-    one = field.one()
     mha = from_unital_coproduct(
         alg,
         lambda s: Element.basis(field, Ten((s, s))),
-        lambda s: one,
+        lambda s: 1,
         lambda s: Element.basis(field, g.inv(s)),
         lambda s: Element.basis(field, g.inv(s)),
         commutative=g.abelian, cocommutative=True, name=name)
@@ -230,16 +226,15 @@ _H4_EXPS = {v: k for k, v in _H4_SYMS.items()}
 def sweedler_h4(field, name="sweedler-H4"):
     """Basis {1, g, x, gx}; g^2 = 1, x^2 = 0, xg = -gx; Delta(g) = g(x)g,
     Delta(x) = x(x)1 + g(x)x; S(g) = g, S(x) = -gx, so S^2 != id."""
-    if field.from_int(2) == field.zero():
+    if field.from_int(2) == 0:
         raise ValueError("Sweedler H4 needs characteristic != 2")
-    one = field.one()
 
     def mult_basis(a, b):
         i, j = _H4_EXPS[a]
         k, l = _H4_EXPS[b]
         if j + l >= 2:
             return Element(field)  # x^2 = 0
-        sign = field.from_int(-1) if (j and k) else one  # x g = -g x
+        sign = field.from_int(-1) if (j and k) else 1  # x g = -g x
         return Element.basis(field, _H4_SYMS[((i + k) % 2, j + l)], sign)
 
     basis = ["1", "g", "x", "gx"]
@@ -257,7 +252,7 @@ def sweedler_h4(field, name="sweedler-H4"):
         # Delta(gx) = Delta(g)Delta(x) = gx (x) g + 1 (x) gx
         "gx": tensor(e("gx"), e("g")) + tensor(e("1"), e("gx")),
     }
-    counit = {"1": one, "g": one, "x": field.zero(), "gx": field.zero()}
+    counit = {"1": 1, "g": 1, "x": 0, "gx": 0}
     anti = {"1": e("1"), "g": e("g"), "x": e("gx", minus), "gx": e("x")}
     anti_inv = {"1": e("1"), "g": e("g"), "x": e("gx"), "gx": e("x", minus)}
 
@@ -372,10 +367,9 @@ class IntegralData:
     def verify(self):
         """Re-check both defining equations on every basis element."""
         mha = self.mha
-        zero = mha.field.zero()
 
         def phi_leg2(l1, l2):  # (i (x) phi) on one basis tensor
-            return mha.el(l1, self.phi_coeffs.get(l2, zero))
+            return mha.el(l1, self.phi_coeffs.get(l2, 0))
 
         for s in mha.algebra.basis:
             a = mha.el(s)
@@ -384,7 +378,7 @@ class IntegralData:
                 return False, "integral equation fails at a=%r" % a
             if mha.algebra.mult(a, self.t) != self.t.scaled(mha.counit(a)):
                 return False, "cointegral equation fails at a=%r" % a
-        if self.phi(self.t) != mha.field.one():
+        if self.phi(self.t) != 1:
             return False, "phi(t) != 1"
         return True, None
 
@@ -412,12 +406,12 @@ def compute_integrals(mha):
         for ts, c in d2.terms.items():
             u, t = legs(ts)
             per_u.setdefault(u, {})
-            per_u[u][("phi", t)] = per_u[u].get(("phi", t), field.zero()) + c
+            per_u[u][("phi", t)] = per_u[u].get(("phi", t), 0) + c
         for u in [*per_u, *(s for s in bsyms
                             if s in unit.terms and s not in per_u)]:
             row = dict(per_u.get(u, {}))
             key = ("phi", asym)
-            row[key] = row.get(key, field.zero()) - unit.coeff(u)
+            row[key] = row.get(key, 0) - unit.coeff(u)
             rows.append(Element(field, row))
     phis = kernel_basis(rows, syms=[("phi", s) for s in bsyms])
 
@@ -430,11 +424,11 @@ def compute_integrals(mha):
             prod = mha.algebra.mult_basis[asym, ssym]
             for u, c in prod.terms.items():
                 per_u.setdefault(u, {})
-                per_u[u][("t", ssym)] = per_u[u].get(("t", ssym), field.zero()) + c
+                per_u[u][("t", ssym)] = per_u[u].get(("t", ssym), 0) + c
         for u in [*per_u, *(s for s in bsyms if s not in per_u)]:
             row = dict(per_u.get(u, {}))
             key = ("t", u)
-            row[key] = row.get(key, field.zero()) - eps
+            row[key] = row.get(key, 0) - eps
             rows.append(Element(field, row))
     ts = kernel_basis(rows, syms=[("t", s) for s in bsyms])
 
@@ -448,7 +442,7 @@ def compute_integrals(mha):
             t = Element(field, {s[1]: c for s, c in t_vec.terms.items()})
             data = IntegralData(mha, phi_coeffs, t)
             norm = data.phi(t)
-            if norm != field.zero():
+            if norm != 0:
                 data.phi_coeffs = {s: field.div(c, norm) for s, c in phi_coeffs.items()}
                 ok, wit = data.verify()
                 if not ok:
@@ -479,9 +473,6 @@ class Identity:
 
     def composed(self, other):
         return other
-
-    def is_identity_on(self, elems):
-        return True
 
 
 ID = Identity()
@@ -526,9 +517,6 @@ class HopfAutomorphism:
             self.mha, lambda x: self._fwd(other._fwd(x)),
             lambda x: other._inv(self._inv(x)),
             name="%s.%s" % (self.name, other.name), _checked=True)
-
-    def is_identity_on(self, elems):
-        return all(self(x) == x for x in elems)
 
     def _validate(self):
         mha = self.mha
@@ -578,10 +566,6 @@ class AutoPair:
         return all(self.alpha(x) == other.alpha(x)
                    and self.beta(x) == other.beta(x) for x in probes)
 
-    def is_identity_on(self, probes):
-        return (self.alpha.is_identity_on(probes)
-                and self.beta.is_identity_on(probes))
-
 
 IDENTITY_PAIR = AutoPair(ID, ID, name="(i,i)")
 
@@ -620,11 +604,11 @@ def h4_scaling_automorphism(mha, lam):
     if mha.algebra.basis != ["1", "g", "x", "gx"]:
         raise ValueError("scaling pairs need the basis 1, g, x, gx of "
                          "Sweedler's H4, not %s's" % mha.name)
-    if lam == field.zero():
+    if lam == 0:
         raise ConstructionError("scaling parameter must be invertible")
-    lam_inv = field.div(field.one(), lam)
-    scale = {"1": field.one(), "g": field.one(), "x": lam, "gx": lam}
-    scale_inv = {"1": field.one(), "g": field.one(), "x": lam_inv, "gx": lam_inv}
+    lam_inv = field.div(1, lam)
+    scale = {"1": 1, "g": 1, "x": lam, "gx": lam}
+    scale_inv = {"1": 1, "g": 1, "x": lam_inv, "gx": lam_inv}
 
     def fwd(x):
         return x.map_terms(lambda s: Element.basis(field, s, scale[s]))
@@ -698,16 +682,16 @@ def qt_for_cyclic(n, field, mha=None):
     w = field.primitive_root_of_unity(n)
     if w is None:
         raise ConstructionError("no primitive %d-th root of unity in %s" % (n, field.name))
-    n_inv = field.div(field.one(), field.from_int(n))
+    n_inv = field.div(1, field.from_int(n))
 
     def build(root):
-        powers = [field.one()]
+        powers = [1]
         for _ in range(n - 1):
             powers.append(powers[-1] * root)
         return Element(field, {Ten((i, j)): powers[(i * j) % n] * n_inv
                                for i in range(n) for j in range(n)})
 
-    w_inv = field.div(field.one(), w)
+    w_inv = field.div(1, w)
     return QTStructure(mha, build(w), build(w_inv))
 
 

@@ -8,10 +8,11 @@ mod p) once, when the Element is built, in field.nonzero, which keeps the
 dict itself when there is nothing to filter.  A basis vector with
 coefficient 1 skips that filter: the literal 1 is nonzero and reduced in
 every field.  Basis symbols are opaque hashable labels (group elements in
-normal form, strings, dual-basis tags, ...).  Tensor legs are kept flat: a
-tensor basis symbol is a Ten (a tuple subclass) storing all legs and then a
-private tag, read back with legs(sym), so A (x) A (x) A has Ten symbols of
-arity 3 and no nested reassociation ever happens.
+normal form, strings, dual-basis tags, ...), printed and sorted by their
+repr, which is the same under every PYTHONHASHSEED.  Tensor legs are kept
+flat: a tensor basis symbol is a Ten (a tuple subclass) storing all legs
+and then a private tag, read back with legs(sym), so A (x) A (x) A has Ten
+symbols of arity 3 and no nested reassociation ever happens.
 
 All values are immutable after construction (nothing writes to .terms
 outside __init__ and basis; CI rejects such a write); every function here is
@@ -48,11 +49,13 @@ Elements, so a caller that already holds basis symbols reads
 alg.mult_basis[a, b] instead of wrapping a and b in basis Elements for
 alg.mult, and the two reads share every image (the identical Element).  An
 object keeps the table of each structure map it owns next to the map's
-extension; a table lives and dies with its object, and an object built from
-another basis map starts with an empty one.  The extensions are plain
-functions that keep the table under the closure name `cache`, and nothing
-is read off them but their values, so a caller may rebind linear and
-bilinear to wrappers (perfbench/layertrace.py does, to trace a run).
+extension, and the extension is the attribute callers call (alg.mult,
+mha.delta_r, M.h_act), with no method in between; a table lives and dies
+with its object, and an object built from another basis map starts with an
+empty one.  The extensions are plain functions that keep the table under
+the closure name `cache`, and nothing is read off them but their values, so
+a caller may rebind linear and bilinear to wrappers (perfbench/layertrace.py
+does, to trace a run).
 """
 
 
@@ -81,17 +84,7 @@ class Ten(tuple):
         return tuple.__len__(self) - 1
 
     def __repr__(self):
-        return "(" + " (x) ".join(sym_str(s) for s in self[:-1]) + ")"
-
-
-def sym_str(sym):
-    """Canonical printable form of a basis symbol."""
-    return repr(sym)
-
-
-def sym_key(sym):
-    """Deterministic total order on symbols of mixed type."""
-    return sym_str(sym)
+        return "(" + " (x) ".join(map(repr, self[:-1])) + ")"
 
 
 def legs(sym):
@@ -142,7 +135,7 @@ class Element:
         return self.terms.get(sym, 0)
 
     def support(self):
-        return sorted(self.terms, key=sym_key)
+        return sorted(self.terms, key=repr)
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -208,7 +201,7 @@ class Element:
             return "0"
         bits = []
         for s in self.support():
-            bits.append("%s*%s" % (self.terms[s], sym_str(s)))
+            bits.append("%s*%r" % (self.terms[s], s))
         return " + ".join(bits)
 
 
@@ -379,7 +372,7 @@ def lin_solve(rows, rhs):
     if not rows:
         raise ValueError("no equations")
     field = rows[0].field
-    syms = sorted({s for r in rows for s in r.terms}, key=sym_key)
+    syms = sorted({s for r in rows for s in r.terms}, key=repr)
     idx = {s: j for j, s in enumerate(syms)}
     n = len(syms)
     mat = []
@@ -405,7 +398,7 @@ def kernel_basis(rows, syms):
     and, at each pivot, the coefficient of f in that pivot's image."""
     if not rows:
         raise ValueError("no equations")
-    quot = QuotientSpace(sorted(syms, key=sym_key), rows)
+    quot = QuotientSpace(sorted(syms, key=repr), rows)
     images = quot._images.items()
     return [Element(quot.field,
                     {f: 1, **{p: img[f] for p, img in images if f in img}})
@@ -415,9 +408,10 @@ def kernel_basis(rows, syms):
 class QuotientSpace:
     """A quotient of a finite-dimensional space by the span of relators.
 
-    project sends ambient Elements to the quotient (symbols reused from the
-    ambient free columns); section embeds quotient basis vectors back, with
-    project(section(q)) == q.
+    project sends ambient Elements to the quotient.  Its basis is the
+    ambient free columns, so a quotient Element is its own lift: it is an
+    ambient Element already, project fixes it, and a map on the ambient
+    applies to it as it is.
     """
 
     def __init__(self, ambient_basis, relators):
@@ -432,7 +426,7 @@ class QuotientSpace:
             line = [0] * n
             for s, c in r.terms.items():
                 if s not in idx:
-                    raise ValueError("relator symbol %s outside ambient basis" % sym_str(s))
+                    raise ValueError("relator symbol %r outside ambient basis" % (s,))
                 line[idx[s]] = c
             mat.append(line)
             field = r.field
@@ -456,11 +450,3 @@ class QuotientSpace:
                 return Element(x.field, self._images[s])
             return Element.basis(x.field, s)
         return x.map_terms(image)
-
-    def section(self, q):
-        """Embed a quotient Element (over free symbols) into the ambient."""
-        basis = set(self.basis)
-        for s in q.terms:
-            if s not in basis:
-                raise ValueError("symbol %s is not a quotient basis symbol" % sym_str(s))
-        return q

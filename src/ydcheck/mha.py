@@ -84,7 +84,8 @@ class Algebra:
     the basis of a finite instance or samples that of an infinite one, and
     alg.basis reads its basis (None when infinite).  The product of basis
     symbols is memoized in the table self.mult_basis, read by symbol as
-    alg.mult_basis[sa, sb]; mult extends the same table to Elements.
+    alg.mult_basis[sa, sb]; alg.mult is the bilinear extension of the same
+    table to Elements, called as alg.mult(x, y).
     """
 
     def __init__(self, field, mult_basis, space, *, unit=None,
@@ -94,13 +95,10 @@ class Algebra:
         self.space = space
         self.basis = space.basis
         self.mult_basis = Memo2(mult_basis)
-        self._mult = bilinear(field, self.mult_basis)
+        self.mult = bilinear(field, self.mult_basis)
         self.unit = unit
         self.has_unit = unit is not None
         self._local_unit = local_unit
-
-    def mult(self, x, y):
-        return self._mult(x, y)
 
     def mult_tensor(self, x, y):
         """Legwise multiplication on a tensor power (arities must match)."""
@@ -194,6 +192,7 @@ class MultiplierHopfAlgebra:
                  cocommutative=False, name="mha"):
         self.algebra = algebra
         self.field = algebra.field
+        self.el = algebra.el
         self.name = name
         # an element with counit 1, used as a seed for local units of
         # counit-twisted module actions on non-unital instances
@@ -234,9 +233,6 @@ class MultiplierHopfAlgebra:
         self._cold_tables()
 
     # -- basic linear maps -------------------------------------------------
-
-    def el(self, sym, coeff=None):
-        return self.algebra.el(sym, coeff)
 
     def counit(self, x):
         return self.field.reduce(

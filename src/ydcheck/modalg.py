@@ -77,7 +77,7 @@ def translation_module_algebra(mha, group):
     d_{y g^-1}.  Translation is an algebra automorphism, hence a module
     algebra action."""
     field = mha.field
-    unit = Element(field, {x: field.one() for x in group.elements})
+    unit = Element(field, {x: 1 for x in group.elements})
     fun = Algebra(field,
                   lambda a, b: Element.basis(field, a) if a == b else Element(field),
                   group.space, unit=unit, name="fun(%s)" % mha.name)
@@ -223,7 +223,7 @@ def cyclic_subgroup_syms(alg):
     if alg.basis is None or not alg.has_unit or len(alg.unit.terms) != 1:
         return None
     (us, uc), = alg.unit.terms.items()
-    if uc != alg.field.one():
+    if uc != 1:
         return None
     for s in alg.basis:
         if s == us:
@@ -231,7 +231,7 @@ def cyclic_subgroup_syms(alg):
         powers = []
         cur = alg.el(s)
         for _ in range(12):
-            if len(cur.terms) != 1 or next(iter(cur.terms.values())) != alg.field.one():
+            if len(cur.terms) != 1 or next(iter(cur.terms.values())) != 1:
                 powers = None
                 break
             cs = next(iter(cur.terms))
@@ -337,7 +337,8 @@ class HAModule:
     """A carrier with a unital A-action, an A-coaction, and a left action of
     a YD module algebra H over the same A, tied by the mixed compatibility
     laws (verified by check_ha_module).  The H-action is memoized per basis
-    pair and read by symbol as M.h_act_basis[h_sym, m_sym]."""
+    pair and read by symbol as M.h_act_basis[h_sym, m_sym]; M.h_act is the
+    bilinear extension of that table, called as M.h_act(h, m)."""
 
     def __init__(self, H, module, coaction, h_act_basis, r_act=None, name=None):
         self.H = H
@@ -346,12 +347,9 @@ class HAModule:
         self.mha = module.mha
         self.field = module.field
         self.h_act_basis = Memo2(h_act_basis)
-        self._h_act = bilinear(self.field, self.h_act_basis)
+        self.h_act = bilinear(self.field, self.h_act_basis)
         self._r_act = r_act
         self.name = name or module.name
-
-    def h_act(self, h, m):
-        return self._h_act(h, m)
 
     def r_act_formula(self, m, h):
         """m <- h = h_(0) -> (h_(1).m), h_(1) split against a local unit of
@@ -525,7 +523,7 @@ class BalancedTensor:
             H, mod, coa,
             lambda hsym, qsym: q.project(
                 h_amb(H.alg.el(hsym), Element.basis(field, qsym))),
-            r_act=lambda m, h: q.project(r_amb(q.section(m), h)),
+            r_act=lambda m, h: q.project(r_amb(m, h)),
             name=self.name)
 
 
@@ -607,27 +605,26 @@ def check_unit_laws(M, samples=15, seed=0):
                 "the canonical unit map kills the balancing relators",
                 None if all(psi(rel).is_zero() for rel in T.relators)
                 else "some relator has a nonzero image")
-        images = [psi(T.quot.section(Element.basis(M.field, b)))
-                  for b in T.quot.basis]
+        images = [psi(Element.basis(M.field, b)) for b in T.quot.basis]
         rk = _image_rank(images, M.module.basis)
         rep.add("tensor-unit-bijective-%s" % side,
                 "the canonical unit map is bijective",
                 None if rk == dim_t == dim_m else
                 "image rank %d, dims %d/%d" % (rk, dim_t, dim_m))
 
-        # each equation reads m = psi(c), the image of a section of c
+        # each equation reads m = psi(c), c being its own flat lift
         rep.law("tensor-unit-structure-%s" % side,
                 "the canonical unit map intertwines action, H-action and "
                 "coaction", equal(
-                    lambda c, m, a, h: psi(T.quot.section(T.ham.module.act(a, c))),
+                    lambda c, m, a, h: psi(T.ham.module.act(a, c)),
                     lambda c, m, a, h: M.module.act(a, m),
-                    lambda c, m, a, h: psi(T.quot.section(T.ham.h_act(h, c))),
+                    lambda c, m, a, h: psi(T.ham.h_act(h, c)),
                     lambda c, m, a, h: M.h_act(h, m),
                     # coaction: map the carrier legs, keep the A-leg
                     lambda c, m, a, h: apply_legs(T.ham.coaction.slice_r(c, a),
                                                   0, T.arity, psi),
                     lambda c, m, a, h: M.coaction.slice_r(m, a)),
-                ((c, psi(T.quot.section(c)), a, h) for c, a, h in rep.draws(
+                ((c, psi(c), a, h) for c, a, h in rep.draws(
                     (T.ham.module, 2), mha.algebra, (H.alg, 2),
                     n=samples if T.quot.basis else 0)))
     return rep
@@ -659,29 +656,18 @@ def bracketing(tree, built):
     return built[tree]
 
 
-def associator_maps(X, Y, Z):
-    """The two iterated balanced tensors and the rebracketing maps between
-    them, realized through projections of the flat X (x) Y (x) Z space."""
+def check_associator(X, Y, Z, samples=15, seed=0):
+    """The rebracketing map phi from TL = (X (x)_H Y) (x)_H Z to
+    TR = X (x)_H (Y (x)_H Z) is well-defined (it agrees with the flat
+    projections on every representative), invertible, and linear over A and
+    H on samples.  Both bracketings come from bracketing, with to_l and to_r
+    the projections of the flat X (x) Y (x) Z onto them; a quotient element
+    is its own flat lift, so phi is to_r and its inverse is to_l."""
+    mha = X.mha
+    rep = Report("hq-monoidal", X, seed, samples)
     built = {}
     TL, _, to_l = bracketing(((X, Y), Z), built)
     TR, _, to_r = bracketing((X, (Y, Z)), built)
-
-    def phi(c):
-        return to_r(TL.quot.section(c))
-
-    def phi_inv(c):
-        return to_l(TR.quot.section(c))
-
-    return TL, TR, phi, phi_inv, to_l, to_r
-
-
-def check_associator(X, Y, Z, samples=15, seed=0):
-    """The rebracketing map is well-defined (it agrees with the flat
-    projections on every representative), invertible, and linear over A and
-    H on samples."""
-    mha = X.mha
-    rep = Report("hq-monoidal", X, seed, samples)
-    TL, TR, phi, phi_inv, to_l, to_r = associator_maps(X, Y, Z)
 
     dims = len(TL.quot.basis), len(TR.quot.basis)
     rep.add("assoc-dim", "both bracketings have the same dimension",
@@ -696,25 +682,25 @@ def check_associator(X, Y, Z, samples=15, seed=0):
     # on each flat t, with l and r its projections to the two bracketings
     rep.law("assoc-canonical", "the rebracketing map agrees with the flat "
             "projections on every representative",
-            equal(lambda t, l, r: phi(l), lambda t, l, r: r,
-                  lambda t, l, r: phi_inv(r), lambda t, l, r: l),
+            equal(lambda t, l, r: to_r(l), lambda t, l, r: r,
+                  lambda t, l, r: to_l(r), lambda t, l, r: l),
             ((t, to_l(t), to_r(t)) for t in map(el, probe)))
 
     # on the basis of each bracketing, the map there and its inverse back
-    maps = {"left": (phi, phi_inv), "right": (phi_inv, phi)}
+    maps = {"left": (to_r, to_l), "right": (to_l, to_r)}
     rep.law("assoc-invertible", "the rebracketing map is invertible",
             equal(lambda side, c: maps[side][1](maps[side][0](c)),
                   lambda side, c: c),
             [("left", el(b)) for b in TL.quot.basis]
             + [("right", el(b)) for b in TR.quot.basis])
 
-    # both equations read phi(c)
+    # both equations read phi(c) = to_r(c)
     rep.law("assoc-linear", "the rebracketing map is A-linear and H-linear",
-            equal(lambda c, pc, a, h: phi(TL.ham.module.act(a, c)),
+            equal(lambda c, pc, a, h: to_r(TL.ham.module.act(a, c)),
                   lambda c, pc, a, h: TR.ham.module.act(a, pc),
-                  lambda c, pc, a, h: phi(TL.ham.h_act(h, c)),
+                  lambda c, pc, a, h: to_r(TL.ham.h_act(h, c)),
                   lambda c, pc, a, h: TR.ham.h_act(h, pc)),
-            ((c, phi(c), a, h) for c, a, h in rep.draws(
+            ((c, to_r(c), a, h) for c, a, h in rep.draws(
                 (TL.ham.module, 2), mha.algebra, (X.H.alg, 2),
                 n=samples if TL.quot.basis else 0)))
     return rep
@@ -722,7 +708,10 @@ def check_associator(X, Y, Z, samples=15, seed=0):
 
 def check_pentagon(X, Y, Z, W, seed=0):
     """Both composite rebracketing paths from (((X (x) Y) (x) Z) (x) W) to
-    (X (x) (Y (x) (Z (x) W))) agree on every basis class."""
+    (X (x) (Y (x) (Z (x) W))) agree on every basis class.  Each stop of a
+    path is a bracketing with its projection from the flat
+    X (x) Y (x) Z (x) W; a quotient element is its own flat lift, so a path
+    applies the projections of its stops in turn."""
     mha = X.mha
     rep = Report("hq-monoidal", X, seed, 0)
     built = {}
@@ -731,17 +720,14 @@ def check_pentagon(X, Y, Z, W, seed=0):
         ((X, (Y, Z)), W), (X, ((Y, Z), W))])
 
     def path(flat, *stops):
-        """Rebracket flat through each stop in turn, lifting it back to a
-        flat representative between stops."""
-        for T, _, project in stops[:-1]:
-            flat = T.quot.section(project(flat))
-        return stops[-1][2](flat)
+        for _, _, project in stops:
+            flat = project(flat)
+        return flat
 
     rep.law("pentagon", "the two composite rebracketing paths agree",
             equal(lambda flat: path(flat, o5, o4),
                   lambda flat: path(flat, o2, o3, o4)),
-            ((o1.quot.section(Element.basis(mha.field, b)),)
-             for b in o1.quot.basis))
+            ((Element.basis(mha.field, b),) for b in o1.quot.basis))
     return rep
 
 

@@ -279,25 +279,23 @@ def braiding_c_inv(X, V, vx, beta=ID):
 
 class HalfBraiding:
     """An object of the centre, represented by the component of its natural
-    family at the regular module: cA(a, v) = C_{A,V}(a (x) v) in V (x) A.
-    Components at any other unital module are derived through local units
-    and memoized in the table braidings (functor_g passes its coaction's)."""
+    family at the regular module: the attribute cA is the given map,
+    cA(a, v) = C_{A,V}(a (x) v) in V (x) A.  Components at any other unital
+    module are derived from it through local units and memoized in the
+    table braidings (functor_g passes its coaction's)."""
 
     def __init__(self, module, cA, braidings, name=None):
         self.module = module
         self.mha = module.mha
         self.field = module.field
-        self._cA = cA  # (Element of A, Element of V) -> Element of V (x) A
+        self.cA = cA  # (Element of A, Element of V) -> Element of V (x) A
         self.name = name or (module.name + ":half-braiding")
         self._braidings = braidings  # ("c", X, ID) -> memoized component
-
-    def cA(self, a, v):
-        return self._cA(a, v)
 
     def component(self, X, xv):
         """C_{X,V}(x (x) v) = (i (x) xbar) C_{A,V}(e (x) v) for a local unit
         e of x, where xbar(a) = a.x; memoized per basis symbol."""
-        cA = self._cA
+        cA = self.cA
         return _splice(self, X, self.module.arity,
                        lambda v, e: cA(e, v))(xv)
 

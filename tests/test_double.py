@@ -69,7 +69,6 @@ def test_crossed_product_matches_its_defining_formula(name, spec):
     D = DiagonalCrossedProduct(mha, parse_pair(mha, spec))
     alpha, beta = D.pair.alpha, D.pair.beta
     H, pairing = mha.algebra, D.dual.pairing
-    zero = QQ.zero()
 
     def functional(values):  # {x: f(x)} as a dual element
         return Element(QQ, {dual_sym(x): v for x, v in values.items()})
@@ -80,9 +79,8 @@ def test_crossed_product_matches_its_defining_formula(name, spec):
 
     def dual_mult(p, r):
         def value(x):
-            return sum((c * pairing(p, H.el(x1)) * pairing(r, H.el(x2))
-                        for (x1, x2), c in mha.coproduct(H.el(x)).terms.items()),
-                       zero)
+            return sum(c * pairing(p, H.el(x1)) * pairing(r, H.el(x2))
+                       for (x1, x2), c in mha.coproduct(H.el(x)).terms.items())
         return functional({x: value(x) for x in H.basis})
 
     for s1 in D.algebra.basis:
@@ -146,7 +144,7 @@ def test_grouplike_module_action_formula():
         for h in mha.algebra.basis:
             for p in mha.algebra.basis:
                 got = M.act(D.algebra.el(Ten((dual_sym(p), g))), M.el(h))
-                assert got == M.el(h, QQ.one() if p == h else QQ.zero())
+                assert got == M.el(h, 1 if p == h else 0)
 
 
 def test_integrals_verified_on_core_unital_instances():

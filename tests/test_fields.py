@@ -28,8 +28,21 @@ def test_rational_div_stays_int_when_integral():
     assert type(q) is int and q == 2
     assert QQ.div(1, 2) == Fraction(1, 2)
     assert type(QQ.div(Fraction(3, 2), Fraction(1, 2))) is int
-    assert type(QQ.zero()) is int and type(QQ.one()) is int
-    assert type(QQ.from_int(5)) is int
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_scalars_are_ints_in_both_fields(field):
+    """0 and 1 are the literals, so every scalar a field hands out that is
+    integral is an int: from_int, an integral quotient, the coefficient
+    pool, and the coefficients of the Elements built from them."""
+    assert all(type(field.from_int(n)) is int for n in (-3, 0, 1, 7))
+    assert type(field.div(6, 3)) is int and field.div(6, 3) == 2
+    assert type(field.div(1, 1)) is int and field.div(1, 1) == 1
+    assert all(type(c) is int for c in field.coeff_pool)
+    built = (Element.basis(field, "x") + Element.basis(field, "y",
+                                                       field.from_int(-2)))
+    built = tensor(built, Element(field, {"z": 1, "w": field.div(4, 2)}))
+    assert built.terms and all(type(c) is int for c in built.terms.values())
 
 
 def test_div_by_zero_raises_in_both_fields():
@@ -37,7 +50,7 @@ def test_div_by_zero_raises_in_both_fields():
         QQ.div(1, 0)
     F = PrimeField(5)
     with pytest.raises(ZeroDivisionError):
-        F.div(F.one(), F.zero())
+        F.div(1, 0)
 
 
 def test_prime_div_is_multiplication_by_the_inverse():
@@ -45,9 +58,9 @@ def test_prime_div_is_multiplication_by_the_inverse():
     x = Element.basis(F, "x")
     for a in range(F.p):
         if a:
-            inv = F.div(F.one(), a)
+            inv = F.div(1, a)
             assert type(inv) is int and 0 < inv < 7
-            assert F.reduce(inv * a) == F.one()
+            assert F.reduce(inv * a) == 1
             assert x.scaled(inv).scaled(a) == x
             assert (Element.basis(F, "x", F.div(F.from_int(3), a))
                     == Element.basis(F, "x", F.from_int(3)).scaled(inv))
@@ -57,7 +70,7 @@ def test_prime_div_is_multiplication_by_the_inverse():
 
 def test_one_is_a_primitive_first_root_of_unity_over_f2(tmp_path, capsys):
     F = PrimeField(2)
-    assert F.primitive_root_of_unity(1) == F.one()
+    assert F.primitive_root_of_unity(1) == 1
     assert F.primitive_root_of_unity(2) is None
     # the qt-coaction suite applies to Z/1 over F_2 and passes
     rc = cli.main(["check", "qt-coaction", "--instance", "grp-Zn:1",

@@ -80,7 +80,7 @@ def test_pair_product_matches_inner_composition():
         inner_automorphism(mha, g3.mul(g3.mul(l, g3.inv(k)), g3.mul(h, k))))
     probes = [mha.el(x) for x in g3.elements]
     assert prod.agrees_with(expect, probes)
-    assert p.product(p.inverse()).is_identity_on(probes)
+    assert p.product(p.inverse()).agrees_with(identity_pair(mha), probes)
     assert identity_pair(mha).product(q).agrees_with(q, probes)
 
 
@@ -108,7 +108,7 @@ def test_stretch_fixture_on_fun_z():
     # the twisted adjoint stretches, a.delta_m = a(2m) delta_m
     mha = build_instance("fun-Z", QQ)
     V = twisted_adjoint_gyd(mha, AutoPair(neg(mha), ID))
-    assert not V.pair.alpha.is_identity_on([mha.el(1)])
+    assert V.pair.alpha(mha.el(1)) != mha.el(1)
     for g in range(-4, 5):
         for m in range(-2, 3):
             expect = mha.el(m) if g == 2 * m else Element(QQ)

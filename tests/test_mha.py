@@ -62,7 +62,7 @@ def _taft_q1(field):
             for i, j in basis}
     return from_unital_coproduct(
         alg, cop.__getitem__,
-        lambda s: field.one() if s[1] == 0 else field.zero(),
+        lambda s: 1 if s[1] == 0 else 0,
         anti.__getitem__, anti.__getitem__, commutative=True,
         cocommutative=False, name="taft-q1")
 

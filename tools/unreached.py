@@ -2,10 +2,11 @@
 
     PYTHONPATH=src python tools/unreached.py [--at-most N] [--list]
 
-The panel is every suite on every instance in INSTANCES over QQ and F_5 at
---samples 1, every crossed-product dump of a finite unital instance (at
-the identity and at each pair it offers) and both list commands, each run
-in this process through ydcheck.cli.main.  Cells the CLI rejects (exit 2)
+The panel is every suite of ydcheck.cli.SUITES on every instance in
+INSTANCES over QQ and F_5 at --samples 1, every crossed-product dump of a
+finite unital one among them (at the identity and at each pair its
+pair_specs offer over QQ) and both list commands, each run in this process
+through ydcheck.cli.main.  Cells the CLI rejects (exit 2)
 run too: their applicability checks are code the CLI reaches.
 
 A statement counts when it lies in a function body and has code of its
@@ -25,21 +26,18 @@ import os
 import sys
 import tempfile
 
-SUITES = ["mha-axioms", "braid", "extended-modules", "comodule", "yd",
-          "centre-equivalence", "gyd", "t-category", "dcp",
-          "double-correspondence", "module-algebra", "qt-coaction",
-          "hq-monoidal"]
 INSTANCES = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:4",
              "sweedler-H4", "dual:sweedler-H4", "dual:grp-Z2", "dual:grp-S3"]
 FIELDS = ["rational", "fp:5"]
-DUMPS = {"grp-S3": ["identity", "inner:2,3", "inner:3,2"],
-         "grp-Z2": ["identity"], "grp-Zn:4": ["identity"],
-         "sweedler-H4": ["identity", "scale:2,3", "scale:3,2"],
-         "dual:sweedler-H4": ["identity"], "dual:grp-Z2": ["identity"],
-         "dual:grp-S3": ["identity"]}
 
 
 def cells(out):
+    """The panel's argument lists.  The dump pairs are read off instances
+    built after every check cell has run, outside the traced calls."""
+    from ydcheck.cli import SUITES
+    from ydcheck.fields import QQ
+    from ydcheck.instances import build_instance
+
     yield ["list", "suites"]
     yield ["list", "instances"]
     for name in INSTANCES:
@@ -47,8 +45,11 @@ def cells(out):
             for suite in SUITES:
                 yield ["check", suite, "--instance", name, "--field", field,
                        "--samples", "1", "--out", out]
-    for name, pairs in DUMPS.items():
-        for pair in pairs:
+    for name in INSTANCES:
+        mha = build_instance(name, QQ)
+        if mha.algebra.basis is None or not mha.algebra.has_unit:
+            continue
+        for pair in ["identity", *mha.pair_specs]:
             yield ["dump", "dcp", "--instance", name, "--pair", pair,
                    "--out", out]
 
