@@ -22,7 +22,7 @@ from .fields import parse_field
 from .mha import check_mha_axioms, check_braid
 from .modules import check_comodule_suite, check_extended_modules
 from .yd import check_yd_suite, check_equivalence
-from .gyd import check_gyd_suite, check_t_category, identity_pair, parse_pair
+from .gyd import check_gyd_suite, check_t_category, parse_pair
 from .double import (DiagonalCrossedProduct, check_dcp_suite,
                      check_double_correspondence_suite)
 from .modalg import (check_module_algebra_suite, check_hq_monoidal,
@@ -58,7 +58,7 @@ def _cyclic_with_root(mha):
 
 
 def _default_pairs(mha, name=None):  # name: perfbench/worker.py passes it
-    return [parse_pair(mha, s) for s in mha.pair_specs] or [identity_pair(mha)]
+    return [parse_pair(mha, s) for s in mha.pair_specs or ["identity"]]
 
 
 #: suite -> (runner(mha, samples, seed), requirements): each requirement

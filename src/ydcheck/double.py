@@ -33,24 +33,25 @@ from .modules import UnitalModule, Coaction
 from .yd import YDModule, canonical_yd
 from .gyd import check_gyd, trivial_gyd
 from .report import Report, equal
-from .instances import dual_hopf, dual_sym, compute_integrals, identity_pair
+from .instances import dual_hopf, dual_sym, compute_integrals, IDENTITY_PAIR
 
 
 class DiagonalCrossedProduct:
-    """The crossed-product algebra on basis symbols (p_s >< t), all that the
-    dump and the correspondence with twisted YD modules read.
+    """The crossed-product algebra on basis symbols (p_s >< t) at the pair
+    (alpha, beta), IDENTITY_PAIR by default: all that the dump and the
+    correspondence with twisted YD modules read.
 
     The exchange rule is a table per basis pair (a, q), and it reads
     a_(1) (x) a_(2) (x) a_(3) from a table per basis symbol a, so Delta^2(a)
     is computed n times for a base of dimension n, not n^2."""
 
-    def __init__(self, base, pair=None, name=None):
+    def __init__(self, base, pair=IDENTITY_PAIR, name=None):
         if base.algebra.basis is None or not base.algebra.has_unit:
             raise ValueError("the crossed product needs a finite-dimensional "
                              "unital instance")
         self.base = base
         self.dual = dual_hopf(base)
-        self.pair = pair if pair is not None else identity_pair(base)
+        self.pair = pair
         self.field = base.field
         self.name = name or ("%s><%s@%s" % (self.dual.name, base.name,
                                             self.pair.name))
@@ -102,8 +103,7 @@ class DiagonalCrossedProduct:
 
 def drinfeld_double(base):
     """The crossed product at the identity pair."""
-    return DiagonalCrossedProduct(base, identity_pair(base),
-                                  name="D(%s)" % base.name)
+    return DiagonalCrossedProduct(base, name="D(%s)" % base.name)
 
 
 def check_dcp_suite(mha, samples=200, seed=0):
@@ -245,7 +245,7 @@ def dcp_module_to_yd(M, integrals):
 def check_double_correspondence(mha, gyds, samples=40, seed=0):
     """Both round trips of the correspondence, module validity of the
     forward image, and GYD validity of the backward image (including the
-    regular crossed-product module)."""
+    regular crossed-product module, at the pair of gyds[0])."""
     rep = Report("double-correspondence", mha, seed, samples)
     integrals = compute_integrals(mha)
 
@@ -272,7 +272,7 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0):
                 rep.draws(mha.algebra, (V.module, 3)))
 
     # the other direction, from the regular crossed-product module
-    dcp = DiagonalCrossedProduct(mha, gyds[0].pair if gyds else None)
+    dcp = DiagonalCrossedProduct(mha, gyds[0].pair)
     R = regular_dcp_module(dcp)
     W = dcp_module_to_yd(R, integrals)
     rep.merge(check_gyd(W, samples=samples, seed=seed), "regular")

@@ -365,72 +365,55 @@ class IntegralData:
             sum(c * self.phi_coeffs.get(s, 0) for s, c in x.terms.items()))
 
     def verify(self):
-        """Re-check both defining equations on every basis element."""
+        """Re-check both defining equations on every basis element, then
+        phi(t) = 1; raises ConstructionError, naming the integral, the
+        cointegral or phi(t), at the first that fails."""
         mha = self.mha
-
-        def phi_leg2(l1, l2):  # (i (x) phi) on one basis tensor
-            return mha.el(l1, self.phi_coeffs.get(l2, 0))
-
         for s in mha.algebra.basis:
             a = mha.el(s)
-            lhs = mha.coproduct(a).map_legs(phi_leg2)
+            lhs = mha.coproduct(a).map_legs(  # (i (x) phi)Delta(a)
+                lambda l1, l2: mha.el(l1, self.phi_coeffs.get(l2, 0)))
             if lhs != mha.algebra.unit.scaled(self.phi(a)):
-                return False, "integral equation fails at a=%r" % a
+                raise ConstructionError("integral equation fails at a=%r" % a)
             if mha.algebra.mult(a, self.t) != self.t.scaled(mha.counit(a)):
-                return False, "cointegral equation fails at a=%r" % a
+                raise ConstructionError("cointegral equation fails at a=%r" % a)
         if self.phi(self.t) != 1:
-            return False, "phi(t) != 1"
-        return True, None
+            raise ConstructionError("phi(t) != 1")
 
 
 def compute_integrals(mha):
     """Solve the defining linear systems for (phi, t) and normalize phi(t)=1.
 
-    Raises ConstructionError when no normalized solution exists over the
+    Per basis symbol a, each system is an Element of A (x) X that must
+    vanish, X the span of the unknowns phi_s or t_s: (i (x) phi)Delta(a) -
+    1 (x) phi_a, and a.T - eps(a)T with T = sum_s s (x) t_s.  Its equations
+    are its rows by A-leg, in any order: kernel_basis sorts the unknowns,
+    and a reduced row echelon form is unique for that column order.  The
+    first kernel pair with phi(t) != 0 is normalized and verified.  Raises
+    ConstructionError when no normalized solution exists over the
     configured field.
     """
     if mha.algebra.basis is None or not mha.algebra.has_unit:
         raise ValueError("integrals are computed on finite-dimensional unital instances only")
-    field = mha.field
-    bsyms = mha.algebra.basis
-    unit = mha.algebra.unit
+    field, alg = mha.field, mha.algebra
+    bsyms = alg.basis  # the basis of A, and the index set of the unknowns
 
-    # (i (x) phi)Delta(a) = phi(a) 1: one equation per (basis a, ambient u).
-    # Rows come in a fixed order, per_u's and then basis order: the kernel
-    # does not depend on it, but the solver's pivot search would follow
-    # the hash order of a set of symbols
-    rows = []
-    for asym in bsyms:
-        d2 = mha.coproduct(mha.el(asym))
-        per_u = {}
-        for ts, c in d2.terms.items():
-            u, t = legs(ts)
-            per_u.setdefault(u, {})
-            per_u[u][("phi", t)] = per_u[u].get(("phi", t), 0) + c
-        for u in [*per_u, *(s for s in bsyms
-                            if s in unit.terms and s not in per_u)]:
-            row = dict(per_u.get(u, {}))
-            key = ("phi", asym)
-            row[key] = row.get(key, 0) - unit.coeff(u)
-            rows.append(Element(field, row))
-    phis = kernel_basis(rows, syms=[("phi", s) for s in bsyms])
+    def kernel(kind, system):  # the equations of system(a) = 0, every a
+        rows = []
+        for a in bsyms:
+            by_leg = {u: {} for u in bsyms}
+            for sym, c in system(a).terms.items():
+                u, x = legs(sym)
+                by_leg[u][x] = c
+            rows.extend(Element(field, r) for r in by_leg.values())
+        return kernel_basis(rows, syms=[(kind, s) for s in bsyms])
 
-    # a t = eps(a) t: one equation per (basis a, ambient u)
-    rows = []
-    for asym in bsyms:
-        eps = mha.counit(mha.el(asym))
-        per_u = {}
-        for ssym in bsyms:
-            prod = mha.algebra.mult_basis[asym, ssym]
-            for u, c in prod.terms.items():
-                per_u.setdefault(u, {})
-                per_u[u][("t", ssym)] = per_u[u].get(("t", ssym), 0) + c
-        for u in [*per_u, *(s for s in bsyms if s not in per_u)]:
-            row = dict(per_u.get(u, {}))
-            key = ("t", u)
-            row[key] = row.get(key, 0) - eps
-            rows.append(Element(field, row))
-    ts = kernel_basis(rows, syms=[("t", s) for s in bsyms])
+    phis = kernel("phi", lambda a: mha.coproduct(mha.el(a)).map_legs(
+        lambda u, s: mha.el(Ten((u, ("phi", s)))))
+        - tensor(alg.unit, mha.el(("phi", a))))
+    T = Element(field, {Ten((s, ("t", s))): 1 for s in bsyms})
+    ts = kernel("t", lambda a: apply_legs(T, 0, 1, lambda y: alg.mult(mha.el(a), y))
+                - T.scaled(mha.counit(mha.el(a))))
 
     if not phis or not ts:
         raise ConstructionError("no nonzero integral/cointegral over %s" % field.name)
@@ -444,9 +427,7 @@ def compute_integrals(mha):
             norm = data.phi(t)
             if norm != 0:
                 data.phi_coeffs = {s: field.div(c, norm) for s, c in phi_coeffs.items()}
-                ok, wit = data.verify()
-                if not ok:
-                    raise ConstructionError("integral verification failed: %s" % wit)
+                data.verify()
                 return data
     raise ConstructionError("phi(t) = 0 for every kernel pair; cannot normalize")
 
@@ -479,25 +460,20 @@ ID = Identity()
 
 
 class HopfAutomorphism:
-    """A coproduct-respecting algebra automorphism, validated at construction.
+    """A Hopf automorphism of mha as the two maps it stores: fwd and its
+    inverse inv, linear maps on Elements.  It checks nothing: automorphism
+    builds one from basis formulas and checks it there.  inverted() swaps
+    the two maps, so it shares their tables, and composed() is the
+    composition of its factors' maps, not a table of its own: a pair
+    product builds fresh composites that are read only a few times each,
+    where filling a table would cost more than it saves.  A composite with
+    ID is the automorphism itself."""
 
-    fwd and inv are linear maps on Elements.  An automorphism given by a
-    formula on basis symbols (inner_automorphism) reads it from a table;
-    inverted() swaps the two maps, so it shares those tables, and
-    composed() is the composition of its factors' maps, not a table of its
-    own: a pair product builds fresh composites that are read only a few
-    times each, where filling a table would cost more than it saves.  A
-    composite with ID is the automorphism itself.  The validation probes
-    24 elements (every basis vector of a finite carrier) and 24 products,
-    from a stream seeded at 0."""
-
-    def __init__(self, mha, fwd, inv, name="aut", _checked=False):
+    def __init__(self, mha, fwd, inv, name):
         self.mha = mha
         self._fwd = fwd  # Element -> Element
         self._inv = inv
         self.name = name
-        if not _checked:
-            self._validate()
 
     def __call__(self, x):
         return self._fwd(x)
@@ -507,7 +483,7 @@ class HopfAutomorphism:
 
     def inverted(self):
         return HopfAutomorphism(self.mha, self._inv, self._fwd,
-                                name=self.name + "^-1", _checked=True)
+                                self.name + "^-1")
 
     def composed(self, other):
         """self o other."""
@@ -516,26 +492,36 @@ class HopfAutomorphism:
         return HopfAutomorphism(
             self.mha, lambda x: self._fwd(other._fwd(x)),
             lambda x: other._inv(self._inv(x)),
-            name="%s.%s" % (self.name, other.name), _checked=True)
+            "%s.%s" % (self.name, other.name))
 
-    def _validate(self):
-        mha = self.mha
-        rng = random.Random(0)
-        probe = probe_elements(rng, mha.algebra, 24)
-        for a in probe:
-            if self._inv(self._fwd(a)) != a or self._fwd(self._inv(a)) != a:
-                raise ConstructionError("%s: not a bijection at a=%r" % (self.name, a))
-        for _ in range(24):
-            a = probe[below(rng, len(probe))]
-            b = probe[below(rng, len(probe))]
-            if self._fwd(mha.algebra.mult(a, b)) != mha.algebra.mult(self._fwd(a), self._fwd(b)):
-                raise ConstructionError(
-                    "%s: not an algebra map at a=%r b=%r" % (self.name, a, b))
-            # sliced form of (Delta o alpha) = (alpha (x) alpha) o Delta
-            image = mha.delta_r(self._fwd(a), self._fwd(b))
-            if image != apply_legs(apply_legs(mha.delta_r(a, b), 0, 1, self._fwd), 1, 1, self._fwd):
-                raise ConstructionError(
-                    "%s: does not respect the coproduct at a=%r b=%r" % (self.name, a, b))
+
+def automorphism(mha, fwd_basis, inv_basis, name):
+    """The Hopf automorphism whose map and inverse are the linear
+    extensions of the basis formulas fwd_basis and inv_basis, each read
+    from a table (as the structure maps are), so two reads of one symbol
+    give the identical Element.  It is checked here, on 24 probe elements
+    (every basis vector of a finite carrier) and 24 products drawn from a
+    stream seeded at 0: raises ConstructionError unless it is a bijection,
+    an algebra map and respects the coproduct on them."""
+    aut = HopfAutomorphism(mha, linear(mha.field, fwd_basis),
+                           linear(mha.field, inv_basis), name)
+    rng = random.Random(0)
+    probe = probe_elements(rng, mha.algebra, 24)
+    for a in probe:
+        if aut.inverse(aut(a)) != a or aut(aut.inverse(a)) != a:
+            raise ConstructionError("%s: not a bijection at a=%r" % (name, a))
+    for _ in range(24):
+        a = probe[below(rng, len(probe))]
+        b = probe[below(rng, len(probe))]
+        if aut(mha.algebra.mult(a, b)) != mha.algebra.mult(aut(a), aut(b)):
+            raise ConstructionError(
+                "%s: not an algebra map at a=%r b=%r" % (name, a, b))
+        # sliced form of (Delta o alpha) = (alpha (x) alpha) o Delta
+        image = mha.delta_r(aut(a), aut(b))
+        if image != apply_legs(apply_legs(mha.delta_r(a, b), 0, 1, aut), 1, 1, aut):
+            raise ConstructionError(
+                "%s: does not respect the coproduct at a=%r b=%r" % (name, a, b))
+    return aut
 
 
 class AutoPair:
@@ -567,56 +553,39 @@ class AutoPair:
                    and self.beta(x) == other.beta(x) for x in probes)
 
 
+#: the identity pair (ID, ID): one object for every instance
 IDENTITY_PAIR = AutoPair(ID, ID, name="(i,i)")
-
-
-def identity_pair(mha):
-    """The identity pair (ID, ID), named (i,i): one object, the same for
-    every instance mha."""
-    return IDENTITY_PAIR
 
 
 def group_map_automorphism(mha, phi, phi_inv, name):
     """Lift a group automorphism to K(G) or KG (both have group-element
     basis symbols)."""
-    fwd = lambda x: x.map_terms(lambda s: Element.basis(mha.field, phi(s)))
-    inv = lambda x: x.map_terms(lambda s: Element.basis(mha.field, phi_inv(s)))
-    return HopfAutomorphism(mha, fwd, inv, name=name)
+    return automorphism(mha, lambda s: mha.el(phi(s)),
+                        lambda s: mha.el(phi_inv(s)), name)
 
 
 def inner_automorphism(mha, g):
     """Conjugation by a group element on a group algebra: x -> g x S(g),
-    with inverse x -> S(g) x g.  Each is the linear extension of its
-    formula on basis symbols, evaluated once per symbol in a table (as the
-    structure maps are), so the antipode of g is taken once, not on every
-    call, and two reads of one symbol give the identical Element."""
+    with inverse x -> S(g) x g; the antipode of g is taken once."""
     alg = mha.algebra
     ge = mha.el(g)
     sg = mha.antipode(ge)
-    fwd = linear(mha.field, lambda s: alg.mult(alg.mult(ge, alg.el(s)), sg))
-    inv = linear(mha.field, lambda s: alg.mult(alg.mult(sg, alg.el(s)), ge))
-    return HopfAutomorphism(mha, fwd, inv, name="conj:%r" % (g,))
+    return automorphism(mha, lambda s: alg.mult(alg.mult(ge, alg.el(s)), sg),
+                        lambda s: alg.mult(alg.mult(sg, alg.el(s)), ge),
+                        "conj:%r" % (g,))
 
 
 def h4_scaling_automorphism(mha, lam):
     """g -> g, x -> lam * x on Sweedler H4 (lam invertible)."""
-    field = mha.field
     if mha.algebra.basis != ["1", "g", "x", "gx"]:
         raise ValueError("scaling pairs need the basis 1, g, x, gx of "
                          "Sweedler's H4, not %s's" % mha.name)
     if lam == 0:
         raise ConstructionError("scaling parameter must be invertible")
-    lam_inv = field.div(1, lam)
-    scale = {"1": 1, "g": 1, "x": lam, "gx": lam}
-    scale_inv = {"1": 1, "g": 1, "x": lam_inv, "gx": lam_inv}
-
-    def fwd(x):
-        return x.map_terms(lambda s: Element.basis(field, s, scale[s]))
-
-    def inv(x):
-        return x.map_terms(lambda s: Element.basis(field, s, scale_inv[s]))
-
-    return HopfAutomorphism(mha, fwd, inv, name="scale:%s" % lam)
+    lam_inv = mha.field.div(1, lam)
+    return automorphism(
+        mha, lambda s: mha.el(s, lam if "x" in s else None),
+        lambda s: mha.el(s, lam_inv if "x" in s else None), "scale:%s" % lam)
 
 
 # -- quasitriangular structures ----------------------------------------------

@@ -27,21 +27,21 @@ from .report import Report, equal
 from .modules import (UnitalModule, Coaction, trivial_module,
                       trivial_coaction, adjoint_module, regular_module,
                       coproduct_coaction, twisted_module)
-from .instances import ID, identity_pair
+from .instances import ID, IDENTITY_PAIR
 
 
 class YDModule:
     """A unital module with a coaction satisfying the compatibility law at
-    the pair it carries, the identity pair by default.  The braiding's
+    the pair it carries, IDENTITY_PAIR by default.  The braiding's
     inverse reads the coaction's left slice, which raises, naming the
     coaction, when it has none."""
 
-    def __init__(self, module, coaction, pair=None, name=None):
+    def __init__(self, module, coaction, pair=IDENTITY_PAIR, name=None):
         if coaction.module is not module:
             raise ValueError("coaction built on a different module")
         self.module = module
         self.coaction = coaction
-        self.pair = identity_pair(module.mha) if pair is None else pair
+        self.pair = pair
         self.mha = module.mha
         self.field = module.field
         self.name = name or module.name

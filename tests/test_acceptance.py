@@ -140,9 +140,7 @@ def test_criterion_7_doubles_and_correspondence():
     ok = True
     for name in FINITE:
         mha = build_instance(name, QQ)
-        data = compute_integrals(mha)
-        good, wit = data.verify()
-        ok = ok and good
+        compute_integrals(mha).verify()  # raises at a failed equation
         rep = check_dcp(drinfeld_double(mha), samples=500, seed=0)
         ok = ok and rep.ok
         if len(mha.algebra.basis) <= 4:

@@ -10,14 +10,16 @@ from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, split_sym
 from ydcheck.instances import (build_instance, group_S3,
                                group_map_automorphism, inner_automorphism,
-                               h4_scaling_automorphism, ID)
+                               h4_scaling_automorphism, ID,
+                               IDENTITY_PAIR)
 from ydcheck.mha import random_element
 from ydcheck.modules import (adjoint_module, regular_module, counit_module,
-                             Coaction, UnitalModule, twisted_module)
+                             Coaction, UnitalModule, twisted_module,
+                             coproduct_coaction)
 from ydcheck.yd import (YDModule, canonical_yd, yd_tensor, yd_fixtures,
                         tensor_module, tensor_coaction, braiding_c,
                         braiding_c_inv)
-from ydcheck.gyd import (AutoPair, identity_pair, check_gyd,
+from ydcheck.gyd import (AutoPair, identity_pair, parse_pair, check_gyd,
                          trivial_gyd, twisted_adjoint_gyd, gyd_fixtures_at,
                          crossed_functor, gyd_braiding, gyd_braiding_inv,
                          check_t_category)
@@ -297,6 +299,16 @@ def test_id_is_neutral():
     assert ID(x) is x and ID.inverse(x) is x
     for p in s3_pairs(mha):
         assert identity_pair(mha).product(p).alpha is p.alpha
+
+
+def test_the_identity_pair_is_one_object():
+    # parse_pair's identity and the default pair of a YD module are it
+    mha = build_instance("sweedler-H4", QQ)
+    assert parse_pair(mha, "identity") is IDENTITY_PAIR
+    assert identity_pair(mha) is IDENTITY_PAIR
+    m = regular_module(mha)
+    c = coproduct_coaction(m)
+    assert YDModule(m, c).pair is IDENTITY_PAIR
 
 
 @pytest.mark.parametrize("name", ["grp-S3", "sweedler-H4"])

@@ -19,7 +19,8 @@ from ydcheck.linear import Element, Ten, tensor, legs
 from ydcheck.instances import (group_Z, group_S3, group_Dinf,
                                function_algebra, group_algebra, sweedler_h4,
                                dual_hopf, dual_sym, compute_integrals,
-                               ID, group_map_automorphism,
+                               ID, HopfAutomorphism, automorphism,
+                               group_map_automorphism, IntegralData,
                                inner_automorphism, h4_scaling_automorphism,
                                qt_for_cyclic, QTStructure, build_instance,
                                ConstructionError)
@@ -262,8 +263,7 @@ def test_integrals_group_algebra():
     # oracle: on KG, phi = coefficient-of-identity, t = sum of all g
     H = group_algebra(group_S3(), QQ)
     data = compute_integrals(H)
-    ok, wit = data.verify()
-    assert ok, wit
+    data.verify()
     g = group_S3()
     t_expect = Element(QQ, {s: Fraction(1) for s in g.elements})
     # both are unique up to scale; compare after matching normalization
@@ -277,8 +277,7 @@ def test_integrals_group_algebra():
 def test_integrals_sweedler():
     H = sweedler_h4(QQ)
     data = compute_integrals(H)
-    ok, wit = data.verify()
-    assert ok, wit
+    data.verify()
     # left cointegral of the 4-dimensional instance is (1 + g)x up to scale
     alg = H.algebra
     span = alg.mult(H.el("1") + H.el("g"), H.el("x"))
@@ -308,10 +307,30 @@ def test_automorphisms():
 
     # a non-map must be rejected at construction: swapping g and x on H4
     table = {"1": "1", "g": "x", "x": "g", "gx": "gx"}
+    bad = lambda s: Element.basis(QQ, table[s])
+    with pytest.raises(ConstructionError, match="swap: "):
+        automorphism(H4, bad, bad, "swap")
+
+
+def test_a_hopf_automorphism_stores_its_maps_unchecked():
+    # the check is automorphism's: the plain constructor only stores maps
+    H4 = sweedler_h4(QQ)
+    table = {"1": "1", "g": "x", "x": "g", "gx": "gx"}
     bad = lambda e: e.map_terms(lambda s: Element.basis(QQ, table[s]))
-    with pytest.raises(ConstructionError):
-        from ydcheck.instances import HopfAutomorphism
-        HopfAutomorphism(H4, bad, bad, name="swap")
+    swap = HopfAutomorphism(H4, bad, bad, "swap")
+    assert swap(H4.el("g")) == H4.el("x")
+    assert swap.inverted().composed(swap)(H4.el("x")) == H4.el("x")
+
+
+def test_integral_verify_names_the_failed_equation():
+    H = group_algebra(group_S3(), QQ)
+    data = compute_integrals(H)
+    unit_t = IntegralData(H, data.phi_coeffs, H.algebra.unit)
+    with pytest.raises(ConstructionError, match="cointegral"):
+        unit_t.verify()
+    double_t = IntegralData(H, data.phi_coeffs, data.t.scaled(2))
+    with pytest.raises(ConstructionError, match=r"phi\(t\)"):
+        double_t.verify()
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
@@ -320,7 +339,8 @@ def test_inner_automorphisms_read_conjugation_tables(field):
     x -> S(g) x g, on basis vectors and random elements; so are its
     inverse (which shares its tables) and its composites with every other
     inner automorphism.  A basis vector's image is the one Element the
-    table holds, and no read takes the antipode again."""
+    table holds, and no read takes the antipode again.  Scaling on
+    sweedler-H4 and negation on fun-Z read tables too."""
     H = group_algebra(group_S3(), field)
     alg = H.algebra
     rng = random.Random(1)
@@ -353,6 +373,19 @@ def test_inner_automorphisms_read_conjugation_tables(field):
                 assert both(x) == conj(g, conj(h, x))
                 assert both.inverse(x) == conj_inv(h, conj_inv(g, x))
     assert len(calls) == built
+
+    H4 = sweedler_h4(field)
+    Z = function_algebra(group_Z(), field)
+    scale = h4_scaling_automorphism(H4, field.from_int(2))
+    neg = group_map_automorphism(Z, lambda g: -g, lambda g: -g, "neg")
+    assert scale(H4.el("gx")) == H4.el("gx", field.from_int(2))
+    assert neg(Z.el(3)) == Z.el(-3)
+    for aut, syms in ((scale, H4.algebra.basis), (neg, range(-3, 4))):
+        for s in syms:
+            x = aut.mha.el(s)
+            assert aut(x) is aut(x)
+            assert aut.inverse(x) is aut.inverse(x)
+            assert aut.inverted()(x) is aut.inverse(x)
 
 
 def test_an_inner_automorphism_is_freed_by_reference_counting():
