@@ -89,10 +89,15 @@ def group_Dinf():
 # -- K(G): finitely supported functions on G --------------------------------
 
 def function_algebra(group, field, name=None):
-    """K(G) with basis {delta_g}: pointwise product, Delta(f)(p,q) = f(pq).
-
-    Non-unital exactly when G is infinite; always commutative.
+    """K(G) with basis {delta_g} for an infinite group G: pointwise product,
+    Delta(f)(p,q) = f(pq), commutative and non-unital, with the local unit
+    the indicator of a support.  A finite G raises ValueError: its K(G) is
+    the dual of the group algebra, built by dual_hopf (dual:grp-...).
     """
+    if group.elements is not None:
+        raise ValueError("K(G) needs an infinite group; for the finite "
+                         "group %s build dual_hopf of its group algebra"
+                         % group.name)
     name = name or ("fun-" + group.name)
     g = group
 
@@ -108,12 +113,8 @@ def function_algebra(group, field, name=None):
     def local_unit(elems):
         return Element(field, {s: 1 for s in support_union(elems)})
 
-    unit = None
-    if g.elements is not None:
-        unit = Element(field, {s: 1 for s in g.elements})
-
-    alg = Algebra(field, mult_basis, g.space, unit=unit,
-                  local_unit=local_unit, name=name)
+    alg = Algebra(field, mult_basis, g.space, local_unit=local_unit,
+                  name=name)
 
     # Delta(delta_g)(1 (x) delta_h) = delta_{g h^-1} (x) delta_h
     def delta_r(a, b):
@@ -625,20 +626,13 @@ class QTStructure:
                          lambda a, d: alg.mult_tensor(self.r, d)),
                    ((s, mha.coproduct(mha.el(s))) for s in alg.basis))
 
-        def widen(x2, positions):
-            # embed an arity-2 element into legs `positions` of arity 3
-            def embed(*pair):
-                base = [None, None, None]
-                base[positions[0]], base[positions[1]] = pair
-                pieces = [mha.el(base[i]) if base[i] is not None else alg.unit
-                          for i in range(3)]
-                return tensor(tensor(pieces[0], pieces[1]), pieces[2])
-            return x2.map_legs(embed)
-
-        r13_23 = alg.mult_tensor(widen(self.r, (0, 2)), widen(self.r, (1, 2)))
+        r12 = tensor(self.r, alg.unit)
+        r23 = tensor(alg.unit, self.r)
+        r13 = apply_legs(self.r, 0, 1, lambda a: tensor(a, alg.unit))
+        r13_23 = alg.mult_tensor(r13, r23)
         lhs = apply_legs(self.r, 0, 1, mha.coproduct)
         report.check("qt-fusion-left", "(Delta (x) i)R = R13 R23", lhs, r13_23)
-        r13_12 = alg.mult_tensor(widen(self.r, (0, 2)), widen(self.r, (0, 1)))
+        r13_12 = alg.mult_tensor(r13, r12)
         lhs = apply_legs(self.r, 1, 1, mha.coproduct)
         report.check("qt-fusion-right", "(i (x) Delta)R = R13 R12", lhs, r13_12)
         return report

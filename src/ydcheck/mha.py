@@ -125,43 +125,6 @@ class Algebra:
         raise ValueError("no local unit rule for %s" % self.name)
 
 
-class Multiplier:
-    """A pair of compatible multiplication maps housing M(A) elements.
-
-    left(x) is f*x and right(x) is x*f; either may be None for the one-sided
-    spaces L(A) / R(A).
-    """
-
-    def __init__(self, left=None, right=None, label="multiplier"):
-        self._left = left
-        self._right = right
-        self.label = label
-
-    def left(self, x):
-        if self._left is None:
-            raise ValueError("%s has no left action (one-sided multiplier)" % self.label)
-        return self._left(x)
-
-    def right(self, x):
-        if self._right is None:
-            raise ValueError("%s has no right action (one-sided multiplier)" % self.label)
-        return self._right(x)
-
-    def compatible_on(self, algebra, xs, ys):
-        """Check (x*f)*y == x*(f*y) on the given probe elements."""
-        for x in xs:
-            for y in ys:
-                if algebra.mult(self.right(x), y) != algebra.mult(x, self.left(y)):
-                    return False
-        return True
-
-    @classmethod
-    def from_element(cls, algebra, f):
-        return cls(left=lambda x: algebra.mult(f, x),
-                   right=lambda x: algebra.mult(x, f),
-                   label=repr(f))
-
-
 def _memoized_pairs(formula):
     """Evaluate formula(self, s) once per basis symbol s = a (x) b of
     A (x) A, in a memo kept in the instance's _twist_memo under the

@@ -1,5 +1,8 @@
-"""Unital modules, extension of actions to multipliers, extended-module
-elements as intensional maps, and comodules given by coaction slice maps.
+"""Unital modules over a multiplier Hopf algebra, their twists, and
+comodules given by coaction slice maps.  A multiplier f acts on a unital
+module by f.x = (fe).x for a local unit e of x, and x embeds in the
+extended module as the map rho_x(a) = a.x; check_extended_modules writes
+both on the module action, the product and the local unit.
 
 A coaction is never materialized as Gamma(v) on non-unital instances; it is
 carried by its right slice sliceR(v, a) = Gamma(v)(1 (x) a) = v_(0) (x) v_(1)a
@@ -13,7 +16,7 @@ untwisted slice table delta_r and twisted_module is the module itself.
 
 from .linear import (Element, Ten, Memo, Memo2, bilinear, split_sym,
                      apply_legs)
-from .mha import Space, Multiplier, probe_elements
+from .mha import Space, probe_elements
 from .report import Report, equal
 from .instances import ID
 
@@ -95,42 +98,6 @@ def twisted_module(module, aut, name=None):
 
     return UnitalModule(module.mha, act, module.space, local_unit=local_unit,
                         arity=module.arity, name=name or module.name)
-
-
-# -- extension of the action to multipliers ----------------------------------
-
-def extend_action(module, f, x):
-    """The action of a multiplier f on x: write x = e.x for a local unit e
-    and set f.x = (f e).x, which is independent of the decomposition."""
-    e = module.local_unit([x])
-    return module.act(f.left(e), x)
-
-
-class ExtendedElement:
-    """An element of the left extended module, kept intensionally as its
-    defining map rho: a |-> a.y.  Equality is only ever decided
-    extensionally on finitely many probe arguments."""
-
-    def __init__(self, module, rho, label="extended"):
-        self.module = module
-        self.rho = rho
-        self.label = label
-
-    def acted_by(self, a):
-        """The left A-action on extended elements: (a.rho)(a') = rho(a'a)."""
-        alg = self.module.mha.algebra
-        return ExtendedElement(self.module,
-                               lambda ap: self.rho(alg.mult(ap, a)),
-                               label="%r.%s" % (a, self.label))
-
-    def __repr__(self):
-        return self.label
-
-
-def embed_rho(module, x):
-    """The canonical embedding of x as the extended element a |-> a.x."""
-    return ExtendedElement(module, lambda a: module.act(a, x),
-                           label="rho(%r)" % x)
 
 
 # -- coactions ----------------------------------------------------------------
@@ -314,10 +281,13 @@ def check_comodule(coaction, samples=50, seed=0):
 
 
 def finite_dim_inclusion(coaction, seed=0):
-    """Certify that Gamma(v) factors as a finite sum sum_i v_i (x) m_i with
-    each m_i a genuine multiplier, for every basis vector of a
-    finite-dimensional carrier, probing with the basis of A (10 seeded
-    elements of an infinite one)."""
+    """Certify that Gamma(v) factors as a finite sum sum_w w (x) m_w over
+    at most dim(V) basis vectors w, for every basis vector v of a
+    finite-dimensional carrier, with each m_w a multiplier: its left map
+    y |-> (Gamma(v)(1 (x) y))_w and right map x |-> ((1 (x) x)Gamma(v))_w
+    satisfy (x m_w) y = x (m_w y) (checked when the coaction has a left
+    slice).  The probes are the basis of A (10 seeded elements of an
+    infinite one)."""
     mha = coaction.mha
     alg = mha.algebra
     mod = coaction.module
@@ -348,12 +318,10 @@ def finite_dim_inclusion(coaction, seed=0):
     def multipliers(vsym, used):
         v = mod.el(vsym)
         for wsym in sorted(used, key=repr):
-            m = Multiplier(
-                left=lambda a, ww=wsym: component(coaction.slice_r(v, a), ww),
-                right=(None if not coaction.has_slice_l else
-                       lambda a, ww=wsym: component(coaction.slice_l(v, a), ww)),
-                label="m[%r,%r]" % (vsym, wsym))
-            if coaction.has_slice_l and not m.compatible_on(alg, probes, probes):
+            if coaction.has_slice_l and any(
+                    alg.mult(component(coaction.slice_l(v, x), wsym), y)
+                    != alg.mult(x, component(coaction.slice_r(v, y), wsym))
+                    for x in probes for y in probes):
                 return "component at v=%r w=%r" % (vsym, wsym)
 
     rep.law_group([
@@ -377,25 +345,26 @@ def check_comodule_suite(mha, samples=50, seed=0):
 
 
 def check_extended_modules(mha, samples=40, seed=0):
-    """Action extension to M(A), the rho embedding, and its module-map law;
-    on a finite basis also finite_dim_inclusion of Gamma = Delta."""
+    """The regular module's extension to M(A) and its extended module: a
+    multiplier f acts by f.x = (fe).x for a local unit e of x, and x
+    embeds as the map rho_x(a) = a.x.  Both are written on mod.act,
+    alg.mult and mod.local_unit.  On a finite basis also
+    finite_dim_inclusion of Gamma = Delta."""
     alg = mha.algebra
     rep = Report("extended-modules", mha, seed, samples)
     mod = regular_module(mha)
 
-    # 1.x = x through the extension, and independence of the decomposition;
+    # 1.x = e.x = x, and (ae).x = (ae').x for a second local unit e' of x;
     # the second decomposition is drawn only once 1.x = x holds
-    one = Multiplier(left=lambda y: y, right=lambda y: y, label="1")
     more = rep.draws((mod, 3), alg)
 
     def check(x):
-        if extend_action(mod, one, x) != x:
+        e = mod.local_unit([x])
+        if mod.act(e, x) != x:
             return "x=%r" % x
-        # same multiplier, two different decompositions x = e.x = e'.x
         xp, a = next(more)
         e2 = mod.local_unit([x, xp])
-        f = Multiplier.from_element(alg, a)
-        if extend_action(mod, f, x) != mod.act(f.left(e2), x):
+        if mod.act(alg.mult(a, e), x) != mod.act(alg.mult(a, e2), x):
             return "decomposition-dependent extension at x=%r" % x
     rep.law("extend-action", "1.x = x and f.x independent of the decomposition",
             check, rep.draws((mod, 3)))
@@ -403,28 +372,25 @@ def check_extended_modules(mha, samples=40, seed=0):
     # for unital algebras the extension is the plain action (Y = X)
     if alg.has_unit:
         rep.law("unital-identity", "extension along A subset M(A) is the plain action",
-                equal(lambda a, x: extend_action(
-                    mod, Multiplier.from_element(alg, a), x),
-                    lambda a, x: mod.act(a, x)),
+                equal(lambda a, x: mod.act(alg.mult(a, mod.local_unit([x])), x),
+                      lambda a, x: mod.act(a, x)),
                 rep.draws(alg, (mod, 3)))
 
-    # rho embedding laws, on r = rho_x: rho(aa') = a.rho(a'), and
+    # rho_x(a) = a.x: rho_x(aa') = a.rho_x(a'), and
     # (a.rho_x)(p) = rho_x(pa) = rho_{a.x}(p) on the probes p = a', a
-    def injective(x, r, a, ap):
-        if not x.is_zero() and r.rho(mod.local_unit([x])).is_zero():
+    def injective(x, a, ap):
+        if not x.is_zero() and mod.act(mod.local_unit([x]), x).is_zero():
             return "x=%r killed by its local unit" % x
 
     rep.law_group([
         ("rho-left-kind", "rho(aa') = a.rho(a') and a.rho_x = rho_{a.x}", equal(
-            lambda x, r, a, ap: r.rho(alg.mult(a, ap)),
-            lambda x, r, a, ap: mod.act(a, r.rho(ap)),
-            lambda x, r, a, ap: [r.acted_by(a).rho(p) for p in (ap, a)],
-            lambda x, r, a, ap: [embed_rho(mod, mod.act(a, x)).rho(p)
-                                 for p in (ap, a)])),
+            lambda x, a, ap: mod.act(alg.mult(a, ap), x),
+            lambda x, a, ap: mod.act(a, mod.act(ap, x)),
+            lambda x, a, ap: [mod.act(alg.mult(p, a), x) for p in (ap, a)],
+            lambda x, a, ap: [mod.act(p, mod.act(a, x)) for p in (ap, a)])),
         ("rho-injective", "x != 0 implies rho_x != 0 (witnessed on a local unit)",
          injective)],
-        ((x, embed_rho(mod, x), a, ap)
-         for x, a, ap in rep.draws((mod, 3), alg, alg)))
+        rep.draws((mod, 3), alg, alg))
     if alg.basis is not None:
         rep.merge(finite_dim_inclusion(coproduct_coaction(mod), seed=seed),
                   "delta")

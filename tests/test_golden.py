@@ -2,9 +2,10 @@
 writes, and the integrals compute_integrals returns, against the committed
 manifest tests/golden.json.
 
-The cells are gyd, t-category, dcp and double-correspondence on four finite
-instances over QQ and F_5 at --samples 3 --seed 3, and the crossed-product
-dump at the identity and at every pair those instances offer over either
+The cells are every suite of cli.SUITES on nine instances (the two
+non-unital function algebras, five finite unital ones and two duals) over
+QQ and F_5 at --samples 3 --seed 3, and the crossed-product dump of three
+finite instances at the identity and at every pair they offer over either
 field.  The integrals are phi's coefficients and t on eight finite unital
 instances over QQ, F_2, F_3, F_5 and F_7, or the error that refuses one.
 No report shows them, so a change that moves them would pass every other
@@ -29,8 +30,9 @@ from ydcheck.instances import build_instance, compute_integrals
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "golden.json")
 
-CELL_SUITES = ["gyd", "t-category", "dcp", "double-correspondence"]
-CELL_INSTANCES = ["grp-S3", "grp-Z2", "sweedler-H4", "dual:sweedler-H4"]
+CELL_INSTANCES = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:4",
+                  "sweedler-H4", "dual:sweedler-H4", "dual:grp-Z2",
+                  "dual:grp-S3"]
 DUMP_INSTANCES = ["grp-S3", "sweedler-H4", "dual:sweedler-H4"]
 CELL_FIELDS = ["rational", "fp:5"]
 
@@ -42,7 +44,7 @@ INTEGRAL_FIELDS = ["rational", "fp:2", "fp:3", "fp:5", "fp:7"]
 
 def cells():
     """The argument lists of the panel, without --out."""
-    for suite in CELL_SUITES:
+    for suite in cli.SUITES:
         for name in CELL_INSTANCES:
             for field in CELL_FIELDS:
                 yield ["check", suite, "--instance", name, "--field", field,
@@ -98,7 +100,7 @@ def test_outputs_match_the_manifest():
     with open(MANIFEST) as f:
         want = json.load(f)
     got = current()
-    assert len(got["cells"]) == 46
+    assert len(got["cells"]) == 13 * 9 * 2 + 14
     assert list(got["cells"]) == list(want["cells"])
     for key, value in want["cells"].items():
         assert got["cells"][key] == value, key

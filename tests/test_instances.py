@@ -16,7 +16,7 @@ import pytest
 
 from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, legs
-from ydcheck.instances import (group_Z, group_S3, group_Dinf,
+from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                function_algebra, group_algebra, sweedler_h4,
                                dual_hopf, dual_sym, compute_integrals,
                                ID, HopfAutomorphism, automorphism,
@@ -112,6 +112,9 @@ def test_function_algebra_dinf_slices_pointwise():
 def test_function_algebra_is_nonunital_with_local_units():
     A = function_algebra(group_Z(), QQ)
     assert not A.algebra.has_unit
+    # K(G) of a finite group is the dual of its group algebra
+    with pytest.raises(ValueError, match="infinite group"):
+        function_algebra(group_Zn(3), QQ)
     x = A.el(2) + A.el(-1, Fraction(3))
     e = A.algebra.local_unit([x])
     assert A.algebra.mult(e, x) == x and A.algebra.mult(x, e) == x

@@ -18,7 +18,8 @@ from ydcheck.instances import (build_instance, CORE_INSTANCES, group_S3,
                                group_Z, from_unital_coproduct, ID)
 from ydcheck.mha import (Space, Algebra, below, random_element, draws,
                          check_mha_axioms, check_braid)
-from ydcheck.modules import trivial_module, regular_module
+from ydcheck.modules import (trivial_module, regular_module, Coaction,
+                             coproduct_coaction, finite_dim_inclusion)
 from ydcheck.modalg import counit_yd_module_algebra
 from ydcheck.report import Report
 from ydcheck.yd import act_on_slice, check_yd_suite, check_equivalence
@@ -205,14 +206,21 @@ def test_twist_memo_is_not_shared_with_a_copy():
         assert len(hit) == 1 and not hit[0].ok and hit[0].witness, rep.summary()
 
 
-def test_multiplier_compatibility():
-    from ydcheck.mha import Multiplier
+def test_a_scaled_left_slice_fails_finite_dim_multipliers():
+    """Each component m_w of Delta(v) is a multiplier: its left and right
+    maps, read off the right and left slices, satisfy (a m_w) b =
+    a (m_w b).  Doubling the left slice at (x, g) breaks that on v = x."""
     H = sweedler_h4(QQ)
-    m = Multiplier.from_element(H.algebra, H.el("g") + H.el("x"))
-    probe = [H.el(s) for s in H.algebra.basis]
-    assert m.compatible_on(H.algebra, probe, probe)
-    bad = Multiplier(left=lambda v: H.el("g"), right=lambda v: v)
-    assert not bad.compatible_on(H.algebra, probe, probe)
+    coa = coproduct_coaction(regular_module(H))
+    assert finite_dim_inclusion(coa).ok
+
+    def slice_l(v, a):
+        img = coa.slice_l_basis[v, a]
+        return img.scaled(2) if (v, a) == ("x", "g") else img
+    bad = Coaction(coa.module, lambda v, a: coa.slice_r_basis[v, a], slice_l)
+    rep = finite_dim_inclusion(bad)
+    assert [(r.law, r.witness) for r in rep.failures()] == [
+        ("finite-dim-multipliers", "component at v='x' w='g'")]
 
 
 def test_report_determinism():

@@ -304,6 +304,21 @@ def test_associator_on_mixed_fixture():
     assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("name, syms", [
+    ("fun-Z", None), ("fun-Dinf", None),
+    ("grp-S3", [(0, 1, 2), (0, 2, 1)]), ("grp-Z2", [0, 1]),
+    ("grp-Zn:4", [0, 1, 2, 3]), ("grp-Zn:14", [0, 2, 4, 6, 8, 10, 12]),
+    ("sweedler-H4", ["1", "g"]), ("dual:sweedler-H4", None),
+    ("dual:grp-Z2", None), ("dual:grp-S3", None)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
+def test_cyclic_subgroup_syms(name, syms, field):
+    """The powers of the first non-unit basis symbol that returns to the
+    unit within 12 steps: none on the non-unital and dual instances (their
+    unit is no single symbol), and on grp-Zn:14 the square of 1, since 1
+    itself has order 14."""
+    assert cyclic_subgroup_syms(build_instance(name, field).algebra) == syms
+
+
 @pytest.mark.parametrize("name", CORE_INSTANCES)
 def test_module_algebra_suite(name):
     mha = build_instance(name, QQ)

@@ -1,5 +1,6 @@
-"""Module extension, extended elements and comodule slice laws, with
-independent oracles on K(Z) (pointwise) and group algebras (grouplike)."""
+"""Module extension to multipliers, the extended module's rho maps and
+comodule slice laws, with independent oracles on K(Z) (pointwise) and group
+algebras (grouplike)."""
 
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ import pytest
 from ydcheck.fields import QQ
 from ydcheck.linear import Element, tensor, legs
 from ydcheck.instances import build_instance, CORE_INSTANCES
-from ydcheck.mha import Multiplier
+from ydcheck import modules
 from ydcheck.modules import (UnitalModule, regular_module, trivial_module,
                              counit_module, adjoint_module,
                              coproduct_coaction, trivial_coaction, Coaction,
-                             extend_action, embed_rho, check_comodule,
+                             check_comodule,
                              finite_dim_inclusion, check_extended_modules)
 from ydcheck.yd import YDModule, check_yd, yd_fixtures, yd_tensor
 
@@ -24,27 +25,46 @@ def test_extended_module_suite(name):
     assert rep.ok, rep.summary()
 
 
-def test_extend_action_pointwise():
-    # the all-ones multiplier on K(Z) fixes every delta function
+def test_extension_and_rho_pointwise_on_kz():
     A = build_instance("fun-Z", QQ)
     mod = regular_module(A)
-    ones = Multiplier(left=lambda x: x, right=lambda x: x, label="1")
     x = A.el(0) + A.el(7, Fraction(2))
-    assert extend_action(mod, ones, x) == x
-    # a genuine element of A acts as itself
-    f = Multiplier.from_element(A.algebra, A.el(7))
-    assert extend_action(mod, f, x) == A.el(7, Fraction(2))
+    # the all-ones multiplier acts through the local unit, fixing x
+    assert mod.act(mod.local_unit([x]), x) == x
+    # a genuine element of A acts as itself: (delta_7 e).x = delta_7 x
+    f = A.el(7)
+    assert mod.act(A.algebra.mult(f, mod.local_unit([x])), x) == \
+        mod.act(f, x) == A.el(7, Fraction(2))
+    # rho_{delta_0}(delta_n) = delta_n delta_0 = [n=0] delta_0
+    assert mod.act(A.el(0), A.el(0)) == A.el(0)
+    assert mod.act(A.el(3), A.el(0)).is_zero()
+    assert mod.act(A.el(2), Element(QQ)).is_zero()
 
 
-def test_embed_rho_pointwise():
+def test_a_local_unit_that_drops_a_symbol_fails_extension_and_rho(
+        monkeypatch):
+    """On K(Z), a local unit rule that leaves out the least symbol of the
+    support fixes no x with that symbol: 1.x = x fails, and a one-term x
+    is killed by its local unit, so rho_x vanishes there."""
+    real = modules.regular_module
+
+    def dropping(mha):
+        mod = real(mha)
+
+        def local_unit(velems, aelems):
+            e = mod.local_unit(velems, aelems)
+            return Element(QQ, {s: c for s, c in e.terms.items()
+                                if s != min(e.terms)})
+        return UnitalModule(mha, lambda a, v: mod.act_basis[a, v], mod.space,
+                            local_unit=local_unit, name=mod.name)
     A = build_instance("fun-Z", QQ)
-    mod = regular_module(A)
-    r = embed_rho(mod, A.el(0))
-    # rho(delta_n) = [n=0] delta_0
-    assert r.rho(A.el(0)) == A.el(0)
-    assert r.rho(A.el(3)).is_zero()
-    z = embed_rho(mod, Element(QQ))
-    assert z.rho(A.el(2)).is_zero()
+    assert check_extended_modules(A, samples=40, seed=0).ok
+    monkeypatch.setattr(modules, "regular_module", dropping)
+    rep = check_extended_modules(A, samples=40, seed=0)
+    failed = {r.law: r.witness for r in rep.failures()}
+    assert set(failed) == {"extend-action", "rho-injective"}, rep.summary()
+    assert failed["extend-action"].startswith("x=")
+    assert failed["rho-injective"].endswith("killed by its local unit")
 
 
 @pytest.mark.parametrize("name", CORE_INSTANCES)
