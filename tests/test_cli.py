@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, and byte-deterministic reports."""
 
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -14,7 +15,6 @@ from ydcheck.cli import main, parse_pair, SUITES
 from ydcheck.double import DiagonalCrossedProduct, check_dcp
 from ydcheck.fields import PrimeField
 from ydcheck.instances import INSTANCE_NAMES, build_instance
-from ydcheck.report import Report
 
 
 def run(args, capsys):
@@ -343,57 +343,6 @@ def test_a_corrupted_instance_is_an_internal_error(monkeypatch, capsys):
                         "not a bijection at a=1*(0, 1, 2)\n")
 
 
-PANEL = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:4", "sweedler-H4",
-         "dual:grp-Z2"]
-NOT_CYCLIC = ("qt-coaction needs a cyclic group algebra instance "
-              "(grp-Z2 or grp-Zn:<n>)")
-#: the panel cells the CLI refused before suites declared their needs
-REFUSED = {
-    **{("dcp", name, field): "the crossed product needs a "
-       "finite-dimensional unital instance"
-       for name in ("fun-Z", "fun-Dinf") for field in ("rational", "fp:5")},
-    **{("double-correspondence", name, field): "integrals are computed on "
-       "finite-dimensional unital instances only"
-       for name in ("fun-Z", "fun-Dinf") for field in ("rational", "fp:5")},
-    **{("qt-coaction", name, field): NOT_CYCLIC
-       for name in ("fun-Z", "fun-Dinf", "grp-S3", "sweedler-H4",
-                    "dual:grp-Z2") for field in ("rational", "fp:5")},
-    ("qt-coaction", "grp-Zn:4", "rational"):
-        "no primitive 4-th root of unity in rational",
-}
-
-
-def test_every_cell_runs_or_is_refused_before_any_law(tmp_path, monkeypatch,
-                                                      capsys):
-    """13 suites x PANEL x {QQ, F_5}: a refused cell exits 2 with its reason
-    before any law is sampled or recorded; every other cell passes with
-    law ids unique in its report."""
-    def no_law(*args, **kwargs):
-        raise AssertionError("a law was checked on a refused cell")
-
-    out = str(tmp_path / "rep.json")
-    for suite in SUITES:
-        for name in PANEL:
-            for field in ("rational", "fp:5"):
-                argv = ["check", suite, "--instance", name, "--field", field,
-                        "--samples", "1", "--out", out]
-                cell = (suite, name, field)
-                if cell in REFUSED:
-                    with monkeypatch.context() as m:
-                        m.setattr(Report, "law_group", no_law)
-                        m.setattr(Report, "add", no_law)
-                        rc, _, err = run(argv, capsys)
-                    assert rc == 2, (cell, err)
-                    assert err == "error: %s\n" % REFUSED[cell], cell
-                    assert not os.path.exists(out)
-                    continue
-                rc, _, err = run(argv, capsys)
-                assert rc == 0, (cell, err)
-                ids = [law["law"] for law in json.load(open(out))["laws"]]
-                assert ids and len(ids) == len(set(ids)), cell
-                os.remove(out)
-
-
 def test_centre_equivalence_refuses_an_instance_outside_its_hypothesis(
         monkeypatch, capsys):
     # fun-Dinf with commutativity masked is neither unital nor commutative,
@@ -442,3 +391,45 @@ def test_outputs_are_byte_identical_across_hash_seeds(tmp_path, args):
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(open(path, "rb").read())
     assert outs[0] == outs[1]
+
+
+def cyclic_garbage(call):
+    """How many objects the cycle collector finds unreachable after call(),
+    run with automatic collection off."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_a_finished_cell_leaves_no_cyclic_garbage_of_its_own(tmp_path,
+                                                             capsys):
+    """A cell's instance, tables and report are freed by reference counting
+    alone.  Writing --out adds json's indent encoder, whose closures form
+    cycles: no more garbage than a bare json.dumps leaves is allowed."""
+    out = str(tmp_path / "out.json")
+    run(["list", "suites"], capsys)  # builds the parser shared by later calls
+    encoder = cyclic_garbage(
+        lambda: json.dumps({"a": [1]}, indent=2, sort_keys=True))
+    for suite, name, field in [
+            ("mha-axioms", "sweedler-H4", "rational"),
+            ("centre-equivalence", "fun-Z", "rational"),
+            ("t-category", "grp-S3", "fp:5"),
+            ("hq-monoidal", "sweedler-H4", "rational"),
+            ("double-correspondence", "dual:sweedler-H4", "rational"),
+            ("qt-coaction", "grp-Zn:4", "fp:5")]:
+        argv = ["check", suite, "--instance", name, "--field", field,
+                "--samples", "3", "--seed", "3"]
+        assert cyclic_garbage(lambda: run(argv, capsys)) == 0, argv
+        assert cyclic_garbage(
+            lambda: run(argv + ["--out", out], capsys)) <= encoder, argv
+    argv = ["dump", "dcp", "--instance", "sweedler-H4", "--pair", "scale:2,3",
+            "--out", out]
+    assert cyclic_garbage(lambda: run(argv, capsys)) <= encoder

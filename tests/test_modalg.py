@@ -15,8 +15,7 @@ from ydcheck.instances import (build_instance, group_S3, group_Zn,
 from ydcheck.modules import (UnitalModule, counit_module, coproduct_coaction,
                              Coaction)
 from ydcheck.yd import trivial_yd, canonical_yd
-from ydcheck.modalg import (counit_module_algebra,
-                            adjoint_module_algebra, regular_module_algebra,
+from ydcheck.modalg import (counit_module_algebra, regular_module_algebra,
                             translation_module_algebra, check_module_algebra,
                             check_comodule_algebra, check_a_commutative,
                             check_yd_module_algebra, trivial_yd_module_algebra,
@@ -36,7 +35,7 @@ from ydcheck.modalg import (counit_module_algebra,
 
 def test_adjoint_module_algebra_ks3_with_grouplike_oracle():
     mha = build_instance("grp-S3", QQ)
-    ma = adjoint_module_algebra(mha)
+    ma = adjoint_trivial_yd_module_algebra(mha)
     rep = check_module_algebra(ma, samples=40, seed=0)
     assert rep.ok, rep.summary()
     g3 = group_S3()

@@ -2,12 +2,11 @@
 
     PYTHONPATH=src python tools/unreached.py [--at-most N] [--list]
 
-The panel is every suite of ydcheck.cli.SUITES on every instance in
-INSTANCES over QQ and F_5 at --samples 1, every crossed-product dump of a
-finite unital one among them (at the identity and at each pair its
-pair_specs offer over QQ) and both list commands, each run in this process
-through ydcheck.cli.main.  Cells the CLI rejects (exit 2)
-run too: their applicability checks are code the CLI reaches.
+The panel is the committed manifest tests/golden.json: each of its cells
+(every suite of ydcheck.cli.SUITES on nine instances over QQ and F_5, and
+the crossed-product dumps) with --out appended, and both list commands,
+each run in this process through ydcheck.cli.main.  Cells the CLI rejects
+(exit 2) run too: their applicability checks are code the CLI reaches.
 
 A statement counts when it lies in a function body and has code of its
 own: the lines of a simple statement, or of a compound statement's header
@@ -22,36 +21,21 @@ import argparse
 import ast
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
 
-INSTANCES = ["fun-Z", "fun-Dinf", "grp-S3", "grp-Z2", "grp-Zn:4",
-             "sweedler-H4", "dual:sweedler-H4", "dual:grp-Z2", "dual:grp-S3"]
-FIELDS = ["rational", "fp:5"]
+MANIFEST = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests", "golden.json")
 
 
 def cells(out):
-    """The panel's argument lists.  The dump pairs are read off instances
-    built after every check cell has run, outside the traced calls."""
-    from ydcheck.cli import SUITES
-    from ydcheck.fields import QQ
-    from ydcheck.instances import build_instance
-
-    yield ["list", "suites"]
-    yield ["list", "instances"]
-    for name in INSTANCES:
-        for field in FIELDS:
-            for suite in SUITES:
-                yield ["check", suite, "--instance", name, "--field", field,
-                       "--samples", "1", "--out", out]
-    for name in INSTANCES:
-        mha = build_instance(name, QQ)
-        if mha.algebra.basis is None or not mha.algebra.has_unit:
-            continue
-        for pair in ["identity", *mha.pair_specs]:
-            yield ["dump", "dcp", "--instance", name, "--pair", pair,
-                   "--out", out]
+    """The panel's argument lists, each writing to out."""
+    with open(MANIFEST) as f:
+        keys = json.load(f)["cells"]
+    return [["list", "suites"], ["list", "instances"],
+            *(key.split() + ["--out", out] for key in keys)]
 
 
 def _code_lines(code):
