@@ -249,19 +249,14 @@ def check_a_commutative(H, samples=40, seed=0):
     return rep
 
 
-def yd_module_algebra_parts(H, samples=30, seed=0):
-    """check_yd_module_algebra's sub-reports by tag, in their one order."""
-    return {"modalg": check_module_algebra(H, samples, seed),
-            "comodalg": check_comodule_algebra(H.alg, H.coaction, samples, seed),
-            "yd": check_yd(H, samples, seed)}
-
-
-def check_yd_module_algebra(H, samples=30, seed=0, parts=None):
+def check_yd_module_algebra(H, samples=30, seed=0):
     """Module algebra + comodule algebra + the YD compatibility on one
-    carrier: its yd_module_algebra_parts, or the parts given, merged."""
+    carrier, merged under the tags modalg, comodalg and yd."""
     rep = Report("module-algebra", H, seed, samples)
-    for tag, sub in (parts or yd_module_algebra_parts(H, samples, seed)).items():
-        rep.merge(sub, tag)
+    rep.merge(check_module_algebra(H, samples, seed), "modalg")
+    rep.merge(check_comodule_algebra(H.alg, H.coaction, samples, seed),
+              "comodalg")
+    rep.merge(check_yd(H, samples, seed), "yd")
     return rep
 
 
@@ -283,13 +278,13 @@ def coaction_from_qt(module, qt):
 
 
 def check_qt_coaction(ma, qt, samples=30, seed=0):
-    """End to end: the quasitriangular axioms, the module-algebra laws, the
+    """End to end over a module algebra: its module-algebra laws, the
     induced coaction's comodule-algebra and YD laws, and the induced braiding
-    C(m (x) n) = tau(R)(n (x) m) against the categorical braiding."""
+    C(m (x) n) = tau(R)(n (x) m) against the categorical braiding.  R's own
+    axioms read R alone, so qt.check records them, not this."""
     mha = ma.mha
     alg = mha.algebra
     rep = Report("qt-coaction", ma, seed + 2, samples)
-    qt.check(rep)
     rep.merge(check_module_algebra(ma, samples, seed), "modalg")
     coa = coaction_from_qt(ma.module, qt)
     rep.merge(check_comodule_algebra(ma.alg, coa, samples, seed), "comodalg")
@@ -307,11 +302,12 @@ def check_qt_coaction(ma, qt, samples=30, seed=0):
 
 
 def check_qt_coaction_suite(mha, samples=30, seed=0):
-    """check_qt_coaction on Z/n's translation and counit module algebras,
-    with one R, whose axioms are evaluated once and head both sub-reports."""
+    """R's axioms, untagged, then check_qt_coaction with that R on Z/n's
+    translation and counit module algebras."""
     n = mha.cyclic_order
     qt = qt_for_cyclic(n, mha.field, mha=mha)
     rep = Report("qt-coaction", mha, seed, samples)
+    qt.check(rep)
     rep.merge(check_qt_coaction(translation_module_algebra(mha, group_Zn(n)),
                                 qt, samples, seed), "translation")
     rep.merge(check_qt_coaction(counit_module_algebra(mha), qt, samples, seed),
@@ -715,36 +711,35 @@ def check_pentagon(X, Y, Z, W, seed=0):
 # -- suite drivers ---------------------------------------------------------------
 
 def check_module_algebra_suite(mha, samples=30, seed=0):
-    """Module-algebra, comodule-algebra, A-commutativity and joint YD-algebra
-    laws over the standard fixtures available on an instance.  The counit
-    and the adjoint action with the trivial coaction are checked once each;
-    their module-algebra laws (and the counit's comodule-algebra laws) are
-    read under two tags."""
+    """Each law family once, under the structure it reads: the
+    module-algebra laws of the counit action (and of the adjoint action on a
+    cocommutative instance with a materialized coproduct), the
+    comodule-algebra laws of the coproduct and the trivial coaction, K as a
+    YD module algebra, then the YD compatibility of each fixture that pairs
+    an action with a coaction, and A-commutativity where it holds."""
     rep = Report("module-algebra", mha, seed, samples)
     ct = counit_yd_module_algebra(mha)
-    parts = yd_module_algebra_parts(ct, samples, seed)
-    rep.merge(parts["modalg"], "counit")
+    fixtures = [("counit-trivial", ct)]
+    rep.merge(check_module_algebra(ct, samples, seed), "counit")
     if mha.cocommutative and mha.materializes_coproduct:
         at = adjoint_trivial_yd_module_algebra(mha)
-        at_parts = yd_module_algebra_parts(at, samples, seed)
-        rep.merge(at_parts["modalg"], "adjoint")
+        fixtures += [("adjoint-trivial", at),
+                     ("adjoint-delta", canonical_yd_module_algebra(mha))]
+        rep.merge(check_module_algebra(at, samples, seed), "adjoint")
 
     rep.merge(check_comodule_algebra(mha.algebra, coproduct_coaction(
         ct.module), samples, seed), "delta")
-    rep.merge(parts["comodalg"], "trivial")
+    rep.merge(check_comodule_algebra(mha.algebra, ct.coaction, samples, seed),
+              "trivial")
 
     k = trivial_yd_module_algebra(mha)
     rep.merge(check_yd_module_algebra(k, samples, seed), "K")
     rep.merge(check_a_commutative(k, samples, seed), "K")
 
-    rep.merge(check_yd_module_algebra(ct, samples, seed, parts), "counit-trivial")
+    for tag, H in fixtures:
+        rep.merge(check_yd(H, samples, seed), tag)
     if mha.commutative:
         rep.merge(check_a_commutative(ct, samples, seed), "counit-trivial")
-    if mha.cocommutative and mha.materializes_coproduct:
-        rep.merge(check_yd_module_algebra(at, samples, seed, at_parts),
-                  "adjoint-trivial")
-        rep.merge(check_yd_module_algebra(canonical_yd_module_algebra(mha),
-                                          samples, seed), "adjoint-delta")
     return rep
 
 

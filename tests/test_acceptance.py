@@ -25,6 +25,7 @@ from ydcheck.modalg import (translation_module_algebra, check_qt_coaction,
                             BalancedTensor, check_balanced_tensor,
                             check_unit_laws, check_associator)
 from ydcheck.cli import main
+from ydcheck.report import Report
 
 
 FINITE = ["grp-Z2", "grp-S3", "sweedler-H4"]
@@ -43,23 +44,37 @@ def _laws(rep, prefix):
     return got and all(r.ok for r in got)
 
 
-_EQUIV = {}  # instance name -> (equivalence report, seconds to compute it)
+_SHARED = {}  # (checker, instance name) -> (report, seconds to compute it)
+
+
+def _shared(check, name, samples):
+    """check's report on name over QQ at seed 0, computed once: criteria 1
+    and 3 share the axiom reports, criteria 4 and 5 the equivalence ones."""
+    if (check, name) not in _SHARED:
+        t0 = time.monotonic()
+        rep = check(build_instance(name, QQ), samples=samples, seed=0)
+        _SHARED[check, name] = (rep, time.monotonic() - t0)
+    return _SHARED[check, name][0]
+
+
+def _shared_seconds(check):
+    """The time spent so far computing check's shared reports."""
+    return sum(t for (c, _), (_, t) in _SHARED.items() if c is check)
+
+
+def _axioms(name):
+    return _shared(check_mha_axioms, name, 200)
 
 
 def _equiv(name):
-    if name not in _EQUIV:
-        t0 = time.monotonic()
-        rep = check_equivalence(build_instance(name, QQ), samples=100, seed=0)
-        _EQUIV[name] = (rep, time.monotonic() - t0)
-    return _EQUIV[name][0]
+    return _shared(check_equivalence, name, 100)
 
 
 def test_criterion_1_axioms():
     t0 = time.monotonic()
     ok = True
     for name in CORE_INSTANCES:
-        rep = check_mha_axioms(build_instance(name, QQ), samples=200, seed=0)
-        ok = ok and rep.ok
+        ok = ok and _axioms(name).ok
     _gate(1, ok, "structure axioms, 5 instances, 200 samples each",
           time.monotonic() - t0, 10)
 
@@ -78,14 +93,17 @@ def test_criterion_2_braid_and_flips():
 
 def test_criterion_3_twist_composition_and_round_trips():
     t0 = time.monotonic()
+    # the axiom reports are shared with criterion 1: the time of those
+    # computed before this test starts is added to this gate's time
+    shared = _shared_seconds(check_mha_axioms)
     ok = True
     for name in CORE_INSTANCES:
-        rep = check_mha_axioms(build_instance(name, QQ), samples=200, seed=0)
+        rep = _axioms(name)
         ok = ok and _laws(rep, "twist-t2-t4")
         for k in range(1, 5):
             ok = ok and _laws(rep, "t%d-bijective" % k)
     _gate(3, ok, "twist o T2 = T4 and all four canonical-map round trips",
-          time.monotonic() - t0, 15)
+          time.monotonic() - t0 + shared, 15)
 
 
 def test_criterion_4_equivalence_round_trips():
@@ -103,7 +121,7 @@ def test_criterion_5_braided_category_laws():
     t0 = time.monotonic()
     # the equivalence reports are shared with criterion 4: the time of those
     # computed before this test starts is added to this gate's time
-    shared = sum(_EQUIV[name][1] for name in CORE_INSTANCES if name in _EQUIV)
+    shared = _shared_seconds(check_equivalence)
     ok = True
     for name in CORE_INSTANCES:
         rep = _equiv(name)
@@ -168,8 +186,10 @@ def test_criterion_8_module_algebras_and_monoidality():
     f5 = PrimeField(5)
     z2 = build_instance("grp-Z2", f5)
     qt = qt_for_cyclic(2, f5, mha=z2)
-    ok = check_qt_coaction(translation_module_algebra(z2, group_Zn(2)), qt,
-                           samples=40, seed=0).ok
+    axioms = Report("qt-coaction", z2, 0, 0)
+    qt.check(axioms)
+    ok = axioms.ok and check_qt_coaction(translation_module_algebra(
+        z2, group_Zn(2)), qt, samples=40, seed=0).ok
     s3 = build_instance("grp-S3", QQ)
     H = adjoint_trivial_yd_module_algebra(s3)
     ok = ok and check_ha_module(h_unit_ha_module(H), samples=40, seed=0).ok

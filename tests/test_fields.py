@@ -19,6 +19,8 @@ from ydcheck.instances import DualHopf, IntegralData
 from ydcheck.linear import Element, tensor
 from ydcheck.mha import MultiplierHopfAlgebra
 
+from test_golden import load
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "ydcheck")
 
@@ -198,15 +200,19 @@ def test_no_bare_division_outside_fields():
     assert found == [], "use field.div: %s" % ", ".join(found)
 
 
-# The suites that refuse an instance, with the refusal they give; any other
-# exception is a fault and fails the test.
-NOT_APPLICABLE = {
-    ("qt-coaction", "sweedler-H4"): "cyclic group algebra",
-    ("qt-coaction", "fun-Z"): "cyclic group algebra",
-    ("qt-coaction", "dual:grp-Z2"): "cyclic group algebra",
-    ("dcp", "fun-Z"): "finite-dimensional unital",
-    ("double-correspondence", "fun-Z"): "finite-dimensional unital",
-}
+def manifest_refusals():
+    """(suite, instance, field name) -> None for each check cell of the
+    manifest tests/golden.json that runs, and the ValueError message of each
+    it refuses: the cell's last stderr line without its "error: " prefix."""
+    out = {}
+    for key, value in load()["cells"].items():
+        argv = key.split()
+        if argv[0] == "check":
+            opts = dict(zip(argv[2::2], argv[3::2]))
+            out[argv[1], opts["--instance"], opts["--field"]] = (
+                value["stderr"].removeprefix("error: ")
+                if value["exit"] == 2 else None)
+    return out
 
 
 def test_no_float_coefficient_in_any_suite(monkeypatch):
@@ -215,7 +221,9 @@ def test_no_float_coefficient_in_any_suite(monkeypatch):
     coefficient of every Element built (tensor products and basis vectors,
     which skip __init__, included) checked for its type, and over F_5 for
     its range: 0 < c < 5 in an Element, and 0 <= c < 5 for the bare scalars
-    that counit, pairing and the integral return."""
+    that counit, pairing and the integral return.  A suite whose manifest
+    cell is refused raises that refusal word for word; any other exception
+    is a fault and fails the test."""
     allowed = {QQ.name: (int, Fraction), "fp:5": (int,)}
     real_init = Element.__init__
     real_basis = Element.basis
@@ -255,15 +263,17 @@ def test_no_float_coefficient_in_any_suite(monkeypatch):
     guard(MultiplierHopfAlgebra, "counit", lambda mha: mha.field)
     guard(DualHopf, "pairing", lambda dual: dual.field)
     guard(IntegralData, "phi", lambda data: data.mha.field)
+    refusals = manifest_refusals()
     for name in ("grp-Z2", "sweedler-H4", "fun-Z", "dual:grp-Z2"):
         for field in (QQ, PrimeField(5)):
             for suite in cli.SUITES:
-                refusal = NOT_APPLICABLE.get((suite, name))
+                refusal = refusals[suite, name, field.name]
                 if refusal is None:
                     cli.run_suite(suite, name, field, 1, 0)
                     continue
-                with pytest.raises(ValueError, match=refusal):
+                with pytest.raises(ValueError) as exc:
                     cli.run_suite(suite, name, field, 1, 0)
+                assert str(exc.value) == refusal
     assert seen == {int, Fraction}
 
     # the suites' scalars happen to stay small: sums of 4s leave [0, 5)

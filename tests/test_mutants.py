@@ -63,8 +63,7 @@ EXPECTED = {
     "double-correspondence": ["gyd-compat[regular]"],
     "module-algebra": [
         "modalg-extend-left[counit]", "modalg-extend-left[modalg][K]",
-        "yd-compat[yd][K]", "modalg-extend-left[modalg][counit-trivial]",
-        "yd-compat[yd][counit-trivial]"],
+        "yd-compat[yd][K]", "yd-compat[counit-trivial]"],
     "hq-monoidal": [
         "modalg-extend-left[modalg][K]", "yd-compat[yd][K]",
         "yd-compat[yd][K:sweedler-H4:yd-trivial:collapse]",
