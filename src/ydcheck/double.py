@@ -245,12 +245,16 @@ def dcp_module_to_yd(M, integrals):
 def check_double_correspondence(mha, gyds, samples=40, seed=0):
     """Both round trips of the correspondence, module validity of the
     forward image, and GYD validity of the backward image (including the
-    regular crossed-product module, at the pair of gyds[0])."""
+    regular crossed-product module, at the pair of gyds[0]).  One crossed
+    product, with its dual and tables, is built per distinct pair object:
+    at IDENTITY_PAIR the suite's two fixtures and the regular module share
+    one."""
     rep = Report("double-correspondence", mha, seed, samples)
     integrals = compute_integrals(mha)
+    dcps = Memo(lambda pair: DiagonalCrossedProduct(mha, pair))
 
     for V in gyds:
-        dcp = DiagonalCrossedProduct(mha, V.pair)
+        dcp = dcps[V.pair]
         M = yd_to_dcp_module(V, dcp)
         rep.merge(check_dcp_module(M, samples=samples, seed=seed), V.name)
 
@@ -272,7 +276,7 @@ def check_double_correspondence(mha, gyds, samples=40, seed=0):
                 rep.draws(mha.algebra, (V.module, 3)))
 
     # the other direction, from the regular crossed-product module
-    dcp = DiagonalCrossedProduct(mha, gyds[0].pair)
+    dcp = dcps[gyds[0].pair]
     R = regular_dcp_module(dcp)
     W = dcp_module_to_yd(R, integrals)
     rep.merge(check_gyd(W, samples=samples, seed=seed), "regular")

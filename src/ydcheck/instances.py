@@ -274,11 +274,22 @@ def transpose(field, domain, f):
     f(a) -> Element, as a basis map on functionals:
     transpose(field, domain, f)(k^) = sum_a f(a)[k] a^.  Symbols are
     dualized legwise, so a functional on a tensor power is a tensor of dual
-    symbols.  Each call computes its column: memoize it in a table."""
+    symbols.  The first read of any column evaluates f once per domain
+    symbol and files each coefficient f(a)[k] into the row of k, so n
+    columns cost n evaluations of f, not n^2; a column is its row, not a
+    copy (no row is written after that pass), and an unreached column is 0.
+    Memoize the columns in the one table that reads them."""
+    rows = None
+
     def column(k):
-        k = make_sym(tuple(p[1] for p in legs(k)))
-        return Element(field, {make_sym(tuple(map(dual_sym, legs(a)))):
-                               f(a).coeff(k) for a in domain})
+        nonlocal rows
+        if rows is None:
+            rows = {}
+            for a in domain:
+                da = make_sym(tuple(map(dual_sym, legs(a))))
+                for s, c in f(a).terms.items():
+                    rows.setdefault(s, {})[da] = c
+        return Element(field, rows.get(make_sym(tuple(p[1] for p in legs(k)))))
     return column
 
 
@@ -289,10 +300,11 @@ class DualHopf(MultiplierHopfAlgebra):
     Every structure map, and both actions, is the transpose of a base map:
     the product transposes Delta, the coproduct m, the antipode and its
     inverse S and S^-1, and a |> . and . <| a right and left multiplication
-    by a.  Each column is memoized in the one table that reads it, which
-    assumes the base's structure maps are pure.  The basis maps passed on
-    remain the instance's own closures, so a copy.copy whose _antipode is
-    replaced sees its replacement.
+    by a (one transpose per symbol a, read per pair).  Each transpose is
+    filled in one pass over its base map, and each column is memoized in
+    the one table that reads it, which assumes the base's structure maps
+    are pure.  The basis maps passed on remain the instance's own closures,
+    so a copy.copy whose _antipode is replaced sees its replacement.
     """
 
     def __init__(self, base, name):
@@ -329,11 +341,11 @@ class DualHopf(MultiplierHopfAlgebra):
             return dual_s_inv(p)
 
         # a |> p = p o (. a), x -> p(xa), and p <| a = p o (a .),
-        # x -> p(ax), each one column per basis pair
-        self.act_left = bilinear(field, lambda a, p: transpose(
-            field, bsyms, lambda x: mult[x, a])(p))
-        self.act_right = bilinear(field, lambda p, a: transpose(
-            field, bsyms, lambda x: mult[a, x])(p))
+        # x -> p(ax): one transpose per basis symbol a, read per pair
+        times_a = Memo(lambda a: transpose(field, bsyms, lambda x: mult[x, a]))
+        a_times = Memo(lambda a: transpose(field, bsyms, lambda x: mult[a, x]))
+        self.act_left = bilinear(field, lambda a, p: times_a[a](p))
+        self.act_right = bilinear(field, lambda p, a: a_times[a](p))
 
         super().__init__(alg, **unital_slices(alg, coproduct),
                          counit=counit, antipode=anti, antipode_inv=anti_inv,
@@ -654,6 +666,9 @@ def _cyclic(field, name):
     n = name.partition(":")[2]
     if not n.isdecimal() or int(n) < 1:
         raise ValueError("grp-Zn:<n> needs a whole number n >= 1, not %r" % n)
+    if n != str(int(n)):  # one name per group, as in grp-Zn:4
+        raise ValueError("grp-Zn:<n> needs n in ASCII digits with no leading "
+                         "zero, as in grp-Zn:%d, not %r" % (int(n), n))
     return group_algebra(group_Zn(int(n)), field, name)
 
 

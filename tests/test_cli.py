@@ -175,8 +175,15 @@ def test_dump_bad_pair_is_a_usage_error(capsys):
      "grp-Zn:<n> needs a whole number n >= 1, not '0'"),
     (["check", "mha-axioms", "--instance", "grp-Zn:-3"],
      "grp-Zn:<n> needs a whole number n >= 1, not '-3'"),
+    (["check", "mha-axioms", "--instance", "grp-Zn:04"],
+     "grp-Zn:<n> needs n in ASCII digits with no leading zero, as in "
+     "grp-Zn:4, not '04'"),
+    (["check", "mha-axioms", "--instance", "grp-Zn:\u0664"],
+     "grp-Zn:<n> needs n in ASCII digits with no leading zero, as in "
+     "grp-Zn:4, not '\u0664'"),
 ], ids=["inner-too-large", "inner-negative", "inner-not-a-number",
-        "scale-off-h4", "zn-zero", "zn-negative"])
+        "scale-off-h4", "zn-zero", "zn-negative", "zn-leading-zero",
+        "zn-arabic-indic"])
 def test_bad_input_is_a_usage_error_with_a_reason(args, reason, tmp_path,
                                                   capsys):
     out = str(tmp_path / "never.json")

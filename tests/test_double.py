@@ -1,9 +1,12 @@
 """Diagonal crossed products, Drinfel'd doubles and the module
 correspondence, with hand oracles on small group algebras."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+
+import ydcheck.double as double
 
 from ydcheck.fields import QQ, PrimeField, parse_field
 from ydcheck.linear import Element, Ten, tensor
@@ -16,7 +19,9 @@ from ydcheck.gyd import (AutoPair, identity_pair, trivial_gyd,
                          twisted_adjoint_gyd, parse_pair)
 from ydcheck.double import (DiagonalCrossedProduct, drinfeld_double, check_dcp,
                             yd_to_dcp_module, dcp_module_to_yd,
-                            regular_dcp_module, check_double_correspondence)
+                            regular_dcp_module, check_double_correspondence,
+                            check_double_correspondence_suite)
+from ydcheck.mha import check_mha_axioms
 
 
 def test_double_kz2_is_group_algebra_of_klein_four():
@@ -158,6 +163,45 @@ def test_double_correspondence_identity_pair(name):
     mha = build_instance(name, QQ)
     gyds = [trivial_gyd(mha), canonical_yd(mha)]
     rep = check_double_correspondence(mha, gyds, samples=25, seed=9)
+    assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("name", ["grp-Z2", "grp-S3", "sweedler-H4",
+                                  "dual:sweedler-H4"])
+def test_the_correspondence_builds_one_crossed_product_per_pair(name,
+                                                                monkeypatch):
+    """Both fixtures of the suite and the regular module sit at the
+    identity pair, so they share one crossed product and its one dual."""
+    mha = build_instance(name, QQ)
+    built, real = [], double.dual_hopf
+
+    def spy(base, name=None):
+        built.append(base)
+        return real(base, name)
+
+    monkeypatch.setattr(double, "dual_hopf", spy)
+    assert check_double_correspondence_suite(mha, samples=3, seed=3).ok
+    assert len(built) == 1 and built[0] is mha, len(built)
+
+
+def test_a_copy_of_a_warm_dual_reads_its_own_antipode():
+    """With dual:sweedler-H4's tables warmed by the correspondence suite and
+    every structure map, a copy.copy whose antipode is doubled fails the
+    antipode law with a witness, and the original still passes."""
+    D = build_instance("dual:sweedler-H4", QQ)
+    assert check_double_correspondence_suite(D, samples=3, seed=3).ok
+    everything = Element(QQ, {s: 1 for s in D.algebra.basis})
+    D.antipode(everything)
+    D.antipode_inv(everything)
+    D.coproduct(everything)
+    D.algebra.mult(everything, everything)
+
+    bad = copy.copy(D)
+    bad._antipode = lambda s: D._antipode(s).scaled(QQ.from_int(2))
+    rep = check_mha_axioms(bad, samples=10, seed=0)
+    hit = [r for r in rep.laws if r.law == "antipode"]
+    assert len(hit) == 1 and not hit[0].ok and hit[0].witness, rep.summary()
+    rep = check_mha_axioms(D, samples=10, seed=0)
     assert rep.ok, rep.summary()
 
 

@@ -18,7 +18,8 @@ from ydcheck.fields import QQ, PrimeField
 from ydcheck.linear import Element, Ten, tensor, legs
 from ydcheck.instances import (group_Z, group_Zn, group_S3, group_Dinf,
                                function_algebra, group_algebra, sweedler_h4,
-                               dual_hopf, dual_sym, compute_integrals,
+                               dual_hopf, dual_sym, transpose,
+                               compute_integrals,
                                ID, HopfAutomorphism, automorphism,
                                group_map_automorphism, IntegralData,
                                inner_automorphism, h4_scaling_automorphism,
@@ -192,17 +193,26 @@ def test_dual_pairing_laws():
 
 
 @pytest.mark.parametrize("name", ["dual:grp-Z2", "dual:grp-S3",
-                                  "dual:sweedler-H4"])
+                                  "dual:sweedler-H4", "dual:dual:sweedler-H4"])
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "fp5"])
 def test_dual_tables_match_column_formulas(name, field):
-    """The tabulated S, S^-1, product and coproduct of the dual, against
-    their defining formulas recomputed column by column from the base:
-    S(p) = p o S, (pq)(a) = (p (x) q)Delta(a), <Delta p, a (x) b> = p(ab)."""
+    """The tabulated S, S^-1, product, coproduct and coregular actions of
+    the dual, against their defining formulas sum_a f(a)[k] a^ recomputed
+    column by column from the base, on every basis symbol and pair:
+    S(p) = p o S, (pq)(a) = (p (x) q)Delta(a), <Delta p, a (x) b> = p(ab),
+    (a |> p)(x) = p(xa) and (p <| a)(x) = p(ax)."""
     D = build_instance(name, field)
     H = D.base
     syms = H.algebra.basis
     for k in syms:
         p = D.el(dual_sym(k))
+        for a in syms:
+            for got, side in ((D.act_left(H.el(a), p), lambda x: (x, a)),
+                              (D.act_right(p, H.el(a)), lambda x: (a, x))):
+                want = Element(field, {
+                    dual_sym(x): H.algebra.mult(*map(H.el, side(x))).coeff(k)
+                    for x in syms})
+                assert got == want, (k, a)
         for got, base_map in ((D.antipode(p), H.antipode),
                               (D.antipode_inv(p), H.antipode_inv)):
             want = Element(field, {dual_sym(a): base_map(H.el(a)).coeff(k)
@@ -218,6 +228,32 @@ def test_dual_tables_match_column_formulas(name, field):
                 dual_sym(a): H.coproduct(H.el(a)).coeff(Ten((k, j)))
                 for a in syms})
             assert D.algebra.mult(p, D.el(dual_sym(j))) == want
+
+
+def test_a_transpose_evaluates_its_map_once_per_domain_symbol():
+    """However many columns are read, and however often, the base map runs
+    once per domain symbol, and not before the first read; a column is its
+    row, not a copy, and a column no image reaches is 0."""
+    H = build_instance("sweedler-H4", QQ)
+    syms = H.algebra.basis
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return H.coproduct(H.el(a))
+
+    column = transpose(QQ, syms, f)
+    assert calls == []
+    ks = [Ten((dual_sym(a), dual_sym(b))) for a in syms for b in syms]
+    for _ in range(2):
+        for k in ks:
+            want = Element(QQ, {dual_sym(a): H.coproduct(H.el(a)).coeff(
+                Ten((k[0][1], k[1][1]))) for a in syms})
+            assert column(k) == want, k
+    assert calls == syms
+    k = Ten((dual_sym("g"), dual_sym("g")))
+    assert column(k).terms is column(k).terms
+    assert column(Ten((dual_sym("x"), dual_sym("x")))).is_zero()
 
 
 @pytest.mark.parametrize("name", ["dual:grp-S3", "dual:sweedler-H4"])
@@ -434,6 +470,15 @@ def test_qt_intertwine_fails_with_a_witness_on_tuple_symbols():
     hit = [law for law in rep.laws if law.law == "qt-intertwine"]
     assert len(hit) == 1 and not hit[0].ok, rep.summary()
     assert hit[0].witness.startswith("a=("), hit[0].witness
+
+
+@pytest.mark.parametrize("spelling", ["04", "\u0664"], ids=["leading-zero", "arabic-indic"])
+def test_a_cyclic_group_has_one_spelling(spelling):
+    """grp-Zn:04 and grp-Zn:<Arabic-Indic four> would build Z/4 under a
+    second name: only ASCII digits without a leading zero are accepted."""
+    with pytest.raises(ValueError, match="as in grp-Zn:4, not"):
+        build_instance("grp-Zn:" + spelling, QQ)
+    assert build_instance("grp-Zn:4", QQ).cyclic_order == 4
 
 
 def test_registry():
